@@ -4,8 +4,7 @@
 PY := PYTHONPATH=src python
 SMOKE_DIR := .bench-smoke
 
-.PHONY: test test-full docs-check lint-dispatch lint-kernel lint-shard \
-	lint-delta lint-codegen lint-service lint-docs bench-smoke \
+.PHONY: test test-full docs-check lint-confine lint-docs bench-smoke \
 	bench-algebra bench-algebra-smoke bench-kernel bench-kernel-smoke \
 	bench-shard bench-shard-smoke bench-delta bench-delta-smoke \
 	bench-codegen bench-codegen-smoke bench-ranf bench-ranf-smoke \
@@ -18,47 +17,32 @@ SMOKE_DIR := .bench-smoke
 ## maintenance, the compiled-plan codegen backend, the RANF-widened
 ## fast-engine regime, and the asyncio service front end, each gated
 ## against its committed BENCH_*.json).
-test: lint-dispatch lint-kernel lint-shard lint-delta lint-codegen \
-		lint-service bench-algebra-smoke bench-kernel-smoke \
+test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 		bench-shard-smoke bench-delta-smoke bench-codegen-smoke \
 		bench-ranf-smoke bench-service-smoke
 	$(PY) -m pytest -x -q -m "not slow"
 
-## Fail if engine-name literal comparisons (== "automata"/"direct"/
-## "algebra") appear outside src/repro/engine/ — the backend registry
-## must stay the only dispatch path.
-lint-dispatch:
-	$(PY) tools/lint_dispatch.py
-
-## Fail if kernel-converted hot modules construct dict-backed DFA(...)
-## directly — they must stay on the dense kernel boundary helpers.
-lint-kernel:
-	$(PY) tools/lint_kernel.py
-
-## Fail if transport primitives (sockets/pipes/subprocesses) appear in
-## src/repro/ outside shard/ + service/ — deadlines, retries, and
-## structured errors live there; nothing may tunnel around them.
-lint-shard:
-	$(PY) tools/lint_shard.py
-
-## Fail if code reaches into Database._relations/._adom outside the
-## database module and repro.delta — contents may only change through
-## the MVCC delta store (docs/mutability.md).
-lint-delta:
-	$(PY) tools/lint_delta.py
-
-## Fail if exec/eval/compile builtins appear in src/repro/ outside
-## algebra/codegen.py — dynamic code generation stays confined to the
-## one audited module (docs/codegen_engine.md).
-lint-codegen:
-	$(PY) tools/lint_codegen.py
-
-## Fail if asyncio transport primitives (stream factories, raw
-## StreamReader/StreamWriter construction, event-loop ownership) appear
-## in src/repro/ outside service/ + shard/ — byte limits, quotas, and
-## disconnect cancellation live in the front end (docs/service.md).
-lint-service:
-	$(PY) tools/lint_service.py
+## Fail if a confined construct escapes the modules that own it.  One
+## table of rules (tools/lint_confine.py), each "forbid pattern X in
+## files Y":
+##   dispatch  engine-name literal comparisons (== "automata"/"direct"/
+##             "algebra") outside src/repro/engine/ — the backend
+##             registry stays the only dispatch path;
+##   kernel    dict-backed DFA(...) construction in the kernel-converted
+##             hot modules — they stay on the dense kernel helpers;
+##   shard     sockets/pipes/subprocesses in src/repro/ outside shard/ +
+##             service/, where deadlines, retries and structured errors live;
+##   delta     Database._relations/._adom access outside the database
+##             module and repro.delta — contents change only through the
+##             MVCC delta store (docs/mutability.md);
+##   codegen   exec/eval/compile builtins outside algebra/codegen.py, the
+##             one audited code generator (docs/codegen_engine.md);
+##   service   asyncio stream factories, raw StreamReader/StreamWriter
+##             construction and event-loop ownership outside service/ +
+##             shard/, where byte limits, quotas and disconnect
+##             cancellation live (docs/service.md).
+lint-confine:
+	$(PY) tools/lint_confine.py
 
 ## Fail on dead relative links or heading anchors in README.md and
 ## docs/*.md (GitHub slug rules; see tools/lint_docs_links.py).

@@ -43,6 +43,8 @@ import sys
 from repro import Query, StringDatabase
 from repro.core.query import definable_language, language_is_star_free
 from repro.engine.backend import backend_names
+from repro.engine.deadline import deadline_scope
+from repro.engine.explain import execute_plan
 from repro.errors import EvaluationTimeout, ReproError, UnsafeQueryError
 from repro.eval import DirectEngine
 from repro.sql import translate_select
@@ -148,13 +150,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     db = load_database(args.db)
     q = Query(args.query, structure=args.structure, alphabet=db.alphabet)
     _check_relations(q, db)
-    with _shard_scope(args, db):
-        table = q.run(
-            db,
-            engine=args.engine,
-            limit=args.limit,
-            timeout=args.timeout,
-        )
+    with _shard_scope(args, db), deadline_scope(args.timeout):
+        plan = q.plan(db, engine=args.engine)
+        result = execute_plan(plan, db.db)
+        finite = result.is_finite()
+        if args.limit is not None and not finite:
+            rows = sorted(result.tuples(limit=args.limit))
+        else:
+            rows = sorted(result.as_set())
+    columns = list(result.variables)
     if args.stream:
         # Emit the answer in the protocol's streamed wire shape — the
         # same row_batch/done NDJSON frames a TCP client sees, so shell
@@ -164,17 +168,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         response = ServiceResponse(
             ok=True,
-            columns=list(table.columns),
-            rows=[list(row) for row in table],
-            engine=args.engine,
-            finite=args.limit is None,
+            columns=columns,
+            rows=[list(row) for row in rows],
+            engine=plan.engine,
+            finite=finite,
         )
         for frame in stream_frames(None, response, args.page_size):
             frame.pop("id", None)
             print(json.dumps(frame))
         return 0
-    print("\t".join(table.columns))
-    for row in table:
+    print("\t".join(columns))
+    for row in rows:
         print("\t".join(row))
     return 0
 
@@ -223,6 +227,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # and the other subcommands never need it.
     from repro.service import QueryService, ServiceConfig, serve_stdio, serve_tcp
 
+    if args.stdio and args.quota_rate is not None:
+        # Quotas share a server fairly between clients; stdio has one.
+        raise ReproError(
+            "--quota-rate applies only to TCP serving; stdio serves a "
+            "single client and has no quota"
+        )
     config = ServiceConfig(
         workers=args.workers,
         max_pending=args.queue_size,
@@ -401,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--quota-rate", type=float, default=None,
                          dest="quota_rate", metavar="RPS",
                          help="per-client token-bucket refill rate in "
-                              "requests/second (default: no quota)")
+                              "requests/second (TCP only; default: no "
+                              "quota)")
     p_serve.add_argument("--quota-burst", type=float, default=8.0,
                          dest="quota_burst", metavar="N",
                          help="per-client token-bucket capacity")

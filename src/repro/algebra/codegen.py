@@ -29,7 +29,7 @@ backend's job (``codegen-result`` whole-result cache keyed by database
 fingerprint, promoted along delta chains).
 
 This is the only module in the repository allowed to call
-``compile``/``exec`` (enforced by ``tools/lint_codegen.py``).
+``compile``/``exec`` (enforced by ``tools/lint_confine.py``).
 """
 
 from __future__ import annotations

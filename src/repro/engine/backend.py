@@ -22,7 +22,7 @@ module replaces all of that with a single seam:
   :class:`~repro.errors.EvaluationError` listing the registered backends.
 
 Every layer above :mod:`repro.engine` resolves engine names through this
-registry only; ``make lint-dispatch`` fails the build if an engine-name
+registry only; ``make lint-confine`` fails the build if an engine-name
 literal comparison reappears outside ``src/repro/engine/``.
 
 The cache keys all three backends use are built by

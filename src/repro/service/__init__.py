@@ -29,7 +29,6 @@ from repro.service.protocol import (
 from repro.service.quota import FairScheduler, TokenBucket
 from repro.service.server import (
     AsyncTCPQueryServer,
-    TCPQueryServer,
     serve_stdio,
     serve_tcp,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ServiceClient",
     "ServiceConfig",
     "ServiceResponse",
-    "TCPQueryServer",
     "TokenBucket",
     "classify_error",
     "serve_stdio",

@@ -4,9 +4,23 @@ Every request is a JSON object with an ``"op"`` and an optional ``"id"``
 (echoed verbatim on the response, so clients can pipeline).  Every
 response is ``{"id": ..., "ok": true, ...}`` on success or
 ``{"id": ..., "ok": false, "error": {"code", "message", "retryable"}}``
-on failure — the server never emits a traceback.  The protocol is
-transport-agnostic; :mod:`repro.service.server` runs it over stdio and
-TCP, and :mod:`repro.service.client` speaks it from Python.
+on failure — the server never emits a traceback.
+
+Who decides what
+----------------
+
+This module decides what a request *means*, for every transport: the op
+table, the validation of each request field (``stream``, ``page_size``,
+``weight``, ``limit``, ``timeout_ms``, ``prepared``, batch items), the
+error shapes, and the ``row_batch``/``done`` framing.
+:meth:`Dispatcher.step` turns one decoded request into either a finished
+:class:`Reply` or a :class:`Work` — the :class:`RunRequest` objects the
+request needs plus the function that renders their outcomes into frames
+— and does no IO of its own.  :mod:`repro.service.server` only moves
+requests: it reads and decodes lines, runs :class:`Work` on the worker
+pool, and writes frames (plus, over TCP, quotas, fair queuing, and
+disconnect cancellation).  :mod:`repro.service.client` speaks the
+protocol from Python.
 
 Operations
 ----------
@@ -84,9 +98,11 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Union
 
 from repro.core.query import StringDatabase
+from repro.engine.metrics import METRICS
 from repro.errors import ServiceError
 from repro.service.service import (
     PreparedQuery,
@@ -100,14 +116,53 @@ __all__ = [
     "Dispatcher",
     "PROTOCOL_VERSION",
     "ProtocolError",
+    "Reply",
+    "Work",
+    "error_reply",
+    "not_json",
     "stream_frames",
 ]
 
 PROTOCOL_VERSION = 1
 
+#: The ops whose answer needs the worker pool; :meth:`Dispatcher.step`
+#: turns them into :class:`Work`, every other op into a :class:`Reply`.
+QUERY_OPS = ("run", "batch")
+
 
 class ProtocolError(ServiceError):
     """A request line the protocol cannot make sense of (not retryable)."""
+
+
+@dataclass
+class Reply:
+    """A finished answer: the frames to write, and whether to stop serving."""
+
+    frames: list[dict]
+    shutdown: bool = False
+
+
+@dataclass
+class Work:
+    """A query op that needs the worker pool.
+
+    ``render`` takes one outcome per request, in order — the
+    :class:`ServiceResponse` of a request that ran, or the exception that
+    kept it from being admitted — and returns the frames to write.
+    ``weight`` is the request's fair-queuing weight and ``cost`` its quota
+    charge (one token per batch item); only the TCP server uses them.
+    """
+
+    request_id: Any
+    requests: list[RunRequest]
+    render: Callable[[list], list[dict]]
+    streaming: bool = False
+    weight: float = 1.0
+    cost: float = 1.0
+
+    def reject(self, exc: Exception, **extra: Any) -> list[dict]:
+        """The frames refusing the whole request before it ran."""
+        return [error_reply(self.request_id, exc, self.streaming, **extra)]
 
 
 def _require_str(obj: dict, key: str) -> str:
@@ -124,6 +179,43 @@ def _optional_number(obj: dict, key: str) -> Optional[float]:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f'"{key}" must be a number')
     return float(value)
+
+
+def _weight(obj: dict) -> float:
+    weight = obj.get("weight")
+    if weight is None:
+        return 1.0
+    if (
+        isinstance(weight, bool)
+        or not isinstance(weight, (int, float))
+        or weight <= 0
+    ):
+        raise ProtocolError('"weight" must be a positive number')
+    return float(weight)
+
+
+def _error_body(exc: BaseException) -> dict:
+    return {"ok": False, "error": classify_error(exc).to_dict()}
+
+
+def error_reply(
+    request_id: Any, exc: BaseException, streaming: bool = False, **extra: Any
+) -> dict:
+    """The structured-error line of a request that failed as a whole — the
+    terminal ``done`` frame when the client asked to stream."""
+    if streaming:
+        response = ServiceResponse(ok=False, error=classify_error(exc))
+        reply = stream_frames(request_id, response, 1)[0]
+    else:
+        reply = {"id": request_id, **_error_body(exc)}
+    reply.update(extra)
+    return reply
+
+
+def not_json(exc: json.JSONDecodeError) -> Reply:
+    """The answer to a request line that does not decode as JSON."""
+    error = ProtocolError(f"request is not valid JSON: {exc}")
+    return Reply([error_reply(None, error)])
 
 
 def stream_frames(
@@ -193,25 +285,26 @@ class Dispatcher:
 
     # ------------------------------------------------------------- plumbing
 
-    def handle_line(self, line: str) -> tuple[Optional[str], bool]:
-        """One request line in, one encoded response line (or ``None`` for
-        blank input) out, plus a shutdown flag."""
-        line = line.strip()
-        if not line:
-            return None, False
+    def step(self, obj: Any) -> Union[Reply, Work]:
+        """Decide what one decoded request means; never raises, does no IO.
+
+        ``run`` and ``batch`` become :class:`Work` (or an error
+        :class:`Reply` when a field is invalid); every other op is
+        answered on the spot through :meth:`handle`.
+        """
+        op = obj.get("op") if isinstance(obj, dict) else None
+        if op not in QUERY_OPS:
+            response, shutdown = self.handle(obj)
+            return Reply([response], shutdown)
+        streaming = op == "run" and bool(obj.get("stream"))
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            error = classify_error(ProtocolError(f"request is not valid JSON: {exc}"))
-            return (
-                json.dumps({"id": None, "ok": False, "error": error.to_dict()}),
-                False,
-            )
-        response, shutdown = self.handle(obj)
-        return json.dumps(response), shutdown
+            return self._run(obj, streaming) if op == "run" else self._batch(obj)
+        except Exception as exc:
+            return Reply([error_reply(obj.get("id"), exc, streaming)])
 
     def handle(self, obj: Any) -> tuple[dict, bool]:
-        """Dispatch one decoded request; never raises."""
+        """Answer one decoded control op (anything but ``run``/``batch``);
+        never raises.  Returns the response and a shutdown flag."""
         request_id = obj.get("id") if isinstance(obj, dict) else None
         try:
             if not isinstance(obj, dict):
@@ -219,67 +312,90 @@ class Dispatcher:
             op = obj.get("op")
             if not isinstance(op, str):
                 raise ProtocolError('request needs a string "op" field')
+            if op in QUERY_OPS:
+                raise ProtocolError(f"{op!r} needs the worker pool; use step()")
             handler = getattr(self, f"_op_{op}", None)
             if handler is None:
                 known = sorted(
-                    name[4:] for name in dir(self) if name.startswith("_op_")
+                    [name[4:] for name in dir(self) if name.startswith("_op_")]
+                    + list(QUERY_OPS)
                 )
                 raise ProtocolError(
                     f"unknown op {op!r} (known: {', '.join(known)})"
                 )
             body, shutdown = handler(obj)
         except Exception as exc:
-            body, shutdown = (
-                {"ok": False, "error": classify_error(exc).to_dict()},
-                False,
-            )
+            body, shutdown = _error_body(exc), False
         response = {"id": request_id}
         response.update(body)
         response.setdefault("ok", True)
         return response, shutdown
 
-    def handle_line_multi(self, line: str) -> tuple[list[str], bool]:
-        """Like :meth:`handle_line`, but a request may produce *several*
-        response lines: a streamed ``run`` yields its ``row_batch``
-        frames plus the ``done`` frame.  This is the entry point for
-        synchronous transports (the stdio adapter); the asyncio server
-        streams natively and only shares :func:`stream_frames`."""
-        stripped = line.strip()
-        if not stripped:
-            return [], False
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError:
-            encoded, shutdown = self.handle_line(line)
-            return ([encoded] if encoded is not None else []), shutdown
-        if (
-            isinstance(obj, dict)
-            and obj.get("op") == "run"
-            and obj.get("stream")
-        ):
-            request_id = obj.get("id")
-            try:
-                page_size = self.stream_page_size(obj)
-                request = self._request_from(obj)
-            except Exception as exc:
-                return [json.dumps({
-                    "id": request_id,
-                    "ok": False,
-                    "error": classify_error(exc).to_dict(),
-                })], False
-            response = self.service.execute(request)
-            return [
-                json.dumps(frame)
-                for frame in stream_frames(request_id, response, page_size)
-            ], False
-        response, shutdown = self.handle(obj)
-        return [json.dumps(response)], shutdown
+    # ------------------------------------------------------------ query ops
 
-    def stream_page_size(self, obj: dict) -> int:
+    def _run(self, obj: dict, streaming: bool) -> Work:
+        request_id = obj.get("id")
+        page_size = self._page_size(obj) if streaming else 0
+        request = self._request_from(obj)
+        weight = _weight(obj)
+
+        def render(outcomes: list) -> list[dict]:
+            (outcome,) = outcomes
+            if isinstance(outcome, Exception):
+                return [error_reply(request_id, outcome, streaming)]
+            if streaming:
+                METRICS.inc("service.streams")
+                return stream_frames(request_id, outcome, page_size)
+            return [{"id": request_id, **outcome.to_dict()}]
+
+        return Work(request_id, [request], render, streaming, weight)
+
+    def _batch(self, obj: dict) -> Work:
+        request_id = obj.get("id")
+        items = obj.get("requests")
+        if not isinstance(items, list):
+            raise ProtocolError('"requests" must be a list of run bodies')
+        weight = _weight(obj)
+        METRICS.inc("service.batches")
+        # Malformed items get a structured error in their slot; the
+        # well-formed rest still fans out across the pool together.
+        slots: list[Any] = []
+        for item in items:
+            try:
+                if not isinstance(item, dict):
+                    raise ProtocolError("batch items must be objects")
+                if item.get("stream"):
+                    raise ProtocolError(
+                        '"stream" is not supported inside batch items; '
+                        "issue separate streamed run ops"
+                    )
+                slots.append(self._request_from(item))
+            except Exception as exc:
+                slots.append(_error_body(exc))
+
+        def render(outcomes: list) -> list[dict]:
+            pending = iter(outcomes)
+            results = []
+            for slot in slots:
+                if isinstance(slot, RunRequest):
+                    outcome = next(pending)
+                    slot = (
+                        _error_body(outcome) if isinstance(outcome, Exception)
+                        else outcome.to_dict()
+                    )
+                results.append(slot)
+            return [{"id": request_id, "ok": True, "results": results}]
+
+        requests = [slot for slot in slots if isinstance(slot, RunRequest)]
+        return Work(
+            request_id, requests, render,
+            weight=weight, cost=float(max(1, len(items))),
+        )
+
+    def _page_size(self, obj: dict) -> int:
         """The validated ``page_size`` of a streamed run (service default
         when absent); also validates the ``stream`` flag itself."""
-        stream = obj.get("stream")
-        if not isinstance(stream, bool):
+        if not isinstance(obj.get("stream"), bool):
             raise ProtocolError('"stream" must be a boolean')
         page_size = obj.get("page_size")
         if page_size is None:
@@ -292,7 +408,30 @@ class Dispatcher:
             raise ProtocolError('"page_size" must be a positive integer')
         return page_size
 
-    # ------------------------------------------------------------------ ops
+    def _request_from(self, obj: dict) -> RunRequest:
+        if "prepared" in obj:
+            pid = _require_str(obj, "prepared")
+            with self._lock:
+                query = self._prepared.get(pid)
+            if query is None:
+                raise ProtocolError(f"unknown prepared query {pid!r}")
+        else:
+            query = _require_str(obj, "query")
+        timeout_ms = _optional_number(obj, "timeout_ms")
+        limit = obj.get("limit")
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
+            raise ProtocolError('"limit" must be an integer')
+        return RunRequest(
+            query=query,
+            database=_require_str(obj, "db"),
+            structure=obj.get("structure", "S"),
+            engine=obj.get("engine"),
+            slack=obj.get("slack"),
+            limit=limit,
+            timeout=timeout_ms / 1000.0 if timeout_ms is not None else None,
+        )
+
+    # ---------------------------------------------------------- control ops
 
     def _op_ping(self, obj: dict) -> tuple[dict, bool]:
         return {"pong": True, "version": PROTOCOL_VERSION}, False
@@ -387,46 +526,6 @@ class Dispatcher:
             "variables": sorted(handle.formula.free_variables()),
         }, False
 
-    def _op_run(self, obj: dict) -> tuple[dict, bool]:
-        if obj.get("stream"):
-            # Streamed runs are routed by the transports (handle_line_multi
-            # / the asyncio server); reaching the single-response path
-            # means the transport cannot interleave frames.
-            raise ProtocolError(
-                "streamed run is not supported on this transport path"
-            )
-        response = self.service.execute(self._request_from(obj))
-        return response.to_dict(), False
-
-    def _op_batch(self, obj: dict) -> tuple[dict, bool]:
-        items = obj.get("requests")
-        if not isinstance(items, list):
-            raise ProtocolError('"requests" must be a list of run bodies')
-        # Malformed items get a structured error in their slot; the
-        # well-formed rest still fans out across the pool together.
-        parsed: list[Any] = []
-        for item in items:
-            try:
-                if not isinstance(item, dict):
-                    raise ProtocolError("batch items must be objects")
-                if item.get("stream"):
-                    raise ProtocolError(
-                        '"stream" is not supported inside batch items; '
-                        "issue separate streamed run ops"
-                    )
-                parsed.append(self._request_from(item))
-            except Exception as exc:
-                parsed.append(
-                    {"ok": False, "error": classify_error(exc).to_dict()}
-                )
-        runnable = [p for p in parsed if isinstance(p, RunRequest)]
-        responses = iter(self.service.execute_batch(runnable))
-        results = [
-            next(responses).to_dict() if isinstance(p, RunRequest) else p
-            for p in parsed
-        ]
-        return {"results": results}, False
-
     def _op_stats(self, obj: dict) -> tuple[dict, bool]:
         return {"stats": self.service.stats()}, False
 
@@ -435,28 +534,3 @@ class Dispatcher:
             raise ProtocolError("shutdown is disabled on this server")
         self.shutdown_drain = bool(obj.get("drain", True))
         return {"closing": True, "drain": self.shutdown_drain}, True
-
-    # -------------------------------------------------------------- helpers
-
-    def _request_from(self, obj: dict) -> RunRequest:
-        if "prepared" in obj:
-            pid = _require_str(obj, "prepared")
-            with self._lock:
-                query = self._prepared.get(pid)
-            if query is None:
-                raise ProtocolError(f"unknown prepared query {pid!r}")
-        else:
-            query = _require_str(obj, "query")
-        timeout_ms = _optional_number(obj, "timeout_ms")
-        limit = obj.get("limit")
-        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
-            raise ProtocolError('"limit" must be an integer')
-        return RunRequest(
-            query=query,
-            database=_require_str(obj, "db"),
-            structure=obj.get("structure", "S"),
-            engine=obj.get("engine"),
-            slack=obj.get("slack"),
-            limit=limit,
-            timeout=timeout_ms / 1000.0 if timeout_ms is not None else None,
-        )

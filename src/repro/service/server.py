@@ -1,5 +1,13 @@
 """Transports for the NDJSON protocol: a stdio loop and an asyncio TCP server.
 
+Both transports run one pipeline.  :mod:`repro.service.protocol` decides
+what a request means (:meth:`~repro.service.protocol.Dispatcher.step`:
+validation, error shapes, framing); this module only moves it — reads
+and decodes lines, submits the step's :class:`~repro.service.protocol.
+Work` to the shared :class:`~repro.service.service.QueryService` pool,
+and writes the frames the step renders.  The same request line
+therefore gets the same answer on either transport.
+
 ``python -m repro serve --stdio`` runs :func:`serve_stdio` — one request
 per stdin line, one response line (or, for streamed runs, several frame
 lines) per request, exit 0 on EOF or a ``shutdown`` op.  That shape makes
@@ -11,9 +19,8 @@ the service scriptable::
 a single-threaded **asyncio** front end that multiplexes every
 connection onto one event loop — a connection costs one coroutine and
 one socket, not one thread, so 10k concurrent clients are just 10k
-parked readers.  Query execution still funnels through the *one* shared
-:class:`~repro.service.service.QueryService` worker pool; the event loop
-never blocks on it:
+parked readers.  The event loop never blocks on the pool.  What only
+the TCP server does, because only it has many clients:
 
 * ``run`` / ``batch`` are admitted through a per-client
   :class:`~repro.service.quota.TokenBucket` quota and a
@@ -22,24 +29,17 @@ never blocks on it:
   bridged back by :meth:`~repro.service.service.PendingRequest.
   add_done_callback` + ``call_soon_threadsafe`` — no thread per
   in-flight request, no polling;
-* streamed runs (``"stream": true``) write ``row_batch`` frames followed
-  by a ``done`` frame (:func:`repro.service.protocol.stream_frames`);
-  while a request executes, the connection watches its socket, so a
+* while a request executes, the connection watches its socket, so a
   client that disconnects mid-answer gets its request **cancelled
   cooperatively** (queued work is skipped, running work aborts at the
   engines' next deadline checkpoint) — a vanished client never leaks a
   worker slot;
-* cheap control ops (``ping``) are answered inline on the loop; registry
-  ops (``register_db``, ``insert``, ...) run on a small bounded executor
+* ``ping`` is answered inline on the loop; registry ops
+  (``register_db``, ``insert``, ...) run on a small bounded executor
   so fingerprinting a large payload cannot stall unrelated connections;
 * ``shutdown`` acknowledges, stops accepting, gives busy connections a
   grace period to finish their current request, cancels the rest, and
   returns from :meth:`~AsyncTCPQueryServer.serve_forever`.
-
-The thread-facing surface is unchanged from the old ``ThreadingTCPServer``
-front end (``serve_tcp`` → ``server_address`` / ``serve_forever()`` /
-``shutdown()`` / ``close_service()``), so callers and tests drive both
-generations identically; ``TCPQueryServer`` remains as an alias.
 """
 
 from __future__ import annotations
@@ -54,19 +54,21 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from repro.engine.metrics import METRICS
-from repro.errors import QueueFullError, ServiceClosedError
-from repro.service.protocol import Dispatcher, ProtocolError, stream_frames
-from repro.service.quota import FairScheduler, TokenBucket, quota_error
-from repro.service.service import (
-    QueryService,
-    RunRequest,
-    ServiceResponse,
-    classify_error,
+from repro.errors import ReproError
+from repro.service.protocol import (
+    Dispatcher,
+    ProtocolError,
+    Reply,
+    Work,
+    error_reply,
+    not_json,
 )
+from repro.service.quota import FairScheduler, TokenBucket, quota_error
+from repro.service.service import QueryService, RunRequest
 
 __all__ = [
     "AsyncTCPQueryServer",
-    "TCPQueryServer",
+    "respond",
     "serve_stdio",
     "serve_tcp",
 ]
@@ -86,6 +88,29 @@ _CANCEL_HORIZON = 1e9
 #: their current request before cancelling them.
 DRAIN_GRACE = 5.0
 
+#: Ops whose protocol step the event loop takes inline: the liveness
+#: probe, shutdown, and the query ops (whose step only validates; their
+#: work goes to the pool).  Every other step touches the registry and
+#: runs on the auxiliary executor.
+_LOOP_OPS = frozenset({"ping", "shutdown", "run", "batch"})
+
+
+def respond(dispatcher: Dispatcher, obj: Any) -> Reply:
+    """Answer one decoded request synchronously: the protocol's step, with
+    any pool work submitted and waited for."""
+    step = dispatcher.step(obj)
+    if isinstance(step, Reply):
+        return step
+    outcomes: list[Any] = []
+    for request in step.requests:
+        try:
+            outcomes.append(dispatcher.service.submit(request))
+        except ReproError as exc:  # not admitted: closed, full, timed out
+            outcomes.append(exc)
+    return Reply(step.render([
+        o if isinstance(o, Exception) else o.wait() for o in outcomes
+    ]))
+
 
 def serve_stdio(service: QueryService, stdin=None, stdout=None) -> int:
     """Serve one NDJSON stream; returns 0 on EOF or ``shutdown``.
@@ -102,12 +127,18 @@ def serve_stdio(service: QueryService, stdin=None, stdout=None) -> int:
     dispatcher = Dispatcher(service)
     try:
         for line in stdin:
-            outs, shutdown = dispatcher.handle_line_multi(line)
-            for out in outs:
-                stdout.write(out + "\n")
-            if outs:
-                stdout.flush()
-            if shutdown:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                reply = not_json(exc)
+            else:
+                reply = respond(dispatcher, obj)
+            for frame in reply.frames:
+                stdout.write(json.dumps(frame) + "\n")
+            stdout.flush()
+            if reply.shutdown:
                 break
     finally:
         service.close(drain=dispatcher.shutdown_drain)
@@ -272,12 +303,9 @@ class AsyncTCPQueryServer:
                     # A request line past READ_LIMIT: the stream can no
                     # longer be framed, so answer with a structured
                     # protocol error and close instead of dying silently.
-                    error = classify_error(ProtocolError(
+                    await self._write(writer, [error_reply(None, ProtocolError(
                         f"request line exceeds the {READ_LIMIT}-byte limit"
-                    ))
-                    await self._write(writer, {
-                        "id": None, "ok": False, "error": error.to_dict(),
-                    }, swallow=True)
+                    ))])
                     break
                 if not line:
                     break
@@ -316,197 +344,83 @@ class AsyncTCPQueryServer:
         try:
             obj = json.loads(line.decode("utf-8", "replace"))
         except json.JSONDecodeError as exc:
-            error = classify_error(
-                ProtocolError(f"request is not valid JSON: {exc}")
-            )
-            await self._write(writer, {
-                "id": None, "ok": False, "error": error.to_dict(),
-            })
-            return False
-        op = obj.get("op") if isinstance(obj, dict) else None
-        if op == "ping":
-            # The liveness probe stays on the loop: a saturated pool or a
-            # busy executor must not make the server look dead.
-            response, _ = self.dispatcher.handle(obj)
-            await self._write(writer, response)
-            return False
-        if op in ("run", "batch"):
-            return await self._query_op(
-                obj, op, writer, source, bucket, client_id
-            )
-        if op == "shutdown":
-            response, shutdown = self.dispatcher.handle(obj)
-            await self._write(writer, response)
-            if shutdown:
-                self._shutdown_event.set()
+            step = not_json(exc)
+        else:
+            if isinstance(obj, dict) and obj.get("op") in _LOOP_OPS:
+                step = self.dispatcher.step(obj)
+            else:
+                step = await self._loop.run_in_executor(
+                    self._executor, self.dispatcher.step, obj
+                )
+        if isinstance(step, Work):
+            frames = await self._run(step, source, bucket, client_id)
+            if frames is None:
                 return True
-            return False
-        # Registry / stats / prepare ops: off-loop, bounded executor.
-        response, _ = await self._loop.run_in_executor(
-            self._executor, self.dispatcher.handle, obj
-        )
-        await self._write(writer, response)
+        else:
+            frames = step.frames
+        if not await self._write(writer, frames):
+            return True
+        if isinstance(step, Reply) and step.shutdown:
+            self._shutdown_event.set()
+            return True
         return False
 
-    # ----------------------------------------------------------- query ops
-
-    async def _query_op(
+    async def _run(
         self,
-        obj: dict,
-        op: str,
-        writer: asyncio.StreamWriter,
+        work: Work,
         source: _LineSource,
         bucket: TokenBucket,
         client_id: int,
-    ) -> bool:
-        request_id = obj.get("id")
-        streaming = bool(obj.get("stream")) and op == "run"
-
-        # ---- token-bucket quota (query ops only; control ops are free)
-        if op == "batch":
-            items = obj.get("requests")
-            cost = float(max(1, len(items))) if isinstance(items, list) else 1.0
-            # A bucket never holds more than `burst` tokens, so a batch
-            # costing more than that could never be admitted: blocking
-            # would hang forever and a retry_after hint would be a lie.
-            # Fail it up front with a non-retryable structured error.
-            if bucket.rate is not None and cost > bucket.burst:
-                METRICS.inc("service.quota_rejections")
-                return await self._fail(
-                    writer, request_id,
-                    ProtocolError(
-                        f"batch of {int(cost)} items exceeds the "
-                        f"per-connection quota burst ({bucket.burst:g}); "
-                        "split the batch or raise quota_burst"
-                    ),
-                )
-        else:
-            cost = 1.0
-        retry_after = bucket.try_acquire(cost)
+    ) -> Optional[list[dict]]:
+        """Charge the quota, fair-queue the work's requests into the pool
+        and await them, watching for disconnect; returns the rendered
+        frames, or None once the client is gone."""
+        # A bucket never holds more than `burst` tokens, so a batch
+        # costing more than that could never be admitted: blocking would
+        # hang forever and a retry_after hint would be a lie.  Fail it up
+        # front with a non-retryable structured error.
+        if bucket.rate is not None and work.cost > bucket.burst:
+            METRICS.inc("service.quota_rejections")
+            return work.reject(ProtocolError(
+                f"batch of {int(work.cost)} items exceeds the "
+                f"per-connection quota burst ({bucket.burst:g}); "
+                "split the batch or raise quota_burst"
+            ))
+        retry_after = bucket.try_acquire(work.cost)
         if retry_after > 0.0:
             if self.service.config.backpressure == "reject":
                 METRICS.inc("service.quota_rejections")
-                return await self._fail(
-                    writer, request_id, quota_error(retry_after),
-                    streaming=streaming,
-                    extra={"retry_after": round(retry_after, 3)},
+                return work.reject(
+                    quota_error(retry_after),
+                    retry_after=round(retry_after, 3),
                 )
             METRICS.inc("service.quota_delays")
-            await bucket.acquire(cost)
+            await bucket.acquire(work.cost)
 
-        if op == "batch":
-            return await self._batch(obj, writer, source, client_id)
-
-        # ---- single run (plain or streamed)
-        try:
-            page_size = (
-                self.dispatcher.stream_page_size(obj) if streaming else 0
-            )
-            request = self.dispatcher._request_from(obj)
-            weight = self._weight_from(obj)
-        except Exception as exc:
-            return await self._fail(
-                writer, request_id, exc, streaming=streaming
-            )
-        self._make_cancellable(request)
-        connected, pending, admission_error = await self._admit(
-            request, source, client_id, weight
-        )
-        if not connected:
-            return True
-        if admission_error is not None:
-            return await self._fail(
-                writer, request_id, admission_error, streaming=streaming
-            )
-        assert pending is not None
-        connected, response = await self._finish(pending, source, streaming)
-        if not connected:
-            return True
-        if streaming:
-            METRICS.inc("service.streams")
-            for frame in stream_frames(request_id, response, page_size):
-                if not await self._write(writer, frame, swallow=True):
-                    # Peer vanished between frames; execution already
-                    # finished, nothing to cancel.
-                    return True
-            return False
-        out = {"id": request_id}
-        out.update(response.to_dict())
-        await self._write(writer, out)
-        return False
-
-    async def _batch(
-        self,
-        obj: dict,
-        writer: asyncio.StreamWriter,
-        source: _LineSource,
-        client_id: int,
-    ) -> bool:
-        """Native-async batch: items fan out through the fair scheduler
-        and the pool concurrently; the results list keeps request order,
-        malformed or rejected items get structured errors in their slot."""
-        request_id = obj.get("id")
-        items = obj.get("requests")
-        if not isinstance(items, list):
-            return await self._fail(
-                writer, request_id,
-                ProtocolError('"requests" must be a list of run bodies'),
-            )
-        try:
-            weight = self._weight_from(obj)
-        except ProtocolError as exc:
-            return await self._fail(writer, request_id, exc)
-        METRICS.inc("service.batches")
-        parsed: list[Any] = []
-        for item in items:
-            try:
-                if not isinstance(item, dict):
-                    raise ProtocolError("batch items must be objects")
-                if item.get("stream"):
-                    raise ProtocolError(
-                        '"stream" is not supported inside batch items; '
-                        "issue separate streamed run ops"
-                    )
-                request = self.dispatcher._request_from(item)
-                self._make_cancellable(request)
-                parsed.append(request)
-            except Exception as exc:
-                parsed.append(
-                    {"ok": False, "error": classify_error(exc).to_dict()}
-                )
-        results: list[Optional[dict]] = []
-        pendings: list[tuple[int, Any]] = []
-        for index, entry in enumerate(parsed):
-            if not isinstance(entry, RunRequest):
-                results.append(entry)
-                continue
-            connected, pending, admission_error = await self._admit(
-                entry, source, client_id, weight
+        # Admission failures stay in their slot as the exception.
+        admitted: list[Any] = []
+        for request in work.requests:
+            self._make_cancellable(request)
+            connected, entry = await self._admit(
+                request, source, client_id, work.weight
             )
             if not connected:
-                for _, p in pendings:
-                    p.cancel()
-                return True
-            if admission_error is not None:
-                results.append({
-                    "ok": False,
-                    "error": classify_error(admission_error).to_dict(),
-                })
+                _cancel(admitted)
+                return None
+            admitted.append(entry)
+        outcomes: list[Any] = []
+        for entry in admitted:
+            if isinstance(entry, Exception):
+                outcomes.append(entry)
                 continue
-            results.append(None)
-            pendings.append((index, pending))
-        for index, pending in pendings:
-            connected, response = await self._finish(pending, source, False)
+            connected, response = await self._finish(
+                entry, source, work.streaming
+            )
             if not connected:
-                for _, p in pendings:
-                    if not p.done():
-                        p.cancel()
-                return True
-            results[index] = response.to_dict()
-        await self._write(
-            writer, {"id": request_id, "ok": True, "results": results}
-        )
-        return False
+                _cancel(admitted)
+                return None
+            outcomes.append(response)
+        return work.render(outcomes)
 
     # ------------------------------------------------------------- helpers
 
@@ -520,18 +434,6 @@ class AsyncTCPQueryServer:
         ):
             request.timeout = _CANCEL_HORIZON
 
-    def _weight_from(self, obj: dict) -> float:
-        weight = obj.get("weight")
-        if weight is None:
-            return 1.0
-        if (
-            isinstance(weight, bool)
-            or not isinstance(weight, (int, float))
-            or weight <= 0
-        ):
-            raise ProtocolError('"weight" must be a positive number')
-        return float(weight)
-
     async def _admit(
         self,
         request: RunRequest,
@@ -541,7 +443,8 @@ class AsyncTCPQueryServer:
     ):
         """Fair-queue ``request`` into the pool, watching for disconnect.
 
-        Returns ``(connected, pending, admission_error)``.
+        Returns ``(connected, admitted)``: the pending request, or the
+        exception that kept it out of the pool.
         """
         admission_timeout = (
             0.0 if self.service.config.backpressure == "reject"
@@ -559,11 +462,11 @@ class AsyncTCPQueryServer:
         )
         connected = await self._watch(fut, source, fut.cancel)
         if not connected:
-            return False, None, None
+            return False, None
         try:
-            return True, fut.result(), None
-        except (QueueFullError, ServiceClosedError, Exception) as exc:
-            return True, None, exc
+            return True, fut.result()
+        except Exception as exc:
+            return True, exc
 
     async def _finish(self, pending, source: _LineSource, streaming: bool):
         """Await a submitted request's completion, watching for disconnect.
@@ -633,49 +536,24 @@ class AsyncTCPQueryServer:
                 with contextlib.suppress(BaseException):
                     await watch
 
-    async def _fail(
-        self,
-        writer: asyncio.StreamWriter,
-        request_id: Any,
-        exc: Exception,
-        streaming: bool = False,
-        extra: Optional[dict] = None,
-    ) -> bool:
-        """Write the structured-error shape for a failed request (the
-        ``done`` frame when the client asked to stream)."""
-        error = classify_error(exc)
-        if streaming:
-            response = ServiceResponse(ok=False, error=error)
-            frame = stream_frames(request_id, response, 1)[0]
-            if extra:
-                frame.update(extra)
-            await self._write(writer, frame, swallow=True)
-            return False
-        out: dict[str, Any] = {
-            "id": request_id, "ok": False, "error": error.to_dict(),
-        }
-        if extra:
-            out.update(extra)
-        await self._write(writer, out)
-        return False
-
     async def _write(
-        self, writer: asyncio.StreamWriter, obj: dict, swallow: bool = False
+        self, writer: asyncio.StreamWriter, frames: list[dict]
     ) -> bool:
-        data = (json.dumps(obj) + "\n").encode("utf-8")
+        """Write ``frames`` as NDJSON lines; False once the peer is gone."""
         try:
-            writer.write(data)
+            for frame in frames:
+                writer.write((json.dumps(frame) + "\n").encode("utf-8"))
             await writer.drain()
             return True
         except (ConnectionError, OSError):
-            if swallow:
-                return False
-            raise
+            return False
 
 
-#: The historical name: the thread-per-connection ``ThreadingTCPServer``
-#: this class replaced; callers constructing by name keep working.
-TCPQueryServer = AsyncTCPQueryServer
+def _cancel(admitted: list) -> None:
+    """Abandon the admitted requests of a client that went away."""
+    for entry in admitted:
+        if not isinstance(entry, Exception) and not entry.done():
+            entry.cancel()
 
 
 def serve_tcp(

@@ -16,7 +16,9 @@ from repro.errors import AlphabetError
 from repro.logic import parse_formula
 from repro.strings import BINARY
 from repro.structures import S
-from repro.__main__ import main
+from repro.__main__ import load_database, main
+from repro.core import Query
+from repro.engine.backend import backend_names
 
 
 SWAP = {"0": "1", "1": "0"}
@@ -154,3 +156,28 @@ class TestCli:
         code = main(["run", "el(x, x)", "--db", db_file])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_run_stream_done_frame_reports_plan_and_finiteness(
+        self, capsys, db_file
+    ):
+        # The done frame names the backend the planner chose (never the
+        # "auto" request) and whether the answer is finite, --limit or not.
+        planned = Query("R(x)").plan(load_database(db_file)).engine
+        code = main(["run", "R(x)", "--db", db_file, "--stream", "--limit", "5"])
+        assert code == 0
+        done = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert done["frame"] == "done" and done["row_count"] == 3
+        assert done["engine"] == planned and done["engine"] in backend_names()
+        assert done["finite"] is True
+        code = main(
+            ["run", "last(x, '0')", "--db", db_file, "--stream", "--limit", "3"]
+        )
+        assert code == 0
+        done = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert done["finite"] is False and done["row_count"] == 3
+
+    def test_serve_stdio_refuses_quota_rate(self, capsys):
+        code = main(["serve", "--stdio", "--quota-rate", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --quota-rate applies only to TCP")

@@ -23,6 +23,7 @@ from repro.engine.metrics import METRICS
 from repro.errors import ArityError
 from repro.service import QueryService, RunRequest
 from repro.service.protocol import Dispatcher
+from repro.service.server import respond
 from repro.strings import BINARY
 
 
@@ -270,17 +271,17 @@ class TestServiceDeltas:
             {"op": "insert", "db": "main", "relation": "R", "rows": [["110"]]}
         )
         assert resp["ok"] and resp["version"] == 1
-        run, _ = d.handle(
-            {"op": "run", "query": "R(x) & last(x, '0')", "db": "main"}
-        )
+        (run,) = respond(
+            d, {"op": "run", "query": "R(x) & last(x, '0')", "db": "main"}
+        ).frames
         assert sorted(run["rows"]) == [["0110"], ["110"]]
         resp, _ = d.handle(
             {"op": "delete", "db": "main", "relation": "R", "rows": ["0110"]}
         )
         assert resp["ok"] and resp["version"] == 2
-        run, _ = d.handle(
-            {"op": "run", "query": "R(x) & last(x, '0')", "db": "main"}
-        )
+        (run,) = respond(
+            d, {"op": "run", "query": "R(x) & last(x, '0')", "db": "main"}
+        ).frames
         assert run["rows"] == [["110"]]
 
     def test_db_versions_and_stats(self, service):
@@ -298,7 +299,7 @@ class TestServiceDeltas:
         assert resp["ok"] and resp["removed"]
         resp, _ = d.handle({"op": "unregister_db", "name": "main"})
         assert resp["ok"] and not resp["removed"]
-        run, _ = d.handle({"op": "run", "query": "R(x)", "db": "main"})
+        (run,) = respond(d, {"op": "run", "query": "R(x)", "db": "main"}).frames
         assert not run["ok"] and run["error"]["code"] == "invalid"
 
     def test_plan_reused_across_adom_stable_delta(self, service):
@@ -307,14 +308,14 @@ class TestServiceDeltas:
         # First delta wraps the entry in the MVCC store; the run after it
         # caches the plan under the epoch key.
         d.handle({"op": "insert", "db": "main", "relation": "S", "rows": ["01"]})
-        d.handle({"op": "run", "query": query, "db": "main"})
+        respond(d, {"op": "run", "query": query, "db": "main"})
         # "0110" is already active (it is in R): adom and schema unchanged,
         # so the prepared plan survives the delta without re-planning.
         d.handle(
             {"op": "insert", "db": "main", "relation": "S", "rows": ["0110"]}
         )
         before = METRICS.get("delta.replans_avoided")
-        d.handle({"op": "run", "query": query, "db": "main"})
+        respond(d, {"op": "run", "query": query, "db": "main"})
         assert METRICS.get("delta.replans_avoided") == before + 1
 
     def test_pinned_snapshot_unaffected_by_delta(self, service):

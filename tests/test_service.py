@@ -17,6 +17,7 @@ with a structured retryable error.
 import asyncio
 import io
 import json
+import re
 import socket
 import threading
 import time
@@ -45,7 +46,6 @@ from repro.service import (
     RunRequest,
     ServiceClient,
     ServiceConfig,
-    TCPQueryServer,
     classify_error,
     serve_stdio,
     serve_tcp,
@@ -643,6 +643,99 @@ class TestStreaming:
         assert frames[-1]["row_count"] == 2
 
 
+class TestTransportParity:
+    """One request pipeline: stdio and TCP answer the same request lines
+    with the same response lines, up to timings."""
+
+    LINES = [
+        json.dumps({
+            "op": "register_db", "id": 0, "name": "main",
+            "db": {"alphabet": "01",
+                   "relations": {"R": [["0110"], ["001"]], "S": [["0"]]}},
+        }),
+        json.dumps({"op": "run", "id": 1, "query": "R(x)", "db": "main",
+                    "stream": True, "page_size": 0}),
+        json.dumps({"op": "run", "id": 2, "query": "R(x)", "db": "main",
+                    "stream": "yes"}),
+        json.dumps({"op": "run", "id": 3, "query": "R(x)", "db": "main",
+                    "weight": -1}),
+        json.dumps({"op": "batch", "id": 4, "weight": -1,
+                    "requests": [{"query": "R(x)", "db": "main"}]}),
+        json.dumps({"op": "batch", "id": 5, "requests": [
+            {"query": "R(x)", "db": "main", "stream": True},
+            {"query": "S(y)", "db": "main"},
+            "not an object",
+        ]}),
+        json.dumps({"op": "warp", "id": 6}),
+        "this is not json",
+        '{"op": "ping", "id": 7',
+        json.dumps({"op": "run", "id": 8, "prepared": "p9", "db": "main"}),
+        json.dumps({"op": "run", "id": 9, "prepared": "p9", "db": "main",
+                    "stream": True}),
+        json.dumps({"op": "run", "id": 10, "query": "R(x)", "db": "main",
+                    "stream": True, "page_size": 1}),
+        json.dumps({"op": "run", "id": 11, "query": "R(x)", "db": "main"}),
+        json.dumps({"op": "ping", "id": "end"}),
+    ]
+
+    @staticmethod
+    def _untimed(lines):
+        return [
+            re.sub(r'"(queue_ms|exec_ms)": [0-9.e+-]+', r'"\1": 0', line)
+            for line in lines
+        ]
+
+    def _stdio(self):
+        stdin = io.StringIO("".join(line + "\n" for line in self.LINES))
+        stdout = io.StringIO()
+        assert serve_stdio(QueryService(workers=2), stdin, stdout) == 0
+        return stdout.getvalue().splitlines()
+
+    def _tcp(self):
+        server, thread = _tcp_server(QueryService(workers=2))
+        try:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    "".join(line + "\n" for line in self.LINES).encode()
+                )
+                out = []
+                with sock.makefile("r", encoding="utf-8") as replies:
+                    for line in replies:
+                        out.append(line.rstrip("\n"))
+                        if json.loads(line).get("id") == "end":
+                            break
+            return out
+        finally:
+            _stop(server, thread)
+
+    def test_same_lines_on_both_transports(self):
+        stdio, tcp = self._untimed(self._stdio()), self._untimed(self._tcp())
+        assert stdio == tcp
+        replies = [json.loads(line) for line in tcp]
+        by_id = {}
+        for reply in replies:
+            by_id.setdefault(reply["id"], []).append(reply)
+        # Invalid streamed runs answer with a failed done frame.
+        for request_id in (1, 2, 9):
+            (done,) = by_id[request_id]
+            assert done["frame"] == "done" and done["ok"] is False
+        assert "page_size" in by_id[1][0]["error"]["message"]
+        assert "boolean" in by_id[2][0]["error"]["message"]
+        assert "weight" in by_id[3][0]["error"]["message"]
+        assert "weight" in by_id[4][0]["error"]["message"]
+        results = by_id[5][0]["results"]
+        assert "stream" in results[0]["error"]["message"]
+        assert results[1]["rows"] == [["0"]]
+        assert not results[2]["ok"]
+        assert "unknown op" in by_id[6][0]["error"]["message"]
+        assert [r["ok"] for r in by_id[None]] == [False, False]
+        assert "unknown prepared query" in by_id[8][0]["error"]["message"]
+        assert [f.get("frame") for f in by_id[10]] == \
+            ["row_batch", "row_batch", "done"]
+        assert by_id[11][0]["rows"] == [["001"], ["0110"]]
+
+
 class TestStreamingSharded:
     def test_streamed_equals_plain_on_the_sharded_backend(self):
         svc = QueryService(workers=2, shards=2)
@@ -1024,9 +1117,6 @@ class TestGracefulShutdown:
             assert not thread.is_alive()
         finally:
             server.close_service()
-
-    def test_tcp_alias_is_the_async_server(self):
-        assert TCPQueryServer is AsyncTCPQueryServer
 
 
 class TestClientReadDeadline:

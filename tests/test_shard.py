@@ -344,6 +344,7 @@ class TestServiceIntegration:
 
     def test_protocol_register_db_schema_field(self):
         from repro.service import Dispatcher, QueryService
+        from repro.service.server import respond
 
         with QueryService(workers=1) as svc:
             dispatcher = Dispatcher(svc)
@@ -358,9 +359,10 @@ class TestServiceIntegration:
                 },
             })
             assert response["ok"], response
-            run, _ = dispatcher.handle(
-                {"op": "run", "id": 2, "query": "T(x, y)", "db": "main"}
-            )
+            run = respond(
+                dispatcher,
+                {"op": "run", "id": 2, "query": "T(x, y)", "db": "main"},
+            ).frames[0]
             assert run["ok"] and run["rows"] == []
 
     def test_protocol_rejects_bad_schema(self):
