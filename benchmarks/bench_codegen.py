@@ -11,12 +11,12 @@ warm, with a ``CodegenPipeline`` node in EXPLAIN.
 Two workload shapes:
 
 ``fused_join``
-    ``R(x,y) & S(y,z) & last(x, '0')`` — the plan interleaves adom
-    prefix expansion, an inlined ``last`` predicate, projections, and
-    two hash joins.  The compiled pipeline fuses each scan→select→
-    project chain into one loop body and builds each join's hash table
-    once; the interpreter pays per-node dispatch, per-row checker
-    dictionaries, and an intermediate ``frozenset`` per operator.
+    ``R(x,y) & S(y,z) & last(x, '0')`` — the plan filters ``R``'s scan
+    with an inlined ``last`` predicate, hash-joins it with ``S`` and
+    projects.  The compiled pipeline fuses each scan→select→project
+    chain into one loop body and builds the join's hash table once; the
+    interpreter pays per-node dispatch, per-row checker dictionaries,
+    and an intermediate ``frozenset`` per operator.
 
 ``columnar_scan``
     ``W(x,x,y)`` over a wide ternary relation — compiles to

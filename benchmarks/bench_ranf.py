@@ -25,13 +25,17 @@ Six workload shapes, all rejected by the pre-RANF gate
     ``x`` through the ``eq`` implication and runs a hash join against the
     gamma ball, with the paired "infinite?" query checked first.
 
-``length_quant`` / ``similar_setop``
-    LENGTH-quantified and SIMILAR TO set-operation shapes (the SQL
-    layer's translation, RC(S_len)/RC(S_reg)).  Newly *eligible*, but the
+``similar_setop``
+    A SIMILAR TO set-operation shape (the SQL layer's translation,
+    RC(S_reg)), gamma-bounded like ``gamma_join``: the equality binds
+    ``x`` to ``R``'s column, so the plan is one filtered scan and the
+    planner picks the fast engine at every size.
+
+``length_quant``
+    A LENGTH-quantified shape (RC(S_len)).  Newly *eligible*, but the
     automata engine stays genuinely faster here and the sweep records the
-    honest sub-1x ratios.  On ``similar_setop`` the cost model correctly
-    keeps choosing ``automata`` at the full sizes.  On ``length_quant``
-    it does not: the LENGTH membership plan is quadratic
+    honest sub-1x ratios.  The cost model still picks the fast engine:
+    the LENGTH membership plan is quadratic
     (body × adom probe) and the automata estimator's state-count units
     are so pessimistic on LENGTH quantifiers (~1e12 vs ~1e5 row-ops)
     that no per-row constant can bridge them — recalibrating those units
@@ -144,7 +148,7 @@ SHAPES = [
         11,
         [250, 500, 1000],
         [250],
-        "automata",
+        "fast-chosen",
     ),
 ]
 

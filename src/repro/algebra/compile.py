@@ -31,6 +31,7 @@ queries it is the canonical finite under-approximation the paper defines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.algebra.dialects import FOR_STRUCTURE, AlgebraDialect
 from repro.algebra.plan import (
@@ -64,7 +65,7 @@ from repro.logic.formulas import (
     TrueF,
 )
 from repro.logic.terms import StrConst, Var
-from repro.logic.transform import flatten_terms
+from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.structures.base import StringStructure
 
 
@@ -119,6 +120,27 @@ def _term_walk(term):
     elif isinstance(term, Lcp):
         yield from _term_walk(term.left)
         yield from _term_walk(term.right)
+
+
+def is_adom_exists(f: Formula) -> bool:
+    """An ``exists adom`` quantifier: the one generator kind a
+    conjunction can seed with the join of the generators before it."""
+    return isinstance(f, Exists) and f.kind is QuantKind.ADOM
+
+
+def equated_variable(f: Formula, bound) -> Optional[tuple[str, str]]:
+    """``(new, old)`` when ``f`` is ``new = old`` between variables with
+    only ``old`` in ``bound``: the equality binds ``new``."""
+    if not (isinstance(f, Atom) and f.pred == "eq"):
+        return None
+    if not all(isinstance(t, Var) for t in f.args):
+        return None
+    a, b = (t.name for t in f.args)
+    if a in bound and b not in bound:
+        return b, a
+    if b in bound and a not in bound:
+        return a, b
+    return None
 
 
 # --------------------------------------------------------------- bound plans
@@ -215,6 +237,15 @@ class CompiledQuery:
 
 
 class _Compiler:
+    """Translates a flattened, literal-folded formula into a plan.
+
+    Invariant: every plan :meth:`translate` returns has all its values
+    inside the ``gamma``-bound (relation atoms yield active-domain
+    strings, everything else is built from the bound).  Conjunctions
+    rely on it to apply database-free conditions and negations directly
+    to the relations they constrain instead of to powers of the bound.
+    """
+
     def __init__(self, structure: StringStructure, schema: Schema, slack: int, bound: Plan):
         self.structure = structure
         self.schema = schema
@@ -234,11 +265,7 @@ class _Compiler:
             full = self._bound_power(variables)
             return Difference(full, inner), variables
         if isinstance(f, And):
-            plans = [self.translate(p) for p in f.parts]
-            plan, variables = plans[0]
-            for other_plan, other_vars in plans[1:]:
-                plan, variables = self._join(plan, variables, other_plan, other_vars)
-            return plan, variables
+            return self._conjunction(f.parts)
         if isinstance(f, Or):
             target = tuple(sorted(f.free_variables()))
             acc = None
@@ -254,27 +281,142 @@ class _Compiler:
                     "quantifier over a database-dependent scope must be ADOM "
                     f"(found {f.kind.value!r}); rewrite via the collapse first"
                 )
-            body_plan, body_vars = self.translate(f.body)
-            if f.var not in body_vars:
-                # exists adom x: phi (x unused) -- true iff adom nonempty.
-                nonempty = Project(self.adom, ())
-                return Product(body_plan, nonempty), body_vars
-            # Restrict to adom, then project away.
-            adom_restr, _ = self._join(body_plan, body_vars, self.adom_named(f.var), (f.var,))
-            index = body_vars.index(f.var)
-            out_vars = tuple(v for v in body_vars if v != f.var)
-            indices = tuple(i for i, v in enumerate(body_vars) if v != f.var)
-            return Project(adom_restr, indices), out_vars
+            return self._adom_exists(f)
         if isinstance(f, Forall):
             return self.translate(Not(Exists(f.var, Not(f.body), f.kind)))
         if isinstance(f, (TrueF, FalseF)):  # database-free; unreachable
             return self._condition_plan(f)
         raise CompileError(f"cannot compile node {f!r}")
 
-    def adom_named(self, var: str) -> Plan:
-        return self.adom
-
     # -- helpers -------------------------------------------------------------
+
+    def _adom_exists(
+        self, f: Exists, seed: Optional[tuple[Plan, tuple[str, ...]]] = None
+    ) -> tuple[Plan, tuple[str, ...]]:
+        """``exists adom``: restrict the variable to adom, project it away.
+
+        A ``seed`` (a plan over variables that share some of ``f``'s free
+        variables, not ``f.var``) joins into the body as one more
+        generator, so the result is ``seed join (exists adom v: body)``
+        and the body's filters meet the seed's rows instead of the bound.
+        """
+        if seed is None:
+            body_plan, body_vars = self.translate(f.body)
+        else:
+            parts = f.body.parts if isinstance(f.body, And) else (f.body,)
+            body_plan, body_vars = self._conjunction(parts, seed)
+        if f.var not in body_vars:
+            # exists adom x: phi (x unused) -- true iff adom nonempty.
+            nonempty = Project(self.adom, ())
+            return Product(body_plan, nonempty), body_vars
+        restricted, _ = self._join(body_plan, body_vars, self.adom, (f.var,))
+        out_vars = tuple(v for v in body_vars if v != f.var)
+        indices = tuple(i for i, v in enumerate(body_vars) if v != f.var)
+        return Project(restricted, indices), out_vars
+
+    def _conjunction(
+        self,
+        parts: tuple[Formula, ...],
+        seed: Optional[tuple[Plan, tuple[str, ...]]] = None,
+    ) -> tuple[Plan, tuple[str, ...]]:
+        """Generator-first conjunction.
+
+        The positive database-dependent conjuncts (the generators) are
+        joined in turn, ``exists adom`` ones last: a quantifier sharing
+        variables with the join so far takes it as its body's seed.
+        After each join, the database-free conjuncts whose variables are
+        bound become selections, and the bound negated conjuncts become
+        differences ``P - pi_P(P join Q)``.  An equality with a bound
+        variable binds the other one; only the variables still unbound
+        are padded with the bound, for the conjuncts left over.  By the
+        class invariant, ``P join sigma_phi(gamma^k) = sigma_phi(P)`` and
+        ``P join (gamma^k - Q) = P - pi_P(P join Q)``.
+        """
+        generators: list[Formula] = []
+        filters: list[Formula] = []
+        negations: list[Formula] = []
+        for part in parts:
+            if is_database_free(part):
+                filters.append(part)
+            elif isinstance(part, Not):
+                negations.append(part.inner)
+            elif isinstance(part, Forall):
+                negations.append(Exists(part.var, Not(part.body), part.kind))
+            else:
+                generators.append(part)
+        generators.sort(key=is_adom_exists)
+        plan, variables = seed if seed is not None else (None, ())
+        for part in generators:
+            if plan is None:
+                plan, variables = self.translate(part)
+            elif is_adom_exists(part) and part.var not in variables and (
+                part.free_variables() & set(variables)
+            ):
+                plan, variables = self._adom_exists(part, (plan, variables))
+            else:
+                plan, variables = self._join(plan, variables, *self.translate(part))
+            plan, filters, negations = self._constrain(
+                plan, variables, filters, negations
+            )
+        if plan is None:
+            plan = Project(EpsilonRel(), ())
+        while True:
+            plan, filters, negations = self._constrain(
+                plan, variables, filters, negations
+            )
+            bound = self._bind_equality(plan, variables, filters)
+            if bound is None:
+                break
+            plan, variables, filters = bound
+        if filters or negations:
+            unbound = set().union(*(c.free_variables() for c in filters + negations))
+            target = tuple(sorted(set(variables) | unbound))
+            plan, variables = self._pad_to(plan, variables, target), target
+            plan, _, _ = self._constrain(plan, variables, filters, negations)
+        return plan, variables
+
+    def _bind_equality(
+        self, plan: Plan, variables: tuple[str, ...], filters: list[Formula]
+    ) -> Optional[tuple[Plan, tuple[str, ...], list[Formula]]]:
+        """Consume one filter ``new = old`` with ``old`` bound: ``new``
+        becomes a copy of ``old``'s column, inside the bound by the
+        invariant, so it needs no padding.  ``None`` when no filter does."""
+        for f in filters:
+            equated = equated_variable(f, variables)
+            if equated is not None:
+                new, old = equated
+                target = tuple(sorted(variables + (new,)))
+                source = [old if v == new else v for v in target]
+                plan = Project(plan, tuple(variables.index(v) for v in source))
+                return plan, target, [g for g in filters if g is not f]
+        return None
+
+    def _constrain(
+        self,
+        plan: Plan,
+        variables: tuple[str, ...],
+        filters: list[Formula],
+        negations: list[Formula],
+    ) -> tuple[Plan, list[Formula], list[Formula]]:
+        """Apply the filters (as selections) and negated conjuncts (as
+        differences) whose variables ``variables`` binds; return the plan
+        and the filters and negations still unbound."""
+        bound = set(variables)
+        mapping = {v: col(i) for i, v in enumerate(variables)}
+        for f in filters:
+            if f.free_variables() <= bound:
+                plan = Select(plan, f.substitute(mapping))
+        for f in negations:
+            if f.free_variables() <= bound:
+                sub_plan, sub_vars = self.translate(f)
+                if sub_vars != variables:
+                    sub_plan, _ = self._join(plan, variables, sub_plan, sub_vars)
+                plan = Difference(plan, sub_plan)
+        return (
+            plan,
+            [f for f in filters if not f.free_variables() <= bound],
+            [f for f in negations if not f.free_variables() <= bound],
+        )
 
     def _condition_plan(self, f: Formula) -> tuple[Plan, tuple[str, ...]]:
         """A database-free subformula: candidates from the bound, sigma filter."""
@@ -366,7 +508,7 @@ def compile_query(
     ``exists adom`` / ``forall adom``).
     """
     structure.check_formula(formula)
-    flat = flatten_terms(formula)
+    flat = fold_literal_graphs(flatten_terms(formula))
     if not is_collapsed_form(flat):
         raise CompileError(
             "query is not in collapsed form: database relations occur under "

@@ -198,7 +198,10 @@ def _eval_quantifier_free(
 #: Checker cache: conditions are database-free, so a checker depends only
 #: on the condition and the structure; compiling quantified conditions to
 #: automata is expensive enough to be worth sharing across evaluations.
+#: Ad hoc query text brings new conditions without end, so the cache is
+#: capped and drops its oldest entry first (the plan cache's discipline).
 _CHECKER_CACHE: dict[tuple, "_ConditionChecker"] = {}
+_CHECKER_CACHE_CAP = 512
 
 
 def _get_checker(
@@ -208,6 +211,8 @@ def _get_checker(
     checker = _CHECKER_CACHE.get(key)
     if checker is None:
         checker = _ConditionChecker(condition, structure, slack=slack)
+        if len(_CHECKER_CACHE) >= _CHECKER_CACHE_CAP:
+            _CHECKER_CACHE.pop(next(iter(_CHECKER_CACHE)), None)
         _CHECKER_CACHE[key] = checker
     return checker
 

@@ -88,7 +88,7 @@ from repro.engine.metrics import METRICS
 from repro.errors import SignatureError
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import Atom, Exists, Forall, Formula, Not, QuantKind
-from repro.logic.transform import flatten_terms
+from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.safety.bounded import range_bounded_variables
 
 
@@ -404,7 +404,7 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
         )
     METRICS.inc("algebra.ranf.translations")
     METRICS.inc(f"algebra.ranf.branch.{verdict.branch}")
-    flat = flatten_terms(formula)
+    flat = fold_literal_graphs(flatten_terms(formula))
     constants = query_constants(flat) | verdict.extra_constants
     shell = 1 if verdict.branch == "gamma-bounded" else 0
     bound_slack = slack * max(1, verdict.rq_depth) + shell

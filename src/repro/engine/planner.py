@@ -460,17 +460,26 @@ def estimate_algebra_cost(
 
     A textbook cardinality model over the *formula* (cheaper than
     compiling just to cost): relation atoms yield their cardinality,
-    conjunction is a hash-join chain (cost = inputs + output rows, output
-    estimated with an ``1/adom`` selectivity per shared variable),
-    negation adds a difference against an active-domain bound, ADOM
+    conjunction is generator-first like the compiler — a hash-join chain
+    over the positive database-dependent conjuncts (cost = inputs +
+    output rows, output estimated with an ``1/adom`` selectivity per
+    shared variable), then one pass over those rows per database-free
+    filter and per negated conjunct, with only the variables no
+    generator binds padded with the ``gamma`` bound.  Negation outside a
+    conjunction adds a difference against an active-domain bound, ADOM
     quantifiers project.  PREFIX/LENGTH quantifiers (the RANF-widened
     regime) charge the per-row candidate construction — body cardinality
     times string length per context column — plus the context-free
-    domain part; database-free NATURAL quantifiers fold into selection
-    conditions.  Returns ``inf`` when :func:`algebra_eligible` is false.
+    domain part.  Returns ``inf`` when :func:`algebra_eligible` is false.
     Like the direct estimate, the absolute value only matters relative
     to the other engines' estimates.
     """
+    from repro.algebra.compile import (
+        equated_variable,
+        is_adom_exists,
+        is_database_free,
+    )
+
     if not algebra_eligible(formula, structure):
         return _INF
     adom = float(max(len(database.adom), 1))
@@ -491,14 +500,13 @@ def estimate_algebra_cost(
                 else 0.0
             )
             return (max(n, 1.0), max(n, 1.0))
-        if isinstance(f, (Atom, TrueF, FalseF)):
+        if is_database_free(f):
             k = len(f.free_variables())
             if k == 0:
                 return (1.0, 1.0)
-            # A database-free condition compiles to a selection over the
-            # gamma bound's k-th power (the compiler's _condition_plan)
-            # and only then joins its anchoring relations — that power is
-            # materialized, so it is the honest price.
+            # Outside a conjunction a database-free subformula compiles
+            # to a selection over the gamma bound's k-th power (the
+            # compiler's _condition_plan), which is materialized.
             size = min(bound_size**k, _INF)
             return (size, max(size / adom, 1.0))
         if isinstance(f, Not):
@@ -507,17 +515,7 @@ def estimate_algebra_cost(
             bound = adom ** max(len(f.free_variables()), 1)
             return (cost + card + bound, bound)
         if isinstance(f, And):
-            costs_cards = [go(p) for p in f.parts]
-            cost = sum(c for c, _ in costs_cards)
-            seen: set[str] = set()
-            card = 1.0
-            for part, (_, k) in zip(f.parts, costs_cards):
-                card *= k
-                shared = part.free_variables() & seen
-                card /= adom ** len(shared)  # equi-join selectivity guess
-                seen |= part.free_variables()
-                card = max(card, 1.0)
-            return (cost + card, card)
+            return conjunction(f.parts)
         if isinstance(f, Or):
             costs_cards = [go(p) for p in f.parts]
             return (
@@ -526,9 +524,6 @@ def estimate_algebra_cost(
             )
         if isinstance(f, (Exists, Forall)):
             cost, card = go(f.body)
-            if f.kind is QuantKind.NATURAL:
-                # Database-free scope: compiled into a selection condition.
-                return (cost + card, card)
             if f.kind in (QuantKind.PREFIX, QuantKind.LENGTH):
                 ctx = max(len(f.free_variables()), 1)
                 if f.kind is QuantKind.PREFIX:
@@ -552,6 +547,68 @@ def estimate_algebra_cost(
                 return (cost + card + 2 * bound, bound)
             return (cost + card, max(card / adom, 1.0))
         raise EvaluationError(f"cannot cost formula node {f!r}")
+
+    def conjunction(
+        parts: tuple[Formula, ...],
+        seed: Optional[tuple[float, frozenset[str]]] = None,
+    ) -> tuple[float, float]:
+        """Priced like the compiler's generator-first conjunction; a
+        ``seed`` is the ``(card, variables)`` of a join it starts from."""
+        generators = [
+            p for p in parts
+            if not is_database_free(p) and not isinstance(p, (Not, Forall))
+        ]
+        generators.sort(key=is_adom_exists)
+        constraints = [p for p in parts if p not in generators]
+        card, bound = seed if seed is not None else (1.0, frozenset())
+        started = seed is not None
+        cost = 0.0
+        for part in generators:
+            free = part.free_variables()
+            seeded = started and is_adom_exists(part) and part.var not in bound
+            if seeded and free & bound:
+                # The quantifier's body starts from this join (a seed):
+                # at most one output row per seed row.
+                body = part.body.parts if isinstance(part.body, And) else (part.body,)
+                part_cost, part_card = conjunction(body, (card, bound))
+                cost += part_cost + part_card
+                card = min(card, part_card)
+            else:
+                part_cost, part_card = go(part)
+                shared = free & bound
+                # Equi-join selectivity guess: 1/adom per shared variable.
+                card = max(card * part_card / adom ** len(shared), 1.0)
+                cost += part_cost
+            bound |= free
+            started = True
+        cost += card
+
+        def constrain(batch: list[Formula]) -> float:
+            # One filter check or anti-join probe per generator row, plus
+            # the negated subplan itself.
+            total = card * len(batch)
+            for part in batch:
+                if isinstance(part, Not) and not is_database_free(part):
+                    total += sum(go(part.inner))
+                elif isinstance(part, Forall):
+                    total += sum(go(Exists(part.var, Not(part.body), part.kind)))
+            return total
+
+        # Equalities with a bound variable bind the other one for free.
+        def equated() -> set[str]:
+            pairs = (equated_variable(p, bound) for p in constraints)
+            return {pair[0] for pair in pairs if pair is not None}
+
+        while new := equated():
+            bound |= new
+        now = [p for p in constraints if p.free_variables() <= bound]
+        later = [p for p in constraints if p not in now]
+        cost += constrain(now)
+        if later:
+            unbound = set().union(*(p.free_variables() for p in later)) - bound
+            card = min(card * bound_size ** len(unbound), _INF)
+            cost += card + constrain(later)
+        return (cost, card)
 
     cost, card = go(formula)
     free = formula.free_variables()

@@ -196,6 +196,39 @@ def _flatten_term(t: Term, fresh: _FreshNames) -> tuple[Term, list[tuple[str, Fo
     raise TypeError(f"unknown term node {t!r}")
 
 
+def fold_literal_graphs(formula: Formula) -> Formula:
+    """Undo :func:`flatten_terms` for literals that feed interpreted atoms.
+
+    ``exists c (graph_const(c, "w") & A)`` with ``A`` an interpreted atom
+    becomes ``A["w"/c]`` — e.g. ``prefix('w', x)`` — so a condition over
+    string constants stays quantifier-free and is checked as a plain
+    string test instead of through an automaton.  Literals under database
+    atoms or function graphs keep their ``graph_const`` binding.
+    """
+    if isinstance(formula, (Atom, RelAtom, TrueF, FalseF)):
+        return formula
+    if isinstance(formula, Not):
+        return Not(fold_literal_graphs(formula.inner))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(fold_literal_graphs(p) for p in formula.parts))
+    body = fold_literal_graphs(formula.body)
+    if (
+        isinstance(formula, Exists)
+        and formula.kind is QuantKind.NATURAL
+        and isinstance(body, And)
+        and len(body.parts) == 2
+    ):
+        graph, core = body.parts
+        if (
+            isinstance(graph, Atom)
+            and graph.pred == "graph_const"
+            and graph.args == (Var(formula.var),)
+            and isinstance(core, Atom)
+        ):
+            return core.substitute({formula.var: StrConst(graph.param or "")})
+    return type(formula)(formula.var, body, formula.kind)
+
+
 def restrict_quantifiers(formula: Formula, kind: QuantKind) -> Formula:
     """Replace every NATURAL quantifier's kind by ``kind``.
 

@@ -31,6 +31,8 @@ from repro.algebra import (
     is_collapsed_form,
     to_calculus,
 )
+from repro.algebra.compile import bound_plan
+from repro.algebra.plan import _get_checker
 from repro.database import Database, random_database
 from repro.errors import ArityError, EvaluationError, SignatureError
 from repro.eval import AutomataEngine
@@ -184,6 +186,24 @@ class TestCompiler:
         database = Database(BINARY, {"R": set()})
         compiled = compile_query(formula, S_BIN, database.schema, slack=0)
         assert compiled.evaluate(database) == {("01",)}
+
+    def test_conjunction_filters_its_generators(self):
+        # The literal folds into a plain condition, both prefix tests
+        # filter the R x S join, and nothing ranges over the gamma-bound.
+        database = db(R={"0110", "011", "10"}, S={"0", "01", "1"})
+        formula = parse_formula("R(x) & S(y) & y <<= x & '01' <<= x")
+        compiled = compile_query(formula, S_BIN, database.schema)
+        nodes = list(compiled.plan.walk())
+        gamma = bound_plan(S_BIN, database.schema, 1, frozenset({"", "01"}))
+        assert not any(isinstance(n, PrefixOp) for n in nodes)
+        assert gamma not in nodes
+        selects = [n for n in nodes if isinstance(n, Select)]
+        assert selects
+        for node in selects:
+            assert _get_checker(node.condition, S_BIN)._automaton is None
+        assert compiled.evaluate(database) == {
+            ("0110", "0"), ("0110", "01"), ("011", "0"), ("011", "01")
+        }
 
     def test_not_collapsed_raises(self):
         formula = parse_formula("exists x: R(x) & last(x, '0')")

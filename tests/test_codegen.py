@@ -35,6 +35,10 @@ from repro.structures.catalog import S as S_factory
 
 STRUCT = S_factory(BINARY)
 
+#: The database-free disjunct is compiled on its own, over the
+#: gamma-bound — under S_len that bound needs DownOp.
+S_LEN_PADDED = "R(x) & (S(x) | last(x, '0'))"
+
 
 @pytest.fixture(autouse=True)
 def _fresh():
@@ -94,10 +98,10 @@ class TestFusion:
         assert pipeline.source.count("if len(") >= 1
 
     def test_prefix_expansion_fuses_into_the_row_loop(self):
-        # The interpreted-atom path ranges variables over the
-        # prefix-closed adom; the emitter inlines that expansion as a
-        # nested range loop instead of materializing PrefixOp output.
-        pipeline = _agree("R(x,y) & S(y,z) & last(x, '0')", _binary_db())
+        # A variable no relation binds ranges over the prefix-closed
+        # adom; the emitter inlines that expansion as a nested range loop
+        # instead of materializing PrefixOp output.
+        pipeline = _agree("R(x,y) & S(y,z) & last(w, '0')", _binary_db())
         assert "for _i" in pipeline.source
         assert ".endswith(" in pipeline.source  # inlined `last`, no checker
         assert pipeline.line_count > 0
@@ -123,7 +127,7 @@ class TestEligibilityGate:
         # exponential in string length — codegen refuses, by design.
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
         ok, why = shape_supported(
-            _formula("R(x) & last(x, '0')"), S_len(BINARY), db.schema
+            _formula(S_LEN_PADDED), S_len(BINARY), db.schema
         )
         assert not ok
         assert "DownOp" in why
@@ -132,7 +136,7 @@ class TestEligibilityGate:
         # Forcing engine="codegen" on a rejected shape still answers —
         # structured fallback to the interpreted algebra executor.
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        query = Query("R(x) & last(x, '0')", structure="S_len")
+        query = Query(S_LEN_PADDED, structure="S_len")
         got = query.result(db, engine="codegen").as_set()
         want = query.result(db, engine="algebra").as_set()
         assert got == want
@@ -140,7 +144,7 @@ class TestEligibilityGate:
 
     def test_rejections_are_cached(self):
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        formula = _formula("R(x) & last(x, '0')")
+        formula = _formula(S_LEN_PADDED)
         first = get_pipeline(formula, S_len(BINARY), db.schema)
         misses = METRICS.get("codegen.cache.misses")
         second = get_pipeline(formula, S_len(BINARY), db.schema)
@@ -223,7 +227,7 @@ class TestExplain:
 
     def test_explain_fallback_is_annotated(self):
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        report = Query("R(x) & last(x, '0')", structure="S_len").explain(
+        report = Query(S_LEN_PADDED, structure="S_len").explain(
             db, engine="codegen"
         )
         tree = report.to_dict()["tree"]
