@@ -166,8 +166,8 @@ bench-full:
 
 ## Concurrent-client latency/throughput of the asyncio front end:
 ## 1/64/512 closed-loop clients against one 8-worker pool, streamed and
-## plain answers asserted identical, per-level throughput ratios gated
-## against BENCH_service.json (docs/service.md).
+## plain answers asserted identical, each level's warm req/s (best of
+## five windows) gated against BENCH_service.json (docs/service.md).
 bench-service:
 	mkdir -p $(SMOKE_DIR)
 	$(PY) benchmarks/bench_service.py --compare --explain-json $(SMOKE_DIR)/service.json

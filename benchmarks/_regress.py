@@ -19,7 +19,12 @@ Baseline format::
       }
     }
 
-``compare`` flags a key when the current speedup has degraded by more
+A baseline may gate another higher-is-better number than the ratio: its
+optional ``"metric"`` field names the entry field compared (the service
+bench gates absolute warm ``req_per_s`` per concurrency level, because
+a ratio of two noisy throughputs tripped on host noise).
+
+``compare`` flags a key when the current value has degraded by more
 than ``threshold`` relative to the committed one (``baseline >
 threshold * current``).  Keys measured now but absent from the baseline
 are ignored (new workloads need a baseline refresh, not a failure);
@@ -33,6 +38,7 @@ import json
 import os
 
 DEFAULT_THRESHOLD = 1.3
+DEFAULT_METRIC = "speedup"
 
 
 def baseline_path(name: str) -> str:
@@ -54,13 +60,17 @@ def write_baseline(
     name: str,
     entries: dict[str, dict],
     threshold: float = DEFAULT_THRESHOLD,
+    metric: str = DEFAULT_METRIC,
 ) -> None:
-    """Write ``entries`` (key -> {"speedup": ..., ...}) as the baseline."""
+    """Write ``entries`` (key -> {"speedup": ..., ...}) as the baseline;
+    ``metric`` names the gated field when it is not ``speedup``."""
     payload = {
         "bench": name,
         "threshold": threshold,
         "entries": {key: dict(value) for key, value in sorted(entries.items())},
     }
+    if metric != DEFAULT_METRIC:
+        payload["metric"] = metric
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -71,21 +81,22 @@ def compare(baseline: dict, entries: dict[str, dict]) -> list[str]:
     """Regression messages for current ``entries`` against ``baseline``.
 
     Empty list means every measured key is within ``threshold`` of its
-    committed speedup.
+    committed value of the baseline's metric.
     """
     threshold = float(baseline.get("threshold", DEFAULT_THRESHOLD))
+    metric = baseline.get("metric", DEFAULT_METRIC)
     committed = baseline.get("entries", {})
     problems = []
     for key, current in sorted(entries.items()):
         ref = committed.get(key)
         if ref is None:
             continue  # new workload: needs a baseline refresh, not a failure
-        base_speedup = float(ref["speedup"])
-        cur_speedup = float(current["speedup"])
-        if base_speedup > threshold * cur_speedup:
+        base_value = float(ref[metric])
+        cur_value = float(current[metric])
+        if base_value > threshold * cur_value:
             problems.append(
-                f"{key}: speedup {cur_speedup:.2f}x is >{threshold:g}x worse "
-                f"than committed {base_speedup:.2f}x"
+                f"{key}: {metric} {cur_value:.2f} is >{threshold:g}x worse "
+                f"than committed {base_value:.2f}"
             )
     return problems
 
@@ -109,19 +120,20 @@ def gate(name: str, entries: dict[str, dict]) -> int:
             print(f"  {p}")
         # Full per-shape table, not just the aggregate verdict: CI logs
         # must be enough to see *which* shapes drifted and by how much.
+        metric = baseline.get("metric", DEFAULT_METRIC)
         committed = baseline.get("entries", {})
-        print("per-shape observed vs committed speedups:")
+        print(f"per-shape observed vs committed {metric}:")
         for key, current in sorted(entries.items()):
             ref = committed.get(key)
-            cur_speedup = float(current["speedup"])
+            cur_value = float(current[metric])
             if ref is None:
-                print(f"  {key}: {cur_speedup:.2f}x (no committed baseline)")
+                print(f"  {key}: {cur_value:.2f} (no committed baseline)")
                 continue
-            base_speedup = float(ref["speedup"])
-            ratio = cur_speedup / base_speedup if base_speedup else float("inf")
+            base_value = float(ref[metric])
+            ratio = cur_value / base_value if base_value else float("inf")
             print(
-                f"  {key}: {cur_speedup:.2f}x vs committed "
-                f"{base_speedup:.2f}x ({ratio:.2f} of baseline)"
+                f"  {key}: {cur_value:.2f} vs committed "
+                f"{base_value:.2f} ({ratio:.2f} of baseline)"
             )
         return 1
     checked = sum(1 for k in entries if k in baseline.get("entries", {}))

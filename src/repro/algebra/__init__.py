@@ -46,6 +46,7 @@ from repro.algebra.plan import (
     EpsilonRel,
     InsertAtOp,
     Join,
+    ParamRel,
     Plan,
     PrefixOp,
     Product,
@@ -78,6 +79,7 @@ __all__ = [
     "InsertAtOp",
     "Join",
     "OpStats",
+    "ParamRel",
     "Plan",
     "PrefixOp",
     "Product",

@@ -9,7 +9,10 @@ single fused pipeline:
 
 * scan -> select -> project chains collapse into one loop body, with
   cheap predicates (``eq``/``last``/``prefix``/``sprefix`` over column
-  variables and constants) inlined as plain expressions and everything
+  variables and template slots, ``matches``/``psuffix`` against the DFA
+  of a slot's pattern, looked up once per run) inlined as plain
+  expressions — the planner hands codegen templates only, so a literal
+  is always a slot (:mod:`repro.logic.literals`) — and everything
   else routed through a pre-built checker closed over by the function;
 * ``Join``/semi-join hash tables are built once per run, outside the
   probe loop, with the build side chosen by cardinality at run time;
@@ -23,10 +26,13 @@ The emitted source is ``compile()``/``exec``-ed into a closure and cached
 in an LRU (:class:`~repro.engine.cache.AutomatonCache` discipline,
 ``codegen.cache.*`` counters) keyed by *(structure, alphabet, slack,
 schema, canonical fingerprint)*.  Generated code is data-independent —
-the closure takes the database at call time — so row-only deltas reuse
-closures and only schema changes recompile; answer freshness is the
-backend's job (``codegen-result`` whole-result cache keyed by database
-fingerprint, promoted along delta chains).
+the closure ``_pipeline(_db, _params, _stage_rows)`` takes the database
+and the values of a query template's slots at call time (a ``Param(i)``
+operand is ``_params[i]``; a concrete query passes ``()``) — so row-only
+deltas and new constants reuse closures and only schema changes
+recompile; answer freshness is the backend's job (``codegen-result``
+whole-result cache keyed by database and concrete-query fingerprint,
+promoted along delta chains).
 
 This is the only module in the repository allowed to call
 ``compile``/``exec`` (enforced by ``tools/lint_confine.py``).
@@ -51,6 +57,7 @@ from repro.algebra.plan import (
     EpsilonRel,
     InsertAtOp,
     Join,
+    ParamRel,
     Plan,
     PrefixOp,
     Product,
@@ -66,7 +73,7 @@ from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.canonical import canonical_fingerprint, canonicalize
 from repro.logic.formulas import And, Atom, FalseF, Formula, Not, Or, TrueF
-from repro.logic.terms import StrConst, Var
+from repro.logic.terms import Param, Var
 from repro.structures.base import StringStructure
 
 #: Minimum source rows before the columnar branch engages.  Must stay >= 1:
@@ -84,7 +91,8 @@ _APPENDERS = (PrefixOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp)
 #: (Section 6.2's "very expensive ... unavoidable" operator), so the
 #: structured fallback to the interpreted executor is the honest path.
 _SUPPORTED = (
-    BaseRel, EpsilonRel, Select, Project, Product, Join, Union, Difference,
+    BaseRel, EpsilonRel, ParamRel, Select, Project, Product, Join, Union,
+    Difference,
 ) + _APPENDERS
 
 _CHECKPOINT_MASK = 255
@@ -113,10 +121,11 @@ class GeneratedPipeline:
     np_stages: int
     fingerprint: str
 
-    def run(self, database) -> tuple[frozenset, list[int]]:
-        """Execute against ``database``; returns (rows, per-stage row counts)."""
+    def run(self, database, params=()) -> tuple[frozenset, list[int]]:
+        """Execute against ``database`` with ``params`` bound to the
+        template's slots; returns (rows, per-stage row counts)."""
         stage_rows: list[int] = []
-        rows = self.fn(database, stage_rows)
+        rows = self.fn(database, params, stage_rows)
         return rows, stage_rows
 
 
@@ -136,20 +145,26 @@ class _Emitter:
 
     ``emit`` returns the local-variable name holding a node's materialized
     frozenset; structurally equal subtrees share one variable (plan nodes
-    are frozen dataclasses, so the memo gives CSE for free).
+    are frozen dataclasses, so the memo gives CSE for free).  ``prologue``
+    holds the lines that run once per call before any stage: the pattern
+    DFA lookups.
     """
 
     def __init__(self, structure: StringStructure):
         self.structure = structure
+        self.prologue: list[str] = []
         self.lines: list[str] = []
         self.env: dict = {
             "_checkpoint": checkpoint,
             "_np": _np,
             "_EPS_REL": frozenset({("",)}),
+            "_over_alphabet": structure.alphabet.check_string,
+            "_pattern_dfa": structure.pattern_dfa,
         }
         self.stages: list[dict] = []
         self._memo: dict[Plan, str] = {}
         self._checker_names: dict[str, str] = {}
+        self._pattern_names: dict[int, str] = {}
         self._n = 0
         # Inlining predicates is only sound when the structure evaluates
         # them with the stock semantics the emitter mirrors.
@@ -183,6 +198,16 @@ class _Emitter:
             self.env[name] = _get_checker(condition, self.structure).check
         return name
 
+    def _pattern(self, slot: Param) -> str:
+        """The local naming the DFA of the pattern in ``slot``, looked up
+        once per run."""
+        name = self._pattern_names.get(slot.index)
+        if name is None:
+            name = f"_pat{len(self._pattern_names)}"
+            self._pattern_names[slot.index] = name
+            self.prologue.append(f"    {name} = _pattern_dfa({_slot(slot)})")
+        return name
+
     @staticmethod
     def _key_expr(row: str, indices: list[int]) -> str:
         items = ", ".join(f"{row}[{i}]" for i in indices)
@@ -198,8 +223,8 @@ class _Emitter:
             if name.startswith("c") and name[1:].isdigit():
                 return f"{row}[{int(name[1:])}]"
             return None
-        if isinstance(term, StrConst):
-            return repr(term.value)
+        if isinstance(term, Param):
+            return _slot(term)
         return None
 
     def _scalar_pred(self, cond: Formula, row: str) -> Optional[str]:
@@ -235,6 +260,16 @@ class _Emitter:
                     f"(len({args[0]}) < len({args[1]})"
                     f" and {args[1]}.startswith({args[0]}))"
                 )
+            if not isinstance(cond.param, Param):
+                return None
+            if cond.pred == "matches" and len(args) == 1:
+                return f"{self._pattern(cond.param)}.accepts({args[0]})"
+            if cond.pred == "psuffix" and len(args) == 2:
+                return (
+                    f"({args[1]}.startswith({args[0]}) and "
+                    f"{self._pattern(cond.param)}.accepts("
+                    f"{args[1]}[len({args[0]}):]))"
+                )
             return None
         return None
 
@@ -259,12 +294,12 @@ class _Emitter:
                     if not (name.startswith("c") and name[1:].isdigit()):
                         return None
                     cols.append(f"{arr}[:, {int(name[1:])}]")
-                elif isinstance(term, StrConst):
-                    cols.append(repr(term.value))
+                elif isinstance(term, Param):
+                    cols.append(_slot(term))
                 else:
                     return None
-            if all(c.startswith("'") or c.startswith('"') for c in cols):
-                return None  # const == const: no column involved
+            if all(isinstance(t, Param) for t in cond.args):
+                return None  # slot == slot: no column involved
             return f"({cols[0]} == {cols[1]})"
         return None
 
@@ -284,6 +319,11 @@ class _Emitter:
             var = self.fresh()
             self.w(1, f"{var} = _EPS_REL")
             self._stage(var, "R_eps", "Scan")
+        elif isinstance(node, ParamRel):
+            var = self.fresh()
+            value = f"_over_alphabet(_params[{node.index}])"
+            self.w(1, f"{var} = frozenset({{({value},)}})")
+            self._stage(var, str(node), "Scan")
         elif isinstance(node, Join):
             var = self._emit_join(node, [])
         elif isinstance(node, Product):
@@ -350,6 +390,8 @@ class _Emitter:
             return f"scan {node.name}"
         if isinstance(node, EpsilonRel):
             return "R_eps"
+        if isinstance(node, ParamRel):
+            return str(node)
         return type(node).__name__.lower()
 
     def _emit_ops(
@@ -364,7 +406,7 @@ class _Emitter:
             if kind == "select":
                 pred = self._scalar_pred(payload, row)
                 if pred is None:
-                    pred = f"{self._checker(payload)}({row})"
+                    pred = f"{self._checker(payload)}({row}, _params)"
                 self.w(depth, f"if not {pred}: continue")
                 continue
             new = self.fresh("_p")
@@ -566,6 +608,11 @@ class _Emitter:
         return var
 
 
+def _slot(slot: Param) -> str:
+    """Source reading a template slot's value."""
+    return f"_params[{slot.index}]"
+
+
 # ---------------------------------------------------------------------------
 # Source assembly + the closure cache
 # ---------------------------------------------------------------------------
@@ -585,10 +632,11 @@ def build_pipeline(
     final = emitter.emit(plan)
     header = [
         f"# codegen pipeline {fingerprint[:12]} ({structure.name})",
-        "def _pipeline(_db, _stage_rows):",
+        "def _pipeline(_db, _params, _stage_rows):",
         "    _tick = 0",
     ]
-    source = "\n".join(header + emitter.lines + [f"    return {final}", ""])
+    body = emitter.prologue + emitter.lines
+    source = "\n".join(header + body + [f"    return {final}", ""])
     code = compile(source, f"<codegen:{fingerprint[:12]}>", "exec")
     namespace = dict(emitter.env)
     exec(code, namespace)

@@ -41,6 +41,7 @@ from repro.algebra.plan import (
     Difference,
     DownOp,
     EpsilonRel,
+    ParamRel,
     Plan,
     PrefixOp,
     Product,
@@ -64,7 +65,7 @@ from repro.logic.formulas import (
     RelAtom,
     TrueF,
 )
-from repro.logic.terms import StrConst, Var
+from repro.logic.terms import Param, StrConst, Var
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.structures.base import StringStructure
 
@@ -97,9 +98,10 @@ def is_collapsed_form(formula: Formula) -> bool:
     return True
 
 
-def query_constants(formula: Formula) -> frozenset[str]:
-    """String literals occurring in the formula (incl. graph_const params)."""
-    consts: set[str] = {""}
+def query_constants(formula: Formula) -> frozenset:
+    """String literals occurring in the formula (incl. graph_const params);
+    a template's slots count as constants too, as :class:`Param` items."""
+    consts: set = {""}
     for sub in formula.walk():
         if isinstance(sub, Atom) and sub.pred == "graph_const":
             consts.add(sub.param or "")
@@ -108,6 +110,8 @@ def query_constants(formula: Formula) -> frozenset[str]:
                 for node in _term_walk(t):
                     if isinstance(node, StrConst):
                         consts.add(node.value)
+                    elif isinstance(node, Param):
+                        consts.add(node)
     return frozenset(consts)
 
 
@@ -146,21 +150,26 @@ def equated_variable(f: Formula, bound) -> Optional[tuple[str, str]]:
 # --------------------------------------------------------------- bound plans
 
 
-def adom_plan(schema: Schema, extra_constants: frozenset[str]) -> Plan:
+def adom_plan(schema: Schema, extra_constants: frozenset) -> Plan:
     """Unary plan computing ``adom(D) u {eps} u constants``.
 
     This is the *base of the gamma bound* (the paper's Section 6.1), which
     includes ``eps`` by definition.  The domain an ADOM *quantifier* ranges
     over is :func:`strict_adom_plan` — exactly ``adom(D)``, matching the
-    direct and automata engines.
+    direct and automata engines.  A template slot among the constants
+    contributes the one-row :class:`ParamRel` of its run-time value, so
+    one plan serves every binding.
     """
     plan: Plan = EpsilonRel()
     for name in schema.relation_names:
         arity = schema.arity(name)
         for i in range(arity):
             plan = Union(plan, Project(BaseRel(name, arity), (i,)))
-    for const in sorted(extra_constants):
-        plan = Union(plan, _constant_plan(const))
+    for const in sorted(extra_constants, key=repr):
+        if isinstance(const, Param):
+            plan = Union(plan, ParamRel(const.index))
+        else:
+            plan = Union(plan, _constant_plan(const))
     return plan
 
 
@@ -178,7 +187,12 @@ def strict_adom_plan(schema: Schema) -> Plan:
 
 
 def _constant_plan(value: str) -> Plan:
-    """Unary plan for ``{value}`` built from ``R_eps`` and ``add`` ops."""
+    """Unary plan for ``{value}`` built from ``R_eps`` and ``add`` ops.
+
+    The closed form of Theorem 4's translation, for a concrete formula
+    compiled directly (:func:`compile_query`, ``Query.to_algebra``); the
+    engines run templates, whose constants are :class:`ParamRel` leaves.
+    """
     plan: Plan = EpsilonRel()
     for i, ch in enumerate(value):
         plan = Project(AddLastOp(plan, 0, ch), (1,))

@@ -26,6 +26,7 @@ from repro.algebra.plan import (
     DownOp,
     EpsilonRel,
     InsertAtOp,
+    ParamRel,
     Plan,
     PrefixOp,
     Product,
@@ -39,7 +40,10 @@ from repro.strings.alphabet import Alphabet
 from repro.structures import S, S_insert, S_left, S_len, S_reg
 from repro.structures.base import StringStructure
 
-_CORE = (BaseRel, EpsilonRel, Select, Project, Product, Union, Difference, PrefixOp, AddLastOp)
+_CORE = (
+    BaseRel, EpsilonRel, ParamRel, Select, Project, Product, Union, Difference,
+    PrefixOp, AddLastOp,
+)
 
 
 @dataclass(frozen=True)

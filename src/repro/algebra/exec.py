@@ -104,6 +104,10 @@ class AlgebraExecutor:
     layer (:mod:`repro.delta.maintenance`) uses it to snapshot subplan
     rows on version-tracked databases so the *next* version's run can be
     maintained incrementally instead of recomputed.
+
+    ``params`` are the values bound to a template plan's slots
+    (:class:`~repro.algebra.plan.ParamRel` leaves and ``Param`` terms in
+    conditions); one executor serves one binding.
     """
 
     def __init__(
@@ -111,9 +115,11 @@ class AlgebraExecutor:
         structure: StringStructure,
         database: Database,
         recorder=None,
+        params: tuple[str, ...] = (),
     ):
         self.structure = structure
         self.database = database
+        self.params = params
         self._db_key = database_fingerprint(database)
         self._memo: dict[tuple[Plan, str], Rows] = {}
         self._recorder = recorder
@@ -221,7 +227,7 @@ class AlgebraExecutor:
                 continue
             for other in matches:
                 joined = row + other if build_right else other + row
-                if checker is None or checker.check(joined):
+                if checker is None or checker.check(joined, self.params):
                     out.add(joined)
         METRICS.inc("algebra.rows_probed", len(probe))
         rows = frozenset(out)
@@ -258,7 +264,7 @@ class AlgebraExecutor:
             node, [_Shim(rows, c.arity)
                    for (rows, _), c in zip(child_results, node.children())]
         )
-        rows = shimmed.evaluate(self.database, self.structure)
+        rows = shimmed.evaluate(self.database, self.structure, self.params)
         stats = OpStats(
             label=self._label(node),
             kind=self._kind(node),
@@ -347,6 +353,7 @@ def run_algebra(
     database: Database,
     slack: int = 1,
     recorder=None,
+    params: tuple[str, ...] = (),
 ) -> tuple[tuple[str, ...], Rows, OpStats]:
     """Evaluate a RANF-translatable query with the set-at-a-time executor.
 
@@ -355,11 +362,12 @@ def run_algebra(
     :func:`compile_for_execution`); :class:`~repro.algebra.compile.CompileError`
     is raised when even the translation bails (the planner checks
     eligibility before calling this).  ``recorder`` is forwarded to
-    :class:`AlgebraExecutor`.
+    :class:`AlgebraExecutor`, as are ``params``, the values of a template
+    ``formula``'s slots.
     """
     compiled, optimized = compile_for_execution(
         formula, structure, database.schema, slack=slack
     )
-    executor = AlgebraExecutor(structure, database, recorder=recorder)
+    executor = AlgebraExecutor(structure, database, recorder=recorder, params=params)
     rows, stats = executor.run(optimized)
     return compiled.columns, rows, stats

@@ -400,7 +400,9 @@ class _Shim(Plan):
         self.rows = rows
         self.arity = arity
 
-    def evaluate(self, db: Database, structure: StringStructure) -> frozenset:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params=()
+    ) -> frozenset:
         return self.rows
 
     def __eq__(self, other: object) -> bool:  # shims never join the cache

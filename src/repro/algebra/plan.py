@@ -12,6 +12,7 @@ node               semantics
 =================  =====================================================
 ``BaseRel(R)``     a schema relation
 ``EpsilonRel``     the constant unary relation ``{epsilon}`` (``R_eps``)
+``ParamRel(i)``    the one-row relation of a template slot's bound value
 ``Select``         ``sigma_alpha``: keep tuples satisfying an M-formula
 ``Project``        projection / column permutation / duplication
 ``Product``        cartesian product
@@ -34,6 +35,7 @@ database (the paper's side condition on ``sigma_alpha``).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,12 +44,16 @@ from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.errors import ArityError, EvaluationError
 from repro.logic.formulas import Formula, QuantKind, RelAtom
-from repro.logic.terms import Var
+from repro.logic.literals import bind, template_slots
+from repro.logic.terms import Param, Var
 from repro.logic.transform import has_natural_quantifier
 from repro.structures.base import StringStructure
 
 Row = tuple[str, ...]
 Rows = frozenset[Row]
+#: The values bound to a query template's slots (``Param(i)`` reads
+#: ``params[i]``); empty for a concrete query.
+Params = tuple[str, ...]
 
 #: Deadline-check stride for row loops: per-row work is tiny, so the
 #: clock is only consulted every 256th row (matching the direct engine).
@@ -72,7 +78,9 @@ class Plan:
 
     arity: int
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         raise NotImplementedError
 
     def children(self) -> tuple["Plan", ...]:
@@ -108,7 +116,9 @@ class BaseRel(Plan):
     name: str
     arity: int
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         rows = db.relation(self.name)
         if db.schema.arity(self.name) != self.arity:
             raise ArityError(
@@ -127,11 +137,38 @@ class EpsilonRel(Plan):
 
     arity: int = 1
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         return frozenset({("",)})
 
     def __str__(self) -> str:
         return "R_eps"
+
+
+@dataclass(frozen=True)
+class ParamRel(Plan):
+    """The one-row unary relation ``{params[index]}``: a template slot's
+    run-time value where the plan needs it as a relation — in the base of
+    the ``gamma`` bound.  A value outside the alphabet is rejected like
+    a literal the ``add`` operators would spell out."""
+
+    index: int
+    arity: int = 1
+
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
+        value = structure.alphabet.check_string(params[self.index])
+        return frozenset({(value,)})
+
+    def __str__(self) -> str:
+        return f"R[{Param(self.index)}]"
+
+
+#: Bound automata one quantified template condition keeps, one per
+#: binding of its slots (oldest dropped first).
+_BOUND_AUTOMATA_CAP = 64
 
 
 class _ConditionChecker:
@@ -139,7 +176,9 @@ class _ConditionChecker:
 
     Quantifier-free conditions are evaluated directly; quantified ones are
     compiled once into a relation automaton over the empty database (legal
-    because ``sigma_alpha`` conditions may not mention the database).
+    because ``sigma_alpha`` conditions may not mention the database).  A
+    template condition reads its slots from the ``params`` each check
+    gets; quantified, it compiles one automaton per binding.
     """
 
     def __init__(self, condition: Formula, structure: StringStructure, slack: int = 0):
@@ -149,26 +188,50 @@ class _ConditionChecker:
             )
         self.condition = condition
         self.structure = structure
+        self.slack = slack
         self.columns = sorted(_column_index(v) for v in condition.free_variables())
+        self.slots = sorted(template_slots(condition))
+        self._slot_keys = [(Param(i).key, i) for i in self.slots]
         self._automaton = None
-        if any(
-            True
-            for f in condition.walk()
-            if f.__class__.__name__ in ("Exists", "Forall")
-        ):
-            from repro.eval.automata_engine import AutomataEngine
+        self._bound: dict[tuple, tuple] = {}
+        self._bound_lock = threading.Lock()
+        self._quantified = any(
+            f.__class__.__name__ in ("Exists", "Forall") for f in condition.walk()
+        )
+        if self._quantified and not self.slots:
+            self._automaton, self._auto_vars = self._compile(condition)
 
-            empty_db = Database(structure.alphabet, {})
-            engine = AutomataEngine(structure, empty_db, slack=slack)
-            result = engine.run(condition, check_signature=False)
-            self._automaton = result.relation
-            self._auto_vars = result.variables
+    def _compile(self, condition: Formula) -> tuple:
+        from repro.eval.automata_engine import AutomataEngine
 
-    def check(self, row: Row) -> bool:
-        if self._automaton is not None:
-            values = tuple(row[_column_index(v)] for v in self._auto_vars)
-            return self._automaton.contains(values)
+        empty_db = Database(self.structure.alphabet, {})
+        engine = AutomataEngine(self.structure, empty_db, slack=self.slack)
+        result = engine.run(condition, check_signature=False)
+        return result.relation, result.variables
+
+    def _automaton_for(self, params: Params) -> tuple:
+        if not self.slots:
+            return self._automaton, self._auto_vars
+        key = tuple(params[i] for i in self.slots)
+        with self._bound_lock:
+            hit = self._bound.get(key)
+        if hit is None:
+            # Compiled outside the lock (idempotent, last put wins).
+            hit = self._compile(bind(self.condition, params))
+            with self._bound_lock:
+                if len(self._bound) >= _BOUND_AUTOMATA_CAP:
+                    self._bound.pop(next(iter(self._bound)))
+                self._bound[key] = hit
+        return hit
+
+    def check(self, row: Row, params: Params = ()) -> bool:
+        if self._quantified:
+            automaton, variables = self._automaton_for(params)
+            values = tuple(row[_column_index(v)] for v in variables)
+            return automaton.contains(values)
         assignment = {f"c{i}": row[i] for i in self.columns}
+        for key, i in self._slot_keys:
+            assignment[key] = params[i]
         return _eval_quantifier_free(self.condition, assignment, self.structure)
 
     def max_column(self) -> int:
@@ -231,7 +294,9 @@ class Select(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         checker = _get_checker(self.condition, structure)
         if checker.max_column() >= self.child.arity:
             raise ArityError(
@@ -242,8 +307,8 @@ class Select(Plan):
             # Stream the cross product through the filter pair by pair:
             # only the (usually much smaller) selected set is ever
             # materialized, never the O(|L|*|R|) intermediate relation.
-            lrows = self.child.left.evaluate(db, structure)
-            rrows = self.child.right.evaluate(db, structure)
+            lrows = self.child.left.evaluate(db, structure, params)
+            rrows = self.child.right.evaluate(db, structure, params)
             out = set()
             tick = 0
             for l in lrows:
@@ -252,11 +317,11 @@ class Select(Plan):
                     if not tick & _TICK_MASK:
                         checkpoint()
                     row = l + r
-                    if checker.check(row):
+                    if checker.check(row, params):
                         out.add(row)
             return frozenset(out)
-        rows = self.child.evaluate(db, structure)
-        return frozenset(r for r in rows if checker.check(r))
+        rows = self.child.evaluate(db, structure, params)
+        return frozenset(r for r in rows if checker.check(r, params))
 
     def __str__(self) -> str:
         return f"select[{self.condition}]({self.child})"
@@ -276,10 +341,12 @@ class Project(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if any(i < 0 or i >= self.child.arity for i in self.indices):
             raise ArityError(f"projection {self.indices} out of range")
-        rows = self.child.evaluate(db, structure)
+        rows = self.child.evaluate(db, structure, params)
         return frozenset(tuple(r[i] for i in self.indices) for r in rows)
 
     def __str__(self) -> str:
@@ -298,9 +365,11 @@ class Product(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
-        lrows = self.left.evaluate(db, structure)
-        rrows = self.right.evaluate(db, structure)
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
+        lrows = self.left.evaluate(db, structure, params)
+        rrows = self.right.evaluate(db, structure, params)
         return frozenset(self._stream(lrows, rrows))
 
     @staticmethod
@@ -347,9 +416,11 @@ class Join(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
-        lrows = self.left.evaluate(db, structure)
-        rrows = self.right.evaluate(db, structure)
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
+        lrows = self.left.evaluate(db, structure, params)
+        rrows = self.right.evaluate(db, structure, params)
         checker = (
             _get_checker(self.residual, structure)
             if self.residual is not None
@@ -374,7 +445,7 @@ class Join(Plan):
                 continue
             for r in matches:
                 row = l + r
-                if checker is None or checker.check(row):
+                if checker is None or checker.check(row, params):
                     out.add(row)
         METRICS.inc("algebra.rows_probed", len(lrows))
         return frozenset(out)
@@ -401,9 +472,12 @@ class Union(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         _ = self.arity
-        return self.left.evaluate(db, structure) | self.right.evaluate(db, structure)
+        left = self.left.evaluate(db, structure, params)
+        return left | self.right.evaluate(db, structure, params)
 
     def __str__(self) -> str:
         return f"({self.left} u {self.right})"
@@ -423,9 +497,12 @@ class Difference(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         _ = self.arity
-        return self.left.evaluate(db, structure) - self.right.evaluate(db, structure)
+        left = self.left.evaluate(db, structure, params)
+        return left - self.right.evaluate(db, structure, params)
 
     def __str__(self) -> str:
         return f"({self.left} - {self.right})"
@@ -445,11 +522,13 @@ class PrefixOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if not 0 <= self.index < self.child.arity:
             raise ArityError(f"prefix_{self.index} out of range")
         out = set()
-        for r in self.child.evaluate(db, structure):
+        for r in self.child.evaluate(db, structure, params):
             s = r[self.index]
             for k in range(len(s) + 1):
                 out.add(r + (s[:k],))
@@ -474,13 +553,15 @@ class AddLastOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if not 0 <= self.index < self.child.arity:
             raise ArityError(f"add_{self.index} out of range")
         structure.alphabet.check_string(self.symbol)
         return frozenset(
             r + (r[self.index] + self.symbol,)
-            for r in self.child.evaluate(db, structure)
+            for r in self.child.evaluate(db, structure, params)
         )
 
     def __str__(self) -> str:
@@ -502,13 +583,15 @@ class AddFirstOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if not 0 <= self.index < self.child.arity:
             raise ArityError(f"add_first_{self.index} out of range")
         structure.alphabet.check_string(self.symbol)
         return frozenset(
             r + (self.symbol + r[self.index],)
-            for r in self.child.evaluate(db, structure)
+            for r in self.child.evaluate(db, structure, params)
         )
 
     def __str__(self) -> str:
@@ -530,11 +613,13 @@ class TrimFirstOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if not 0 <= self.index < self.child.arity:
             raise ArityError(f"trim_first_{self.index} out of range")
         out = set()
-        for r in self.child.evaluate(db, structure):
+        for r in self.child.evaluate(db, structure, params):
             s = r[self.index]
             trimmed = s[1:] if s.startswith(self.symbol) and s else ""
             out.add(r + (trimmed,))
@@ -565,14 +650,16 @@ class InsertAtOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if not 0 <= self.index < self.child.arity:
             raise ArityError(f"insert_{self.index} out of range")
         if not 0 <= self.prefix_index < self.child.arity:
             raise ArityError(f"insert prefix index {self.prefix_index} out of range")
         structure.alphabet.check_string(self.symbol)
         out = set()
-        for r in self.child.evaluate(db, structure):
+        for r in self.child.evaluate(db, structure, params):
             s, p = r[self.index], r[self.prefix_index]
             if s.startswith(p):
                 value = p + self.symbol + s[len(p):]
@@ -604,11 +691,13 @@ class DownOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(self, db: Database, structure: StringStructure) -> Rows:
+    def evaluate(
+        self, db: Database, structure: StringStructure, params: Params = ()
+    ) -> Rows:
         if not 0 <= self.index < self.child.arity:
             raise ArityError(f"down_{self.index} out of range")
         out = set()
-        for r in self.child.evaluate(db, structure):
+        for r in self.child.evaluate(db, structure, params):
             for s in structure.alphabet.strings_up_to(len(r[self.index])):
                 out.add(r + (s,))
         return frozenset(out)

@@ -471,18 +471,19 @@ def run_ranf(
     database,
     slack: int = 1,
     recorder=None,
+    params: tuple[str, ...] = (),
 ) -> RanfRun:
     """Evaluate the RANF pair of ``formula`` with the algebra executor.
 
     One executor runs both halves, so the shared translated core ``T``
     is computed once (the executor memoizes subplans by value).  The
     ``inf`` half runs first: a nonempty result aborts before the finite
-    half is materialized.
+    half is materialized.  ``params`` bind a template ``formula``'s slots.
     """
     from repro.algebra.exec import AlgebraExecutor
 
     pair = translate_ranf(formula, structure, database.schema, slack=slack)
-    executor = AlgebraExecutor(structure, database, recorder=recorder)
+    executor = AlgebraExecutor(structure, database, recorder=recorder, params=params)
     inf_stats = None
     if pair.inf_optimized is not None:
         METRICS.inc("algebra.ranf.inf_checks")

@@ -17,6 +17,7 @@ from repro.algebra.plan import (
     EpsilonRel,
     InsertAtOp,
     Join,
+    ParamRel,
     Plan,
     PrefixOp,
     Product,
@@ -43,6 +44,7 @@ from repro.logic.terms import (
     AddLast,
     EPS,
     InsertAt,
+    Param,
     StrConst,
     Term,
     TrimFirst,
@@ -76,6 +78,8 @@ def _translate(plan: Plan, names: list[str], counter: list[int]) -> Formula:
         return RelAtom(plan.name, tuple(Var(n) for n in names))
     if isinstance(plan, EpsilonRel):
         return Atom("eq", (Var(names[0]), EPS))
+    if isinstance(plan, ParamRel):
+        return Atom("eq", (Var(names[0]), Param(plan.index)))
     if isinstance(plan, Select):
         mapping = {f"c{i}": Var(n) for i, n in enumerate(names)}
         cond = plan.condition.substitute(mapping)

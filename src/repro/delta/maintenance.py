@@ -22,7 +22,7 @@ redone.
 
 **Subplan recording** — full algebra runs on a version-tracked database
 record every physical operator's output rows in a bounded store keyed by
-``(structure, plan node, version fingerprint)``.
+``(structure and template binding, plan node, version fingerprint)``.
 
 **ΔQ plan maintenance** (:func:`maintain_algebra_result`) — on the next
 version, each operator's new output is derived from its recorded rows
@@ -210,10 +210,12 @@ def promote_result(
 class _RowStore:
     """A small thread-safe LRU of per-operator output rows.
 
-    Keys are ``((structure name, alphabet), plan node, fingerprint)`` —
-    plan nodes are frozen dataclasses, hashable by structure.  Kept
-    separate from the automaton cache so recorded intermediates never
-    evict compiled automata and never distort the cache hit-rate stats.
+    Keys are ``((structure name, alphabet, params), plan node,
+    fingerprint)`` — plan nodes are frozen dataclasses, hashable by
+    structure, and a template plan's rows depend on the values bound to
+    its slots.  Kept separate from the automaton cache so recorded
+    intermediates never evict compiled automata and never distort the
+    cache hit-rate stats.
     """
 
     def __init__(self, maxsize: int = 4096):
@@ -247,14 +249,14 @@ class _RowStore:
 _STORE = _RowStore()
 
 
-def _structure_key(structure: StringStructure) -> tuple:
-    return (structure.name, structure.alphabet.symbols)
+def _structure_key(structure: StringStructure, params: tuple = ()) -> tuple:
+    return (structure.name, structure.alphabet.symbols, params)
 
 
 def _recorder_into(
-    structure: StringStructure, fingerprint: str
+    structure: StringStructure, fingerprint: str, params: tuple = ()
 ) -> Callable[[Plan, Rows], None]:
-    skey = _structure_key(structure)
+    skey = _structure_key(structure, params)
 
     def record(node: Plan, rows: Rows) -> None:
         _STORE.put((skey, node, fingerprint), rows)
@@ -263,18 +265,19 @@ def _recorder_into(
 
 
 def subplan_recorder(
-    structure: StringStructure, database: Database
+    structure: StringStructure, database: Database, params: tuple = ()
 ) -> Optional[Callable[[Plan, Rows], None]]:
-    """A recorder for :class:`~repro.algebra.exec.AlgebraExecutor`, or
-    ``None`` when ``database`` is not a delta-store version (recording
-    would be pure overhead for never-mutated databases)."""
+    """A recorder for :class:`~repro.algebra.exec.AlgebraExecutor` running
+    with ``params``, or ``None`` when ``database`` is not a delta-store
+    version (recording would be pure overhead for never-mutated
+    databases)."""
     with _LOCK:
         if not _TRACKED:
             return None
     fingerprint = database_fingerprint(database)
     if not is_tracked(fingerprint):
         return None
-    return _recorder_into(structure, fingerprint)
+    return _recorder_into(structure, fingerprint, params)
 
 
 # ----------------------------------------------------- ΔQ plan maintenance
@@ -324,7 +327,7 @@ def maintain_algebra_result(
     compiled, optimized = compile_for_execution(
         plan.formula, plan.structure, database.schema, slack=plan.slack
     )
-    skey = _structure_key(plan.structure)
+    skey = _structure_key(plan.structure, plan.params)
     chain: list[Transition] = []
     cursor = fingerprint
     for _ in range(MAX_CHAIN):
@@ -346,7 +349,7 @@ def maintain_algebra_result(
         return None
     try:
         for transition in reversed(chain):
-            _apply_transition(optimized, transition, plan.structure)
+            _apply_transition(optimized, transition, plan.structure, plan.params)
     except _Bail:
         METRICS.inc("delta.algebra_fallbacks")
         return None
@@ -359,7 +362,7 @@ def maintain_algebra_result(
 
 
 def _apply_transition(
-    root: Plan, t: Transition, structure: StringStructure
+    root: Plan, t: Transition, structure: StringStructure, params: tuple = ()
 ) -> Rows:
     """Propagate one transition's deltas bottom-up through ``root``.
 
@@ -369,7 +372,7 @@ def _apply_transition(
     recorded (store eviction) are recovered by evaluating that subplan
     on the pinned parent snapshot.
     """
-    skey = _structure_key(structure)
+    skey = _structure_key(structure, params)
     memo: dict[Plan, tuple[Rows, Rows, Rows]] = {}
     fallback: list[Optional[AlgebraExecutor]] = [None]
 
@@ -383,7 +386,8 @@ def _apply_transition(
             fallback[0] = AlgebraExecutor(
                 structure,
                 t.parent_db,
-                recorder=_recorder_into(structure, t.parent_fingerprint),
+                recorder=_recorder_into(structure, t.parent_fingerprint, params),
+                params=params,
             )
         rows, _stats = fallback[0].run(node)
         return rows
@@ -441,8 +445,8 @@ def _apply_transition(
         if not ca and not cr:
             return keep(node)
         checker = _get_checker(node.condition, structure)
-        added = frozenset(r for r in ca if checker.check(r))
-        removed = frozenset(r for r in cr if checker.check(r))
+        added = frozenset(r for r in ca if checker.check(r, params))
+        removed = frozenset(r for r in cr if checker.check(r, params))
         return settle(node, (old_rows(node) - removed) | added, added, removed)
 
     def _project(node: Project):
@@ -503,8 +507,8 @@ def _apply_transition(
             else None
         )
         out: set[Row] = set()
-        _join_into(out, la, rn, node.pairs, checker)  # ΔL ⋈ new R
-        _join_into(out, ln, ra, node.pairs, checker)  # new L ⋈ ΔR
+        _join_into(out, la, rn, node.pairs, checker, params)  # ΔL ⋈ new R
+        _join_into(out, ln, ra, node.pairs, checker, params)  # new L ⋈ ΔR
         added = frozenset(out)
         return settle(node, (old - removed) | added, added, removed)
 
@@ -590,7 +594,7 @@ def _apply_transition(
                 if not tick & 255:
                     checkpoint()
                 row = l + r
-                if checker.check(row):
+                if checker.check(row, params):
                     out.add(row)
         if ra:
             for l in ln - la:
@@ -599,7 +603,7 @@ def _apply_transition(
                     if not tick & 255:
                         checkpoint()
                     row = l + r
-                    if checker.check(row):
+                    if checker.check(row, params):
                         out.add(row)
         added = frozenset(out)
         return settle(node, (old - removed) | added, added, removed)
@@ -619,7 +623,7 @@ def _apply_transition(
         if not rows:
             return _EMPTY
         shim = _rebuild(node, [_Shim(rows, node.children()[0].arity)])
-        return shim.evaluate(t.child_db, structure)
+        return shim.evaluate(t.child_db, structure, params)
 
     new_root, _, _ = maint(root)
     return new_root
@@ -631,6 +635,7 @@ def _join_into(
     rrows: Rows,
     pairs: tuple[tuple[int, int], ...],
     checker,
+    params: tuple = (),
 ) -> None:
     """Hash-join ``lrows ⋈ rrows`` into ``out`` (residual check applied)."""
     if not lrows or not rrows:
@@ -648,5 +653,5 @@ def _join_into(
             if not tick & 255:
                 checkpoint()
             row = l + r
-            if checker is None or checker.check(row):
+            if checker is None or checker.check(row, params):
                 out.add(row)

@@ -43,6 +43,7 @@ from repro.engine.cache import AutomatonCache, database_fingerprint, formula_key
 from repro.engine.metrics import METRICS
 from repro.errors import EvaluationError
 from repro.logic.formulas import Formula, QuantKind
+from repro.logic.literals import bind
 from repro.structures.base import StringStructure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -76,6 +77,11 @@ class EngineBackend(abc.ABC):
     #: cost estimates tie, the lowest priority wins.  The built-ins use
     #: direct=0, algebra=10, automata=20 (the historical preference).
     priority: int = 100
+
+    #: Runs query templates itself, reading the slot values from
+    #: ``plan.params``.  Other backends are handed the bound formula
+    #: (:func:`repro.engine.explain.execute_plan`).
+    parameterized: bool = False
 
     # ------------------------------------------------------------- planning
 
@@ -404,6 +410,7 @@ class AlgebraBackend(EngineBackend):
 
     name = "algebra"
     priority = 10
+    parameterized = True
 
     def eligible(self, formula, structure, database):
         from repro.algebra.ranf import translation_verdict
@@ -482,7 +489,7 @@ class AlgebraBackend(EngineBackend):
         from repro.eval.result import QueryResult
 
         key = formula_key(
-            plan.formula,
+            plan.fingerprint,
             plan.structure.name,
             plan.structure.alphabet.symbols,
             plan.slack,
@@ -516,7 +523,10 @@ class AlgebraBackend(EngineBackend):
                     plan.structure,
                     database,
                     slack=plan.slack,
-                    recorder=maintenance.subplan_recorder(plan.structure, database),
+                    recorder=maintenance.subplan_recorder(
+                        plan.structure, database, plan.params
+                    ),
+                    params=plan.params,
                 )
                 if isinstance(observer, AlgebraTrace):
                     observer.ranf_branch = run.branch
@@ -530,7 +540,7 @@ class AlgebraBackend(EngineBackend):
 
                     result = AutomataEngine(
                         plan.structure, database, slack=plan.slack, cache=cache
-                    ).run(plan.formula)
+                    ).run(bind(plan.formula, plan.params))
                     cache.put(key, (result.variables, result.relation))
                     return result
                 columns, rows = run.columns, run.rows
@@ -542,7 +552,10 @@ class AlgebraBackend(EngineBackend):
                     plan.structure,
                     database,
                     slack=plan.slack,
-                    recorder=maintenance.subplan_recorder(plan.structure, database),
+                    recorder=maintenance.subplan_recorder(
+                        plan.structure, database, plan.params
+                    ),
+                    params=plan.params,
                 )
                 if isinstance(observer, AlgebraTrace):
                     observer.stats = stats
@@ -608,6 +621,7 @@ class CodegenBackend(EngineBackend):
 
     name = "codegen"
     priority = 5
+    parameterized = True
 
     def eligible(self, formula, structure, database):
         from repro.algebra.codegen import shape_supported
@@ -692,7 +706,7 @@ class CodegenBackend(EngineBackend):
         from repro.eval.result import QueryResult
 
         key = formula_key(
-            plan.formula,
+            plan.fingerprint,
             plan.structure.name,
             plan.structure.alphabet.symbols,
             plan.slack,
@@ -719,14 +733,15 @@ class CodegenBackend(EngineBackend):
             # interpreted algebra executor instead of failing.
             METRICS.inc("codegen.fallbacks")
             columns, rows, stats = run_algebra(
-                plan.formula, plan.structure, database, slack=plan.slack
+                plan.formula, plan.structure, database, slack=plan.slack,
+                params=plan.params,
             )
             if isinstance(observer, CodegenTrace):
                 observer.stats = stats
                 observer.fallback = detail
         else:
             METRICS.inc("codegen.runs")
-            rows, stage_rows = pipeline.run(database)
+            rows, stage_rows = pipeline.run(database, plan.params)
             columns = pipeline.columns
             if isinstance(observer, CodegenTrace):
                 observer.pipeline = pipeline

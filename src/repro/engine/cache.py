@@ -281,7 +281,8 @@ def formula_key(
     *interned* across databases.  ``stage`` names the backend value space
     (``"automata"`` subformula compilations vs ``"direct-result"`` /
     ``"algebra-result"`` whole query results) — together the key is
-    (canonical fingerprint, db fingerprint, backend stage).
+    (canonical fingerprint, db fingerprint, backend stage).  ``formula``
+    may also be that fingerprint, already computed.
     """
     return (
         stage,
@@ -289,7 +290,7 @@ def formula_key(
         alphabet_symbols,
         slack,
         db_fingerprint,
-        canonical_fingerprint(formula),
+        formula if isinstance(formula, str) else canonical_fingerprint(formula),
     )
 
 

@@ -31,7 +31,7 @@ Usage::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.database.instance import Database
@@ -41,7 +41,9 @@ from repro.engine.deadline import deadline_scope
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Plan, Planner
 from repro.eval.result import QueryResult
+from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import Formula
+from repro.logic.literals import bind
 from repro.structures.base import StringStructure
 
 
@@ -205,12 +207,18 @@ def execute_plan(
     automata).  ``observer`` is whatever the backend's
     :meth:`~repro.engine.backend.EngineBackend.trace_observer` returned,
     or ``None`` outside EXPLAIN.
+
+    The plan's formula is a template (:mod:`repro.logic.literals`).  A
+    parameterized backend runs it with the values in ``plan.params``;
+    any other is handed ``bind(template, plan.params)``.
     """
     from repro.engine.backend import get_backend
 
     if cache is None:
         cache = global_cache()
     backend = get_backend(plan.engine)
+    if plan.params and not backend.parameterized:
+        plan = replace(plan, formula=bind(plan.formula, plan.params))
     METRICS.inc(f"engine.{plan.engine}.runs")
     t0 = time.perf_counter()
     try:
@@ -236,6 +244,19 @@ class Explain:
     tuple_count: Optional[int]
 
     @property
+    def template(self) -> Optional[dict]:
+        """The template the plan runs (:mod:`repro.logic.literals`), its
+        fingerprint and the values bound to its slots; ``None`` for a
+        query without literals."""
+        if not self.plan.params:
+            return None
+        return {
+            "template": str(self.plan.formula),
+            "template_fingerprint": canonical_fingerprint(self.plan.formula),
+            "values": list(self.plan.params),
+        }
+
+    @property
     def kernel_stats(self) -> dict[str, float]:
         """This run's dense-kernel counters, with the ``kernel.`` prefix
         stripped: interned symbols, dense automata/states built, lazy
@@ -248,7 +269,7 @@ class Explain:
         }
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "plan": self.plan.to_dict(),
             "tree": self.root.to_dict(),
             "seconds": round(self.seconds, 6),
@@ -261,14 +282,24 @@ class Explain:
                 "tuples": self.tuple_count,
             },
         }
+        if self.template is not None:
+            out["template"] = self.template
+        return out
 
     def render(self) -> str:
         cache = self.cache_stats
         shape = (
             f"{self.tuple_count} tuples" if self.finite else "infinite (regular)"
         )
-        lines = [
-            self.plan.render(),
+        lines = [self.plan.render()]
+        t = self.template
+        if t is not None:
+            lines.append(
+                f"template: {t['template']}  "
+                f"[{t['template_fingerprint'][:12]}]  "
+                f"values={t['values']}"
+            )
+        lines += [
             "",
             f"executed in {self.seconds * 1000:.2f}ms — "
             f"output({', '.join(self.variables) or 'boolean'}): {shape}",
@@ -308,18 +339,27 @@ def explain_query(
     :mod:`repro.engine.deadline`, raising
     :class:`~repro.errors.EvaluationTimeout` once exceeded.
     """
+    with deadline_scope(timeout):
+        plan = Planner(structure, database).plan(formula, slack=slack, force=engine)
+        return explain_plan(plan, database, cache=cache)
+
+
+def explain_plan(
+    plan: Plan,
+    database: Database,
+    cache: Optional[AutomatonCache] = None,
+) -> Explain:
+    """Execute an already made plan with tracing and report on the run."""
     from repro.engine.backend import get_backend
 
     if cache is None:
         cache = global_cache()
-    with deadline_scope(timeout):
-        plan = Planner(structure, database).plan(formula, slack=slack, force=engine)
-        backend = get_backend(plan.engine)
-        observer = backend.trace_observer()
-        before = METRICS.snapshot()
-        t0 = time.perf_counter()
-        result = execute_plan(plan, database, cache=cache, observer=observer)
-        seconds = time.perf_counter() - t0
+    backend = get_backend(plan.engine)
+    observer = backend.trace_observer()
+    before = METRICS.snapshot()
+    t0 = time.perf_counter()
+    result = execute_plan(plan, database, cache=cache, observer=observer)
+    seconds = time.perf_counter() - t0
     counters = metrics_mod.delta(before, METRICS.snapshot())
     root = backend.trace_tree(plan, observer, seconds)
     if root is None:

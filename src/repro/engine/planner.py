@@ -23,9 +23,12 @@ answer*.  The engines themselves live behind the
 :mod:`repro.engine.backend` registry; the planner knows no engine by
 name.  It canonicalizes the formula (:mod:`repro.logic.canonical` —
 alpha-renaming plus sorted commutative connectives, so equivalent
-spellings share one plan and one set of cache entries), then iterates
-the registered backends: an **eligibility gate** first, then a **cost
-argmin** over the survivors.  The gates are deliberately conservative:
+spellings share one plan and one set of cache entries) and lifts its
+string literals into template slots (:mod:`repro.logic.literals`: the
+plan is made for the template, and the values ride along in
+``Plan.params``), then iterates the registered backends: an
+**eligibility gate** first, then a **cost argmin** over the survivors.
+The gates are deliberately conservative:
 
 1. a formula with NATURAL quantifiers always goes to the automata engine
    (the reference natural semantics; the direct engine cannot run it);
@@ -60,7 +63,7 @@ keep going direct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.database.instance import Database
@@ -86,6 +89,7 @@ from repro.logic.formulas import (
     RelAtom,
     TrueF,
 )
+from repro.logic.literals import lift_literals
 from repro.logic.terms import Var
 from repro.logic.transform import to_nnf
 from repro.structures.base import StringStructure
@@ -169,14 +173,16 @@ class Plan:
 
     ``formula`` is the *canonicalized* formula the chosen engine will
     actually run (for a forced direct/algebra engine additionally
-    collapsed); ``slack`` is the restricted-domain headroom the engines
-    use.  ``engine`` names a backend registered in
+    collapsed), as a template (:mod:`repro.logic.literals`) whose slot
+    values are ``params``; ``slack`` is the restricted-domain
+    headroom the engines use.  ``engine`` names a backend registered in
     :mod:`repro.engine.backend` — resolve it with
     :func:`~repro.engine.backend.get_backend`, never by comparing the
     string.  ``costs`` holds one display-unit estimate per registered
     backend (``inf`` where the backend's regime does not apply);
     ``fingerprint`` is the canonical structural fingerprint that keys
-    every cache entry this plan will touch.
+    every cache entry this plan will touch (a bound plan's also carries
+    the concrete query's).
     """
 
     engine: str
@@ -197,6 +203,9 @@ class Plan:
     #: observability the RANF work needs (`algebra: ... RANF translation
     #: bailed: <node>`).
     ineligible: dict[str, str] = field(default_factory=dict)
+    #: Values bound to the template's slots (``Param(i)`` reads
+    #: ``params[i]``); empty for a query without literals.
+    params: tuple[str, ...] = ()
 
     # Legacy accessors (pre-registry plans stored one field per engine).
     @property
@@ -623,6 +632,16 @@ def estimate_algebra_cost(
 # ------------------------------------------------------------------- planner
 
 
+def with_values(plan: Plan, values: tuple[str, ...], fingerprint: str) -> Plan:
+    """``plan`` (made for a template) run for one binding: ``values`` for
+    its slots, ``fingerprint`` the concrete query's canonical one."""
+    if not values:
+        return plan
+    return replace(
+        plan, params=values, fingerprint=f"{plan.fingerprint}/{fingerprint}"
+    )
+
+
 class Planner:
     """Plan queries for one structure + database pair.
 
@@ -671,26 +690,35 @@ class Planner:
         registered backends.  The formula is canonicalized first, so
         alpha-equivalent and conjunct-reordered spellings produce the
         same plan and share every downstream cache entry.
+
+        The plan is made for the formula's template
+        (:func:`~repro.logic.literals.lift_literals`): every decision it
+        holds is the same for any values of the literals, which ride
+        along in ``params``, and its ``fingerprint`` carries the concrete
+        query's as well, so whole-result cache entries of two bindings
+        never meet.  Planning a template plans it for every binding.
         """
         METRICS.inc("planner.plans")
-        formula = canonicalize(formula)
+        concrete = canonicalize(formula)
+        template, values = lift_literals(concrete)
         force = resolve_engine(force)
         if force is not None:
             backend = get_backend(force)
             prepared, effective, reason = backend.prepare_forced(
-                formula, self.structure, slack
+                template, self.structure, slack
             )
             METRICS.inc(f"planner.backend.{backend.name}.forced")
-            return self._make_plan(
+            plan = self._make_plan(
                 prepared,
                 engine=backend.name,
                 reason=reason,
                 forced=True,
                 slack=effective,
             )
-        plan = self._auto(formula, slack)
-        METRICS.inc(f"planner.backend.{plan.engine}.chosen")
-        return plan
+        else:
+            plan = self._auto(template, slack)
+            METRICS.inc(f"planner.backend.{plan.engine}.chosen")
+        return with_values(plan, values, canonical_fingerprint(concrete))
 
     def _auto(self, formula: Formula, slack: Optional[int]) -> Plan:
         """Registry iteration: eligibility gate, then cost argmin."""

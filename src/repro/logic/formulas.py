@@ -41,10 +41,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from repro.errors import ArityError
-from repro.logic.terms import Term, Var
+from repro.logic.terms import Param, Term, Var
 
 
 class QuantKind(enum.Enum):
@@ -179,11 +179,13 @@ class Atom(Formula):
 
     ``param`` carries the symbol of ``last`` or the regex text of
     ``matches`` / ``psuffix``; it is part of the predicate, not an argument.
+    In a query template a pattern is a :class:`~repro.logic.terms.Param`
+    slot instead of regex text.
     """
 
     pred: str
     args: tuple[Term, ...]
-    param: Optional[str] = None
+    param: Union[str, Param, None] = None
 
     def free_variables(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -196,6 +198,8 @@ class Atom(Formula):
 
     def __str__(self) -> str:
         inner = ", ".join(str(t) for t in self.args)
+        if isinstance(self.param, Param):
+            return f"{self.pred}({inner}, {self.param})"
         if self.param is not None:
             if self.pred == "last":
                 return f"last({inner}, '{self.param}')"

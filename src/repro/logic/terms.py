@@ -81,6 +81,39 @@ EPS = StrConst("")
 
 
 @dataclass(frozen=True)
+class Param(Term):
+    """Slot ``index`` of a query template: a string literal lifted out of
+    the query text (:func:`repro.logic.literals.lift_literals`), bound to
+    a value only at run time.
+
+    Evaluation reads the bound value from the assignment under
+    :attr:`key`, a name no parsed variable can take, so a condition
+    checker binds a template's values by extending its row assignment.
+    """
+
+    index: int
+
+    @property
+    def key(self) -> str:
+        return f"?{self.index}"
+
+    def variables(self) -> frozenset[str]:
+        return frozenset()
+
+    def substitute(self, mapping: dict[str, Term]) -> Term:
+        return self
+
+    def evaluate(self, assignment: dict[str, str]) -> str:
+        try:
+            return assignment[self.key]
+        except KeyError:
+            raise KeyError(f"unbound template slot {self.key}") from None
+
+    def __str__(self) -> str:
+        return self.key
+
+
+@dataclass(frozen=True)
 class AddLast(Term):
     """``l_a(t) = t . a`` (appends symbol ``symbol``)."""
 

@@ -10,6 +10,9 @@
 * :func:`restrict_quantifiers` — retarget NATURAL quantifiers to one of the
   restricted kinds (the executable form of the collapse theorems: Theorem 1
   and Proposition 4 license this for S and S_len respectively);
+* :func:`guard_existentials` — turn ``exists x`` into ``exists adom x``
+  where a positive relation atom of the body's conjunction already holds
+  ``x`` to the active domain;
 * :func:`active_domain_formula` — check the paper's "active-domain formula"
   property (all quantifiers are ADOM).
 """
@@ -36,6 +39,7 @@ from repro.logic.terms import (
     AddLast,
     InsertAt,
     Lcp,
+    Param,
     StrConst,
     Term,
     TrimFirst,
@@ -159,9 +163,10 @@ def _flatten_term(t: Term, fresh: _FreshNames) -> tuple[Term, list[tuple[str, Fo
     """Return a variable (or keep a var) plus definitions binding it."""
     if isinstance(t, Var):
         return t, []
-    if isinstance(t, StrConst):
+    if isinstance(t, (StrConst, Param)):
+        value = t.value if isinstance(t, StrConst) else t
         name = fresh.fresh("c")
-        return Var(name), [(name, Atom("graph_const", (Var(name),), t.value))]
+        return Var(name), [(name, Atom("graph_const", (Var(name),), value))]
     if isinstance(t, AddLast):
         inner, defs = _flatten_term(t.inner, fresh)
         name = fresh.fresh("al")
@@ -225,7 +230,9 @@ def fold_literal_graphs(formula: Formula) -> Formula:
             and graph.args == (Var(formula.var),)
             and isinstance(core, Atom)
         ):
-            return core.substitute({formula.var: StrConst(graph.param or "")})
+            value = graph.param
+            literal = value if isinstance(value, Param) else StrConst(value or "")
+            return core.substitute({formula.var: literal})
     return type(formula)(formula.var, body, formula.kind)
 
 
@@ -252,6 +259,35 @@ def restrict_quantifiers(formula: Formula, kind: QuantKind) -> Formula:
         new_kind = kind if formula.kind is QuantKind.NATURAL else formula.kind
         return Forall(formula.var, restrict_quantifiers(formula.body, kind), new_kind)
     raise TypeError(f"unknown formula node {formula!r}")
+
+
+def guard_existentials(formula: Formula) -> Formula:
+    """Rewrite ``exists x: phi`` to ``exists adom x: phi`` wherever ``x``
+    is a bare argument of a positive relation atom among ``phi``'s
+    top-level conjuncts.
+
+    Sound at every position (it is an equivalence of the subformula):
+    ``R(..., x, ...)`` already forces ``x`` into ``adom(D)``, so the
+    natural and the active-domain quantifier see the same witnesses.  A
+    range-restricted natural quantifier thereby leaves the automata-only
+    regime for the algebra and direct engines.
+    """
+    if isinstance(formula, (Atom, RelAtom, TrueF, FalseF)):
+        return formula
+    if isinstance(formula, Not):
+        return Not(guard_existentials(formula.inner))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(guard_existentials(p) for p in formula.parts))
+    body = guard_existentials(formula.body)
+    kind = formula.kind
+    if isinstance(formula, Exists) and kind is QuantKind.NATURAL:
+        conjuncts = body.parts if isinstance(body, And) else (body,)
+        if any(
+            isinstance(c, RelAtom) and Var(formula.var) in c.args
+            for c in conjuncts
+        ):
+            kind = QuantKind.ADOM
+    return type(formula)(formula.var, body, kind)
 
 
 def is_active_domain_formula(formula: Formula) -> bool:

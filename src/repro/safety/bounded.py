@@ -57,7 +57,7 @@ from repro.logic.formulas import (
     QuantKind,
     RelAtom,
 )
-from repro.logic.terms import StrConst, Var
+from repro.logic.terms import Param, StrConst, Var
 from repro.logic.transform import to_nnf
 
 #: Enumerating a finite ``matches`` pattern language stops paying off past
@@ -98,8 +98,11 @@ def range_bounded_variables(formula: Formula, structure) -> BoundedReport:
     return _rb(to_nnf(formula), structure)
 
 
-def _finite_pattern_words(structure, param: str) -> tuple[str, ...] | None:
-    """The full (small, finite) language of a pattern, or ``None``."""
+def _finite_pattern_words(structure, param) -> tuple[str, ...] | None:
+    """The full (small, finite) language of a pattern, or ``None`` — also
+    for a template's pattern slot, whose language is not known yet."""
+    if isinstance(param, Param):
+        return None
     try:
         dfa = structure.pattern_dfa(param or "")
     except Exception:
@@ -124,7 +127,11 @@ def _atom_facts(atom: Atom, structure):
     def var(i) -> str | None:
         return args[i].name if isinstance(args[i], Var) else None
 
-    def const(i) -> str | None:
+    def const(i):
+        # A template slot is a constant too: the gamma bound's base holds
+        # its run-time value (repro.algebra.compile.adom_plan).
+        if isinstance(args[i], Param):
+            return args[i]
         return args[i].value if isinstance(args[i], StrConst) else None
 
     if atom.pred == "eq" and len(args) == 2:

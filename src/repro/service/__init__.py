@@ -36,6 +36,7 @@ from repro.service.service import (
     ErrorInfo,
     PendingRequest,
     PreparedQuery,
+    QueryTemplate,
     QueryService,
     RunRequest,
     ServiceConfig,
@@ -52,6 +53,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "PendingRequest",
     "PreparedQuery",
+    "QueryTemplate",
     "ProtocolError",
     "QueryService",
     "RunRequest",

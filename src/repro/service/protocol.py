@@ -55,7 +55,13 @@ Operations
     — retained version summaries, oldest first.
 ``prepare``
     ``{"op": "prepare", "query": "R(x)", "structure": "S"}`` → a handle id
-    (``{"prepared": "p1", ...}``) usable in later ``run``/``batch`` items.
+    (``{"prepared": "p1", ...}``) usable in later ``run``/``batch`` items,
+    plus the ``template`` the query runs as and its ``values``.
+``explain``
+    A ``run`` body with ``"op": "explain"`` → ``{"explain": {...}}``: the
+    query's EXPLAIN report (plan, annotated tree, counters of the run),
+    with its ``template`` — the template text, its fingerprint and the
+    bound values.
 ``run``
     ``{"op": "run", "query": "R(x)", "db": "main"}`` (or ``"prepared":
     "p1"`` instead of ``"query"``) plus optional ``structure``, ``engine``,
@@ -523,8 +529,21 @@ class Dispatcher:
             self._prepared[pid] = handle
         return {
             "prepared": pid,
-            "variables": sorted(handle.formula.free_variables()),
+            "variables": sorted(handle.template.formula.free_variables()),
+            "template": str(handle.template.formula),
+            "values": list(handle.values),
         }, False
+
+    def _op_explain(self, obj: dict) -> tuple[dict, bool]:
+        request = self._request_from(obj)
+        report = self.service.explain(
+            request.query,
+            request.database,
+            structure=request.structure,
+            engine=request.engine,
+            slack=request.slack,
+        )
+        return {"explain": report.to_dict()}, False
 
     def _op_stats(self, obj: dict) -> tuple[dict, bool]:
         return {"stats": self.service.stats()}, False

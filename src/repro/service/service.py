@@ -6,13 +6,16 @@ into a serving tier on top of the PR 1 engine core:
 * a **named-database registry** — databases are registered once under a
   name and fingerprinted (:func:`repro.engine.cache.database_fingerprint`),
   so requests refer to ``"main"`` instead of shipping relations;
-* **prepared queries** — :meth:`QueryService.prepare` parses a query once
-  and caches the planner's decision per (database fingerprint, engine,
-  slack); handles are interned by the query's **canonical fingerprint**
-  (:mod:`repro.logic.canonical`), so alpha-equivalent and
-  conjunct-reordered spellings share one handle, one plan cache, and the
-  compiled automata in the session-wide thread-safe
-  :class:`~repro.engine.cache.AutomatonCache`;
+* **prepared queries** — :meth:`QueryService.prepare` parses a query once,
+  lifts its string literals into a **template** (:mod:`repro.logic.
+  literals`) and caches the planner's decision for the template per
+  (database fingerprint, engine, slack); template handles are interned
+  by the template's **canonical fingerprint** (:mod:`repro.logic.
+  canonical`), so alpha-equivalent and conjunct-reordered spellings, and
+  queries that differ only in their constants, share one handle, one
+  plan cache and one compiled codegen closure, while each query's
+  answer is cached under its own fingerprint in the session-wide
+  thread-safe :class:`~repro.engine.cache.AutomatonCache`;
 * a **worker pool** — a fixed set of threads executing requests pulled
   from a bounded queue; single requests and batches run concurrently;
 * **per-request deadlines** — a request's budget starts at submission
@@ -76,9 +79,9 @@ from repro.delta import DatabaseVersion, VersionedDatabase
 from repro.engine.backend import resolve_engine
 from repro.engine.cache import AutomatonCache, database_fingerprint, global_cache
 from repro.engine.deadline import Deadline, deadline_scope
-from repro.engine.explain import execute_plan
+from repro.engine.explain import Explain, execute_plan, explain_plan
 from repro.engine.metrics import METRICS
-from repro.engine.planner import Plan, Planner
+from repro.engine.planner import Plan, Planner, with_values
 from repro.errors import (
     EvaluationTimeout,
     ParseError,
@@ -92,13 +95,16 @@ from repro.errors import (
     UnsafeQueryError,
 )
 from repro.logic.canonical import canonical_fingerprint
+from repro.logic.literals import bind, lift_literals
 from repro.logic.parser import parse_formula
+from repro.logic.transform import guard_existentials
 from repro.strings.alphabet import Alphabet
 
 __all__ = [
     "ErrorInfo",
     "PreparedQuery",
     "QueryService",
+    "QueryTemplate",
     "RunRequest",
     "ServiceConfig",
     "ServiceResponse",
@@ -281,34 +287,57 @@ class _NamedDatabase:
     plan_epoch: int = 0
 
 
-class PreparedQuery:
-    """A query parsed once and planned once per database fingerprint.
+#: Entries each of the service's query-text maps keeps (the text alias
+#: map, prepared queries, template handles).  Ad hoc traffic brings new
+#: text without end; at the cap the oldest entry goes first, the
+#: discipline of the algebra plan cache.
+_PREPARED_CAP = 1024
 
-    Handles are created by :meth:`QueryService.prepare` and shared freely
-    across threads; the plan cache is locked, and the cached
+
+def _intern(table: dict, key, value):
+    """``table[key]``, set to ``value`` when absent (dropping the oldest
+    entry at :data:`_PREPARED_CAP`).  Caller holds the registry lock."""
+    hit = table.get(key)
+    if hit is None:
+        if len(table) >= _PREPARED_CAP:
+            table.pop(next(iter(table)))
+        hit = table[key] = value
+    return hit
+
+
+class QueryTemplate:
+    """A query shape, planned once per database and shared by every query
+    that differs from it only in its constants.
+
+    The formula is a template (:mod:`repro.logic.literals`): its string
+    literals and patterns are ``Param`` slots.  The service interns one
+    handle per (template fingerprint, structure) and runs it for each
+    binding of values.  The plan cache is locked, and the cached
     :class:`~repro.engine.planner.Plan` objects are treated as immutable.
     Re-registering a database under the same name invalidates its cached
     plans via the fingerprint in the cache key.
     """
 
-    def __init__(self, source: str, structure: str = "S"):
-        self.source = source
+    def __init__(self, formula, fingerprint: str, structure: str = "S"):
         self.structure_name = structure
-        self.formula = parse_formula(source)
-        #: Canonical structural fingerprint — the service interns handles
-        #: by it, so alpha-equivalent spellings share this plan cache.
-        self.fingerprint = canonical_fingerprint(self.formula)
+        self.formula = formula
+        #: Canonical fingerprint of the template — the service interns
+        #: handles by it, so alpha-equivalent spellings and queries that
+        #: differ only in their constants share this plan cache.
+        self.fingerprint = fingerprint
         self._queries: dict[tuple[str, ...], Query] = {}
         self._plans: dict[tuple, Plan] = {}
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return (
-            f"PreparedQuery({self.source!r}, structure={self.structure_name})"
+            f"QueryTemplate({str(self.formula)!r}, "
+            f"structure={self.structure_name})"
         )
 
     def query_for(self, alphabet: Alphabet) -> Query:
-        """The signature-checked :class:`Query` for one alphabet."""
+        """The signature-checked :class:`Query` for one alphabet (a slot's
+        pattern is checked per binding, by :class:`PreparedQuery`)."""
         key = alphabet.symbols
         with self._lock:
             q = self._queries.get(key)
@@ -327,20 +356,21 @@ class PreparedQuery:
         engine: Optional[str] = None,
         slack: Optional[int] = None,
     ) -> Plan:
-        """The (cached) plan for this query on one registered database.
+        """The (cached) plan for this template on one registered database.
 
         Keyed by (database fingerprint, backend name, slack) — the query
         component is the handle itself, which the service interns by
-        canonical fingerprint.  Two registered names with identical
+        template fingerprint.  Two registered names with identical
         contents therefore share plans, as do alpha-equivalent spellings
-        of the query.
+        of the query and queries that differ only in their constants.
 
         Delta-evolved entries are keyed by **plan epoch** instead of
         fingerprint: every version fingerprint is new, but the planner's
         decision only depends on the schema and the active domain, which
         is exactly what bumps the epoch — so row-only deltas reuse the
         plan (counted in ``delta.replans_avoided``) and schema/adom
-        shifts re-plan.
+        shifts re-plan.  Planning a newer epoch drops the plans of the
+        older epochs of the same base database.
         """
         force = resolve_engine(engine)
         if entry.versioned is not None:
@@ -382,7 +412,69 @@ class PreparedQuery:
         )
         with self._lock:
             plan, _ = self._plans.setdefault(key, (plan, entry.fingerprint))
+            if entry.versioned is not None:
+                for old in [
+                    k for k in self._plans
+                    if k[0] == "epoch" and k[1] == key[1] and k[2] < key[2]
+                ]:
+                    del self._plans[old]
         return plan
+
+
+class PreparedQuery:
+    """One concrete query: a :class:`QueryTemplate` handle plus the values
+    bound to its slots.
+
+    Created by :meth:`QueryService.prepare`, which interns them per
+    concrete canonical fingerprint, and shared freely across threads.
+    ``fingerprint`` identifies the concrete query — every whole-result
+    cache key of its runs carries it — and is computed once, by
+    :meth:`QueryService.prepare`.
+    """
+
+    def __init__(
+        self,
+        source: str,
+        structure: str,
+        template: QueryTemplate,
+        values: tuple[str, ...],
+        fingerprint: str,
+    ):
+        self.source = source
+        self.structure_name = structure
+        self.template = template
+        self.values = values
+        self.fingerprint = fingerprint
+        #: Alphabets this binding passed the signature checks under.
+        self._checked: set[tuple[str, ...]] = set()
+
+    def __repr__(self) -> str:
+        return (
+            f"PreparedQuery({self.source!r}, structure={self.structure_name})"
+        )
+
+    @property
+    def formula(self):
+        """The concrete formula: the template with its values bound."""
+        return bind(self.template.formula, self.values)
+
+    def plan_for(
+        self,
+        entry: _NamedDatabase,
+        engine: Optional[str] = None,
+        slack: Optional[int] = None,
+    ) -> Plan:
+        """The template's plan (:meth:`QueryTemplate.plan_for`) with this
+        query's values bound, once they passed the signature checks for
+        the database's alphabet: under S a pattern that is not star-free
+        is still an error."""
+        symbols = entry.database.alphabet.symbols
+        if self.values and symbols not in self._checked:
+            q = self.template.query_for(entry.database.alphabet)
+            q.structure.check_formula(self.formula)
+            self._checked.add(symbols)
+        plan = self.template.plan_for(entry, engine=engine, slack=slack)
+        return with_values(plan, self.values, self.fingerprint)
 
 
 def _codegen_closure_stats() -> dict:
@@ -561,8 +653,11 @@ class QueryService:
                 shards=config.shards, scheme=config.shard_scheme
             )
         self._databases: dict[str, _NamedDatabase] = {}
-        # Interned per (canonical fingerprint, structure); the text-keyed
-        # alias map short-circuits re-parsing on repeated exact text.
+        # Template handles per (template fingerprint, structure), prepared
+        # queries per (canonical fingerprint, structure), and the text
+        # alias map that short-circuits re-parsing on repeated exact text;
+        # each capped at _PREPARED_CAP.
+        self._templates: dict[tuple[str, str], QueryTemplate] = {}
         self._prepared: dict[tuple[str, str], PreparedQuery] = {}
         self._prepared_text: dict[tuple[str, str], PreparedQuery] = {}
         self._registry_lock = threading.Lock()
@@ -711,25 +806,60 @@ class QueryService:
     # -------------------------------------------------------------- prepare
 
     def prepare(self, query: str, structure: str = "S") -> PreparedQuery:
-        """Parse once, share forever: handles are interned per (canonical
-        fingerprint, structure), so every caller of any alpha-equivalent
-        or conjunct-reordered spelling of the same query gets the same
-        handle — and therefore the same plan cache and cached automata.
-        A text-keyed alias map keeps the repeated-exact-text fast path
-        free of re-parsing."""
+        """Parse once, share forever.
+
+        The query's literals are lifted into a template
+        (:func:`~repro.logic.literals.lift_literals`) after a natural
+        quantifier that a relation atom confines to the active domain
+        became an ADOM one (:func:`~repro.logic.transform.
+        guard_existentials`).  Template handles are interned per
+        (template fingerprint, structure): every query of one shape —
+        any spelling, any constants — shares one plan cache and one
+        compiled closure.  The returned :class:`PreparedQuery` is
+        interned per concrete canonical fingerprint, and a text-keyed
+        alias map keeps the repeated-exact-text fast path free of
+        re-parsing."""
         alias = (query, structure)
         with self._registry_lock:
-            handle = self._prepared_text.get(alias)
-        if handle is not None:
-            return handle
-        handle = PreparedQuery(query, structure)
-        key = (handle.fingerprint, structure)
+            prepared = self._prepared_text.get(alias)
+        if prepared is not None:
+            return prepared
+        formula = guard_existentials(parse_formula(query))
+        fingerprint = canonical_fingerprint(formula)
+        template, values = lift_literals(formula)
+        template_fingerprint = canonical_fingerprint(template)
+        new_handle = QueryTemplate(template, template_fingerprint, structure)
         with self._registry_lock:
-            interned = self._prepared.setdefault(key, handle)
-            self._prepared_text[alias] = interned
-        if interned is handle:
+            handle = _intern(
+                self._templates, (template_fingerprint, structure), new_handle
+            )
+            fresh = PreparedQuery(query, structure, handle, values, fingerprint)
+            prepared = _intern(self._prepared, (fingerprint, structure), fresh)
+            _intern(self._prepared_text, alias, prepared)
+        if handle is not new_handle:
+            METRICS.inc("service.template_hits")
+        if prepared is fresh:
             METRICS.inc("service.prepared_queries")
-        return interned
+        return prepared
+
+    def explain(
+        self,
+        query: Union[str, PreparedQuery],
+        database: str,
+        structure: str = "S",
+        engine: Optional[str] = None,
+        slack: Optional[int] = None,
+    ) -> Explain:
+        """Run one query with tracing, on the calling thread, and return
+        the EXPLAIN report — with the template it ran as, the template's
+        fingerprint and the values bound to it."""
+        prepared = (
+            query if isinstance(query, PreparedQuery)
+            else self.prepare(query, structure)
+        )
+        entry = self._entry(database)
+        plan = prepared.plan_for(entry, engine=engine, slack=slack)
+        return explain_plan(plan, entry.database, cache=self._cache)
 
     # ------------------------------------------------------------ execution
 
@@ -915,6 +1045,7 @@ class QueryService:
             "closed": self._closed,
             "databases": self.database_names(),
             "versions": versions,
+            "templates": len(self._templates),
             "cache": self._cache.stats(),
             "codegen_cache": _codegen_closure_stats(),
             "counters": service_counters,

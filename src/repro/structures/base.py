@@ -27,7 +27,16 @@ from repro.automatic import presentations as pres
 from repro.automatic.relation import RelationAutomaton
 from repro.errors import SignatureError
 from repro.logic.formulas import Atom, Exists, Forall, Formula, QuantKind, RelAtom
-from repro.logic.terms import AddFirst, AddLast, Lcp, StrConst, Term, TrimFirst, Var
+from repro.logic.terms import (
+    AddFirst,
+    AddLast,
+    Lcp,
+    Param,
+    StrConst,
+    Term,
+    TrimFirst,
+    Var,
+)
 from repro.strings import ops as strops
 from repro.strings.alphabet import Alphabet
 
@@ -73,7 +82,10 @@ class StringStructure:
                     raise SignatureError(
                         f"predicate {sub.pred!r} is not in the signature of {self.name}"
                     )
-                if sub.pred in ("matches", "psuffix"):
+                if sub.pred in ("matches", "psuffix") and not isinstance(
+                    sub.param, Param
+                ):
+                    # A template's pattern slot is checked per binding.
                     self._check_pattern(sub.param or "")
                 for t in sub.args:
                     self._check_term(t)
@@ -83,7 +95,7 @@ class StringStructure:
         return formula
 
     def _check_term(self, term: Term) -> None:
-        if isinstance(term, (Var, StrConst)):
+        if isinstance(term, (Var, StrConst, Param)):
             return
         if type(term) not in self.term_functions:
             raise SignatureError(
@@ -108,7 +120,10 @@ class StringStructure:
     def eval_atom(self, atom: Atom, assignment: dict[str, str]) -> bool:
         """Concrete truth value of an interpreted atom under an assignment."""
         values = [t.evaluate(assignment) for t in atom.args]
-        return self._eval_pred(atom.pred, values, atom.param)
+        param = atom.param
+        if isinstance(param, Param):
+            param = param.evaluate(assignment)
+        return self._eval_pred(atom.pred, values, param)
 
     def _eval_pred(self, pred: str, values: list[str], param: Optional[str]) -> bool:
         if pred == "eq":

@@ -1,15 +1,20 @@
 """Caches keyed by query text stay bounded under ad hoc traffic.
 
-Every new string constant brings a new selection condition (one checker)
-and every new pattern a new DFA and star-freeness verdict.  A service
-answering ad hoc text must not grow these caches without limit: each is
-capped and drops its oldest entry first.
+Every new condition shape brings a new checker (a string constant is a
+template slot, but a constant spelt with ``add_last`` is shape) and
+every new pattern a new DFA and star-freeness verdict; every new
+query text a text alias and a prepared query in the service, every new
+shape a template handle, and every adom-changing write a plan epoch.  A
+service answering ad hoc text must not grow these caches without limit:
+each is capped and drops its oldest entry first.
 """
 
 import repro.algebra.plan as plan_module
+import repro.service.service as service_module
 import repro.structures.base as structures_base
 from repro.core import Query
 from repro.database import Database
+from repro.service import QueryService, RunRequest
 from repro.strings import BINARY
 
 CAP = 8
@@ -21,16 +26,28 @@ def _constants(n: int) -> list[str]:
     return [format(i, "b") for i in range(2, n + 2)]
 
 
+def _spelt(c: str) -> str:
+    """``c`` spelt with ``add_last`` from the empty string: its symbols
+    are part of the query's shape, not a template slot."""
+    term = "''"
+    for a in c:
+        term = f"add_last({term}, '{a}')"
+    return term
+
+
 def test_condition_checkers_stay_within_the_cap(monkeypatch):
     monkeypatch.setattr(plan_module, "_CHECKER_CACHE", {})
     monkeypatch.setattr(plan_module, "_CHECKER_CACHE_CAP", CAP)
+    seen = set()
     for c in _constants(10 * CAP):
-        rows = Query(f"R(x) & '{c}' <<= x", structure="S").result(
+        rows = Query(f"R(x) & {_spelt(c)} <<= x", structure="S").result(
             DB, engine="algebra"
         ).as_set()
         assert rows == {(x,) for (x,) in DB.relation("R") if x.startswith(c)}
         assert len(plan_module._CHECKER_CACHE) <= CAP
-        assert any(f"'{c}'" in key[0] for key in plan_module._CHECKER_CACHE)
+        seen |= set(plan_module._CHECKER_CACHE)
+    # Every shape brought its own checker.
+    assert len(seen) == 10 * CAP
 
 
 def test_pattern_caches_stay_within_the_cap(monkeypatch):
@@ -45,3 +62,33 @@ def test_pattern_caches_stay_within_the_cap(monkeypatch):
         assert len(structures_base._PATTERN_DFAS) <= CAP
         assert len(structures_base._PATTERN_STAR_FREE) <= CAP
         assert (("0", "1"), f"{c}.*") in structures_base._PATTERN_STAR_FREE
+
+
+def test_service_maps_stay_within_the_cap(monkeypatch):
+    """Text aliases, prepared queries and template handles stay within the
+    cap under ad hoc text, and a handle keeps one plan per plan epoch
+    however many adom-changing writes it sees."""
+    monkeypatch.setattr(service_module, "_PREPARED_CAP", CAP)
+    with QueryService(workers=1) as svc:
+        svc.register_database("main", DB)
+        for i, c in enumerate(_constants(10 * CAP)):
+            # Distinct output names make distinct templates too.
+            text = f"R(x{i % (2 * CAP)}) & '{c}' <<= x{i % (2 * CAP)}"
+            resp = svc.execute(RunRequest(query=text, database="main"))
+            assert resp.ok
+            assert resp.rows == sorted(
+                [x] for (x,) in DB.relation("R") if x.startswith(c)
+            )
+            assert len(svc._prepared_text) <= CAP
+            assert len(svc._prepared) <= CAP
+            assert len(svc._templates) <= CAP
+        handle = svc.prepare("R(x) & last(x, '0')")
+        rows = {x for (x,) in DB.relation("R")}
+        for i in range(50):
+            word = format(i + 2 * CAP, "b") + "0"
+            svc.insert_rows("main", "R", [(word,)])
+            rows.add(word)
+            resp = svc.execute(RunRequest(query=handle, database="main"))
+            assert resp.rows == sorted([x] for x in rows if x.endswith("0"))
+            assert len(handle.template._plans) == 1
+        assert svc.stats()["versions"]["main"]["plan_epoch"] == 50

@@ -7,10 +7,11 @@ cross-PR view of those claims.  It reads every ``BENCH_<name>.json`` in
 the repo root and prints a markdown document with
 
 * one summary table — per bench: entry count, regression threshold, and
-  the min / median / max committed speedup, and
+  the min / median / max committed value of its gated metric (the
+  speedup ratio, or the service bench's absolute warm req/s), and
 * one detail table per bench — every workload key with its committed
-  ratio and the bench-specific numbers it was derived from (wall times
-  for the timed sweeps, throughput/latency for the service bench).
+  gated value and the bench-specific numbers beside it (wall times for
+  the timed sweeps, latency for the service bench).
 
 Ratios below 1.0 are printed as-is: some baselines deliberately commit
 honest sub-1x entries (e.g. ``BENCH_ranf.json``'s LENGTH / SIMILAR TO
@@ -57,16 +58,19 @@ def render(baselines: list[dict]) -> str:
         "# Benchmark trajectory",
         "",
         "Committed speedup baselines (optimized path vs reference path,",
-        "ratios are machine-portable; see `benchmarks/_regress.py`).",
+        "ratios are machine-portable; see `benchmarks/_regress.py`) and,",
+        "where a bench gates another metric, its committed values.",
         "",
-        "| bench | entries | threshold | min | median | max |",
-        "|---|---:|---:|---:|---:|---:|",
+        "| bench | metric | entries | threshold | min | median | max |",
+        "|---|---|---:|---:|---:|---:|---:|",
     ]
     for data in baselines:
-        speedups = [entry["speedup"] for entry in data["entries"].values()]
+        metric = data.get("metric", "speedup")
+        speedups = [entry[metric] for entry in data["entries"].values()]
         lines.append(
-            "| {bench} | {count} | {thr}x | {mn} | {med} | {mx} |".format(
+            "| {bench} | {metric} | {count} | {thr}x | {mn} | {med} | {mx} |".format(
                 bench=data["bench"],
+                metric=metric,
                 count=len(speedups),
                 thr=data["threshold"],
                 mn=_fmt(min(speedups)),
@@ -75,24 +79,26 @@ def render(baselines: list[dict]) -> str:
             )
         )
     for data in baselines:
+        metric = data.get("metric", "speedup")
+        unit = "x" if metric == "speedup" else ""
         lines += [
             "",
             f"## {data['bench']} ({data['_path']})",
             "",
-            "| workload | speedup | detail |",
+            f"| workload | {metric} | detail |",
             "|---|---:|---|",
         ]
         for key, entry in sorted(data["entries"].items()):
-            # Entries carry bench-specific extras besides the gated ratio
-            # (reference_s/optimized_s for timed sweeps, req_per_s/p50/p99
-            # for the service bench) — render whatever is there.
+            # Entries carry bench-specific extras besides the gated value
+            # (reference_s/optimized_s for timed sweeps, p50/p99 for the
+            # service bench) — render whatever is there.
             detail = ", ".join(
                 f"{field}={value:g}"
                 for field, value in sorted(entry.items())
-                if field != "speedup"
+                if field != metric
             )
             lines.append(
-                f"| {key} | {_fmt(entry['speedup'])}x | {detail} |"
+                f"| {key} | {_fmt(entry[metric])}{unit} | {detail} |"
             )
     lines.append("")
     return "\n".join(lines)
