@@ -14,7 +14,7 @@ SMOKE_DIR := .bench-smoke
 ## Fast local loop: lints, skip @pytest.mark.slow tests, then smoke the
 ## perf claims cheapest to regress silently (algebra joins, the dense
 ## automata kernel, the shard scatter-gather pool, incremental delta
-## maintenance, the compiled-plan codegen backend, the RANF-widened
+## maintenance, the algebra engine's fused codegen strategy, the RANF-widened
 ## fast-engine regime, and the asyncio service front end, each gated
 ## against its committed BENCH_*.json).
 test: lint-confine bench-algebra-smoke bench-kernel-smoke \
@@ -124,7 +124,7 @@ bench-delta-smoke:
 
 ## Compiled fused pipelines vs the interpreted algebra executor (full
 ## sweep, asserts the >=2x warm-closure speedup on both shapes, checks
-## the planner flips to codegen with a CodegenPipeline EXPLAIN node,
+## the auto plan runs the algebra engine fused with a CodegenPipeline node,
 ## and gates every ratio against BENCH_codegen.json).
 bench-codegen:
 	mkdir -p $(SMOKE_DIR)

@@ -1,15 +1,17 @@
 """ABL-3: ablation — Moore vs Hopcroft minimization.
 
 The convolution engine minimizes after every operation; minimization is
-its hot spot.  Moore's refinement is O(n^2 |Sigma|) but trivially
-auditable; Hopcroft's is O(n |Sigma| log n).  This bench measures both on
-growing machines and asserts they produce identical minimal automata.
+its hot spot.  Moore's refinement (the dict-backed ``DFA.minimize``) is
+O(n^2 |Sigma|) but trivially auditable; Hopcroft's, as the dense kernel
+runs it (:func:`repro.automata.kernel.minimize_dfa`), is
+O(n |Sigma| log n).  This bench measures both on growing machines and
+asserts they produce identical minimal automata.
 """
 
 import pytest
 
 from repro.automata import DFA, compile_regex, dfa_from_finite_language, equivalent
-from repro.automata.hopcroft import hopcroft_minimize
+from repro.automata.kernel import minimize_dfa
 from repro.strings import BINARY
 
 from _common import measure, print_table
@@ -39,7 +41,7 @@ def test_abl_moore(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_abl_hopcroft(benchmark, n):
     dfa = _bloated_machine(n)
-    benchmark(lambda: hopcroft_minimize(dfa))
+    benchmark(lambda: minimize_dfa(dfa))
 
 
 def test_abl_minimize_comparison(benchmark):
@@ -48,11 +50,11 @@ def test_abl_minimize_comparison(benchmark):
         for n in SIZES:
             dfa = _bloated_machine(n)
             moore = dfa.minimize()
-            hop = hopcroft_minimize(dfa)
+            hop = minimize_dfa(dfa)
             assert equivalent(moore, hop)
             assert moore.num_states == hop.num_states
             t_moore = measure(lambda: dfa.minimize(), repeats=1)
-            t_hop = measure(lambda: hopcroft_minimize(dfa), repeats=1)
+            t_hop = measure(lambda: minimize_dfa(dfa), repeats=1)
             rows.append((n, dfa.num_states, moore.num_states, t_moore, t_hop))
         return rows
 

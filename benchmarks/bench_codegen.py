@@ -1,12 +1,12 @@
 """CODEGEN-1: compiled fused pipelines vs the interpreted algebra executor.
 
-The acceptance claim of the codegen backend (``docs/codegen_engine.md``):
-on a fused scan→select→project→join shape, running the generated Python
-pipeline (warm closure cache — compilation already paid) is at least
-**2x** faster than walking the same optimized plan through the
-interpreted :class:`~repro.algebra.exec.AlgebraExecutor`, and the
-planner's argmin picks ``codegen`` for that shape once the closure is
-warm, with a ``CodegenPipeline`` node in EXPLAIN.
+The acceptance claim of the algebra engine's fused strategy
+(``docs/codegen_engine.md``): on a fused scan→select→project→join shape,
+running the generated Python pipeline (warm closure cache — compilation
+already paid) is at least **2x** faster than walking the same optimized
+plan through the interpreted :class:`~repro.algebra.exec.AlgebraExecutor`,
+and the auto plan for that shape runs the algebra engine fused once the
+closure is warm, with a ``CodegenPipeline`` node in EXPLAIN.
 
 Two workload shapes:
 
@@ -191,19 +191,23 @@ def _print_rows(rows: list[dict]) -> None:
 
 
 def check_planner_flips(n: int) -> dict:
-    """The acceptance EXPLAIN: once the closure is warm, auto planning
-    picks ``codegen`` on the fused-join shape and the physical tree is a
-    ``CodegenPipeline`` node carrying the generated-source line count."""
+    """The acceptance EXPLAIN: once the closure is warm, the auto plan on
+    the fused-join shape runs the algebra engine fused and the physical
+    tree is a ``CodegenPipeline`` node carrying the generated-source line
+    count."""
     from repro.core import Query
     from repro.engine import global_cache
+    from repro.engine.backend import FUSED
 
     db = _db("fused_join", n)
     query = Query(_shape("fused_join")[1], structure="S")
-    # Warm the exact closure the auto plan will key on (slack=0), then
-    # drop the cached *result* so the traced run executes the pipeline
-    # instead of answering from the result cache (closures live in their
-    # own cache and survive the reset — the planner still sees them).
-    query.result(db, engine="codegen", slack=0)
+    # Warm the exact closure the auto plan will key on (its template at
+    # slack 0), then drop any cached *result* so the traced run executes
+    # the pipeline instead of answering from the result cache (closures
+    # live in their own cache and survive the reset — the planner still
+    # sees them).
+    cold = query.plan(db)
+    get_pipeline(cold.formula, cold.structure, db.schema, cold.slack)
     global_cache().reset()
     report = query.explain(db)
     tree = report.to_dict()["tree"]
@@ -214,15 +218,20 @@ def check_planner_flips(n: int) -> dict:
             yield from kinds(child)
 
     explain_kinds = sorted(set(kinds(tree)))
-    print(f"planner chose: {report.plan.engine}; "
+    print(f"planner chose: {report.plan.engine} ({report.plan.strategy}); "
           f"EXPLAIN node kinds: {explain_kinds}")
-    assert report.plan.engine == "codegen", (
-        f"warm closure did not flip the planner (chose {report.plan.engine}; "
+    assert (report.plan.engine, report.plan.strategy) == ("algebra", FUSED), (
+        "warm closure did not make the plan run fused (chose "
+        f"{report.plan.engine} {report.plan.strategy}; "
         f"costs {report.plan.costs})"
     )
     assert "CodegenPipeline" in explain_kinds
     assert "source_lines" in tree["annotations"]
-    return {"engine": report.plan.engine, "explain": report.to_dict()}
+    return {
+        "engine": report.plan.engine,
+        "strategy": report.plan.strategy,
+        "explain": report.to_dict(),
+    }
 
 
 # ------------------------------------------------------------------- pytest

@@ -4,11 +4,11 @@ The acceptance claim of the RANF translation (``docs/ranf_translation.md``):
 on queries the old algebra gate rejected — restricted PREFIX/LENGTH
 quantifiers, and gamma-bounded queries whose free variables are not
 anchored in a positive database atom — the RANF-translated plan run by
-the algebra/codegen engines is at least **5x** faster than the exact
-automata engine (the engine the planner had to fall back to before this
-translation existed) on at least three shapes at the largest benchmarked
-size, and the auto planner now actually *chooses* the fast engine there
-(counter-verified via ``planner.backend.*.chosen``).
+the algebra engine (interpreted or fused) is at least **5x** faster than
+the exact automata engine (the engine the planner had to fall back to
+before this translation existed) on at least three shapes at the largest
+benchmarked size, and the auto planner now actually *chooses* the fast
+engine there (counter-verified via ``planner.backend.*.chosen``).
 
 Six workload shapes, all rejected by the pre-RANF gate
 (``algebra_eligible(formula)`` without a structure, plus
@@ -16,7 +16,7 @@ Six workload shapes, all rejected by the pre-RANF gate
 
 ``prefix_quant`` / ``prefix_join`` / ``prefix_pair``
     Anchored joins under one or two ``exists prefix`` quantifiers — the
-    restricted-quantifiers branch; the finite half fuses into a codegen
+    restricted-quantifiers branch; the finite half fuses into a compiled
     pipeline (``PrefixOp`` expansion + hash joins).
 
 ``gamma_join``
@@ -79,8 +79,8 @@ _SIM_ENDS_11 = similar_to_regex_text("%11")
 #: (shape, query, structure name, relation arities, max string length,
 #:  seed, full sizes, smoke sizes, flip expectation).  The flip field is
 #:  what the auto planner must do at the shape's top full size:
-#:  ``"fast"`` — pick algebra/codegen AND clear the 5x bar (and the >=1x
-#:  smoke floor); ``"fast-chosen"`` — pick algebra/codegen (the coverage
+#:  ``"fast"`` — pick algebra AND clear the 5x bar (and the >=1x
+#:  smoke floor); ``"fast-chosen"`` — pick algebra (the coverage
 #:  proof) with no speed bar; ``"automata"`` — correctly keep automata.
 SHAPES = [
     (
@@ -185,8 +185,8 @@ def _assert_old_gate_rejected(shape: str, db) -> None:
 def run_shape(shape: str, n: int) -> dict:
     """Median times for one shape at one size, fast engine vs automata.
 
-    The fast side runs the auto plan when the planner picks
-    algebra/codegen, else a forced-``algebra`` plan (the slow shapes,
+    The fast side runs the auto plan when the planner picks algebra
+    (interpreted or fused), else a forced-``algebra`` plan (the slow shapes,
     where automata stays the auto choice and we record the honest
     ratio).  Fresh automaton/result caches per repeat; the RANF
     translation cache stays warm across repeats — the steady state the
@@ -197,7 +197,7 @@ def run_shape(shape: str, n: int) -> dict:
     _assert_old_gate_rejected(shape, db)
 
     auto_plan = Planner(structure, db).plan(formula, slack=_SLACK)
-    if auto_plan.engine in ("algebra", "codegen"):
+    if auto_plan.engine == "algebra":
         fast_plan = auto_plan
     else:
         fast_plan = Planner(structure, db).plan(
@@ -224,6 +224,7 @@ def run_shape(shape: str, n: int) -> dict:
         "agree": fast_rows[0] == auto_rows[0],
         "auto_engine": auto_plan.engine,
         "fast_engine": fast_plan.engine,
+        "fast_strategy": fast_plan.strategy,
         "automata_s": automata_s,
         "fast_s": fast_s,
         "speedup": automata_s / max(fast_s, 1e-9),
@@ -276,7 +277,7 @@ def _print_rows(rows: list[dict]) -> None:
     print_table(
         "RANF-translated fast engine vs exact automata baseline",
         ["shape", "n", "out rows", "auto choice", "fast engine",
-         "automata s", "fast s", "speedup"],
+         "strategy", "automata s", "fast s", "speedup"],
         [
             (
                 r["shape"],
@@ -284,6 +285,7 @@ def _print_rows(rows: list[dict]) -> None:
                 r["rows"],
                 r["auto_engine"],
                 r["fast_engine"],
+                r["fast_strategy"],
                 f"{r['automata_s']:.4f}",
                 f"{r['fast_s']:.4f}",
                 f"{r['speedup']:.2f}x",
@@ -295,7 +297,7 @@ def _print_rows(rows: list[dict]) -> None:
 
 def check_planner_flips() -> dict:
     """The acceptance EXPLAIN: for every fast shape at its top size the
-    auto planner picks algebra/codegen (counter-verified through
+    auto planner picks algebra (counter-verified through
     ``planner.backend.*.chosen``) even though the old gate rejected the
     formula, and a forced-algebra EXPLAIN of the gamma shape shows the
     ``RanfPair`` node with its branch annotation."""
@@ -321,7 +323,7 @@ def check_planner_flips() -> dict:
             f"{shape}: {chosen_counter} did not move (delta {delta})"
         )
         if flip in ("fast", "fast-chosen"):
-            assert plan.engine in ("algebra", "codegen"), (
+            assert plan.engine == "algebra", (
                 f"{shape}: expected a fast-engine flip at n={n}, "
                 f"planner chose {plan.engine} (costs {plan.costs})"
             )

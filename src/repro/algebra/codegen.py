@@ -30,9 +30,11 @@ the closure ``_pipeline(_db, _params, _stage_rows)`` takes the database
 and the values of a query template's slots at call time (a ``Param(i)``
 operand is ``_params[i]``; a concrete query passes ``()``) — so row-only
 deltas and new constants reuse closures and only schema changes
-recompile; answer freshness is the backend's job (``codegen-result``
-whole-result cache keyed by database and concrete-query fingerprint,
-promoted along delta chains).
+recompile; answer freshness is the algebra backend's job (its
+``algebra-result`` whole-result cache keyed by database and
+concrete-query fingerprint, promoted along delta chains).  The backend
+runs a plan through this module when the planner chose its *fused*
+strategy (:class:`repro.engine.backend.AlgebraBackend`).
 
 This is the only module in the repository allowed to call
 ``compile``/``exec`` (enforced by ``tools/lint_confine.py``).
@@ -670,7 +672,7 @@ def pipeline_key(
     fingerprint here: the schema stands in for the plan epoch (row-only
     deltas keep the schema, hence reuse the closure; schema-extending
     deltas recompile).  Result freshness is keyed separately by the
-    backend's ``codegen-result`` cache entries.
+    algebra backend's ``algebra-result`` cache entries.
     """
     return (
         "codegen-closure",
@@ -757,8 +759,9 @@ def prewarm(
     """Best-effort closure compilation for prepared queries.
 
     Called by the service on a prepared-query plan-cache miss so that the
-    *first* auto plan already sees a warm closure — this is what amortizes
-    ``CODEGEN_SETUP_COST`` and lets repeated queries flip the argmin.
+    *first* auto plan already prices the algebra engine's fused strategy
+    warm — this is what amortizes ``CODEGEN_SETUP_COST`` for repeated
+    queries.
     """
     from repro.engine.planner import algebra_eligible
 

@@ -6,7 +6,7 @@ range-restricted — relational calculus query by translating it into a
 pair of relational-algebra-normal-form queries: one computing the finite
 output, one characterizing "the result is infinite".  This module is
 that idea specialized to the paper's string calculi: it widens the
-algebra/codegen engines from :func:`~repro.algebra.compile.compile_query`'s
+algebra engine from :func:`~repro.algebra.compile.compile_query`'s
 ADOM-only collapsed fragment to every formula for which we can certify a
 data-independent output bound, including the restricted PREFIX/LENGTH
 quantifiers of RC(S_left)/RC(S_len) **without** collapsing them away

@@ -11,7 +11,8 @@ argument.  All relations are normalized minimal DFAs.
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 
 from repro.automata.dfa import DFA
 from repro.automatic.convolution import PAD, columns
@@ -308,8 +309,21 @@ def lcp_graph(alphabet: Alphabet) -> RelationAutomaton:
     return RelationAutomaton(alphabet, 3, dfa)
 
 
-@functools.lru_cache(maxsize=None)
+#: Built basic presentations, least recently used first.  Bounded: a
+#: ``constant`` or ``*_graph`` presentation is built per distinct literal,
+#: and a service answering ad hoc queries sees unboundedly many.
+_BASIC_CACHE: OrderedDict[tuple, RelationAutomaton] = OrderedDict()
+_BASIC_CACHE_CAP = 256
+_BASIC_LOCK = threading.Lock()
+
+
 def _cached_basic(alphabet_symbols: tuple[str, ...], name: str, extra: object) -> RelationAutomaton:
+    key = (alphabet_symbols, name, extra)
+    with _BASIC_LOCK:
+        built = _BASIC_CACHE.get(key)
+        if built is not None:
+            _BASIC_CACHE.move_to_end(key)
+            return built
     alphabet = Alphabet(alphabet_symbols)
     builders = {
         "equality": lambda: equality(alphabet),
@@ -326,7 +340,12 @@ def _cached_basic(alphabet_symbols: tuple[str, ...], name: str, extra: object) -
         "constant": lambda: constant(alphabet, str(extra)),
         "lcp_graph": lambda: lcp_graph(alphabet),
     }
-    return builders[name]()
+    built = builders[name]()
+    with _BASIC_LOCK:
+        _BASIC_CACHE[key] = built
+        while len(_BASIC_CACHE) > _BASIC_CACHE_CAP:
+            _BASIC_CACHE.popitem(last=False)
+    return built
 
 
 def cached(alphabet: Alphabet, name: str, extra: object = None) -> RelationAutomaton:

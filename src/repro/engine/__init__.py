@@ -8,7 +8,7 @@ evaluators in :mod:`repro.eval` / :mod:`repro.algebra.exec`.  It contains:
   direct, automata, and algebra engines are registered backends, and
   every layer (planner, EXPLAIN, ``Query``, the service, the CLI)
   resolves engine names through :func:`~repro.engine.backend.
-  resolve_engine` — adding engine #4 is one ``register_backend`` call;
+  resolve_engine` — adding an engine is one ``register_backend`` call;
 * :mod:`repro.engine.planner` — the cost-based planner that iterates the
   registry (eligibility gate, then cost argmin) per query
   (``Query.run(db)`` with no ``engine=`` argument goes through it),

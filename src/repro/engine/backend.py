@@ -1,31 +1,33 @@
 """Engine backends: one registry, one dispatch path for every engine.
 
-Historically the library's three engines (direct, automata, algebra) were
-glued together by string-literal dispatch — ``if plan.engine ==
-"automata": ...`` — duplicated across the planner, EXPLAIN, the public
-:class:`~repro.core.query.Query` API, the query service, and the CLI, and
-each engine re-implemented its own cache keys and metrics names.  This
-module replaces all of that with a single seam:
+Every layer above :mod:`repro.engine` (the planner, EXPLAIN, the public
+:class:`~repro.core.query.Query` API, the query service, the CLI) reaches
+an engine through this module only:
 
-* :class:`EngineBackend` — the interface one evaluation strategy
-  implements: a ``name``, an :meth:`~EngineBackend.eligible` gate (may
-  this backend run this query *without changing the answer*?), a cost
-  estimate, forced-mode preparation (e.g. collapsing NATURAL
-  quantifiers), :meth:`~EngineBackend.execute`, and the EXPLAIN trace
-  hooks;
+* :class:`EngineBackend` — the interface one engine implements: a
+  ``name``, an :meth:`~EngineBackend.eligible` gate (may this backend run
+  this query *without changing the answer*?), a cost estimate (with the
+  execution strategy it prices, for a backend that has more than one),
+  forced-mode preparation (e.g. collapsing NATURAL quantifiers),
+  :meth:`~EngineBackend.execute`, and the EXPLAIN trace hooks;
 * a process-wide **registry** (:func:`register_backend`,
   :func:`get_backend`, :func:`backend_names`, :func:`all_backends`) that
   the planner iterates — eligibility gate first, then cost argmin — so
-  adding backend #4 is one ``register_backend`` call, not five edits;
+  adding an engine is one ``register_backend`` call;
 * :func:`resolve_engine` — the one place the ``None``/``"auto"``/name
   normalization lives; unknown names raise
   :class:`~repro.errors.EvaluationError` listing the registered backends.
 
-Every layer above :mod:`repro.engine` resolves engine names through this
-registry only; ``make lint-confine`` fails the build if an engine-name
-literal comparison reappears outside ``src/repro/engine/``.
+The built-in backends are ``direct``, ``automata`` and ``algebra``.  The
+algebra backend runs one optimized RA(M) plan per query in one of two
+strategies, recorded on the plan (``Plan.strategy``): *fused* into one
+generated closure (:mod:`repro.algebra.codegen`) or *interpreted* by the
+set-at-a-time executor (:mod:`repro.algebra.exec`).
 
-The cache keys all three backends use are built by
+``make lint-confine`` fails the build if an engine-name literal
+comparison appears outside ``src/repro/engine/``.
+
+The cache keys every backend uses are built by
 :func:`repro.engine.cache.formula_key` on the **canonical fingerprint**
 (:mod:`repro.logic.canonical`) of the formula plus the database
 fingerprint and the backend's stage name, so alpha-equivalent and
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.database.instance import Database
 from repro.engine.cache import AutomatonCache, database_fingerprint, formula_key
@@ -52,7 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.eval.result import QueryResult
 
 __all__ = [
+    "FUSED",
+    "INTERPRETED",
     "EngineBackend",
+    "Estimate",
     "all_backends",
     "backend_names",
     "get_backend",
@@ -60,6 +65,21 @@ __all__ = [
     "resolve_engine",
     "unregister_backend",
 ]
+
+
+#: The algebra backend's two ways to run a plan (``Plan.strategy``).
+FUSED = "fused"
+INTERPRETED = "interpreted"
+
+
+class Estimate(NamedTuple):
+    """A backend's cost estimate and the execution strategy it prices
+    (empty for a backend with one way to run a plan); ``note`` says why
+    that strategy, for the plan's reason."""
+
+    cost: float
+    strategy: str = ""
+    note: str = ""
 
 
 class EngineBackend(abc.ABC):
@@ -82,6 +102,9 @@ class EngineBackend(abc.ABC):
     #: ``plan.params``.  Other backends are handed the bound formula
     #: (:func:`repro.engine.explain.execute_plan`).
     parameterized: bool = False
+
+    #: The strategy a *forced* plan of this backend runs (``Plan.strategy``).
+    forced_strategy: str = ""
 
     # ------------------------------------------------------------- planning
 
@@ -109,6 +132,21 @@ class EngineBackend(abc.ABC):
         Called for *every* registered backend (eligible or not) so plans
         can display the full comparison; ineligible regimes return inf.
         """
+
+    def estimate(
+        self,
+        formula: Formula,
+        structure: StringStructure,
+        database: Database,
+        slack: int,
+        planner: "Planner",
+    ) -> Estimate:
+        """:meth:`estimate_cost` with the strategy it prices.  A backend
+        with more than one way to run a plan overrides this, prices each
+        and returns the cheapest; the planner calls only this."""
+        return Estimate(
+            self.estimate_cost(formula, structure, database, slack, planner)
+        )
 
     def decision_cost(self, cost: float, planner: "Planner") -> float:
         """Scale the display estimate for cross-backend comparison.
@@ -298,7 +336,9 @@ class DirectBackend(EngineBackend):
     def decision_cost(self, cost, planner):
         # The ceiling protects against LENGTH-domain blowups: past it the
         # backend drops out of the comparison entirely.
-        return cost if cost <= planner.ceiling else float("inf")
+        from repro.engine.planner import DIRECT_COST_CEILING
+
+        return cost if cost <= DIRECT_COST_CEILING else float("inf")
 
     def prepare_forced(self, formula, structure, slack):
         # Mirror the historical Query.result(engine="direct") semantics:
@@ -363,19 +403,23 @@ class AutomataBackend(EngineBackend):
         return estimate_automata_cost(formula, structure, database)
 
     def decision_cost(self, cost, planner):
-        # One state expansion costs as much as `bias` direct checks.
+        # One state expansion costs as much as DIRECT_BIAS direct checks.
         # The bias models the dense kernel (flat-array products, lazy
         # pipelines, vectorized Hopcroft — see repro/automata/kernel.py),
-        # not the legacy dict-of-dicts machinery; see DIRECT_BIAS.
-        return cost * planner.bias
+        # not the legacy dict-of-dicts machinery.
+        from repro.engine.planner import DIRECT_BIAS
+
+        return cost * DIRECT_BIAS
 
     def chosen_reason(self, costs, planner):
+        from repro.engine.planner import DIRECT_COST_CEILING
+
         direct = costs.get("direct", float("inf"))
-        if direct > planner.ceiling:
+        if direct > DIRECT_COST_CEILING:
             return (
                 f"restricted domains too large for enumeration "
                 f"(≈{_fmt_cost(direct)} checks > ceiling "
-                f"{_fmt_cost(planner.ceiling)})"
+                f"{_fmt_cost(DIRECT_COST_CEILING)})"
             )
         return (
             "automata compilation estimated cheaper than "
@@ -405,12 +449,29 @@ class AutomataBackend(EngineBackend):
 
 
 class AlgebraBackend(EngineBackend):
-    """The set-at-a-time RA(M) executor (:mod:`repro.algebra.exec`):
-    hash joins over the collapsed form, whole results cached."""
+    """The RA(M) engine: one optimized algebra plan per query
+    (:func:`repro.algebra.exec.compile_for_execution`), run one of two
+    ways, whole results cached.
+
+    * **fused** — the plan compiled into one generated Python closure
+      (:mod:`repro.algebra.codegen`): inlined predicates, hash tables
+      built outside the probe loop, closures cached per canonical
+      fingerprint and schema;
+    * **interpreted** — the set-at-a-time executor
+      (:mod:`repro.algebra.exec`) over the RANF pair, with its runtime
+      infinity check, subplan recording and ΔQ maintenance on
+      delta-store versions.
+
+    Auto plans price both and run the cheaper; the fused strategy is
+    priced only when the plan fuses and its output is anchored (the
+    fused closure runs the pair's finite half alone), and wins ties.  A
+    forced ``engine="algebra"`` plan runs interpreted.
+    """
 
     name = "algebra"
     priority = 10
     parameterized = True
+    forced_strategy = INTERPRETED
 
     def eligible(self, formula, structure, database):
         from repro.algebra.ranf import translation_verdict
@@ -430,25 +491,55 @@ class AlgebraBackend(EngineBackend):
         return True, f"RANF-translatable query ({verdict.branch} branch)"
 
     def estimate_cost(self, formula, structure, database, slack, planner):
-        from repro.algebra import ranf
-        from repro.engine.planner import estimate_algebra_cost
+        return self.estimate(formula, structure, database, slack, planner).cost
 
-        cost = estimate_algebra_cost(formula, structure, database, slack)
-        if cost != float("inf"):
-            # Fixed compile+rewrite setup, so tiny queries stay direct.
-            cost += planner.algebra_setup
-            verdict = ranf.translation_verdict(formula, structure)
-            if (
-                verdict.ok
-                and verdict.branch != "collapsed"
-                and not ranf.has_translation(
-                    formula, structure, database.schema, slack
-                )
-            ):
-                # The RANF pass itself; amortized away once the pair is
-                # in the translation cache.
-                cost += planner.ranf_setup
-        return cost
+    def estimate(self, formula, structure, database, slack, planner):
+        from repro.algebra import ranf
+        from repro.algebra.codegen import has_pipeline, shape_supported
+        from repro.engine.planner import (
+            ALGEBRA_SETUP_COST,
+            CODEGEN_ROW_FACTOR,
+            CODEGEN_SETUP_COST,
+            RANF_SETUP_COST,
+            estimate_algebra_cost,
+        )
+
+        rows = estimate_algebra_cost(formula, structure, database, slack)
+        if rows == float("inf"):
+            return Estimate(rows, INTERPRETED)
+        verdict = ranf.translation_verdict(formula, structure)
+        # The RANF pass itself; amortized away once the pair is in the
+        # translation cache.
+        ranf_setup = RANF_SETUP_COST if (
+            verdict.ok
+            and verdict.branch != "collapsed"
+            and not ranf.has_translation(formula, structure, database.schema, slack)
+        ) else 0.0
+        # Fixed compile+rewrite setup, so tiny queries stay direct.
+        interpreted = rows + ALGEBRA_SETUP_COST + ranf_setup
+        ok, why = restricted_output_gate(formula, database)
+        if ok:
+            ok, why = shape_supported(formula, structure, database.schema)
+        if not ok:
+            return Estimate(
+                interpreted, INTERPRETED, f"interpreted, not fuseable: {why}"
+            )
+        # Fusion removes per-tuple interpreter dispatch, so row work is
+        # cheaper; compilation is charged only while no closure is
+        # cached — the LRU amortizes it away for repeated and prepared
+        # queries.
+        fused = rows * CODEGEN_ROW_FACTOR
+        if not has_pipeline(formula, structure, database.schema, slack):
+            fused += CODEGEN_SETUP_COST + ranf_setup
+        if fused <= interpreted:
+            return Estimate(fused, FUSED, (
+                f"fused: ≈{_fmt_cost(fused)} row ops after fusion vs "
+                f"≈{_fmt_cost(interpreted)} interpreted"
+            ))
+        return Estimate(interpreted, INTERPRETED, (
+            f"interpreted: ≈{_fmt_cost(interpreted)} row ops vs "
+            f"≈{_fmt_cost(fused)} fused (closure not compiled yet)"
+        ))
 
     def prepare_forced(self, formula, structure, slack):
         # Same restricted semantics as a forced direct engine: collapse
@@ -483,11 +574,11 @@ class AlgebraBackend(EngineBackend):
         )
 
     def execute(self, plan, database, cache, observer=None):
-        from repro.algebra.exec import run_algebra
-        from repro.automatic.relation import RelationAutomaton
+        from repro.delta.maintenance import promote_result
         from repro.engine.explain import AlgebraTrace
         from repro.eval.result import QueryResult
 
+        trace = observer if isinstance(observer, AlgebraTrace) else AlgebraTrace()
         key = formula_key(
             plan.fingerprint,
             plan.structure.name,
@@ -497,74 +588,88 @@ class AlgebraBackend(EngineBackend):
             stage="algebra-result",
         )
         cached = cache.get(key)
+        if cached is None and plan.strategy == FUSED:
+            # Delta-store versions whose walked deltas touch none of the
+            # query's relations re-key the old result forward; anything
+            # else is a full compiled run — closures are schema-keyed,
+            # so row-only deltas reuse the compiled code and only pay
+            # the data pass (never a stale answer).
+            cached = promote_result(cache, key, plan.formula)
         if cached is not None:
-            if isinstance(observer, AlgebraTrace):
-                observer.cached = True
+            trace.cached = True
             return QueryResult(*cached)
+        result = None
+        if plan.strategy == FUSED:
+            result = self._fused(plan, database, trace)
+        if result is None:
+            result = self._interpreted(plan, database, cache, trace)
+        cache.put(key, (result.variables, result.relation))
+        return result
+
+    @staticmethod
+    def _fused(plan, database, trace):
+        """The answer of the plan's compiled closure, or ``None`` when the
+        shape does not fuse at the plan's slack."""
+        from repro.algebra.codegen import get_pipeline
+
+        pipeline, detail = get_pipeline(
+            plan.formula, plan.structure, database.schema, plan.slack
+        )
+        if pipeline is None:
+            METRICS.inc("codegen.fallbacks")
+            trace.fallback = detail
+            return None
+        METRICS.inc("codegen.runs")
+        rows, trace.stage_rows = pipeline.run(database, plan.params)
+        trace.pipeline = pipeline
+        trace.closure_hit = detail == "hit"
+        return _table(plan, pipeline.columns, rows)
+
+    @staticmethod
+    def _interpreted(plan, database, cache, trace):
+        """The executor's answer, or the exact engine's when the RANF
+        pair's runtime bound check fails."""
+        from repro.algebra.exec import run_algebra
+        from repro.algebra.ranf import run_ranf, translation_verdict
+        from repro.delta import maintenance
+
         # Delta-store versions: maintain the previous version's recorded
         # subplan rows through the ΔQ rules instead of recomputing; full
         # runs on tracked versions record their subplans for next time.
-        from repro.delta import maintenance
-
         maintained = maintenance.maintain_algebra_result(plan, database)
         if maintained is not None:
-            # Maintained (and whole-result-cached) runs reuse a prior
-            # full run's answer, whose "infinite" check already passed.
-            columns, rows = maintained
-            if isinstance(observer, AlgebraTrace):
-                observer.cached = True
-        else:
-            from repro.algebra.ranf import run_ranf, translation_verdict
-
-            verdict = translation_verdict(plan.formula, plan.structure)
-            if verdict.ok and verdict.branch != "collapsed":
-                run = run_ranf(
-                    plan.formula,
-                    plan.structure,
-                    database,
-                    slack=plan.slack,
-                    recorder=maintenance.subplan_recorder(
-                        plan.structure, database, plan.params
-                    ),
-                    params=plan.params,
-                )
-                if isinstance(observer, AlgebraTrace):
-                    observer.ranf_branch = run.branch
-                    observer.inf_stats = run.inf_stats
-                    observer.infinite = run.infinite
-                if run.infinite:
-                    # The runtime bound certificate failed: the natural
-                    # result may be infinite; defer to the exact engine
-                    # (correctness fallback, never a wrong answer).
-                    from repro.eval.automata_engine import AutomataEngine
-
-                    result = AutomataEngine(
-                        plan.structure, database, slack=plan.slack, cache=cache
-                    ).run(bind(plan.formula, plan.params))
-                    cache.put(key, (result.variables, result.relation))
-                    return result
-                columns, rows = run.columns, run.rows
-                if isinstance(observer, AlgebraTrace):
-                    observer.stats = run.stats
-            else:
-                columns, rows, stats = run_algebra(
-                    plan.formula,
-                    plan.structure,
-                    database,
-                    slack=plan.slack,
-                    recorder=maintenance.subplan_recorder(
-                        plan.structure, database, plan.params
-                    ),
-                    params=plan.params,
-                )
-                if isinstance(observer, AlgebraTrace):
-                    observer.stats = stats
-        relation = RelationAutomaton.from_tuples(
-            plan.structure.alphabet, len(columns), rows
+            # Maintained runs reuse a prior full run's answer, whose
+            # "infinite" check already passed.
+            trace.cached = True
+            return _table(plan, *maintained)
+        recorder = maintenance.subplan_recorder(
+            plan.structure, database, plan.params
         )
-        result = QueryResult(columns, relation)
-        cache.put(key, (result.variables, result.relation))
-        return result
+        verdict = translation_verdict(plan.formula, plan.structure)
+        if not (verdict.ok and verdict.branch != "collapsed"):
+            columns, rows, trace.stats = run_algebra(
+                plan.formula, plan.structure, database, slack=plan.slack,
+                recorder=recorder, params=plan.params,
+            )
+            return _table(plan, columns, rows)
+        run = run_ranf(
+            plan.formula, plan.structure, database, slack=plan.slack,
+            recorder=recorder, params=plan.params,
+        )
+        trace.ranf_branch = run.branch
+        trace.inf_stats = run.inf_stats
+        trace.infinite = run.infinite
+        if run.infinite:
+            # The runtime bound certificate failed: the natural result
+            # may be infinite; defer to the exact engine (correctness
+            # fallback, never a wrong answer).
+            from repro.eval.automata_engine import AutomataEngine
+
+            return AutomataEngine(
+                plan.structure, database, slack=plan.slack, cache=cache
+            ).run(bind(plan.formula, plan.params))
+        trace.stats = run.stats
+        return _table(plan, run.columns, run.rows)
 
     def trace_observer(self):
         from repro.engine.explain import AlgebraTrace
@@ -578,233 +683,80 @@ class AlgebraBackend(EngineBackend):
             plan_tree_to_explain,
         )
 
-        stats = getattr(observer, "stats", None)
-        branch = getattr(observer, "ranf_branch", None)
-        inf_stats = getattr(observer, "inf_stats", None)
-        if branch is not None and (stats is not None or inf_stats is not None):
+        if observer.pipeline is not None:
+            return _pipeline_tree(observer, seconds)
+        if observer.ranf_branch is not None and (
+            observer.stats is not None or observer.inf_stats is not None
+        ):
             # A RANF pair ran: show both halves under one root, annotated
             # with the branch that fired and the infinity-check outcome.
             children = []
-            if inf_stats is not None:
-                inf_node = op_stats_to_explain(inf_stats)
+            if observer.inf_stats is not None:
+                inf_node = op_stats_to_explain(observer.inf_stats)
                 inf_node.annotations["half"] = "inf"
                 children.append(inf_node)
-            if stats is not None:
-                fin_node = op_stats_to_explain(stats)
+            if observer.stats is not None:
+                fin_node = op_stats_to_explain(observer.stats)
                 fin_node.annotations["half"] = "fin"
                 children.append(fin_node)
-            notes: dict[str, object] = {"branch": branch}
-            if getattr(observer, "infinite", False):
+            notes: dict[str, object] = {"branch": observer.ranf_branch}
+            if observer.infinite:
                 notes["infinite"] = True
                 notes["fallback"] = "automata"
-            return ExplainNode(
-                f"ranf[{branch}]", "RanfPair", seconds=seconds,
+            root = ExplainNode(
+                f"ranf[{observer.ranf_branch}]", "RanfPair", seconds=seconds,
                 annotations=notes, children=children,
             )
-        if stats is not None:
-            return op_stats_to_explain(stats)
-        if getattr(observer, "cached", False):
+        elif observer.stats is not None:
+            root = op_stats_to_explain(observer.stats)
+        elif observer.cached:
             # Whole-result cache hit: no physical operators ran — show the
             # planner's static tree, marked cached.
             root = plan_tree_to_explain(plan.root)
             root.seconds = seconds
             root.cache_hit = True
-            return root
-        return None
-
-
-class CodegenBackend(EngineBackend):
-    """Compiled-plan pipelines (:mod:`repro.algebra.codegen`): the
-    optimized algebra plan fused into one generated Python closure —
-    inlined predicates, hash tables built outside the probe loop, set ops
-    on projected streams — cached per canonical fingerprint + schema."""
-
-    name = "codegen"
-    priority = 5
-    parameterized = True
-
-    def eligible(self, formula, structure, database):
-        from repro.algebra.codegen import shape_supported
-        from repro.engine.planner import algebra_eligible
-
-        # Codegen compiles only the finite half of a RANF pair, so it
-        # keeps the anchored-output gate: the gamma-bounded branch (whose
-        # pair carries a runtime infinity check) stays on the interpreted
-        # algebra backend.
-        ok, reason = restricted_output_gate(formula, database)
-        if not ok:
-            return ok, reason
-        if not algebra_eligible(formula, structure):
-            return False, (
-                "not RANF-translatable: codegen compiles exactly the "
-                "algebra engine's (widened) regime"
-            )
-        ok, why = shape_supported(formula, structure, database.schema)
-        if not ok:
-            return False, f"plan shape not fuseable: {why}"
-        return True, "RANF-translatable query with a fuseable plan shape"
-
-    def estimate_cost(self, formula, structure, database, slack, planner):
-        from repro.algebra.codegen import has_pipeline
-        from repro.engine.planner import CODEGEN_ROW_FACTOR, estimate_algebra_cost
-
-        cost = estimate_algebra_cost(formula, structure, database, slack)
-        if cost == float("inf"):
-            return cost
-        # Fusion removes per-tuple interpreter dispatch, so row work is
-        # cheaper than the interpreted executor's; compilation itself is
-        # charged only while no closure is cached — the LRU amortizes it
-        # away for repeated and prepared queries.
-        scaled = cost * CODEGEN_ROW_FACTOR
-        if not has_pipeline(formula, structure, database.schema, slack):
-            scaled += planner.codegen_setup
-            from repro.algebra import ranf
-
-            verdict = ranf.translation_verdict(formula, structure)
-            if (
-                verdict.ok
-                and verdict.branch != "collapsed"
-                and not ranf.has_translation(
-                    formula, structure, database.schema, slack
-                )
-            ):
-                scaled += planner.ranf_setup
-        return scaled
-
-    def prepare_forced(self, formula, structure, slack):
-        from repro.algebra.compile import CompileError
-        from repro.algebra.ranf import translation_verdict
-        from repro.eval.collapse import collapse
-
-        collapsed = collapse(formula, structure, slack=1 if slack is None else slack)
-        verdict = translation_verdict(collapsed.formula, structure)
-        if not verdict.ok:
-            raise CompileError(
-                "codegen engine cannot evaluate this query even after "
-                f"collapsing: RANF translation bailed: {verdict.reason}"
-            )
-        return (
-            collapsed.formula,
-            collapsed.slack,
-            "engine forced by caller (formula collapsed)",
-        )
-
-    def chosen_reason(self, costs, planner):
-        return (
-            "fused compiled pipeline estimated cheapest "
-            f"(≈{_fmt_cost(costs[self.name])} row ops after fusion vs "
-            f"≈{_fmt_cost(costs.get('algebra', float('inf')))} interpreted)"
-        )
-
-    def execute(self, plan, database, cache, observer=None):
-        from repro.algebra.codegen import get_pipeline
-        from repro.algebra.exec import run_algebra
-        from repro.automatic.relation import RelationAutomaton
-        from repro.delta.maintenance import promote_result
-        from repro.engine.explain import CodegenTrace
-        from repro.engine.metrics import METRICS
-        from repro.eval.result import QueryResult
-
-        key = formula_key(
-            plan.fingerprint,
-            plan.structure.name,
-            plan.structure.alphabet.symbols,
-            plan.slack,
-            database_fingerprint(database),
-            stage="codegen-result",
-        )
-        cached = cache.get(key)
-        if cached is None:
-            # Delta-store versions whose walked deltas touch none of the
-            # query's relations re-key the old result forward; anything
-            # else falls through to a full compiled run — closures are
-            # schema-keyed, so row-only deltas reuse the compiled code
-            # and only pay the data pass (never a stale answer).
-            cached = promote_result(cache, key, plan.formula)
-        if cached is not None:
-            if isinstance(observer, CodegenTrace):
-                observer.cached = True
-            return QueryResult(*cached)
-        pipeline, detail = get_pipeline(
-            plan.formula, plan.structure, database.schema, plan.slack
-        )
-        if pipeline is None:
-            # Structured fallback: unsupported plan shapes run on the
-            # interpreted algebra executor instead of failing.
-            METRICS.inc("codegen.fallbacks")
-            columns, rows, stats = run_algebra(
-                plan.formula, plan.structure, database, slack=plan.slack,
-                params=plan.params,
-            )
-            if isinstance(observer, CodegenTrace):
-                observer.stats = stats
-                observer.fallback = detail
         else:
-            METRICS.inc("codegen.runs")
-            rows, stage_rows = pipeline.run(database, plan.params)
-            columns = pipeline.columns
-            if isinstance(observer, CodegenTrace):
-                observer.pipeline = pipeline
-                observer.stage_rows = stage_rows
-                observer.closure_hit = detail == "hit"
-        relation = RelationAutomaton.from_tuples(
-            plan.structure.alphabet, len(columns), rows
-        )
-        result = QueryResult(columns, relation)
-        cache.put(key, (result.variables, result.relation))
-        return result
-
-    def trace_observer(self):
-        from repro.engine.explain import CodegenTrace
-
-        return CodegenTrace()
-
-    def trace_tree(self, plan, observer, seconds):
-        from repro.engine.explain import (
-            ExplainNode,
-            op_stats_to_explain,
-            plan_tree_to_explain,
-        )
-
-        if getattr(observer, "cached", False):
-            root = plan_tree_to_explain(plan.root)
-            root.seconds = seconds
-            root.cache_hit = True
-            return root
-        stats = getattr(observer, "stats", None)
-        if stats is not None:
-            root = op_stats_to_explain(stats)
-            root.annotations["codegen_fallback"] = getattr(
-                observer, "fallback", "unknown"
-            )
-            return root
-        pipeline = getattr(observer, "pipeline", None)
-        if pipeline is None:
             return None
-        stage_rows = getattr(observer, "stage_rows", None) or []
-        children = []
-        for i, stage in enumerate(pipeline.stages):
-            notes = {"rows": stage_rows[i] if i < len(stage_rows) else "?"}
-            if stage["numpy"]:
-                notes["numpy"] = True
-            children.append(
-                ExplainNode(stage["label"], stage["kind"], annotations=notes)
-            )
-        return ExplainNode(
-            f"codegen[{len(pipeline.stages)} fused stages, "
-            f"{pipeline.line_count} source lines]",
-            "CodegenPipeline",
-            seconds=seconds,
-            annotations={
-                "source_lines": pipeline.line_count,
-                "numpy_stages": pipeline.np_stages,
-                "closure": "warm" if observer.closure_hit else "compiled",
-            },
-            children=children,
-        )
+        if observer.fallback is not None:
+            root.annotations["codegen_fallback"] = observer.fallback
+        return root
+
+
+def _table(plan, columns, rows) -> "QueryResult":
+    from repro.automatic.relation import RelationAutomaton
+    from repro.eval.result import QueryResult
+
+    return QueryResult(columns, RelationAutomaton.from_tuples(
+        plan.structure.alphabet, len(columns), rows
+    ))
+
+
+def _pipeline_tree(observer, seconds: float) -> "ExplainNode":
+    """The EXPLAIN tree of a fused run: one node per fused stage."""
+    from repro.engine.explain import ExplainNode
+
+    pipeline = observer.pipeline
+    stage_rows = observer.stage_rows or []
+    children = []
+    for i, stage in enumerate(pipeline.stages):
+        notes = {"rows": stage_rows[i] if i < len(stage_rows) else "?"}
+        if stage["numpy"]:
+            notes["numpy"] = True
+        children.append(ExplainNode(stage["label"], stage["kind"], annotations=notes))
+    return ExplainNode(
+        f"codegen[{len(pipeline.stages)} fused stages, "
+        f"{pipeline.line_count} source lines]",
+        "CodegenPipeline",
+        seconds=seconds,
+        annotations={
+            "source_lines": pipeline.line_count,
+            "numpy_stages": pipeline.np_stages,
+            "closure": "warm" if observer.closure_hit else "compiled",
+        },
+        children=children,
+    )
 
 
 register_backend(DirectBackend())
 register_backend(AlgebraBackend())
-register_backend(CodegenBackend())
 register_backend(AutomataBackend())

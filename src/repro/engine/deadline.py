@@ -15,7 +15,6 @@ unbounded time:
   subset construction, and Hopcroft refinement all checkpoint on a small
   stride (the classic blowup points);
 * :meth:`repro.automata.nfa.NFA.determinize` — one check per subset state;
-* :meth:`repro.automata.hopcroft.minimize`'s refinement loop;
 * :meth:`repro.eval.automata_engine.AutomataEngine._build` — per
   subformula compilation;
 * the :class:`repro.eval.direct.DirectEngine` candidate loops (strided —

@@ -129,14 +129,21 @@ class TraceObserver:
 
 
 class AlgebraTrace:
-    """Captures the algebra executor's physical-operator stats tree.
+    """Captures what the algebra backend actually did for one query.
 
-    Filled by :func:`execute_plan` when the algebra engine actually runs
-    (a whole-result cache hit leaves it empty and EXPLAIN falls back to
-    the planner's static tree, marked cached).
+    A fused run fills ``pipeline`` and its per-stage ``stage_rows``, with
+    ``closure_hit`` telling a warm closure from a fresh compile.  An
+    interpreted run fills the executor's physical-operator ``stats``;
+    ``fallback`` says why a fused plan ran interpreted instead.  A whole-
+    result cache hit or a maintained result sets ``cached`` and leaves the
+    rest empty, and EXPLAIN falls back to the planner's static tree.
     """
 
     def __init__(self) -> None:
+        self.pipeline = None  # Optional[repro.algebra.codegen.GeneratedPipeline]
+        self.stage_rows = None  # Optional[list[int]]
+        self.closure_hit = False
+        self.fallback = None  # Optional[str]: why a fused plan ran interpreted
         self.stats = None  # Optional[repro.algebra.exec.OpStats]
         self.cached = False
         # RANF-translated runs (repro.algebra.ranf): which branch fired,
@@ -146,26 +153,6 @@ class AlgebraTrace:
         self.ranf_branch = None  # Optional[str]
         self.inf_stats = None  # Optional[repro.algebra.exec.OpStats]
         self.infinite = False
-
-
-class CodegenTrace:
-    """Captures what the codegen backend actually did for one query.
-
-    Exactly one of three shapes is filled: a fused pipeline ran
-    (``pipeline`` + per-stage ``stage_rows``, ``closure_hit`` telling a
-    warm closure from a fresh compile), the shape was not fuseable and the
-    interpreted algebra executor ran instead (``stats`` + the structured
-    ``fallback`` reason), or the whole result came from cache/promotion
-    (``cached``).
-    """
-
-    def __init__(self) -> None:
-        self.pipeline = None  # Optional[repro.algebra.codegen.GeneratedPipeline]
-        self.stage_rows = None  # Optional[list[int]]
-        self.closure_hit = False
-        self.stats = None  # Optional[repro.algebra.exec.OpStats] (fallback)
-        self.fallback = None  # Optional[str]: why codegen fell back
-        self.cached = False
 
 
 def plan_tree_to_explain(node) -> ExplainNode:

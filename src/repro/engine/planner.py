@@ -10,9 +10,11 @@ The library has three engines with one semantics (see
   domains, polynomial in the database for the PREFIX-collapsing calculi
   (Corollaries 2/7) but exponential for S_len's LENGTH domains;
 * the **algebra engine** — compiles to RA(M) (Theorem 4/8), fuses
-  ``Select(Product)`` into hash equi-joins and runs set-at-a-time
-  (:mod:`repro.algebra.exec`); asymptotically the cheapest on
-  join-shaped ADOM queries, but it pays a fixed compile+rewrite setup.
+  ``Select(Product)`` into hash equi-joins and runs the plan either
+  fused into one generated closure (:mod:`repro.algebra.codegen`) or
+  set-at-a-time through the interpreter (:mod:`repro.algebra.exec`);
+  asymptotically the cheapest on join-shaped ADOM queries, but it pays
+  a fixed compile+rewrite setup.
 
 Historically callers picked an engine by hand (``Query.run(db,
 engine="direct")``).  The planner replaces that choice: it inspects the
@@ -53,12 +55,14 @@ domain blow past :data:`DIRECT_COST_CEILING` and goes to automata, and a
 join of two large relations blows past the ceiling *but* fuses into a
 linear-time hash join, so it goes to algebra.
 
-Tuning knobs (module constants, also per-:class:`Planner` arguments):
-``DIRECT_COST_CEILING`` — hard cap on estimated direct enumeration work;
-``DIRECT_BIAS`` — how many direct candidate-checks are assumed to cost as
-much as one automata state expansion; ``ALGEBRA_SETUP_COST`` — fixed
-compile/rewrite overhead charged to the algebra engine so tiny queries
-keep going direct.
+Tuning knobs (module constants): ``DIRECT_COST_CEILING`` — hard cap on
+estimated direct enumeration work; ``DIRECT_BIAS`` — how many direct
+candidate-checks are assumed to cost as much as one automata state
+expansion; ``ALGEBRA_SETUP_COST`` — fixed compile/rewrite overhead
+charged to the algebra engine so tiny queries keep going direct;
+``CODEGEN_SETUP_COST`` and ``CODEGEN_ROW_FACTOR`` — how the algebra
+engine prices its fused strategy against the interpreted one;
+``RANF_SETUP_COST`` — the RANF translation's one-off cost.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from typing import Optional
 from repro.database.instance import Database
 from repro.engine.backend import (
     EngineBackend,
+    Estimate,
     all_backends,
     get_backend,
     resolve_engine,
@@ -112,12 +117,13 @@ DIRECT_BIAS = 24.0
 #: before the algebra compiler would.
 ALGEBRA_SETUP_COST = 2_000.0
 
-#: Fixed cost (in direct-check units) charged to the codegen engine when no
-#: compiled closure is cached for the query yet: algebra compilation *plus*
-#: source emission, ``compile()``, and ``exec``.  Deliberately higher than
-#: :data:`ALGEBRA_SETUP_COST` so one-shot queries stay interpreted; the
-#: closure cache amortizes it away, so repeated and prepared queries see
-#: only the per-row cost and the argmin flips to codegen.
+#: Fixed cost (in direct-check units) charged to the algebra engine's
+#: fused strategy when no compiled closure is cached for the query yet:
+#: algebra compilation *plus* source emission, ``compile()``, and
+#: ``exec``.  Deliberately higher than :data:`ALGEBRA_SETUP_COST` so
+#: one-shot queries run interpreted; the closure cache amortizes it away,
+#: so repeated and prepared queries see only the per-row cost and run
+#: fused.
 CODEGEN_SETUP_COST = 6_000.0
 
 #: Per-row cost of a fused compiled pipeline relative to the interpreted
@@ -126,8 +132,8 @@ CODEGEN_SETUP_COST = 6_000.0
 #: pays at every operator boundary (measured >=2x in bench_codegen.py).
 CODEGEN_ROW_FACTOR = 0.5
 
-#: Fixed cost (in direct-check units) charged to the algebra/codegen
-#: engines when the query needs the RANF translation
+#: Fixed cost (in direct-check units) charged to the algebra engine when
+#: the query needs the RANF translation
 #: (:mod:`repro.algebra.ranf`) and no translated pair is cached yet:
 #: the widened compiler does strictly more work than the collapsed-form
 #: fast path (verdict analysis, per-quantifier domain constructions, the
@@ -182,7 +188,9 @@ class Plan:
     backend (``inf`` where the backend's regime does not apply);
     ``fingerprint`` is the canonical structural fingerprint that keys
     every cache entry this plan will touch (a bound plan's also carries
-    the concrete query's).
+    the concrete query's).  ``strategy`` is how the backend runs the plan
+    when it has more than one way (the algebra engine: ``"fused"`` or
+    ``"interpreted"``), empty otherwise.
     """
 
     engine: str
@@ -206,6 +214,7 @@ class Plan:
     #: Values bound to the template's slots (``Param(i)`` reads
     #: ``params[i]``); empty for a query without literals.
     params: tuple[str, ...] = ()
+    strategy: str = ""
 
     # Legacy accessors (pre-registry plans stored one field per engine).
     @property
@@ -223,6 +232,7 @@ class Plan:
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
+            "strategy": self.strategy,
             "reason": self.reason,
             "forced": self.forced,
             "slack": self.slack,
@@ -242,6 +252,8 @@ class Plan:
 
     def render(self) -> str:
         mode = "forced" if self.forced else "auto"
+        if self.strategy:
+            mode += f", {self.strategy}"
         shown = "  ".join(
             f"{name}≈{_fmt_cost(self.costs[name])}" for name in sorted(self.costs)
         )
@@ -645,35 +657,15 @@ def with_values(plan: Plan, values: tuple[str, ...], fingerprint: str) -> Plan:
 class Planner:
     """Plan queries for one structure + database pair.
 
-    Parameters
-    ----------
-    structure, database:
-        The evaluation context (alphabets must match).
-    ceiling, bias, algebra_setup, codegen_setup, ranf_setup:
-        Overrides for :data:`DIRECT_COST_CEILING` / :data:`DIRECT_BIAS` /
-        :data:`ALGEBRA_SETUP_COST` / :data:`CODEGEN_SETUP_COST` /
-        :data:`RANF_SETUP_COST`.
+    The evaluation context (alphabets must match); the tuning knobs are
+    the module constants.
     """
 
-    def __init__(
-        self,
-        structure: StringStructure,
-        database: Database,
-        ceiling: float = DIRECT_COST_CEILING,
-        bias: float = DIRECT_BIAS,
-        algebra_setup: float = ALGEBRA_SETUP_COST,
-        codegen_setup: float = CODEGEN_SETUP_COST,
-        ranf_setup: float = RANF_SETUP_COST,
-    ):
+    def __init__(self, structure: StringStructure, database: Database):
         if structure.alphabet != database.alphabet:
             raise EvaluationError("structure and database alphabets differ")
         self.structure = structure
         self.database = database
-        self.ceiling = ceiling
-        self.bias = bias
-        self.algebra_setup = algebra_setup
-        self.codegen_setup = codegen_setup
-        self.ranf_setup = ranf_setup
 
     # ------------------------------------------------------------- planning
 
@@ -714,6 +706,7 @@ class Planner:
                 reason=reason,
                 forced=True,
                 slack=effective,
+                strategy=backend.forced_strategy,
             )
         else:
             plan = self._auto(template, slack)
@@ -738,35 +731,42 @@ class Planner:
                 f"({'; '.join(why for _, why in blocked) or 'empty registry'})"
             )
         ineligible = {backend.name: why for backend, why in blocked}
+        estimates = self._estimates(formula, effective)
+        costs = {name: e.cost for name, e in estimates.items()}
         if len(eligible) == 1:
             # No comparison to make; surface why the alternatives dropped
             # out (the highest-priority blocked backend's reason — for the
             # built-ins, the direct engine's conservatism rules).
             chosen = eligible[0]
             reason = blocked[0][1] if blocked else "only registered backend"
-            return self._make_plan(
-                formula, engine=chosen.name, reason=reason,
-                forced=False, slack=effective, ineligible=ineligible,
+        else:
+            scaled = {
+                b.name: b.decision_cost(costs[b.name], self) for b in eligible
+            }
+            chosen = min(
+                eligible, key=lambda b: (scaled[b.name], b.priority, b.name)
             )
-        costs = self._costs(formula, effective)
-        scaled = {b.name: b.decision_cost(costs[b.name], self) for b in eligible}
-        chosen = min(eligible, key=lambda b: (scaled[b.name], b.priority, b.name))
+            reason = chosen.chosen_reason(costs, self)
+        estimate = estimates[chosen.name]
+        if estimate.note:
+            reason = f"{reason}; {estimate.note}"
         return self._make_plan(
             formula,
             engine=chosen.name,
-            reason=chosen.chosen_reason(costs, self),
+            reason=reason,
             forced=False,
             slack=effective,
             costs=costs,
             ineligible=ineligible,
+            strategy=estimate.strategy,
         )
 
     # ------------------------------------------------------------ plan build
 
-    def _costs(self, formula: Formula, slack: int) -> dict[str, float]:
+    def _estimates(self, formula: Formula, slack: int) -> dict[str, Estimate]:
         """One display-unit estimate per registered backend (inf allowed)."""
         return {
-            backend.name: backend.estimate_cost(
+            backend.name: backend.estimate(
                 formula, self.structure, self.database, slack, self
             )
             for backend in all_backends()
@@ -781,11 +781,15 @@ class Planner:
         slack: int,
         costs: Optional[dict[str, float]] = None,
         ineligible: Optional[dict[str, str]] = None,
+        strategy: str = "",
     ) -> Plan:
         anchored = anchored_free_variables(formula)
         free = formula.free_variables()
         if costs is None:
-            costs = self._costs(formula, slack)
+            costs = {
+                name: e.cost
+                for name, e in self._estimates(formula, slack).items()
+            }
         db = self.database
         return Plan(
             engine=engine,
@@ -810,6 +814,7 @@ class Planner:
                 "alphabet_size": len(db.alphabet),
             },
             ineligible=dict(ineligible or {}),
+            strategy=strategy,
         )
 
     def _node(self, f: Formula, slack: int) -> PlanNode:

@@ -13,7 +13,7 @@ into a serving tier on top of the PR 1 engine core:
   by the template's **canonical fingerprint** (:mod:`repro.logic.
   canonical`), so alpha-equivalent and conjunct-reordered spellings, and
   queries that differ only in their constants, share one handle, one
-  plan cache and one compiled codegen closure, while each query's
+  plan cache and one fused algebra closure, while each query's
   answer is cached under its own fingerprint in the session-wide
   thread-safe :class:`~repro.engine.cache.AutomatonCache`;
 * a **worker pool** — a fixed set of threads executing requests pulled
@@ -394,11 +394,11 @@ class QueryTemplate:
         q = self.query_for(entry.database.alphabet)
         if force is None:
             # Prepared queries are declared intent to run repeatedly, so
-            # compile the codegen closure *before* planning: the first
-            # auto plan then already sees a warm closure and the argmin
-            # can flip to the fused pipeline (CODEGEN_SETUP_COST is
-            # amortized, not charged to every run).  Best-effort — shapes
-            # outside the fuseable regime simply return False.
+            # compile the fused closure *before* planning: the first auto
+            # plan then prices the algebra engine's fused strategy warm
+            # (CODEGEN_SETUP_COST is amortized, not charged to every run)
+            # and runs it fused when that is cheapest.  Best-effort —
+            # shapes outside the fuseable regime simply return False.
             from repro.algebra.codegen import prewarm
 
             prewarm(

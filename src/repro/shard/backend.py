@@ -153,29 +153,33 @@ class ShardedBackend(EngineBackend):
         if decomposition.mode == "scatter":
             # Parallel processes: wall-clock ≈ the slowest shard.
             per_part = max(
-                self._part_cost(formula, structure, part, slack, planner)
+                self._part_cost(formula, structure, part, slack)
                 for part in sharded.parts
             )
             return per_part + SHARD_ROUNDTRIP_COST * sharded.shards
         if decomposition.mode == "route":
             part = sharded.parts[decomposition.shard or 0]
             return (
-                self._part_cost(formula, structure, part, slack, planner)
+                self._part_cost(formula, structure, part, slack)
                 + SHARD_ROUNDTRIP_COST
             )
         return float("inf")
 
     @staticmethod
-    def _part_cost(formula, structure, part, slack, planner) -> float:
+    def _part_cost(formula, structure, part, slack) -> float:
         """One shard's estimated work: the worker plans for itself, so
         take the cheapest in-process backend on the partition (with the
         same ceiling/bias scaling the worker's own planner applies)."""
-        from repro.engine.planner import estimate_automata_cost
+        from repro.engine.planner import (
+            DIRECT_BIAS,
+            DIRECT_COST_CEILING,
+            estimate_automata_cost,
+        )
 
         direct = estimate_direct_cost(formula, structure, part, slack)
-        if direct > planner.ceiling:
+        if direct > DIRECT_COST_CEILING:
             direct = float("inf")
-        automata = estimate_automata_cost(formula, structure, part) * planner.bias
+        automata = estimate_automata_cost(formula, structure, part) * DIRECT_BIAS
         return min(direct, automata)
 
     def prepare_forced(self, formula, structure, slack):

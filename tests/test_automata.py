@@ -291,49 +291,3 @@ class TestStarFreeness:
     def test_no_two_consecutive_ones_is_star_free(self):
         d = compile_regex("1?(01?)*", BINARY)
         assert is_star_free(d)
-
-
-class TestHopcroft:
-    """Hopcroft minimization agrees with Moore on random machines."""
-
-    def test_equivalence_on_examples(self):
-        from repro.automata.hopcroft import hopcroft_minimize
-
-        examples = [
-            compile_regex("0(0|1)*1", BINARY),
-            compile_regex("(00)*", BINARY),
-            starts_with_dfa(BINARY, "0101"),
-            contains_factor_dfa(BINARY, "010"),
-            dfa_from_finite_language(BINARY, {"", "0", "01", "0110"}),
-        ]
-        for dfa in examples:
-            moore = dfa.minimize()
-            hop = hopcroft_minimize(dfa)
-            assert equivalent(moore, hop)
-            assert moore.num_states == hop.num_states
-
-    @given(st.lists(st.text(alphabet="01", max_size=5), max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_property_same_minimal_size(self, words):
-        from repro.automata.hopcroft import hopcroft_minimize
-
-        dfa = dfa_from_finite_language(BINARY, words)
-        # Perturb: complement twice through different paths to get a
-        # non-minimal equivalent machine.
-        bloated = dfa.complement().complement()
-        moore = bloated.minimize()
-        hop = hopcroft_minimize(bloated)
-        assert equivalent(moore, hop)
-        assert moore.num_states == hop.num_states
-
-    def test_global_switch(self):
-        from repro.automata.hopcroft import use_hopcroft
-
-        dfa = compile_regex("0*1", BINARY)
-        baseline = dfa.minimize().num_states
-        try:
-            use_hopcroft(True)
-            assert dfa.minimize().num_states == baseline
-        finally:
-            use_hopcroft(False)
-        assert dfa.minimize().num_states == baseline

@@ -6,6 +6,9 @@ every API layer, EXPLAIN, and the CLI to see it — and unknown engine
 names fail with a registry-sourced error everywhere.
 """
 
+import io
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -25,6 +28,7 @@ from repro.engine.planner import Planner
 from repro.errors import EvaluationError
 from repro.eval.result import QueryResult
 from repro.logic import parse_formula
+from repro.service import QueryService, serve_stdio
 from repro.structures.catalog import by_name
 
 
@@ -79,9 +83,9 @@ def toy():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert backend_names() == ("algebra", "automata", "codegen", "direct")
+        assert backend_names() == ("algebra", "automata", "direct")
         assert [b.name for b in all_backends()] == [
-            "direct", "codegen", "algebra", "automata",  # priority order
+            "direct", "algebra", "automata",  # priority order
         ]
 
     def test_get_backend_unknown_lists_names(self):
@@ -179,6 +183,29 @@ class TestUnknownEngineEverywhere:
         assert "unknown engine" in err
         assert "direct" in err and "automata" in err and "algebra" in err
         assert "Traceback" not in err
+
+
+    def test_codegen_is_not_an_engine_on_any_layer(self, db, tmp_path, capsys):
+        # The fused pipeline is a strategy of the algebra engine, not an
+        # engine of its own: library, CLI and NDJSON all reject the name.
+        with pytest.raises(EvaluationError, match="unknown engine 'codegen'"):
+            Query(ANCHORED, structure="S").run(db, engine="codegen")
+        good = tmp_path / "db.json"
+        good.write_text('{"alphabet": "01", "relations": {"R": [["0"]]}}')
+        assert main(["run", "R(x)", "--db", str(good), "--engine", "codegen"]) == 1
+        assert "unknown engine 'codegen'" in capsys.readouterr().err
+        lines = [
+            {"op": "register_db", "id": 0, "name": "main",
+             "db": {"alphabet": "01", "relations": {"R": [["0"]]}}},
+            {"op": "run", "id": 1, "query": "R(x)", "db": "main",
+             "engine": "codegen"},
+        ]
+        stdin = io.StringIO("".join(json.dumps(line) + "\n" for line in lines))
+        stdout = io.StringIO()
+        assert serve_stdio(QueryService(workers=1), stdin, stdout) == 0
+        reply = json.loads(stdout.getvalue().splitlines()[-1])
+        assert reply["id"] == 1 and not reply["ok"]
+        assert "unknown engine 'codegen'" in reply["error"]["message"]
 
 
 class TestDecideThroughPlanner:

@@ -1,15 +1,19 @@
 """Caches keyed by query text stay bounded under ad hoc traffic.
 
 Every new condition shape brings a new checker (a string constant is a
-template slot, but a constant spelt with ``add_last`` is shape) and
-every new pattern a new DFA and star-freeness verdict; every new
-query text a text alias and a prepared query in the service, every new
-shape a template handle, and every adom-changing write a plan epoch.  A
+template slot, but a constant spelt with ``add_last`` is shape), every
+new pattern a new DFA and star-freeness verdict, and every literal the
+automata engine sees a ``constant`` presentation; every new query text
+a text alias and a prepared query in the service, every new shape a
+template handle, and every adom-changing write a plan epoch.  A
 service answering ad hoc text must not grow these caches without limit:
 each is capped and drops its oldest entry first.
 """
 
+from collections import OrderedDict
+
 import repro.algebra.plan as plan_module
+import repro.automatic.presentations as presentations
 import repro.service.service as service_module
 import repro.structures.base as structures_base
 from repro.core import Query
@@ -48,6 +52,22 @@ def test_condition_checkers_stay_within_the_cap(monkeypatch):
         seen |= set(plan_module._CHECKER_CACHE)
     # Every shape brought its own checker.
     assert len(seen) == 10 * CAP
+
+
+def test_presentations_stay_within_the_cap(monkeypatch):
+    # The automata engine runs the bound query: each literal is a
+    # ``constant`` presentation of its own.
+    monkeypatch.setattr(presentations, "_BASIC_CACHE", OrderedDict())
+    monkeypatch.setattr(presentations, "_BASIC_CACHE_CAP", CAP)
+    seen = set()
+    for c in _constants(10 * CAP):
+        rows = Query(f"R(x) & '{c}' <<= x", structure="S").result(
+            DB, engine="automata"
+        ).as_set()
+        assert rows == {(x,) for (x,) in DB.relation("R") if x.startswith(c)}
+        assert len(presentations._BASIC_CACHE) <= CAP
+        seen |= set(presentations._BASIC_CACHE)
+    assert len({key for key in seen if key[1] == "constant"}) == 10 * CAP
 
 
 def test_pattern_caches_stay_within_the_cap(monkeypatch):

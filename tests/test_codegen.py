@@ -1,12 +1,13 @@
-"""Tests for the compiled-plan codegen backend (repro.algebra.codegen).
+"""Tests for the algebra engine's fused strategy (repro.algebra.codegen).
 
 Covers the fusion shapes the emitter claims (scan→select→project chains
 in one loop body, hash tables built once per join, prefix expansion
 inlined), the per-plan-shape eligibility gate with its structured
 fallback to the interpreted executor, bit-identity between the numpy
 columnar branch and the pure-Python loop, the bounded closure cache's
-LRU discipline, EXPLAIN output, planner integration (the warm-closure
-argmin flip), and delta behavior (row-only deltas reuse closures).
+LRU discipline, EXPLAIN output, planner integration (which strategy a
+plan runs, and the warm-closure flip to fused), and delta behavior
+(row-only deltas reuse closures).
 """
 
 import pytest
@@ -26,12 +27,16 @@ from repro.database.instance import Database
 from repro.database.schema import Schema
 from repro.delta import VersionedDatabase
 from repro.engine import METRICS, global_cache
+from repro.engine.backend import FUSED, INTERPRETED, get_backend
 from repro.engine.cache import DEFAULT_MAXSIZE
+from repro.engine.explain import execute_plan, explain_plan
+from repro.engine.planner import Planner
 from repro.logic import parse_formula
 from repro.logic.canonical import canonicalize
 from repro.strings import BINARY
 from repro.structures import S_len
 from repro.structures.catalog import S as S_factory
+from tests._fused import fused_plan
 
 STRUCT = S_factory(BINARY)
 
@@ -133,11 +138,13 @@ class TestEligibilityGate:
         assert "DownOp" in why
 
     def test_forced_codegen_falls_back_to_interpreter(self):
-        # Forcing engine="codegen" on a rejected shape still answers —
-        # structured fallback to the interpreted algebra executor.
+        # A plan forced onto the fused (codegen) strategy whose shape the
+        # emitter rejects still answers — structured fallback to the
+        # interpreted algebra executor.
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
         query = Query(S_LEN_PADDED, structure="S_len")
-        got = query.result(db, engine="codegen").as_set()
+        got = execute_plan(fused_plan(query, db), db).as_set()
+        global_cache().reset()
         want = query.result(db, engine="algebra").as_set()
         assert got == want
         assert METRICS.get("codegen.fallbacks") >= 1
@@ -214,9 +221,11 @@ class TestClosureCache:
 class TestExplain:
     def test_explain_shows_fused_pipeline(self):
         db = _binary_db()
-        report = Query("R(x,y) & S(y,z)", structure="S").explain(
-            db, engine="codegen"
-        )
+        query = Query("R(x,y) & S(y,z)", structure="S")
+        assert prewarm(query.formula, query.structure, db.schema)
+        report = query.explain(db)
+        assert (report.plan.engine, report.plan.strategy) == ("algebra", FUSED)
+        assert "algebra (auto, fused)" in report.render()
         tree = report.to_dict()["tree"]
         assert tree["kind"] == "CodegenPipeline"
         assert tree["annotations"]["source_lines"] > 0
@@ -227,9 +236,8 @@ class TestExplain:
 
     def test_explain_fallback_is_annotated(self):
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        report = Query(S_LEN_PADDED, structure="S_len").explain(
-            db, engine="codegen"
-        )
+        query = Query(S_LEN_PADDED, structure="S_len")
+        report = explain_plan(fused_plan(query, db), db)
         tree = report.to_dict()["tree"]
         assert tree["kind"] != "CodegenPipeline"
         assert "codegen_fallback" in tree["annotations"]
@@ -238,8 +246,9 @@ class TestExplain:
     def test_cached_result_explain(self):
         db = _binary_db()
         query = Query("R(x,y) & S(y,z)", structure="S")
-        query.explain(db, engine="codegen")
-        second = query.explain(db, engine="codegen")
+        plan = fused_plan(query, db)
+        assert explain_plan(plan, db).root.kind == "CodegenPipeline"
+        second = explain_plan(plan, db)
         assert second.root.cache_hit
 
 
@@ -250,14 +259,14 @@ class TestPlannerIntegration:
         db = random_database(BINARY, {"R": 2, "S": 2}, 100, max_len=4, seed=11)
         query = Query(self.QUERY, structure="S")
         cold = query.plan(db)
-        assert cold.engine != "codegen", cold.costs
+        assert cold.strategy != FUSED, cold.costs
         assert prewarm(
             query.formula, query.structure, db.schema, slack=0
         )
         warm = query.plan(db)
-        assert warm.engine == "codegen", warm.costs
+        assert (warm.engine, warm.strategy) == ("algebra", FUSED), warm.costs
         # The flip is exactly the setup cost falling away.
-        assert warm.costs["codegen"] < cold.costs["codegen"]
+        assert warm.costs["algebra"] < cold.costs["algebra"]
         assert METRICS.get("codegen.prewarms") == 1
 
     def test_prewarm_refuses_ineligible_shapes(self):
@@ -278,18 +287,23 @@ class TestDeltaBehavior:
         )
         vdb = VersionedDatabase(base)
         query = Query("R(x) | S(x)")
-        query.result(vdb.head.database, engine="codegen")
+
+        def fused(db):
+            return execute_plan(fused_plan(query, db), db).as_set()
+
+        fused(vdb.head.database)
         assert METRICS.get("codegen.compiles") == 1
         head = vdb.insert("S", {"11", "0"})
-        got = query.result(head.database, engine="codegen").as_set()
+        got = fused(head.database)
         # Same schema => same closure key: no recompilation, just a run.
         assert METRICS.get("codegen.compiles") == 1
+        assert METRICS.get("codegen.runs") == 2
         fresh = Database(
             BINARY,
             {"R": {("0",), ("01",)}, "S": {("1",), ("11",), ("0",)}},
             schema=Schema({"R": 1, "S": 1}),
         )
-        assert got == query.result(fresh, engine="codegen").as_set()
+        assert got == fused(fresh) == {("0",), ("01",), ("1",), ("11",)}
 
     def test_untouched_relation_promotes_the_result(self):
         base = Database(
@@ -299,10 +313,66 @@ class TestDeltaBehavior:
         )
         vdb = VersionedDatabase(base)
         query = Query("R(x)")
-        first = query.result(vdb.head.database, engine="codegen").as_set()
+
+        def fused(db):
+            return execute_plan(fused_plan(query, db), db).as_set()
+
+        first = fused(vdb.head.database)
         runs = METRICS.get("codegen.runs")
+        assert runs == 1
         head = vdb.insert("S", {"111"})  # delta misses the query's relation
-        again = query.result(head.database, engine="codegen").as_set()
+        again = fused(head.database)
         assert again == first
         # Promotion re-keyed the old result: no new pipeline execution.
         assert METRICS.get("codegen.runs") == runs
+
+
+class TestStrategy:
+    """Which strategy the algebra engine runs a plan with, pinned."""
+
+    def test_strategy_choice(self):
+        db = random_database(BINARY, {"R": 2, "S": 2}, 100, max_len=4, seed=11)
+        query = Query("R(x,y) & S(y,z) & last(x, '0')", structure="S")
+        # Cold and small: the interpreter beats compiling a closure.
+        cold = query.plan(db)
+        assert (cold.engine, cold.strategy) == ("algebra", INTERPRETED)
+        assert "fused (closure not compiled yet)" in cold.reason
+        # Forced algebra runs interpreted (and keeps ΔQ maintenance).
+        forced = query.plan(db, engine="algebra")
+        assert (forced.engine, forced.strategy) == ("algebra", INTERPRETED)
+        report = query.explain(db, engine="algebra")
+        assert report.root.kind != "CodegenPipeline"
+        # Warm: the same query runs fused, and EXPLAIN shows the pipeline.
+        assert prewarm(query.formula, query.structure, db.schema)
+        global_cache().reset()
+        report = query.explain(db)
+        assert (report.plan.engine, report.plan.strategy) == ("algebra", FUSED)
+        assert report.plan.to_dict()["strategy"] == FUSED
+        assert report.root.kind == "CodegenPipeline"
+        assert METRICS.get("codegen.runs") == 1
+
+    def test_large_cold_join_runs_fused(self):
+        # Enough rows that half the row work outweighs the compile.
+        db = random_database(BINARY, {"R": 2, "S": 2}, 2000, max_len=8, seed=4)
+        plan = Query("R(x,y) & S(y,z)", structure="S").plan(db)
+        assert not has_pipeline(plan.formula, plan.structure, db.schema)
+        assert (plan.engine, plan.strategy) == ("algebra", FUSED), plan.costs
+
+    def test_gamma_bounded_output_runs_interpreted_with_a_reason(self):
+        # x is not anchored: only the interpreted RANF pair checks the
+        # runtime bound, so the closure is not even priced.
+        db = random_database(BINARY, {"R": 1, "S": 1}, 30, max_len=4, seed=3)
+        plan = Query("eq(x, y) & R(y)", structure="S").plan(db)
+        assert (plan.engine, plan.strategy) == ("algebra", INTERPRETED)
+        assert "interpreted, not fuseable" in plan.reason
+        assert "not anchored" in plan.reason
+
+    def test_downop_shape_runs_interpreted_with_a_reason(self):
+        db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
+        formula = _formula(S_LEN_PADDED)
+        planner = Planner(S_len(BINARY), db)
+        estimate = get_backend("algebra").estimate(
+            formula, planner.structure, db, 0, planner
+        )
+        assert estimate.strategy == INTERPRETED
+        assert "DownOp" in estimate.note

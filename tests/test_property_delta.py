@@ -19,7 +19,10 @@ from repro.database.instance import Database
 from repro.database.schema import Schema
 from repro.delta import VersionedDatabase
 from repro.service import QueryService, RunRequest
+from repro.engine.cache import AutomatonCache
+from repro.engine.explain import execute_plan
 from repro.strings import BINARY
+from tests._fused import fused_plan, fused_rows
 
 QUERIES = [
     "R(x)",
@@ -29,8 +32,7 @@ QUERIES = [
     "R(x) & forall prefix y: (!(y <<= x) | !last(y, '1'))",
 ]
 
-#: Algebra (and the codegen backend, which shares its eligibility rule)
-#: only compiles the ADOM-only shapes.
+#: Algebra (interpreted and fused) only compiles the ADOM-only shapes.
 ALGEBRA_OK = {"R(x)", "R(x) | S(x)", "R(x) & S(x)"}
 
 strings = st.text(alphabet="01", min_size=0, max_size=6)
@@ -84,10 +86,6 @@ def test_evolved_equals_fresh_in_process(r, s, ops):
         engines = ["direct", "automata"]
         if text in ALGEBRA_OK:
             engines.append("algebra")
-            # Codegen answers after deltas must match a fresh build too:
-            # closures are schema-keyed and row-only deltas reuse them,
-            # with maintenance falling back to a full compiled re-run.
-            engines.append("codegen")
         for engine in engines:
             got = query.result(evolved, engine=engine).as_set()
             want = query.result(fresh, engine=engine).as_set()
@@ -95,6 +93,18 @@ def test_evolved_equals_fresh_in_process(r, s, ops):
                 f"{text} via {engine}: evolved != fresh after {len(ops)} "
                 f"deltas (|R|={len(model['R'])}, |S|={len(model['S'])})"
             )
+        if text in ALGEBRA_OK:
+            # Fused answers after deltas must match a fresh build too:
+            # closures are schema-keyed and row-only deltas reuse them,
+            # promotion re-keys results whose relations no delta touched,
+            # and anything else is a full compiled re-run.
+            want = fused_rows(query, fresh)
+            assert fused_rows(query, evolved) == want, text
+            # A cache of its own, or the algebra column's result answers.
+            got = execute_plan(
+                fused_plan(query, evolved), evolved, cache=AutomatonCache()
+            ).as_set()
+            assert got == want, f"{text} fused: evolved != fresh"
 
 
 def test_join_maintained_over_long_chain():

@@ -10,7 +10,9 @@ databases; the engines must agree.
 The set-at-a-time algebra engine joins the comparison on its eligibility
 regime (ADOM-only quantifiers, anchored outputs — the planner's rule 3):
 there, Theorem 4's calculus↔algebra equivalence says all three engines
-return identical results.
+return identical results.  The algebra engine's two strategies both
+join: the forced engine runs interpreted, and :func:`tests._fused.
+fused_rows` runs the same optimized plan through the fused closure.
 """
 
 import pytest
@@ -39,6 +41,7 @@ from repro.logic.dsl import (
 from repro.logic.formulas import Formula
 from repro.strings import BINARY
 from repro.structures import S_len
+from tests._fused import fused_rows
 
 VARS = ["u", "v", "w"]
 
@@ -166,13 +169,15 @@ def _anchor(formula: Formula) -> Formula:
 
 
 class TestThreeEngineAgreement:
-    """direct == automata == algebra == codegen on the algebra regime.
+    """direct == automata == algebra, interpreted and fused, on the
+    algebra regime.
 
-    The codegen backend shares the algebra engine's eligibility rule and
-    must agree tuple-for-tuple whether a query runs through a generated
-    pipeline or takes the structured fallback to the interpreter."""
+    The fused closure must agree tuple-for-tuple with the interpreter on
+    the same optimized plan (:func:`tests._fused.fused_rows`), and both
+    with the automata oracle; a shape that does not fuse (S_len's
+    ``DownOp``) runs interpreted."""
 
-    ENGINES = ("automata", "direct", "algebra", "codegen")
+    ENGINES = ("automata", "direct", "algebra")
 
     @settings(max_examples=50, deadline=None)
     @given(formula=adom_formulas(VARS, depth=2), db=databases)
@@ -182,6 +187,9 @@ class TestThreeEngineAgreement:
         variables = {e: r.variables for e, r in results.items()}
         assert len(set(variables.values())) == 1, variables
         rows = {e: r.as_set() for e, r in results.items()}
+        rows["fused"] = fused_rows(
+            query, db, variables=results["automata"].variables
+        )
         assert len(set(map(frozenset, rows.values()))) == 1, (
             str(query.formula), rows,
         )
@@ -197,6 +205,7 @@ class TestThreeEngineAgreement:
         answers = {
             e: query.result(db, engine=e).as_bool() for e in self.ENGINES
         }
+        answers["fused"] = bool(fused_rows(query, db))
         assert len(set(answers.values())) == 1, (str(closed), answers)
 
     @settings(max_examples=25, deadline=None)
@@ -204,9 +213,11 @@ class TestThreeEngineAgreement:
     def test_auto_planner_matches_forced_engines(self, formula, db):
         """Whatever the planner picks agrees with every forced engine."""
         query = Query(_anchor(formula), structure="S_len")
-        auto = query.result(db).as_set()
+        result = query.result(db)
+        auto = result.as_set()
         for engine in self.ENGINES:
             assert auto == query.result(db, engine=engine).as_set(), engine
+        assert auto == fused_rows(query, db, variables=result.variables)
 
 
 class TestKernelBackedAutomataRuns:
@@ -215,7 +226,7 @@ class TestKernelBackedAutomataRuns:
     checking the ``kernel.*`` METRICS actually move — evidence the dense
     path, not a silent dict-DFA fallback, produced the agreeing answers."""
 
-    ENGINES = ("automata", "direct", "algebra", "codegen")
+    ENGINES = ("automata", "direct", "algebra")
 
     @settings(max_examples=30, deadline=None)
     @given(formula=adom_formulas(VARS, depth=2), db=databases)
@@ -246,7 +257,7 @@ class TestCanonicalizationRoundTrip:
     must not change any engine's answer — that is what licenses keying
     every cache on the canonical fingerprint."""
 
-    ENGINES = ("automata", "direct", "algebra", "codegen")
+    ENGINES = ("automata", "direct", "algebra")
 
     @settings(max_examples=40, deadline=None)
     @given(formula=adom_formulas(VARS, depth=2), db=databases)
@@ -264,6 +275,7 @@ class TestCanonicalizationRoundTrip:
             after = q_canon.result(db, engine=engine)
             assert before.variables == after.variables, engine
             assert before.as_set() == after.as_set(), (engine, str(original))
+        assert fused_rows(q_orig, db) == fused_rows(q_canon, db), str(original)
 
     @settings(max_examples=40, deadline=None)
     @given(sentence=sentences(), db=databases)

@@ -5,8 +5,9 @@ opened up — anchored queries under restricted PREFIX/LENGTH quantifiers
 (which the old collapsed-form gate rejected outright) and gamma-bounded
 queries whose free variables are certified by
 :func:`repro.safety.bounded.range_bounded_variables` instead of being
-anchored — and asserts the RANF-translated algebra/codegen evaluation
-agrees tuple-for-tuple with the exact automata engine (and the direct
+anchored — and asserts the RANF-translated algebra evaluation, both
+interpreted and fused (:func:`tests._fused.fused_rows`), agrees
+tuple-for-tuple with the exact automata engine (and the direct
 engine where its own gate admits the query).  A final suite evolves a
 versioned database through random deltas and checks the maintained
 answers of widened queries still match a from-scratch build.
@@ -41,6 +42,7 @@ from repro.logic.formulas import Formula
 from repro.strings import BINARY
 from repro.structures import S_len
 from repro.structures.catalog import by_name
+from tests._fused import fused_rows
 
 VARS = ["u", "v", "w"]
 
@@ -107,12 +109,14 @@ class TestWidenedRegimeAgreement:
         canonical = canonicalize(anchored)
         assume(algebra_eligible(canonical, STRUCTURE))
         query = Query(anchored, structure="S_len")
-        engines = ["automata", "algebra", "codegen"]
+        engines = ["automata", "algebra"]
         if restricted_output_gate(canonical, db)[0]:
             engines.append("direct")
-        rows = {
-            e: query.result(db, engine=e, slack=1).as_set() for e in engines
-        }
+        results = {e: query.result(db, engine=e, slack=1) for e in engines}
+        rows = {e: r.as_set() for e, r in results.items()}
+        rows["fused"] = fused_rows(
+            query, db, slack=1, variables=results["automata"].variables
+        )
         assert len(set(map(frozenset, rows.values()))) == 1, (
             str(canonical), rows,
         )

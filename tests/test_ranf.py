@@ -11,6 +11,7 @@ regime widening with its ``ranf_setup`` amortization.
 
 import pytest
 
+from repro.algebra.codegen import get_pipeline
 from repro.algebra.ranf import (
     RanfError,
     run_ranf,
@@ -21,6 +22,8 @@ from repro.core import Query
 from repro.database import Database, random_database
 from repro.database.schema import Schema
 from repro.engine import METRICS, global_cache
+from repro.engine.cache import AutomatonCache
+from repro.engine.explain import execute_plan
 from repro.engine.planner import Planner, algebra_eligible
 from repro.algebra.compile import CompileError
 from repro.eval import AutomataEngine
@@ -28,6 +31,7 @@ from repro.logic import parse_formula
 from repro.logic.canonical import canonicalize
 from repro.strings import BINARY
 from repro.structures.catalog import by_name
+from tests._fused import fused_plan, fused_rows
 
 
 def _f(text: str):
@@ -269,21 +273,35 @@ class TestPlannerWiring:
             Planner(S, db).plan(_f("!R(x)"), slack=1, force="algebra")
 
     def test_forced_codegen_widened_regime(self):
+        # A widened-regime plan forced onto the fused (codegen) strategy:
+        # the pair's finite half compiles into a closure that agrees with
+        # the interpreted run.
         db = random_database(BINARY, {"R": 1, "T": 2}, 30, max_len=8, seed=7)
-        formula = _f("R(x) & (exists prefix y: T(y, x))")
-        plan = Planner(S, db).plan(formula, slack=1, force="codegen")
-        assert plan.engine == "codegen"
+        query = Query("R(x) & (exists prefix y: T(y, x))", structure="S")
+        want = query.result(db, engine="algebra", slack=1)
+        assert fused_rows(query, db, slack=1, variables=want.variables) == (
+            want.as_set()
+        )
+        plan = fused_plan(query, db, slack=1)
+        pipeline, detail = get_pipeline(
+            plan.formula, plan.structure, db.schema, plan.slack
+        )
+        assert pipeline is not None, detail
+        runs = METRICS.get("codegen.runs")
+        got = execute_plan(plan, db, cache=AutomatonCache())
+        assert got.as_set() == want.as_set()
+        assert METRICS.get("codegen.runs") == runs + 1
 
     def test_planner_coverage_counter_for_widened_choice(self):
-        """The acceptance counter: algebra/codegen chosen for a formula
-        the old gate rejected."""
+        """The acceptance counter: algebra chosen for a formula the old
+        gate rejected."""
         db = random_database(BINARY, {"R": 1, "T": 2}, 400, max_len=12, seed=3)
         formula = _f("R(x) & (exists prefix y: T(y, x))")
         assert not algebra_eligible(formula)
         global_cache().reset()
         before = METRICS.snapshot()
         plan = Planner(S, db).plan(formula, slack=1)
-        assert plan.engine in ("algebra", "codegen")
+        assert plan.engine == "algebra"
         delta_key = f"planner.backend.{plan.engine}.chosen"
         assert (
             METRICS.snapshot().get(delta_key, 0)

@@ -147,9 +147,9 @@ class TestExecution:
         assert resp.ok
         assert resp.columns == ["x"]
         assert resp.rows == [["0110"]]
-        # Prepared service queries prewarm the codegen closure, so the
-        # planner may pick the fused pipeline over direct/automata here.
-        assert resp.engine in ("automata", "direct", "codegen")
+        # Prepared service queries prewarm the fused closure, so the
+        # planner may pick the algebra engine over direct/automata here.
+        assert resp.engine in ("automata", "direct", "algebra")
         assert resp.finite is True
         assert resp.exec_seconds >= 0
 
@@ -584,7 +584,7 @@ class TestStreaming:
 
     def test_streamed_rows_equal_plain_rows_per_backend(self, server):
         with self._client(server) as client:
-            for engine in ("automata", "direct", "algebra", "codegen"):
+            for engine in ("automata", "direct", "algebra", "auto"):
                 plain = client.run("R(x) & !S(x)", db="main", engine=engine)
                 assert plain["ok"], (engine, plain.get("error"))
                 rows = client.run_stream_rows(

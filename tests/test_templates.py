@@ -8,6 +8,8 @@ planned once and compiled once.  The exact automata engine on the
 literal query stays the oracle for every engine running the template.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +17,8 @@ from repro.algebra.codegen import closure_cache
 from repro.algebra.exec import compile_for_execution
 from repro.core import StringDatabase
 from repro.database import Database
-from repro.engine.backend import backend_names
-from repro.engine.cache import global_cache
+from repro.engine.backend import FUSED, backend_names
+from repro.engine.cache import AutomatonCache, global_cache
 from repro.engine.explain import execute_plan
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Planner, with_values
@@ -189,19 +191,32 @@ class TestTemplatesAgreeWithTheOracle:
             ).formula
             got = execute_plan(plan, db).as_set()
             assert got == expected, f"{engine}: {formula}"
+            if engine == "algebra":
+                # The same plan through the fused closure, with a cache of
+                # its own (the interpreted run's answer would be reused).
+                fused = replace(plan, strategy=FUSED)
+                got = execute_plan(fused, db, cache=AutomatonCache()).as_set()
+                assert got == expected, f"fused: {formula}"
+
+
+def _algebra_plan(planner, formula, strategy):
+    """The forced algebra plan of ``formula``, run interpreted
+    (``"algebra"``) or through the fused closure (``"codegen"``)."""
+    plan = planner.plan(formula, slack=0, force="algebra")
+    return replace(plan, strategy=FUSED) if strategy == "codegen" else plan
 
 
 class TestSlotsInTheBound:
     """A query whose output the constants bound runs the gamma-bounded
     branch: the bound's base holds the slot's run-time value (ParamRel)."""
 
-    @pytest.mark.parametrize("engine", ["algebra", "codegen"])
+    @pytest.mark.parametrize("strategy", ["algebra", "codegen"])
     @pytest.mark.parametrize("text", ["R(x) | x = '0101'", "x = '1' & !S(x)"])
-    def test_bound_is_built_from_the_values(self, engine, text):
+    def test_bound_is_built_from_the_values(self, strategy, text):
         structure = S_reg(BINARY)
         db = DB.db
         template, _ = lift_literals(parse_formula(text))
-        plan = Planner(structure, db).plan(template, slack=0, force=engine)
+        plan = _algebra_plan(Planner(structure, db), template, strategy)
         _, optimized = compile_for_execution(
             plan.formula, structure, db.schema, slack=0
         )
@@ -211,7 +226,7 @@ class TestSlotsInTheBound:
             expected = AutomataEngine(structure, db).run(concrete).as_set()
             bound = with_values(plan, (value,), canonical_fingerprint(concrete))
             got = execute_plan(bound, db).as_set()
-            assert got == expected, (engine, value)
+            assert got == expected, (strategy, value)
 
 
 class TestSlotsOutsideConditions:
@@ -225,21 +240,19 @@ class TestSlotsOutsideConditions:
         "T": {("001", "0"), ("10", "1")},
     })
 
-    @pytest.mark.parametrize("engine", ["algebra", "codegen"])
+    @pytest.mark.parametrize("strategy", ["algebra", "codegen"])
     @pytest.mark.parametrize("text", [
         "R(x) & x <<= add_last('{c}', '0')",
         "R(x) & add_last('{c}', '1') <<= x",
         "R(x) & !(x <<= add_last('{c}', '0'))",
         "R(x) & exists y: y = add_last('{c}', '0') & y <<= x",
     ])
-    def test_function_term_literals(self, engine, text):
+    def test_function_term_literals(self, strategy, text):
         structure = S_reg(BINARY)
         for c in ("01", "", "0", "10"):
             formula = parse_formula(text.format(c=c))
             expected = AutomataEngine(structure, self.DB).run(formula)
-            plan = Planner(structure, self.DB).plan(
-                formula, slack=0, force=engine
-            )
+            plan = _algebra_plan(Planner(structure, self.DB), formula, strategy)
             got = execute_plan(plan, self.DB)
             assert got.as_set() == expected.as_set(), (text, c)
 
@@ -249,7 +262,7 @@ class TestSlotsOutsideConditions:
         "R(x) & S(add_last('0', '1'))",
     ])
     def test_relation_argument_literals(self, text):
-        # Forced algebra/codegen reject these at plan time (the literal's
+        # Forced algebra rejects these at plan time (the literal's
         # natural quantifier reads the database), exactly as without
         # templates; every engine that accepts them answers correctly.
         with QueryService(workers=1) as svc:
@@ -257,12 +270,12 @@ class TestSlotsOutsideConditions:
             expected = AutomataEngine(S_reg(BINARY), self.DB).run(
                 parse_formula(text)
             ).as_set()
-            for engine in (None, "automata", "direct", "algebra", "codegen"):
+            for engine in (None, "automata", "direct", "algebra"):
                 resp = svc.execute(RunRequest(
                     query=text, database="main", structure="S_reg",
                     engine=engine,
                 ))
-                if engine in ("algebra", "codegen") and not resp.ok:
+                if engine == "algebra" and not resp.ok:
                     assert resp.error.code == "invalid", resp.error
                     assert "RANF translation bailed" in resp.error.message
                     continue
@@ -385,12 +398,14 @@ class TestServiceTemplates:
         ):
             resp = _rows(service, f"R(x) & matches(x, '{pattern}')", "S_reg")
             assert resp.rows == expected
-            assert resp.engine == "codegen"
+            assert resp.engine == "algebra"
+        # One closure, run fused for every binding.
         assert METRICS.get("codegen.compiles") == 1
+        assert METRICS.get("codegen.runs") == 3
 
     def test_guarded_natural_quantifier_leaves_automata(self, service):
         resp = _rows(service, "exists x: R(x) & last(x, '0') & '01' <<= x")
-        assert resp.rows == [[]] and resp.engine == "codegen"
+        assert resp.rows == [[]] and resp.engine == "algebra"
         resp = _rows(service, "exists x: R(x) & last(x, '0') & '11' <<= x")
         assert resp.rows == []
 
