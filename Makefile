@@ -12,7 +12,7 @@ SMOKE_DIR := .bench-smoke
 	bench-service bench-service-smoke serve-smoke clean
 
 ## Fast local loop: lints, skip @pytest.mark.slow tests, then smoke the
-## perf claims cheapest to regress silently (algebra joins, the dense
+## perf claims cheapest to regress silently (algebra joins, the flat-array
 ## automata kernel, the shard scatter-gather pool, incremental delta
 ## maintenance, the algebra engine's fused codegen strategy, the RANF-widened
 ## fast-engine regime, and the asyncio service front end, each gated
@@ -28,8 +28,6 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##   dispatch  engine-name literal comparisons (== "automata"/"direct"/
 ##             "algebra") outside src/repro/engine/ — the backend
 ##             registry stays the only dispatch path;
-##   kernel    dict-backed DFA(...) construction in the kernel-converted
-##             hot modules — they stay on the dense kernel helpers;
 ##   shard     sockets/pipes/subprocesses in src/repro/ outside shard/ +
 ##             service/, where deadlines, retries and structured errors live;
 ##   delta     Database._relations/._adom access outside the database
@@ -83,7 +81,7 @@ bench-algebra-smoke:
 	mkdir -p $(SMOKE_DIR)
 	$(PY) benchmarks/bench_algebra_joins.py --smoke --explain-json $(SMOKE_DIR)/algebra_joins.json
 
-## Dense automata kernel vs the legacy dict-DFA path (full sweep,
+## Flat-array automata vs the dict-of-dicts reference oracle (full sweep,
 ## asserts the >=5x product-chain speedup and gates every measured
 ## speedup ratio against the committed BENCH_kernel.json baseline).
 bench-kernel:

@@ -1,11 +1,11 @@
-"""KERNEL-1: dense integer-coded automata kernel vs the legacy dict path.
+"""KERNEL-1: flat-array automata vs the pre-kernel dict-of-dicts pipeline.
 
 The acceptance claim of ``src/repro/automata/kernel.py`` (see
 ``docs/automata_kernel.md``): on the product-chain + minimize pipeline —
-the normalization chain every RC(S_reg) query bottoms out in — the dense
-kernel beats the legacy dict-of-dicts path by >= 5x at the largest
-benchmarked size.  Three more shapes cover the other converted hot
-paths: subset construction, minimization alone, and the SQL LIKE
+the normalization chain every RC(S_reg) query bottoms out in — the array
+automata beat the dict-of-dicts reference (``tests/_reference_dfa.py``)
+by >= 5x at the largest benchmarked size.  Three more shapes cover
+subset construction, minimization alone, and the SQL LIKE
 compile-and-match pipeline.
 
 Every shape measures *both* paths in the same run and records the
@@ -17,23 +17,23 @@ baseline's threshold (1.3x) — the machine-portable regression gate that
 test``) runs.
 """
 
+import pathlib
 import random
+import sys
 
 import pytest
 
-from repro.automata import legacy
-from repro.automata.dfa import DFA
-from repro.automata.kernel import (
-    determinize_minimized,
-    intersect_all_minimized,
-    minimize_dfa,
-)
+from repro.automata.kernel import intersect_all_minimized
 from repro.automata.nfa import EPSILON, NFA
-from repro.sql.like import compile_like_dense, parse_like
+from repro.sql.like import compile_like, parse_like
 from repro.strings.alphabet import Alphabet
 
 from _common import measure, print_table, write_explain_json
 import _regress
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests import _reference_dfa as reference  # noqa: E402
+from tests._reference_dfa import from_reference  # noqa: E402
 
 ALPHABET = tuple("abcd")
 LIKE_ALPHABET = Alphabet("abcd")
@@ -82,14 +82,14 @@ LIKE_PATTERNS = [
 # ------------------------------------------------------------ workload makers
 
 
-def _random_dfa(rng: random.Random, n: int, density: float = 0.9) -> DFA:
+def _random_dfa(rng: random.Random, n: int, density: float = 0.9) -> reference.DFA:
     transitions = {}
     for q in range(n):
         row = {a: rng.randrange(n) for a in ALPHABET if rng.random() < density}
         if row:
             transitions[q] = row
     accepting = [q for q in range(n) if rng.random() < 0.3]
-    return DFA(ALPHABET, range(n), 0, accepting or [n - 1], transitions)
+    return reference.DFA(ALPHABET, range(n), 0, accepting or [n - 1], transitions)
 
 
 def _random_nfa(rng: random.Random, n: int) -> NFA:
@@ -112,10 +112,10 @@ def _rows(rng: random.Random, count: int) -> list[str]:
     ]
 
 
-def _legacy_chain_minimize(dfas) -> DFA:
+def _legacy_chain_minimize(dfas) -> reference.DFA:
     cur = dfas[0]
     for d in dfas[1:]:
-        cur = legacy.product(cur, d, lambda a, b: a and b).trim_unreachable()
+        cur = reference.product(cur, d, lambda a, b: a and b).trim_unreachable()
     return cur.minimize()
 
 
@@ -124,19 +124,20 @@ def _legacy_like_batch(patterns, rows) -> int:
     for pattern in patterns:
         # The pre-kernel pipeline: Thompson NFA -> dict-of-frozensets
         # subset construction -> Moore minimize -> dict-DFA matching.
-        dfa = parse_like(pattern).to_nfa(LIKE_ALPHABET).determinize().minimize()
+        nfa = parse_like(pattern).to_nfa(LIKE_ALPHABET)
+        dfa = reference.determinize(nfa).minimize()
         hits += sum(1 for row in rows if dfa.accepts(row))
     return hits
 
 
 def _kernel_like_batch(patterns, rows) -> int:
-    # The shipped pipeline: lru_cached dense compile + flat-array
-    # matching.  The cache is deliberately left warm across repeats —
-    # memoized compilation is part of what the kernel path buys.
+    # The shipped pipeline: lru_cached compile + flat-array matching.
+    # The cache is deliberately left warm across repeats — memoized
+    # compilation is part of what the kernel path buys.
     hits = 0
     for pattern in patterns:
-        dense = compile_like_dense(pattern, LIKE_ALPHABET)
-        hits += sum(1 for row in rows if dense.accepts(row))
+        dfa = compile_like(pattern, LIKE_ALPHABET)
+        hits += sum(1 for row in rows if dfa.accepts(row))
     return hits
 
 
@@ -150,12 +151,13 @@ def _measure_shape(shape: str, n: int) -> dict:
     kernel_out = [None]
     if shape == "product_chain":
         dfas = [_random_dfa(rng, n) for _ in range(3)]
+        arrays = [from_reference(d) for d in dfas]
         legacy_s = measure(
             lambda: legacy_out.__setitem__(0, _legacy_chain_minimize(dfas)),
             repeats=REPEATS,
         )
         kernel_s = measure(
-            lambda: kernel_out.__setitem__(0, intersect_all_minimized(dfas)),
+            lambda: kernel_out.__setitem__(0, intersect_all_minimized(arrays)),
             repeats=REPEATS,
         )
         agree = legacy_out[0].num_states == kernel_out[0].num_states
@@ -163,14 +165,12 @@ def _measure_shape(shape: str, n: int) -> dict:
         nfas = [_random_nfa(rng, n) for _ in range(NFA_BATCH)]
         legacy_s = measure(
             lambda: legacy_out.__setitem__(
-                0, [a.determinize().minimize() for a in nfas]
+                0, [reference.determinize(a).minimize() for a in nfas]
             ),
             repeats=REPEATS,
         )
         kernel_s = measure(
-            lambda: kernel_out.__setitem__(
-                0, [determinize_minimized(a) for a in nfas]
-            ),
+            lambda: kernel_out.__setitem__(0, [a.to_min_dfa() for a in nfas]),
             repeats=REPEATS,
         )
         agree = all(
@@ -179,21 +179,20 @@ def _measure_shape(shape: str, n: int) -> dict:
         )
     elif shape == "minimize":
         left, right = _random_dfa(rng, n), _random_dfa(rng, n)
-        blown_up = legacy.product(left, right, lambda a, b: a and b)
+        blown_up = reference.product(left, right, lambda a, b: a and b)
+        blown_up_arrays = from_reference(blown_up)
         legacy_s = measure(
             lambda: legacy_out.__setitem__(0, blown_up.minimize()),
             repeats=REPEATS,
         )
-
-        def kernel_run():
-            blown_up._dense_cache = None  # time the conversion too
-            kernel_out[0] = minimize_dfa(blown_up)
-
-        kernel_s = measure(kernel_run, repeats=REPEATS)
+        kernel_s = measure(
+            lambda: kernel_out.__setitem__(0, blown_up_arrays.minimize()),
+            repeats=REPEATS,
+        )
         agree = legacy_out[0].num_states == kernel_out[0].num_states
     elif shape == "like_pipeline":
         rows = _rows(rng, n)
-        compile_like_dense.cache_clear()  # pay compile once, inside the timing
+        compile_like.cache_clear()  # pay compile once, inside the timing
         legacy_s = measure(
             lambda: legacy_out.__setitem__(
                 0, _legacy_like_batch(LIKE_PATTERNS, rows)
@@ -258,7 +257,7 @@ def conservative_entries(sweeps: list[list[dict]]) -> dict[str, dict]:
 
 def _print_rows(rows: list[dict]) -> None:
     print_table(
-        "Dense kernel vs legacy dict-DFA path",
+        "Array automata vs the dict-of-dicts reference",
         ["shape", "n", "legacy s", "kernel s", "speedup", "agree"],
         [
             (
@@ -287,7 +286,7 @@ def test_kernel_legacy_product_chain(benchmark, n):
 @pytest.mark.parametrize("n", FULL_SIZES["product_chain"])
 def test_kernel_dense_product_chain(benchmark, n):
     rng = random.Random(1000 + n)
-    dfas = [_random_dfa(rng, n) for _ in range(3)]
+    dfas = [from_reference(_random_dfa(rng, n)) for _ in range(3)]
     benchmark(lambda: intersect_all_minimized(dfas))
 
 

@@ -26,6 +26,7 @@ benchmarks can drive :class:`AlgebraExecutor` directly on a plan.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -294,9 +295,11 @@ class AlgebraExecutor:
 
 # A small cache of compiled-and-optimized plans: compiling is pure in the
 # formula/structure/schema/slack, so repeated queries (the service layer's
-# common case) skip the compiler and rewrite fixpoint entirely.
+# common case) skip the compiler and rewrite fixpoint entirely.  Worker
+# threads share it, so eviction and insertion hold the lock.
 _PLAN_CACHE: dict[tuple, tuple[CompiledQuery, Plan]] = {}
 _PLAN_CACHE_CAP = 128
+_PLAN_CACHE_LOCK = threading.Lock()
 
 
 def compile_for_execution(
@@ -341,9 +344,10 @@ def compile_for_execution(
 
         pair = translate_ranf(formula, structure, schema, slack=slack)
         compiled, optimized = pair.compiled, pair.fin_optimized
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-    _PLAN_CACHE[key] = (compiled, optimized)
+    with _PLAN_CACHE_LOCK:
+        if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
+            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)), None)
+        _PLAN_CACHE[key] = (compiled, optimized)
     return (compiled, optimized)
 
 

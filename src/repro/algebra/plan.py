@@ -262,9 +262,11 @@ def _eval_quantifier_free(
 #: on the condition and the structure; compiling quantified conditions to
 #: automata is expensive enough to be worth sharing across evaluations.
 #: Ad hoc query text brings new conditions without end, so the cache is
-#: capped and drops its oldest entry first (the plan cache's discipline).
+#: capped and drops its oldest entry first (the plan cache's discipline);
+#: eviction and insertion hold the lock, as worker threads share the cache.
 _CHECKER_CACHE: dict[tuple, "_ConditionChecker"] = {}
 _CHECKER_CACHE_CAP = 512
+_CHECKER_LOCK = threading.Lock()
 
 
 def _get_checker(
@@ -274,9 +276,10 @@ def _get_checker(
     checker = _CHECKER_CACHE.get(key)
     if checker is None:
         checker = _ConditionChecker(condition, structure, slack=slack)
-        if len(_CHECKER_CACHE) >= _CHECKER_CACHE_CAP:
-            _CHECKER_CACHE.pop(next(iter(_CHECKER_CACHE)), None)
-        _CHECKER_CACHE[key] = checker
+        with _CHECKER_LOCK:
+            if len(_CHECKER_CACHE) >= _CHECKER_CACHE_CAP:
+                _CHECKER_CACHE.pop(next(iter(_CHECKER_CACHE)), None)
+            _CHECKER_CACHE[key] = checker
     return checker
 
 

@@ -57,6 +57,7 @@ being silently clipped).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,6 +119,9 @@ class RanfVerdict:
     rq_depth: int
 
 
+#: Verdict and translation caches are capped (oldest entry dropped
+#: first) and shared by worker threads: eviction and insertion hold the lock.
+_CACHE_LOCK = threading.Lock()
 _VERDICTS: dict[tuple, RanfVerdict] = {}
 _VERDICTS_CAP = 512
 
@@ -230,9 +234,10 @@ def translation_verdict(formula: Formula, structure) -> RanfVerdict:
     METRICS.inc("planner.ranf.verdicts")
     if not verdict.ok:
         METRICS.inc("planner.ranf.bailouts")
-    if len(_VERDICTS) >= _VERDICTS_CAP:
-        _VERDICTS.pop(next(iter(_VERDICTS)))
-    _VERDICTS[key] = verdict
+    with _CACHE_LOCK:
+        if len(_VERDICTS) >= _VERDICTS_CAP:
+            _VERDICTS.pop(next(iter(_VERDICTS)), None)
+        _VERDICTS[key] = verdict
     return verdict
 
 
@@ -442,9 +447,10 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
             optimize_for_execution(inf_plan) if inf_plan is not None else None
         ),
     )
-    if len(_TRANSLATIONS) >= _TRANSLATIONS_CAP:
-        _TRANSLATIONS.pop(next(iter(_TRANSLATIONS)))
-    _TRANSLATIONS[key] = pair
+    with _CACHE_LOCK:
+        if len(_TRANSLATIONS) >= _TRANSLATIONS_CAP:
+            _TRANSLATIONS.pop(next(iter(_TRANSLATIONS)), None)
+        _TRANSLATIONS[key] = pair
     return pair
 
 

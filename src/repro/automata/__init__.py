@@ -11,20 +11,16 @@ compilation, and the language analyses the paper relies on:
   paper: subsets of ``Sigma*`` definable over S are exactly the star-free
   languages, and over S_len / S_reg exactly the regular languages).
 
-The hot paths (products, minimization, subset construction, equivalence)
-run on the dense integer-coded kernel in :mod:`repro.automata.kernel`;
-the dict-of-dicts :class:`DFA` remains the building/interchange format,
-converted at the boundaries via ``DFA.to_dense()`` /
-``DenseDFA.to_dfa()``.
+There is one automaton representation: a :class:`DFA` is built from a
+dict transition table but stored as flat integer arrays (interned
+symbols, ``array('i')`` delta, acceptance bitmap), and every operation
+(minimization, complement, the lazy products of
+:mod:`repro.automata.kernel`, the bitmask subset construction of
+:meth:`NFA.determinize`) reads and builds those arrays directly.
 """
 
-from repro.automata.dfa import DFA
-from repro.automata.kernel import (
-    DenseDFA,
-    ProductPipeline,
-    SymbolTable,
-    to_dense,
-)
+from repro.automata.dfa import DFA, SymbolTable
+from repro.automata.kernel import ProductPipeline
 from repro.automata.nfa import NFA, EPSILON
 from repro.automata.ops import (
     difference,
@@ -49,7 +45,6 @@ from repro.automata.aperiodic import is_aperiodic, is_star_free, transition_mono
 
 __all__ = [
     "DFA",
-    "DenseDFA",
     "EPSILON",
     "NFA",
     "ProductPipeline",
@@ -72,7 +67,6 @@ __all__ = [
     "parse_regex",
     "starts_with_dfa",
     "symmetric_difference_empty",
-    "to_dense",
     "transition_monoid",
     "union",
 ]

@@ -1,55 +1,36 @@
-"""Dense integer-coded automata kernel: the engine's hot-path substrate.
+"""Products and language equivalence of automata.
 
-The legacy :class:`~repro.automata.dfa.DFA` stores arbitrary hashable
-states in dict-of-dicts transition tables.  That representation is ideal
-for *building* automata (convolution columns, subset states, product
-pairs are all naturally hashable) but terrible for *running* the chained
-product / determinize / minimize pipelines every RC(S_reg) query bottoms
-out in: every step is two dict lookups, every ``completed()`` is a full
-copy, and every binary product is materialized even when the caller only
-asks ``is_empty``.
+Every RC(S_reg) query bottoms out in chained product / minimize
+pipelines over the flat-array automata of :mod:`repro.automata.dfa`.
+This module composes them:
 
-This module is the dense counterpart:
-
-* :class:`SymbolTable` interns alphabet symbols to contiguous ints
-  (sorted by ``repr``, matching the legacy canonical symbol order, so
-  dense and legacy canonical forms number states identically);
-* :class:`DenseDFA` keeps the transition function as one flat
-  ``array('i')`` — ``delta[state * n_symbols + symbol]`` with ``-1`` as
-  the implicit dead state — plus a ``bytearray`` acceptance bitmap;
-* :class:`ProductPipeline` composes an **n-ary product lazily**: only
+* :class:`ProductPipeline` builds an **n-ary product lazily**: only
   reachable product states are explored, components that can no longer
   contribute to acceptance prune the frontier, and
   :meth:`ProductPipeline.is_empty` / :meth:`ProductPipeline.contains`
   short-circuit without materializing any automaton at all;
-* kernel-native **subset construction** (:func:`determinize_dense`,
-  NFA state sets as int bitmasks) and **Hopcroft minimization** over
-  preimage buckets (:meth:`DenseDFA.minimize`).
-
-Conversion happens only at the boundaries: :func:`to_dense` memoizes the
-dense form on the source DFA, and :meth:`DenseDFA.to_dfa` attaches the
-dense form to the dict DFA it builds — so chained operations (the
-normalization pipeline of :class:`~repro.automatic.relation.
-RelationAutomaton`, the MSO compiler, the SQL pattern matchers) keep all
-real work in flat arrays and never rebuild a dense table from dicts.
+* the ``*_minimized`` / ``*_within`` helpers are the fused shapes the
+  automatic-relation layer and the MSO compiler run: one pipeline, one
+  Hopcroft pass, no intermediate automata;
+* :func:`equivalent` decides language equality by union-find
+  Hopcroft–Karp merging, with no product at all.
 
 Cooperative deadlines (:func:`repro.engine.deadline.checkpoint`) are
-honored once per product state / subset / refinement splitter, exactly
-like the legacy paths.  Observability counters live under ``kernel.*``
-(see ``docs/explain_and_metrics.md``).
+honored once per product state or merged pair.  Observability counters
+live under ``kernel.*`` (see ``docs/explain_and_metrics.md``).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from collections.abc import Iterable, Sequence
-from typing import Optional
+from collections.abc import Sequence
 
+from repro.automata.dfa import DFA, SymbolTable, table_for
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 
-try:  # vectorized fast paths; the array-backed code below is the fallback
+try:  # vectorized products; the per-state loop below is the fallback
     import numpy as _np
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
@@ -58,459 +39,18 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 # id table for (int32 entries; 1 << 22 is a 16 MiB table).  Bigger
 # products fall back to the lazy per-state loop, which prunes anyway.
 _NP_PRODUCT_CAPACITY = 1 << 22
-# Below this many transitions the vectorized minimizer's setup overhead
-# exceeds the win; tiny automata stay on the pure Hopcroft path.
-_NP_MINIMIZE_FLOOR = 192
 
 __all__ = [
-    "DenseDFA",
     "ProductPipeline",
     "SymbolTable",
     "complement_within",
-    "determinize_dense",
-    "determinize_minimized",
-    "determinize_minimized_dense",
-    "equivalent_dense",
-    "equivalent_dfa",
+    "equivalent",
     "intersect_all_minimized",
-    "minimize_dfa",
-    "product_dfa",
-    "product_is_empty",
+    "product",
     "product_minimized",
-    "to_dense",
     "union_all_minimized",
     "union_all_within",
 ]
-
-
-class SymbolTable:
-    """Interning table mapping alphabet symbols to contiguous ints.
-
-    Symbols keep their insertion order; :func:`to_dense` builds tables in
-    ``sorted(alphabet, key=repr)`` order so dense state numbering agrees
-    with :meth:`DFA.canonical`'s BFS order.  Tables compare compatible by
-    their symbol tuple, not identity: two automata built independently
-    over the same alphabet share dense forms without re-interning.
-    """
-
-    __slots__ = ("_index", "_symbols")
-
-    def __init__(self, symbols: Iterable[object] = ()):
-        self._index: dict[object, int] = {}
-        self._symbols: list[object] = []
-        for sym in symbols:
-            self.intern(sym)
-
-    def intern(self, symbol: object) -> int:
-        """Return the symbol's code, assigning the next int if new."""
-        idx = self._index.get(symbol)
-        if idx is None:
-            idx = len(self._symbols)
-            self._index[symbol] = idx
-            self._symbols.append(symbol)
-            METRICS.inc("kernel.interned_symbols")
-        return idx
-
-    def index(self, symbol: object) -> int:
-        """The symbol's code, or ``-1`` when it was never interned."""
-        return self._index.get(symbol, -1)
-
-    @property
-    def symbols(self) -> tuple[object, ...]:
-        return tuple(self._symbols)
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    def __contains__(self, symbol: object) -> bool:
-        return symbol in self._index
-
-    def __repr__(self) -> str:
-        return f"SymbolTable({len(self._symbols)} symbols)"
-
-
-def _table_for(alphabet: Iterable[object]) -> SymbolTable:
-    """The canonical table for an alphabet: symbols sorted by ``repr``."""
-    return SymbolTable(sorted(alphabet, key=repr))
-
-
-class DenseDFA:
-    """A DFA over interned symbols with a flat ``array('i')`` delta.
-
-    ``delta[q * k + s]`` is the successor of state ``q`` on symbol code
-    ``s``, or ``-1`` for the implicit dead state (partial transitions are
-    kept partial — completing is free because ``-1`` *is* the sink).
-    ``accepting`` is a ``bytearray`` bitmap.  Instances are immutable by
-    convention; every operation returns a fresh automaton.
-    """
-
-    __slots__ = ("table", "n", "start", "accepting", "delta")
-
-    def __init__(
-        self,
-        table: SymbolTable,
-        n: int,
-        start: int,
-        accepting: bytearray,
-        delta: array,
-    ):
-        self.table = table
-        self.n = n
-        self.start = start
-        self.accepting = accepting
-        self.delta = delta
-        METRICS.inc("kernel.dense_states", n)
-
-    # ------------------------------------------------------------ boundaries
-
-    @classmethod
-    def from_dfa(cls, dfa, table: Optional[SymbolTable] = None) -> "DenseDFA":
-        """Dense form of a dict-of-dicts DFA (reachable states only).
-
-        States are renumbered in BFS order from the start state with
-        symbols visited in table order — the same order
-        :meth:`DFA.canonical` uses, so a canonical DFA round-trips
-        structurally.  When ``table`` covers more symbols than the DFA's
-        alphabet, the missing symbols are dead (``-1``) — the dense
-        analogue of the legacy product's union-alphabet behavior.
-        """
-        if table is None:
-            table = _table_for(dfa.alphabet)
-        k = len(table)
-        syms = table.symbols
-        order: dict[object, int] = {dfa.start: 0}
-        rows: list[object] = [dfa.start]
-        queue = deque([dfa.start])
-        transitions = dfa.transitions
-        while queue:
-            q = queue.popleft()
-            delta = transitions.get(q)
-            if not delta:
-                continue
-            for sym in syms:
-                t = delta.get(sym)
-                if t is not None and t not in order:
-                    order[t] = len(order)
-                    rows.append(t)
-                    queue.append(t)
-        n = len(rows)
-        flat = array("i", bytes(0)) if n == 0 else array("i", [-1]) * (n * k)
-        accepting = bytearray(n)
-        acc = dfa.accepting
-        for q, state in enumerate(rows):
-            if state in acc:
-                accepting[q] = 1
-            delta = transitions.get(state)
-            if not delta:
-                continue
-            base = q * k
-            for s in range(k):
-                t = delta.get(syms[s])
-                if t is not None:
-                    flat[base + s] = order[t]
-        METRICS.inc("kernel.dense_dfas")
-        return cls(table, n, 0, accepting, flat)
-
-    def to_dfa(self):
-        """The dict-of-dicts view (partial; ``-1`` edges are dropped).
-
-        The dense form is attached to the result's ``_dense_cache`` slot
-        so a later :func:`to_dense` is free — the round-trip is the
-        boundary, not a rebuild.
-        """
-        from repro.automata.dfa import DFA
-
-        syms = self.table.symbols
-        k = len(syms)
-        delta = self.delta
-        transitions: dict[object, dict[object, object]] = {}
-        for q in range(self.n):
-            base = q * k
-            row = {
-                syms[s]: delta[base + s] for s in range(k) if delta[base + s] >= 0
-            }
-            if row:
-                transitions[q] = row
-        dfa = DFA(
-            syms,
-            range(self.n),
-            self.start,
-            [q for q in range(self.n) if self.accepting[q]],
-            transitions,
-        )
-        dfa._dense_cache = self
-        return dfa
-
-    # ------------------------------------------------------------------ runs
-
-    def accepts(self, word: Sequence[object]) -> bool:
-        """Run the automaton on a word of (uninterned) symbols."""
-        index = self.table.index
-        delta = self.delta
-        k = len(self.table)
-        q = self.start
-        for sym in word:
-            s = index(sym)
-            if s < 0:
-                return False
-            q = delta[q * k + s]
-            if q < 0:
-                return False
-        return bool(self.accepting[q])
-
-    @property
-    def num_states(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return (
-            f"DenseDFA(states={self.n}, symbols={len(self.table)}, "
-            f"accepting={sum(self.accepting)})"
-        )
-
-    # ------------------------------------------------------- transformations
-
-    def reindex(self, table: SymbolTable) -> "DenseDFA":
-        """The same automaton over a wider symbol table.
-
-        Symbols of ``table`` this automaton never saw are dead; every
-        symbol of this automaton's table must be in ``table``.
-        """
-        if table.symbols == self.table.symbols:
-            return self
-        old_k = len(self.table)
-        new_k = len(table)
-        mapping = [table.index(sym) for sym in self.table.symbols]
-        if any(m < 0 for m in mapping):
-            raise ValueError("target table must contain every source symbol")
-        flat = array("i", [-1]) * (self.n * new_k)
-        delta = self.delta
-        for q in range(self.n):
-            old_base = q * old_k
-            new_base = q * new_k
-            for s in range(old_k):
-                flat[new_base + mapping[s]] = delta[old_base + s]
-        return DenseDFA(table, self.n, self.start, bytearray(self.accepting), flat)
-
-    def complement(self) -> "DenseDFA":
-        """Flip acceptance (with the dead sink made explicit and accepting)."""
-        k = len(self.table)
-        n = self.n
-        sink = n
-        flat = array("i", self.delta)
-        for i in range(len(flat)):
-            if flat[i] < 0:
-                flat[i] = sink
-        flat.extend(array("i", [sink]) * k)
-        accepting = bytearray(1 if not a else 0 for a in self.accepting)
-        accepting.append(1)
-        return DenseDFA(self.table, n + 1, self.start, accepting, flat)
-
-    def is_empty(self) -> bool:
-        """True iff no accepting state is reachable from the start."""
-        if self.n == 0:
-            return True
-        accepting = self.accepting
-        if accepting[self.start]:
-            return False
-        k = len(self.table)
-        delta = self.delta
-        seen = bytearray(self.n)
-        seen[self.start] = 1
-        stack = [self.start]
-        while stack:
-            q = stack.pop()
-            base = q * k
-            for s in range(k):
-                t = delta[base + s]
-                if t >= 0 and not seen[t]:
-                    if accepting[t]:
-                        return False
-                    seen[t] = 1
-                    stack.append(t)
-        return True
-
-    def minimize(self) -> "DenseDFA":
-        """Minimal dense DFA: Hopcroft over preimage buckets.
-
-        The result matches :meth:`DFA.minimize` structurally: dead states
-        (empty futures) are removed — they all land in the sink's block —
-        and the surviving blocks are renumbered in BFS order from the
-        start with symbols in table order, i.e. the legacy
-        ``trim().canonical()`` form.  With numpy present, the
-        Myhill-Nerode partition is computed by vectorized signature
-        refinement instead (same blocks, same output).
-        """
-        METRICS.inc("kernel.minimizations")
-        n = self.n
-        k = len(self.table)
-        if n == 0:
-            return DenseDFA(self.table, 0, 0, bytearray(), array("i"))
-        if _np is not None and n * k >= _NP_MINIMIZE_FLOOR:
-            block_of = self._nerode_blocks_np()
-        else:
-            block_of = self._nerode_blocks_hopcroft()
-        return self._rebuild_from_blocks(block_of)
-
-    def _nerode_blocks_hopcroft(self) -> Sequence[int]:
-        """Myhill-Nerode partition via Hopcroft over preimage buckets.
-
-        Returns ``block_of`` over ``n + 1`` states — the virtual completed
-        sink is index ``n``, and its block is exactly the dead states.
-        """
-        n = self.n
-        k = len(self.table)
-        delta = self.delta
-        sink = n  # virtual completed sink
-        total = n + 1
-
-        # Preimage buckets: inv[s * total + t] = sources stepping to t on s.
-        inv: list[list[int]] = [[] for _ in range(k * total)]
-        for q in range(n):
-            base = q * k
-            for s in range(k):
-                t = delta[base + s]
-                inv[s * total + (t if t >= 0 else sink)].append(q)
-        for s in range(k):
-            inv[s * total + sink].append(sink)
-
-        acc_block = {q for q in range(n) if self.accepting[q]}
-        rej_block = {q for q in range(n) if not self.accepting[q]}
-        rej_block.add(sink)
-        blocks: list[set[int]] = []
-        block_of = array("i", [0]) * total
-        for block in (acc_block, rej_block):
-            if block:
-                index = len(blocks)
-                blocks.append(block)
-                for q in block:
-                    block_of[q] = index
-        # Seeding only the smaller half suffices (Hopcroft's invariant);
-        # splits below push the new block, which is always the smaller.
-        seed = 0
-        if len(blocks) == 2 and len(blocks[1]) < len(blocks[0]):
-            seed = 1
-        worklist: deque[tuple[int, int]] = deque((seed, s) for s in range(k))
-        ticks = 0
-        while worklist:
-            ticks += 1
-            if not ticks & 63:
-                checkpoint()
-            splitter_index, s = worklist.popleft()
-            preds: set[int] = set()
-            base_inv = s * total
-            for target in blocks[splitter_index]:
-                preds.update(inv[base_inv + target])
-            if not preds:
-                continue
-            touched: dict[int, list[int]] = {}
-            for q in preds:
-                touched.setdefault(block_of[q], []).append(q)
-            for b_index, inside_list in touched.items():
-                block = blocks[b_index]
-                if len(inside_list) == len(block):
-                    continue
-                inside = set(inside_list)
-                outside = block - inside
-                if len(inside) <= len(outside):
-                    small, large = inside, outside
-                else:
-                    small, large = outside, inside
-                blocks[b_index] = large
-                new_index = len(blocks)
-                blocks.append(small)
-                for q in small:
-                    block_of[q] = new_index
-                for sym in range(k):
-                    worklist.append((new_index, sym))
-        return block_of
-
-    def _nerode_blocks_np(self) -> Sequence[int]:
-        """Myhill-Nerode partition via vectorized signature refinement.
-
-        Each round relabels every state by ``(block, block-of-successor
-        per symbol)`` with one ``np.unique`` per symbol; refinement only
-        ever splits, so an unchanged block count is the fixpoint.  Same
-        partition as :meth:`_nerode_blocks_hopcroft`, different engine.
-        """
-        np = _np
-        n = self.n
-        k = len(self.table)
-        sink = n
-        total = n + 1
-        delta = np.asarray(self.delta, dtype=np.int64).reshape(n, k)
-        delta = np.where(delta < 0, sink, delta)
-        delta = np.concatenate(
-            [delta, np.full((1, k), sink, dtype=np.int64)], axis=0
-        )
-        acc = np.zeros(total, dtype=np.int64)
-        acc[:n] = np.frombuffer(bytes(self.accepting), dtype=np.uint8)
-        block = acc
-        count = len(np.unique(block))
-        while True:
-            checkpoint()
-            cur = block
-            for s in range(k):
-                pair = cur * total + block[delta[:, s]]
-                uniq, cur = np.unique(pair, return_inverse=True)
-            new_count = len(uniq) if k else count
-            if new_count == count:
-                return block.tolist()
-            block = cur
-            count = new_count
-
-    def _rebuild_from_blocks(self, block_of: Sequence[int]) -> "DenseDFA":
-        """Canonical dense DFA from a Nerode partition over states + sink.
-
-        Drops the sink's block (the dead states) and renumbers the rest
-        in BFS order from the start's block, symbols in table order.
-        """
-        n = self.n
-        k = len(self.table)
-        delta = self.delta
-        sink = n
-        dead_block = block_of[sink]
-        start_block = block_of[self.start]
-        if start_block == dead_block:
-            # Empty language: the canonical single rejecting state.
-            return DenseDFA(self.table, 1, 0, bytearray(1), array("i", [-1]) * k)
-        # First-seen representative per block; the sink's own block may
-        # be represented by any dead state (it is dropped below anyway).
-        reps: dict[int, int] = {}
-        for q in range(n):
-            b = block_of[q]
-            if b not in reps:
-                reps[b] = q
-        order: dict[int, int] = {start_block: 0}
-        rows = [start_block]
-        queue = deque([start_block])
-        while queue:
-            b = queue.popleft()
-            base = reps[b] * k
-            for s in range(k):
-                t = delta[base + s]
-                tb = block_of[t] if t >= 0 else dead_block
-                if tb != dead_block and tb not in order:
-                    order[tb] = len(order)
-                    rows.append(tb)
-                    queue.append(tb)
-        m = len(rows)
-        flat = array("i", [-1]) * (m * k)
-        accepting = bytearray(m)
-        for new_q, b in enumerate(rows):
-            rep = reps[b]
-            if self.accepting[rep]:
-                accepting[new_q] = 1
-            base = rep * k
-            out = new_q * k
-            for s in range(k):
-                t = delta[base + s]
-                if t < 0:
-                    continue
-                tb = block_of[t]
-                if tb != dead_block:
-                    flat[out + s] = order[tb]
-        return DenseDFA(self.table, m, 0, accepting, flat)
 
 
 # -------------------------------------------------------------- lazy products
@@ -534,7 +74,28 @@ def _mode(mode, m: int):
     raise ValueError(f"unknown product mode {mode!r}")
 
 
-def _align(dfas: Sequence[DenseDFA]) -> list[DenseDFA]:
+def _reindex(dfa: DFA, table: SymbolTable) -> DFA:
+    """The same automaton over a wider symbol table (its symbols dead).
+
+    The union table keeps the ``repr`` order of the automaton's own
+    symbols, so the state numbering stays canonical.
+    """
+    if table.symbols == dfa.table.symbols:
+        return dfa
+    old_k = len(dfa.table)
+    new_k = len(table)
+    mapping = [table.index(sym) for sym in dfa.table.symbols]
+    flat = array("i", [-1]) * (dfa.n * new_k)
+    delta = dfa.delta
+    for q in range(dfa.n):
+        old_base = q * old_k
+        new_base = q * new_k
+        for s in range(old_k):
+            flat[new_base + mapping[s]] = delta[old_base + s]
+    return DFA._make(table, bytearray(dfa.accepting), flat)
+
+
+def _align(dfas: Sequence[DFA]) -> list[DFA]:
     """Put all automata on one shared symbol table (the sorted union)."""
     first = dfas[0].table.symbols
     if all(d.table.symbols == first for d in dfas):
@@ -542,12 +103,12 @@ def _align(dfas: Sequence[DenseDFA]) -> list[DenseDFA]:
     union: set[object] = set()
     for d in dfas:
         union.update(d.table.symbols)
-    table = _table_for(union)
-    return [d.reindex(table) for d in dfas]
+    table = table_for(union)
+    return [_reindex(d, table) for d in dfas]
 
 
 class ProductPipeline:
-    """A lazily-composed n-ary product of dense automata.
+    """A lazily-composed n-ary product of automata.
 
     Nothing is built at construction time; :meth:`is_empty`,
     :meth:`contains` and :meth:`accepts` explore only as much of the
@@ -557,12 +118,12 @@ class ProductPipeline:
     ``"xor"`` or an acceptance callable over the component flags; the
     named modes also prune states whose required components are dead.
     An acceptance callable must reject the all-dead flag vector (the
-    product, like the legacy one, never materializes all-dead states).
+    product never materializes all-dead states).
     """
 
     __slots__ = ("dfas", "accept", "required", "mode_name")
 
-    def __init__(self, dfas: Sequence[DenseDFA], mode="and", required=None):
+    def __init__(self, dfas: Sequence[DFA], mode="and", required=None):
         if not dfas:
             raise ValueError("a product needs at least one automaton")
         self.dfas = _align(dfas)
@@ -638,7 +199,7 @@ class ProductPipeline:
                 return False
         return True
 
-    def contains(self, other: DenseDFA) -> bool:
+    def contains(self, other: DFA) -> bool:
         """``L(other) ⊆ L(self-product)`` without materializing either side.
 
         Built as emptiness of ``other ∧ ¬product`` — one lazy pipeline
@@ -669,8 +230,8 @@ class ProductPipeline:
 
     # ---------------------------------------------------------- construction
 
-    def materialize(self) -> DenseDFA:
-        """Build the reachable product as a dense automaton.
+    def materialize(self) -> DFA:
+        """Build the reachable product as a DFA.
 
         With numpy present (and a named mode, and a product-state space
         small enough for an id table) the BFS runs level-synchronously
@@ -692,7 +253,7 @@ class ProductPipeline:
                 return self._materialize_np(capacity)
         return self._materialize_lazy()
 
-    def _materialize_lazy(self) -> DenseDFA:
+    def _materialize_lazy(self) -> DFA:
         """The per-state fallback: one product state at a time."""
         k = len(self.table)
         deltas = [d.delta for d in self.dfas]
@@ -737,9 +298,9 @@ class ProductPipeline:
                 row[s] = sid
             flat.extend(row)
         METRICS.inc("kernel.product_states", len(rows))
-        return DenseDFA(self.table, len(rows), 0, accepting, flat)
+        return DFA._make(self.table, accepting, flat)
 
-    def _materialize_np(self, capacity: int) -> DenseDFA:
+    def _materialize_np(self, capacity: int) -> DFA:
         """Vectorized BFS materialization over mixed-radix state codes.
 
         Component ``i``'s dead state is made explicit as ``n_i`` (so a
@@ -844,128 +405,25 @@ class ProductPipeline:
             out.frombytes(flat.reshape(-1).tobytes())
         else:  # pragma: no cover - exotic int width
             out = array("i", flat.reshape(-1).tolist())
-        return DenseDFA(
-            self.table,
-            n_states,
-            0,
-            bytearray(accepting.astype(np.uint8).tobytes()),
-            out,
+        return DFA._make(
+            self.table, bytearray(accepting.astype(np.uint8).tobytes()), out
         )
 
-    def minimized(self) -> DenseDFA:
-        """Materialize and minimize, all in dense form."""
+    def minimized(self) -> DFA:
+        """Materialize and minimize."""
         return self.materialize().minimize()
-
-
-# -------------------------------------------------------- subset construction
-
-
-def determinize_dense(nfa, table: Optional[SymbolTable] = None) -> DenseDFA:
-    """Kernel-native subset construction.
-
-    NFA state sets are int bitmasks (hash/compare in machine words, set
-    union is ``|``); epsilon closures are precomputed per state.  The
-    resulting dense automaton numbers subsets in BFS discovery order with
-    symbols in table order — like the legacy ``determinize().canonical()``
-    chain, but with no dict-of-dicts intermediate.
-    """
-    METRICS.inc("kernel.determinizations")
-    if table is None:
-        table = _table_for(nfa.alphabet)
-    k = len(table)
-    syms = table.symbols
-    states = sorted(nfa.states, key=repr)
-    state_id = {q: i for i, q in enumerate(states)}
-    n = len(states)
-
-    from repro.automata.nfa import EPSILON
-
-    # Per-state move masks (sparse: only labels the NFA actually has).
-    move: list[dict[int, int]] = [{} for _ in range(n)]
-    eps_direct = [0] * n
-    for q, delta in nfa.transitions.items():
-        qi = state_id[q]
-        for label, targets in delta.items():
-            mask = 0
-            for t in targets:
-                mask |= 1 << state_id[t]
-            if label is EPSILON:
-                eps_direct[qi] |= mask
-            else:
-                s = table.index(label)
-                if s >= 0:
-                    move[qi][s] = move[qi].get(s, 0) | mask
-
-    # Epsilon closures per state, to fixpoint.
-    closure = [eps_direct[i] | (1 << i) for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            mask = closure[i]
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                mask |= closure[low.bit_length() - 1]
-            if mask != closure[i]:
-                closure[i] = mask
-                changed = True
-
-    acc_mask = 0
-    for q in nfa.accepting:
-        acc_mask |= 1 << state_id[q]
-
-    start_mask = 0
-    for q in nfa.starts:
-        start_mask |= closure[state_id[q]]
-
-    seen: dict[int, int] = {start_mask: 0}
-    accepting = bytearray([1 if start_mask & acc_mask else 0])
-    flat = array("i")
-    queue = deque([start_mask])
-    dead_row = array("i", [-1]) * k
-    while queue:
-        checkpoint()
-        subset = queue.popleft()
-        row = array("i", dead_row)
-        for s in range(k):
-            target = 0
-            rest = subset
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                target |= move[low.bit_length() - 1].get(s, 0)
-            if not target:
-                continue
-            closed = 0
-            rest = target
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                closed |= closure[low.bit_length() - 1]
-            sid = seen.get(closed)
-            if sid is None:
-                sid = len(seen)
-                seen[closed] = sid
-                queue.append(closed)
-                accepting.append(1 if closed & acc_mask else 0)
-            row[s] = sid
-        flat.extend(row)
-    return DenseDFA(table, len(seen), 0, accepting, flat)
 
 
 # --------------------------------------------------------------- equivalence
 
 
-def equivalent_dense(left: DenseDFA, right: DenseDFA) -> bool:
+def equivalent(left: DFA, right: DFA) -> bool:
     """Hopcroft–Karp language equivalence: union-find, no product.
 
     Merges the two (implicitly completed) state spaces pair by pair from
     the starts; a merge joining an accepting and a rejecting class is a
     counterexample.  Runs in near-linear time in the number of reachable
-    merged pairs — the legacy path built a full symmetric-difference
-    product and checked its emptiness.
+    merged pairs, with no symmetric-difference product.
     """
     METRICS.inc("kernel.equivalence_checks")
     a, b = _align([left, right])
@@ -1021,106 +479,44 @@ def equivalent_dense(left: DenseDFA, right: DenseDFA) -> bool:
     return True
 
 
-# ------------------------------------------------------- DFA-level boundary
+# ------------------------------------------------------------ fused shapes
 
 
-def to_dense(dfa, table: Optional[SymbolTable] = None) -> DenseDFA:
-    """Dense form of a legacy DFA, memoized on the DFA.
-
-    The memo holds the form over the DFA's own (sorted) alphabet; a wider
-    ``table`` reindexes the memoized form instead of re-walking dicts.
-    """
-    cached = getattr(dfa, "_dense_cache", None)
-    if cached is None:
-        cached = DenseDFA.from_dfa(dfa)
-        try:
-            dfa._dense_cache = cached
-        except AttributeError:  # pragma: no cover - foreign DFA-likes
-            pass
-    if table is not None and table.symbols != cached.table.symbols:
-        return cached.reindex(table)
-    return cached
+def product(left: DFA, right: DFA, mode="and") -> DFA:
+    """The reachable (pruned) binary product."""
+    return ProductPipeline([left, right], mode).materialize()
 
 
-def product_dfa(left, right, mode="and"):
-    """Lazy binary product, materialized and returned as a legacy DFA.
-
-    Drop-in for the legacy ``_product(...).trim_unreachable()`` chain:
-    only reachable (and, for ``and``/``diff`` modes, non-pruned) product
-    states exist, already densely numbered.
-    """
-    pipeline = ProductPipeline([to_dense(left), to_dense(right)], mode)
-    return pipeline.materialize().to_dfa()
+def product_minimized(left: DFA, right: DFA, mode="and") -> DFA:
+    """The binary product, minimized."""
+    return ProductPipeline([left, right], mode).minimized()
 
 
-def product_minimized(left, right, mode="and"):
-    """Lazy binary product, minimized densely, as a legacy DFA."""
-    pipeline = ProductPipeline([to_dense(left), to_dense(right)], mode)
-    return pipeline.minimized().to_dfa()
-
-
-def product_is_empty(left, right, mode="and") -> bool:
-    """Emptiness of a binary product without materializing it."""
-    return ProductPipeline([to_dense(left), to_dense(right)], mode).is_empty()
-
-
-def intersect_all_minimized(dfas: Sequence) -> object:
-    """One n-ary lazy intersection + one minimization, as a legacy DFA."""
+def intersect_all_minimized(dfas: Sequence[DFA]) -> DFA:
+    """One n-ary lazy intersection + one minimization."""
     if len(dfas) == 1:
-        return minimize_dfa(dfas[0])
-    pipeline = ProductPipeline([to_dense(d) for d in dfas], "and")
-    return pipeline.minimized().to_dfa()
+        return dfas[0].minimize()
+    return ProductPipeline(dfas, "and").minimized()
 
 
-def union_all_minimized(dfas: Sequence) -> object:
-    """One n-ary lazy union + one minimization, as a legacy DFA."""
+def union_all_minimized(dfas: Sequence[DFA]) -> DFA:
+    """One n-ary lazy union + one minimization."""
     if len(dfas) == 1:
-        return minimize_dfa(dfas[0])
-    pipeline = ProductPipeline([to_dense(d) for d in dfas], "or")
-    return pipeline.minimized().to_dfa()
+        return dfas[0].minimize()
+    return ProductPipeline(dfas, "or").minimized()
 
 
-def union_all_within(dfas: Sequence, universe) -> object:
-    """``(⋃ L(dfas)) ∩ L(universe)`` minimized, staying dense throughout.
+def union_all_within(dfas: Sequence[DFA], universe: DFA) -> DFA:
+    """``(⋃ L(dfas)) ∩ L(universe)`` minimized.
 
     The MSO compiler's disjunction shape: one n-ary union pipeline, one
-    filtering intersection, one Hopcroft pass, no dict intermediates.
+    filtering intersection, one Hopcroft pass.
     """
-    dense = [to_dense(d) for d in dfas]
-    if len(dense) > 1:
-        merged = ProductPipeline(dense, "or").materialize()
-    else:
-        merged = dense[0]
-    pipeline = ProductPipeline([merged, to_dense(universe)], "and")
-    return pipeline.minimized().to_dfa()
+    merged = ProductPipeline(dfas, "or").materialize() if len(dfas) > 1 else dfas[0]
+    return ProductPipeline([merged, universe], "and").minimized()
 
 
-def complement_within(dfa, universe) -> object:
-    """``universe \\ L(dfa)`` minimized, all in dense form.
-
-    The fused replacement for ``complement()`` + normalization product:
-    one lazy pipeline over (¬dfa, universe), one Hopcroft pass.
-    """
-    comp = to_dense(dfa).complement()
-    pipeline = ProductPipeline([comp, to_dense(universe)], "and")
-    return pipeline.minimized().to_dfa()
-
-
-def minimize_dfa(dfa) -> object:
-    """Dense Hopcroft minimization of a legacy DFA (legacy DFA out)."""
-    return to_dense(dfa).minimize().to_dfa()
-
-
-def determinize_minimized_dense(nfa) -> DenseDFA:
-    """Subset construction + Hopcroft, staying dense."""
-    return determinize_dense(nfa).minimize()
-
-
-def determinize_minimized(nfa) -> object:
-    """Subset construction + Hopcroft, converted out at the boundary."""
-    return determinize_minimized_dense(nfa).to_dfa()
-
-
-def equivalent_dfa(left, right) -> bool:
-    """Hopcroft–Karp equivalence of two legacy DFAs (union alphabet)."""
-    return equivalent_dense(to_dense(left), to_dense(right))
+def complement_within(dfa: DFA, universe: DFA) -> DFA:
+    """``universe \\ L(dfa)`` minimized: one lazy pipeline over
+    (¬dfa, universe), one Hopcroft pass."""
+    return ProductPipeline([dfa.complement(), universe], "and").minimized()

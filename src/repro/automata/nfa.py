@@ -3,17 +3,19 @@
 Used as the intermediate form for Thompson construction (regexes) and for
 the projection step of convolution automata (which is inherently
 nondeterministic); :meth:`NFA.determinize` converts back to :class:`DFA`
-by the subset construction.
+by the subset construction, with NFA state sets held as int bitmasks.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Hashable, Iterable, Sequence
 from typing import Optional
 
-from repro.automata.dfa import DFA
+from repro.automata.dfa import DFA, table_for
 from repro.engine.deadline import checkpoint
+from repro.engine.metrics import METRICS
 
 Symbol = Hashable
 State = Hashable
@@ -73,13 +75,18 @@ class NFA:
         }
 
     @classmethod
-    def from_dfa(cls, dfa: DFA) -> "NFA":
-        """View a DFA as an NFA (shared alphabet and state names)."""
-        transitions = {
-            q: {sym: {t} for sym, t in delta.items()}
-            for q, delta in dfa.transitions.items()
-        }
-        return cls(dfa.alphabet, dfa.states, [dfa.start], dfa.accepting, transitions)
+    def of_dfa(cls, dfa: DFA) -> "NFA":
+        """View a DFA as an NFA (same alphabet, states ``0..n-1``)."""
+        transitions: dict[State, dict[Symbol, set[State]]] = {}
+        for q, sym, t in dfa.edges():
+            transitions.setdefault(q, {})[sym] = {t}
+        return cls(
+            dfa.alphabet,
+            range(dfa.num_states),
+            [dfa.start],
+            dfa.accepting_states(),
+            transitions,
+        )
 
     # ------------------------------------------------------------------ runs
 
@@ -113,46 +120,98 @@ class NFA:
     # --------------------------------------------------------- constructions
 
     def determinize(self) -> DFA:
-        """Subset construction; the result is canonical and trimmed."""
-        start = self.epsilon_closure(self.starts)
-        seen: dict[frozenset[State], int] = {start: 0}
-        transitions: dict[State, dict[Symbol, State]] = {}
-        accepting: set[int] = set()
-        queue = deque([start])
-        if start & self.accepting:
-            accepting.add(0)
+        """Subset construction over the reachable subsets.
+
+        NFA state sets are int bitmasks (hash/compare in machine words,
+        set union is ``|``); epsilon closures are precomputed per state.
+        Subsets are numbered in BFS discovery order with symbols in table
+        order, which is the canonical DFA numbering.
+        """
+        METRICS.inc("kernel.determinizations")
+        table = table_for(self.alphabet)
+        k = len(table)
+        states = sorted(self.states, key=repr)
+        state_id = {q: i for i, q in enumerate(states)}
+        n = len(states)
+
+        # Per-state move masks (sparse: only labels the NFA actually has).
+        move: list[dict[int, int]] = [{} for _ in range(n)]
+        eps_direct = [0] * n
+        for q, delta in self.transitions.items():
+            qi = state_id[q]
+            for label, targets in delta.items():
+                mask = 0
+                for t in targets:
+                    mask |= 1 << state_id[t]
+                if label is EPSILON:
+                    eps_direct[qi] |= mask
+                else:
+                    s = table.index(label)
+                    if s >= 0:
+                        move[qi][s] = move[qi].get(s, 0) | mask
+
+        # Epsilon closures per state, to fixpoint.
+        closure = [eps_direct[i] | (1 << i) for i in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                mask = closure[i]
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    mask |= closure[low.bit_length() - 1]
+                if mask != closure[i]:
+                    closure[i] = mask
+                    changed = True
+
+        acc_mask = 0
+        for q in self.accepting:
+            acc_mask |= 1 << state_id[q]
+
+        start_mask = 0
+        for q in self.starts:
+            start_mask |= closure[state_id[q]]
+
+        seen: dict[int, int] = {start_mask: 0}
+        accepting = bytearray([1 if start_mask & acc_mask else 0])
+        flat = array("i")
+        queue = deque([start_mask])
+        dead_row = array("i", [-1]) * k
         while queue:
             # Subset construction can be exponential; honor deadlines.
             checkpoint()
             subset = queue.popleft()
-            sid = seen[subset]
-            delta: dict[Symbol, State] = {}
-            for sym in self.alphabet:
-                target = self.epsilon_closure(self.move(subset, sym))
+            row = array("i", dead_row)
+            for s in range(k):
+                target = 0
+                rest = subset
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    target |= move[low.bit_length() - 1].get(s, 0)
                 if not target:
                     continue
-                if target not in seen:
-                    seen[target] = len(seen)
-                    queue.append(target)
-                    if target & self.accepting:
-                        accepting.add(seen[target])
-                delta[sym] = seen[target]
-            if delta:
-                transitions[sid] = delta
-        return DFA(self.alphabet, range(len(seen)), 0, accepting, transitions)
+                closed = 0
+                rest = target
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    closed |= closure[low.bit_length() - 1]
+                sid = seen.get(closed)
+                if sid is None:
+                    sid = len(seen)
+                    seen[closed] = sid
+                    queue.append(closed)
+                    accepting.append(1 if closed & acc_mask else 0)
+                row[s] = sid
+            flat.extend(row)
+        return DFA._make(table, accepting, flat)
 
     def to_min_dfa(self) -> DFA:
-        """Determinize then minimize (the usual pipeline).
-
-        Runs on the dense kernel: bitmask subset construction feeding a
-        dense Hopcroft pass, converted to a dict DFA only at the end
-        (with the dense form attached for downstream kernel ops).
-        :meth:`determinize` keeps the legacy dict-of-frozensets path for
-        callers that need subset states.
-        """
-        from repro.automata import kernel
-
-        return kernel.determinize_minimized(self)
+        """Determinize then minimize (the usual pipeline)."""
+        return self.determinize().minimize()
 
     def reversed(self) -> "NFA":
         """NFA for the reversal of the language."""

@@ -1,75 +1,29 @@
-"""Boolean operations and equivalence on DFAs, kernel-backed.
+"""Boolean operations and equivalence on DFAs.
 
-The combinators here keep the historical dict-DFA signatures but run on
-:mod:`repro.automata.kernel`: products are lazy dense pipelines (only
+Products are lazy pipelines of :mod:`repro.automata.kernel` (only
 reachable, non-pruned product states are ever built) and equivalence is
-a union-find Hopcroft–Karp merge with **no product construction at
-all** — the previous implementation materialized a full symmetric-
-difference product just to check its emptiness.  The original eager
-construction survives as :func:`repro.automata.legacy.product` for
-benchmarks and differential tests.
-
-``_product`` remains importable for callers that want an explicit
-acceptance combiner; it maps the combiner onto the kernel's named modes
-when possible and falls back to a callable-mode pipeline otherwise.
+a union-find Hopcroft–Karp merge with no product construction at all.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.automata import kernel
 from repro.automata.dfa import DFA
-from repro.engine.metrics import METRICS
-
-
-def _mode_of(keep: Callable[[bool, bool], bool]) -> str:
-    """Classify a binary acceptance combiner by its truth table."""
-    table = (keep(False, False), keep(False, True), keep(True, False), keep(True, True))
-    return {
-        (False, False, False, True): "and",
-        (False, True, True, True): "or",
-        (False, False, True, False): "diff",
-        (False, True, True, False): "xor",
-    }.get(table, "")
-
-
-def _product(left: DFA, right: DFA, keep: Callable[[bool, bool], bool]) -> DFA:
-    """Lazy product over the union alphabet (kernel-backed).
-
-    ``keep(in_left, in_right)`` decides acceptance of a product state.
-    Unlike the legacy eager construction, product states whose every
-    component is dead are never built, and for ``and``/``diff``-shaped
-    combiners states that can no longer accept are pruned — the result
-    recognizes the same language with (possibly) fewer states.
-    """
-    METRICS.inc("automata.products")
-    mode = _mode_of(keep)
-    if not mode:
-        # Arbitrary combiner: kernel callable mode.  The kernel never
-        # materializes all-dead states, matching `keep`'s reachable set.
-        mode = lambda flags: keep(flags[0], flags[1])  # noqa: E731
-    pipeline = kernel.ProductPipeline(
-        [kernel.to_dense(left), kernel.to_dense(right)], mode
-    )
-    dense = pipeline.materialize()
-    METRICS.inc("automata.product_states", dense.num_states)
-    return dense.to_dfa()
 
 
 def intersection(left: DFA, right: DFA) -> DFA:
     """DFA for ``L(left) & L(right)``."""
-    return kernel.product_dfa(left, right, "and")
+    return kernel.product(left, right, "and")
 
 
 def union(left: DFA, right: DFA) -> DFA:
     """DFA for ``L(left) | L(right)``."""
-    return kernel.product_dfa(left, right, "or")
+    return kernel.product(left, right, "or")
 
 
 def difference(left: DFA, right: DFA) -> DFA:
     """DFA for ``L(left) \\ L(right)``."""
-    return kernel.product_dfa(left, right, "diff")
+    return kernel.product(left, right, "diff")
 
 
 def symmetric_difference_empty(left: DFA, right: DFA) -> bool:
@@ -79,7 +33,7 @@ def symmetric_difference_empty(left: DFA, right: DFA) -> bool:
     the reachable merged pairs, with cooperative deadline checkpoints —
     instead of building the symmetric-difference product.
     """
-    return kernel.equivalent_dfa(left, right)
+    return kernel.equivalent(left, right)
 
 
 def equivalent(left: DFA, right: DFA) -> bool:

@@ -48,17 +48,6 @@ class Regex:
         """Minimal DFA for this regex over ``alphabet``."""
         return self.to_nfa(alphabet).to_min_dfa()
 
-    def to_dense_dfa(self, alphabet: Alphabet):
-        """Minimal :class:`~repro.automata.kernel.DenseDFA` for this regex.
-
-        Stays in the dense kernel end to end (bitmask subset
-        construction + dense Hopcroft); use this when the caller only
-        needs to *run* the automaton, e.g. the SQL pattern matchers.
-        """
-        from repro.automata import kernel
-
-        return kernel.determinize_minimized_dense(self.to_nfa(alphabet))
-
 
 @dataclass(frozen=True)
 class Epsilon(Regex):

@@ -89,10 +89,8 @@ def valid_pad_dfa(alphabet: Alphabet, arity: int) -> DFA:
 
     States are frozensets of already-padded track indices; the all-PAD
     column is simply absent from the alphabet.  Cached per
-    ``(alphabet, arity)``: DFAs are immutable, every relation
-    normalization intersects with this automaton, and the cached
-    instance accumulates its dense kernel form once
-    (:func:`repro.automata.kernel.to_dense` memoizes on the DFA).
+    ``(alphabet, arity)``: DFAs are immutable and every relation
+    normalization intersects with this automaton.
     """
     cols = columns(alphabet, arity)
     all_tracks = frozenset(range(arity))

@@ -227,27 +227,24 @@ def pattern_suffix(alphabet: Alphabet, language_dfa: DFA) -> RelationAutomaton:
     elimination signature of Section 4); for general regular ``L`` it is
     the defining predicate family of S_reg (Section 7).
     """
-    ldfa = language_dfa.completed().canonical()
     cols = columns(alphabet, 2)
     # States: ("pre",) while x is being matched, then ("run", q) running L on
     # the remaining suffix of y.
     pre = ("pre",)
-    states: list[object] = [pre] + [("run", q) for q in ldfa.states]
+    n = language_dfa.num_states
+    states: list[object] = [pre] + [("run", q) for q in range(n)]
     transitions: dict[object, dict[object, object]] = {q: {} for q in states}
     for c in cols:
         x, y = c
         if x is not PAD and x == y:
             transitions[pre][c] = pre
-        if x is PAD and y is not PAD:
-            t = ldfa.step(ldfa.start, y)
-            if t is not None:
-                transitions[pre][c] = ("run", t)
-            for q in ldfa.states:
-                t2 = ldfa.step(q, y)
-                if t2 is not None:
-                    transitions[("run", q)][c] = ("run", t2)
-    accepting: list[object] = [("run", q) for q in ldfa.accepting]
-    if ldfa.accepts(""):
+    for q, a, t in language_dfa.edges():
+        c = (PAD, a)
+        if q == language_dfa.start:
+            transitions[pre][c] = ("run", t)
+        transitions[("run", q)][c] = ("run", t)
+    accepting: list[object] = [("run", q) for q in language_dfa.accepting_states()]
+    if language_dfa.accepts(""):
         accepting.append(pre)  # x = y, suffix epsilon in L
     dfa = DFA(cols, states, pre, accepting, transitions)
     return RelationAutomaton(alphabet, 2, dfa)
@@ -255,13 +252,7 @@ def pattern_suffix(alphabet: Alphabet, language_dfa: DFA) -> RelationAutomaton:
 
 def member(alphabet: Alphabet, language_dfa: DFA) -> RelationAutomaton:
     """Unary membership ``x in L`` (i.e. ``P_L(epsilon, x)``)."""
-    ldfa = language_dfa.completed().canonical()
-    cols = columns(alphabet, 1)
-    transitions = {
-        q: {(a,): ldfa.transitions[q][a] for a in alphabet.symbols if a in ldfa.transitions.get(q, {})}
-        for q in ldfa.states
-    }
-    dfa = DFA(cols, ldfa.states, ldfa.start, ldfa.accepting, transitions)
+    dfa = language_dfa.map_symbols(lambda a: (a,))
     return RelationAutomaton(alphabet, 1, dfa)
 
 

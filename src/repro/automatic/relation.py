@@ -56,10 +56,8 @@ class RelationAutomaton:
             self.dfa = dfa
         else:
             # Normalization is the hottest chain in the automata backend:
-            # one lazy dense pipeline (dfa ∧ valid-padding) plus one
-            # dense Hopcroft pass, no intermediate dict automata.  The
-            # valid-padding DFA is cached per (alphabet, arity), so its
-            # dense form is interned once and reused across every build.
+            # one lazy pipeline (dfa ∧ valid-padding) plus one Hopcroft
+            # pass.  The valid-padding DFA is cached per (alphabet, arity).
             valid = valid_pad_dfa(alphabet, arity)
             METRICS.inc("automata.minimizations")
             self.dfa = kernel.product_minimized(dfa, valid, "and")
@@ -91,7 +89,7 @@ class RelationAutomaton:
                 q = delta[col]
             accepting.add(q)
         dfa = DFA(columns(alphabet, arity), range(nxt), root, accepting, transitions)
-        return cls(alphabet, arity, kernel.minimize_dfa(dfa), normalized=True)
+        return cls(alphabet, arity, dfa.minimize(), normalized=True)
 
     @classmethod
     def empty(cls, alphabet: Alphabet, arity: int) -> "RelationAutomaton":
@@ -102,7 +100,7 @@ class RelationAutomaton:
     @classmethod
     def universe(cls, alphabet: Alphabet, arity: int) -> "RelationAutomaton":
         """The full relation ``(Sigma*)^k``."""
-        dfa = kernel.minimize_dfa(valid_pad_dfa(alphabet, arity))
+        dfa = valid_pad_dfa(alphabet, arity).minimize()
         return cls(alphabet, arity, dfa, normalized=True)
 
     @classmethod
@@ -276,6 +274,7 @@ class RelationAutomaton:
         if not 0 <= track < self.arity:
             raise ArityError(f"track {track} out of range for arity {self.arity}")
         dfa = self.dfa
+        edges = list(dfa.edges())
         # Step 1: states that can reach acceptance via columns non-PAD only
         # on `track` become accepting.
         only_track_cols = {
@@ -284,12 +283,11 @@ class RelationAutomaton:
             if col[track] is not PAD
             and all(col[i] is PAD for i in range(self.arity) if i != track)
         }
-        back: dict[object, set[object]] = {}
-        for q, delta in dfa.transitions.items():
-            for col, t in delta.items():
-                if col in only_track_cols:
-                    back.setdefault(t, set()).add(q)
-        new_accepting = set(dfa.accepting)
+        back: dict[int, set[int]] = {}
+        for q, col, t in edges:
+            if col in only_track_cols:
+                back.setdefault(t, set()).add(q)
+        new_accepting = set(dfa.accepting_states())
         queue = deque(new_accepting)
         while queue:
             q = queue.popleft()
@@ -300,16 +298,15 @@ class RelationAutomaton:
         # Step 2: delete the track; transitions on only-track columns vanish
         # (their job is now done by the enlarged accepting set).
         new_arity = self.arity - 1
-        transitions: dict[object, dict[object, set[object]]] = {}
-        for q, delta in dfa.transitions.items():
-            for col, t in delta.items():
-                reduced = col[:track] + col[track + 1:]
-                if all(x is PAD for x in reduced):
-                    continue
-                transitions.setdefault(q, {}).setdefault(reduced, set()).add(t)
+        transitions: dict[int, dict[object, set[int]]] = {}
+        for q, col, t in edges:
+            reduced = col[:track] + col[track + 1:]
+            if all(x is PAD for x in reduced):
+                continue
+            transitions.setdefault(q, {}).setdefault(reduced, set()).add(t)
         nfa = NFA(
             columns(self.alphabet, new_arity),
-            dfa.states,
+            range(dfa.num_states),
             [dfa.start],
             new_accepting,
             transitions,
@@ -317,11 +314,7 @@ class RelationAutomaton:
         METRICS.inc("automata.projections")
         METRICS.inc("automata.determinizations")
         METRICS.inc("automata.minimizations")
-        # Kernel subset construction + dense Hopcroft; the result carries
-        # its dense form, so the constructor's re-normalization product
-        # never re-walks dict tables.
-        projected = kernel.determinize_minimized(nfa)
-        return RelationAutomaton(self.alphabet, new_arity, projected)
+        return RelationAutomaton(self.alphabet, new_arity, nfa.to_min_dfa())
 
     def cylindrify(self, position: int) -> "RelationAutomaton":
         """Insert a fresh unconstrained track at ``position`` (0-based).
@@ -335,29 +328,31 @@ class RelationAutomaton:
         dfa = self.dfa
         new_arity = self.arity + 1
         fill = tuple(self.alphabet.symbols) + (PAD,)
-        ext_state = ("__ext__",)
-        transitions: dict[object, dict[object, object]] = {}
-        for q, delta in dfa.transitions.items():
-            new_delta: dict[object, object] = {}
-            for col, t in delta.items():
-                for s in fill:
-                    new_col = col[:position] + (s,) + col[position:]
-                    new_delta[new_col] = t
-            transitions[q] = new_delta
+        ext_state = -1  # never a state of `dfa`
+        transitions: dict[int, dict[object, int]] = {}
+        for q, col, t in dfa.edges():
+            new_delta = transitions.setdefault(q, {})
+            for s in fill:
+                new_delta[col[:position] + (s,) + col[position:]] = t
         # Suffix extension: after the original word ends (accepting state),
         # the new track may continue alone.
         ext_cols = [
             tuple(PAD if i != position else s for i in range(new_arity))
             for s in self.alphabet.symbols
         ]
-        for q in dfa.accepting:
+        accepting = dfa.accepting_states()
+        for q in accepting:
             delta = transitions.setdefault(q, {})
             for col in ext_cols:
                 delta[col] = ext_state
         transitions[ext_state] = {col: ext_state for col in ext_cols}
-        states = set(dfa.states) | {ext_state}
-        accepting = set(dfa.accepting) | {ext_state}
-        new_dfa = DFA(columns(self.alphabet, new_arity), states, dfa.start, accepting, transitions)
+        new_dfa = DFA(
+            columns(self.alphabet, new_arity),
+            [*range(dfa.num_states), ext_state],
+            dfa.start,
+            [*accepting, ext_state],
+            transitions,
+        )
         METRICS.inc("automata.cylindrifications")
         return RelationAutomaton(self.alphabet, new_arity, new_dfa)
 
@@ -410,15 +405,22 @@ class RelationAutomaton:
 
     def duplicate_constrain(self, track_a: int, track_b: int) -> "RelationAutomaton":
         """Constrain two tracks to be equal (used for repeated variables)."""
+        dfa = self.dfa
         eq_cols = {
             col
-            for col in self.dfa.alphabet
+            for col in dfa.alphabet
             if col[track_a] == col[track_b]
             or (col[track_a] is PAD and col[track_b] is PAD)
         }
-        transitions = {
-            q: {col: t for col, t in delta.items() if col in eq_cols}
-            for q, delta in self.dfa.transitions.items()
-        }
-        dfa = DFA(self.dfa.alphabet, self.dfa.states, self.dfa.start, self.dfa.accepting, transitions)
-        return RelationAutomaton(self.alphabet, self.arity, dfa)
+        transitions: dict[int, dict[object, int]] = {}
+        for q, col, t in dfa.edges():
+            if col in eq_cols:
+                transitions.setdefault(q, {})[col] = t
+        constrained = DFA(
+            dfa.alphabet,
+            range(dfa.num_states),
+            dfa.start,
+            dfa.accepting_states(),
+            transitions,
+        )
+        return RelationAutomaton(self.alphabet, self.arity, constrained)

@@ -97,7 +97,7 @@ class ExplainNode:
 
 
 def _dfa_transition_count(dfa) -> int:
-    return sum(len(delta) for delta in dfa.transitions.values())
+    return sum(1 for _edge in dfa.edges())
 
 
 class TraceObserver:

@@ -25,11 +25,10 @@ recompilation stampede.  This module closes that gap:
   rebooted server reads exactly the entries its traffic asks for, one
   file per miss, instead of deserializing the whole directory at boot;
 * values ride as pickles of the cache's own immutable entries — for the
-  automata stage that is ``(RelationAutomaton, variables)`` including
-  any memoized dense form, so the flat ``array('i')`` transition tables
-  of compiled dense DFAs persist alongside the dict automata.  Values
-  that do not pickle (e.g. anything holding a live closure) are simply
-  skipped at spill time.
+  automata stage that is ``(RelationAutomaton, variables)``, whose DFA
+  pickles as its symbol table, flat ``array('i')`` transition table and
+  acceptance bitmap.  Values that do not pickle (e.g. anything holding a
+  live closure) are simply skipped at spill time.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent services
 sharing a warm directory can only ever observe whole files.  The store
@@ -66,8 +65,9 @@ from repro.engine.metrics import METRICS
 __all__ = ["WARM_FORMAT_VERSION", "WarmStartStore", "key_digest"]
 
 #: Bump on any incompatible change to the file layout *or* to the pickled
-#: value classes; readers skip files from other versions.
-WARM_FORMAT_VERSION = 1
+#: value classes; readers skip files from other versions.  Version 2: a
+#: ``RelationAutomaton.dfa`` is the flat-array ``DFA``, no longer a dict one.
+WARM_FORMAT_VERSION = 2
 
 #: First bytes of every warm file, before the JSON header line.
 _MAGIC = b"repro-warm\n"

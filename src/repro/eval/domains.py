@@ -105,9 +105,7 @@ def extension_set_relation(
         trie_states + tail_states[1:],
         transitions,
     )
-    from repro.automata import kernel
-
-    return RelationAutomaton(alphabet, 1, kernel.determinize_minimized(nfa))
+    return RelationAutomaton(alphabet, 1, nfa.to_min_dfa())
 
 
 def near_prefix_relation(alphabet: Alphabet, slack: int) -> RelationAutomaton:

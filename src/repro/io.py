@@ -48,16 +48,14 @@ def _symbol_label(symbol: object) -> str:
 
 def dfa_to_dot(dfa: DFA, name: str = "dfa") -> str:
     """Graphviz DOT text for a DFA (parallel edges merged per state pair)."""
-    canonical = dfa.canonical()
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point];']
-    for q in sorted(canonical.states):
-        shape = "doublecircle" if q in canonical.accepting else "circle"
+    for q in range(dfa.num_states):
+        shape = "doublecircle" if dfa.is_accepting(q) else "circle"
         lines.append(f'  q{q} [shape={shape}, label="{q}"];')
-    lines.append(f"  __start -> q{canonical.start};")
+    lines.append(f"  __start -> q{dfa.start};")
     merged: dict[tuple, list[str]] = {}
-    for q, delta in canonical.transitions.items():
-        for symbol, target in delta.items():
-            merged.setdefault((q, target), []).append(_symbol_label(symbol))
+    for q, symbol, target in dfa.edges():
+        merged.setdefault((q, target), []).append(_symbol_label(symbol))
     for (q, target), labels in sorted(merged.items()):
         label = ", ".join(sorted(labels))
         if len(label) > 40:

@@ -93,7 +93,7 @@ class MsoCompiler:
         dfa, keys = self.compile(formula)
         if keys:
             raise EvaluationError(f"not a sentence; free variables {keys}")
-        return kernel.minimize_dfa(dfa.map_symbols(lambda sym: sym[0]))
+        return dfa.map_symbols(lambda sym: sym[0]).minimize()
 
     def _keys(self, f: MsoFormula) -> tuple[VarKey, ...]:
         return tuple(
@@ -202,34 +202,43 @@ class MsoCompiler:
         # Expand symbols: each target symbol maps to the source symbol
         # obtained by keeping only the tracks f uses.
         target_symbols = _ext_symbols(self.alphabet, len(keys))
-        transitions: dict[object, dict[object, object]] = {}
-        for q, delta in inner.transitions.items():
-            new_delta = {}
-            for sym in target_symbols:
-                ch, bits = sym
-                reduced = (ch, tuple(bits[i] for i, k in enumerate(keys) if k in own_index))
-                target = delta.get(reduced)
-                if target is not None:
-                    new_delta[sym] = target
-            if new_delta:
-                transitions[q] = new_delta
-        return DFA(target_symbols, inner.states, inner.start, inner.accepting, transitions)
+        expansions: dict[object, list[object]] = {}
+        for sym in target_symbols:
+            ch, bits = sym
+            reduced = (ch, tuple(bits[i] for i, k in enumerate(keys) if k in own_index))
+            expansions.setdefault(reduced, []).append(sym)
+        transitions: dict[int, dict[object, int]] = {}
+        for q, reduced, t in inner.edges():
+            for sym in expansions.get(reduced, ()):
+                transitions.setdefault(q, {})[sym] = t
+        return DFA(
+            target_symbols,
+            range(inner.num_states),
+            inner.start,
+            inner.accepting_states(),
+            transitions,
+        )
 
     def _project(self, dfa: DFA, drop: int, keys: tuple[VarKey, ...]) -> DFA:
-        """Remove track ``drop`` (NFA projection + kernel determinize).
+        """Remove track ``drop`` (NFA projection + determinize).
 
-        Returns the minimal DFA directly: the kernel's bitmask subset
-        construction feeds its dense Hopcroft pass in one chain.
+        Returns the minimal DFA directly: the bitmask subset construction
+        feeds the Hopcroft pass in one chain.
         """
         target_symbols = _ext_symbols(self.alphabet, len(keys))
         transitions: dict[object, dict[object, set[object]]] = {}
-        for q, delta in dfa.transitions.items():
-            for sym, t in delta.items():
-                ch, bits = sym
-                reduced = (ch, bits[:drop] + bits[drop + 1:])
-                transitions.setdefault(q, {}).setdefault(reduced, set()).add(t)
-        nfa = NFA(target_symbols, dfa.states, [dfa.start], dfa.accepting, transitions)
-        return kernel.determinize_minimized(nfa)
+        for q, sym, t in dfa.edges():
+            ch, bits = sym
+            reduced = (ch, bits[:drop] + bits[drop + 1:])
+            transitions.setdefault(q, {}).setdefault(reduced, set()).add(t)
+        nfa = NFA(
+            target_symbols,
+            range(dfa.num_states),
+            [dfa.start],
+            dfa.accepting_states(),
+            transitions,
+        )
+        return nfa.to_min_dfa()
 
 
 def mso_to_dfa(formula: MsoFormula, alphabet: Alphabet) -> DFA:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 
 from repro.automata.dfa import DFA
-from repro.automata.kernel import DenseDFA
 from repro.automata.regex import (
     AnySymbol,
     Concat,
@@ -69,28 +68,16 @@ def like_to_regex_text(pattern: str, escape: str | None = None) -> str:
     return str(parse_like(pattern, escape))
 
 
+@functools.lru_cache(maxsize=256)
 def compile_like(pattern: str, alphabet: Alphabet, escape: str | None = None) -> DFA:
-    """Minimal DFA of a LIKE pattern over ``alphabet``."""
+    """Minimal DFA of a LIKE pattern over ``alphabet``, cached per pattern
+    so a LIKE filter applied row by row never recompiles."""
     return parse_like(pattern, escape).to_dfa(alphabet)
 
 
-@functools.lru_cache(maxsize=256)
-def compile_like_dense(
-    pattern: str, alphabet: Alphabet, escape: str | None = None
-) -> DenseDFA:
-    """Minimal dense automaton of a LIKE pattern, cached per pattern.
-
-    The matcher-facing variant: the whole compile chain (Thompson NFA →
-    bitmask subset construction → dense Hopcroft) stays in the kernel,
-    and repeated predicates — a LIKE filter applied row by row — hit the
-    cache instead of recompiling.
-    """
-    return parse_like(pattern, escape).to_dense_dfa(alphabet)
-
-
 def like_matches(value: str, pattern: str, alphabet: Alphabet, escape: str | None = None) -> bool:
-    """Direct LIKE matching on the cached dense automaton."""
-    return compile_like_dense(pattern, alphabet, escape).accepts(value)
+    """Direct LIKE matching on the cached automaton."""
+    return compile_like(pattern, alphabet, escape).accepts(value)
 
 
 def like_atom(term: TermLike, pattern: str, escape: str | None = None) -> Atom:

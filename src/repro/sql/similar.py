@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 
 from repro.automata.dfa import DFA
-from repro.automata.kernel import DenseDFA
 from repro.automata.regex import compile_regex, parse_regex
 from repro.errors import ParseError
 from repro.logic.dsl import matches
@@ -60,25 +59,16 @@ def similar_to_regex_text(pattern: str) -> str:
     return text
 
 
+@functools.lru_cache(maxsize=256)
 def compile_similar(pattern: str, alphabet: Alphabet) -> DFA:
-    """Minimal DFA of a SIMILAR TO pattern."""
+    """Minimal DFA of a SIMILAR TO pattern, cached per pattern so
+    row-at-a-time predicate evaluation never recompiles."""
     return compile_regex(similar_to_regex_text(pattern), alphabet)
 
 
-@functools.lru_cache(maxsize=256)
-def compile_similar_dense(pattern: str, alphabet: Alphabet) -> DenseDFA:
-    """Minimal dense automaton of a SIMILAR TO pattern, cached.
-
-    Matcher-facing twin of :func:`compile_similar`: compiles through the
-    kernel (no dict-DFA intermediates) and caches per pattern so
-    row-at-a-time predicate evaluation never recompiles.
-    """
-    return parse_regex(similar_to_regex_text(pattern)).to_dense_dfa(alphabet)
-
-
 def similar_matches(value: str, pattern: str, alphabet: Alphabet) -> bool:
-    """Direct SIMILAR TO matching on the cached dense automaton."""
-    return compile_similar_dense(pattern, alphabet).accepts(value)
+    """Direct SIMILAR TO matching on the cached automaton."""
+    return compile_similar(pattern, alphabet).accepts(value)
 
 
 def similar_atom(term: TermLike, pattern: str) -> Atom:

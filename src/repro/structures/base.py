@@ -18,8 +18,9 @@ A :class:`StringStructure` bundles
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import functools
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.automata import compile_regex, is_star_free
 from repro.automata.dfa import DFA
@@ -234,35 +235,18 @@ def _term_children(term: Term) -> tuple[Term, ...]:
     return ()
 
 
-#: Compiled pattern DFAs and their star-freeness verdicts, keyed by
+#: Compiled pattern DFAs and their star-freeness verdicts are cached per
 #: (alphabet, regex).  Ad hoc query text brings new patterns without end,
-#: so both caches are capped and drop their oldest entry first (the
-#: discipline of :mod:`repro.algebra.exec`'s plan cache).
-_PATTERN_DFAS: dict[tuple, DFA] = {}
-_PATTERN_STAR_FREE: dict[tuple, bool] = {}
+#: so both caches are capped LRUs; ``functools.lru_cache`` keeps them
+#: consistent when worker threads evict concurrently.
 _PATTERN_CACHE_CAP = 256
 
 
-def _memo(cache: dict, key: tuple, build: Callable):
-    hit = cache.get(key)
-    if hit is None:
-        if len(cache) >= _PATTERN_CACHE_CAP:
-            cache.pop(next(iter(cache)), None)
-        hit = cache[key] = build()
-    return hit
-
-
+@functools.lru_cache(maxsize=_PATTERN_CACHE_CAP)
 def _pattern_dfa(alphabet_symbols: tuple[str, ...], regex: str) -> DFA:
-    return _memo(
-        _PATTERN_DFAS,
-        (alphabet_symbols, regex),
-        lambda: compile_regex(regex, Alphabet(alphabet_symbols)),
-    )
+    return compile_regex(regex, Alphabet(alphabet_symbols))
 
 
+@functools.lru_cache(maxsize=_PATTERN_CACHE_CAP)
 def _pattern_is_star_free(alphabet_symbols: tuple[str, ...], regex: str) -> bool:
-    return _memo(
-        _PATTERN_STAR_FREE,
-        (alphabet_symbols, regex),
-        lambda: is_star_free(_pattern_dfa(alphabet_symbols, regex)),
-    )
+    return is_star_free(_pattern_dfa(alphabet_symbols, regex))

@@ -106,10 +106,29 @@ class TestDFABasics:
         assert d.minimize().num_states <= 2
 
     def test_canonical_preserves_language(self):
+        # Rebuilding a DFA under other state names yields the same
+        # canonical (BFS-numbered) arrays and the same language.
         d = starts_with_dfa(BINARY, "01")
-        c = d.canonical()
+        transitions = {}
+        for q, sym, t in d.edges():
+            transitions.setdefault(("s", q), {})[sym] = ("s", t)
+        accepting = [("s", q) for q in d.accepting_states()]
+        states = [("s", q) for q in range(d.num_states)]
+        c = DFA(BINARY.symbols, states[::-1], ("s", 0), accepting, transitions)
+        assert (c.delta, c.accepting) == (d.delta, d.accepting)
         for s in BINARY.strings_up_to(5):
             assert d.accepts(s) == c.accepts(s)
+
+    def test_unreachable_states_are_dropped(self):
+        d = DFA(BINARY.symbols, [0, 1, 2], 0, [1, 2], {0: {"0": 1}, 2: {"1": 2}})
+        assert d.num_states == 2
+        assert list(d.edges()) == [(0, "0", 1)]
+
+    def test_constructor_validates_start_and_accepting(self):
+        with pytest.raises(ValueError):
+            DFA(BINARY.symbols, [0], 1, [], {})
+        with pytest.raises(ValueError):
+            DFA(BINARY.symbols, [0], 0, [1], {})
 
 
 class TestBuilders:
@@ -192,7 +211,7 @@ class TestNFA:
 
     def test_reversed(self):
         d = dfa_single_word(BINARY, "011")
-        r = NFA.from_dfa(d).reversed().determinize()
+        r = NFA.of_dfa(d).reversed().determinize()
         assert set(r.iter_strings()) == {"110"}
 
 

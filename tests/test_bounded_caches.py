@@ -10,6 +10,8 @@ service answering ad hoc text must not grow these caches without limit:
 each is capped and drops its oldest entry first.
 """
 
+import sys
+import threading
 from collections import OrderedDict
 
 import repro.algebra.plan as plan_module
@@ -70,18 +72,59 @@ def test_presentations_stay_within_the_cap(monkeypatch):
     assert len({key for key in seen if key[1] == "constant"}) == 10 * CAP
 
 
-def test_pattern_caches_stay_within_the_cap(monkeypatch):
-    monkeypatch.setattr(structures_base, "_PATTERN_DFAS", {})
-    monkeypatch.setattr(structures_base, "_PATTERN_STAR_FREE", {})
-    monkeypatch.setattr(structures_base, "_PATTERN_CACHE_CAP", CAP)
-    for c in _constants(10 * CAP):
-        rows = Query(f"R(x) & matches(x, '{c}.*')", structure="S").result(
+def test_pattern_caches_stay_within_the_cap():
+    dfas = structures_base._pattern_dfa
+    verdicts = structures_base._pattern_is_star_free
+    cap = structures_base._PATTERN_CACHE_CAP
+    dfas.cache_clear()
+    verdicts.cache_clear()
+    patterns = [f"{c}.*" for c in _constants(cap + CAP)]
+    for pattern in patterns:
+        rows = Query(f"R(x) & matches(x, '{pattern}')", structure="S").result(
             DB, engine="direct"
         ).as_set()
-        assert rows == {(x,) for (x,) in DB.relation("R") if x.startswith(c)}
-        assert len(structures_base._PATTERN_DFAS) <= CAP
-        assert len(structures_base._PATTERN_STAR_FREE) <= CAP
-        assert (("0", "1"), f"{c}.*") in structures_base._PATTERN_STAR_FREE
+        prefix = pattern[:-2]
+        assert rows == {(x,) for (x,) in DB.relation("R") if x.startswith(prefix)}
+        for cache in (dfas, verdicts):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize == cap
+    # Every pattern brought its own entry, and the newest is still cached.
+    assert verdicts.cache_info().misses == len(patterns)
+    hits = verdicts.cache_info().hits
+    verdicts(("0", "1"), patterns[-1])
+    assert verdicts.cache_info().hits == hits + 1
+
+
+def test_pattern_cache_survives_concurrent_eviction():
+    """Worker threads compiling new patterns at once (the service's pool
+    evaluating ``matches`` atoms) must neither break an eviction nor
+    overfill the cache."""
+    errors = []
+
+    def compile_own(thread: int):
+        # Each thread brings 400 patterns of its own: every call misses.
+        try:
+            for c in _constants(400):
+                structures_base._pattern_dfa(("0", "1"), f"{c}{'0' * thread}.*")
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=compile_own, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    info = structures_base._pattern_dfa.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_service_maps_stay_within_the_cap(monkeypatch):

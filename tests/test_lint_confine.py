@@ -18,11 +18,6 @@ PLANTS = {
         'if plan.engine == "automata":',
         "src/repro/engine/pick.py",
     ),
-    "kernel": (
-        "src/repro/automata/ops.py",
-        "dfa = DFA(states, alphabet, delta, start, accept)",
-        "src/repro/mso/to_dfa.py",
-    ),
     "shard": (
         "src/repro/eval/spawn.py",
         "import subprocess",
@@ -70,11 +65,6 @@ def test_rule_flags_planted_offender(tmp_path, name):
             assert not any(
                 entry.startswith(offender + ":") for entry in rule.offenders(tmp_path)
             )
-
-
-def test_kernel_rule_reports_a_missing_listed_module(tmp_path):
-    found = RULES["kernel"].offenders(tmp_path)
-    assert "src/repro/sql/like.py: listed in the kernel rule but missing" in found
 
 
 def test_codegen_rule_ignores_comments(tmp_path):

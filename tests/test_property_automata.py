@@ -99,8 +99,8 @@ class TestRegexCompilation:
     @given(node=regexes(2))
     def test_reverse_reverse(self, node):
         dfa = node.to_dfa(BINARY)
-        double = NFA.from_dfa(
-            NFA.from_dfa(dfa).reversed().determinize()
+        double = NFA.of_dfa(
+            NFA.of_dfa(dfa).reversed().determinize()
         ).reversed().determinize()
         assert equivalent(dfa, double)
 

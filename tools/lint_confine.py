@@ -9,11 +9,6 @@ test, it only bypasses a guarantee that lives in one audited place.
     Engine-name literal comparisons (``== "automata"`` / ``"direct"`` /
     ``"algebra"``, ``!=`` too) outside ``src/repro/engine/``: the backend
     registry is the only dispatch path for engine names.
-``kernel``
-    Direct ``DFA(...)`` construction in the kernel-converted hot modules
-    (``DenseDFA`` is fine — that *is* the kernel): combining automata goes
-    through ``repro.automata.kernel``.  Modules that build *base* automata
-    symbol by symbol are deliberately not scanned.
 ``shard``
     Process and socket plumbing (``socket``, ``socketserver``,
     ``subprocess``, ``multiprocessing``, ``os.pipe``, ``Pipe``) outside
@@ -48,10 +43,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @dataclass(frozen=True)
 class Rule:
-    """Forbid ``pattern`` in the ``*.py`` files under ``scanned`` (paths
-    relative to the repo root; a ``.py`` entry is one file that must
-    exist) except those under ``exempt`` (a trailing ``/`` marks a
-    directory, anything else one file)."""
+    """Forbid ``pattern`` in the ``*.py`` files under the ``scanned``
+    directories (relative to the repo root) except those under ``exempt``
+    (a trailing ``/`` marks a directory, anything else one file)."""
 
     name: str
     pattern: re.Pattern
@@ -63,12 +57,8 @@ class Rule:
 
     def files(self, root: pathlib.Path):
         for entry in self.scanned:
-            path = root / entry
-            if entry.endswith(".py"):
-                yield entry, path
-            else:
-                for found in sorted(path.rglob("*.py")):
-                    yield found.relative_to(root).as_posix(), found
+            for found in sorted((root / entry).rglob("*.py")):
+                yield found.relative_to(root).as_posix(), found
 
     def exempted(self, rel: str) -> bool:
         return any(
@@ -80,9 +70,6 @@ class Rule:
         found: list[str] = []
         for rel, path in self.files(root):
             if self.exempted(rel):
-                continue
-            if not path.exists():
-                found.append(f"{rel}: listed in the {self.name} rule but missing")
                 continue
             for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1
@@ -102,23 +89,6 @@ RULES = (
         problem="engine-name literal dispatch outside src/repro/engine/ — "
         "resolve through the backend registry instead (repro.engine.backend)",
         ok="no engine-name literal comparisons outside engine/",
-    ),
-    Rule(
-        "kernel",
-        # `DFA(` with no identifier character before it: flags `DFA(...)`
-        # and `dfa_mod.DFA(...)` but not `DenseDFA(...)` or `to_min_dfa(...)`.
-        re.compile(r"(?<![A-Za-z0-9_])DFA\s*\("),
-        scanned=(
-            "src/repro/automata/ops.py",
-            "src/repro/automata/regex.py",
-            "src/repro/eval/automata_engine.py",
-            "src/repro/sql/like.py",
-            "src/repro/sql/similar.py",
-        ),
-        exempt=(),
-        problem="direct DFA(...) construction in a kernel-converted module — "
-        "combine automata through repro.automata.kernel instead",
-        ok="kernel-converted modules stay on the dense kernel",
     ),
     Rule(
         "shard",
