@@ -38,7 +38,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##   service   asyncio stream factories, raw StreamReader/StreamWriter
 ##             construction and event-loop ownership outside service/ +
 ##             shard/, where byte limits, quotas and disconnect
-##             cancellation live (docs/service.md).
+##             cancellation live (docs/service.md);
+##   literals  the StrConst literal term under algebra/, engine/, service/,
+##             shard/ and eval/ — literals reach the engines only as
+##             template slots (docs/service.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 

@@ -38,7 +38,9 @@ def _setup(n):
 def test_abl_naive_plan_eval(benchmark, n):
     db, compiled = _setup(n)
     benchmark.pedantic(
-        lambda: compiled.plan.evaluate(db, S(BINARY)), rounds=2, iterations=1
+        lambda: compiled.plan.evaluate(db, S(BINARY), compiled.params),
+        rounds=2,
+        iterations=1,
     )
 
 
@@ -46,7 +48,7 @@ def test_abl_naive_plan_eval(benchmark, n):
 def test_abl_optimized_cse_eval(benchmark, n):
     db, compiled = _setup(n)
     plan = optimize(compiled.plan)
-    benchmark(lambda: evaluate_with_cse(plan, db, S(BINARY)))
+    benchmark(lambda: evaluate_with_cse(plan, db, S(BINARY), compiled.params))
 
 
 def test_abl_optimizer_comparison(benchmark):
@@ -57,17 +59,20 @@ def test_abl_optimizer_comparison(benchmark):
             structure = S(BINARY)
             expected = AutomataEngine(structure, db).run(QUERY).as_set()
             optimized = optimize(compiled.plan)
+            params = compiled.params
             t_naive = measure(
-                lambda: compiled.plan.evaluate(db, structure), repeats=1
+                lambda: compiled.plan.evaluate(db, structure, params), repeats=1
             )
             t_cse = measure(
-                lambda: evaluate_with_cse(compiled.plan, db, structure), repeats=1
+                lambda: evaluate_with_cse(compiled.plan, db, structure, params),
+                repeats=1,
             )
             t_both = measure(
-                lambda: evaluate_with_cse(optimized, db, structure), repeats=1
+                lambda: evaluate_with_cse(optimized, db, structure, params),
+                repeats=1,
             )
-            assert compiled.plan.evaluate(db, structure) == expected
-            assert evaluate_with_cse(optimized, db, structure) == expected
+            assert compiled.plan.evaluate(db, structure, params) == expected
+            assert evaluate_with_cse(optimized, db, structure, params) == expected
             rows.append((n, t_naive, t_cse, t_both))
         return rows
 

@@ -37,14 +37,15 @@ def _db(n: int):
 
 
 def _plans(db):
-    """(naive Select-over-Product plan, fused hash-join plan, columns)."""
+    """(naive Select-over-Product plan, fused hash-join plan, slot values,
+    structure)."""
     structure = S_factory(BINARY)
     formula = flatten_terms(parse_formula(QUERY))
     compiled = compile_query(formula, structure, db.schema)
     return (
         optimize(compiled.plan),
         optimize_for_execution(compiled.plan),
-        compiled.columns,
+        compiled.params,
         structure,
     )
 
@@ -52,15 +53,15 @@ def _plans(db):
 @pytest.mark.parametrize("n", SIZES[:3])
 def test_alg_naive_product_select(benchmark, n):
     db = _db(n)
-    naive, _fused, _cols, structure = _plans(db)
-    benchmark(lambda: naive.evaluate(db, structure))
+    naive, _fused, params, structure = _plans(db)
+    benchmark(lambda: naive.evaluate(db, structure, params))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_alg_fused_hash_join(benchmark, n):
     db = _db(n)
-    _naive, fused, _cols, structure = _plans(db)
-    benchmark(lambda: AlgebraExecutor(structure, db).run(fused))
+    _naive, fused, params, structure = _plans(db)
+    benchmark(lambda: AlgebraExecutor(structure, db, params=params).run(fused))
 
 
 def test_alg_join_speedup(benchmark):
@@ -92,14 +93,15 @@ def run_sweep(sizes) -> list[dict]:
     out = []
     for n in sizes:
         db = _db(n)
-        naive, fused, _cols, structure = _plans(db)
+        naive, fused, params, structure = _plans(db)
         naive_rows = [None]
         fused_rows = [None]
         naive_s = measure(lambda: naive_rows.__setitem__(
-            0, naive.evaluate(db, structure)), repeats=1)
+            0, naive.evaluate(db, structure, params)), repeats=1)
 
         def fused_run():
-            executor = AlgebraExecutor(structure, db)  # no memo carry-over
+            # No memo carry-over between runs.
+            executor = AlgebraExecutor(structure, db, params=params)
             fused_rows[0] = executor.run(fused)
 
         fused_s = measure(fused_run, repeats=1)

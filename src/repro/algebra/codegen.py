@@ -73,7 +73,7 @@ from repro.database.schema import Schema
 from repro.engine.cache import AutomatonCache, DEFAULT_MAXSIZE
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
-from repro.logic.canonical import canonical_fingerprint, canonicalize
+from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import And, Atom, FalseF, Formula, Not, Or, TrueF
 from repro.logic.terms import Param, Var
 from repro.structures.base import StringStructure
@@ -761,12 +761,13 @@ def prewarm(
     Called by the service on a prepared-query plan-cache miss so that the
     *first* auto plan already prices the algebra engine's fused strategy
     warm — this is what amortizes ``CODEGEN_SETUP_COST`` for repeated
-    queries.
+    queries.  The closure is compiled for the template the planner will
+    decide on (:func:`~repro.engine.planner.planning_form`).
     """
-    from repro.engine.planner import algebra_eligible
+    from repro.engine.planner import algebra_eligible, planning_form
 
     try:
-        formula = canonicalize(formula)
+        formula, _ = planning_form(formula)
         if not algebra_eligible(formula, structure):
             return False
         pipeline, _ = get_pipeline(formula, structure, schema, slack)

@@ -42,6 +42,7 @@ from repro.algebra.plan import (
     DownOp,
     EpsilonRel,
     ParamRel,
+    Params,
     Plan,
     PrefixOp,
     Product,
@@ -65,7 +66,8 @@ from repro.logic.formulas import (
     RelAtom,
     TrueF,
 )
-from repro.logic.terms import Param, StrConst, Var
+from repro.logic.literals import lift_literals
+from repro.logic.terms import Param, Var
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.structures.base import StringStructure
 
@@ -98,32 +100,16 @@ def is_collapsed_form(formula: Formula) -> bool:
     return True
 
 
-def query_constants(formula: Formula) -> frozenset:
-    """String literals occurring in the formula (incl. graph_const params);
-    a template's slots count as constants too, as :class:`Param` items."""
+def query_constants(flat: Formula) -> frozenset:
+    """The constants of a flattened template's ``gamma`` bound: ``""`` and
+    the :class:`Param` slots of its atoms (graph_const values included;
+    after flattening, every atom argument is a variable or a slot)."""
     consts: set = {""}
-    for sub in formula.walk():
-        if isinstance(sub, Atom) and sub.pred == "graph_const":
-            consts.add(sub.param or "")
-        if isinstance(sub, (Atom, RelAtom)):
-            for t in sub.args:
-                for node in _term_walk(t):
-                    if isinstance(node, StrConst):
-                        consts.add(node.value)
-                    elif isinstance(node, Param):
-                        consts.add(node)
+    for sub in flat.walk():
+        if isinstance(sub, Atom):
+            extra = (sub.param,) if sub.pred == "graph_const" else ()
+            consts.update(t for t in sub.args + extra if isinstance(t, Param))
     return frozenset(consts)
-
-
-def _term_walk(term):
-    yield term
-    from repro.logic.terms import AddFirst, AddLast, Lcp, TrimFirst
-
-    if isinstance(term, (AddFirst, AddLast, TrimFirst)):
-        yield from _term_walk(term.inner)
-    elif isinstance(term, Lcp):
-        yield from _term_walk(term.left)
-        yield from _term_walk(term.right)
 
 
 def is_adom_exists(f: Formula) -> bool:
@@ -156,20 +142,17 @@ def adom_plan(schema: Schema, extra_constants: frozenset) -> Plan:
     This is the *base of the gamma bound* (the paper's Section 6.1), which
     includes ``eps`` by definition.  The domain an ADOM *quantifier* ranges
     over is :func:`strict_adom_plan` — exactly ``adom(D)``, matching the
-    direct and automata engines.  A template slot among the constants
-    contributes the one-row :class:`ParamRel` of its run-time value, so
-    one plan serves every binding.
+    direct and automata engines.  The constants are ``""`` (already
+    ``R_eps``) and template slots, each the one-row :class:`ParamRel` of
+    its run-time value, so one plan serves every binding.
     """
     plan: Plan = EpsilonRel()
     for name in schema.relation_names:
         arity = schema.arity(name)
         for i in range(arity):
             plan = Union(plan, Project(BaseRel(name, arity), (i,)))
-    for const in sorted(extra_constants, key=repr):
-        if isinstance(const, Param):
-            plan = Union(plan, ParamRel(const.index))
-        else:
-            plan = Union(plan, _constant_plan(const))
+    for const in sorted(extra_constants - {""}, key=repr):
+        plan = Union(plan, ParamRel(const.index))
     return plan
 
 
@@ -186,26 +169,14 @@ def strict_adom_plan(schema: Schema) -> Plan:
     return plan
 
 
-def _constant_plan(value: str) -> Plan:
-    """Unary plan for ``{value}`` built from ``R_eps`` and ``add`` ops.
-
-    The closed form of Theorem 4's translation, for a concrete formula
-    compiled directly (:func:`compile_query`, ``Query.to_algebra``); the
-    engines run templates, whose constants are :class:`ParamRel` leaves.
-    """
-    plan: Plan = EpsilonRel()
-    for i, ch in enumerate(value):
-        plan = Project(AddLastOp(plan, 0, ch), (1,))
-    return plan
-
-
 def bound_plan(
     structure: StringStructure,
     schema: Schema,
     slack: int,
-    constants: frozenset[str],
+    constants: frozenset,
 ) -> Plan:
-    """The paper's ``gamma``-bound as an algebra plan (unary).
+    """The paper's ``gamma``-bound as an algebra plan (unary), over
+    ``adom(D)``, ``eps`` and the ``constants`` (see :func:`adom_plan`).
 
     * S / S_reg: prefixes of the base, extended right by <= ``slack``;
     * S_left: prefixes extended by <= ``slack`` symbols on either side;
@@ -240,14 +211,17 @@ def bound_plan(
 
 @dataclass(frozen=True)
 class CompiledQuery:
-    """A compiled plan plus its output column names (sorted free vars)."""
+    """A compiled template plan, its output column names (sorted free
+    vars) and the values of its slots (``Param(i)`` reads ``params[i]``)."""
 
     plan: Plan
     columns: tuple[str, ...]
     dialect: AlgebraDialect
+    params: Params = ()
 
-    def evaluate(self, db) -> frozenset[tuple[str, ...]]:
-        return self.dialect.evaluate(self.plan, db)
+    def evaluate(self, db, params: Params = ()) -> frozenset:
+        """The rows on ``db``, the slots bound to ``params`` (default: ours)."""
+        return self.dialect.evaluate(self.plan, db, params or self.params)
 
 
 class _Compiler:
@@ -516,13 +490,16 @@ def compile_query(
 ) -> CompiledQuery:
     """Compile a collapsed-form RC(M) query into an RA(M) plan.
 
-    Raises :class:`CompileError` when a non-ADOM quantifier scopes over a
+    The plan is made for the query's template: its literals are slots
+    whose values ride along in :attr:`CompiledQuery.params`.  Raises
+    :class:`CompileError` when a non-ADOM quantifier scopes over a
     database relation — put the query in collapsed form first (Theorem 1/6
     guarantees one exists; in practice write database quantifiers as
     ``exists adom`` / ``forall adom``).
     """
     structure.check_formula(formula)
-    flat = fold_literal_graphs(flatten_terms(formula))
+    template, values = lift_literals(formula)
+    flat = fold_literal_graphs(flatten_terms(template))
     if not is_collapsed_form(flat):
         raise CompileError(
             "query is not in collapsed form: database relations occur under "
@@ -536,4 +513,4 @@ def compile_query(
     plan = compiler._pad_to(plan, variables, target)
     dialect = FOR_STRUCTURE[structure.name](structure.alphabet)
     dialect.validate(plan)
-    return CompiledQuery(plan, target, dialect)
+    return CompiledQuery(plan, target, dialect, values)

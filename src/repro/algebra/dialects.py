@@ -27,6 +27,7 @@ from repro.algebra.plan import (
     EpsilonRel,
     InsertAtOp,
     ParamRel,
+    Params,
     Plan,
     PrefixOp,
     Product,
@@ -65,10 +66,10 @@ class AlgebraDialect:
                 self.structure.check_formula(node.condition)
         return plan
 
-    def evaluate(self, plan: Plan, db) -> frozenset:
-        """Validate then evaluate a plan."""
+    def evaluate(self, plan: Plan, db, params: Params = ()) -> frozenset:
+        """Validate then evaluate a plan, its slots bound to ``params``."""
         self.validate(plan)
-        return plan.evaluate(db, self.structure)
+        return plan.evaluate(db, self.structure, params)
 
 
 def RA_S(alphabet: Alphabet) -> AlgebraDialect:

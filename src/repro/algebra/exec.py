@@ -367,11 +367,13 @@ def run_algebra(
     is raised when even the translation bails (the planner checks
     eligibility before calling this).  ``recorder`` is forwarded to
     :class:`AlgebraExecutor`, as are ``params``, the values of a template
-    ``formula``'s slots.
+    ``formula``'s slots (a concrete ``formula`` brings its own).
     """
     compiled, optimized = compile_for_execution(
         formula, structure, database.schema, slack=slack
     )
-    executor = AlgebraExecutor(structure, database, recorder=recorder, params=params)
+    executor = AlgebraExecutor(
+        structure, database, recorder=recorder, params=params or compiled.params
+    )
     rows, stats = executor.run(optimized)
     return compiled.columns, rows, stats

@@ -48,6 +48,7 @@ from repro.algebra.plan import (
     EpsilonRel,
     InsertAtOp,
     Join,
+    Params,
     Plan,
     PrefixOp,
     Product,
@@ -367,9 +368,10 @@ def _rebuild(plan: Plan, children: list[Plan]) -> Plan:
 
 
 def evaluate_with_cse(
-    plan: Plan, db: Database, structure: StringStructure
+    plan: Plan, db: Database, structure: StringStructure, params: Params = ()
 ) -> frozenset[tuple[str, ...]]:
-    """Evaluate with common-subexpression elimination.
+    """Evaluate with common-subexpression elimination, the plan's slots
+    bound to ``params``.
 
     Equal subplans are evaluated once; the compiler's repeated
     ``gamma``-bound subplans make this a large constant-factor win (see
@@ -386,7 +388,7 @@ def evaluate_with_cse(
         # instead, exploit that every node's evaluate() only calls
         # child.evaluate(db, structure) -- wrap children in memo shims.
         shimmed = _rebuild(node, [_Shim(run(c), c.arity) for c in node.children()])
-        result = shimmed.evaluate(db, structure)
+        result = shimmed.evaluate(db, structure, params)
         cache[node] = result
         return result
 

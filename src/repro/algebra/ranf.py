@@ -89,6 +89,7 @@ from repro.engine.metrics import METRICS
 from repro.errors import SignatureError
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import Atom, Exists, Forall, Formula, Not, QuantKind
+from repro.logic.literals import lift_literals
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.safety.bounded import range_bounded_variables
 
@@ -395,28 +396,32 @@ def _translation_key(formula, structure, schema, slack: int) -> tuple:
 def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfPair:
     """Translate ``formula`` into its RANF pair (cached per fingerprint).
 
-    Raises :class:`RanfError` when :func:`translation_verdict` bails.
+    Like :func:`~repro.algebra.compile.compile_query`, the pair is made
+    for the template, with the values of its slots in
+    ``pair.compiled.params``.  Raises :class:`RanfError` when
+    :func:`translation_verdict` bails.
     """
     key = _translation_key(formula, structure, schema, slack)
     hit = _TRANSLATIONS.get(key)
     if hit is not None:
         METRICS.inc("algebra.ranf.translation_cache_hits")
         return hit
-    verdict = translation_verdict(formula, structure)
+    template, values = lift_literals(formula)
+    verdict = translation_verdict(template, structure)
     if not verdict.ok:
         raise RanfError(
             f"RANF translation bailed: {verdict.reason}", node=verdict.bail_node
         )
     METRICS.inc("algebra.ranf.translations")
     METRICS.inc(f"algebra.ranf.branch.{verdict.branch}")
-    flat = fold_literal_graphs(flatten_terms(formula))
+    flat = fold_literal_graphs(flatten_terms(template))
     constants = query_constants(flat) | verdict.extra_constants
     shell = 1 if verdict.branch == "gamma-bounded" else 0
     bound_slack = slack * max(1, verdict.rq_depth) + shell
     bound = bound_plan(structure, schema, bound_slack, constants)
     compiler = _RanfCompiler(structure, schema, slack, bound)
     plan, variables = compiler.translate(flat)
-    target = tuple(sorted(formula.free_variables()))
+    target = tuple(sorted(template.free_variables()))
     plan = compiler._pad_to(plan, variables, target)
 
     inf_plan: Optional[Plan] = None
@@ -440,7 +445,7 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
         dialect.validate(inf_plan)
     pair = RanfPair(
         branch=verdict.branch,
-        compiled=CompiledQuery(plan, target, dialect),
+        compiled=CompiledQuery(plan, target, dialect, values),
         fin_optimized=optimize_for_execution(plan),
         inf_plan=inf_plan,
         inf_optimized=(
@@ -484,12 +489,16 @@ def run_ranf(
     One executor runs both halves, so the shared translated core ``T``
     is computed once (the executor memoizes subplans by value).  The
     ``inf`` half runs first: a nonempty result aborts before the finite
-    half is materialized.  ``params`` bind a template ``formula``'s slots.
+    half is materialized.  ``params`` bind a template ``formula``'s slots
+    (a concrete ``formula`` brings its own).
     """
     from repro.algebra.exec import AlgebraExecutor
 
     pair = translate_ranf(formula, structure, database.schema, slack=slack)
-    executor = AlgebraExecutor(structure, database, recorder=recorder, params=params)
+    executor = AlgebraExecutor(
+        structure, database, recorder=recorder,
+        params=params or pair.compiled.params,
+    )
     inf_stats = None
     if pair.inf_optimized is not None:
         METRICS.inc("algebra.ranf.inf_checks")

@@ -45,7 +45,6 @@ from repro.logic.terms import (
     EPS,
     InsertAt,
     Param,
-    StrConst,
     Term,
     TrimFirst,
     Var,

@@ -23,7 +23,8 @@ formula (quantifier kinds, negation depth, structure) and the database
 selects the engine expected to be cheaper — *without ever changing the
 answer*.  The engines themselves live behind the
 :mod:`repro.engine.backend` registry; the planner knows no engine by
-name.  It canonicalizes the formula (:mod:`repro.logic.canonical` —
+name.  It makes relation-guarded natural existentials ADOM,
+canonicalizes the formula (:mod:`repro.logic.canonical` —
 alpha-renaming plus sorted commutative connectives, so equivalent
 spellings share one plan and one set of cache entries) and lifts its
 string literals into template slots (:mod:`repro.logic.literals`: the
@@ -67,6 +68,8 @@ engine prices its fused strategy against the interpreted one;
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -96,7 +99,7 @@ from repro.logic.formulas import (
 )
 from repro.logic.literals import lift_literals
 from repro.logic.terms import Var
-from repro.logic.transform import to_nnf
+from repro.logic.transform import guard_existentials, to_nnf
 from repro.structures.base import StringStructure
 
 #: Estimated direct-engine candidate checks above which the planner always
@@ -187,8 +190,8 @@ class Plan:
     string.  ``costs`` holds one display-unit estimate per registered
     backend (``inf`` where the backend's regime does not apply);
     ``fingerprint`` is the canonical structural fingerprint that keys
-    every cache entry this plan will touch (a bound plan's also carries
-    the concrete query's).  ``strategy`` is how the backend runs the plan
+    every cache entry this plan will touch (a bound plan's also encodes
+    its values).  ``strategy`` is how the backend runs the plan
     when it has more than one way (the algebra engine: ``"fused"`` or
     ``"interpreted"``), empty otherwise.
     """
@@ -644,14 +647,21 @@ def estimate_algebra_cost(
 # ------------------------------------------------------------------- planner
 
 
-def with_values(plan: Plan, values: tuple[str, ...], fingerprint: str) -> Plan:
-    """``plan`` (made for a template) run for one binding: ``values`` for
-    its slots, ``fingerprint`` the concrete query's canonical one."""
+def with_values(plan: Plan, values: tuple[str, ...]) -> Plan:
+    """``plan`` (made for a template) run for one binding of its slots:
+    its fingerprint gains an injective encoding of ``values``, so two
+    bindings never share a whole-result cache entry."""
     if not values:
         return plan
-    return replace(
-        plan, params=values, fingerprint=f"{plan.fingerprint}/{fingerprint}"
-    )
+    digest = hashlib.sha1(json.dumps(values).encode()).hexdigest()
+    return replace(plan, params=values, fingerprint=f"{plan.fingerprint}/{digest}")
+
+
+def planning_form(formula: Formula) -> tuple[Formula, tuple[str, ...]]:
+    """The template :meth:`Planner.plan` decides on and its slots' values:
+    relation-guarded natural existentials made ADOM, the formula
+    canonicalized, its literals lifted."""
+    return lift_literals(canonicalize(guard_existentials(formula)))
 
 
 class Planner:
@@ -681,18 +691,18 @@ class Planner:
         name raises :class:`~repro.errors.EvaluationError` listing the
         registered backends.  The formula is canonicalized first, so
         alpha-equivalent and conjunct-reordered spellings produce the
-        same plan and share every downstream cache entry.
+        same plan and share every downstream cache entry; before that,
+        :func:`planning_form` applies the ADOM guard, so every caller
+        plans the same text alike.
 
         The plan is made for the formula's template
         (:func:`~repro.logic.literals.lift_literals`): every decision it
         holds is the same for any values of the literals, which ride
-        along in ``params``, and its ``fingerprint`` carries the concrete
-        query's as well, so whole-result cache entries of two bindings
-        never meet.  Planning a template plans it for every binding.
+        along in ``params`` (see :func:`with_values`).  Planning a
+        template plans it for every binding.
         """
         METRICS.inc("planner.plans")
-        concrete = canonicalize(formula)
-        template, values = lift_literals(concrete)
+        template, values = planning_form(formula)
         force = resolve_engine(force)
         if force is not None:
             backend = get_backend(force)
@@ -711,7 +721,7 @@ class Planner:
         else:
             plan = self._auto(template, slack)
             METRICS.inc(f"planner.backend.{plan.engine}.chosen")
-        return with_values(plan, values, canonical_fingerprint(concrete))
+        return with_values(plan, values)
 
     def _auto(self, formula: Formula, slack: Optional[int]) -> Plan:
         """Registry iteration: eligibility gate, then cost argmin."""

@@ -202,13 +202,13 @@ def _flatten_term(t: Term, fresh: _FreshNames) -> tuple[Term, list[tuple[str, Fo
 
 
 def fold_literal_graphs(formula: Formula) -> Formula:
-    """Undo :func:`flatten_terms` for literals that feed interpreted atoms.
+    """Undo :func:`flatten_terms` for slots that feed interpreted atoms.
 
-    ``exists c (graph_const(c, "w") & A)`` with ``A`` an interpreted atom
-    becomes ``A["w"/c]`` — e.g. ``prefix('w', x)`` — so a condition over
+    ``exists c (graph_const(c, ?i) & A)`` with ``A`` an interpreted atom
+    becomes ``A[?i/c]`` — e.g. ``prefix(?i, x)`` — so a condition over
     string constants stays quantifier-free and is checked as a plain
-    string test instead of through an automaton.  Literals under database
-    atoms or function graphs keep their ``graph_const`` binding.
+    string test instead of through an automaton.  Slots under database
+    atoms or function graphs, and concrete literals, stay bound.
     """
     if isinstance(formula, (Atom, RelAtom, TrueF, FalseF)):
         return formula
@@ -227,12 +227,11 @@ def fold_literal_graphs(formula: Formula) -> Formula:
         if (
             isinstance(graph, Atom)
             and graph.pred == "graph_const"
+            and isinstance(graph.param, Param)
             and graph.args == (Var(formula.var),)
             and isinstance(core, Atom)
         ):
-            value = graph.param
-            literal = value if isinstance(value, Param) else StrConst(value or "")
-            return core.substitute({formula.var: literal})
+            return core.substitute({formula.var: graph.param})
     return type(formula)(formula.var, body, formula.kind)
 
 

@@ -97,7 +97,6 @@ from repro.errors import (
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.literals import bind, lift_literals
 from repro.logic.parser import parse_formula
-from repro.logic.transform import guard_existentials
 from repro.strings.alphabet import Alphabet
 
 __all__ = [
@@ -318,13 +317,9 @@ class QueryTemplate:
     plans via the fingerprint in the cache key.
     """
 
-    def __init__(self, formula, fingerprint: str, structure: str = "S"):
+    def __init__(self, formula, structure: str = "S"):
         self.structure_name = structure
         self.formula = formula
-        #: Canonical fingerprint of the template — the service interns
-        #: handles by it, so alpha-equivalent spellings and queries that
-        #: differ only in their constants share this plan cache.
-        self.fingerprint = fingerprint
         self._queries: dict[tuple[str, ...], Query] = {}
         self._plans: dict[tuple, Plan] = {}
         self._lock = threading.Lock()
@@ -423,13 +418,12 @@ class QueryTemplate:
 
 class PreparedQuery:
     """One concrete query: a :class:`QueryTemplate` handle plus the values
-    bound to its slots.
+    bound to its slots, in canonical slot order — together, the concrete
+    query's identity.
 
     Created by :meth:`QueryService.prepare`, which interns them per
-    concrete canonical fingerprint, and shared freely across threads.
-    ``fingerprint`` identifies the concrete query — every whole-result
-    cache key of its runs carries it — and is computed once, by
-    :meth:`QueryService.prepare`.
+    (template fingerprint, values, structure), and shared freely across
+    threads.
     """
 
     def __init__(
@@ -438,13 +432,11 @@ class PreparedQuery:
         structure: str,
         template: QueryTemplate,
         values: tuple[str, ...],
-        fingerprint: str,
     ):
         self.source = source
         self.structure_name = structure
         self.template = template
         self.values = values
-        self.fingerprint = fingerprint
         #: Alphabets this binding passed the signature checks under.
         self._checked: set[tuple[str, ...]] = set()
 
@@ -474,7 +466,7 @@ class PreparedQuery:
             q.structure.check_formula(self.formula)
             self._checked.add(symbols)
         plan = self.template.plan_for(entry, engine=engine, slack=slack)
-        return with_values(plan, self.values, self.fingerprint)
+        return with_values(plan, self.values)
 
 
 def _codegen_closure_stats() -> dict:
@@ -654,11 +646,11 @@ class QueryService:
             )
         self._databases: dict[str, _NamedDatabase] = {}
         # Template handles per (template fingerprint, structure), prepared
-        # queries per (canonical fingerprint, structure), and the text
-        # alias map that short-circuits re-parsing on repeated exact text;
-        # each capped at _PREPARED_CAP.
+        # queries per (template fingerprint, values, structure), and the
+        # text alias map that short-circuits re-parsing on repeated exact
+        # text; each capped at _PREPARED_CAP.
         self._templates: dict[tuple[str, str], QueryTemplate] = {}
-        self._prepared: dict[tuple[str, str], PreparedQuery] = {}
+        self._prepared: dict[tuple, PreparedQuery] = {}
         self._prepared_text: dict[tuple[str, str], PreparedQuery] = {}
         self._registry_lock = threading.Lock()
         # Serializes delta application (insert/delete) across names so a
@@ -809,32 +801,30 @@ class QueryService:
         """Parse once, share forever.
 
         The query's literals are lifted into a template
-        (:func:`~repro.logic.literals.lift_literals`) after a natural
-        quantifier that a relation atom confines to the active domain
-        became an ADOM one (:func:`~repro.logic.transform.
-        guard_existentials`).  Template handles are interned per
-        (template fingerprint, structure): every query of one shape —
-        any spelling, any constants — shares one plan cache and one
-        compiled closure.  The returned :class:`PreparedQuery` is
-        interned per concrete canonical fingerprint, and a text-keyed
-        alias map keeps the repeated-exact-text fast path free of
-        re-parsing."""
+        (:func:`~repro.logic.literals.lift_literals`).  Template handles
+        are interned per (template fingerprint, structure): every query
+        of one shape — any spelling, any constants — shares one plan
+        cache and one compiled closure.  The returned
+        :class:`PreparedQuery` is interned per (template fingerprint,
+        values, structure), the concrete query's identity, and a
+        text-keyed alias map keeps the repeated-exact-text fast path free
+        of re-parsing."""
         alias = (query, structure)
         with self._registry_lock:
             prepared = self._prepared_text.get(alias)
         if prepared is not None:
             return prepared
-        formula = guard_existentials(parse_formula(query))
-        fingerprint = canonical_fingerprint(formula)
-        template, values = lift_literals(formula)
+        template, values = lift_literals(parse_formula(query))
         template_fingerprint = canonical_fingerprint(template)
-        new_handle = QueryTemplate(template, template_fingerprint, structure)
+        new_handle = QueryTemplate(template, structure)
         with self._registry_lock:
             handle = _intern(
                 self._templates, (template_fingerprint, structure), new_handle
             )
-            fresh = PreparedQuery(query, structure, handle, values, fingerprint)
-            prepared = _intern(self._prepared, (fingerprint, structure), fresh)
+            fresh = PreparedQuery(query, structure, handle, values)
+            prepared = _intern(
+                self._prepared, (template_fingerprint, values, structure), fresh
+            )
             _intern(self._prepared_text, alias, prepared)
         if handle is not new_handle:
             METRICS.inc("service.template_hits")

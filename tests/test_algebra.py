@@ -38,6 +38,7 @@ from repro.errors import ArityError, EvaluationError, SignatureError
 from repro.eval import AutomataEngine
 from repro.logic import parse_formula
 from repro.logic.dsl import eq, exists, last, matches, prefix, rel
+from repro.logic.terms import Param
 from repro.strings import BINARY
 from repro.structures import S, S_left, S_len, S_reg
 
@@ -194,7 +195,7 @@ class TestCompiler:
         formula = parse_formula("R(x) & S(y) & y <<= x & '01' <<= x")
         compiled = compile_query(formula, S_BIN, database.schema)
         nodes = list(compiled.plan.walk())
-        gamma = bound_plan(S_BIN, database.schema, 1, frozenset({"", "01"}))
+        gamma = bound_plan(S_BIN, database.schema, 1, frozenset({"", Param(0)}))
         assert not any(isinstance(n, PrefixOp) for n in nodes)
         assert gamma not in nodes
         selects = [n for n in nodes if isinstance(n, Select)]

@@ -147,7 +147,7 @@ class TestPlannerConsidersRegisteredBackends:
         # counted out too (a db-free NATURAL scope would now pass — the
         # RANF translation widened that regime).
         Planner(by_name("S", db.alphabet), db.db).plan(
-            parse_formula("exists x: (R(x) & exists y: (y <<= x & S(y)))")
+            parse_formula("exists x: (R(x) & exists y: (y <<= x & !S(y)))")
         )
         assert METRICS.get("planner.backend.direct.ineligible") == 1
         assert METRICS.get("planner.backend.algebra.ineligible") == 1

@@ -273,7 +273,7 @@ class TestPlannerIntegration:
         db = _binary_db()
         # NATURAL over a database-dependent scope: even the RANF
         # translation bails (a db-free scope would now prewarm fine).
-        natural = parse_formula("exists x: (R(x,y) & exists z: (z <<= x & S(z,y)))")
+        natural = parse_formula("exists x: (R(x,y) & exists z: (z <<= x & !S(z,y)))")
         assert not prewarm(natural, STRUCT, db.schema)
         assert METRICS.get("codegen.prewarms") == 0
 

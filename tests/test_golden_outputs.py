@@ -79,12 +79,22 @@ def test_from_tuples_dot():
 DB = Database(BINARY, {"R": {("0110",), ("001",), ("11",)}, "S": {("0",), ("01",)}})
 
 EXPLAIN_TREES = {
+    # S(y) confines y to the active domain: the planner makes it ADOM.
     "R(x) & exists y: S(y) & y <<= x": [
-        "(exists _c0: (prefix(_c0, x) & S(_c0))) & R(x) states=6 trans=6",
-        "  exists _c0: (prefix(_c0, x) & S(_c0)) states=2 trans=3",
+        "(exists adom _c0: (prefix(_c0, x) & S(_c0))) & R(x) states=6 trans=6",
+        "  exists adom _c0: (prefix(_c0, x) & S(_c0)) states=2 trans=3",
         "    prefix(_c0, x) & S(_c0) states=3 trans=6",
         "      prefix(_c0, x) states=2 trans=6",
         "      S(_c0) states=3 trans=2",
+        "  R(x) states=6 trans=7",
+    ],
+    "R(x) & exists y: !S(y) & y <<= x": [
+        "(exists _c0: (prefix(_c0, x) & !S(_c0))) & R(x) states=6 trans=7",
+        "  exists _c0: (prefix(_c0, x) & !S(_c0)) states=1 trans=2",
+        "    prefix(_c0, x) & !S(_c0) states=5 trans=14",
+        "      prefix(_c0, x) states=2 trans=6",
+        "      !S(_c0) states=4 trans=8",
+        "        S(_c0) states=3 trans=2",
         "  R(x) states=6 trans=7",
     ],
     "R(x) & !last(x, '0') & exists y: y <<= x & ext1(y, x)": [

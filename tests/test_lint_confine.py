@@ -38,6 +38,11 @@ PLANTS = {
         "loop = asyncio.new_event_loop()",
         "src/repro/service/loop.py",
     ),
+    "literals": (
+        "src/repro/eval/lit.py",
+        'term = StrConst("01")',
+        "src/repro/logic/lit.py",
+    ),
 }
 
 

@@ -21,7 +21,7 @@ from repro.structures.catalog import by_name
 
 ANCHORED_ADOM = "R(x) & exists adom y: S(y) & y <<= x"
 NATURAL = "R(x) & exists y: y <<= x"
-NATURAL_DB = "R(x) & exists y: (y <<= x & S(y))"
+NATURAL_DB = "R(x) & exists y: (y <<= x & !S(y))"
 UNANCHORED = "last(x, '0')"
 
 

@@ -30,6 +30,7 @@ from repro.logic.dsl import (
     sprefix,
 )
 from repro.logic.formulas import Formula
+from repro.logic.literals import lift_literals
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.strings import BINARY
 from repro.structures import S
@@ -114,19 +115,23 @@ class TestCompilerProperty:
         compiled = compile_query(formula, structure, db.schema, slack=1)
         baseline = compiled.evaluate(db)
         optimized = optimize(compiled.plan)
-        assert optimized.evaluate(db, structure) == baseline, str(formula)
-        assert evaluate_with_cse(optimized, db, structure) == baseline, str(formula)
+        params = compiled.params
+        assert optimized.evaluate(db, structure, params) == baseline, str(formula)
+        assert (
+            evaluate_with_cse(optimized, db, structure, params) == baseline
+        ), str(formula)
 
     @settings(max_examples=30, deadline=None)
     @given(formula=collapsed_queries(), db=databases)
     def test_compiled_output_lies_inside_the_bound(self, formula, db):
         structure = S(BINARY)
         compiled = compile_query(formula, structure, db.schema, slack=1)
-        flat = fold_literal_graphs(flatten_terms(formula))
+        template, params = lift_literals(formula)
+        flat = fold_literal_graphs(flatten_terms(template))
         gamma = bound_plan(structure, db.schema, 1, query_constants(flat))
-        inside = {v for (v,) in gamma.evaluate(db, structure)}
+        inside = {v for (v,) in gamma.evaluate(db, structure, params)}
         # Every subplan, not only the output: the invariant is what lets
         # a conjunction filter its generators instead of the bound.
         for node in set(compiled.plan.walk()):
-            for row in node.evaluate(db, structure):
+            for row in node.evaluate(db, structure, params):
                 assert set(row) <= inside, (str(formula), str(node), row)

@@ -8,6 +8,8 @@ planned once and compiled once.  The exact automata engine on the
 literal query stays the oracle for every engine running the template.
 """
 
+import pathlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra.codegen import closure_cache
 from repro.algebra.exec import compile_for_execution
-from repro.core import StringDatabase
+from repro.core import Query, StringDatabase
 from repro.database import Database
 from repro.engine.backend import FUSED, backend_names
 from repro.engine.cache import AutomatonCache, global_cache
@@ -49,6 +51,9 @@ from repro.logic.transform import guard_existentials
 from repro.service import Dispatcher, QueryService, RunRequest
 from repro.strings import BINARY
 from repro.structures import S_reg
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
+import bench_service  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -224,7 +229,7 @@ class TestSlotsInTheBound:
         for value in ("0101", "1", "", "111", "0110"):
             concrete = bind(template, (value,))
             expected = AutomataEngine(structure, db).run(concrete).as_set()
-            bound = with_values(plan, (value,), canonical_fingerprint(concrete))
+            bound = with_values(plan, (value,))
             got = execute_plan(bound, db).as_set()
             assert got == expected, (strategy, value)
 
@@ -460,3 +465,62 @@ class TestServiceTemplates:
         assert reply["ok"]
         assert reply["explain"]["template"]["values"] == ["01"]
         assert reply["explain"]["result"]["tuples"] == 1
+
+
+# ------------------------------------------------ one planning behaviour
+
+
+class TestLibraryServiceParity:
+    """The planner applies the ADOM guard, so ``Query.plan`` and the
+    service plan one text alike.  The library plans after the service
+    prewarmed the shape's closure, so both price the fused strategy warm."""
+
+    @pytest.mark.parametrize(
+        "text,structure",
+        bench_service.WORKLOAD + [("R(x) & exists y: (y <<= x & S(y))", "S")],
+    )
+    def test_same_engine_strategy_and_rows(self, text, structure):
+        db = bench_service.make_db()
+        with QueryService(workers=1) as svc:
+            svc.register_database("main", db)
+            served = svc.explain(text, "main", structure=structure).plan
+            resp = svc.execute(
+                RunRequest(query=text, database="main", structure=structure)
+            )
+        assert resp.ok, resp.error
+        query = Query(text, structure=structure)
+        planned = query.plan(db)
+        assert (planned.engine, planned.strategy) == (
+            served.engine, served.strategy
+        )
+        assert {tuple(r) for r in resp.rows} == query.run(db).rows_set
+
+
+# ---------------------------------------------- a concrete query's identity
+
+
+class TestConcreteIdentity:
+    """A concrete query is (template fingerprint, values in canonical slot
+    order); the values' encoding must not collide where joining them
+    naively would."""
+
+    A = "R(x) & R(y) & '0' <<= x & '10' <<= y"
+    B = "R(x) & R(y) & '01' <<= x & '0' <<= y"
+
+    def test_colliding_joins_get_distinct_fingerprints(self, service):
+        a, b = service.prepare(self.A), service.prepare(self.B)
+        assert (a.values, b.values) == (("0", "10"), ("01", "0"))
+        assert a.template is b.template
+        entry = service._entry("main")
+        assert a.plan_for(entry).fingerprint != b.plan_for(entry).fingerprint
+
+    def test_colliding_joins_never_share_a_result(self, service):
+        def pairs(cx, cy):
+            return [
+                [x, y] for x in R for y in R
+                if x.startswith(cx) and y.startswith(cy)
+            ]
+
+        for _ in range(2):
+            assert _rows(service, self.A).rows == pairs("0", "10")
+            assert _rows(service, self.B).rows == pairs("01", "0")

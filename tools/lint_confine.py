@@ -27,6 +27,11 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``StreamReader``/``StreamWriter`` construction, event-loop ownership)
     outside ``service/`` and ``shard/``, where the byte limit, quotas,
     and disconnect cancellation live.
+``literals``
+    The concrete string-literal term ``StrConst`` under ``algebra/``,
+    ``engine/``, ``service/``, ``shard/`` and ``eval/``: a query's
+    literals reach the engines only as template slots (``Param``), lifted
+    in one place (``repro.logic.literals``).
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -150,6 +155,18 @@ RULES = (
         "plumbing through the service front end",
         ok="event-loop transport confined to src/repro/service/ and "
         "src/repro/shard/",
+    ),
+    Rule(
+        "literals",
+        re.compile(r"\bStrConst\b"),
+        scanned=tuple(
+            f"src/repro/{d}"
+            for d in ("algebra", "engine", "service", "shard", "eval")
+        ),
+        exempt=(),
+        problem="StrConst in the engine layers — literals reach them only "
+        "as template slots (repro.logic.literals.lift_literals)",
+        ok="literals reach algebra/engine/service/shard/eval only as slots",
     ),
 )
 
