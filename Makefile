@@ -41,7 +41,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             cancellation live (docs/service.md);
 ##   literals  the StrConst literal term under algebra/, engine/, service/,
 ##             shard/ and eval/ — literals reach the engines only as
-##             template slots (docs/service.md).
+##             template slots (docs/service.md);
+##   rows      RelationAutomaton.from_tuples under engine/, shard/,
+##             service/ and in eval/direct.py — a restricted engine's
+##             finite answer is its rows, never an automaton of them.
 lint-confine:
 	$(PY) tools/lint_confine.py
 

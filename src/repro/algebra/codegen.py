@@ -30,11 +30,11 @@ the closure ``_pipeline(_db, _params, _stage_rows)`` takes the database
 and the values of a query template's slots at call time (a ``Param(i)``
 operand is ``_params[i]``; a concrete query passes ``()``) — so row-only
 deltas and new constants reuse closures and only schema changes
-recompile; answer freshness is the algebra backend's job (its
-``algebra-result`` whole-result cache keyed by database and
-concrete-query fingerprint, promoted along delta chains).  The backend
-runs a plan through this module when the planner chose its *fused*
-strategy (:class:`repro.engine.backend.AlgebraBackend`).
+recompile; answer freshness is the whole-result cache's job
+(:func:`repro.engine.explain.execute_plan`, stage ``result:algebra``,
+keyed by database and concrete-query fingerprint, promoted along delta
+chains).  The backend runs a plan through this module when the planner
+chose its *fused* strategy (:class:`repro.engine.backend.AlgebraBackend`).
 
 This is the only module in the repository allowed to call
 ``compile``/``exec`` (enforced by ``tools/lint_confine.py``).
@@ -671,8 +671,8 @@ def pipeline_key(
     Generated source is data-independent, so there is no database
     fingerprint here: the schema stands in for the plan epoch (row-only
     deltas keep the schema, hence reuse the closure; schema-extending
-    deltas recompile).  Result freshness is keyed separately by the
-    algebra backend's ``algebra-result`` cache entries.
+    deltas recompile).  Result freshness is keyed separately, by the
+    ``result:algebra`` entries of the whole-result cache.
     """
     return (
         "codegen-closure",

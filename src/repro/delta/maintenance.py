@@ -8,8 +8,10 @@ instead of recomputing from scratch.  Three mechanisms, ordered from
 cheapest to most involved:
 
 **Result promotion** (:func:`promote_result`) — for the ``automata``
-subformula cache and the ``direct-result`` / ``sharded-result`` whole
-result caches.  A (sub)formula's value is a function of the relations it
+subformula cache and the whole-result cache of
+:func:`repro.engine.explain.execute_plan` (the ``result:<engine>``
+stages of the direct, algebra and sharded backends, whose entries are
+rows).  A (sub)formula's value is a function of the relations it
 mentions plus — when it has restricted (ADOM/PREFIX/LENGTH) quantifiers
 — the active domain.  If the transition chain from an ancestor to the
 queried version touches **neither**, the ancestor's cached entry is
@@ -309,7 +311,8 @@ def maintain_algebra_result(
 ) -> Optional[tuple[tuple[str, ...], Rows]]:
     """Maintain a whole algebra result across the version chain, or ``None``.
 
-    Called by the algebra backend on a whole-result cache miss.  Finds
+    Called by the algebra backend's interpreted strategy on a
+    whole-result cache miss that promotion could not answer.  Finds
     the nearest ancestor version whose root subplan rows were recorded,
     then applies each recorded transition's deltas through the plan tree
     with the ΔQ rules, storing every operator's rows at each intermediate

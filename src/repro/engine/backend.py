@@ -30,8 +30,10 @@ comparison appears outside ``src/repro/engine/``.
 The cache keys every backend uses are built by
 :func:`repro.engine.cache.formula_key` on the **canonical fingerprint**
 (:mod:`repro.logic.canonical`) of the formula plus the database
-fingerprint and the backend's stage name, so alpha-equivalent and
-conjunct-reordered queries share cache entries across every backend.
+fingerprint and a stage name, so alpha-equivalent and conjunct-reordered
+queries share cache entries.  Whole answers of the restricted-domain
+backends (``caches_results``) are cached in one place,
+:func:`repro.engine.explain.execute_plan`, as their rows.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.database.instance import Database
-from repro.engine.cache import AutomatonCache, database_fingerprint, formula_key
+from repro.engine.cache import AutomatonCache
 from repro.engine.metrics import METRICS
 from repro.errors import EvaluationError
 from repro.logic.formulas import Formula, QuantKind
@@ -105,6 +107,12 @@ class EngineBackend(abc.ABC):
 
     #: The strategy a *forced* plan of this backend runs (``Plan.strategy``).
     forced_strategy: str = ""
+
+    #: Whole answers are cached by
+    #: :func:`repro.engine.explain.execute_plan`, keyed by the plan's
+    #: fingerprint, the database fingerprint and the backend name.  A
+    #: backend that caches at a finer grain itself leaves this off.
+    caches_results: bool = False
 
     # ------------------------------------------------------------- planning
 
@@ -320,10 +328,11 @@ def _fmt_cost(cost: float) -> str:
 
 class DirectBackend(EngineBackend):
     """Tuple-at-a-time enumeration over the restricted quantifier domains
-    (:mod:`repro.eval.direct`); caches whole result relations."""
+    (:mod:`repro.eval.direct`); whole answers cached."""
 
     name = "direct"
     priority = 0
+    caches_results = True
 
     def eligible(self, formula, structure, database):
         return restricted_output_gate(formula, database)
@@ -359,31 +368,11 @@ class DirectBackend(EngineBackend):
         )
 
     def execute(self, plan, database, cache, observer=None):
-        from repro.delta.maintenance import promote_result
         from repro.eval.direct import DirectEngine
-        from repro.eval.result import QueryResult
 
-        key = formula_key(
-            plan.formula,
-            plan.structure.name,
-            plan.structure.alphabet.symbols,
-            plan.slack,
-            database_fingerprint(database),
-            stage="direct-result",
-        )
-        cached = cache.get(key)
-        if cached is None:
-            # The database may be a delta-store version whose ancestors
-            # already answered this query; untouched relations + stable
-            # adom mean the old result is still exact.
-            cached = promote_result(cache, key, plan.formula)
-        if cached is not None:
-            return QueryResult(*cached)
-        result = DirectEngine(
+        return DirectEngine(
             plan.structure, database, slack=plan.slack
         ).run(plan.formula)
-        cache.put(key, (result.variables, result.relation))
-        return result
 
 
 class AutomataBackend(EngineBackend):
@@ -472,6 +461,7 @@ class AlgebraBackend(EngineBackend):
     priority = 10
     parameterized = True
     forced_strategy = INTERPRETED
+    caches_results = True
 
     def eligible(self, formula, structure, database):
         from repro.algebra.ranf import translation_verdict
@@ -574,43 +564,23 @@ class AlgebraBackend(EngineBackend):
         )
 
     def execute(self, plan, database, cache, observer=None):
-        from repro.delta.maintenance import promote_result
         from repro.engine.explain import AlgebraTrace
-        from repro.eval.result import QueryResult
 
         trace = observer if isinstance(observer, AlgebraTrace) else AlgebraTrace()
-        key = formula_key(
-            plan.fingerprint,
-            plan.structure.name,
-            plan.structure.alphabet.symbols,
-            plan.slack,
-            database_fingerprint(database),
-            stage="algebra-result",
-        )
-        cached = cache.get(key)
-        if cached is None and plan.strategy == FUSED:
-            # Delta-store versions whose walked deltas touch none of the
-            # query's relations re-key the old result forward; anything
-            # else is a full compiled run — closures are schema-keyed,
-            # so row-only deltas reuse the compiled code and only pay
-            # the data pass (never a stale answer).
-            cached = promote_result(cache, key, plan.formula)
-        if cached is not None:
-            trace.cached = True
-            return QueryResult(*cached)
-        result = None
         if plan.strategy == FUSED:
+            # Closures are schema-keyed, so row-only deltas reuse the
+            # compiled code and only pay the data pass.
             result = self._fused(plan, database, trace)
-        if result is None:
-            result = self._interpreted(plan, database, cache, trace)
-        cache.put(key, (result.variables, result.relation))
-        return result
+            if result is not None:
+                return result
+        return self._interpreted(plan, database, cache, trace)
 
     @staticmethod
     def _fused(plan, database, trace):
         """The answer of the plan's compiled closure, or ``None`` when the
         shape does not fuse at the plan's slack."""
         from repro.algebra.codegen import get_pipeline
+        from repro.eval.result import QueryResult
 
         pipeline, detail = get_pipeline(
             plan.formula, plan.structure, database.schema, plan.slack
@@ -623,7 +593,7 @@ class AlgebraBackend(EngineBackend):
         rows, trace.stage_rows = pipeline.run(database, plan.params)
         trace.pipeline = pipeline
         trace.closure_hit = detail == "hit"
-        return _table(plan, pipeline.columns, rows)
+        return QueryResult(pipeline.columns, rows)
 
     @staticmethod
     def _interpreted(plan, database, cache, trace):
@@ -632,6 +602,7 @@ class AlgebraBackend(EngineBackend):
         from repro.algebra.exec import run_algebra
         from repro.algebra.ranf import run_ranf, translation_verdict
         from repro.delta import maintenance
+        from repro.eval.result import QueryResult
 
         # Delta-store versions: maintain the previous version's recorded
         # subplan rows through the ΔQ rules instead of recomputing; full
@@ -641,7 +612,7 @@ class AlgebraBackend(EngineBackend):
             # Maintained runs reuse a prior full run's answer, whose
             # "infinite" check already passed.
             trace.cached = True
-            return _table(plan, *maintained)
+            return QueryResult(*maintained)
         recorder = maintenance.subplan_recorder(
             plan.structure, database, plan.params
         )
@@ -651,7 +622,7 @@ class AlgebraBackend(EngineBackend):
                 plan.formula, plan.structure, database, slack=plan.slack,
                 recorder=recorder, params=plan.params,
             )
-            return _table(plan, columns, rows)
+            return QueryResult(columns, rows)
         run = run_ranf(
             plan.formula, plan.structure, database, slack=plan.slack,
             recorder=recorder, params=plan.params,
@@ -669,7 +640,7 @@ class AlgebraBackend(EngineBackend):
                 plan.structure, database, slack=plan.slack, cache=cache
             ).run(bind(plan.formula, plan.params))
         trace.stats = run.stats
-        return _table(plan, run.columns, run.rows)
+        return QueryResult(run.columns, run.rows)
 
     def trace_observer(self):
         from repro.engine.explain import AlgebraTrace
@@ -677,11 +648,7 @@ class AlgebraBackend(EngineBackend):
         return AlgebraTrace()
 
     def trace_tree(self, plan, observer, seconds):
-        from repro.engine.explain import (
-            ExplainNode,
-            op_stats_to_explain,
-            plan_tree_to_explain,
-        )
+        from repro.engine.explain import ExplainNode, op_stats_to_explain
 
         if observer.pipeline is not None:
             return _pipeline_tree(observer, seconds)
@@ -709,26 +676,11 @@ class AlgebraBackend(EngineBackend):
             )
         elif observer.stats is not None:
             root = op_stats_to_explain(observer.stats)
-        elif observer.cached:
-            # Whole-result cache hit: no physical operators ran — show the
-            # planner's static tree, marked cached.
-            root = plan_tree_to_explain(plan.root)
-            root.seconds = seconds
-            root.cache_hit = True
         else:
             return None
         if observer.fallback is not None:
             root.annotations["codegen_fallback"] = observer.fallback
         return root
-
-
-def _table(plan, columns, rows) -> "QueryResult":
-    from repro.automatic.relation import RelationAutomaton
-    from repro.eval.result import QueryResult
-
-    return QueryResult(columns, RelationAutomaton.from_tuples(
-        plan.structure.alphabet, len(columns), rows
-    ))
 
 
 def _pipeline_tree(observer, seconds: float) -> "ExplainNode":

@@ -60,8 +60,9 @@ DEFAULT_MAXSIZE = 256
 class AutomatonCache:
     """An LRU map from structural keys to compiled automata.
 
-    Values are opaque to the cache (the engines store
-    ``(RelationAutomaton, variables)`` pairs and whole query results);
+    Values are opaque to the cache (the automata engine stores
+    ``(RelationAutomaton, variables)`` pairs, :func:`repro.engine.explain.
+    execute_plan` whole :class:`~repro.eval.result.QueryResult` answers);
     they must be immutable, since hits hand back the stored object.
     """
 
@@ -278,11 +279,13 @@ def formula_key(
     database-independent (no relation atoms *and* no restricted
     quantifiers, :meth:`repro.logic.formulas.Formula.database_dependent`)
     — that is what makes pure presentation automata
-    *interned* across databases.  ``stage`` names the backend value space
-    (``"automata"`` subformula compilations vs ``"direct-result"`` /
-    ``"algebra-result"`` whole query results) — together the key is
-    (canonical fingerprint, db fingerprint, backend stage).  ``formula``
-    may also be that fingerprint, already computed.
+    *interned* across databases.  ``stage`` names the value space
+    (``"automata"`` subformula compilations vs ``"result:<engine>"`` whole
+    answers, one stage per backend, e.g. ``"result:direct"``) — together
+    the key is (canonical fingerprint, db fingerprint, stage).
+    ``formula`` may also be that fingerprint, already computed (a plan's
+    ``fingerprint``, which also encodes the values bound to its
+    template's slots).
     """
     return (
         stage,

@@ -5,8 +5,8 @@ This module owns the instrumented execution path shared by
 explain`:
 
 * :func:`execute_plan` runs a :class:`~repro.engine.planner.Plan` through
-  the chosen engine, consulting the automaton cache and recording engine
-  counters in :data:`~repro.engine.metrics.METRICS`;
+  the chosen engine, answering from the whole-result cache when it can,
+  and records engine counters in :data:`~repro.engine.metrics.METRICS`;
 * :func:`explain_query` does the same with a trace observer attached and
   returns an :class:`Explain`: the plan, a tree annotated with per-node
   wall time / automaton state + transition counts / cache hits, the
@@ -18,6 +18,8 @@ with the compiled automaton's size and whether it came from the cache;
 for the direct engine the tree is the planner's static tree (domain-size
 annotations) with the total wall time on the root — the direct engine
 evaluates per candidate tuple, so per-node times are not meaningful.
+Any backend's answer served from the whole-result cache shows the same
+static tree, marked cached.
 
 Usage::
 
@@ -36,7 +38,8 @@ from typing import Optional
 
 from repro.database.instance import Database
 from repro.engine import metrics as metrics_mod
-from repro.engine.cache import AutomatonCache, global_cache
+from repro.engine.cache import AutomatonCache, database_fingerprint
+from repro.engine.cache import formula_key, global_cache
 from repro.engine.deadline import deadline_scope
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Plan, Planner
@@ -134,9 +137,9 @@ class AlgebraTrace:
     A fused run fills ``pipeline`` and its per-stage ``stage_rows``, with
     ``closure_hit`` telling a warm closure from a fresh compile.  An
     interpreted run fills the executor's physical-operator ``stats``;
-    ``fallback`` says why a fused plan ran interpreted instead.  A whole-
-    result cache hit or a maintained result sets ``cached`` and leaves the
-    rest empty, and EXPLAIN falls back to the planner's static tree.
+    ``fallback`` says why a fused plan ran interpreted instead.  A result
+    maintained through the ΔQ rules sets ``cached`` and leaves the rest
+    empty, and EXPLAIN falls back to the planner's static tree.
     """
 
     def __init__(self) -> None:
@@ -188,10 +191,14 @@ def execute_plan(
 ) -> QueryResult:
     """Run a plan's formula through its chosen engine, with caching.
 
-    How to cache is the backend's business (the automata backend memoizes
-    every subformula compilation in ``cache``; direct and algebra memoize
-    their whole result relation — their intermediate states are not
-    automata).  ``observer`` is whatever the backend's
+    The one whole-result cache, for every backend that declares
+    ``caches_results``: keyed by the plan's fingerprint (template and
+    values), the database fingerprint and the backend's name, so a forced
+    engine is never answered by another engine's entry; on a miss an
+    ancestor version's answer is promoted when still exact
+    (:func:`repro.delta.maintenance.promote_result`).  The automata
+    backend caches every subformula compilation in ``cache`` itself.
+    ``observer`` is whatever the backend's
     :meth:`~repro.engine.backend.EngineBackend.trace_observer` returned,
     or ``None`` outside EXPLAIN.
 
@@ -199,17 +206,47 @@ def execute_plan(
     parameterized backend runs it with the values in ``plan.params``;
     any other is handed ``bind(template, plan.params)``.
     """
+    return _execute(plan, database, cache, observer)[0]
+
+
+def _execute(
+    plan: Plan,
+    database: Database,
+    cache: Optional[AutomatonCache],
+    observer: object,
+) -> tuple[QueryResult, bool]:
+    """:func:`execute_plan`, also saying whether the answer came from the
+    whole-result cache."""
+    from repro.delta.maintenance import promote_result
     from repro.engine.backend import get_backend
 
     if cache is None:
         cache = global_cache()
     backend = get_backend(plan.engine)
-    if plan.params and not backend.parameterized:
-        plan = replace(plan, formula=bind(plan.formula, plan.params))
     METRICS.inc(f"engine.{plan.engine}.runs")
     t0 = time.perf_counter()
     try:
-        return backend.execute(plan, database, cache, observer)
+        key = None
+        if backend.caches_results:
+            key = formula_key(
+                plan.fingerprint,
+                plan.structure.name,
+                plan.structure.alphabet.symbols,
+                plan.slack,
+                database_fingerprint(database),
+                stage=f"result:{plan.engine}",
+            )
+            result = cache.get(key)
+            if result is None:
+                result = promote_result(cache, key, plan.formula)
+            if result is not None:
+                return result, True
+        if plan.params and not backend.parameterized:
+            plan = replace(plan, formula=bind(plan.formula, plan.params))
+        result = backend.execute(plan, database, cache, observer)
+        if key is not None:
+            cache.put(key, result)
+        return result, False
     finally:
         METRICS.add_time(f"engine.{plan.engine}.seconds", time.perf_counter() - t0)
 
@@ -345,16 +382,19 @@ def explain_plan(
     observer = backend.trace_observer()
     before = METRICS.snapshot()
     t0 = time.perf_counter()
-    result = execute_plan(plan, database, cache=cache, observer=observer)
+    result, hit = _execute(plan, database, cache, observer)
     seconds = time.perf_counter() - t0
     counters = metrics_mod.delta(before, METRICS.snapshot())
-    root = backend.trace_tree(plan, observer, seconds)
+    root = None if hit else backend.trace_tree(plan, observer, seconds)
     if root is None:
-        # Backends without per-node instrumentation (e.g. the direct
+        # A whole-result cache hit, a maintained algebra answer, or a
+        # backend without per-node instrumentation (e.g. the direct
         # engine, which evaluates per candidate tuple): the planner's
         # static tree with the total wall time on the root.
         root = plan_tree_to_explain(plan.root)
         root.seconds = seconds
+        if hit or (isinstance(observer, AlgebraTrace) and observer.cached):
+            root.cache_hit = True
     finite = result.is_finite()
     return Explain(
         plan=plan,

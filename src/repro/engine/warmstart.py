@@ -27,8 +27,11 @@ recompilation stampede.  This module closes that gap:
 * values ride as pickles of the cache's own immutable entries — for the
   automata stage that is ``(RelationAutomaton, variables)``, whose DFA
   pickles as its symbol table, flat ``array('i')`` transition table and
-  acceptance bitmap.  Values that do not pickle (e.g. anything holding a
-  live closure) are simply skipped at spill time.
+  acceptance bitmap; for a whole-result stage it is the
+  :class:`~repro.eval.result.QueryResult`, which holds its rows (or,
+  for an answer the automata engine gave, its relation automaton).
+  Values that do not pickle (e.g. anything holding a live closure) are
+  simply skipped at spill time.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent services
 sharing a warm directory can only ever observe whole files.  The store
@@ -67,7 +70,9 @@ __all__ = ["WARM_FORMAT_VERSION", "WarmStartStore", "key_digest"]
 #: Bump on any incompatible change to the file layout *or* to the pickled
 #: value classes; readers skip files from other versions.  Version 2: a
 #: ``RelationAutomaton.dfa`` is the flat-array ``DFA``, no longer a dict one.
-WARM_FORMAT_VERSION = 2
+#: Version 3: whole-result entries are a rows ``QueryResult``, no longer a
+#: ``(variables, RelationAutomaton)`` pair.
+WARM_FORMAT_VERSION = 3
 
 #: First bytes of every warm file, before the JSON header line.
 _MAGIC = b"repro-warm\n"

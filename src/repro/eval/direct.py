@@ -28,7 +28,6 @@ from repro.errors import EvaluationError
 from repro.eval.domains import prefix_domain
 from repro.logic.transform import to_nnf
 from repro.eval.result import QueryResult
-from repro.automatic.relation import RelationAutomaton
 from repro.logic.formulas import (
     And,
     Atom,
@@ -143,10 +142,7 @@ class DirectEngine:
                 tuples.add(tuple(assignment[v] for v in free))
         METRICS.inc("direct.candidates", candidates)
         METRICS.inc("direct.output_tuples", len(tuples))
-        relation = RelationAutomaton.from_tuples(
-            self.structure.alphabet, len(free), tuples
-        )
-        return QueryResult(free, relation)
+        return QueryResult(free, tuples)
 
     def _output_kinds(
         self,

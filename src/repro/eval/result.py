@@ -2,39 +2,55 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from typing import Optional
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Optional, Union
 
 from repro.automatic.relation import RelationAutomaton
-from repro.errors import UnsafeQueryError
+from repro.errors import ArityError, UnsafeQueryError
 
 
 class QueryResult:
     """The output of a query: a relation over the free variables.
 
-    Produced by the automata engine, where the output is available as a
+    The restricted-domain engines (direct, algebra, sharded) compute a
+    finite relation by construction and hand over its ``rows`` (a
+    frozenset; ``relation`` is ``None``).  The automata engine hands over
+    a ``relation`` automaton (``rows`` is ``None``), available as a
     regular set even when infinite; the paper's *state-safety* question
-    "is ``phi(D)`` finite?" is :meth:`is_finite`.
+    "is ``phi(D)`` finite?" is :meth:`is_finite`.  The readers behave
+    alike on both; rows come out of :meth:`tuples` sorted.
     """
 
-    __slots__ = ("variables", "relation")
+    __slots__ = ("variables", "rows", "relation")
 
-    def __init__(self, variables: Sequence[str], relation: RelationAutomaton):
+    def __init__(
+        self,
+        variables: Sequence[str],
+        answer: Union[RelationAutomaton, Iterable[tuple[str, ...]]],
+    ):
         self.variables = tuple(variables)
-        self.relation = relation
+        if isinstance(answer, RelationAutomaton):
+            self.rows, self.relation = None, answer
+        else:
+            self.rows, self.relation = frozenset(answer), None
 
     def is_finite(self) -> bool:
         """True iff the query is safe on this database (finite output)."""
-        return self.relation.is_finite()
+        return self.rows is not None or self.relation.is_finite()
 
     def count(self) -> int:
         """Number of output tuples; raises ``UnsafeQueryError`` if infinite."""
+        if self.rows is not None:
+            return len(self.rows)
         if not self.is_finite():
             raise UnsafeQueryError("query output is infinite")
         return self.relation.count()
 
     def tuples(self, limit: Optional[int] = None) -> Iterator[tuple[str, ...]]:
         """Iterate output tuples (must pass ``limit`` if infinite)."""
+        if self.rows is not None:
+            return islice(sorted(self.rows), limit)
         if limit is None and not self.is_finite():
             raise UnsafeQueryError(
                 "query output is infinite; pass limit= to sample it"
@@ -43,16 +59,29 @@ class QueryResult:
 
     def as_set(self) -> frozenset[tuple[str, ...]]:
         """All output tuples; raises ``UnsafeQueryError`` if infinite."""
+        if self.rows is not None:
+            return self.rows
         if not self.is_finite():
             raise UnsafeQueryError("query output is infinite")
         return self.relation.set_of_tuples()
 
     def contains(self, tup: Sequence[str]) -> bool:
-        return self.relation.contains(tup)
+        if self.rows is None:
+            return self.relation.contains(tup)
+        if len(tup) != len(self.variables):
+            raise ArityError(
+                f"tuple {tup!r} has arity {len(tup)}, "
+                f"expected {len(self.variables)}"
+            )
+        return tuple(tup) in self.rows
 
     def as_bool(self) -> bool:
         """Truth value (for Boolean queries / sentences)."""
-        return self.relation.as_bool()
+        if self.rows is None:
+            return self.relation.as_bool()
+        if self.variables:
+            raise ArityError("as_bool() requires arity 0")
+        return bool(self.rows)
 
     def __repr__(self) -> str:
         shape = "finite" if self.is_finite() else "infinite"

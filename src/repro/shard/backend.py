@@ -39,7 +39,7 @@ from repro.engine.backend import (
     restricted_output_gate,
     unregister_backend,
 )
-from repro.engine.cache import database_fingerprint, formula_key
+from repro.engine.cache import database_fingerprint
 from repro.engine.metrics import METRICS
 from repro.engine.planner import estimate_direct_cost, _fmt_cost
 from repro.errors import ShardError
@@ -109,7 +109,6 @@ class ShardTrace:
 
     def __init__(self) -> None:
         self.gather: Optional["GatherResult"] = None
-        self.cached = False
 
 
 class ShardedBackend(EngineBackend):
@@ -125,6 +124,7 @@ class ShardedBackend(EngineBackend):
 
     name = "sharded"
     priority = 30
+    caches_results = True
 
     # ------------------------------------------------------------- planning
 
@@ -220,7 +220,6 @@ class ShardedBackend(EngineBackend):
     # ------------------------------------------------------------ execution
 
     def execute(self, plan, database, cache, observer=None):
-        from repro.automatic.relation import RelationAutomaton
         from repro.eval.result import QueryResult
 
         route = route_for(database)
@@ -232,36 +231,10 @@ class ShardedBackend(EngineBackend):
                 retryable=False,
             )
         coordinator, sharded = route
-        key = formula_key(
-            plan.formula,
-            plan.structure.name,
-            plan.structure.alphabet.symbols,
-            plan.slack,
-            database_fingerprint(database),
-            stage="sharded-result",
-        )
-        cached = cache.get(key)
-        if cached is None:
-            # Delta-forwarded versions: results cached on an ancestor
-            # version stay exact while no forwarded delta touched the
-            # query's relations (restricted quantifiers also need a
-            # stable adom) — skip the whole scatter/gather round.
-            from repro.delta.maintenance import promote_result
-
-            cached = promote_result(cache, key, plan.formula)
-        if cached is not None:
-            if isinstance(observer, ShardTrace):
-                observer.cached = True
-            return QueryResult(*cached)
         gather = coordinator.execute(sharded, plan)
         if isinstance(observer, ShardTrace):
             observer.gather = gather
-        relation = RelationAutomaton.from_tuples(
-            plan.structure.alphabet, len(gather.columns), sorted(gather.rows)
-        )
-        result = QueryResult(gather.columns, relation)
-        cache.put(key, (result.variables, result.relation))
-        return result
+        return QueryResult(gather.columns, gather.rows)
 
     # -------------------------------------------------------------- explain
 
@@ -269,15 +242,10 @@ class ShardedBackend(EngineBackend):
         return ShardTrace()
 
     def trace_tree(self, plan, observer, seconds):
-        from repro.engine.explain import ExplainNode, plan_tree_to_explain
+        from repro.engine.explain import ExplainNode
 
         gather = getattr(observer, "gather", None)
         if gather is None:
-            if getattr(observer, "cached", False):
-                root = plan_tree_to_explain(plan.root)
-                root.seconds = seconds
-                root.cache_hit = True
-                return root
             return None
         decomposition = gather.decomposition
         root = ExplainNode(

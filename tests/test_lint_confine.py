@@ -43,6 +43,11 @@ PLANTS = {
         'term = StrConst("01")',
         "src/repro/logic/lit.py",
     ),
+    "rows": (
+        "src/repro/eval/direct.py",
+        "relation = RelationAutomaton.from_tuples(alphabet, 1, rows)",
+        "src/repro/eval/automata_engine.py",
+    ),
 }
 
 

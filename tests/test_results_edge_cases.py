@@ -1,16 +1,37 @@
 """Edge-case tests for QueryResult, Table, and output handling."""
 
+import sys
+
 import pytest
 
 from repro import Query, StringDatabase, UnsafeQueryError
+from repro.automatic.relation import RelationAutomaton
 from repro.core.query import Table
 from repro.database import Database
+from repro.engine.cache import AutomatonCache
+from repro.engine.explain import execute_plan
+from repro.engine.metrics import METRICS
+from repro.engine.planner import Planner
+from repro.errors import ArityError
 from repro.eval import AutomataEngine
-from repro.logic import parse_formula
+from repro.eval.result import QueryResult
+from repro.logic import canonical, parse_formula
 from repro.strings import BINARY
 from repro.structures import S
 
 DB = StringDatabase("01", {"R": {"0", "01", "11"}})
+
+#: name -> (columns, rows): the row sets a rows result and an automaton
+#: result of the same answer must read alike.
+ROW_SETS = {
+    "empty-unary": (("x",), frozenset()),
+    "arity0-true": ((), frozenset({()})),
+    "arity0-false": ((), frozenset()),
+    "binary-3-rows": (
+        ("x", "y"),
+        frozenset({("0", "1"), ("", "01"), ("11", "")}),
+    ),
+}
 
 
 class TestQueryResult:
@@ -60,6 +81,90 @@ class TestQueryResult:
         assert "finite" in repr(finite)
         infinite = AutomataEngine(S(BINARY), DB.db).run(parse_formula("!R(x)"))
         assert "infinite" in repr(infinite)
+
+
+class TestRowsResult:
+    """A restricted engine's answer is its rows; read through
+    ``QueryResult`` it must be indistinguishable from the same rows held
+    as a relation automaton."""
+
+    @pytest.mark.parametrize(
+        "columns, rows", list(ROW_SETS.values()), ids=list(ROW_SETS)
+    )
+    def test_rows_and_automaton_agree(self, columns, rows):
+        by_rows = QueryResult(columns, rows)
+        by_automaton = QueryResult(
+            columns, RelationAutomaton.from_tuples(BINARY, len(columns), rows)
+        )
+        assert by_rows.relation is None and by_automaton.rows is None
+        assert by_rows.is_finite() == by_automaton.is_finite()
+        assert by_rows.count() == by_automaton.count()
+        assert by_rows.as_set() == by_automaton.as_set() == rows
+        for probe in rows | {("0101",) * len(columns)}:
+            assert by_rows.contains(probe) == by_automaton.contains(probe)
+        if columns:
+            for result in (by_rows, by_automaton):
+                with pytest.raises(ArityError):
+                    result.as_bool()
+        else:
+            assert by_rows.as_bool() == by_automaton.as_bool() == bool(rows)
+        assert sorted(by_rows.tuples()) == sorted(by_automaton.tuples())
+        assert len(list(by_rows.tuples(limit=2))) == len(
+            list(by_automaton.tuples(limit=2))
+        )
+
+    def test_rows_come_out_sorted(self):
+        _, rows = ROW_SETS["binary-3-rows"]
+        result = QueryResult(("x", "y"), rows)
+        assert list(result.tuples()) == sorted(rows)
+        assert list(result.tuples(limit=2)) == sorted(rows)[:2]
+
+
+class TestWholeResultCache:
+    """``execute_plan`` caches whole answers once, for every backend."""
+
+    DB = StringDatabase(
+        "01", {"R": {"0110", "001", "11", "0100"}, "S": {"0", "01"}}
+    ).db
+    TEXT = "R(x) & exists adom y: S(y) & y <<= x & last(x, '0')"
+
+    def _plan(self, engine):
+        return Planner(S(BINARY), self.DB).plan(
+            parse_formula(self.TEXT), slack=1, force=engine
+        )
+
+    def test_forced_direct_is_not_answered_by_an_algebra_entry(self):
+        cache = AutomatonCache()
+        algebra, direct = self._plan("algebra"), self._plan("direct")
+        # Same query, database and slack: only the engine tells the two
+        # cache keys apart.
+        assert algebra.fingerprint == direct.fingerprint
+        assert algebra.slack == direct.slack
+        expected = execute_plan(algebra, self.DB, cache=cache).as_set()
+        before = METRICS.get("direct.candidates")
+        assert execute_plan(direct, self.DB, cache=cache).as_set() == expected
+        assert METRICS.get("direct.candidates") > before
+
+    @pytest.mark.parametrize("engine", ["direct", "algebra"])
+    def test_a_hit_computes_no_canonical_fingerprint(self, engine, monkeypatch):
+        plan = self._plan(engine)
+        cache = AutomatonCache()
+        first = execute_plan(plan, self.DB, cache=cache)
+        original = canonical.canonical_fingerprint
+        calls = []
+
+        def counting(formula):
+            calls.append(formula)
+            return original(formula)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                vars(module).get("canonical_fingerprint") is original
+            ):
+                monkeypatch.setattr(module, "canonical_fingerprint", counting)
+        second = execute_plan(plan, self.DB, cache=cache)
+        assert second is first
+        assert calls == []
 
 
 class TestTable:

@@ -32,6 +32,11 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``engine/``, ``service/``, ``shard/`` and ``eval/``: a query's
     literals reach the engines only as template slots (``Param``), lifted
     in one place (``repro.logic.literals``).
+``rows``
+    ``RelationAutomaton.from_tuples`` under ``engine/``, ``shard/`` and
+    ``service/`` and in ``eval/direct.py``: the restricted-domain engines
+    compute finite answers, and a finite answer is its rows
+    (``QueryResult(columns, rows)``), never an automaton built from them.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -49,8 +54,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 @dataclass(frozen=True)
 class Rule:
     """Forbid ``pattern`` in the ``*.py`` files under the ``scanned``
-    directories (relative to the repo root) except those under ``exempt``
-    (a trailing ``/`` marks a directory, anything else one file)."""
+    directories or files (relative to the repo root) except those under
+    ``exempt`` (a trailing ``/`` marks a directory, anything else one
+    file)."""
 
     name: str
     pattern: re.Pattern
@@ -62,7 +68,8 @@ class Rule:
 
     def files(self, root: pathlib.Path):
         for entry in self.scanned:
-            for found in sorted((root / entry).rglob("*.py")):
+            base = root / entry
+            for found in [base] if base.is_file() else sorted(base.rglob("*.py")):
                 yield found.relative_to(root).as_posix(), found
 
     def exempted(self, rel: str) -> bool:
@@ -167,6 +174,20 @@ RULES = (
         problem="StrConst in the engine layers — literals reach them only "
         "as template slots (repro.logic.literals.lift_literals)",
         ok="literals reach algebra/engine/service/shard/eval only as slots",
+    ),
+    Rule(
+        "rows",
+        re.compile(r"\bfrom_tuples\s*\("),
+        scanned=(
+            "src/repro/engine",
+            "src/repro/shard",
+            "src/repro/service",
+            "src/repro/eval/direct.py",
+        ),
+        exempt=(),
+        problem="an automaton built from a restricted engine's rows — a "
+        "finite answer is its rows: return QueryResult(columns, rows)",
+        ok="direct/algebra/sharded answers stay rows",
     ),
 )
 
