@@ -103,7 +103,7 @@ class AlgebraExecutor:
     ``recorder``, when given, is called as ``recorder(node, rows)`` for
     every operator the executor materializes — the delta-maintenance
     layer (:mod:`repro.delta.maintenance`) uses it to snapshot subplan
-    rows on version-tracked databases so the *next* version's run can be
+    rows on delta-store snapshots so the *next* version's run can be
     maintained incrementally instead of recomputed.
 
     ``params`` are the values bound to a template plan's slots

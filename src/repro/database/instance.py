@@ -40,6 +40,9 @@ class Database:
         "_fingerprint",
         "_prefix_closure",
         "_prefix_closure_size",
+        "_max_string_length",
+        "_total_string_length",
+        "_version",
     )
 
     def __init__(
@@ -94,6 +97,10 @@ class Database:
         self._adom = frozenset(adom)
         self._prefix_closure: frozenset[str] | None = None
         self._prefix_closure_size: int | None = None
+        self._max_string_length: int | None = None
+        self._total_string_length: int | None = None
+        # (store, version number) for a snapshot a repro.delta store made.
+        self._version = None
 
     # ------------------------------------------------------------- accessors
 
@@ -150,7 +157,22 @@ class Database:
     @property
     def max_string_length(self) -> int:
         """Length of the longest active-domain string (-1 if empty)."""
-        return max((len(s) for s in self._adom), default=-1)
+        if self._max_string_length is None:
+            self._max_string_length = max(
+                (len(s) for s in self._adom), default=-1
+            )
+        return self._max_string_length
+
+    def total_string_length(self) -> int:
+        """Summed length of every string in every tuple (memoized)."""
+        if self._total_string_length is None:
+            self._total_string_length = sum(
+                len(s)
+                for rows in self._relations.values()
+                for row in rows
+                for s in row
+            )
+        return self._total_string_length
 
     @property
     def size(self) -> int:
@@ -191,6 +213,10 @@ class Database:
         relations: dict[str, frozenset[tuple[str, ...]]],
         adom: frozenset[str],
         fingerprint: str | None = None,
+        version: tuple | None = None,
+        prefix_closure_size: int | None = None,
+        max_string_length: int | None = None,
+        total_string_length: int | None = None,
     ) -> "Database":
         """Trusted constructor for the delta layer (:mod:`repro.delta`).
 
@@ -200,7 +226,11 @@ class Database:
         an incrementally maintained ``adom``, which is what makes
         snapshot evolution O(|delta|) instead of O(|database|).
         ``fingerprint`` seeds the cache-key memo with the version-chain
-        fingerprint so no layer ever rehashes the full instance.
+        fingerprint so no layer ever rehashes the full instance;
+        ``version`` is the ``(store, version number)`` of the
+        :class:`~repro.delta.VersionedDatabase` making this snapshot, the
+        link by which it reaches its own history.  The statistics seed
+        the planner's memos when the store derived them from the delta.
         """
         self = cls.__new__(cls)
         self.alphabet = alphabet
@@ -209,7 +239,10 @@ class Database:
         self._adom = adom
         self._fingerprint = fingerprint
         self._prefix_closure = None
-        self._prefix_closure_size = None
+        self._prefix_closure_size = prefix_closure_size
+        self._max_string_length = max_string_length
+        self._total_string_length = total_string_length
+        self._version = version
         return self
 
     # ---------------------------------------------------------------- width

@@ -1,25 +1,25 @@
 """Mutable databases: the MVCC delta store and incremental maintenance.
 
-Everything in PRs 1–6 keys off immutable content-fingerprinted
-snapshots; this package makes those snapshots *evolve* without going
-cold.  :mod:`repro.delta.store` turns a database into a chain of
-immutable versions under an ``insert``/``delete`` API (in-flight queries
-pin their snapshot, new requests see the head), and
-:mod:`repro.delta.maintenance` lets every cache layer answer for a new
-version from work done on an ancestor — cache promotion for untouched
-formulas and automata, classic ΔQ view-maintenance for algebra plans.
+The engines' caches key off immutable content-fingerprinted snapshots;
+this package makes those snapshots *evolve* without going cold.
+:mod:`repro.delta.store` turns a database into a chain of immutable
+versions under an ``insert``/``delete`` API (in-flight queries pin
+their snapshot, new requests see the head).  A
+:class:`~repro.delta.store.DatabaseVersion` is the one record of an
+applied delta, and each snapshot the store makes reaches its own
+history through that store (:func:`~repro.delta.store.lineage`) — there
+is no process-wide registry.  :mod:`repro.delta.maintenance` walks that
+history so every cache layer answers for a new version from work done
+on an ancestor — cache promotion for untouched formulas and automata,
+classic ΔQ view-maintenance for algebra plans.
 
 See ``docs/mutability.md`` for the full model.
 """
 
 from repro.delta.maintenance import (
-    Transition,
     maintain_algebra_result,
     promote_result,
-    record_transition,
     subplan_recorder,
-    track_version,
-    transition_for,
 )
 from repro.delta.store import (
     MAX_CHAIN,
@@ -29,6 +29,7 @@ from repro.delta.store import (
     VersionedDatabase,
     chained_fingerprint,
     evolve_database,
+    lineage,
 )
 
 __all__ = [
@@ -36,14 +37,11 @@ __all__ = [
     "DatabaseVersion",
     "Delta",
     "DeltaError",
-    "Transition",
     "VersionedDatabase",
     "chained_fingerprint",
     "evolve_database",
+    "lineage",
     "maintain_algebra_result",
     "promote_result",
-    "record_transition",
     "subplan_recorder",
-    "track_version",
-    "transition_for",
 ]

@@ -1,11 +1,12 @@
 """Incremental cache maintenance across database versions (ΔQ rules).
 
 The delta store (:mod:`repro.delta.store`) records every applied delta
-as a :class:`Transition` in a process-wide registry.  This module is the
-*consumer* side: given a cache miss keyed by a child version's
-fingerprint, it tries to answer from work done on an ancestor version
-instead of recomputing from scratch.  Three mechanisms, ordered from
-cheapest to most involved:
+in the :class:`~repro.delta.store.DatabaseVersion` it makes, and links
+each snapshot to its store; :func:`~repro.delta.store.lineage` walks
+from a snapshot to its retained ancestors.  This module is the
+*consumer* side: given a cache miss on a store-made snapshot, it tries
+to answer from work done on an ancestor version instead of recomputing
+from scratch.  Three mechanisms, ordered from cheapest to most involved:
 
 **Result promotion** (:func:`promote_result`) — for the ``automata``
 subformula cache and the whole-result cache of
@@ -13,17 +14,17 @@ subformula cache and the whole-result cache of
 stages of the direct, algebra and sharded backends, whose entries are
 rows).  A (sub)formula's value is a function of the relations it
 mentions plus — when it has restricted (ADOM/PREFIX/LENGTH) quantifiers
-— the active domain.  If the transition chain from an ancestor to the
-queried version touches **neither**, the ancestor's cached entry is
-copied to the child key verbatim.  In particular a delta that only
-touches relation ``S`` leaves every automaton for subformulas over ``R``
-valid, and database-*independent* subformula automata (keyed without a
+— the active domain.  If the deltas from an ancestor to the queried
+version touch **neither**, the ancestor's cached entry is copied to the
+child key verbatim.  In particular a delta that only touches relation
+``S`` leaves every automaton for subformulas over ``R`` valid, and
+database-*independent* subformula automata (keyed without a
 fingerprint) were never invalidated in the first place — the automata
 layer survives deltas; only the product with the changed relations is
 redone.
 
-**Subplan recording** — full algebra runs on a version-tracked database
-record every physical operator's output rows in a bounded store keyed by
+**Subplan recording** — full algebra runs on a store-made snapshot
+record every physical operator's output rows in a bounded cache keyed by
 ``(structure and template binding, plan node, version fingerprint)``.
 
 **ΔQ plan maintenance** (:func:`maintain_algebra_result`) — on the next
@@ -37,13 +38,15 @@ subtrees whose base relations are untouched promote wholesale.  The
 rules are exact — the differential Hypothesis suite
 (``tests/test_property_delta.py``) compares every maintained answer
 against a from-scratch evaluation of the final state.
+
+Walks stop after :data:`~repro.delta.store.MAX_CHAIN` deltas, at the
+base version, or at the first ancestor the store has pruned — each a
+conservative miss (a full run), never a wrong answer.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+import functools
 from typing import Any, Callable, Optional
 
 from repro.algebra.exec import AlgebraExecutor, _is_semi_join, compile_for_execution
@@ -67,7 +70,7 @@ from repro.algebra.plan import (
     _get_checker,
 )
 from repro.database.instance import Database
-from repro.delta.store import MAX_CHAIN, Delta
+from repro.delta.store import MAX_CHAIN, DatabaseVersion, lineage
 from repro.engine.cache import AutomatonCache, database_fingerprint
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
@@ -75,13 +78,9 @@ from repro.logic.formulas import Formula, QuantKind
 from repro.structures.base import StringStructure
 
 __all__ = [
-    "Transition",
     "maintain_algebra_result",
     "promote_result",
-    "record_transition",
     "subplan_recorder",
-    "track_version",
-    "transition_for",
 ]
 
 Row = tuple[str, ...]
@@ -94,69 +93,10 @@ _EMPTY: Rows = frozenset()
 _APPENDERS = (PrefixOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp, DownOp)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One applied delta: parent version -> child version."""
-
-    parent_fingerprint: str
-    child_fingerprint: str
-    delta: Delta
-    parent_db: Database
-    child_db: Database
-    adom_changed: bool
-    schema_changed: bool
-
-
-# ------------------------------------------------------------- the registry
-
-
-_LOCK = threading.RLock()
-#: child fingerprint -> the transition that produced it (LRU-bounded).
-_TRANSITIONS: OrderedDict[str, Transition] = OrderedDict()
-_TRANSITIONS_CAP = 256
-#: Fingerprints of versions managed by some VersionedDatabase — the
-#: algebra backend only pays for subplan recording on tracked databases.
-_TRACKED: OrderedDict[str, None] = OrderedDict()
-_TRACKED_CAP = 1024
-
-
-def record_transition(transition: Transition) -> None:
-    """Register an applied delta (called by the delta store)."""
-    with _LOCK:
-        _TRANSITIONS[transition.child_fingerprint] = transition
-        while len(_TRANSITIONS) > _TRANSITIONS_CAP:
-            _TRANSITIONS.popitem(last=False)
-    track_version(transition.parent_fingerprint)
-    track_version(transition.child_fingerprint)
-
-
-def transition_for(fingerprint: str) -> Optional[Transition]:
-    """The transition that produced version ``fingerprint``, if recorded."""
-    with _LOCK:
-        return _TRANSITIONS.get(fingerprint)
-
-
-def track_version(fingerprint: str) -> None:
-    """Mark ``fingerprint`` as a delta-store version (enables recording)."""
-    with _LOCK:
-        _TRACKED[fingerprint] = None
-        _TRACKED.move_to_end(fingerprint)
-        while len(_TRACKED) > _TRACKED_CAP:
-            _TRACKED.popitem(last=False)
-
-
-def is_tracked(fingerprint: str) -> bool:
-    with _LOCK:
-        return fingerprint in _TRACKED
-
-
 def reset() -> None:
-    """Drop all transitions, tracking, and recorded subplan rows (tests)."""
-    with _LOCK:
-        _TRANSITIONS.clear()
-        _TRACKED.clear()
-        _STORE.clear()
-        _NAMES.clear()
+    """Drop all recorded subplan rows and memoized plan names (tests)."""
+    _STORE.clear()
+    _base_names.cache_clear()
 
 
 # -------------------------------------------------------- result promotion
@@ -166,39 +106,40 @@ def promote_result(
     cache: AutomatonCache,
     key: tuple,
     formula: Formula,
+    database: Database,
     metric: str = "delta.result_promotions",
 ) -> Optional[Any]:
     """Copy an ancestor version's cached entry to ``key`` when still valid.
 
     ``key`` is a :func:`repro.engine.cache.formula_key` tuple whose
-    ``key[4]`` is the queried version's fingerprint.  Walking the
-    transition chain toward the root, the ancestor entry is reusable as
-    long as no walked delta touches a relation ``formula`` mentions and
-    — when the formula has restricted quantifiers, whose domains derive
-    from ``adom(D)`` — no walked delta changed the active domain.
-    Returns the promoted value (also stored under ``key``) or ``None``.
+    ``key[4]`` is ``database``'s fingerprint.  Walking ``database``'s
+    versions toward the root, the ancestor entry is reusable as long as
+    no walked delta touches a relation ``formula`` mentions and — when
+    the formula has restricted quantifiers, whose domains derive from
+    ``adom(D)`` — no walked delta changed the active domain.  Returns
+    the promoted value (also stored under ``key``) or ``None``.
     """
-    with _LOCK:
-        if not _TRANSITIONS:
-            return None
-    fingerprint = key[4]
-    if fingerprint is None:
+    if key[4] is None:
+        return None
+    versions = lineage(database)
+    child = next(versions, None)
+    if child is None:
         return None
     relations = formula.relation_names()
     adom_sensitive = any(
         kind is not QuantKind.NATURAL for kind in formula.quantifier_kinds()
     )
-    cursor = fingerprint
     for _ in range(MAX_CHAIN):
-        transition = transition_for(cursor)
-        if transition is None:
+        if child.delta is None:
             return None
-        if adom_sensitive and transition.adom_changed:
+        if adom_sensitive and child.adom_changed:
             return None
-        if transition.delta.touched & relations:
+        if child.delta.touched & relations:
             return None
-        cursor = transition.parent_fingerprint
-        value = cache.peek(key[:4] + (cursor,) + key[5:])
+        child = next(versions, None)
+        if child is None:
+            return None
+        value = cache.peek(key[:4] + (child.fingerprint,) + key[5:])
         if value is not None:
             cache.put(key, value)
             METRICS.inc(metric)
@@ -209,46 +150,13 @@ def promote_result(
 # ------------------------------------------------------- subplan recording
 
 
-class _RowStore:
-    """A small thread-safe LRU of per-operator output rows.
-
-    Keys are ``((structure name, alphabet, params), plan node,
-    fingerprint)`` — plan nodes are frozen dataclasses, hashable by
-    structure, and a template plan's rows depend on the values bound to
-    its slots.  Kept separate from the automaton cache so recorded
-    intermediates never evict compiled automata and never distort the
-    cache hit-rate stats.
-    """
-
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = maxsize
-        self._data: OrderedDict[tuple, Rows] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Optional[Rows]:
-        with self._lock:
-            rows = self._data.get(key)
-            if rows is not None:
-                self._data.move_to_end(key)
-            return rows
-
-    def put(self, key: tuple, rows: Rows) -> None:
-        with self._lock:
-            self._data[key] = rows
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-_STORE = _RowStore()
+#: Per-operator output rows, keyed ``((structure name, alphabet,
+#: params), plan node, fingerprint)`` — plan nodes are frozen
+#: dataclasses, hashable by structure, and a template plan's rows depend
+#: on the values bound to its slots.  Its own cache instance (read with
+#: ``peek``), so recorded intermediates never evict compiled automata
+#: and never distort the ``cache.*`` hit-rate stats.
+_STORE = AutomatonCache(maxsize=4096, metrics_prefix="delta.subplans")
 
 
 def _structure_key(structure: StringStructure, params: tuple = ()) -> tuple:
@@ -270,35 +178,21 @@ def subplan_recorder(
     structure: StringStructure, database: Database, params: tuple = ()
 ) -> Optional[Callable[[Plan, Rows], None]]:
     """A recorder for :class:`~repro.algebra.exec.AlgebraExecutor` running
-    with ``params``, or ``None`` when ``database`` is not a delta-store
-    version (recording would be pure overhead for never-mutated
-    databases)."""
-    with _LOCK:
-        if not _TRACKED:
-            return None
-    fingerprint = database_fingerprint(database)
-    if not is_tracked(fingerprint):
+    with ``params``, or ``None`` when ``database`` is not a retained
+    delta-store version (recording would be pure overhead for
+    never-mutated databases, and no walk reaches a pruned version)."""
+    if next(lineage(database), None) is None:
         return None
-    return _recorder_into(structure, fingerprint, params)
+    return _recorder_into(structure, database_fingerprint(database), params)
 
 
 # ----------------------------------------------------- ΔQ plan maintenance
 
 
-#: Per-node base-relation names (bounded memo; plans are shared DAGs).
-_NAMES: dict[Plan, frozenset] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _base_names(node: Plan) -> frozenset:
-    names = _NAMES.get(node)
-    if names is None:
-        names = frozenset(
-            n.name for n in node.walk() if isinstance(n, BaseRel)
-        )
-        if len(_NAMES) > 4096:
-            _NAMES.clear()
-        _NAMES[node] = names
-    return names
+    """Per-node base-relation names (plans are shared DAGs)."""
+    return frozenset(n.name for n in node.walk() if isinstance(n, BaseRel))
 
 
 class _Bail(Exception):
@@ -312,51 +206,45 @@ def maintain_algebra_result(
     """Maintain a whole algebra result across the version chain, or ``None``.
 
     Called by the algebra backend's interpreted strategy on a
-    whole-result cache miss that promotion could not answer.  Finds
-    the nearest ancestor version whose root subplan rows were recorded,
-    then applies each recorded transition's deltas through the plan tree
-    with the ΔQ rules, storing every operator's rows at each intermediate
-    version (so the *next* delta starts from here).  Returns
-    ``(columns, rows)`` on success; ``None`` means "run it from scratch"
-    (no recorded ancestor, a schema-changing delta in the chain, or an
-    operator the rules do not cover).
+    whole-result cache miss that promotion could not answer.  Walks
+    ``database``'s versions to the nearest ancestor whose root subplan
+    rows were recorded, then applies each walked delta through the plan
+    tree with the ΔQ rules, storing every operator's rows at each
+    intermediate version (so the *next* delta starts from here).
+    Returns ``(columns, rows)`` on success; ``None`` means "run it from
+    scratch" (no recorded ancestor, a schema-changing delta in the
+    chain, or an operator the rules do not cover).
     """
-    with _LOCK:
-        if not _TRANSITIONS:
-            return None
-    fingerprint = database_fingerprint(database)
-    if transition_for(fingerprint) is None:
+    versions = lineage(database)
+    child = next(versions, None)
+    if child is None or child.delta is None:
         return None
     compiled, optimized = compile_for_execution(
         plan.formula, plan.structure, database.schema, slack=plan.slack
     )
     skey = _structure_key(plan.structure, plan.params)
-    chain: list[Transition] = []
-    cursor = fingerprint
+    chain: list[tuple[DatabaseVersion, DatabaseVersion]] = []
     for _ in range(MAX_CHAIN):
-        transition = transition_for(cursor)
-        if transition is None:
+        parent = next(versions, None)
+        # No delta: the base version.  A schema change: the compiled
+        # plan reads relations the parent snapshot predates.
+        if child.delta is None or child.schema_changed or parent is None:
             METRICS.inc("delta.algebra_fallbacks")
             return None
-        if transition.schema_changed:
-            # The compiled plan reads the child schema's relations; the
-            # parent snapshot predates them.  Re-run from scratch.
-            METRICS.inc("delta.algebra_fallbacks")
-            return None
-        chain.append(transition)
-        cursor = transition.parent_fingerprint
-        if _STORE.get((skey, optimized, cursor)) is not None:
+        chain.append((parent, child))
+        if _STORE.peek((skey, optimized, parent.fingerprint)) is not None:
             break
+        child = parent
     else:
         METRICS.inc("delta.algebra_fallbacks")
         return None
     try:
-        for transition in reversed(chain):
-            _apply_transition(optimized, transition, plan.structure, plan.params)
+        for parent, child in reversed(chain):
+            _apply_delta(optimized, parent, child, plan.structure, plan.params)
     except _Bail:
         METRICS.inc("delta.algebra_fallbacks")
         return None
-    rows = _STORE.get((skey, optimized, fingerprint))
+    rows = _STORE.peek((skey, optimized, database_fingerprint(database)))
     if rows is None:  # evicted mid-walk under memory pressure
         METRICS.inc("delta.algebra_fallbacks")
         return None
@@ -364,10 +252,14 @@ def maintain_algebra_result(
     return compiled.columns, rows
 
 
-def _apply_transition(
-    root: Plan, t: Transition, structure: StringStructure, params: tuple = ()
+def _apply_delta(
+    root: Plan,
+    parent: DatabaseVersion,
+    child: DatabaseVersion,
+    structure: StringStructure,
+    params: tuple = (),
 ) -> Rows:
-    """Propagate one transition's deltas bottom-up through ``root``.
+    """Propagate ``child``'s delta bottom-up through ``root``.
 
     Every visited node's ``(new, added, removed)`` is exact:
     ``added = new - old`` and ``removed = old - new`` as sets.  New rows
@@ -375,12 +267,13 @@ def _apply_transition(
     recorded (store eviction) are recovered by evaluating that subplan
     on the pinned parent snapshot.
     """
+    delta = child.delta
     skey = _structure_key(structure, params)
     memo: dict[Plan, tuple[Rows, Rows, Rows]] = {}
     fallback: list[Optional[AlgebraExecutor]] = [None]
 
     def old_rows(node: Plan) -> Rows:
-        rows = _STORE.get((skey, node, t.parent_fingerprint))
+        rows = _STORE.peek((skey, node, parent.fingerprint))
         if rows is not None:
             METRICS.inc("delta.subplan_hits")
             return rows
@@ -388,8 +281,8 @@ def _apply_transition(
         if fallback[0] is None:
             fallback[0] = AlgebraExecutor(
                 structure,
-                t.parent_db,
-                recorder=_recorder_into(structure, t.parent_fingerprint, params),
+                parent.database,
+                recorder=_recorder_into(structure, parent.fingerprint, params),
                 params=params,
             )
         rows, _stats = fallback[0].run(node)
@@ -398,7 +291,7 @@ def _apply_transition(
     def settle(node: Plan, new: Rows, added: Rows, removed: Rows):
         result = (new, added, removed)
         memo[node] = result
-        _STORE.put((skey, node, t.child_fingerprint), new)
+        _STORE.put((skey, node, child.fingerprint), new)
         return result
 
     def keep(node: Plan):
@@ -413,11 +306,11 @@ def _apply_transition(
         if isinstance(node, BaseRel):
             return settle(
                 node,
-                t.child_db.relation(node.name),
-                t.delta.inserted(node.name),
-                t.delta.deleted(node.name),
+                child.database.relation(node.name),
+                delta.inserted(node.name),
+                delta.deleted(node.name),
             )
-        if not (_base_names(node) & t.delta.touched):
+        if not (_base_names(node) & delta.touched):
             return keep(node)
         if isinstance(node, Select) and isinstance(node.child, Product):
             return _filtered_cross(node)
@@ -626,7 +519,7 @@ def _apply_transition(
         if not rows:
             return _EMPTY
         shim = _rebuild(node, [_Shim(rows, node.children()[0].arity)])
-        return shim.evaluate(t.child_db, structure, params)
+        return shim.evaluate(child.database, structure, params)
 
     new_root, _, _ = maint(root)
     return new_root

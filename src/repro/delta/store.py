@@ -20,17 +20,23 @@ snapshot keep answering against it), built in O(|delta|):
   content reached by different histories is a conservative cache miss,
   never a wrong hit.
 
-Every applied delta is recorded as a :class:`~repro.delta.maintenance.
-Transition` in the process-wide registry, which is what lets the
-engines' caches survive the change (see :mod:`repro.delta.maintenance`).
+A :class:`DatabaseVersion` is the one record of an applied delta, and
+every snapshot the store makes carries a link back to the store and its
+version number: :func:`lineage` walks from a snapshot to its retained
+ancestors, which is what lets the engines' caches survive the change
+(see :mod:`repro.delta.maintenance`).  The store also keeps the active
+domain sorted, so each child's planning statistics (``|prefix(adom(D))|``
+and the longest and total string lengths) are derived from its parent's
+and the delta instead of recounted.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import threading
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -39,8 +45,11 @@ from repro.database.schema import Schema
 from repro.engine.cache import database_fingerprint
 from repro.engine.metrics import METRICS
 from repro.errors import ArityError, ReproError
+from repro.strings import lcp_with_set
 
-__all__ = ["DatabaseVersion", "Delta", "DeltaError", "VersionedDatabase"]
+__all__ = [
+    "DatabaseVersion", "Delta", "DeltaError", "VersionedDatabase", "lineage",
+]
 
 Row = tuple[str, ...]
 
@@ -160,13 +169,17 @@ def evolve_database(
     inserts: Mapping[str, frozenset[Row]],
     deletes: Mapping[str, frozenset[Row]],
     fingerprint: Optional[str] = None,
+    adom: Optional[frozenset[str]] = None,
+    **seeds,
 ) -> Database:
     """Apply pre-normalized effective deltas to one snapshot, O(|delta|).
 
-    Shares every untouched relation frozenset with ``database``; the
-    active domain is recomputed from scratch only here when the caller
-    has no refcounts (the shard coordinator evolving a partition) — the
-    :class:`VersionedDatabase` path below maintains it incrementally.
+    Shares every untouched relation frozenset with ``database``.  The
+    :class:`VersionedDatabase` passes its refcount-maintained ``adom``
+    and ``seeds`` — the version link and planning statistics
+    :meth:`Database._evolved` takes; without an ``adom`` (the shard
+    coordinator evolving a partition) the active domain is recomputed
+    from scratch.
     """
     relations = {name: database.relation(name) for name in database.relation_names}
     schema = database.schema
@@ -186,13 +199,44 @@ def evolve_database(
         arities = {n: schema.arity(n) for n in schema.relation_names}
         arities.update(new_names)
         schema = Schema(arities)
-    adom: set[str] = set()
-    for rows in relations.values():
-        for row in rows:
-            adom.update(row)
+    if adom is None:
+        adom = frozenset(
+            s for rows in relations.values() for row in rows for s in row
+        )
     return Database._evolved(
-        database.alphabet, schema, relations, frozenset(adom), fingerprint
+        database.alphabet, schema, relations, adom, fingerprint, **seeds
     )
+
+
+def lineage(database: Database) -> Iterator[DatabaseVersion]:
+    """``database``'s own version, then its retained ancestors, newest first.
+
+    Empty for a snapshot no :class:`VersionedDatabase` made.  The walk
+    goes through the store's retained versions, so it ends at the first
+    pruned one: past ``keep_versions`` an ancestor is a conservative
+    miss, never a wrong version.
+    """
+    made_by = getattr(database, "_version", None)
+    if made_by is None:
+        return
+    store, number = made_by
+    # Lock-free: one dict read is atomic, and pruning only drops the
+    # oldest versions, which just ends the walk sooner.
+    while (version := store._versions.get(number)) is not None:
+        yield version
+        number -= 1
+
+
+def _trie_nodes(strings: list[str], at: int, s: str) -> int:
+    """Nodes ``s`` adds to the trie of sorted ``strings`` at index ``at``.
+
+    One per character past the longest prefix ``s`` shares with a stored
+    string, which a sorted neighbour attains (plus the root when the
+    trie is empty).
+    """
+    if not strings:
+        return len(s) + 1
+    return len(s) - len(lcp_with_set(s, strings[max(at - 1, 0):at + 1]))
 
 
 class VersionedDatabase:
@@ -200,7 +244,9 @@ class VersionedDatabase:
 
     Thread-safe: deltas are applied under a lock; readers grab
     :attr:`head` (one attribute read) and keep evaluating against that
-    pinned snapshot no matter what is applied concurrently.
+    pinned snapshot no matter what is applied concurrently.  Version 0
+    is the store's own copy of ``database`` (sharing its relation
+    frozensets), so that every snapshot of the chain is linked to it.
 
     Examples
     --------
@@ -223,10 +269,13 @@ class VersionedDatabase:
             raise DeltaError("keep_versions must be >= 1")
         self._lock = threading.Lock()
         self._keep = keep_versions
+        fingerprint = database_fingerprint(database)
         base = DatabaseVersion(
             version=0,
-            fingerprint=database_fingerprint(database),
-            database=database,
+            fingerprint=fingerprint,
+            database=evolve_database(
+                database, {}, {}, fingerprint, database.adom, version=(self, 0)
+            ),
             plan_epoch=0,
         )
         self._versions: dict[int, DatabaseVersion] = {0: base}
@@ -240,9 +289,9 @@ class VersionedDatabase:
         for name in database.relation_names:
             for row in database.relation(name):
                 self._adom_counts.update(row)
-        from repro.delta.maintenance import track_version
-
-        track_version(base.fingerprint)
+        # The active domain in sorted order: a delta's strings find their
+        # trie neighbours by bisection (prefix-closure size upkeep).
+        self._adom_sorted = sorted(self._adom_counts)
 
     # ------------------------------------------------------------- reading
 
@@ -279,6 +328,40 @@ class VersionedDatabase:
 
     # ------------------------------------------------------------- writing
 
+    def _statistics(
+        self, parent: Database, delta: Delta, added: set, removed: set
+    ) -> dict[str, Optional[int]]:
+        """The child's planning statistics, from ``parent``'s and the
+        delta's: O(|delta| log |adom|) instead of a rescan per snapshot.
+
+        ``|prefix(adom)|`` moves by the trie nodes each added or removed
+        string owns (this also moves the store's sorted active domain to
+        the child's); the longest length is left to a lazy recount when a
+        removed string may have been the longest.
+        """
+        closure = parent.adom_prefix_closure_size()
+        strings = self._adom_sorted
+        for s in removed:
+            at = bisect.bisect_left(strings, s)
+            del strings[at]
+            closure -= _trie_nodes(strings, at, s)
+        for s in added:
+            at = bisect.bisect_left(strings, s)
+            closure += _trie_nodes(strings, at, s)
+            strings.insert(at, s)
+        longest = max([parent.max_string_length, *map(len, added)])
+        if any(len(s) == longest for s in removed):
+            longest = None
+        total = parent.total_string_length()
+        for changes, sign in ((delta.inserts, 1), (delta.deletes, -1)):
+            for _, rows in changes:
+                total += sign * sum(len(s) for row in rows for s in row)
+        return {
+            "prefix_closure_size": closure,
+            "max_string_length": longest,
+            "total_string_length": total,
+        }
+
     def insert(
         self, relation: str, rows: Iterable[Union[str, Sequence[str]]]
     ) -> DatabaseVersion:
@@ -305,15 +388,12 @@ class VersionedDatabase:
         extends the schema (a ``plan_epoch`` bump); deleting from one is
         an error.
         """
-        from repro.delta import maintenance
-
         with self._lock:
             parent = self._head
             db = parent.database
             alphabet = db.alphabet
             eff_ins: dict[str, frozenset[Row]] = {}
             eff_del: dict[str, frozenset[Row]] = {}
-            new_relations: dict[str, int] = {}
             for name, rows in (inserts or {}).items():
                 normalized = _normalize_rows(name, rows, alphabet)
                 if name in db.schema:
@@ -324,11 +404,8 @@ class VersionedDatabase:
                             f"{len(next(iter(normalized)))} rows"
                         )
                     effective = frozenset(normalized - db.relation(name))
-                elif normalized:
-                    new_relations[name] = len(next(iter(normalized)))
-                    effective = frozenset(normalized)
                 else:
-                    continue
+                    effective = frozenset(normalized)
                 if effective:
                     eff_ins[name] = effective
             for name, rows in (deletes or {}).items():
@@ -370,53 +447,31 @@ class VersionedDatabase:
                             del self._adom_counts[s]
                             removed.add(s)
             adom_changed = bool(added or removed)
-
-            relations = {
-                name: db.relation(name) for name in db.relation_names
-            }
-            for name, rows in eff_ins.items():
-                relations[name] = relations.get(name, frozenset()) | rows
-            for name, rows in eff_del.items():
-                relations[name] = relations[name] - rows
-            schema = db.schema
-            if new_relations:
-                arities = {n: schema.arity(n) for n in schema.relation_names}
-                arities.update(new_relations)
-                schema = Schema(arities)
-            adom = db.adom
-            if adom_changed:
-                adom = (adom | added) - removed
+            adom = (db.adom | added) - removed if adom_changed else db.adom
+            number = parent.version + 1
             fingerprint = chained_fingerprint(parent.fingerprint, delta.digest())
-            child_db = Database._evolved(
-                alphabet, schema, relations, adom, fingerprint
+            child_db = evolve_database(
+                db, eff_ins, eff_del, fingerprint, adom,
+                version=(self, number),
+                **self._statistics(db, delta, added, removed),
             )
+            schema_changed = child_db.schema is not db.schema
             child = DatabaseVersion(
-                version=parent.version + 1,
+                version=number,
                 fingerprint=fingerprint,
                 database=child_db,
                 plan_epoch=parent.plan_epoch
-                + (1 if adom_changed or new_relations else 0),
+                + (1 if adom_changed or schema_changed else 0),
                 delta=delta,
                 adom_changed=adom_changed,
-                schema_changed=bool(new_relations),
+                schema_changed=schema_changed,
             )
-            self._versions[child.version] = child
+            self._versions[number] = child
             self._head = child
             while len(self._versions) > self._keep:
                 # Prune oldest; pinned DatabaseVersion refs stay valid.
                 del self._versions[min(self._versions)]
 
-        maintenance.record_transition(
-            maintenance.Transition(
-                parent_fingerprint=parent.fingerprint,
-                child_fingerprint=child.fingerprint,
-                delta=delta,
-                parent_db=parent.database,
-                child_db=child.database,
-                adom_changed=adom_changed,
-                schema_changed=bool(new_relations),
-            )
-        )
         METRICS.inc("delta.versions")
         METRICS.inc(
             "delta.rows_inserted", sum(len(r) for r in eff_ins.values())

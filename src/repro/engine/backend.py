@@ -606,7 +606,7 @@ class AlgebraBackend(EngineBackend):
 
         # Delta-store versions: maintain the previous version's recorded
         # subplan rows through the ΔQ rules instead of recomputing; full
-        # runs on tracked versions record their subplans for next time.
+        # runs on store-made snapshots record their subplans for next time.
         maintained = maintenance.maintain_algebra_result(plan, database)
         if maintained is not None:
             # Maintained runs reuse a prior full run's answer, whose

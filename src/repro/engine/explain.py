@@ -238,7 +238,7 @@ def _execute(
             )
             result = cache.get(key)
             if result is None:
-                result = promote_result(cache, key, plan.formula)
+                result = promote_result(cache, key, plan.formula, database)
             if result is not None:
                 return result, True
         if plan.params and not backend.parameterized:

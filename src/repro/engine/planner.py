@@ -405,11 +405,7 @@ def estimate_automata_cost(
     """
     sigma = len(structure.alphabet)
     column_factor = float(sigma + 1)
-    db_trie = 2.0 + sum(
-        len(s) for tup in (
-            database.relation(n) for n in database.relation_names
-        ) for row in tup for s in row
-    )
+    db_trie = 2.0 + database.total_string_length()
 
     def states(f: Formula) -> float:
         if isinstance(f, (TrueF, FalseF)):

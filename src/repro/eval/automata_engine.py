@@ -146,7 +146,8 @@ class AutomataEngine:
                 from repro.delta.maintenance import promote_result
 
                 hit = promote_result(
-                    self.cache, key, f, metric="delta.automata_promotions"
+                    self.cache, key, f, self.database,
+                    metric="delta.automata_promotions",
                 )
             if hit is not None:
                 if self.observer is not None:

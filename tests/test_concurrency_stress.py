@@ -16,6 +16,7 @@ import asyncio
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -300,3 +301,58 @@ class TestStress:
         assert len(cache) <= 16
         assert stats["size"] == len(cache)
         assert stats["hits"] + stats["misses"] > 0
+
+    def test_history_walks_hold_under_concurrent_deltas(self):
+        # Readers walk snapshot histories without the store's lock while
+        # a writer applies deltas and prunes (keep_versions=3): a walk is
+        # empty (its version was pruned) or the snapshot's own version
+        # followed by consecutive ancestors, and every answer equals a
+        # fresh build of the pinned snapshot's content.
+        from repro.database.instance import Database
+        from repro.delta import VersionedDatabase, lineage
+        from repro.strings import BINARY
+
+        vdb = VersionedDatabase(
+            Database(BINARY, {"R": {("0",)}, "S": {("1",)}}), keep_versions=3
+        )
+        query = Query("R(x) & last(x, '0')")
+        errors = []
+        done = threading.Event()
+
+        def write():
+            try:
+                for i in range(200):
+                    vdb.insert("RS"[i % 2], [format(i, "b") + "0"])
+            finally:
+                done.set()
+
+        def read():
+            while not done.is_set():
+                head = vdb.head
+                walk = [v.version for v in lineage(head.database)]
+                if walk and walk != list(
+                    range(head.version, head.version - len(walk), -1)
+                ):
+                    errors.append(walk)
+                got = query.result(head.database, engine="direct").as_set()
+                fresh = Database(
+                    BINARY, {n: head.database.relation(n) for n in "RS"}
+                )
+                if got != query.result(fresh, engine="direct").as_set():
+                    errors.append(head.version)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read) for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert vdb.head.version == 200

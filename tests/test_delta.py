@@ -16,7 +16,7 @@ from repro.delta import (
     VersionedDatabase,
     chained_fingerprint,
     evolve_database,
-    transition_for,
+    lineage,
 )
 from repro.engine.cache import database_fingerprint, global_cache
 from repro.engine.metrics import METRICS
@@ -230,16 +230,52 @@ class TestIncrementalMaintenance:
             == query.result(fresh, engine="automata").as_set()
         )
 
-    def test_transition_registry_records_chain(self):
+    def test_version_walk_records_chain(self):
         vdb = VersionedDatabase(make_db())
         v1 = vdb.insert("R", ["111"])
         v2 = vdb.delete("S", ["0"])
-        t = transition_for(v2.fingerprint)
-        assert t is not None
-        assert t.parent_fingerprint == v1.fingerprint
-        assert transition_for(v1.fingerprint).parent_fingerprint == (
-            vdb.version(0).fingerprint
-        )
+        walk = list(lineage(v2.database))
+        assert [v.version for v in walk] == [2, 1, 0]
+        assert walk[0] is v2 and walk[1] is v1
+        assert walk[1].fingerprint == v1.fingerprint
+        assert walk[2].fingerprint == vdb.version(0).fingerprint
+        # A database no store made has no history.
+        assert list(lineage(make_db())) == []
+
+    def test_two_stores_over_equal_content_promote_independently(self):
+        base = dict(r=("0010", "1000", "110"), s=("1",))
+        a = VersionedDatabase(make_db(**base))
+        b = VersionedDatabase(make_db(**base))
+        query = Query("R(x) & last(x, '0')")
+        first = query.result(a.head.database, engine="direct").as_set()
+        head_a = a.insert("S", ["0010"])
+        b.insert("S", ["1000"])
+        head_b = b.delete("S", ["1"])
+        assert ("0010",) not in head_b.database.relation("S")
+        assert [v.version for v in lineage(head_a.database)] == [1, 0]
+        assert [v.version for v in lineage(head_b.database)] == [2, 1, 0]
+        before = METRICS.get("delta.result_promotions")
+        assert query.result(head_a.database, engine="direct").as_set() == first
+        assert METRICS.get("delta.result_promotions") == before + 1
+        assert query.result(head_b.database, engine="direct").as_set() == first
+        assert METRICS.get("delta.result_promotions") == before + 2
+
+    def test_pruned_ancestors_answer_by_full_run(self):
+        r, s = ("0100", "10", "0"), ("1",)
+        vdb = VersionedDatabase(make_db(r=r, s=s), keep_versions=2)
+        query = Query("R(x) & S(y) & x <<= y")
+        query.result(vdb.head.database, engine="algebra")
+        inserted = ["1001", "01001", "100", "0111"]
+        for row in inserted:
+            head = vdb.insert("S", [row])
+        assert [v.version for v in lineage(head.database)] == [4, 3]
+        maintained = METRICS.get("delta.algebra_maintained")
+        fallbacks = METRICS.get("delta.algebra_fallbacks")
+        out = query.result(head.database, engine="algebra").as_set()
+        assert METRICS.get("delta.algebra_maintained") == maintained
+        assert METRICS.get("delta.algebra_fallbacks") == fallbacks + 1
+        fresh = make_db(r=r, s=s + tuple(inserted))
+        assert out == query.result(fresh, engine="direct").as_set()
 
     def test_peek_does_not_distort_cache_stats(self):
         cache = global_cache()

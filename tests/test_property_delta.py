@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import Query, StringDatabase
 from repro.database.instance import Database
 from repro.database.schema import Schema
-from repro.delta import VersionedDatabase
+from repro.delta import VersionedDatabase, lineage
 from repro.service import QueryService, RunRequest
 from repro.engine.cache import AutomatonCache
 from repro.engine.explain import execute_plan
@@ -105,6 +105,38 @@ def test_evolved_equals_fresh_in_process(r, s, ops):
                 fused_plan(query, evolved), evolved, cache=AutomatonCache()
             ).as_set()
             assert got == want, f"{text} fused: evolved != fresh"
+
+
+@given(
+    r=relation,
+    s=relation,
+    ops=st.lists(step, max_size=8),
+    keep=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_seeded_statistics_equal_fresh(r, s, ops, keep):
+    # Every planning statistic of a store-made snapshot — the prefix
+    # closure size derived from the delta, the memoized lengths — must
+    # equal what a from-scratch database computes, on every version.
+    vdb = VersionedDatabase(
+        Database(BINARY, {"R": {(x,) for x in r}, "S": {(x,) for x in s}}),
+        keep_versions=keep,
+    )
+    model = {"R": set(r), "S": set(s)}
+    for op, rel, rows in ops:
+        _evolve(vdb, model, [(op, rel, rows)])
+        evolved = vdb.head.database
+        fresh = Database(
+            BINARY, {name: {(x,) for x in rows} for name, rows in model.items()}
+        )
+        assert evolved.adom == fresh.adom
+        if vdb.head.version:  # seeded by the store, not recounted
+            assert evolved._prefix_closure_size == len(
+                fresh.adom_prefix_closure()
+            )
+        assert evolved.max_string_length == fresh.max_string_length
+        assert evolved.total_string_length() == fresh.total_string_length()
+        assert next(lineage(evolved)) is vdb.head
 
 
 def test_join_maintained_over_long_chain():
