@@ -9,7 +9,7 @@ SMOKE_DIR := .bench-smoke
 	bench-shard bench-shard-smoke bench-delta bench-delta-smoke \
 	bench-codegen bench-codegen-smoke bench-ranf bench-ranf-smoke \
 	bench-compare bench-report bench-full \
-	bench-service bench-service-smoke serve-smoke clean
+	bench-service bench-service-smoke perfbench-smoke serve-smoke clean
 
 ## Fast local loop: lints, skip @pytest.mark.slow tests, then smoke the
 ## perf claims cheapest to regress silently (algebra joins, the flat-array
@@ -181,6 +181,26 @@ bench-service:
 bench-service-smoke:
 	mkdir -p $(SMOKE_DIR)
 	$(PY) benchmarks/bench_service.py --smoke --compare --explain-json $(SMOKE_DIR)/service.json
+
+## The end-to-end service benchmark (perfbench/run.py: real server
+## processes, two closed-loop TCP clients, every answer checked) for 3 s
+## on each workload; fails unless every answer was correct and no
+## operation failed.  Not part of `make test`: it starts ten server
+## processes per workload.
+PERFBENCH_WORKLOADS := hot_lookup adhoc_mix read_write
+
+perfbench-smoke:
+	mkdir -p $(SMOKE_DIR)
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 \
+			--trace 0 > $(SMOKE_DIR)/perfbench-$$w.json || exit 1; \
+		python3 -c "import json, sys; \
+	r = json.loads(open(sys.argv[1]).read().splitlines()[-1]); \
+	ok = r['correct'] is True and r['failed'] == 0; \
+	print('perfbench-smoke: %s correct=%s failed=%s p50=%.3f ms' % (sys.argv[2], \
+	r['correct'], r['failed'], r['metrics']['p50_ms']['value'])); \
+	sys.exit(0 if ok else 1)" $(SMOKE_DIR)/perfbench-$$w.json $$w || exit 1; \
+	done
 
 ## One NDJSON round-trip through `python -m repro serve --stdio`:
 ## register a database, run a query, check the rows, exit 0 on EOF.

@@ -475,7 +475,8 @@ class AlgebraBackend(EngineBackend):
             )
         # The gamma-bounded branch tolerates unanchored output (its pair
         # carries the runtime bound check), but vacuous ADOM anchoring is
-        # still degenerate — let direct answer it for free.
+        # still degenerate — the direct gate refuses it too, so the
+        # automata engine answers it.
         if QuantKind.ADOM in formula.quantifier_kinds() and not database.adom:
             return False, "empty active domain: ADOM anchoring is vacuous"
         return True, f"RANF-translatable query ({verdict.branch} branch)"

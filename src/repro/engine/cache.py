@@ -150,6 +150,15 @@ class AutomatonCache:
                 self._data.move_to_end(key)
             return value
 
+    def count_hit(self) -> None:
+        """Count a hit for a value read with :meth:`peek` and then used —
+        for a probe that may decline the entry it found, and whose miss
+        the real lookup counts (:meth:`repro.service.QueryService.
+        answer_cached`)."""
+        with self._lock:
+            self.hits += 1
+        METRICS.inc(f"{self._prefix}.hits")
+
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` under ``key``, evicting the LRU entry if full."""
         with self._lock:

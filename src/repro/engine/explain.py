@@ -192,9 +192,7 @@ def execute_plan(
     """Run a plan's formula through its chosen engine, with caching.
 
     The one whole-result cache, for every backend that declares
-    ``caches_results``: keyed by the plan's fingerprint (template and
-    values), the database fingerprint and the backend's name, so a forced
-    engine is never answered by another engine's entry; on a miss an
+    ``caches_results``, keyed by :func:`result_key`; on a miss an
     ancestor version's answer is promoted when still exact
     (:func:`repro.delta.maintenance.promote_result`).  The automata
     backend caches every subformula compilation in ``cache`` itself.
@@ -207,6 +205,23 @@ def execute_plan(
     any other is handed ``bind(template, plan.params)``.
     """
     return _execute(plan, database, cache, observer)[0]
+
+
+def result_key(plan: Plan, database: Database) -> tuple:
+    """The whole-result cache key of ``plan``'s answer on ``database``:
+    the plan's fingerprint (template and values), the database
+    fingerprint and the backend's name, so a forced engine is never
+    answered by another engine's entry.  :func:`execute_plan` stores
+    under it, and the service's event-loop probe (:meth:`repro.service.
+    QueryService.answer_cached`) reads it."""
+    return formula_key(
+        plan.fingerprint,
+        plan.structure.name,
+        plan.structure.alphabet.symbols,
+        plan.slack,
+        database_fingerprint(database),
+        stage=f"result:{plan.engine}",
+    )
 
 
 def _execute(
@@ -228,14 +243,7 @@ def _execute(
     try:
         key = None
         if backend.caches_results:
-            key = formula_key(
-                plan.fingerprint,
-                plan.structure.name,
-                plan.structure.alphabet.symbols,
-                plan.slack,
-                database_fingerprint(database),
-                stage=f"result:{plan.engine}",
-            )
+            key = result_key(plan, database)
             result = cache.get(key)
             if result is None:
                 result = promote_result(cache, key, plan.formula, database)

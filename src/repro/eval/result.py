@@ -19,10 +19,12 @@ class QueryResult:
     a ``relation`` automaton (``rows`` is ``None``), available as a
     regular set even when infinite; the paper's *state-safety* question
     "is ``phi(D)`` finite?" is :meth:`is_finite`.  The readers behave
-    alike on both; rows come out of :meth:`tuples` sorted.
+    alike on both; rows come out of :meth:`tuples` sorted.  A finite
+    answer is sorted once: :meth:`sorted_rows` memoizes the list on the
+    result, so a cached result carries it (and its cache's cap bounds it).
     """
 
-    __slots__ = ("variables", "rows", "relation")
+    __slots__ = ("variables", "rows", "relation", "_sorted")
 
     def __init__(
         self,
@@ -34,6 +36,21 @@ class QueryResult:
             self.rows, self.relation = None, answer
         else:
             self.rows, self.relation = frozenset(answer), None
+        self._sorted: Optional[list[tuple[str, ...]]] = None
+
+    def __getstate__(self):
+        # The memoized sort is derived data: pickles (warm-start spills)
+        # carry the answer only.
+        return None, {
+            "variables": self.variables,
+            "rows": self.rows,
+            "relation": self.relation,
+        }
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._sorted = None
 
     def is_finite(self) -> bool:
         """True iff the query is safe on this database (finite output)."""
@@ -47,10 +64,25 @@ class QueryResult:
             raise UnsafeQueryError("query output is infinite")
         return self.relation.count()
 
+    def sorted_rows(self) -> list[tuple[str, ...]]:
+        """All output tuples in sorted order; raises ``UnsafeQueryError``
+        if infinite.  Sorted on the first call and memoized: the list is
+        shared by every caller, who must not mutate it."""
+        rows = self._sorted
+        if rows is None:
+            rows = self._sorted = sorted(self.as_set())
+        return rows
+
+    @property
+    def sorted_memo(self) -> Optional[list[tuple[str, ...]]]:
+        """The memoized :meth:`sorted_rows` list, or ``None`` before the
+        first call (never sorts)."""
+        return self._sorted
+
     def tuples(self, limit: Optional[int] = None) -> Iterator[tuple[str, ...]]:
         """Iterate output tuples (must pass ``limit`` if infinite)."""
         if self.rows is not None:
-            return islice(sorted(self.rows), limit)
+            return islice(self.sorted_rows(), limit)
         if limit is None and not self.is_finite():
             raise UnsafeQueryError(
                 "query output is infinite; pass limit= to sample it"

@@ -3,9 +3,11 @@
 Both transports run one pipeline.  :mod:`repro.service.protocol` decides
 what a request means (:meth:`~repro.service.protocol.Dispatcher.step`:
 validation, error shapes, framing); this module only moves it — reads
-and decodes lines, submits the step's :class:`~repro.service.protocol.
-Work` to the shared :class:`~repro.service.service.QueryService` pool,
-and writes the frames the step renders.  The same request line
+and decodes lines, takes each of the step's :class:`~repro.service.
+protocol.Work` requests from the result cache when :meth:`~repro.
+service.service.QueryService.answer_cached` has its answer and submits
+the rest to the shared :class:`~repro.service.service.QueryService`
+pool, and writes the frames the step renders.  The same request line
 therefore gets the same answer on either transport.
 
 ``python -m repro serve --stdio`` runs :func:`serve_stdio` — one request
@@ -22,10 +24,12 @@ one socket, not one thread, so 10k concurrent clients are just 10k
 parked readers.  The event loop never blocks on the pool.  What only
 the TCP server does, because only it has many clients:
 
-* ``run`` / ``batch`` are admitted through a per-client
-  :class:`~repro.service.quota.TokenBucket` quota and a
-  :class:`~repro.service.quota.FairScheduler` (weighted fair queuing
-  across connections), then submitted to the pool; completion is
+* ``run`` / ``batch`` are charged to a per-client
+  :class:`~repro.service.quota.TokenBucket` quota; a request whose
+  answer is cached is then answered on the loop, and the others are
+  admitted through a :class:`~repro.service.quota.FairScheduler`
+  (weighted fair queuing across connections) and submitted to the
+  pool; completion is
   bridged back by :meth:`~repro.service.service.PendingRequest.
   add_done_callback` + ``call_soon_threadsafe`` — no thread per
   in-flight request, no polling;
@@ -64,7 +68,7 @@ from repro.service.protocol import (
     not_json,
 )
 from repro.service.quota import FairScheduler, TokenBucket, quota_error
-from repro.service.service import QueryService, RunRequest
+from repro.service.service import PendingRequest, QueryService, RunRequest
 
 __all__ = [
     "AsyncTCPQueryServer",
@@ -97,18 +101,24 @@ _LOOP_OPS = frozenset({"ping", "shutdown", "run", "batch"})
 
 def respond(dispatcher: Dispatcher, obj: Any) -> Reply:
     """Answer one decoded request synchronously: the protocol's step, with
-    any pool work submitted and waited for."""
+    cached answers taken from the result cache and the other pool work
+    submitted and waited for."""
     step = dispatcher.step(obj)
     if isinstance(step, Reply):
         return step
+    service = dispatcher.service
     outcomes: list[Any] = []
     for request in step.requests:
+        hit = service.answer_cached(request)
+        if hit is not None:
+            outcomes.append(hit)
+            continue
         try:
-            outcomes.append(dispatcher.service.submit(request))
+            outcomes.append(service.submit(request))
         except ReproError as exc:  # not admitted: closed, full, timed out
             outcomes.append(exc)
     return Reply(step.render([
-        o if isinstance(o, Exception) else o.wait() for o in outcomes
+        o.wait() if isinstance(o, PendingRequest) else o for o in outcomes
     ]))
 
 
@@ -372,9 +382,9 @@ class AsyncTCPQueryServer:
         bucket: TokenBucket,
         client_id: int,
     ) -> Optional[list[dict]]:
-        """Charge the quota, fair-queue the work's requests into the pool
-        and await them, watching for disconnect; returns the rendered
-        frames, or None once the client is gone."""
+        """Charge the quota, take cached answers, fair-queue the other
+        requests into the pool and await them, watching for disconnect;
+        returns the rendered frames, or None once the client is gone."""
         # A bucket never holds more than `burst` tokens, so a batch
         # costing more than that could never be admitted: blocking would
         # hang forever and a retry_after hint would be a lie.  Fail it up
@@ -397,9 +407,14 @@ class AsyncTCPQueryServer:
             METRICS.inc("service.quota_delays")
             await bucket.acquire(work.cost)
 
+        # A cached answer is taken on the loop, without a pool hop.
         # Admission failures stay in their slot as the exception.
         admitted: list[Any] = []
         for request in work.requests:
+            hit = self.service.answer_cached(request)
+            if hit is not None:
+                admitted.append(hit)
+                continue
             self._make_cancellable(request)
             connected, entry = await self._admit(
                 request, source, client_id, work.weight
@@ -410,7 +425,7 @@ class AsyncTCPQueryServer:
             admitted.append(entry)
         outcomes: list[Any] = []
         for entry in admitted:
-            if isinstance(entry, Exception):
+            if not isinstance(entry, PendingRequest):
                 outcomes.append(entry)
                 continue
             connected, response = await self._finish(
@@ -552,7 +567,7 @@ class AsyncTCPQueryServer:
 def _cancel(admitted: list) -> None:
     """Abandon the admitted requests of a client that went away."""
     for entry in admitted:
-        if not isinstance(entry, Exception) and not entry.done():
+        if isinstance(entry, PendingRequest) and not entry.done():
             entry.cancel()
 
 

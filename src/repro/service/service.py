@@ -9,15 +9,18 @@ into a serving tier on top of the PR 1 engine core:
 * **prepared queries** — :meth:`QueryService.prepare` parses a query once,
   lifts its string literals into a **template** (:mod:`repro.logic.
   literals`) and caches the planner's decision for the template per
-  (database fingerprint, engine, slack); template handles are interned
-  by the template's **canonical fingerprint** (:mod:`repro.logic.
-  canonical`), so alpha-equivalent and conjunct-reordered spellings, and
+  (database fingerprint, plan epoch, engine, slack); template handles
+  are interned by the template's **canonical fingerprint** (:mod:`repro.
+  logic.canonical`), so alpha-equivalent and conjunct-reordered spellings, and
   queries that differ only in their constants, share one handle, one
   plan cache and one fused algebra closure, while each query's
   answer is cached under its own fingerprint in the session-wide
   thread-safe :class:`~repro.engine.cache.AutomatonCache`;
 * a **worker pool** — a fixed set of threads executing requests pulled
   from a bounded queue; single requests and batches run concurrently;
+  a repeat whose answer is already cached needs no worker:
+  :meth:`QueryService.answer_cached` lets a transport answer it with
+  lookups alone, before admission;
 * **per-request deadlines** — a request's budget starts at submission
   (queue wait counts) and is enforced cooperatively by the checkpoint
   hooks threaded through both engines (:mod:`repro.engine.deadline`), so
@@ -77,9 +80,14 @@ from repro.core.query import Query, StringDatabase
 from repro.database.instance import Database
 from repro.delta import DatabaseVersion, VersionedDatabase
 from repro.engine.backend import resolve_engine
-from repro.engine.cache import AutomatonCache, database_fingerprint, global_cache
+from repro.engine.cache import AutomatonCache, global_cache
 from repro.engine.deadline import Deadline, deadline_scope
-from repro.engine.explain import Explain, execute_plan, explain_plan
+from repro.engine.explain import (
+    Explain,
+    execute_plan,
+    explain_plan,
+    result_key,
+)
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Plan, Planner, with_values
 from repro.errors import (
@@ -271,19 +279,42 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class _NamedDatabase:
-    """A registry entry: the instance plus its content fingerprint.
+    """A registry entry: the delta store evolving the name and the
+    version new requests resolve against.
 
-    ``database``/``fingerprint`` always describe the entry's **head**
-    snapshot.  Once a delta is applied to the name, ``versioned`` holds
-    the delta store evolving it and ``plan_epoch`` mirrors the head's
-    epoch (bumped only on schema/adom shifts — the prepared-query plan
-    cache re-plans on epoch changes, not on every delta)."""
+    Registration wraps the database in a :class:`~repro.delta.
+    VersionedDatabase` (its version 0), so even the first delta finds a
+    recorded ancestor.  ``database``/``fingerprint``/``plan_epoch``
+    describe the **head** snapshot; the epoch is bumped only on
+    schema/adom shifts — the prepared-query plan cache re-plans on epoch
+    changes, not on every delta."""
 
     name: str
-    database: Database
-    fingerprint: str
-    versioned: Optional[VersionedDatabase] = None
-    plan_epoch: int = 0
+    versioned: VersionedDatabase
+    head: DatabaseVersion
+
+    @property
+    def database(self) -> Database:
+        return self.head.database
+
+    @property
+    def fingerprint(self) -> str:
+        return self.head.fingerprint
+
+    @property
+    def plan_epoch(self) -> int:
+        return self.head.plan_epoch
+
+
+def _plan_key(entry: _NamedDatabase, force: Optional[str], slack) -> tuple:
+    """A template's plan-cache key on one registered database: (base
+    fingerprint, plan epoch, forced backend, slack).
+
+    Every version fingerprint is new, but the planner's decision only
+    depends on the schema and the active domain, which is exactly what
+    bumps the epoch — so row-only deltas reuse the plan, and two names
+    registered with identical contents share it."""
+    return (entry.versioned.base_fingerprint, entry.plan_epoch, force, slack)
 
 
 #: Entries each of the service's query-text maps keeps (the text alias
@@ -291,6 +322,13 @@ class _NamedDatabase:
 #: text without end; at the cap the oldest entry goes first, the
 #: discipline of the algebra plan cache.
 _PREPARED_CAP = 1024
+
+
+#: Most rows a cached answer may have to be answered on the transport's
+#: event loop (:meth:`QueryService.answer_cached`); a larger one goes
+#: through the pool, so one big answer cannot stall every connection
+#: while its frames are built.
+LOOP_HIT_MAX_ROWS = 4096
 
 
 def _intern(table: dict, key, value):
@@ -313,8 +351,9 @@ class QueryTemplate:
     handle per (template fingerprint, structure) and runs it for each
     binding of values.  The plan cache is locked, and the cached
     :class:`~repro.engine.planner.Plan` objects are treated as immutable.
-    Re-registering a database under the same name invalidates its cached
-    plans via the fingerprint in the cache key.
+    Re-registering a database under the same name with other contents
+    invalidates its cached plans via the base fingerprint in the cache
+    key (:func:`_plan_key`).
     """
 
     def __init__(self, formula, structure: str = "S"):
@@ -353,39 +392,20 @@ class QueryTemplate:
     ) -> Plan:
         """The (cached) plan for this template on one registered database.
 
-        Keyed by (database fingerprint, backend name, slack) — the query
-        component is the handle itself, which the service interns by
-        template fingerprint.  Two registered names with identical
-        contents therefore share plans, as do alpha-equivalent spellings
-        of the query and queries that differ only in their constants.
-
-        Delta-evolved entries are keyed by **plan epoch** instead of
-        fingerprint: every version fingerprint is new, but the planner's
-        decision only depends on the schema and the active domain, which
-        is exactly what bumps the epoch — so row-only deltas reuse the
-        plan (counted in ``delta.replans_avoided``) and schema/adom
-        shifts re-plan.  Planning a newer epoch drops the plans of the
+        Keyed by :func:`_plan_key` — the query component is the handle
+        itself, which the service interns by template fingerprint, so
+        alpha-equivalent spellings of the query and queries that differ
+        only in their constants share plans.  A row-only delta reuses the
+        plan (counted in ``delta.replans_avoided``) and a schema/adom
+        shift re-plans.  Planning a newer epoch drops the plans of the
         older epochs of the same base database.
         """
         force = resolve_engine(engine)
-        if entry.versioned is not None:
-            key = (
-                "epoch",
-                entry.versioned.base_fingerprint,
-                entry.plan_epoch,
-                force,
-                slack,
-            )
-        else:
-            key = (entry.fingerprint, force, slack)
-        with self._lock:
-            hit = self._plans.get(key)
+        key = _plan_key(entry, force, slack)
+        hit = self.cached_plan(key)
         if hit is not None:
-            plan, planned_fingerprint = hit
-            METRICS.inc("service.plan_cache_hits")
-            if planned_fingerprint != entry.fingerprint:
-                METRICS.inc("delta.replans_avoided")
-            return plan
+            _count_plan_hit(hit, entry)
+            return hit[0]
         q = self.query_for(entry.database.alphabet)
         if force is None:
             # Prepared queries are declared intent to run repeatedly, so
@@ -407,13 +427,24 @@ class QueryTemplate:
         )
         with self._lock:
             plan, _ = self._plans.setdefault(key, (plan, entry.fingerprint))
-            if entry.versioned is not None:
-                for old in [
-                    k for k in self._plans
-                    if k[0] == "epoch" and k[1] == key[1] and k[2] < key[2]
-                ]:
-                    del self._plans[old]
+            for old in [
+                k for k in self._plans if k[0] == key[0] and k[1] < key[1]
+            ]:
+                del self._plans[old]
         return plan
+
+    def cached_plan(self, key: tuple) -> Optional[tuple[Plan, str]]:
+        """The plan cached under ``key`` with the fingerprint it was
+        planned on, or ``None``; never plans, counts nothing."""
+        with self._lock:
+            return self._plans.get(key)
+
+
+def _count_plan_hit(hit: tuple[Plan, str], entry: _NamedDatabase) -> None:
+    """Count a plan-cache hit (and a replan a delta did not force)."""
+    METRICS.inc("service.plan_cache_hits")
+    if hit[1] != entry.fingerprint:
+        METRICS.inc("delta.replans_avoided")
 
 
 class PreparedQuery:
@@ -673,10 +704,13 @@ class QueryService:
         self, name: str, database: Union[StringDatabase, Database]
     ) -> str:
         """Register (or replace) a database under ``name``; returns its
-        fingerprint.  Replacing invalidates prepared plans for the old
-        contents automatically (plans are keyed by fingerprint)."""
+        fingerprint.  The database becomes version 0 of a delta store
+        (:class:`~repro.delta.VersionedDatabase`).  Replacing it with
+        other contents invalidates prepared plans for the old contents
+        automatically (plans are keyed by fingerprint, :func:`_plan_key`)."""
         db = database.db if isinstance(database, StringDatabase) else database
-        entry = _NamedDatabase(name, db, database_fingerprint(db))
+        versioned = VersionedDatabase(db)
+        entry = _NamedDatabase(name, versioned, versioned.head)
         if self._coordinator is not None:
             # Partition onto the shard pool first: if a worker rejects
             # the data the service registry stays consistent.
@@ -719,31 +753,18 @@ class QueryService:
     ) -> DatabaseVersion:
         """Evolve ``name`` by one delta: O(|delta|), caches stay warm.
 
-        The first delta lazily wraps the registered snapshot in a
-        :class:`~repro.delta.VersionedDatabase`; subsequent requests for
-        ``name`` resolve against the new head while in-flight requests
-        keep their pinned snapshot.  Under sharding, row deltas are
-        forwarded to the owning partitions only; a schema-extending
-        delta re-scatters (new relations need a placement decision).
+        Requests for ``name`` resolve against the new head while
+        in-flight requests keep their pinned snapshot.  Under sharding,
+        row deltas are forwarded to the owning partitions only; a
+        schema-extending delta re-scatters (new relations need a
+        placement decision).
         """
         with self._delta_lock:
-            entry = self._entry(name)
-            versioned = entry.versioned
-            if versioned is None:
-                versioned = VersionedDatabase(entry.database)
+            versioned = self._entry(name).versioned
             before = versioned.head
             head = versioned.apply(inserts=inserts, deletes=deletes)
             if head is before:
                 # Effective no-op: nothing to forward, nothing to swap.
-                if entry.versioned is None:
-                    with self._registry_lock:
-                        self._databases[name] = _NamedDatabase(
-                            name,
-                            head.database,
-                            head.fingerprint,
-                            versioned=versioned,
-                            plan_epoch=head.plan_epoch,
-                        )
                 return head
             if self._coordinator is not None:
                 if head.schema_changed:
@@ -754,32 +775,14 @@ class QueryService:
                         name, head.delta, head.database
                     )
             with self._registry_lock:
-                self._databases[name] = _NamedDatabase(
-                    name,
-                    head.database,
-                    head.fingerprint,
-                    versioned=versioned,
-                    plan_epoch=head.plan_epoch,
-                )
+                self._databases[name] = _NamedDatabase(name, versioned, head)
         METRICS.inc("service.deltas")
         return head
 
     def database_versions(self, name: str) -> list[dict]:
         """Wire-friendly summaries of the retained versions of ``name``
-        (a single pseudo-version for never-mutated databases)."""
-        entry = self._entry(name)
-        if entry.versioned is not None:
-            return entry.versioned.versions()
-        return [
-            {
-                "version": 0,
-                "fingerprint": entry.fingerprint,
-                "tuples": entry.database.size,
-                "adom_size": len(entry.database.adom),
-                "plan_epoch": 0,
-                "delta_size": 0,
-            }
-        ]
+        (just version 0 for a never-mutated database)."""
+        return self._entry(name).versioned.versions()
 
     def database_names(self) -> list[str]:
         with self._registry_lock:
@@ -852,6 +855,77 @@ class QueryService:
         return explain_plan(plan, entry.database, cache=self._cache)
 
     # ------------------------------------------------------------ execution
+
+    def answer_cached(self, request: RunRequest) -> Optional[ServiceResponse]:
+        """The answer to ``request`` if the whole-result cache already holds
+        it, sorted and small; ``None`` sends the request down the pool.
+
+        Cheap enough for the transports to call on their event loop before
+        admission: it only looks things up — the text alias (or the
+        prepared handle), the binding's checked alphabets, the template's
+        plan cache (:func:`_plan_key`), then the result entry under
+        :func:`~repro.engine.explain.result_key`.  It never parses, plans,
+        promotes an ancestor version's answer, reads the warm-start
+        directory or sorts: it answers only a finite result whose sorted
+        rows are memoized and number at most :data:`LOOP_HIT_MAX_ROWS`.
+        A closed service or a request whose budget is already spent
+        (``timeout <= 0``) takes the pool path, which reports it.  A hit
+        is counted like a pool hit, plus ``service.loop_hits``.
+        """
+        if self._closed:
+            return None
+        timeout = (
+            request.timeout if request.timeout is not None
+            else self.config.default_timeout
+        )
+        if timeout is not None and timeout <= 0:
+            return None
+        t0 = time.perf_counter()
+        try:
+            with self._registry_lock:
+                prepared = request.query
+                if not isinstance(prepared, PreparedQuery):
+                    prepared = self._prepared_text.get(
+                        (prepared, request.structure)
+                    )
+                entry = self._databases.get(request.database)
+            if prepared is None or entry is None:
+                return None
+            if (
+                prepared.values
+                and entry.database.alphabet.symbols not in prepared._checked
+            ):
+                return None
+            key = _plan_key(entry, resolve_engine(request.engine), request.slack)
+            hit = prepared.template.cached_plan(key)
+        except (ReproError, TypeError):
+            # An unknown engine or an unhashable field: the pool path
+            # reports it as a structured error.
+            return None
+        if hit is None:
+            return None
+        plan = with_values(hit[0], prepared.values)
+        result = self._cache.peek(result_key(plan, entry.database))
+        if result is None:
+            return None
+        rows = result.sorted_memo
+        if rows is None or len(rows) > LOOP_HIT_MAX_ROWS:
+            return None
+        self._cache.count_hit()
+        _count_plan_hit(hit, entry)
+        for name in (
+            "service.requests", "service.ok", "service.loop_hits",
+            f"engine.{plan.engine}.runs",
+        ):
+            METRICS.inc(name)
+        return ServiceResponse(
+            ok=True,
+            columns=list(result.variables),
+            rows=[list(t) for t in rows],
+            engine=plan.engine,
+            finite=True,
+            exec_seconds=time.perf_counter() - t0,
+        )
 
     def submit(
         self, request: RunRequest, *, nowait: bool = False
@@ -1017,12 +1091,8 @@ class QueryService:
             entries = list(self._databases.values())
         versions = {
             entry.name: {
-                "head": entry.versioned.head.version
-                if entry.versioned is not None
-                else 0,
-                "retained": len(entry.versioned.versions())
-                if entry.versioned is not None
-                else 1,
+                "head": entry.head.version,
+                "retained": len(entry.versioned.versions()),
                 "plan_epoch": entry.plan_epoch,
             }
             for entry in entries
@@ -1114,7 +1184,7 @@ class QueryService:
         result = execute_plan(plan, entry.database, cache=self._cache)
         finite = result.is_finite()
         if finite:
-            rows = sorted(result.as_set())
+            rows = result.sorted_rows()
         elif request.limit is not None:
             rows = sorted(result.tuples(limit=request.limit))
         else:

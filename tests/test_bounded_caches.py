@@ -10,6 +10,7 @@ service answering ad hoc text must not grow these caches without limit:
 each is capped and drops its oldest entry first.
 """
 
+import gc
 import sys
 import threading
 from collections import OrderedDict
@@ -20,6 +21,8 @@ import repro.service.service as service_module
 import repro.structures.base as structures_base
 from repro.core import Query
 from repro.database import Database
+from repro.engine.cache import AutomatonCache
+from repro.eval.result import QueryResult
 from repro.service import QueryService, RunRequest
 from repro.strings import BINARY
 
@@ -155,3 +158,35 @@ def test_service_maps_stay_within_the_cap(monkeypatch):
             assert resp.rows == sorted([x] for x in rows if x.endswith("0"))
             assert len(handle.template._plans) == 1
         assert svc.stats()["versions"]["main"]["plan_epoch"] == 50
+
+
+def test_memoized_rows_live_on_the_cached_results():
+    """Each answer's sorted rows are memoized on its cached
+    :class:`QueryResult` (where the service's event-loop probe reads
+    them), not in a store of their own: the result cache's cap bounds
+    them, and evicting a result frees its rows."""
+    cache = AutomatonCache(CAP)
+    with QueryService(workers=1, cache=cache) as svc:
+        svc.register_database("main", DB)
+        for c in _constants(10 * CAP):
+            text = f"R(capped) & '{c}' <<= capped"
+            resp = svc.execute(RunRequest(query=text, database="main"))
+            assert resp.rows == sorted(
+                [x] for (x,) in DB.relation("R") if x.startswith(c)
+            )
+            assert len(cache) <= CAP
+            cached = [v for _, v in cache.entries() if isinstance(v, QueryResult)]
+            assert cached and all(r.sorted_memo is not None for r in cached)
+        # The newest answer is served from its memo.
+        hit = svc.answer_cached(RunRequest(query=text, database="main"))
+        assert hit is not None and hit.rows == resp.rows
+        gc.collect()
+        memoized = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, QueryResult)
+            and obj.variables == ("capped",)
+            and obj.sorted_memo is not None
+        ]
+        in_cache = {id(v) for _, v in cache.entries()}
+        assert 0 < len(memoized) <= CAP
+        assert all(id(obj) in in_cache for obj in memoized)

@@ -356,3 +356,67 @@ class TestStress:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert vdb.head.version == 200
+
+    def test_cached_answers_hold_under_concurrent_writes(self):
+        # Readers take cached answers the way the transports do (the
+        # event-loop probe, else the pool) while a writer grows R and a
+        # tiny result cache evicts: an answer lies between the answers of
+        # the heads before and after the call (R only grows), and the
+        # request counters add up.
+        svc = QueryService(ServiceConfig(
+            workers=4, max_pending=256, cache=AutomatonCache(4)
+        ))
+        rows = {"0110", "001", "11", "0101"}
+        svc.register_database("main", StringDatabase("01", {"R": set(rows)}))
+        shapes = {
+            "R(x) & last(x, '0')": lambda r: {x for x in r if x.endswith("0")},
+            "R(x) & last(x, '1')": lambda r: {x for x in r if x.endswith("1")},
+            "R(x) & '01' <<= x": lambda r: {x for x in r if x.startswith("01")},
+        }
+        errors = []
+        answered = []
+        done = threading.Event()
+
+        def heads():
+            return {x for (x,) in svc._entry("main").database.relation("R")}
+
+        def write():
+            try:
+                for i in range(150):
+                    svc.insert_rows("main", "R", [(format(i + 4, "b") + "0",)])
+                    time.sleep(0.002)  # let reads repeat on one version
+            finally:
+                done.set()
+
+        def read(index):
+            texts = list(shapes)
+            while not done.is_set():
+                text = texts[index % len(texts)]
+                index += 1
+                request = RunRequest(query=text, database="main")
+                before = shapes[text](heads())
+                resp = svc.answer_cached(request) or svc.execute(request)
+                after = shapes[text](heads())
+                got = {x for (x,) in resp.rows} if resp.ok else None
+                if got is None or not before <= got <= after:
+                    errors.append((text, resp.error or sorted(got)))
+                answered.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write)] + [
+                threading.Thread(target=read, args=(i,)) for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert METRICS.get("service.requests") == len(answered)
+        assert METRICS.get("service.ok") == len(answered)
+        assert METRICS.get("service.loop_hits") > 0

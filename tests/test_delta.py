@@ -341,8 +341,7 @@ class TestServiceDeltas:
     def test_plan_reused_across_adom_stable_delta(self, service):
         d = Dispatcher(service)
         query = "R(x) & last(x, '0')"
-        # First delta wraps the entry in the MVCC store; the run after it
-        # caches the plan under the epoch key.
+        # The run after the first delta caches the plan under the epoch key.
         d.handle({"op": "insert", "db": "main", "relation": "S", "rows": ["01"]})
         respond(d, {"op": "run", "query": query, "db": "main"})
         # "0110" is already active (it is in R): adom and schema unchanged,
@@ -353,6 +352,43 @@ class TestServiceDeltas:
         before = METRICS.get("delta.replans_avoided")
         respond(d, {"op": "run", "query": query, "db": "main"})
         assert METRICS.get("delta.replans_avoided") == before + 1
+
+    def test_first_delta_is_maintained(self, service):
+        # Registration wraps the database in the delta store, so the run
+        # before the first delta records its subplans and that delta's
+        # forced-algebra answer is maintained, not recomputed.
+        request = RunRequest(
+            query="R(x) & S(y) & x <<= y", database="main", engine="algebra"
+        )
+        assert service.execute(request).rows == []
+        maintained = METRICS.get("delta.algebra_maintained")
+        fallbacks = METRICS.get("delta.algebra_fallbacks")
+        service.insert_rows("main", "S", ["011", "0110"])
+        resp = service.execute(request)
+        assert METRICS.get("delta.algebra_maintained") == maintained + 1
+        assert METRICS.get("delta.algebra_fallbacks") == fallbacks
+        fresh = make_db(s=("0", "011", "0110"))
+        assert resp.rows == sorted(
+            list(t) for t in Query("R(x) & S(y) & x <<= y")
+            .result(fresh, engine="algebra").as_set()
+        )
+
+    def test_never_mutated_versions_summary(self, service):
+        fingerprint = service.register_database(
+            "fresh", StringDatabase("01", {"R": {"01", "0110"}, "S": {"0"}})
+        )
+        assert service.database_versions("fresh") == [{
+            "version": 0,
+            "fingerprint": fingerprint,
+            "tuples": 3,
+            "adom_size": 3,
+            "plan_epoch": 0,
+            "delta_size": 0,
+        }]
+        assert fingerprint == database_fingerprint(make_db())
+        assert service.stats()["versions"]["fresh"] == {
+            "head": 0, "retained": 1, "plan_epoch": 0,
+        }
 
     def test_pinned_snapshot_unaffected_by_delta(self, service):
         entry_db = service._entry("main").database

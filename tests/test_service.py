@@ -736,6 +736,162 @@ class TestTransportParity:
         assert by_id[11][0]["rows"] == [["001"], ["0110"]]
 
 
+class TestLoopHits:
+    """A repeated query whose finite answer the result cache holds is
+    answered on the event loop: no fair queue, no worker job, the same
+    frames as the pool path."""
+
+    QUERY = "R(x) & last(x, '0') & S(y) & y <<= x"
+
+    @pytest.fixture
+    def served(self):
+        svc = QueryService(workers=2)
+        svc.register_database("main", small_db())
+        jobs = []
+        inner = svc._evaluate
+
+        def counted_evaluate(request):
+            jobs.append(request)
+            return inner(request)
+
+        svc._evaluate = counted_evaluate
+        server, thread = _tcp_server(svc)
+        yield svc, server, jobs
+        _stop(server, thread)
+
+    @staticmethod
+    def _lines(server, body):
+        """Send one request line; return its reply lines, untimed."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall((json.dumps(body) + "\n").encode())
+            out = []
+            with sock.makefile("r", encoding="utf-8") as replies:
+                for line in replies:
+                    out.append(line.rstrip("\n"))
+                    if json.loads(line).get("frame") in (None, "done"):
+                        break
+        return TestTransportParity._untimed(out)
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_repeat_is_answered_on_the_loop(self, served, stream):
+        svc, server, jobs = served
+        body = {"op": "run", "id": 1, "query": self.QUERY, "db": "main"}
+        if stream:
+            body.update(stream=True, page_size=1)
+        first = self._lines(server, body)
+        assert len(jobs) == 1 and METRICS.get("service.loop_hits") == 0
+        before = METRICS.snapshot()
+        second = self._lines(server, body)
+        assert second == first
+        assert len(jobs) == 1  # no worker job for the repeat
+        after = METRICS.snapshot()
+
+        def grew(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        for name in (
+            "service.loop_hits", "service.requests", "service.ok",
+            "service.plan_cache_hits", "engine.algebra.runs", "cache.hits",
+        ):
+            assert grew(name) == 1, name
+        assert grew("cache.misses") == 0
+        assert grew("service.queue_wait_seconds") == 0
+        frames = [json.loads(line) for line in second]
+        rows = [row for frame in frames for row in frame.get("rows", ())]
+        assert rows == [["0110", "0"], ["0110", "01"]]
+        if stream:
+            assert [f["frame"] for f in frames] == \
+                ["row_batch", "row_batch", "done"]
+
+    def test_exhausted_quota_still_rejects_a_cached_answer(self):
+        svc = QueryService(ServiceConfig(
+            workers=1, quota_rate=0.001, quota_burst=1.0,
+            backpressure="reject",
+        ))
+        svc.register_database("main", small_db())
+        # Cache the answer on another connection (its own bucket).
+        assert svc.execute(RunRequest(query="R(x)", database="main")).ok
+        server, thread = _tcp_server(svc)
+        try:
+            host, port = server.server_address[:2]
+            with ServiceClient(host, port) as client:
+                assert client.run("R(x)", db="main")["ok"]
+                assert METRICS.get("service.loop_hits") == 1
+                refused = client.run("R(x)", db="main")
+                assert refused["ok"] is False
+                assert refused["error"]["code"] == "quota"
+                assert METRICS.get("service.loop_hits") == 1
+        finally:
+            _stop(server, thread)
+
+    def test_insert_makes_the_same_text_miss(self, served):
+        svc, server, jobs = served
+        host, port = server.server_address[:2]
+        with ServiceClient(host, port) as client:
+            assert client.run("R(x)", db="main")["rows"] == \
+                [["001"], ["0110"], ["11"]]
+            client.run("R(x)", db="main")
+            assert len(jobs) == 1
+            # "0" is already active (in S): the plan survives the write,
+            # and the new version's fingerprint alone makes the probe miss.
+            assert client.insert("main", "R", [["0"]])["ok"]
+            resp = client.run("R(x)", db="main")
+            assert resp["rows"] == [["0"], ["001"], ["0110"], ["11"]]
+            assert len(jobs) == 2
+            assert METRICS.get("service.loop_hits") == 1
+
+    def test_answer_above_the_row_cap_goes_through_the_pool(
+        self, served, monkeypatch
+    ):
+        import repro.service.service as service_module
+
+        monkeypatch.setattr(service_module, "LOOP_HIT_MAX_ROWS", 2)
+        svc, server, jobs = served
+        host, port = server.server_address[:2]
+        with ServiceClient(host, port) as client:
+            for _ in range(2):
+                assert len(client.run("R(x)", db="main")["rows"]) == 3
+                assert len(client.run("S(y)", db="main")["rows"]) == 2
+        assert len(jobs) == 3  # R(x) twice, S(y) once
+        assert METRICS.get("service.loop_hits") == 1
+
+    def test_a_missing_probe_neither_parses_nor_plans(self, service):
+        def counts():
+            return (
+                METRICS.get("planner.plans"),
+                METRICS.get("service.prepared_queries"),
+                METRICS.get("service.plan_cache_hits"),
+                METRICS.get("cache.misses"),
+            )
+
+        before = counts()
+        # Never-seen text: not even parsed.
+        assert service.answer_cached(
+            RunRequest(query="R(x) & last(x, '1')", database="main")
+        ) is None
+        assert counts() == before
+        # Prepared, but never planned or run.
+        handle = service.prepare("S(y) & last(y, '1')")
+        before = counts()
+        for request in (
+            RunRequest(query=handle, database="main"),
+            RunRequest(query="S(y) & last(y, '1')", database="main"),
+            RunRequest(query=handle, database="main", engine="warp"),
+            RunRequest(query=handle, database="nowhere"),
+        ):
+            assert service.answer_cached(request) is None
+        assert counts() == before
+        # Run once through the pool: a repeat is answered, but not with
+        # its budget already spent.
+        request = RunRequest(query=handle, database="main")
+        assert service.execute(request).ok
+        assert service.answer_cached(request).rows == [["01"]]
+        request.timeout = 0.0
+        assert service.answer_cached(request) is None
+        assert service.execute(request).error.code == "timeout"
+
+
 class TestStreamingSharded:
     def test_streamed_equals_plain_on_the_sharded_backend(self):
         svc = QueryService(workers=2, shards=2)
