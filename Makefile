@@ -44,7 +44,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             template slots (docs/service.md);
 ##   rows      RelationAutomaton.from_tuples under engine/, shard/,
 ##             service/ and in eval/direct.py — a restricted engine's
-##             finite answer is its rows, never an automaton of them.
+##             finite answer is its rows, never an automaton of them;
+##   queue     the queue module, Queue/SimpleQueue and heapq under
+##             service/ outside service/quota.py — the weighted fair
+##             queue there is the pool's only queue (docs/service.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 

@@ -93,10 +93,10 @@ class ServiceError(ReproError):
 class QueueFullError(ServiceError):
     """Admission control rejected a request: the bounded queue is full.
 
-    Raised under ``backpressure="reject"``, by non-blocking submissions
-    (``submit(..., nowait=True)``), and by the async front end's fair
-    scheduler when an item's admission timeout runs out.  The request
-    was never enqueued, so it is always safe to retry after backing off.
+    Raised under ``backpressure="reject"`` once ``max_pending`` requests
+    wait, and under ``"block"`` for a TCP connection's request once the
+    queue holds its wider event-loop bound.  The request was never
+    enqueued, so it is always safe to retry after backing off.
     """
 
 

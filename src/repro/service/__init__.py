@@ -11,10 +11,10 @@ The serving tier (see ``docs/service.md``):
   including the streamed ``row_batch``/``done`` frames;
 * :mod:`repro.service.server` — the stdio adapter and the asyncio TCP
   front end (``python -m repro serve``): 10k+ multiplexed connections,
-  per-client token-bucket quotas, weighted fair queuing, cooperative
-  cancellation of disconnected clients;
-* :mod:`repro.service.quota` — the token-bucket and fair-queuing policy
-  pieces the server composes;
+  per-client token-bucket quotas, cooperative cancellation of
+  disconnected clients;
+* :mod:`repro.service.quota` — the token bucket the server charges, and
+  the weighted fair queue that is the pool's one queue;
 * :mod:`repro.service.client` — a blocking TCP client (read deadlines,
   streamed runs) plus its asyncio sibling.
 """
@@ -26,7 +26,7 @@ from repro.service.protocol import (
     ProtocolError,
     stream_frames,
 )
-from repro.service.quota import FairScheduler, TokenBucket
+from repro.service.quota import FairQueue, TokenBucket
 from repro.service.server import (
     AsyncTCPQueryServer,
     serve_stdio,
@@ -49,7 +49,7 @@ __all__ = [
     "AsyncTCPQueryServer",
     "Dispatcher",
     "ErrorInfo",
-    "FairScheduler",
+    "FairQueue",
     "PROTOCOL_VERSION",
     "PendingRequest",
     "PreparedQuery",

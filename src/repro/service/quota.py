@@ -1,36 +1,29 @@
-"""Per-client quotas and weighted fair queuing for the async front end.
+"""Per-client quotas and the service's one queue, weighted fair queuing.
 
-The bounded queue in :class:`repro.service.service.QueryService` protects
-the *process* (reject or block when the pool is saturated), but it is
-first-come-first-served: one chatty client can fill the whole queue and
-starve everyone else.  The asyncio server layers two mechanisms on top,
-both implemented here because they are pure policy — no sockets, no
-service internals:
+Both pieces are pure policy — no sockets, no service internals:
 
-* :class:`TokenBucket` — a per-client request-rate quota.  Each client
-  (one TCP connection) gets ``burst`` tokens refilled at ``rate`` tokens
-  per second; a query op that finds the bucket empty is either rejected
-  with a structured ``quota`` error carrying ``retry_after`` (under
-  ``backpressure="reject"``) or asynchronously delayed until a token
-  accrues (under ``"block"``) — mirroring the service's own admission
-  modes.  Cheap control ops (``ping``, ``stats``, ...) are never
-  charged.
+* :class:`TokenBucket` — a per-client request-rate quota, charged by the
+  asyncio TCP server.  Each client (one TCP connection) gets ``burst``
+  tokens refilled at ``rate`` tokens per second; a query op that finds
+  the bucket empty is either rejected with a structured ``quota`` error
+  carrying ``retry_after`` (under ``backpressure="reject"``) or
+  asynchronously delayed until a token accrues (under ``"block"``) —
+  mirroring the service's own admission modes.  Cheap control ops
+  (``ping``, ``stats``, ...) are never charged.
 
-* :class:`FairScheduler` — weighted fair queuing between clients on the
-  way *into* the service queue.  Instead of racing ``submit()`` calls,
-  the per-connection handlers enqueue work items tagged with their
-  client id; a single pump task drains them in **virtual-time order**
-  (start-time fair queuing: an item's virtual finish time is
-  ``max(scheduler clock, client's last finish) + cost/weight``), so a
-  client that queued 100 requests and a client that queued 1 alternate
-  roughly by weight instead of 100:1.  The pump feeds the service with
-  ``backpressure="reject"`` semantics and retries with exponential
-  backoff while the bounded queue is full, converting the service's
-  thread-blocking ``"block"`` mode into event-loop-friendly awaits.
+* :class:`FairQueue` — the :class:`~repro.service.service.QueryService`
+  queue itself, from submission to worker thread.  Submitters push jobs
+  tagged with their client (a TCP connection's id, or ``None`` for
+  thread callers); workers pop them in **virtual-time order**
+  (start-time fair queuing: an item's virtual start time is
+  ``max(queue clock, client's last finish)`` and its finish time
+  ``start + 1/weight``), so a client that queued 100 requests and a
+  client that queued 1 alternate roughly by weight instead of 100:1.  The bound is the caller's: a full heap
+  either refuses a job at once or makes the pushing thread wait on the
+  queue's condition.
 
-Both classes are asyncio-native but loop-agnostic: the token bucket is
-also safe to call from threads (it locks), and the scheduler binds to
-whatever loop runs :meth:`FairScheduler.pump`.
+The token bucket is safe to call from threads (it locks); the queue is
+thread-safe and never touches an event loop.
 """
 
 from __future__ import annotations
@@ -39,19 +32,15 @@ import asyncio
 import heapq
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.engine.metrics import METRICS
+from repro.engine.deadline import Deadline
 from repro.errors import QueueFullError, QuotaExceededError, ServiceClosedError
 
-__all__ = ["TokenBucket", "FairScheduler", "DEFAULT_WEIGHT"]
+__all__ = ["TokenBucket", "FairQueue", "DEFAULT_WEIGHT"]
 
 #: Weight assigned to requests that don't ask for one.
 DEFAULT_WEIGHT = 1.0
-
-#: Backoff bounds for the pump's full-queue retry loop (seconds).
-_BACKOFF_MIN = 0.001
-_BACKOFF_MAX = 0.02
 
 
 class TokenBucket:
@@ -118,182 +107,134 @@ class TokenBucket:
 
 
 class _Item:
-    __slots__ = ("vfinish", "seq", "submit", "future", "expires_at")
+    __slots__ = ("vstart", "seq", "job")
 
-    def __init__(self, vfinish, seq, submit, future, expires_at):
-        self.vfinish = vfinish
+    def __init__(self, vstart, seq, job):
+        self.vstart = vstart
         self.seq = seq
-        self.submit = submit
-        self.future = future
-        self.expires_at = expires_at
+        self.job = job
 
     def __lt__(self, other: "_Item") -> bool:
-        return (self.vfinish, self.seq) < (other.vfinish, other.seq)
+        return (self.vstart, self.seq) < (other.vstart, other.seq)
 
 
-class FairScheduler:
-    """Start-time weighted fair queuing in front of ``service.submit``.
+class FairQueue:
+    """Start-time weighted fair queuing between submitters and workers.
 
-    One instance per server; per-connection handlers call
-    :meth:`schedule` and await the returned future, which resolves to
-    whatever the submit thunk returned (a ``PendingRequest``) or raises
-    the admission error (:class:`QueueFullError` once the item's own
-    deadline ran out, :class:`ServiceClosedError` after :meth:`close`).
+    Submitters :meth:`put` jobs on behalf of a client, worker threads
+    :meth:`get` them in order of virtual start time (ties in arrival
+    order).  The virtual clock is the start time of the last popped
+    item, and a client's next start time is ``max(clock, its last
+    finish)`` — the SFQ recipe: backlogged clients share the workers by
+    weight, a client arriving at an idle queue starts at the clock (so
+    it goes next, not behind another client's backlog), and idle clients
+    don't accumulate credit.
 
-    The virtual clock advances to the dispatched item's finish time, and
-    each client's next start time is ``max(clock, its last finish)`` —
-    the classic SFQ recipe: backlogged clients share capacity by weight,
-    idle clients don't accumulate credit.
+    One condition guards the heap.  Workers wait on it while the heap is
+    empty, and a blocking submitter while the heap is full.  While any
+    submitter is blocked every wake-up is a ``notify_all``, so a
+    notification can never reach the wrong kind of waiter and be lost;
+    otherwise only workers wait, and a put wakes just one.
     """
 
-    def __init__(self, max_backlog: int = 1024):
-        if max_backlog < 1:
-            raise ValueError("scheduler backlog must be >= 1")
-        self.max_backlog = max_backlog
+    def __init__(self):
         self._heap: list[_Item] = []
         self._vclock = 0.0
         self._client_vtime: dict[Any, float] = {}
         self._seq = 0
-        self._wakeup: Optional[asyncio.Event] = None
+        self._cond = threading.Condition()
+        self._blocked = 0
         self._closed = False
-        self.scheduled = 0
-        self.dispatched = 0
-        self.rejected_backlog = 0
-        self.expired = 0
 
-    # ------------------------------------------------------------- enqueue
-
-    def schedule(
+    def put(
         self,
-        client: Any,
-        submit: Callable[[], Any],
-        *,
+        job: Any,
+        client: Any = None,
         weight: float = DEFAULT_WEIGHT,
-        timeout: Optional[float] = None,
-    ) -> "asyncio.Future":
-        """Queue ``submit`` for fair dispatch on behalf of ``client``.
+        *,
+        limit: int,
+        block: bool = False,
+        deadline: Optional[Deadline] = None,
+    ) -> None:
+        """Queue ``job`` for ``client`` while fewer than ``limit`` jobs wait.
 
-        Must be called on the loop running :meth:`pump`.  ``timeout``
-        bounds how long the item may wait for a service-queue slot
-        before failing with :class:`QueueFullError` (``None`` = wait
-        forever); the request's own deadline still governs execution.
+        A full heap raises :class:`~repro.errors.QueueFullError` at once,
+        or with ``block`` waits for room: until ``deadline`` passes
+        (:class:`~repro.errors.EvaluationTimeout`; ``None`` waits as long
+        as it takes) or the queue closes
+        (:class:`~repro.errors.ServiceClosedError`).
         """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        if self._closed:
-            future.set_exception(ServiceClosedError("service is shut down"))
-            return future
-        if len(self._heap) >= self.max_backlog:
-            self.rejected_backlog += 1
-            future.set_exception(QueueFullError(
-                f"scheduler backlog full ({self.max_backlog} waiting); retry"
-            ))
-            return future
-        weight = max(float(weight), 1e-6)
-        vstart = max(self._vclock, self._client_vtime.get(client, 0.0))
-        vfinish = vstart + 1.0 / weight
-        self._client_vtime[client] = vfinish
-        self._seq += 1
-        expires_at = None if timeout is None else time.monotonic() + timeout
-        heapq.heappush(
-            self._heap, _Item(vfinish, self._seq, submit, future, expires_at)
-        )
-        self.scheduled += 1
-        if self._wakeup is not None:
-            self._wakeup.set()
-        return future
+        with self._cond:
+            while True:
+                if self._closed:
+                    raise ServiceClosedError("service is draining or closed")
+                if len(self._heap) < limit:
+                    break
+                if not block:
+                    raise QueueFullError(
+                        f"request queue full ({limit} pending); "
+                        "retry after backoff"
+                    )
+                wait = None
+                if deadline is not None:
+                    wait = deadline.remaining()
+                    if wait <= 0:
+                        deadline.check()  # raises EvaluationTimeout
+                self._blocked += 1
+                try:
+                    self._cond.wait(wait)
+                finally:
+                    self._blocked -= 1
+            vstart = max(self._vclock, self._client_vtime.get(client, 0.0))
+            self._client_vtime[client] = vstart + 1.0 / max(float(weight), 1e-6)
+            self._seq += 1
+            heapq.heappush(self._heap, _Item(vstart, self._seq, job))
+            if self._blocked:
+                self._cond.notify_all()
+            else:
+                self._cond.notify()
+
+    def get(self) -> Any:
+        """Pop the job with the earliest virtual start time, waiting
+        while the heap is empty; ``None`` once it is closed and empty."""
+        with self._cond:
+            while not self._heap:
+                if self._closed:
+                    return None
+                self._cond.wait()
+            item = heapq.heappop(self._heap)
+            self._vclock = item.vstart
+            if self._blocked:
+                self._cond.notify_all()
+            return item.job
 
     def forget(self, client: Any) -> None:
         """Drop the client's virtual-time state (connection closed)."""
-        self._client_vtime.pop(client, None)
+        with self._cond:
+            self._client_vtime.pop(client, None)
 
-    # --------------------------------------------------------------- pump
+    def close(self, drain: bool = True) -> list:
+        """Refuse further puts and wake every waiter.
 
-    async def pump(self, service) -> None:
-        """Drain items in virtual-time order into ``service.submit``.
-
-        Runs until :meth:`close`.  A full service queue backs off
-        (1→20 ms, exponential) and retries the *same* item — fair order
-        is preserved under overload — until the item's own admission
-        timeout expires.
-
-        Submit thunks must never block the loop: the server builds them
-        as ``service.submit(request, nowait=True)``, so a full queue
-        always surfaces here as :class:`QueueFullError` (even under
-        ``backpressure="block"``) and the waiting happens in this
-        coroutine's ``asyncio.sleep`` — not in ``queue.put`` on the
-        event-loop thread.
+        With ``drain`` the workers go on popping until the heap is empty;
+        without it the heap is emptied here and its jobs, which never
+        ran, are returned for the caller to fail.
         """
-        self._wakeup = asyncio.Event()
-        while True:
-            while not self._heap:
-                if self._closed:
-                    return
-                self._wakeup.clear()
-                await self._wakeup.wait()
-            item = heapq.heappop(self._heap)
-            if item.future.cancelled():
-                continue
-            self._vclock = max(self._vclock, item.vfinish)
-            backoff = _BACKOFF_MIN
-            while True:
-                try:
-                    pending = item.submit()
-                except QueueFullError as exc:
-                    now = time.monotonic()
-                    if item.expires_at is not None and now >= item.expires_at:
-                        self.expired += 1
-                        METRICS.inc("service.rejected")
-                        if not item.future.cancelled():
-                            item.future.set_exception(QueueFullError(
-                                "service queue full for the whole admission "
-                                "timeout; retry with backoff"
-                            ))
-                        break
-                    del exc
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2, _BACKOFF_MAX)
-                    if item.future.cancelled():
-                        break
-                    continue
-                except Exception as exc:  # closed service, bad request, ...
-                    if not item.future.cancelled():
-                        item.future.set_exception(exc)
-                    break
-                else:
-                    self.dispatched += 1
-                    if item.future.cancelled():
-                        # Submitter vanished between enqueue and dispatch:
-                        # abandon the request so it doesn't occupy a worker.
-                        cancel = getattr(pending, "cancel", None)
-                        if cancel is not None:
-                            cancel()
-                    else:
-                        item.future.set_result(pending)
-                    break
-
-    def close(self) -> None:
-        """Reject queued and future items; wakes the pump to exit."""
-        self._closed = True
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            if not item.future.done():
-                item.future.set_exception(
-                    ServiceClosedError("service is shut down")
-                )
-        if self._wakeup is not None:
-            self._wakeup.set()
+        with self._cond:
+            self._closed = True
+            dropped = [] if drain else [item.job for item in self._heap]
+            if not drain:
+                self._heap.clear()
+            self._cond.notify_all()
+        return dropped
 
     def stats(self) -> dict:
-        return {
-            "backlog": len(self._heap),
-            "max_backlog": self.max_backlog,
-            "scheduled": self.scheduled,
-            "dispatched": self.dispatched,
-            "rejected_backlog": self.rejected_backlog,
-            "expired": self.expired,
-            "clients_tracked": len(self._client_vtime),
-        }
+        """Jobs waiting and clients with virtual-time state."""
+        with self._cond:
+            return {
+                "pending": len(self._heap),
+                "clients_tracked": len(self._client_vtime),
+            }
 
 
 def quota_error(retry_after: float) -> QuotaExceededError:

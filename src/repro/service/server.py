@@ -27,9 +27,10 @@ the TCP server does, because only it has many clients:
 * ``run`` / ``batch`` are charged to a per-client
   :class:`~repro.service.quota.TokenBucket` quota; a request whose
   answer is cached is then answered on the loop, and the others are
-  admitted through a :class:`~repro.service.quota.FairScheduler`
-  (weighted fair queuing across connections) and submitted to the
-  pool; completion is
+  submitted under the connection's client id, so the service's one
+  fair queue (:class:`~repro.service.quota.FairQueue`) orders them
+  across connections all the way to the worker.  Submitting never
+  waits, so the loop never parks on a full pool; completion is
   bridged back by :meth:`~repro.service.service.PendingRequest.
   add_done_callback` + ``call_soon_threadsafe`` — no thread per
   in-flight request, no polling;
@@ -67,7 +68,7 @@ from repro.service.protocol import (
     error_reply,
     not_json,
 )
-from repro.service.quota import FairScheduler, TokenBucket, quota_error
+from repro.service.quota import TokenBucket, quota_error
 from repro.service.service import PendingRequest, QueryService, RunRequest
 
 __all__ = [
@@ -185,8 +186,8 @@ class AsyncTCPQueryServer:
     """The NDJSON protocol over asyncio TCP (see module docstring).
 
     All connections share one dispatcher (and therefore one worker pool,
-    queue bound, and prepared registry) and one fair scheduler; each
-    connection gets its own token bucket.  The constructor binds the
+    fair queue, and prepared registry); each connection gets its own
+    token bucket and client id.  The constructor binds the
     socket immediately (``server_address`` is final once it returns);
     :meth:`serve_forever` runs the loop in the calling thread until
     :meth:`shutdown` is called from any thread or a ``shutdown`` op
@@ -201,12 +202,6 @@ class AsyncTCPQueryServer:
     ):
         self.service = service
         self.dispatcher = Dispatcher(service, allow_shutdown=allow_shutdown)
-        cfg = service.config
-        backlog = (
-            cfg.max_pending if cfg.backpressure == "reject"
-            else 4 * cfg.max_pending + 64
-        )
-        self._scheduler = FairScheduler(max_backlog=backlog)
         self._loop = asyncio.new_event_loop()
         self._closing = False
         self._stopped = threading.Event()
@@ -264,7 +259,6 @@ class AsyncTCPQueryServer:
             self._loop.close()
 
     async def _serve(self) -> None:
-        pump = self._loop.create_task(self._scheduler.pump(self.service))
         try:
             await self._shutdown_event.wait()
         finally:
@@ -284,10 +278,6 @@ class AsyncTCPQueryServer:
                 await asyncio.gather(
                     *self._connections, return_exceptions=True
                 )
-            self._scheduler.close()
-            pump.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await pump
 
     # --------------------------------------------------------- connections
 
@@ -335,7 +325,7 @@ class AsyncTCPQueryServer:
         except (ConnectionError, OSError):
             pass
         finally:
-            self._scheduler.forget(client_id)
+            self.service.forget_client(client_id)
             self._connections.discard(task)
             self._busy.discard(task)
             with contextlib.suppress(BaseException):
@@ -382,8 +372,8 @@ class AsyncTCPQueryServer:
         bucket: TokenBucket,
         client_id: int,
     ) -> Optional[list[dict]]:
-        """Charge the quota, take cached answers, fair-queue the other
-        requests into the pool and await them, watching for disconnect;
+        """Charge the quota, take cached answers, submit the other
+        requests to the pool and await them, watching for disconnect;
         returns the rendered frames, or None once the client is gone."""
         # A bucket never holds more than `burst` tokens, so a batch
         # costing more than that could never be admitted: blocking would
@@ -416,13 +406,9 @@ class AsyncTCPQueryServer:
                 admitted.append(hit)
                 continue
             self._make_cancellable(request)
-            connected, entry = await self._admit(
-                request, source, client_id, work.weight
+            admitted.append(
+                await self._admit(request, client_id, work.weight)
             )
-            if not connected:
-                _cancel(admitted)
-                return None
-            admitted.append(entry)
         outcomes: list[Any] = []
         for entry in admitted:
             if not isinstance(entry, PendingRequest):
@@ -449,39 +435,16 @@ class AsyncTCPQueryServer:
         ):
             request.timeout = _CANCEL_HORIZON
 
-    async def _admit(
-        self,
-        request: RunRequest,
-        source: _LineSource,
-        client_id: int,
-        weight: float,
-    ):
-        """Fair-queue ``request`` into the pool, watching for disconnect.
+    async def _admit(self, request: RunRequest, client_id: int, weight: float):
+        """Queue ``request`` for this connection; returns the pending
+        request, or the exception that kept it out of the queue.
 
-        Returns ``(connected, admitted)``: the pending request, or the
-        exception that kept it out of the pool.
-        """
-        admission_timeout = (
-            0.0 if self.service.config.backpressure == "reject"
-            else request.timeout
-        )
-        # nowait=True: a full queue raises QueueFullError to the pump
-        # instead of parking the event loop in queue.put — in block mode
-        # the pump's asyncio.sleep backoff supplies the waiting, so the
-        # server stays responsive (pings, disconnects) under saturation.
-        fut = self._scheduler.schedule(
-            client_id,
-            lambda: self.service.submit(request, nowait=True),
-            weight=weight,
-            timeout=admission_timeout,
-        )
-        connected = await self._watch(fut, source, fut.cancel)
-        if not connected:
-            return False, None
+        Never waits: under ``block`` a full pool leaves the request
+        queued in its fair turn rather than parking the loop."""
         try:
-            return True, fut.result()
-        except Exception as exc:
-            return True, exc
+            return self.service.submit(request, client=client_id, weight=weight)
+        except ReproError as exc:
+            return exc
 
     async def _finish(self, pending, source: _LineSource, streaming: bool):
         """Await a submitted request's completion, watching for disconnect.

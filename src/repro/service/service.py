@@ -16,20 +16,23 @@ into a serving tier on top of the PR 1 engine core:
   plan cache and one fused algebra closure, while each query's
   answer is cached under its own fingerprint in the session-wide
   thread-safe :class:`~repro.engine.cache.AutomatonCache`;
-* a **worker pool** — a fixed set of threads executing requests pulled
-  from a bounded queue; single requests and batches run concurrently;
-  a repeat whose answer is already cached needs no worker:
-  :meth:`QueryService.answer_cached` lets a transport answer it with
-  lookups alone, before admission;
+* a **worker pool** — a fixed set of threads popping requests from one
+  bounded, weighted fair queue (:class:`~repro.service.quota.FairQueue`)
+  that every transport and library caller pushes into; single requests
+  and batches run concurrently; a repeat whose answer is already cached
+  needs no worker: :meth:`QueryService.answer_cached` lets a transport
+  answer it with lookups alone, before admission;
 * **per-request deadlines** — a request's budget starts at submission
   (queue wait counts) and is enforced cooperatively by the checkpoint
   hooks threaded through both engines (:mod:`repro.engine.deadline`), so
   a 1 ms deadline against a pathological automata product returns a
   structured timeout instead of hanging a worker forever;
-* **admission control** — when the queue is full, ``backpressure="reject"``
-  fails fast with a retryable *overloaded* error and
-  ``backpressure="block"`` makes the submitter wait (up to the request's
-  own deadline);
+* **admission control** — when ``max_pending`` requests wait,
+  ``backpressure="reject"`` fails fast with a retryable *overloaded*
+  error and ``backpressure="block"`` makes a submitting thread wait (up
+  to the request's own deadline); a connection's request, submitted
+  from the event loop, never waits to be queued: under ``block`` it
+  joins the queue up to a wider bound and waits its fair turn there;
 * **structured errors** — workers never leak tracebacks; every failure is
   classified into an :class:`ErrorInfo` with a stable ``code`` and a
   ``retryable`` flag (``timeout``/``overloaded``/``unavailable`` are
@@ -70,7 +73,6 @@ Usage::
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -105,6 +107,7 @@ from repro.errors import (
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.literals import bind, lift_literals
 from repro.logic.parser import parse_formula
+from repro.service.quota import DEFAULT_WEIGHT, FairQueue
 from repro.strings.alphabet import Alphabet
 
 __all__ = [
@@ -470,6 +473,8 @@ class PreparedQuery:
         self.values = values
         #: Alphabets this binding passed the signature checks under.
         self._checked: set[tuple[str, ...]] = set()
+        #: The last (template plan, bound plan) pair :meth:`bind` made.
+        self._bound: Optional[tuple[Plan, Plan]] = None
 
     def __repr__(self) -> str:
         return (
@@ -496,8 +501,18 @@ class PreparedQuery:
             q = self.template.query_for(entry.database.alphabet)
             q.structure.check_formula(self.formula)
             self._checked.add(symbols)
-        plan = self.template.plan_for(entry, engine=engine, slack=slack)
-        return with_values(plan, self.values)
+        return self.bind(self.template.plan_for(entry, engine=engine,
+                                                slack=slack))
+
+    def bind(self, plan: Plan) -> Plan:
+        """The template's ``plan`` with this query's values bound.
+
+        The last binding is kept, so a repeat reuses it until the
+        template's plan object changes (a replan)."""
+        bound = self._bound
+        if bound is None or bound[0] is not plan:
+            bound = self._bound = (plan, with_values(plan, self.values))
+        return bound[1]
 
 
 def _codegen_closure_stats() -> dict:
@@ -508,9 +523,6 @@ def _codegen_closure_stats() -> dict:
 
 
 # ---------------------------------------------------------------- the pool
-
-
-_SENTINEL = object()
 
 
 class _Job:
@@ -687,7 +699,14 @@ class QueryService:
         # Serializes delta application (insert/delete) across names so a
         # wrap-then-apply never races a concurrent re-registration.
         self._delta_lock = threading.Lock()
-        self._queue: queue.Queue = queue.Queue(maxsize=config.max_pending)
+        self._queue = FairQueue()
+        # A connection's request comes from the event loop, which must
+        # never park: under "block" it joins the queue past max_pending,
+        # up to this wider bound, and waits its fair turn there.
+        self._loop_limit = (
+            4 * config.max_pending + 64 if config.backpressure == "block"
+            else config.max_pending
+        )
         self._closed = False
         self._workers = [
             threading.Thread(
@@ -904,7 +923,7 @@ class QueryService:
             return None
         if hit is None:
             return None
-        plan = with_values(hit[0], prepared.values)
+        plan = prepared.bind(hit[0])
         result = self._cache.peek(result_key(plan, entry.database))
         if result is None:
             return None
@@ -928,26 +947,25 @@ class QueryService:
         )
 
     def submit(
-        self, request: RunRequest, *, nowait: bool = False
+        self,
+        request: RunRequest,
+        *,
+        client: Any = None,
+        weight: float = DEFAULT_WEIGHT,
     ) -> PendingRequest:
-        """Admit a request into the queue and return a waitable handle.
+        """Queue a request for ``client`` and return a waitable handle.
 
-        Raises :class:`~repro.errors.ServiceClosedError` when draining or
-        closed, :class:`~repro.errors.QueueFullError` when the queue is
-        full under ``backpressure="reject"``, and
-        :class:`~repro.errors.EvaluationTimeout` when a blocked submission
-        outlives the request's own deadline.
-
-        ``nowait=True`` forces the non-blocking admission path regardless
-        of the configured backpressure mode: a full queue raises
-        :class:`~repro.errors.QueueFullError` immediately instead of
-        blocking the calling thread.  The asyncio front end submits this
-        way so its event loop is never parked in ``queue.put`` — under
-        ``backpressure="block"`` the scheduler pump supplies the waiting
-        with ``asyncio.sleep`` retries (:meth:`repro.service.quota.
-        FairScheduler.pump`).  Retried nowait attempts that find the
-        queue full are not counted as requests or rejections; only the
-        admitted attempt increments ``service.requests``.
+        Jobs leave the queue in weighted fair order across clients
+        (:class:`~repro.service.quota.FairQueue`).  Thread callers are
+        the default client ``None``; the TCP server passes its
+        connection's id, and such a submit never waits.  With
+        ``max_pending`` requests queued, ``backpressure="reject"`` raises
+        :class:`~repro.errors.QueueFullError` at once.  Under ``"block"``
+        a thread caller waits for room — never past the request's own
+        deadline (:class:`~repro.errors.EvaluationTimeout`) and never
+        once the service closes (:class:`~repro.errors.
+        ServiceClosedError`) — while a connection's request is queued up
+        to a wider bound, past which it is refused as overloaded.
         """
         if self._closed:
             raise ServiceClosedError("service is draining or closed")
@@ -957,44 +975,26 @@ class QueryService:
         )
         deadline = Deadline(timeout) if timeout is not None else None
         job = _Job(request, lambda: self._evaluate(request), deadline)
-        if nowait or self.config.backpressure == "reject":
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                if self.config.backpressure == "reject":
-                    METRICS.inc("service.requests")
-                    METRICS.inc("service.rejected")
-                raise QueueFullError(
-                    f"request queue full ({self.config.max_pending} pending); "
-                    "retry after backoff"
-                ) from None
-            METRICS.inc("service.requests")
-        else:
-            METRICS.inc("service.requests")
-            self._block_until_admitted(job, deadline)
+        METRICS.inc("service.requests")
+        block = self.config.backpressure == "block" and client is None
+        try:
+            self._queue.put(
+                job, client, weight,
+                limit=(
+                    self.config.max_pending if client is None
+                    else self._loop_limit
+                ),
+                block=block,
+                deadline=deadline,
+            )
+        except (QueueFullError, EvaluationTimeout):
+            METRICS.inc("service.rejected")
+            raise
         return PendingRequest(job)
 
-    def _block_until_admitted(
-        self, job: _Job, deadline: Optional[Deadline]
-    ) -> None:
-        """``backpressure="block"``: wait for queue space, but never past
-        the request's own deadline (and never once the service closes)."""
-        while True:
-            wait = 0.05
-            if deadline is not None:
-                remaining = deadline.remaining()
-                if remaining <= 0:
-                    METRICS.inc("service.rejected")
-                    deadline.check()  # raises EvaluationTimeout
-                wait = min(wait, remaining)
-            try:
-                self._queue.put(job, timeout=wait)
-                return
-            except queue.Full:
-                if self._closed:
-                    raise ServiceClosedError(
-                        "service closed while waiting for queue space"
-                    ) from None
+    def forget_client(self, client: Any) -> None:
+        """Drop a departed client's fair-queuing state."""
+        self._queue.forget(client)
 
     def execute(self, request: RunRequest) -> ServiceResponse:
         """Submit and wait; admission failures become structured errors."""
@@ -1034,21 +1034,13 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
-        if not drain:
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if job is not _SENTINEL:
-                    job.outcome = (
-                        "error",
-                        ServiceClosedError("service shut down before execution"),
-                    )
-                    job.event.set()
-                    job.fire_callbacks()
-        for _ in self._workers:
-            self._queue.put(_SENTINEL)
+        for job in self._queue.close(drain):
+            job.outcome = (
+                "error",
+                ServiceClosedError("service shut down before execution"),
+            )
+            job.event.set()
+            job.fire_callbacks()
         for t in self._workers:
             t.join(timeout)
         if self._coordinator is not None:
@@ -1101,7 +1093,7 @@ class QueryService:
             "workers": self.config.workers,
             "max_pending": self.config.max_pending,
             "backpressure": self.config.backpressure,
-            "pending": self._queue.qsize(),
+            **self._queue.stats(),
             "closed": self._closed,
             "databases": self.database_names(),
             "versions": versions,
@@ -1119,10 +1111,7 @@ class QueryService:
     # ------------------------------------------------------------- internals
 
     def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _SENTINEL:
-                return
+        while (job := self._queue.get()) is not None:
             self._run_job(job)
 
     def _run_job(self, job: _Job) -> None:

@@ -48,6 +48,11 @@ PLANTS = {
         "relation = RelationAutomaton.from_tuples(alphabet, 1, rows)",
         "src/repro/eval/automata_engine.py",
     ),
+    "queue": (
+        "src/repro/service/pool.py",
+        "import queue",
+        "src/repro/service/quota.py",
+    ),
 }
 
 

@@ -19,6 +19,7 @@ import io
 import json
 import re
 import socket
+import sys
 import threading
 import time
 
@@ -41,6 +42,7 @@ from repro.service import (
     AsyncServiceClient,
     AsyncTCPQueryServer,
     Dispatcher,
+    FairQueue,
     PreparedQuery,
     QueryService,
     RunRequest,
@@ -225,7 +227,7 @@ class TestAdmissionControl:
             query=ADVERSARIAL_QUERY, database="adv", timeout=budget,
         ))
         deadline = time.monotonic() + 5
-        while svc._queue.qsize() > 0 and time.monotonic() < deadline:
+        while svc.stats()["pending"] > 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         return pending
 
@@ -295,21 +297,34 @@ class TestAdmissionControl:
         finally:
             svc.close()
 
-    def test_submit_nowait_never_blocks_in_block_mode(self):
-        # The async front end submits with nowait=True: a full queue
-        # must raise QueueFullError immediately (the pump awaits and
-        # retries) instead of parking the calling thread in queue.put.
+    def test_blocked_submit_fails_promptly_when_the_service_closes(self):
+        # A thread parked in a block-mode submit waits on the queue's
+        # condition, so close() wakes it at once: no polling slice.
         svc = QueryService(workers=1, max_pending=1, backpressure="block")
         svc.register_database("adv", adversarial_db())
         try:
-            self._occupy(svc, budget=0.5)
+            self._occupy(svc, budget=1.0)
             svc.submit(RunRequest(query=ADVERSARIAL_QUERY, database="adv",
-                                  timeout=0.5))
-            t0 = time.monotonic()
-            with pytest.raises(QueueFullError):
-                svc.submit(RunRequest(query="R(x)", database="adv"),
-                           nowait=True)
-            assert time.monotonic() - t0 < 0.2
+                                  timeout=1.0))
+            outcome = []
+
+            def blocked_submit():
+                try:
+                    svc.submit(RunRequest(query="R(x)", database="adv"))
+                except ReproError as exc:
+                    outcome.append((exc, time.monotonic()))
+
+            submitter = threading.Thread(target=blocked_submit)
+            submitter.start()
+            time.sleep(0.1)
+            assert submitter.is_alive() and not outcome
+            closed_at = time.monotonic()
+            svc.close(drain=False, timeout=0)
+            submitter.join(5)
+            assert len(outcome) == 1
+            exc, raised_at = outcome[0]
+            assert isinstance(exc, ServiceClosedError)
+            assert raised_at - closed_at < 0.2
         finally:
             svc.close()
 
@@ -331,7 +346,7 @@ class TestLifecycle:
         busy = svc.submit(RunRequest(query=ADVERSARIAL_QUERY, database="adv",
                                      timeout=0.3))
         deadline = time.monotonic() + 5
-        while svc._queue.qsize() > 0 and time.monotonic() < deadline:
+        while svc.stats()["pending"] > 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         queued = svc.submit(RunRequest(query="R(x)", database="adv"))
         svc.close(drain=False)
@@ -856,6 +871,36 @@ class TestLoopHits:
         assert len(jobs) == 3  # R(x) twice, S(y) once
         assert METRICS.get("service.loop_hits") == 1
 
+    def test_a_repeat_binds_its_plan_once(self, service, monkeypatch):
+        import repro.service.service as service_module
+
+        bound = []
+        with_values = service_module.with_values
+
+        def counted_with_values(plan, values):
+            bound.append(values)
+            return with_values(plan, values)
+
+        monkeypatch.setattr(service_module, "with_values", counted_with_values)
+        request = RunRequest(
+            query="R(x) & matches(x, '0.*')", database="main",
+            structure="S_reg",
+        )
+        assert service.execute(request).rows == [["001"], ["0110"]]
+        assert service.answer_cached(request).rows == [["001"], ["0110"]]
+        bound.clear()
+        assert service.answer_cached(request).rows == [["001"], ["0110"]]
+        assert bound == []
+        # "0000" is a new active-domain string: the template is replanned,
+        # and the new plan is bound once for the same text.
+        service.insert_rows("main", "R", [["0000"]])
+        assert service.answer_cached(request) is None
+        assert service.execute(request).rows == \
+            [["0000"], ["001"], ["0110"]]
+        assert service.answer_cached(request).rows == \
+            [["0000"], ["001"], ["0110"]]
+        assert bound == [("0.*",)]
+
     def test_a_missing_probe_neither_parses_nor_plans(self, service):
         def counts():
             return (
@@ -890,6 +935,76 @@ class TestLoopHits:
         request.timeout = 0.0
         assert service.answer_cached(request) is None
         assert service.execute(request).error.code == "timeout"
+
+
+class TestFairQueue:
+    """The service's one queue pops in start-time fair order."""
+
+    @staticmethod
+    def _drain(fair, count):
+        return [fair.get() for _ in range(count)]
+
+    def test_a_single_job_is_not_queued_behind_a_backlog(self):
+        fair = FairQueue()
+        for i in range(8):
+            fair.put(("a", i), "a", limit=100)
+        fair.put(("b", 0), "b", limit=100)
+        assert ("b", 0) in self._drain(fair, 2)
+
+    def test_backlogged_clients_share_by_weight(self):
+        fair = FairQueue()
+        for i in range(30):
+            fair.put("heavy", "heavy", weight=2, limit=100)
+            fair.put("light", "light", weight=1, limit=100)
+        popped = self._drain(fair, 30)
+        assert abs(popped.count("heavy") - 20) <= 1
+        assert abs(popped.count("light") - 10) <= 1
+
+    def test_full_queue_refuses_and_close_hands_back_the_jobs(self):
+        fair = FairQueue()
+        fair.put("first", limit=1)
+        with pytest.raises(QueueFullError):
+            fair.put("second", limit=1)
+        assert fair.close(drain=False) == ["first"]
+        assert fair.get() is None
+        with pytest.raises(ServiceClosedError):
+            fair.put("late", limit=1)
+
+    def test_blocking_producers_and_workers_lose_no_wakeup(self):
+        # More threads than cores and a tiny switch interval: blocked
+        # producers and idle workers share the one condition, so a lost
+        # wake-up would leave a producer parked with room to spare (or a
+        # job unpopped) and the joins would time out.
+        fair = FairQueue()
+        popped = []
+
+        def worker():
+            while (job := fair.get()) is not None:
+                popped.append(job)
+
+        def producer(client):
+            for i in range(200):
+                fair.put((client, i), client, limit=2, block=True)
+
+        workers = [threading.Thread(target=worker, daemon=True)
+                   for _ in range(8)]
+        producers = [threading.Thread(target=producer, args=(c,), daemon=True)
+                     for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers + producers:
+                t.start()
+            for t in producers:
+                t.join(30)
+            assert not any(t.is_alive() for t in producers)
+        finally:
+            fair.close(drain=True)
+            for t in workers:
+                t.join(30)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert sorted(popped) == [(c, i) for c in range(4) for i in range(200)]
 
 
 class TestStreamingSharded:
@@ -1135,54 +1250,120 @@ class TestDisconnectCancellation:
             _stop(server, thread)
 
 
+def _gated(svc):
+    """Make ``svc``'s workers record each query they start, then wait on
+    the returned event before evaluating it; returns (release, started)."""
+    release = threading.Event()
+    started = []
+    inner = svc._evaluate
+
+    def gated_evaluate(request):
+        started.append(request.query)
+        release.wait(20)
+        return inner(request)
+
+    svc._evaluate = gated_evaluate
+    return release, started
+
+
+def _wait_until(predicate):
+    deadline = time.monotonic() + 5
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert predicate()
+
+
+def _read_reply(sock):
+    with sock.makefile("r", encoding="utf-8") as replies:
+        return json.loads(replies.readline())
+
+
 class TestBlockModeEventLoop:
     def test_server_answers_pings_while_block_mode_queue_is_full(self):
-        # Saturate a block-mode server: one worker busy, the queue full,
-        # and one more request retrying admission in the pump.  The event
-        # loop must keep answering pings — the regression here was the
-        # pump calling the thread-blocking submit path, freezing every
-        # connection until queue space freed.  The worker is gated on an
-        # event so the saturation window is deterministic, not a race
-        # against how fast the machine evaluates queries.
+        # Saturate a block-mode server: one worker busy, max_pending
+        # requests queued, and one more past the bound.  A connection's
+        # request never parks the event loop: it joins the fair queue
+        # past max_pending and waits its turn there, so pings keep being
+        # answered.  The worker is gated on an event so the saturation
+        # window is deterministic, not a race against how fast the
+        # machine evaluates queries.
         svc = QueryService(workers=1, max_pending=1, backpressure="block")
         svc.register_database("main", small_db())
-        release = threading.Event()
-        inner = svc._evaluate
-
-        def gated_evaluate(request):
-            release.wait(20)
-            return inner(request)
-
-        svc._evaluate = gated_evaluate
+        release, started = _gated(svc)
         server, thread = _tcp_server(svc)
         socks = []
         try:
             host, port = server.server_address[:2]
             for i in range(3):
                 sock = socket.create_connection((host, port))
+                sock.settimeout(30)
                 sock.sendall((json.dumps({
                     "op": "run", "id": i, "query": "R(x)",
                     "db": "main", "timeout_ms": 30_000,
                 }) + "\n").encode())
                 socks.append(sock)
-            # Wait for full saturation: request 1 gating the worker,
-            # request 2 filling the queue, request 3 about to hit the
-            # pump's full-queue path.
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and not (
-                svc._queue.full() and server._scheduler.dispatched >= 2
-            ):
-                time.sleep(0.01)
-            assert svc._queue.full()
-            time.sleep(0.2)  # let the pump pop request 3
+                if i == 0:
+                    _wait_until(lambda: started == ["R(x)"])
+            # Request 0 gates the worker; 1 fills the queue, 2 is past it.
+            _wait_until(lambda: svc.stats()["pending"] == 2)
             t0 = time.monotonic()
             with ServiceClient(host, port, read_timeout=10.0) as client:
                 assert client.ping()["pong"] is True
             assert time.monotonic() - t0 < 2.0
+            release.set()
+            for i, sock in enumerate(socks):
+                reply = _read_reply(sock)
+                assert reply["id"] == i and reply["ok"], reply
+                assert reply["rows"] == [["001"], ["0110"], ["11"]]
         finally:
             release.set()
             for sock in socks:
                 sock.close()
+            _stop(server, thread)
+
+
+class TestFairOrder:
+    def test_one_request_is_not_queued_behind_another_clients_batch(self):
+        # Fair order holds all the way to the worker: connection A's
+        # 8-item batch is queued first, then connection B's one run,
+        # and B's query is evaluated second at the latest — not ninth,
+        # behind all of A's items.
+        svc = QueryService(workers=1, backpressure="block")
+        svc.register_database("main", small_db())
+        release, started = _gated(svc)
+        server, thread = _tcp_server(svc)
+        try:
+            host, port = server.server_address[:2]
+            a = socket.create_connection((host, port))
+            b = socket.create_connection((host, port))
+            for sock in (a, b):
+                sock.settimeout(30)
+            a.sendall((json.dumps({
+                "op": "batch", "id": "a",
+                "requests": [
+                    {"query": f"R(x) & last(x, '{i % 2}')", "db": "main"}
+                    for i in range(8)
+                ],
+            }) + "\n").encode())
+            # One item is at the gated worker, seven are queued.
+            _wait_until(
+                lambda: len(started) == 1 and svc.stats()["pending"] == 7
+            )
+            b.sendall((json.dumps({
+                "op": "run", "id": "b", "query": "S(y)", "db": "main",
+            }) + "\n").encode())
+            _wait_until(lambda: svc.stats()["pending"] == 8)
+            release.set()
+            reply_b = _read_reply(b)
+            reply_a = _read_reply(a)
+            assert reply_b["ok"] and reply_b["rows"] == [["0"], ["01"]]
+            assert reply_a["ok"] and len(reply_a["results"]) == 8
+            assert len(started) == 9
+            assert started.index("S(y)") <= 1, started
+            a.close()
+            b.close()
+        finally:
+            release.set()
             _stop(server, thread)
 
 

@@ -37,6 +37,11 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``service/`` and in ``eval/direct.py``: the restricted-domain engines
     compute finite answers, and a finite answer is its rows
     (``QueryResult(columns, rows)``), never an automaton built from them.
+``queue``
+    A second queue under ``service/`` (the ``queue`` module, its
+    ``Queue``/``SimpleQueue``, ``heapq``) outside ``service/quota.py``:
+    the weighted fair queue there is the pool's only queue, so fair
+    order holds from submission to worker.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -188,6 +193,21 @@ RULES = (
         problem="an automaton built from a restricted engine's rows — a "
         "finite answer is its rows: return QueryResult(columns, rows)",
         ok="direct/algebra/sharded answers stay rows",
+    ),
+    Rule(
+        "queue",
+        re.compile(
+            r"^\s*(?:import|from)\s+(?:queue|heapq)\b"
+            r"|(?<![A-Za-z0-9_])queue\.Queue\s*\("
+            r"|(?<![A-Za-z0-9_.])SimpleQueue\s*\("
+            r"|(?<![A-Za-z0-9_.])heapq\."
+        ),
+        scanned=("src/repro/service",),
+        exempt=("src/repro/service/quota.py",),
+        problem="a second queue in the service outside service/quota.py — "
+        "submit into the one fair queue (repro.service.quota.FairQueue)",
+        ok="the service's one queue lives in src/repro/service/quota.py",
+        strip_comments=True,
     ),
 )
 
