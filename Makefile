@@ -47,7 +47,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             finite answer is its rows, never an automaton of them;
 ##   queue     the queue module, Queue/SimpleQueue and heapq under
 ##             service/ outside service/quota.py — the weighted fair
-##             queue there is the pool's only queue (docs/service.md).
+##             queue there is the pool's only queue (docs/service.md);
+##   evict     popitem(last=False) and pop(next(iter( under src/ outside
+##             engine/cache.py — every memo table is a BoundedCache, the
+##             one LRU eviction (docs/explain_and_metrics.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 

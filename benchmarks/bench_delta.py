@@ -142,10 +142,10 @@ def run_shape(shape: str, text: str, engine: str, n: int) -> dict:
         t0 = time.perf_counter()
         fresh = as_db(model)
         database_fingerprint(fresh)  # what register_database pays
-        from repro.engine.cache import AutomatonCache
+        from repro.engine.cache import BoundedCache
 
         ref_plan = plan_query(query.formula, query.structure, fresh, force=engine)
-        reference = execute_plan(ref_plan, fresh, cache=AutomatonCache())
+        reference = execute_plan(ref_plan, fresh, cache=BoundedCache())
         ref_times.append(time.perf_counter() - t0)
         agree = agree and optimized.as_set() == reference.as_set()
     reference_s = statistics.median(ref_times)

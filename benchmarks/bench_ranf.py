@@ -54,7 +54,7 @@ baseline threshold (1.3x) — ``make bench-ranf`` runs the full gate and
 import pytest
 
 from repro.database import random_database
-from repro.engine.cache import AutomatonCache
+from repro.engine.cache import BoundedCache
 from repro.engine.explain import execute_plan
 from repro.engine.planner import Planner, algebra_eligible
 from repro.eval import AutomataEngine
@@ -207,7 +207,7 @@ def run_shape(shape: str, n: int) -> dict:
     auto_rows = [None]
 
     def fast_run():
-        result = execute_plan(fast_plan, db, cache=AutomatonCache(maxsize=256))
+        result = execute_plan(fast_plan, db, cache=BoundedCache(maxsize=256))
         fast_rows[0] = result.as_set()
 
     def automata_run():

@@ -43,7 +43,7 @@ import time
 import pytest
 
 from repro.core import StringDatabase
-from repro.engine import AutomatonCache
+from repro.engine import BoundedCache
 from repro.engine.metrics import METRICS
 from repro.service import (
     AsyncServiceClient,
@@ -123,7 +123,7 @@ def start_server():
         workers=POOL_WORKERS,
         max_pending=MAX_PENDING,
         backpressure="block",
-        cache=AutomatonCache(maxsize=512),
+        cache=BoundedCache(maxsize=512),
     ))
     service.register_database("main", make_db())
     server = AsyncTCPQueryServer(("127.0.0.1", 0), service)

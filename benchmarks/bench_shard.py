@@ -18,7 +18,7 @@ speedup is algorithmic, not parallel hardware.
 The comparison is controlled: both sides run the **direct** engine (the
 coordinator pins ``worker_engine="direct"``), so the ratio isolates the
 scatter-gather machinery.  Caches cannot flatter either side — the
-reference path gets a fresh ``AutomatonCache`` per run, and the shard
+reference path gets a fresh ``BoundedCache`` per run, and the shard
 pool is fed a *different* seed-variant database per repeat, so no
 worker-side whole-result cache entry is ever reused.
 
@@ -36,7 +36,7 @@ import time
 import pytest
 
 from repro.core.query import Query, StringDatabase
-from repro.engine.cache import AutomatonCache
+from repro.engine.cache import BoundedCache
 from repro.engine.explain import execute_plan
 from repro.engine.planner import plan_query
 
@@ -99,13 +99,13 @@ def run_sweep(sizes, variants: int) -> list[dict]:
                     query.formula, query.structure, db.db, force="direct"
                 )
                 t0 = time.perf_counter()
-                reference = execute_plan(ref_plan, db.db, cache=AutomatonCache())
+                reference = execute_plan(ref_plan, db.db, cache=BoundedCache())
                 ref_times.append(time.perf_counter() - t0)
                 shard_plan = plan_query(
                     query.formula, query.structure, db.db, force="sharded"
                 )
                 t0 = time.perf_counter()
-                sharded = execute_plan(shard_plan, db.db, cache=AutomatonCache())
+                sharded = execute_plan(shard_plan, db.db, cache=BoundedCache())
                 shard_times.append(time.perf_counter() - t0)
                 agree = agree and sharded.as_set() == reference.as_set()
                 out_rows = len(reference.as_set())

@@ -23,9 +23,9 @@ single fused pipeline:
   stays in the generated source as the runtime fallback branch).
 
 The emitted source is ``compile()``/``exec``-ed into a closure and cached
-in an LRU (:class:`~repro.engine.cache.AutomatonCache` discipline,
-``codegen.cache.*`` counters) keyed by *(structure, alphabet, slack,
-schema, canonical fingerprint)*.  Generated code is data-independent —
+in the registered :class:`~repro.engine.cache.BoundedCache`
+``codegen.cache``, keyed by *(structure, alphabet, slack, schema,
+canonical fingerprint)*.  Generated code is data-independent —
 the closure ``_pipeline(_db, _params, _stage_rows)`` takes the database
 and the values of a query template's slots at call time (a ``Param(i)``
 operand is ``_params[i]``; a concrete query passes ``()``) — so row-only
@@ -70,7 +70,7 @@ from repro.algebra.plan import (
     _get_checker,
 )
 from repro.database.schema import Schema
-from repro.engine.cache import AutomatonCache, DEFAULT_MAXSIZE
+from repro.engine.cache import DEFAULT_MAXSIZE, BoundedCache, registered
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.canonical import canonical_fingerprint
@@ -654,13 +654,12 @@ def build_pipeline(
     )
 
 
-#: Compiled-closure cache.  Same LRU discipline as the automaton cache
-#: (bounded, hits/misses/evictions), surfaced in QueryService.stats().
-_CLOSURES = AutomatonCache(maxsize=DEFAULT_MAXSIZE, metrics_prefix="codegen.cache")
+#: Compiled closures and rejected shapes.
+_PIPELINES = registered("codegen.cache", DEFAULT_MAXSIZE)
 
 
-def closure_cache() -> AutomatonCache:
-    return _CLOSURES
+def closure_cache() -> BoundedCache:
+    return _PIPELINES
 
 
 def pipeline_key(
@@ -697,7 +696,7 @@ def get_pipeline(
     are cached too, so repeated probes of an unsupported shape stay cheap.
     """
     key = pipeline_key(formula, structure, schema, slack)
-    cached = _CLOSURES.get(key)
+    cached = _PIPELINES.get(key)
     if isinstance(cached, GeneratedPipeline):
         return cached, "hit"
     if isinstance(cached, _Rejected):
@@ -708,20 +707,20 @@ def get_pipeline(
         )
     except Exception as exc:
         reason = f"algebra compile failed: {exc}"
-        _CLOSURES.put(key, _Rejected(reason))
+        _PIPELINES.put(key, _Rejected(reason))
         return None, reason
     ok, why = plan_supported(optimized)
     if not ok:
-        _CLOSURES.put(key, _Rejected(why))
+        _PIPELINES.put(key, _Rejected(why))
         return None, why
     try:
         pipeline = build_pipeline(
             optimized, compiled.columns, structure, canonical_fingerprint(formula)
         )
     except UnsupportedPlan as exc:
-        _CLOSURES.put(key, _Rejected(str(exc)))
+        _PIPELINES.put(key, _Rejected(str(exc)))
         return None, str(exc)
-    _CLOSURES.put(key, pipeline)
+    _PIPELINES.put(key, pipeline)
     return pipeline, "compiled"
 
 
@@ -731,7 +730,7 @@ def has_pipeline(
     """True when a compiled closure is already cached (no stats impact:
     the planner peeks warmth without claiming a hit)."""
     return isinstance(
-        _CLOSURES.peek(pipeline_key(formula, structure, schema, slack)),
+        _PIPELINES.peek(pipeline_key(formula, structure, schema, slack)),
         GeneratedPipeline,
     )
 
@@ -741,7 +740,7 @@ def shape_supported(
 ) -> tuple[bool, str]:
     """Eligibility probe at the planner's auto slack (0): is the optimized
     plan for ``formula`` fuseable?  Peeks the closure cache first."""
-    cached = _CLOSURES.peek(pipeline_key(formula, structure, schema, 0))
+    cached = _PIPELINES.peek(pipeline_key(formula, structure, schema, 0))
     if isinstance(cached, GeneratedPipeline):
         return True, "compiled pipeline cached"
     if isinstance(cached, _Rejected):

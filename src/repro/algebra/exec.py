@@ -26,7 +26,6 @@ benchmarks can drive :class:`AlgebraExecutor` directly on a plan.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,7 +43,7 @@ from repro.algebra.plan import (
     _get_checker,
 )
 from repro.database.instance import Database
-from repro.engine.cache import database_fingerprint
+from repro.engine.cache import database_fingerprint, registered
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.formulas import Formula
@@ -293,13 +292,10 @@ class AlgebraExecutor:
         return text if len(text) <= 120 else text[:117] + "..."
 
 
-# A small cache of compiled-and-optimized plans: compiling is pure in the
+# Compiled-and-optimized plans: compiling is pure in the
 # formula/structure/schema/slack, so repeated queries (the service layer's
-# common case) skip the compiler and rewrite fixpoint entirely.  Worker
-# threads share it, so eviction and insertion hold the lock.
-_PLAN_CACHE: dict[tuple, tuple[CompiledQuery, Plan]] = {}
-_PLAN_CACHE_CAP = 128
-_PLAN_CACHE_LOCK = threading.Lock()
+# common case) skip the compiler and rewrite fixpoint entirely.
+_PLANS = registered("algebra.plans", 128)
 
 
 def compile_for_execution(
@@ -326,7 +322,7 @@ def compile_for_execution(
         slack,
         schema,
     )
-    hit = _PLAN_CACHE.get(key)
+    hit = _PLANS.get(key)
     if hit is not None:
         return hit
     try:
@@ -344,10 +340,7 @@ def compile_for_execution(
 
         pair = translate_ranf(formula, structure, schema, slack=slack)
         compiled, optimized = pair.compiled, pair.fin_optimized
-    with _PLAN_CACHE_LOCK:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)), None)
-        _PLAN_CACHE[key] = (compiled, optimized)
+    _PLANS.put(key, (compiled, optimized))
     return (compiled, optimized)
 
 

@@ -34,12 +34,11 @@ database (the paper's side condition on ``sigma_alpha``).
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.database.instance import Database
+from repro.engine.cache import registered
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.errors import ArityError, EvaluationError
@@ -166,9 +165,13 @@ class ParamRel(Plan):
         return f"R[{Param(self.index)}]"
 
 
-#: Bound automata one quantified template condition keeps, one per
-#: binding of its slots (oldest dropped first).
-_BOUND_AUTOMATA_CAP = 64
+#: Checkers per (condition text, structure name, alphabet, slack): the
+#: conditions are database-free, and a quantified one compiles an automaton.
+_CHECKERS = registered("algebra.checkers", 512)
+
+#: The automata of quantified template conditions, one per binding of
+#: the slots, keyed (checker key, slot values).
+_BOUND_CONDITIONS = registered("algebra.bound_conditions", 1024)
 
 
 class _ConditionChecker:
@@ -181,7 +184,8 @@ class _ConditionChecker:
     gets; quantified, it compiles one automaton per binding.
     """
 
-    def __init__(self, condition: Formula, structure: StringStructure, slack: int = 0):
+    def __init__(self, condition: Formula, structure: StringStructure,
+                 slack: int, key: tuple):
         if condition.relation_names():
             raise EvaluationError(
                 "sigma_alpha conditions must not mention database relations"
@@ -189,12 +193,11 @@ class _ConditionChecker:
         self.condition = condition
         self.structure = structure
         self.slack = slack
+        self.key = key
         self.columns = sorted(_column_index(v) for v in condition.free_variables())
         self.slots = sorted(template_slots(condition))
         self._slot_keys = [(Param(i).key, i) for i in self.slots]
         self._automaton = None
-        self._bound: dict[tuple, tuple] = {}
-        self._bound_lock = threading.Lock()
         self._quantified = any(
             f.__class__.__name__ in ("Exists", "Forall") for f in condition.walk()
         )
@@ -212,17 +215,10 @@ class _ConditionChecker:
     def _automaton_for(self, params: Params) -> tuple:
         if not self.slots:
             return self._automaton, self._auto_vars
-        key = tuple(params[i] for i in self.slots)
-        with self._bound_lock:
-            hit = self._bound.get(key)
-        if hit is None:
-            # Compiled outside the lock (idempotent, last put wins).
-            hit = self._compile(bind(self.condition, params))
-            with self._bound_lock:
-                if len(self._bound) >= _BOUND_AUTOMATA_CAP:
-                    self._bound.pop(next(iter(self._bound)))
-                self._bound[key] = hit
-        return hit
+        return _BOUND_CONDITIONS.get_or_build(
+            (self.key, tuple(params[i] for i in self.slots)),
+            lambda: self._compile(bind(self.condition, params)),
+        )
 
     def check(self, row: Row, params: Params = ()) -> bool:
         if self._quantified:
@@ -258,29 +254,13 @@ def _eval_quantifier_free(
     raise EvaluationError(f"unexpected node in quantifier-free condition: {f!r}")
 
 
-#: Checker cache: conditions are database-free, so a checker depends only
-#: on the condition and the structure; compiling quantified conditions to
-#: automata is expensive enough to be worth sharing across evaluations.
-#: Ad hoc query text brings new conditions without end, so the cache is
-#: capped and drops its oldest entry first (the plan cache's discipline);
-#: eviction and insertion hold the lock, as worker threads share the cache.
-_CHECKER_CACHE: dict[tuple, "_ConditionChecker"] = {}
-_CHECKER_CACHE_CAP = 512
-_CHECKER_LOCK = threading.Lock()
-
-
 def _get_checker(
     condition: Formula, structure: StringStructure, slack: int = 0
 ) -> "_ConditionChecker":
     key = (str(condition), structure.name, structure.alphabet.symbols, slack)
-    checker = _CHECKER_CACHE.get(key)
-    if checker is None:
-        checker = _ConditionChecker(condition, structure, slack=slack)
-        with _CHECKER_LOCK:
-            if len(_CHECKER_CACHE) >= _CHECKER_CACHE_CAP:
-                _CHECKER_CACHE.pop(next(iter(_CHECKER_CACHE)), None)
-            _CHECKER_CACHE[key] = checker
-    return checker
+    return _CHECKERS.get_or_build(
+        key, lambda: _ConditionChecker(condition, structure, slack, key)
+    )
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ being silently clipped).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,6 +84,7 @@ from repro.algebra.plan import (
     Union,
     col,
 )
+from repro.engine.cache import registered
 from repro.engine.metrics import METRICS
 from repro.errors import SignatureError
 from repro.logic.canonical import canonical_fingerprint
@@ -120,11 +120,8 @@ class RanfVerdict:
     rq_depth: int
 
 
-#: Verdict and translation caches are capped (oldest entry dropped
-#: first) and shared by worker threads: eviction and insertion hold the lock.
-_CACHE_LOCK = threading.Lock()
-_VERDICTS: dict[tuple, RanfVerdict] = {}
-_VERDICTS_CAP = 512
+#: Verdicts per (canonical fingerprint, structure name, alphabet).
+_VERDICT_MEMO = registered("planner.eligibility_memo", 512)
 
 
 def _restricted_depth(f: Formula) -> int:
@@ -219,26 +216,22 @@ def translation_verdict(formula: Formula, structure) -> RanfVerdict:
     """Classify ``formula`` for the RANF translation (memoized).
 
     Both positive and negative verdicts are cached per canonical
-    fingerprint — re-planning an ineligible query costs a dict lookup,
-    counted under ``planner.eligibility_memo_hits``.
+    fingerprint — re-planning an ineligible query costs a cache lookup,
+    counted under ``planner.eligibility_memo.hits``.
     """
     key = (
         canonical_fingerprint(formula),
         structure.name,
         structure.alphabet.symbols,
     )
-    hit = _VERDICTS.get(key)
+    hit = _VERDICT_MEMO.get(key)
     if hit is not None:
-        METRICS.inc("planner.eligibility_memo_hits")
         return hit
     verdict = _compute_verdict(formula, structure)
     METRICS.inc("planner.ranf.verdicts")
     if not verdict.ok:
         METRICS.inc("planner.ranf.bailouts")
-    with _CACHE_LOCK:
-        if len(_VERDICTS) >= _VERDICTS_CAP:
-            _VERDICTS.pop(next(iter(_VERDICTS)), None)
-        _VERDICTS[key] = verdict
+    _VERDICT_MEMO.put(key, verdict)
     return verdict
 
 
@@ -373,14 +366,17 @@ class RanfPair:
         return self.compiled.columns
 
 
-_TRANSLATIONS: dict[tuple, RanfPair] = {}
-_TRANSLATIONS_CAP = 64
+#: Translated pairs per (canonical fingerprint, structure name,
+#: alphabet, slack, schema).
+_PAIRS = registered("algebra.ranf.translation_cache", 64)
 
 
 def has_translation(formula, structure, schema, slack: int) -> bool:
     """True when the pair for this key is already cached (the planner's
-    amortized cost model checks this without forcing a translation)."""
-    return _translation_key(formula, structure, schema, slack) in _TRANSLATIONS
+    amortized cost model checks this without forcing a translation, and
+    without counting a lookup)."""
+    key = _translation_key(formula, structure, schema, slack)
+    return _PAIRS.peek(key) is not None
 
 
 def _translation_key(formula, structure, schema, slack: int) -> tuple:
@@ -402,9 +398,8 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
     :func:`translation_verdict` bails.
     """
     key = _translation_key(formula, structure, schema, slack)
-    hit = _TRANSLATIONS.get(key)
+    hit = _PAIRS.get(key)
     if hit is not None:
-        METRICS.inc("algebra.ranf.translation_cache_hits")
         return hit
     template, values = lift_literals(formula)
     verdict = translation_verdict(template, structure)
@@ -452,10 +447,7 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
             optimize_for_execution(inf_plan) if inf_plan is not None else None
         ),
     )
-    with _CACHE_LOCK:
-        if len(_TRANSLATIONS) >= _TRANSLATIONS_CAP:
-            _TRANSLATIONS.pop(next(iter(_TRANSLATIONS)), None)
-        _TRANSLATIONS[key] = pair
+    _PAIRS.put(key, pair)
     return pair
 
 

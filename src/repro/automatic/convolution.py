@@ -19,6 +19,7 @@ import itertools
 from collections.abc import Sequence
 
 from repro.automata.dfa import DFA
+from repro.engine.cache import register_memo
 from repro.errors import ArityError
 from repro.strings.alphabet import Alphabet
 
@@ -105,3 +106,6 @@ def valid_pad_dfa(alphabet: Alphabet, arity: int) -> DFA:
         if delta:
             transitions[state] = delta
     return DFA(cols, states, frozenset(), states, transitions)
+
+
+register_memo("automatic.convolution.valid_pad_dfa", valid_pad_dfa)

@@ -11,12 +11,10 @@ argument.  All relations are normalized minimal DFAs.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 from repro.automata.dfa import DFA
 from repro.automatic.convolution import PAD, columns
 from repro.automatic.relation import RelationAutomaton
+from repro.engine.cache import registered
 from repro.strings.alphabet import Alphabet
 
 
@@ -300,45 +298,32 @@ def lcp_graph(alphabet: Alphabet) -> RelationAutomaton:
     return RelationAutomaton(alphabet, 3, dfa)
 
 
-#: Built basic presentations, least recently used first.  Bounded: a
+#: Built basic presentations per (alphabet, name, extra).  Bounded: a
 #: ``constant`` or ``*_graph`` presentation is built per distinct literal,
 #: and a service answering ad hoc queries sees unboundedly many.
-_BASIC_CACHE: OrderedDict[tuple, RelationAutomaton] = OrderedDict()
-_BASIC_CACHE_CAP = 256
-_BASIC_LOCK = threading.Lock()
+_PRESENTATIONS = registered("automatic.presentations", 256)
 
 
-def _cached_basic(alphabet_symbols: tuple[str, ...], name: str, extra: object) -> RelationAutomaton:
-    key = (alphabet_symbols, name, extra)
-    with _BASIC_LOCK:
-        built = _BASIC_CACHE.get(key)
-        if built is not None:
-            _BASIC_CACHE.move_to_end(key)
-            return built
-    alphabet = Alphabet(alphabet_symbols)
-    builders = {
-        "equality": lambda: equality(alphabet),
-        "prefix": lambda: prefix(alphabet, strict=bool(extra)),
-        "extends_by_one": lambda: extends_by_one(alphabet),
-        "equal_length": lambda: equal_length(alphabet),
-        "length_le": lambda: length_le(alphabet, strict=bool(extra)),
-        "last_symbol": lambda: last_symbol(alphabet, str(extra)),
-        "add_last_graph": lambda: add_last_graph(alphabet, str(extra)),
-        "add_first_graph": lambda: add_first_graph(alphabet, str(extra)),
-        "trim_first_graph": lambda: trim_first_graph(alphabet, str(extra)),
-        "insert_at_graph": lambda: insert_at_graph(alphabet, str(extra)),
-        "lex_le": lambda: lex_le(alphabet, strict=bool(extra)),
-        "constant": lambda: constant(alphabet, str(extra)),
-        "lcp_graph": lambda: lcp_graph(alphabet),
-    }
-    built = builders[name]()
-    with _BASIC_LOCK:
-        _BASIC_CACHE[key] = built
-        while len(_BASIC_CACHE) > _BASIC_CACHE_CAP:
-            _BASIC_CACHE.popitem(last=False)
-    return built
+#: name -> builder(alphabet, extra) of each basic presentation.
+_BUILDERS = {
+    "equality": lambda a, _: equality(a),
+    "prefix": lambda a, strict: prefix(a, strict=bool(strict)),
+    "extends_by_one": lambda a, _: extends_by_one(a),
+    "equal_length": lambda a, _: equal_length(a),
+    "length_le": lambda a, strict: length_le(a, strict=bool(strict)),
+    "last_symbol": lambda a, symbol: last_symbol(a, str(symbol)),
+    "add_last_graph": lambda a, symbol: add_last_graph(a, str(symbol)),
+    "add_first_graph": lambda a, symbol: add_first_graph(a, str(symbol)),
+    "trim_first_graph": lambda a, symbol: trim_first_graph(a, str(symbol)),
+    "insert_at_graph": lambda a, symbol: insert_at_graph(a, str(symbol)),
+    "lex_le": lambda a, strict: lex_le(a, strict=bool(strict)),
+    "constant": lambda a, word: constant(a, str(word)),
+    "lcp_graph": lambda a, _: lcp_graph(a),
+}
 
 
 def cached(alphabet: Alphabet, name: str, extra: object = None) -> RelationAutomaton:
     """Memoized access to the basic presentations (they never change)."""
-    return _cached_basic(alphabet.symbols, name, extra)
+    return _PRESENTATIONS.get_or_build(
+        (alphabet.symbols, name, extra), lambda: _BUILDERS[name](alphabet, extra)
+    )

@@ -71,7 +71,8 @@ from repro.algebra.plan import (
 )
 from repro.database.instance import Database
 from repro.delta.store import MAX_CHAIN, DatabaseVersion, lineage
-from repro.engine.cache import AutomatonCache, database_fingerprint
+from repro.engine.cache import BoundedCache, database_fingerprint
+from repro.engine.cache import register_memo, registered
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.logic.formulas import Formula, QuantKind
@@ -93,17 +94,11 @@ _EMPTY: Rows = frozenset()
 _APPENDERS = (PrefixOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp, DownOp)
 
 
-def reset() -> None:
-    """Drop all recorded subplan rows and memoized plan names (tests)."""
-    _STORE.clear()
-    _base_names.cache_clear()
-
-
 # -------------------------------------------------------- result promotion
 
 
 def promote_result(
-    cache: AutomatonCache,
+    cache: BoundedCache,
     key: tuple,
     formula: Formula,
     database: Database,
@@ -153,10 +148,10 @@ def promote_result(
 #: Per-operator output rows, keyed ``((structure name, alphabet,
 #: params), plan node, fingerprint)`` — plan nodes are frozen
 #: dataclasses, hashable by structure, and a template plan's rows depend
-#: on the values bound to its slots.  Its own cache instance (read with
-#: ``peek``), so recorded intermediates never evict compiled automata
-#: and never distort the ``cache.*`` hit-rate stats.
-_STORE = AutomatonCache(maxsize=4096, metrics_prefix="delta.subplans")
+#: on the values bound to its slots.  Its own cache (read with ``peek``),
+#: so recorded intermediates never evict compiled automata and never
+#: distort the ``cache.*`` hit-rate stats.
+_SUBPLANS = registered("delta.subplans", 4096)
 
 
 def _structure_key(structure: StringStructure, params: tuple = ()) -> tuple:
@@ -169,7 +164,7 @@ def _recorder_into(
     skey = _structure_key(structure, params)
 
     def record(node: Plan, rows: Rows) -> None:
-        _STORE.put((skey, node, fingerprint), rows)
+        _SUBPLANS.put((skey, node, fingerprint), rows)
 
     return record
 
@@ -193,6 +188,9 @@ def subplan_recorder(
 def _base_names(node: Plan) -> frozenset:
     """Per-node base-relation names (plans are shared DAGs)."""
     return frozenset(n.name for n in node.walk() if isinstance(n, BaseRel))
+
+
+register_memo("delta.maintenance._base_names", _base_names)
 
 
 class _Bail(Exception):
@@ -232,7 +230,7 @@ def maintain_algebra_result(
             METRICS.inc("delta.algebra_fallbacks")
             return None
         chain.append((parent, child))
-        if _STORE.peek((skey, optimized, parent.fingerprint)) is not None:
+        if _SUBPLANS.peek((skey, optimized, parent.fingerprint)) is not None:
             break
         child = parent
     else:
@@ -244,7 +242,7 @@ def maintain_algebra_result(
     except _Bail:
         METRICS.inc("delta.algebra_fallbacks")
         return None
-    rows = _STORE.peek((skey, optimized, database_fingerprint(database)))
+    rows = _SUBPLANS.peek((skey, optimized, database_fingerprint(database)))
     if rows is None:  # evicted mid-walk under memory pressure
         METRICS.inc("delta.algebra_fallbacks")
         return None
@@ -273,7 +271,7 @@ def _apply_delta(
     fallback: list[Optional[AlgebraExecutor]] = [None]
 
     def old_rows(node: Plan) -> Rows:
-        rows = _STORE.peek((skey, node, parent.fingerprint))
+        rows = _SUBPLANS.peek((skey, node, parent.fingerprint))
         if rows is not None:
             METRICS.inc("delta.subplan_hits")
             return rows
@@ -291,7 +289,7 @@ def _apply_delta(
     def settle(node: Plan, new: Rows, added: Rows, removed: Rows):
         result = (new, added, removed)
         memo[node] = result
-        _STORE.put((skey, node, child.fingerprint), new)
+        _SUBPLANS.put((skey, node, child.fingerprint), new)
         return result
 
     def keep(node: Plan):

@@ -13,9 +13,9 @@ evaluators in :mod:`repro.eval` / :mod:`repro.algebra.exec`.  It contains:
   registry (eligibility gate, then cost argmin) per query
   (``Query.run(db)`` with no ``engine=`` argument goes through it),
   canonicalizing each formula first (:mod:`repro.logic.canonical`);
-* :mod:`repro.engine.cache` — the LRU automaton cache that memoizes
-  subformula compilations across runs and interns database-independent
-  presentation automata across databases;
+* :mod:`repro.engine.cache` — ``BoundedCache``, the one LRU every memo
+  table uses, the registry of the process-global ones (``cache_stats``,
+  ``reset_caches``) and the automaton cache (``global_cache``);
 * :mod:`repro.engine.metrics` — the process-wide counters registry
   (automata products/complements/projections, cache hits, engine wall
   time, planner decisions);
@@ -48,10 +48,11 @@ EXPLAIN with metrics and cache counters::
 
 Inspecting and tuning the cache and the counters::
 
-    from repro.engine import global_cache, METRICS
+    from repro.engine import METRICS, cache_stats, global_cache
 
     global_cache().stats()      # {"hits": ..., "misses": ..., ...}
     global_cache().resize(1024) # grow the LRU capacity
+    cache_stats()               # every registered cache, by name
     METRICS.snapshot()          # all counters, e.g. for a JSON dump
     METRICS.reset()             # start a fresh measurement window
 
@@ -65,10 +66,12 @@ modules depend on :mod:`repro.eval` and are loaded lazily via
 from __future__ import annotations
 
 from repro.engine.cache import (
-    AutomatonCache,
+    BoundedCache,
+    cache_stats,
     database_fingerprint,
     formula_key,
     global_cache,
+    reset_caches,
 )
 from repro.engine.deadline import (
     Deadline,
@@ -81,7 +84,7 @@ from repro.engine.metrics import METRICS, MetricsRegistry
 __all__ = [
     "METRICS",
     "AlgebraTrace",
-    "AutomatonCache",
+    "BoundedCache",
     "Deadline",
     "EngineBackend",
     "Explain",
@@ -92,6 +95,7 @@ __all__ = [
     "Planner",
     "all_backends",
     "backend_names",
+    "cache_stats",
     "checkpoint",
     "current_deadline",
     "database_fingerprint",
@@ -103,6 +107,7 @@ __all__ = [
     "global_cache",
     "plan_query",
     "register_backend",
+    "reset_caches",
     "resolve_engine",
     "unregister_backend",
 ]

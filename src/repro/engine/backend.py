@@ -43,7 +43,7 @@ import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.database.instance import Database
-from repro.engine.cache import AutomatonCache
+from repro.engine.cache import BoundedCache
 from repro.engine.metrics import METRICS
 from repro.errors import EvaluationError
 from repro.logic.formulas import Formula, QuantKind
@@ -186,7 +186,7 @@ class EngineBackend(abc.ABC):
         self,
         plan: "Plan",
         database: Database,
-        cache: AutomatonCache,
+        cache: BoundedCache,
         observer: object = None,
     ) -> "QueryResult":
         """Run a plan this backend produced (``plan.engine == self.name``)."""

@@ -1,43 +1,31 @@
-"""The automaton cache: LRU memoization of compiled query automata.
+"""Bounded caches: one LRU map, and the registry of the process-global ones.
 
-Compiling a subformula to a :class:`~repro.automatic.relation.
-RelationAutomaton` involves products, complements, determinizations and
-minimizations — by far the dominant cost of the automata engine.  The
-results are immutable, so they can be shared freely; this module provides
-the session-wide store that makes repeated work free:
+Every memo table of the engines is a :class:`BoundedCache`, with one
+eviction policy (least recently used), one lock and the same counters
+(``<name>.hits`` / ``.misses`` / ``.evictions`` in :data:`repro.engine.
+metrics.METRICS`).  Values must be immutable (hits hand back the stored
+object) and never ``None``; concurrent misses on one key may build the
+value twice, and the last ``put`` wins — wasted work, never a wrong
+answer.  The process-global caches come from :func:`registered`, the
+remaining ``functools.lru_cache`` memos join them through
+:func:`register_memo`, and :func:`cache_stats` / :func:`reset_caches`
+report / empty them all; a ``BoundedCache(...)`` made directly (a
+service's private caches, a test's) stays out of the registry.
 
-* **keys** are *structural*: the canonical fingerprint of the
-  (term-flattened) subformula — alpha-invariant and conjunct-order
-  invariant, see :mod:`repro.logic.canonical` — plus the structure name,
-  alphabet, and slack.  Subformulas
-  whose value depends on the database — they mention a relation, or a
-  restricted (ADOM/PREFIX/LENGTH) quantifier ranges over the active
-  domain (:meth:`repro.logic.formulas.Formula.database_dependent`) —
-  additionally carry a **database fingerprint** (a SHA-1 over the
-  canonicalized instance), so a cached entry is only reused against the
-  identical database;
-* database-independent subformulas (pure structure/presentation automata
-  like ``x <<= y & last(y, '0')``, NATURAL quantifiers included) are
-  keyed **without** the fingerprint — they are interned once per session
-  and shared across every database;
-* the store is **LRU-bounded** (default 256 entries) and counts hits /
-  misses / evictions both locally and in :data:`repro.engine.metrics.
-  METRICS` (``cache.hits`` / ``cache.misses`` / ``cache.evictions``);
-* the store is **thread-safe**: the query service shares one cache across
-  its whole worker pool, so lookups, insertions, and LRU eviction hold an
-  internal lock.  Values must be immutable (they are handed back to
-  concurrent readers without copying); concurrent misses on the same key
-  may build the same automaton twice, in which case the last ``put`` wins
-  — wasted work, never a wrong answer.
+:func:`global_cache` holds compiled automata and whole answers, keyed
+structurally (:func:`formula_key`): canonical fingerprint, structure,
+alphabet, slack, and a :func:`database_fingerprint` only when the
+subformula depends on the database — so database-independent
+presentation automata are interned once and shared across databases.
 
 Usage::
 
-    from repro.engine.cache import global_cache
+    from repro.engine.cache import cache_stats, global_cache, reset_caches
 
-    cache = global_cache()
-    cache.stats()       # {"hits": 10, "misses": 4, "size": 4, ...}
-    cache.clear()       # drop entries, keep counters
-    cache.resize(1024)  # tune capacity
+    global_cache().stats()       # {"hits": 10, "misses": 4, "size": 4, ...}
+    global_cache().resize(1024)  # tune capacity
+    cache_stats()                # {"cache": {...}, "algebra.plans": {...}, ...}
+    reset_caches()               # empty every registered cache
 
 Depends only on the stdlib and :mod:`repro.logic.canonical` on purpose:
 importable from any engine layer without cycles.
@@ -46,104 +34,100 @@ importable from any engine layer without cycles.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from repro.engine.metrics import METRICS
+from repro.logic import canonical
 from repro.logic.canonical import canonical_fingerprint
 
-#: Default number of cached automata (per cache instance).
+#: Default number of entries (per cache instance).
 DEFAULT_MAXSIZE = 256
 
 
-class AutomatonCache:
-    """An LRU map from structural keys to compiled automata.
+class BoundedCache:
+    """A thread-safe LRU map counting hits, misses and evictions under
+    ``<name>.*`` in :data:`~repro.engine.metrics.METRICS`.
 
     Values are opaque to the cache (the automata engine stores
     ``(RelationAutomaton, variables)`` pairs, :func:`repro.engine.explain.
-    execute_plan` whole :class:`~repro.eval.result.QueryResult` answers);
-    they must be immutable, since hits hand back the stored object.
+    execute_plan` whole :class:`~repro.eval.result.QueryResult` answers).
     """
 
     __slots__ = (
-        "maxsize", "_data", "hits", "misses", "evictions", "_lock", "_prefix",
-        "_miss_loader", "warm_hits",
+        "maxsize", "name", "_data", "hits", "misses", "evictions", "_lock",
+        "_miss_loader", "warm_hits", "_hit", "_miss", "_evict",
     )
 
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE, metrics_prefix: str = "cache"):
+    def __init__(self, maxsize: int = DEFAULT_MAXSIZE, name: str = "cache"):
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
+        self.name = name
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._lock = threading.RLock()
-        #: METRICS namespace: the automaton cache reports ``cache.*``,
-        #: secondary caches (e.g. codegen closures) pick their own prefix
-        #: so the shared registry keeps the hit rates apart.
-        self._prefix = metrics_prefix
-        #: Optional second-chance loader consulted on a miss — the
-        #: warm-start persistence hook (:mod:`repro.engine.warmstart`).
-        #: Called outside the lock (disk IO must not serialize readers);
-        #: a concurrent duplicate load is wasted work, never a wrong
-        #: answer, exactly like a concurrent duplicate build.
+        self.hits = self.misses = self.evictions = self.warm_hits = 0
+        self._lock = threading.Lock()
+        self._hit, self._miss, self._evict = (
+            f"{name}.hits", f"{name}.misses", f"{name}.evictions"
+        )
         self._miss_loader = None
-        self.warm_hits = 0
 
     # ------------------------------------------------------------ access
 
     def attach_loader(self, loader) -> None:
-        """Install ``loader(key) -> value | None`` as the miss fallback.
+        """Install ``loader(key) -> value | None`` as the miss fallback
+        (``None`` detaches it).
 
-        The serialization hook behind warm-start persistence: a
-        :class:`~repro.engine.warmstart.WarmStartStore` attaches its
-        ``load`` here, so entries spilled by a previous process are pulled
-        off disk lazily — on first demand, not in a boot-time stampede.
-        Pass ``None`` to detach.
+        The warm-start hook: a :class:`~repro.engine.warmstart.
+        WarmStartStore` attaches its ``load`` here, so entries spilled by
+        a previous process are pulled off disk on first demand.  It runs
+        outside the lock (disk IO must not serialize readers); a
+        concurrent duplicate load is wasted work, never a wrong answer.
         """
         self._miss_loader = loader
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value for ``key``, or ``None`` (counts hit/miss).
 
-        A miss consults the attached warm-start loader (if any) before
-        giving up; a loader hit is inserted, counted under
-        ``<prefix>.warm_hits``, and *also* counted as the miss it was —
-        the in-memory hit rate stays honest while the warm counter shows
-        how much recompilation the spill avoided.
+        A miss consults the attached warm-start loader, if any; a loader
+        hit is inserted and counted under ``<name>.warm_hits`` *as well
+        as* the miss it was, so the in-memory hit rate stays honest.
         """
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                METRICS.inc(f"{self._prefix}.misses")
-                loader = self._miss_loader
-            else:
-                self._data.move_to_end(key)
-                self.hits += 1
-                METRICS.inc(f"{self._prefix}.hits")
-                return value
-        if loader is None:
-            return None
-        value = loader(key)
+        value = self.setdefault(key, None)
+        if value is not None or self._miss_loader is None:
+            return value
+        value = self._miss_loader(key)
         if value is None:
             return None
         with self._lock:
             self.warm_hits += 1
-        METRICS.inc(f"{self._prefix}.warm_hits")
+        METRICS.inc(f"{self.name}.warm_hits")
         self.put(key, value)
         return value
 
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """The cached value for ``key`` without counting a hit or miss.
+    def setdefault(self, key: Hashable, value: Any) -> Any:
+        """The entry under ``key`` (a hit), or else ``value`` — stored
+        unless it is ``None`` (a miss).  One atomic lookup-or-insert, so
+        every caller racing on one key gets the same object back."""
+        with self._lock:
+            hit = self._data.get(key)
+            if hit is None:
+                self.misses += 1
+                if value is not None:
+                    self._store(key, value)
+            else:
+                self._data.move_to_end(key)
+                self.hits += 1
+        METRICS.inc(self._miss if hit is None else self._hit)
+        return value if hit is None else hit
 
-        Used by the delta-maintenance promotion path (:mod:`repro.delta`),
-        which probes *ancestor-version* keys after the real lookup already
-        counted its miss — promotion probes must not distort the
-        hit-rate the stats endpoints report."""
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached value for ``key`` without counting a hit or miss —
+        for probes: ancestor-version walks after the real lookup counted
+        its miss, the planner pricing a translation it may never run, the
+        event loop's look at a text alias."""
         with self._lock:
             value = self._data.get(key)
             if value is not None:
@@ -157,26 +141,34 @@ class AutomatonCache:
         answer_cached`)."""
         with self._lock:
             self.hits += 1
-        METRICS.inc(f"{self._prefix}.hits")
+        METRICS.inc(self._hit)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` under ``key``, evicting the LRU entry if full."""
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            if len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                METRICS.inc(f"{self._prefix}.evictions")
+            self._store(key, value)
 
-    def get_or_build(self, key: Hashable, builder) -> Any:
-        """Cached value for ``key``, calling ``builder()`` on a miss."""
+    def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
+        """Cached value for ``key``, calling ``builder()`` (outside the
+        lock) on a miss."""
         value = self.get(key)
         if value is None:
             value = builder()
             self.put(key, value)
         return value
+
+    def _store(self, key: Hashable, value: Any) -> None:
+        # The caller holds the lock.
+        self._data[key] = value
+        self._data.move_to_end(key)
+        self._trim()
+
+    def _trim(self) -> None:
+        # The caller holds the lock.  The package's one eviction site.
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self.evictions += 1
+            METRICS.inc(self._evict)
 
     # ---------------------------------------------------------- management
 
@@ -185,26 +177,18 @@ class AutomatonCache:
             return len(self._data)
 
     def entries(self) -> list[tuple[Hashable, Any]]:
-        """A snapshot of (key, value) pairs, LRU-oldest first.
-
-        The spill side of the warm-start serialization hooks: values are
-        immutable by the cache's own contract, so handing them out for
-        serialization is safe without copying.
-        """
+        """A snapshot of (key, value) pairs, LRU-oldest first (the spill
+        side of warm-start: values are immutable, so no copies)."""
         with self._lock:
             return list(self._data.items())
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters plus current occupancy."""
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "warm_hits": self.warm_hits,
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-            }
+            return dict(
+                hits=self.hits, misses=self.misses, evictions=self.evictions,
+                warm_hits=self.warm_hits, size=len(self._data), maxsize=self.maxsize,
+            )
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; see :meth:`reset`)."""
@@ -223,13 +207,10 @@ class AutomatonCache:
             raise ValueError("cache maxsize must be >= 1")
         with self._lock:
             self.maxsize = maxsize
-            while len(self._data) > maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                METRICS.inc(f"{self._prefix}.evictions")
+            self._trim()
 
     def __repr__(self) -> str:
-        return f"AutomatonCache({self.stats()})"
+        return f"BoundedCache({self.name!r}, {self.stats()})"
 
 
 # ------------------------------------------------------------------- keying
@@ -306,9 +287,76 @@ def formula_key(
     )
 
 
-_GLOBAL = AutomatonCache()
+# ----------------------------------------------------------------- registry
+
+#: name -> registered BoundedCache or ``functools.lru_cache`` function.
+_REGISTRY: dict[str, Any] = {}
+
+#: Modules that register when imported; :func:`cache_stats` imports them,
+#: so its report does not depend on which ran first.
+_OWNERS = (
+    "algebra.codegen", "algebra.exec", "algebra.plan", "algebra.ranf",
+    "automatic.convolution", "automatic.presentations", "delta.maintenance",
+    "sql.like", "sql.similar", "structures.base",
+)
 
 
-def global_cache() -> AutomatonCache:
+def _register(name: str, entry):
+    if name in _REGISTRY:
+        raise ValueError(f"cache {name!r} is already registered")
+    _REGISTRY[name] = entry
+    return entry
+
+
+def registered(name: str, maxsize: int) -> BoundedCache:
+    """A new process-global :class:`BoundedCache`, registered as ``name``."""
+    return _register(name, BoundedCache(maxsize, name))
+
+
+def register_memo(name: str, fn: Callable) -> Callable:
+    """Register ``fn``, an ``lru_cache`` function, as ``name``; returns it."""
+    return _register(name, fn)
+
+
+def registered_caches() -> dict[str, BoundedCache]:
+    """The registered :class:`BoundedCache` instances by name."""
+    return {n: c for n, c in _REGISTRY.items() if isinstance(c, BoundedCache)}
+
+
+def cache_stats() -> dict[str, dict]:
+    """``{name: stats}`` for every registered cache and memo (a memo's
+    from its ``cache_info()``: hits, misses, size, maxsize)."""
+    for module in _OWNERS:
+        importlib.import_module(f"repro.{module}")
+    out = {}
+    for name, entry in _REGISTRY.items():
+        if isinstance(entry, BoundedCache):
+            out[name] = entry.stats()
+        else:
+            hits, misses, maxsize, size = entry.cache_info()
+            out[name] = dict(hits=hits, misses=misses, size=size, maxsize=maxsize)
+    return out
+
+
+def reset_caches() -> None:
+    """Empty every registered cache, zeroing its counters, and clear
+    every registered memo."""
+    for entry in list(_REGISTRY.values()):
+        if isinstance(entry, BoundedCache):
+            entry.reset()
+        else:
+            entry.cache_clear()
+
+
+_SHARED = registered("cache", DEFAULT_MAXSIZE)
+
+# repro.logic.canonical sits below this module in the import graph, so
+# its memos are registered here rather than where they are defined.
+for _fn in (canonical.canonical_serialization, canonical.canonical_fingerprint,
+            canonical.canonicalize):
+    register_memo(f"logic.canonical.{_fn.__name__}", _fn)
+
+
+def global_cache() -> BoundedCache:
     """The session-wide cache shared by :class:`repro.core.query.Query`."""
-    return _GLOBAL
+    return _SHARED

@@ -38,7 +38,7 @@ from typing import Optional
 
 from repro.database.instance import Database
 from repro.engine import metrics as metrics_mod
-from repro.engine.cache import AutomatonCache, database_fingerprint
+from repro.engine.cache import BoundedCache, database_fingerprint
 from repro.engine.cache import formula_key, global_cache
 from repro.engine.deadline import deadline_scope
 from repro.engine.metrics import METRICS
@@ -186,7 +186,7 @@ def op_stats_to_explain(stats) -> ExplainNode:
 def execute_plan(
     plan: Plan,
     database: Database,
-    cache: Optional[AutomatonCache] = None,
+    cache: Optional[BoundedCache] = None,
     observer: object = None,
 ) -> QueryResult:
     """Run a plan's formula through its chosen engine, with caching.
@@ -227,7 +227,7 @@ def result_key(plan: Plan, database: Database) -> tuple:
 def _execute(
     plan: Plan,
     database: Database,
-    cache: Optional[AutomatonCache],
+    cache: Optional[BoundedCache],
     observer: object,
 ) -> tuple[QueryResult, bool]:
     """:func:`execute_plan`, also saying whether the answer came from the
@@ -362,7 +362,7 @@ def explain_query(
     database: Database,
     engine: Optional[str] = None,
     slack: Optional[int] = None,
-    cache: Optional[AutomatonCache] = None,
+    cache: Optional[BoundedCache] = None,
     timeout: Optional[float] = None,
 ) -> Explain:
     """Plan, execute with tracing, and report (see module docstring).
@@ -379,7 +379,7 @@ def explain_query(
 def explain_plan(
     plan: Plan,
     database: Database,
-    cache: Optional[AutomatonCache] = None,
+    cache: Optional[BoundedCache] = None,
 ) -> Explain:
     """Execute an already made plan with tracing and report on the run."""
     from repro.engine.backend import get_backend

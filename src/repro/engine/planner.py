@@ -448,7 +448,7 @@ def algebra_eligible(
     unanchored free variables carry a domain-independence certificate
     (:func:`repro.safety.bounded.range_bounded_variables`).  The verdict
     is memoized per canonical fingerprint — negative ones included
-    (``planner.eligibility_memo_hits``).
+    (``planner.eligibility_memo.hits``).
 
     Without a ``structure`` this is the historical syntactic gate: after
     term flattening the query still only has ADOM quantifiers

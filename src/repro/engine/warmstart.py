@@ -1,7 +1,7 @@
 """Warm-start persistence: spill compiled automata to disk, reload lazily.
 
 Every restart of the query service used to cold-start the session-wide
-:class:`~repro.engine.cache.AutomatonCache`: the first request for each
+:class:`~repro.engine.cache.BoundedCache`: the first request for each
 query re-ran the products/determinizations/minimizations the previous
 process had already paid for, and a fleet restart turned into a
 recompilation stampede.  This module closes that gap:
@@ -21,7 +21,7 @@ recompilation stampede.  This module closes that gap:
   a corrupt spill can cost a recompile, not an outage;
 * loading is **lazy**: :meth:`WarmStartStore.attach` installs
   :meth:`WarmStartStore.load` as the cache's miss loader
-  (:meth:`~repro.engine.cache.AutomatonCache.attach_loader`), so a
+  (:meth:`~repro.engine.cache.BoundedCache.attach_loader`), so a
   rebooted server reads exactly the entries its traffic asks for, one
   file per miss, instead of deserializing the whole directory at boot;
 * values ride as pickles of the cache's own immutable entries — for the
@@ -41,11 +41,11 @@ keys are content-addressed on both the query and the data.
 
 Usage (the service wires this up from ``ServiceConfig(warm_dir=...)``)::
 
-    from repro.engine.cache import AutomatonCache
+    from repro.engine.cache import BoundedCache
     from repro.engine.warmstart import WarmStartStore
 
     store = WarmStartStore("/var/tmp/repro-warm")
-    cache = AutomatonCache()
+    cache = BoundedCache()
     store.attach(cache)      # lazy reload on every miss from now on
     ...                      # serve traffic
     store.spill(cache)       # persist what this process compiled
@@ -62,7 +62,7 @@ import tempfile
 import threading
 from typing import Any, Hashable, Optional
 
-from repro.engine.cache import AutomatonCache
+from repro.engine.cache import BoundedCache
 from repro.engine.metrics import METRICS
 
 __all__ = ["WARM_FORMAT_VERSION", "WarmStartStore", "key_digest"]
@@ -175,7 +175,7 @@ class WarmStartStore:
             # value classes moved without a format bump; still a miss.
             return None
 
-    def attach(self, cache: AutomatonCache) -> None:
+    def attach(self, cache: BoundedCache) -> None:
         """Install :meth:`load` as ``cache``'s lazy miss loader."""
         cache.attach_loader(self.load)
 
@@ -223,7 +223,7 @@ class WarmStartStore:
         METRICS.inc("warmstart.spilled")
         return True
 
-    def spill(self, cache: AutomatonCache) -> dict:
+    def spill(self, cache: BoundedCache) -> dict:
         """Persist every picklable entry of ``cache``; returns counters."""
         written = skipped = 0
         for key, value in cache.entries():

@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.automatic.relation import RelationAutomaton
 from repro.database.instance import Database
-from repro.engine.cache import AutomatonCache, database_fingerprint, formula_key
+from repro.engine.cache import BoundedCache, database_fingerprint, formula_key
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 from repro.errors import EvaluationError
@@ -78,7 +78,7 @@ class AutomataEngine:
         paper's Lemmas 1-2).  Shared with the direct engine so both give
         identical semantics to restricted formulas.
     cache:
-        Optional :class:`~repro.engine.cache.AutomatonCache`.  When given,
+        Optional :class:`~repro.engine.cache.BoundedCache`.  When given,
         every subformula compilation is memoized under its structural key
         (database-independent for subformulas with no relation atoms and
         no restricted quantifiers), so repeated
@@ -95,7 +95,7 @@ class AutomataEngine:
         structure: StringStructure,
         database: Database,
         slack: int = 0,
-        cache: Optional[AutomatonCache] = None,
+        cache: Optional[BoundedCache] = None,
         observer=None,
     ):
         if structure.alphabet != database.alphabet:

@@ -15,7 +15,7 @@ into a serving tier on top of the PR 1 engine core:
   queries that differ only in their constants, share one handle, one
   plan cache and one fused algebra closure, while each query's
   answer is cached under its own fingerprint in the session-wide
-  thread-safe :class:`~repro.engine.cache.AutomatonCache`;
+  thread-safe :class:`~repro.engine.cache.BoundedCache`;
 * a **worker pool** — a fixed set of threads popping requests from one
   bounded, weighted fair queue (:class:`~repro.service.quota.FairQueue`)
   that every transport and library caller pushes into; single requests
@@ -82,7 +82,7 @@ from repro.core.query import Query, StringDatabase
 from repro.database.instance import Database
 from repro.delta import DatabaseVersion, VersionedDatabase
 from repro.engine.backend import resolve_engine
-from repro.engine.cache import AutomatonCache, global_cache
+from repro.engine.cache import BoundedCache, cache_stats, global_cache
 from repro.engine.deadline import Deadline, deadline_scope
 from repro.engine.explain import (
     Explain,
@@ -242,7 +242,7 @@ class ServiceConfig:
     max_pending: int = 64
     backpressure: str = "reject"          # "reject" | "block"
     default_timeout: Optional[float] = None
-    cache: Optional[AutomatonCache] = None  # defaults to the global cache
+    cache: Optional[BoundedCache] = None  # defaults to the global cache
     shards: int = 0                       # 0 = no shard pool
     shard_scheme: str = "hash"            # "hash" | "relation"
     warm_dir: Optional[str] = None        # spill/reload the automaton cache
@@ -320,29 +320,11 @@ def _plan_key(entry: _NamedDatabase, force: Optional[str], slack) -> tuple:
     return (entry.versioned.base_fingerprint, entry.plan_epoch, force, slack)
 
 
-#: Entries each of the service's query-text maps keeps (the text alias
-#: map, prepared queries, template handles).  Ad hoc traffic brings new
-#: text without end; at the cap the oldest entry goes first, the
-#: discipline of the algebra plan cache.
-_PREPARED_CAP = 1024
-
-
 #: Most rows a cached answer may have to be answered on the transport's
 #: event loop (:meth:`QueryService.answer_cached`); a larger one goes
 #: through the pool, so one big answer cannot stall every connection
 #: while its frames are built.
 LOOP_HIT_MAX_ROWS = 4096
-
-
-def _intern(table: dict, key, value):
-    """``table[key]``, set to ``value`` when absent (dropping the oldest
-    entry at :data:`_PREPARED_CAP`).  Caller holds the registry lock."""
-    hit = table.get(key)
-    if hit is None:
-        if len(table) >= _PREPARED_CAP:
-            table.pop(next(iter(table)))
-        hit = table[key] = value
-    return hit
 
 
 class QueryTemplate:
@@ -515,13 +497,6 @@ class PreparedQuery:
         return bound[1]
 
 
-def _codegen_closure_stats() -> dict:
-    """Counters of the compiled-closure LRU, for ``stats()`` endpoints."""
-    from repro.algebra.codegen import closure_cache
-
-    return closure_cache().stats()
-
-
 # ---------------------------------------------------------------- the pool
 
 
@@ -691,10 +666,11 @@ class QueryService:
         # Template handles per (template fingerprint, structure), prepared
         # queries per (template fingerprint, values, structure), and the
         # text alias map that short-circuits re-parsing on repeated exact
-        # text; each capped at _PREPARED_CAP.
-        self._templates: dict[tuple[str, str], QueryTemplate] = {}
-        self._prepared: dict[tuple, PreparedQuery] = {}
-        self._prepared_text: dict[tuple[str, str], PreparedQuery] = {}
+        # text.  Ad hoc traffic brings new text without end, so each is
+        # bounded; they are this service's own, outside the registry.
+        self._templates = BoundedCache(1024, "service.templates")
+        self._prepared = BoundedCache(1024, "service.prepared")
+        self._prepared_text = BoundedCache(1024, "service.prepared_text")
         self._registry_lock = threading.Lock()
         # Serializes delta application (insert/delete) across names so a
         # wrap-then-apply never races a concurrent re-registration.
@@ -832,22 +808,20 @@ class QueryService:
         text-keyed alias map keeps the repeated-exact-text fast path free
         of re-parsing."""
         alias = (query, structure)
-        with self._registry_lock:
-            prepared = self._prepared_text.get(alias)
+        prepared = self._prepared_text.get(alias)
         if prepared is not None:
             return prepared
         template, values = lift_literals(parse_formula(query))
         template_fingerprint = canonical_fingerprint(template)
         new_handle = QueryTemplate(template, structure)
-        with self._registry_lock:
-            handle = _intern(
-                self._templates, (template_fingerprint, structure), new_handle
-            )
-            fresh = PreparedQuery(query, structure, handle, values)
-            prepared = _intern(
-                self._prepared, (template_fingerprint, values, structure), fresh
-            )
-            _intern(self._prepared_text, alias, prepared)
+        handle = self._templates.setdefault(
+            (template_fingerprint, structure), new_handle
+        )
+        fresh = PreparedQuery(query, structure, handle, values)
+        prepared = self._prepared.setdefault(
+            (template_fingerprint, values, structure), fresh
+        )
+        self._prepared_text.put(alias, prepared)
         if handle is not new_handle:
             METRICS.inc("service.template_hits")
         if prepared is fresh:
@@ -901,12 +875,12 @@ class QueryService:
             return None
         t0 = time.perf_counter()
         try:
+            prepared = request.query
+            if not isinstance(prepared, PreparedQuery):
+                prepared = self._prepared_text.peek(
+                    (prepared, request.structure)
+                )
             with self._registry_lock:
-                prepared = request.query
-                if not isinstance(prepared, PreparedQuery):
-                    prepared = self._prepared_text.get(
-                        (prepared, request.structure)
-                    )
                 entry = self._databases.get(request.database)
             if prepared is None or entry is None:
                 return None
@@ -1072,7 +1046,9 @@ class QueryService:
         return self._closed
 
     def stats(self) -> dict:
-        """Service-level gauges plus the shared cache's counters."""
+        """Service-level gauges, the counters of the service's result
+        cache (``cache``) and of every cache by name (``caches``: the
+        registered ones plus this service's three query-text maps)."""
         snapshot = METRICS.snapshot()
         service_counters = {
             name: value
@@ -1099,7 +1075,10 @@ class QueryService:
             "versions": versions,
             "templates": len(self._templates),
             "cache": self._cache.stats(),
-            "codegen_cache": _codegen_closure_stats(),
+            "caches": cache_stats() | {
+                c.name: c.stats()
+                for c in (self._templates, self._prepared, self._prepared_text)
+            },
             "counters": service_counters,
         }
         if self._coordinator is not None:

@@ -21,6 +21,7 @@ from repro.automata.regex import (
     Regex,
     Star,
 )
+from repro.engine.cache import register_memo
 from repro.errors import ParseError
 from repro.logic.dsl import matches
 from repro.logic.formulas import Atom
@@ -73,6 +74,9 @@ def compile_like(pattern: str, alphabet: Alphabet, escape: str | None = None) ->
     """Minimal DFA of a LIKE pattern over ``alphabet``, cached per pattern
     so a LIKE filter applied row by row never recompiles."""
     return parse_like(pattern, escape).to_dfa(alphabet)
+
+
+register_memo("sql.like.compile_like", compile_like)
 
 
 def like_matches(value: str, pattern: str, alphabet: Alphabet, escape: str | None = None) -> bool:

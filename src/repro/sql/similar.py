@@ -16,6 +16,7 @@ import functools
 
 from repro.automata.dfa import DFA
 from repro.automata.regex import compile_regex, parse_regex
+from repro.engine.cache import register_memo
 from repro.errors import ParseError
 from repro.logic.dsl import matches
 from repro.logic.formulas import Atom
@@ -64,6 +65,9 @@ def compile_similar(pattern: str, alphabet: Alphabet) -> DFA:
     """Minimal DFA of a SIMILAR TO pattern, cached per pattern so
     row-at-a-time predicate evaluation never recompiles."""
     return compile_regex(similar_to_regex_text(pattern), alphabet)
+
+
+register_memo("sql.similar.compile_similar", compile_similar)
 
 
 def similar_matches(value: str, pattern: str, alphabet: Alphabet) -> bool:

@@ -26,6 +26,7 @@ from repro.automata import compile_regex, is_star_free
 from repro.automata.dfa import DFA
 from repro.automatic import presentations as pres
 from repro.automatic.relation import RelationAutomaton
+from repro.engine.cache import register_memo
 from repro.errors import SignatureError
 from repro.logic.formulas import Atom, Exists, Forall, Formula, QuantKind, RelAtom
 from repro.logic.terms import (
@@ -250,3 +251,7 @@ def _pattern_dfa(alphabet_symbols: tuple[str, ...], regex: str) -> DFA:
 @functools.lru_cache(maxsize=_PATTERN_CACHE_CAP)
 def _pattern_is_star_free(alphabet_symbols: tuple[str, ...], regex: str) -> bool:
     return is_star_free(_pattern_dfa(alphabet_symbols, regex))
+
+
+register_memo("structures.base._pattern_dfa", _pattern_dfa)
+register_memo("structures.base._pattern_is_star_free", _pattern_is_star_free)

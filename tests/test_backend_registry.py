@@ -14,7 +14,7 @@ import pytest
 from repro.__main__ import main
 from repro.automatic.relation import RelationAutomaton
 from repro.core import Query, StringDatabase
-from repro.engine import METRICS, global_cache
+from repro.engine import METRICS, reset_caches
 from repro.engine.backend import (
     EngineBackend,
     all_backends,
@@ -42,10 +42,10 @@ def db():
 
 @pytest.fixture(autouse=True)
 def _fresh():
-    global_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 class ToyBackend(EngineBackend):

@@ -1,33 +1,48 @@
-"""Caches keyed by query text stay bounded under ad hoc traffic.
+"""Caches stay bounded under ad hoc traffic.
 
-Every new condition shape brings a new checker (a string constant is a
-template slot, but a constant spelt with ``add_last`` is shape), every
-new pattern a new DFA and star-freeness verdict, and every literal the
-automata engine sees a ``constant`` presentation; every new query text
-a text alias and a prepared query in the service, every new shape a
-template handle, and every adom-changing write a plan epoch.  A
-service answering ad hoc text must not grow these caches without limit:
-each is capped and drops its oldest entry first.
+Every process-global memo table is a registered :class:`~repro.engine.
+cache.BoundedCache` (or a registered ``functools.lru_cache``), and ad hoc
+query text grows each of them without end: every new condition shape
+brings a new checker, plan, eligibility verdict and RANF translation (a
+string constant is a template slot, but a constant spelt with
+``add_last`` is shape), every new value of a quantified template
+condition a bound automaton, every literal the automata engine sees a
+``constant`` presentation, every new answer a result entry, and every
+query on a delta-store version its recorded subplans.  In the service,
+every new query text brings a text alias and a prepared query, every new
+shape a template handle, and every adom-changing write a plan epoch.
+Each cache is capped and drops its least recently used entry first.
 """
 
 import gc
 import sys
 import threading
-from collections import OrderedDict
 
-import repro.algebra.plan as plan_module
-import repro.automatic.presentations as presentations
-import repro.service.service as service_module
+import pytest
+
 import repro.structures.base as structures_base
+from repro.algebra.codegen import get_pipeline
+from repro.algebra.exec import run_algebra
 from repro.core import Query
 from repro.database import Database
-from repro.engine.cache import AutomatonCache
+from repro.delta import VersionedDatabase
+from repro.engine.cache import (
+    BoundedCache,
+    cache_stats,
+    registered_caches,
+    reset_caches,
+)
 from repro.eval.result import QueryResult
+from repro.logic import parse_formula
+from repro.logic.canonical import canonicalize
+from repro.logic.literals import lift_literals
 from repro.service import QueryService, RunRequest
 from repro.strings import BINARY
+from repro.structures.catalog import by_name
 
 CAP = 8
 DB = Database(BINARY, {"R": {("0110",), ("001",), ("11",), ("0101",)}})
+S = by_name("S", BINARY)
 
 
 def _constants(n: int) -> list[str]:
@@ -44,35 +59,169 @@ def _spelt(c: str) -> str:
     return term
 
 
-def test_condition_checkers_stay_within_the_cap(monkeypatch):
-    monkeypatch.setattr(plan_module, "_CHECKER_CACHE", {})
-    monkeypatch.setattr(plan_module, "_CHECKER_CACHE_CAP", CAP)
-    seen = set()
-    for c in _constants(10 * CAP):
+def _starting_with(c: str) -> set:
+    return {(x,) for (x,) in DB.relation("R") if x.startswith(c)}
+
+
+# Each driver is a generator: one step per new key it brings to its
+# cache, checking that step's answer; the test checks the cap in between.
+
+
+def _literals_on_the_planner(n: int):
+    """Whole answers: one result entry per constant."""
+    for c in _constants(n):
+        rows = Query(f"R(x) & '{c}' <<= x", structure="S").result(DB).as_set()
+        assert rows == _starting_with(c)
+        yield
+
+
+def _spelt_shapes_on_forced_algebra(n: int):
+    """A new shape per constant: a checker, a plan, a verdict and a RANF
+    translation each."""
+    for c in _constants(n):
         rows = Query(f"R(x) & {_spelt(c)} <<= x", structure="S").result(
             DB, engine="algebra"
         ).as_set()
-        assert rows == {(x,) for (x,) in DB.relation("R") if x.startswith(c)}
-        assert len(plan_module._CHECKER_CACHE) <= CAP
-        seen |= set(plan_module._CHECKER_CACHE)
-    # Every shape brought its own checker.
-    assert len(seen) == 10 * CAP
+        assert rows == _starting_with(c)
+        yield
 
 
-def test_presentations_stay_within_the_cap(monkeypatch):
-    # The automata engine runs the bound query: each literal is a
-    # ``constant`` presentation of its own.
-    monkeypatch.setattr(presentations, "_BASIC_CACHE", OrderedDict())
-    monkeypatch.setattr(presentations, "_BASIC_CACHE_CAP", CAP)
-    seen = set()
-    for c in _constants(10 * CAP):
+def _spelt_shapes_fused(n: int):
+    """A compiled closure per shape."""
+    for c in _constants(n):
+        template, values = lift_literals(parse_formula(f"R(x) & {_spelt(c)} <<= x"))
+        pipeline, how = get_pipeline(template, S, DB.schema)
+        assert how == "compiled"
+        assert pipeline.run(DB, values)[0] == _starting_with(c)
+        yield
+
+
+def _values_of_one_quantified_condition(n: int):
+    """One quantified template condition (``x`` is a strict prefix of the
+    slot's value), a bound automaton per value."""
+    for c in _constants(n):
+        formula = canonicalize(
+            parse_formula(f"R(x) & exists y: (x <<= y & sprefix(y, '{c}'))")
+        )
+        _, rows, _ = run_algebra(formula, S, DB)
+        assert rows == {
+            (x,) for (x,) in DB.relation("R") if c.startswith(x) and x != c
+        }
+        yield
+
+
+def _literals_on_the_automata_engine(n: int):
+    """A ``constant`` presentation per literal."""
+    for c in _constants(n):
         rows = Query(f"R(x) & '{c}' <<= x", structure="S").result(
             DB, engine="automata"
         ).as_set()
-        assert rows == {(x,) for (x,) in DB.relation("R") if x.startswith(c)}
-        assert len(presentations._BASIC_CACHE) <= CAP
-        seen |= set(presentations._BASIC_CACHE)
-    assert len({key for key in seen if key[1] == "constant"}) == 10 * CAP
+        assert rows == _starting_with(c)
+        yield
+
+
+def _literals_on_a_store_version(n: int):
+    """Subplan rows recorded per (values, plan node, version)."""
+    head = VersionedDatabase(DB).head.database
+    for c in _constants(n):
+        rows = Query(f"R(x) & '{c}' <<= x", structure="S").result(
+            head, engine="algebra"
+        ).as_set()
+        assert rows == _starting_with(c)
+        yield
+
+
+#: registered cache name -> public-API traffic that grows it
+DRIVERS = {
+    "cache": _literals_on_the_planner,
+    "codegen.cache": _spelt_shapes_fused,
+    "delta.subplans": _literals_on_a_store_version,
+    "algebra.checkers": _spelt_shapes_on_forced_algebra,
+    "algebra.bound_conditions": _values_of_one_quantified_condition,
+    "algebra.plans": _spelt_shapes_on_forced_algebra,
+    "planner.eligibility_memo": _spelt_shapes_on_forced_algebra,
+    "algebra.ranf.translation_cache": _spelt_shapes_on_forced_algebra,
+    "automatic.presentations": _literals_on_the_automata_engine,
+}
+
+
+@pytest.fixture
+def capped():
+    """Resize a registered cache to ``CAP`` on a clean slate; restore it."""
+    resized = []
+
+    def cap(name: str) -> BoundedCache:
+        cache = registered_caches()[name]
+        resized.append((cache, cache.maxsize))
+        cache.resize(CAP)
+        return cache
+
+    reset_caches()
+    yield cap
+    for cache, maxsize in resized:
+        cache.resize(maxsize)
+    reset_caches()
+
+
+def test_every_registered_cache_has_a_driver():
+    stats = cache_stats()
+    caches = registered_caches()
+    assert set(caches) == set(DRIVERS)
+    memos = set(stats) - set(caches)
+    assert len(memos) == 9
+    for name in memos:
+        assert stats[name]["maxsize"] is not None, name
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_cache_stays_within_its_cap(capped, name):
+    cache = capped(name)
+    for _ in DRIVERS[name](10 * CAP):
+        assert len(cache) <= CAP
+    assert cache.stats()["evictions"] >= 9 * CAP
+
+
+def test_reset_caches_empties_every_registered_cache(capped):
+    for name in ("cache", "algebra.checkers", "algebra.bound_conditions"):
+        for _ in DRIVERS[name](2):
+            pass
+    stats = cache_stats()
+    assert any(entry["size"] for entry in stats.values())
+    assert any(entry["hits"] or entry["misses"] for entry in stats.values())
+    reset_caches()
+    for name, entry in cache_stats().items():
+        assert entry["size"] == 0, name
+        assert entry["hits"] == entry["misses"] == 0, name
+        assert entry.get("evictions", 0) == entry.get("warm_hits", 0) == 0, name
+
+
+def test_concurrent_puts_stay_within_the_cap(capped):
+    """Threads inserting at once (a service's worker pool) must neither
+    break an eviction nor overfill a registered cache."""
+    cache = capped("algebra.plans")
+    errors = []
+
+    def put_own(thread: int):
+        try:
+            for i in range(400):
+                cache.put(("stress", thread, i), (thread, i))
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=put_own, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(cache) <= CAP
+    assert cache.stats()["evictions"] == 8 * 400 - len(cache)
 
 
 def test_pattern_caches_stay_within_the_cap():
@@ -130,12 +279,14 @@ def test_pattern_cache_survives_concurrent_eviction():
     assert info.currsize <= info.maxsize
 
 
-def test_service_maps_stay_within_the_cap(monkeypatch):
+def test_service_maps_stay_within_the_cap():
     """Text aliases, prepared queries and template handles stay within the
     cap under ad hoc text, and a handle keeps one plan per plan epoch
     however many adom-changing writes it sees."""
-    monkeypatch.setattr(service_module, "_PREPARED_CAP", CAP)
     with QueryService(workers=1) as svc:
+        maps = (svc._templates, svc._prepared, svc._prepared_text)
+        for cache in maps:
+            cache.resize(CAP)
         svc.register_database("main", DB)
         for i, c in enumerate(_constants(10 * CAP)):
             # Distinct output names make distinct templates too.
@@ -145,9 +296,7 @@ def test_service_maps_stay_within_the_cap(monkeypatch):
             assert resp.rows == sorted(
                 [x] for (x,) in DB.relation("R") if x.startswith(c)
             )
-            assert len(svc._prepared_text) <= CAP
-            assert len(svc._prepared) <= CAP
-            assert len(svc._templates) <= CAP
+            assert all(len(cache) <= CAP for cache in maps)
         handle = svc.prepare("R(x) & last(x, '0')")
         rows = {x for (x,) in DB.relation("R")}
         for i in range(50):
@@ -157,7 +306,10 @@ def test_service_maps_stay_within_the_cap(monkeypatch):
             resp = svc.execute(RunRequest(query=handle, database="main"))
             assert resp.rows == sorted([x] for x in rows if x.endswith("0"))
             assert len(handle.template._plans) == 1
-        assert svc.stats()["versions"]["main"]["plan_epoch"] == 50
+        stats = svc.stats()
+        assert stats["versions"]["main"]["plan_epoch"] == 50
+        for cache in maps:
+            assert stats["caches"][cache.name]["evictions"] >= 9 * CAP
 
 
 def test_memoized_rows_live_on_the_cached_results():
@@ -165,7 +317,7 @@ def test_memoized_rows_live_on_the_cached_results():
     :class:`QueryResult` (where the service's event-loop probe reads
     them), not in a store of their own: the result cache's cap bounds
     them, and evicting a result frees its rows."""
-    cache = AutomatonCache(CAP)
+    cache = BoundedCache(CAP)
     with QueryService(workers=1, cache=cache) as svc:
         svc.register_database("main", DB)
         for c in _constants(10 * CAP):

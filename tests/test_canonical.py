@@ -10,7 +10,7 @@ compiled-plan cache, and the service's prepared-query plan cache).
 import pytest
 
 from repro.core import Query, StringDatabase
-from repro.engine import METRICS, global_cache
+from repro.engine import METRICS, global_cache, reset_caches
 from repro.logic import parse_formula
 from repro.logic.canonical import (
     canonical_fingerprint,
@@ -27,10 +27,10 @@ def db():
 
 @pytest.fixture(autouse=True)
 def _fresh():
-    global_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 # Alpha-equivalent pairs (bound names differ) and commutative permutations.

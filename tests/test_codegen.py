@@ -26,7 +26,7 @@ from repro.database import random_database
 from repro.database.instance import Database
 from repro.database.schema import Schema
 from repro.delta import VersionedDatabase
-from repro.engine import METRICS, global_cache
+from repro.engine import METRICS, global_cache, reset_caches
 from repro.engine.backend import FUSED, INTERPRETED, get_backend
 from repro.engine.cache import DEFAULT_MAXSIZE
 from repro.engine.explain import execute_plan, explain_plan
@@ -50,12 +50,10 @@ def _fresh():
     """Codegen closures persist process-wide; tests must not leak warm
     closures into each other (or into later test files — a warm closure
     flips the planner's argmin by design)."""
-    global_cache().reset()
-    closure_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
-    closure_cache().reset()
+    reset_caches()
 
 
 def _formula(text: str):
@@ -212,9 +210,9 @@ class TestClosureCache:
 
         with QueryService(workers=1) as service:
             stats = service.stats()
-        assert "codegen_cache" in stats
-        assert {"size", "maxsize", "hits", "misses"} <= stats[
-            "codegen_cache"
+        assert "codegen_cache" not in stats
+        assert {"size", "maxsize", "hits", "misses"} <= stats["caches"][
+            "codegen.cache"
         ].keys()
 
 

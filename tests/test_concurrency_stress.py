@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.core import Query, StringDatabase
-from repro.engine import AutomatonCache, global_cache
+from repro.engine import BoundedCache, global_cache, reset_caches
 from repro.engine.metrics import METRICS
 from repro.service import (
     AsyncServiceClient,
@@ -62,15 +62,11 @@ def make_db():
 def _fresh_cache():
     # Closure-cache entries carry no database fingerprint, so warm
     # closures from this module would flip the planner's argmin for
-    # later test modules — reset it alongside the automaton cache.
-    from repro.algebra.codegen import closure_cache
-
-    global_cache().reset()
-    closure_cache().reset()
+    # later test modules — reset every cache, not only the automata.
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
-    closure_cache().reset()
+    reset_caches()
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +150,9 @@ class TestStress:
             svc.close()
 
     def test_private_cache_isolation(self, serial_answers):
-        # A service with its own AutomatonCache must leave the global one
+        # A service with its own BoundedCache must leave the global one
         # untouched — and still answer correctly under concurrency.
-        private = AutomatonCache(maxsize=32)
+        private = BoundedCache(maxsize=32)
         svc = QueryService(
             ServiceConfig(workers=4, max_pending=128, cache=private)
         )
@@ -282,7 +278,7 @@ class TestStress:
             server.close_service()
 
     def test_concurrent_cache_puts_stay_bounded(self):
-        cache = AutomatonCache(maxsize=16)
+        cache = BoundedCache(maxsize=16)
         barrier = threading.Barrier(8)
 
         def churn(base):
@@ -364,7 +360,7 @@ class TestStress:
         # the heads before and after the call (R only grows), and the
         # request counters add up.
         svc = QueryService(ServiceConfig(
-            workers=4, max_pending=256, cache=AutomatonCache(4)
+            workers=4, max_pending=256, cache=BoundedCache(4)
         ))
         rows = {"0110", "001", "11", "0101"}
         svc.register_database("main", StringDatabase("01", {"R": set(rows)}))

@@ -42,7 +42,13 @@ COMMANDS = list(_doc_commands())
 def _run(command, cwd):
     argv = shlex.split(command)
     argv[0] = sys.executable  # "python" -> this interpreter
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    # No bytecode files under src/: a checkout's __pycache__ state skews
+    # later start-up timings (perfbench setup_s).
+    env = {
+        "PYTHONPATH": str(SRC),
+        "PATH": "/usr/bin:/bin",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     return subprocess.run(
         argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )

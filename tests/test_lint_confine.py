@@ -53,6 +53,11 @@ PLANTS = {
         "import queue",
         "src/repro/service/quota.py",
     ),
+    "evict": (
+        "src/repro/algebra/memo.py",
+        "_MEMO.pop(next(iter(_MEMO)), None)",
+        "src/repro/engine/cache.py",
+    ),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import Query, StringDatabase
-from repro.engine import METRICS, AutomatonCache, global_cache
+from repro.engine import METRICS, BoundedCache, global_cache, reset_caches
 from repro.engine.cache import database_fingerprint, formula_key
 from repro.engine.planner import DIRECT_COST_CEILING, Planner
 from repro.logic import parse_formula
@@ -32,10 +32,10 @@ def db():
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    global_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 class TestEngineSelection:
@@ -164,7 +164,7 @@ class TestCacheAccounting:
         assert q.run(db_b, engine="automata").rows() == [("",)]
 
     def test_lru_eviction_is_counted(self):
-        cache = AutomatonCache(maxsize=2)
+        cache = BoundedCache(maxsize=2)
         cache.put(("k", 1), "a")
         cache.put(("k", 2), "b")
         cache.put(("k", 3), "c")
@@ -173,7 +173,7 @@ class TestCacheAccounting:
         assert cache.get(("k", 1)) is None  # oldest entry gone
 
     def test_resize_shrinks(self):
-        cache = AutomatonCache(maxsize=8)
+        cache = BoundedCache(maxsize=8)
         for i in range(8):
             cache.put(("k", i), i)
         cache.resize(3)

@@ -19,7 +19,7 @@ from repro.database.instance import Database
 from repro.database.schema import Schema
 from repro.delta import VersionedDatabase, lineage
 from repro.service import QueryService, RunRequest
-from repro.engine.cache import AutomatonCache
+from repro.engine.cache import BoundedCache
 from repro.engine.explain import execute_plan
 from repro.strings import BINARY
 from tests._fused import fused_plan, fused_rows
@@ -102,7 +102,7 @@ def test_evolved_equals_fresh_in_process(r, s, ops):
             assert fused_rows(query, evolved) == want, text
             # A cache of its own, or the algebra column's result answers.
             got = execute_plan(
-                fused_plan(query, evolved), evolved, cache=AutomatonCache()
+                fused_plan(query, evolved), evolved, cache=BoundedCache()
             ).as_set()
             assert got == want, f"{text} fused: evolved != fresh"
 

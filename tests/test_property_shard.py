@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Query, StringDatabase
 from repro.database.schema import Schema
-from repro.engine import global_cache
+from repro.engine import reset_caches
 from repro.shard import ShardCoordinator
 
 #: Queries with a distributivity certificate (scatter) plus one join
@@ -45,10 +45,10 @@ _names = itertools.count()
 
 @pytest.fixture(scope="module", params=["hash", "relation"])
 def coordinator(request):
-    global_cache().reset()
+    reset_caches()
     with ShardCoordinator(shards=3, scheme=request.param) as coord:
         yield coord
-    global_cache().reset()
+    reset_caches()
 
 
 @given(r=relation, s=relation)

@@ -2,7 +2,7 @@
 
 Covers the three verdict branches (collapsed / restricted-quantifiers /
 gamma-bounded), the memoized negative verdicts with their
-``planner.eligibility_memo_hits`` counter, the translated pair's shapes
+``planner.eligibility_memo.hits`` counter, the translated pair's shapes
 (the ``inf`` half omitted where the finite half is provably complete),
 the runtime infinite-result bail-out, EXPLAIN's per-backend
 ineligibility reasons and ``RanfPair`` tree node, and the planner's
@@ -21,8 +21,8 @@ from repro.algebra.ranf import (
 from repro.core import Query
 from repro.database import Database, random_database
 from repro.database.schema import Schema
-from repro.engine import METRICS, global_cache
-from repro.engine.cache import AutomatonCache
+from repro.engine import METRICS, global_cache, reset_caches
+from repro.engine.cache import BoundedCache
 from repro.engine.explain import execute_plan
 from repro.engine.planner import Planner, algebra_eligible
 from repro.algebra.compile import CompileError
@@ -81,18 +81,18 @@ class TestVerdicts:
     def test_negative_verdicts_are_memoized(self):
         formula = _f("R(x) & exists y: (y <<= x & !S(y))")
         translation_verdict(formula, S)  # populate
-        before = METRICS.snapshot().get("planner.eligibility_memo_hits", 0)
+        before = METRICS.snapshot().get("planner.eligibility_memo.hits", 0)
         v = translation_verdict(formula, S)
-        after = METRICS.snapshot().get("planner.eligibility_memo_hits", 0)
+        after = METRICS.snapshot().get("planner.eligibility_memo.hits", 0)
         assert not v.ok
         assert after == before + 1
 
     def test_positive_verdicts_are_memoized(self):
         formula = _f("R(x) & (exists prefix y: (sprefix(y, x) & S(y)))")
         translation_verdict(formula, S)
-        before = METRICS.snapshot().get("planner.eligibility_memo_hits", 0)
+        before = METRICS.snapshot().get("planner.eligibility_memo.hits", 0)
         assert translation_verdict(formula, S).ok
-        after = METRICS.snapshot().get("planner.eligibility_memo_hits", 0)
+        after = METRICS.snapshot().get("planner.eligibility_memo.hits", 0)
         assert after == before + 1
 
 
@@ -118,9 +118,9 @@ class TestTranslatedPairs:
         schema = Schema({"R": 1, "T": 2})
         formula = _f("R(x) & (exists prefix y: (T(y, x) & S(y)))")
         translate_ranf(formula, S, Schema({"R": 1, "T": 2, "S": 1}), slack=1)
-        before = METRICS.snapshot().get("algebra.ranf.translation_cache_hits", 0)
+        before = METRICS.snapshot().get("algebra.ranf.translation_cache.hits", 0)
         translate_ranf(formula, S, Schema({"R": 1, "T": 2, "S": 1}), slack=1)
-        after = METRICS.snapshot().get("algebra.ranf.translation_cache_hits", 0)
+        after = METRICS.snapshot().get("algebra.ranf.translation_cache.hits", 0)
         assert after == before + 1
 
     def test_untranslatable_raises_ranf_error(self):
@@ -177,7 +177,7 @@ class TestExecution:
                 inf_optimized=pair.fin_optimized,
             )
 
-        ranf_mod._TRANSLATIONS.clear()
+        reset_caches()
         monkeypatch.setattr(ranf_mod, "translate_ranf", doctored)
 
     def test_infinite_result_bails_out(self, monkeypatch):
@@ -252,9 +252,7 @@ class TestPlannerWiring:
         fresh_key_formula = _f(
             "R(x) & (exists prefix y: (sprefix(y, x) & !S(y)))"
         )
-        import repro.algebra.ranf as ranf_mod
-
-        ranf_mod._TRANSLATIONS.clear()
+        reset_caches()
         cold = planner.plan(fresh_key_formula, slack=1)
         cold_cost = cold.costs["algebra"]
         # Translating (e.g. by running the query once) amortizes setup.
@@ -288,7 +286,7 @@ class TestPlannerWiring:
         )
         assert pipeline is not None, detail
         runs = METRICS.get("codegen.runs")
-        got = execute_plan(plan, db, cache=AutomatonCache())
+        got = execute_plan(plan, db, cache=BoundedCache())
         assert got.as_set() == want.as_set()
         assert METRICS.get("codegen.runs") == runs + 1
 

@@ -8,7 +8,7 @@ from repro import Query, StringDatabase, UnsafeQueryError
 from repro.automatic.relation import RelationAutomaton
 from repro.core.query import Table
 from repro.database import Database
-from repro.engine.cache import AutomatonCache
+from repro.engine.cache import BoundedCache
 from repro.engine.explain import execute_plan
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Planner
@@ -134,7 +134,7 @@ class TestWholeResultCache:
         )
 
     def test_forced_direct_is_not_answered_by_an_algebra_entry(self):
-        cache = AutomatonCache()
+        cache = BoundedCache()
         algebra, direct = self._plan("algebra"), self._plan("direct")
         # Same query, database and slack: only the engine tells the two
         # cache keys apart.
@@ -148,7 +148,7 @@ class TestWholeResultCache:
     @pytest.mark.parametrize("engine", ["direct", "algebra"])
     def test_a_hit_computes_no_canonical_fingerprint(self, engine, monkeypatch):
         plan = self._plan(engine)
-        cache = AutomatonCache()
+        cache = BoundedCache()
         first = execute_plan(plan, self.DB, cache=cache)
         original = canonical.canonical_fingerprint
         calls = []

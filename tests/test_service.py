@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.core import Query, StringDatabase
-from repro.engine import global_cache
+from repro.engine import reset_caches
 from repro.engine.metrics import METRICS
 from repro.errors import (
     ClientReadTimeoutError,
@@ -58,10 +58,10 @@ from tests.test_timeouts import ADVERSARIAL_QUERY, ADVERSARIAL_STRINGS
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    global_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 def small_db():

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import Query, StringDatabase
 from repro.database.schema import Schema
-from repro.engine import global_cache
+from repro.engine import reset_caches
 from repro.engine.backend import backend_names
 from repro.engine.metrics import METRICS
 from repro.engine.planner import plan_query
@@ -44,9 +44,9 @@ DB = StringDatabase(
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    global_cache().reset()
+    reset_caches()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.codegen import closure_cache
 from repro.algebra.exec import compile_for_execution
 from repro.core import Query, StringDatabase
 from repro.database import Database
 from repro.engine.backend import FUSED, backend_names
-from repro.engine.cache import AutomatonCache, global_cache
+from repro.engine.cache import BoundedCache, reset_caches
 from repro.engine.explain import execute_plan
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Planner, with_values
@@ -58,12 +57,10 @@ import bench_service  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def _fresh():
-    global_cache().reset()
-    closure_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
-    closure_cache().reset()
+    reset_caches()
 
 
 R = ["001", "0100", "0110", "10", "1011"]
@@ -200,7 +197,7 @@ class TestTemplatesAgreeWithTheOracle:
                 # The same plan through the fused closure, with a cache of
                 # its own (the interpreted run's answer would be reused).
                 fused = replace(plan, strategy=FUSED)
-                got = execute_plan(fused, db, cache=AutomatonCache()).as_set()
+                got = execute_plan(fused, db, cache=BoundedCache()).as_set()
                 assert got == expected, f"fused: {formula}"
 
 

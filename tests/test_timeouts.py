@@ -14,7 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import Query, StringDatabase
-from repro.engine import global_cache
+from repro.engine import reset_caches
 from repro.engine.deadline import (
     Deadline,
     checkpoint,
@@ -44,10 +44,10 @@ ADVERSARIAL_QUERY = (
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    global_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 @pytest.fixture

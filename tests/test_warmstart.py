@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro.core import Query, StringDatabase
-from repro.engine import AutomatonCache, global_cache
+from repro.engine import BoundedCache, reset_caches
 from repro.engine.metrics import METRICS
 from repro.engine.warmstart import (
     WARM_FORMAT_VERSION,
@@ -27,10 +27,10 @@ from repro.service import QueryService, RunRequest, ServiceConfig
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    global_cache().reset()
+    reset_caches()
     METRICS.reset()
     yield
-    global_cache().reset()
+    reset_caches()
 
 
 def small_db():
@@ -44,7 +44,7 @@ QUERY = "R(x) & last(x, '0')"
 
 def run_once(warm_dir, query=QUERY, engine="automata"):
     """One service lifetime: run ``query``, close (which spills)."""
-    cache = AutomatonCache(maxsize=128)
+    cache = BoundedCache(maxsize=128)
     svc = QueryService(ServiceConfig(
         workers=2, cache=cache, warm_dir=str(warm_dir)
     ))
@@ -78,7 +78,7 @@ class TestServiceRoundTrip:
         assert METRICS.get("warmstart.loads") == stats["warm_hits"]
 
     def test_service_stats_report_warmstart(self, tmp_path):
-        cache = AutomatonCache(maxsize=128)
+        cache = BoundedCache(maxsize=128)
         svc = QueryService(ServiceConfig(
             workers=1, cache=cache, warm_dir=str(tmp_path)
         ))
@@ -193,7 +193,7 @@ class TestStoreFormat:
         store = WarmStartStore(str(tmp_path))
         store.spill_entry(("hot",), "hot-value")
         store.spill_entry(("cold",), "cold-value")
-        cache = AutomatonCache(maxsize=8)
+        cache = BoundedCache(maxsize=8)
         store.attach(cache)
         assert cache.get(("hot",)) == "hot-value"
         assert store.stats()["loads"] == 1  # "cold" was never read

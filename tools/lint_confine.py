@@ -42,6 +42,11 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``Queue``/``SimpleQueue``, ``heapq``) outside ``service/quota.py``:
     the weighted fair queue there is the pool's only queue, so fair
     order holds from submission to worker.
+``evict``
+    Hand-rolled eviction (``popitem(last=False)``, ``pop(next(iter(``)
+    under ``src/`` outside ``src/repro/engine/cache.py``: a memo table is
+    a :class:`~repro.engine.cache.BoundedCache`, whose one LRU policy,
+    lock and counters live there.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -207,6 +212,16 @@ RULES = (
         problem="a second queue in the service outside service/quota.py — "
         "submit into the one fair queue (repro.service.quota.FairQueue)",
         ok="the service's one queue lives in src/repro/service/quota.py",
+        strip_comments=True,
+    ),
+    Rule(
+        "evict",
+        re.compile(r"popitem\(\s*last\s*=\s*False\s*\)|pop\(\s*next\(\s*iter\("),
+        scanned=("src",),
+        exempt=("src/repro/engine/cache.py",),
+        problem="hand-rolled eviction outside engine/cache.py — make the "
+        "table a BoundedCache (repro.engine.cache.registered)",
+        ok="eviction lives only in src/repro/engine/cache.py",
         strip_comments=True,
     ),
 )
