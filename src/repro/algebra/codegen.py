@@ -2,7 +2,7 @@
 
 The interpreted executor (:mod:`repro.algebra.exec`) pays per-tuple
 dispatch at every operator boundary: each ``Select`` call re-enters
-``_ConditionChecker.check``, each ``Join`` rebuilds key lambdas, each
+a condition checker, each ``Join`` rebuilds key lambdas, each
 ``Project`` materializes an intermediate frozenset.  This module walks the
 same ``optimize_for_execution`` plan once and *emits Python source* for a
 single fused pipeline:
@@ -13,7 +13,8 @@ single fused pipeline:
   of a slot's pattern, looked up once per run) inlined as plain
   expressions — the planner hands codegen templates only, so a literal
   is always a slot (:mod:`repro.logic.literals`) — and everything
-  else routed through a pre-built checker closed over by the function;
+  else routed through a pre-built checker closed over by the function
+  and bound to the run's values once, in the prologue;
 * ``Join``/semi-join hash tables are built once per run, outside the
   probe loop, with the build side chosen by cardinality at run time;
 * ``Union``/``Difference`` become frozenset ``|``/``-`` on
@@ -149,7 +150,7 @@ class _Emitter:
     frozenset; structurally equal subtrees share one variable (plan nodes
     are frozen dataclasses, so the memo gives CSE for free).  ``prologue``
     holds the lines that run once per call before any stage: the pattern
-    DFA lookups.
+    DFA lookups and the checker bindings.
     """
 
     def __init__(self, structure: StringStructure):
@@ -192,12 +193,16 @@ class _Emitter:
         self.stages.append({"label": label, "kind": kind, "numpy": numpy})
 
     def _checker(self, condition: Formula) -> str:
+        """The local naming the condition's predicate, bound to the run's
+        values once per run (a quantified one's automaton looked up
+        then, not per row)."""
         key = str(condition)
         name = self._checker_names.get(key)
         if name is None:
             name = f"_chk{len(self._checker_names)}"
             self._checker_names[key] = name
-            self.env[name] = _get_checker(condition, self.structure).check
+            self.env[f"{name}_of"] = _get_checker(condition, self.structure)
+            self.prologue.append(f"    {name} = {name}_of.bind(_params)")
         return name
 
     def _pattern(self, slot: Param) -> str:
@@ -408,7 +413,7 @@ class _Emitter:
             if kind == "select":
                 pred = self._scalar_pred(payload, row)
                 if pred is None:
-                    pred = f"{self._checker(payload)}({row}, _params)"
+                    pred = f"{self._checker(payload)}({row})"
                 self.w(depth, f"if not {pred}: continue")
                 continue
             new = self.fresh("_p")
@@ -724,15 +729,21 @@ def get_pipeline(
     return pipeline, "compiled"
 
 
+def pipeline_probe(
+    formula: Formula, structure: StringStructure, schema: Schema, slack: int = 0
+) -> Callable[[], bool]:
+    """A probe returning True once a compiled closure is cached (no stats
+    impact: the planner peeks warmth without claiming a hit; the plan
+    cache asks again on every lookup, so the key is computed once)."""
+    key = pipeline_key(formula, structure, schema, slack)
+    return lambda: isinstance(_PIPELINES.peek(key), GeneratedPipeline)
+
+
 def has_pipeline(
     formula: Formula, structure: StringStructure, schema: Schema, slack: int = 0
 ) -> bool:
-    """True when a compiled closure is already cached (no stats impact:
-    the planner peeks warmth without claiming a hit)."""
-    return isinstance(
-        _PIPELINES.peek(pipeline_key(formula, structure, schema, slack)),
-        GeneratedPipeline,
-    )
+    """True when a compiled closure is already cached."""
+    return pipeline_probe(formula, structure, schema, slack)()
 
 
 def shape_supported(

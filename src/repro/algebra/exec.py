@@ -195,8 +195,8 @@ class AlgebraExecutor:
         rrows, rstats = self._execute(node.right)
         start = time.perf_counter()
         METRICS.inc("algebra.joins")
-        checker = (
-            _get_checker(node.residual, self.structure)
+        check = (
+            _get_checker(node.residual, self.structure).bind(self.params)
             if node.residual is not None
             else None
         )
@@ -227,7 +227,7 @@ class AlgebraExecutor:
                 continue
             for other in matches:
                 joined = row + other if build_right else other + row
-                if checker is None or checker.check(joined, self.params):
+                if check is None or check(joined):
                     out.add(joined)
         METRICS.inc("algebra.rows_probed", len(probe))
         rows = frozenset(out)

@@ -35,7 +35,7 @@ database (the paper's side condition on ``sigma_alpha``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.database.instance import Database
 from repro.engine.cache import registered
@@ -180,8 +180,9 @@ class _ConditionChecker:
     Quantifier-free conditions are evaluated directly; quantified ones are
     compiled once into a relation automaton over the empty database (legal
     because ``sigma_alpha`` conditions may not mention the database).  A
-    template condition reads its slots from the ``params`` each check
-    gets; quantified, it compiles one automaton per binding.
+    template condition reads its slots from the ``params`` it is bound to
+    (:meth:`bind`, once per evaluation); quantified, it compiles one
+    automaton per binding.
     """
 
     def __init__(self, condition: Formula, structure: StringStructure,
@@ -220,15 +221,25 @@ class _ConditionChecker:
             lambda: self._compile(bind(self.condition, params)),
         )
 
-    def check(self, row: Row, params: Params = ()) -> bool:
+    def bind(self, params: Params = ()) -> Callable[[Row], bool]:
+        """The condition as a one-row predicate for one binding of its
+        slots: a quantified condition's automaton is looked up here, once,
+        not per row."""
         if self._quantified:
             automaton, variables = self._automaton_for(params)
-            values = tuple(row[_column_index(v)] for v in variables)
-            return automaton.contains(values)
-        assignment = {f"c{i}": row[i] for i in self.columns}
-        for key, i in self._slot_keys:
-            assignment[key] = params[i]
-        return _eval_quantifier_free(self.condition, assignment, self.structure)
+            columns = [_column_index(v) for v in variables]
+            contains = automaton.contains
+            return lambda row: contains(tuple(row[i] for i in columns))
+        slots = [(key, params[i]) for key, i in self._slot_keys]
+        columns = self.columns
+        condition, structure = self.condition, self.structure
+
+        def check(row: Row) -> bool:
+            assignment = {f"c{i}": row[i] for i in columns}
+            assignment.update(slots)
+            return _eval_quantifier_free(condition, assignment, structure)
+
+        return check
 
     def max_column(self) -> int:
         return max(self.columns, default=-1)
@@ -286,6 +297,7 @@ class Select(Plan):
                 f"condition uses column c{checker.max_column()}, child arity "
                 f"is {self.child.arity}"
             )
+        check = checker.bind(params)
         if isinstance(self.child, Product):
             # Stream the cross product through the filter pair by pair:
             # only the (usually much smaller) selected set is ever
@@ -300,11 +312,11 @@ class Select(Plan):
                     if not tick & _TICK_MASK:
                         checkpoint()
                     row = l + r
-                    if checker.check(row, params):
+                    if check(row):
                         out.add(row)
             return frozenset(out)
         rows = self.child.evaluate(db, structure, params)
-        return frozenset(r for r in rows if checker.check(r, params))
+        return frozenset(r for r in rows if check(r))
 
     def __str__(self) -> str:
         return f"select[{self.condition}]({self.child})"
@@ -404,8 +416,8 @@ class Join(Plan):
     ) -> Rows:
         lrows = self.left.evaluate(db, structure, params)
         rrows = self.right.evaluate(db, structure, params)
-        checker = (
-            _get_checker(self.residual, structure)
+        check = (
+            _get_checker(self.residual, structure).bind(params)
             if self.residual is not None
             else None
         )
@@ -428,7 +440,7 @@ class Join(Plan):
                 continue
             for r in matches:
                 row = l + r
-                if checker is None or checker.check(row, params):
+                if check is None or check(row):
                     out.add(row)
         METRICS.inc("algebra.rows_probed", len(lrows))
         return frozenset(out)

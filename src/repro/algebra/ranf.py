@@ -58,7 +58,7 @@ being silently clipped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.algebra.compile import (
     CompiledQuery,
@@ -371,12 +371,13 @@ class RanfPair:
 _PAIRS = registered("algebra.ranf.translation_cache", 64)
 
 
-def has_translation(formula, structure, schema, slack: int) -> bool:
-    """True when the pair for this key is already cached (the planner's
-    amortized cost model checks this without forcing a translation, and
-    without counting a lookup)."""
+def translation_probe(formula, structure, schema, slack: int) -> Callable[[], bool]:
+    """A probe returning True once the pair for this key is cached (the
+    planner's amortized cost model asks without forcing a translation or
+    counting a lookup; the plan cache asks again on every lookup, so the
+    key is computed once)."""
     key = _translation_key(formula, structure, schema, slack)
-    return _PAIRS.peek(key) is not None
+    return lambda: _PAIRS.peek(key) is not None
 
 
 def _translation_key(formula, structure, schema, slack: int) -> tuple:

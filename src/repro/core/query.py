@@ -28,7 +28,8 @@ from repro.engine.backend import resolve_engine
 from repro.engine.cache import global_cache
 from repro.engine.deadline import deadline_scope
 from repro.engine.explain import Explain, execute_plan, explain_query
-from repro.engine.planner import Plan, Planner
+from repro.engine.plan_cache import PlanningForm, plan_cache, with_origin
+from repro.engine.planner import Plan, with_values
 from repro.errors import EvaluationError
 from repro.eval.automata_engine import AutomataEngine
 from repro.eval.result import QueryResult
@@ -131,6 +132,16 @@ class Query:
         self.structure = structure
         self.formula = parse_formula(source) if isinstance(source, str) else source
         self.structure.check_formula(self.formula)
+        self._form: Optional[tuple[Formula, PlanningForm]] = None
+
+    @property
+    def template(self) -> PlanningForm:
+        """The template the planner decides on, with its slots' values
+        (computed once per formula: the plan-cache key)."""
+        form = self._form
+        if form is None or form[0] is not self.formula:
+            form = self._form = (self.formula, PlanningForm.of(self.formula))
+        return form[1]
 
     @property
     def free_variables(self) -> tuple[str, ...]:
@@ -202,15 +213,19 @@ class Query:
         ``timeout`` bounds planning plus evaluation in wall-clock seconds,
         raising :class:`~repro.errors.EvaluationTimeout` once exceeded.
 
-        Compiled automata are memoized in the session-wide
+        The plan comes from the process-wide plan cache
+        (:mod:`repro.engine.plan_cache`): a query of the same template —
+        any constants — reuses it on any database whose statistics stay
+        within a factor of two of those it was costed on.  Compiled
+        automata are memoized in the session-wide
         :func:`~repro.engine.cache.global_cache`, so repeated runs (and
         shared subformulas) are cheap; ``Query.explain(db)`` reports the
         hit/miss counters.
         """
         db = database.db if isinstance(database, StringDatabase) else database
         with deadline_scope(timeout):
-            plan = Planner(self.structure, db).plan(
-                self.formula, slack=slack, force=resolve_engine(engine)
+            plan = plan_cache().plan(
+                self.template, self.structure, db, slack=slack, force=engine
             )
             return execute_plan(plan, db, cache=global_cache())
 
@@ -220,11 +235,15 @@ class Query:
         engine: Optional[str] = None,
         slack: Optional[int] = None,
     ) -> Plan:
-        """The planner's decision for this query on ``database`` (no run)."""
+        """The planner's decision for this query on ``database`` (no run),
+        through the plan cache like :meth:`result`; ``Plan.origin`` says
+        whether it was reused or planned, and why."""
         db = database.db if isinstance(database, StringDatabase) else database
-        return Planner(self.structure, db).plan(
-            self.formula, slack=slack, force=resolve_engine(engine)
+        form = self.template
+        found = plan_cache().lookup(
+            form, self.structure, db, slack=slack, force=engine
         )
+        return with_origin(with_values(found.plan, form.values), found, db)
 
     def explain(
         self,

@@ -43,6 +43,8 @@ class Database:
         "_max_string_length",
         "_total_string_length",
         "_version",
+        # The plan cache remembers the snapshots it validated weakly.
+        "__weakref__",
     )
 
     def __init__(

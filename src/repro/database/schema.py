@@ -17,7 +17,7 @@ class Schema:
     2
     """
 
-    __slots__ = ("_arities",)
+    __slots__ = ("_arities", "_hash")
 
     def __init__(self, arities: Mapping[str, int]):
         for name, arity in arities.items():
@@ -26,6 +26,13 @@ class Schema:
             if arity <= 0:
                 raise ArityError(f"relation {name!r} must have positive arity, got {arity}")
         self._arities = dict(arities)
+        # Schemas key many caches (closures, translations, plan-cache
+        # probes), so the hash is computed once; pickling rebuilds it,
+        # since string hashes differ between processes.
+        self._hash = hash(tuple(sorted(self._arities.items())))
+
+    def __reduce__(self):
+        return (Schema, (self._arities,))
 
     def arity(self, name: str) -> int:
         try:
@@ -50,7 +57,7 @@ class Schema:
         return self._arities == other._arities
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._arities.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}/{a}" for n, a in sorted(self._arities.items()))

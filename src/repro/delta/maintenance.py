@@ -338,9 +338,9 @@ def _apply_delta(
         cn, ca, cr = maint(node.child)
         if not ca and not cr:
             return keep(node)
-        checker = _get_checker(node.condition, structure)
-        added = frozenset(r for r in ca if checker.check(r, params))
-        removed = frozenset(r for r in cr if checker.check(r, params))
+        check = _get_checker(node.condition, structure).bind(params)
+        added = frozenset(r for r in ca if check(r))
+        removed = frozenset(r for r in cr if check(r))
         return settle(node, (old_rows(node) - removed) | added, added, removed)
 
     def _project(node: Project):
@@ -395,14 +395,14 @@ def _apply_delta(
             if (lr or rr)
             else _EMPTY
         )
-        checker = (
-            _get_checker(node.residual, structure)
+        check = (
+            _get_checker(node.residual, structure).bind(params)
             if node.residual is not None
             else None
         )
         out: set[Row] = set()
-        _join_into(out, la, rn, node.pairs, checker, params)  # ΔL ⋈ new R
-        _join_into(out, ln, ra, node.pairs, checker, params)  # new L ⋈ ΔR
+        _join_into(out, la, rn, node.pairs, check)  # ΔL ⋈ new R
+        _join_into(out, ln, ra, node.pairs, check)  # new L ⋈ ΔR
         added = frozenset(out)
         return settle(node, (old - removed) | added, added, removed)
 
@@ -479,7 +479,7 @@ def _apply_delta(
         # Only delta x new and old x delta pairs pass the (possibly
         # automaton-backed) condition check — the O(|L|*|R|) re-filter
         # the full run would pay is avoided.
-        checker = _get_checker(node.condition, structure)
+        check = _get_checker(node.condition, structure).bind(params)
         out: set[Row] = set()
         tick = 0
         for l in la:
@@ -488,7 +488,7 @@ def _apply_delta(
                 if not tick & 255:
                     checkpoint()
                 row = l + r
-                if checker.check(row, params):
+                if check(row):
                     out.add(row)
         if ra:
             for l in ln - la:
@@ -497,7 +497,7 @@ def _apply_delta(
                     if not tick & 255:
                         checkpoint()
                     row = l + r
-                    if checker.check(row, params):
+                    if check(row):
                         out.add(row)
         added = frozenset(out)
         return settle(node, (old - removed) | added, added, removed)
@@ -528,10 +528,10 @@ def _join_into(
     lrows: Rows,
     rrows: Rows,
     pairs: tuple[tuple[int, int], ...],
-    checker,
-    params: tuple = (),
+    check,
 ) -> None:
-    """Hash-join ``lrows ⋈ rrows`` into ``out`` (residual check applied)."""
+    """Hash-join ``lrows ⋈ rrows`` into ``out`` (the residual ``check``,
+    a bound predicate, applied)."""
     if not lrows or not rrows:
         return
     table: dict[Row, list[Row]] = {}
@@ -547,5 +547,5 @@ def _join_into(
             if not tick & 255:
                 checkpoint()
             row = l + r
-            if checker is None or checker.check(row, params):
+            if check is None or check(row):
                 out.add(row)

@@ -126,8 +126,9 @@ class DatabaseVersion:
     version: int
     fingerprint: str
     database: Database
-    #: Bumps only when the schema or the active domain actually shifted —
-    #: the service re-plans prepared queries on epoch changes only.
+    #: Bumps only when the schema or the active domain actually shifted;
+    #: reported by the service's ``insert``/``delete``/``db_versions``
+    #: replies (plans are kept by :mod:`repro.engine.plan_cache`).
     plan_epoch: int
     #: The effective delta from the parent version (``None`` for the base).
     delta: Optional[Delta] = None
@@ -280,9 +281,6 @@ class VersionedDatabase:
         )
         self._versions: dict[int, DatabaseVersion] = {0: base}
         self._head = base
-        #: The version-0 fingerprint — stable for the wrapper's lifetime
-        #: even after version 0 itself is pruned (plan-cache keying).
-        self.base_fingerprint = base.fingerprint
         # Per-string occurrence refcounts across all relation tuples:
         # O(|delta|) adom maintenance on every apply.
         self._adom_counts: Counter[str] = Counter()

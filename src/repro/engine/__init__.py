@@ -13,6 +13,9 @@ evaluators in :mod:`repro.eval` / :mod:`repro.algebra.exec`.  It contains:
   registry (eligibility gate, then cost argmin) per query
   (``Query.run(db)`` with no ``engine=`` argument goes through it),
   canonicalizing each formula first (:mod:`repro.logic.canonical`);
+* :mod:`repro.engine.plan_cache` — the one plan cache the library and
+  the service plan through: a template's plan is reused until the
+  statistics it was costed on drift;
 * :mod:`repro.engine.cache` — ``BoundedCache``, the one LRU every memo
   table uses, the registry of the process-global ones (``cache_stats``,
   ``reset_caches``) and the automaton cache (``global_cache``);
@@ -91,6 +94,7 @@ __all__ = [
     "ExplainNode",
     "MetricsRegistry",
     "Plan",
+    "PlanCache",
     "PlanNode",
     "Planner",
     "all_backends",
@@ -105,6 +109,7 @@ __all__ = [
     "formula_key",
     "get_backend",
     "global_cache",
+    "plan_cache",
     "plan_query",
     "register_backend",
     "reset_caches",
@@ -117,6 +122,8 @@ _LAZY = {
     "PlanNode": "repro.engine.planner",
     "Planner": "repro.engine.planner",
     "plan_query": "repro.engine.planner",
+    "PlanCache": "repro.engine.plan_cache",
+    "plan_cache": "repro.engine.plan_cache",
     "AlgebraTrace": "repro.engine.explain",
     "Explain": "repro.engine.explain",
     "ExplainNode": "repro.engine.explain",

@@ -9,11 +9,14 @@ an engine through this module only:
   this query *without changing the answer*?), a cost estimate (with the
   execution strategy it prices, for a backend that has more than one),
   forced-mode preparation (e.g. collapsing NATURAL quantifiers),
-  :meth:`~EngineBackend.execute`, and the EXPLAIN trace hooks;
+  :meth:`~EngineBackend.execute`, the EXPLAIN trace hooks, and
+  :meth:`~EngineBackend.plan_inputs`, what eligibility reads of a
+  database besides the planner's statistics (the plan cache compares it);
 * a process-wide **registry** (:func:`register_backend`,
   :func:`get_backend`, :func:`backend_names`, :func:`all_backends`) that
   the planner iterates — eligibility gate first, then cost argmin — so
-  adding an engine is one ``register_backend`` call;
+  adding an engine is one ``register_backend`` call; every change bumps
+  :func:`registry_generation`, part of every plan-cache key;
 * :func:`resolve_engine` — the one place the ``None``/``"auto"``/name
   normalization lives; unknown names raise
   :class:`~repro.errors.EvaluationError` listing the registered backends.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.database.instance import Database
 from repro.engine.cache import BoundedCache
@@ -64,6 +67,7 @@ __all__ = [
     "backend_names",
     "get_backend",
     "register_backend",
+    "registry_generation",
     "resolve_engine",
     "unregister_backend",
 ]
@@ -77,11 +81,15 @@ INTERPRETED = "interpreted"
 class Estimate(NamedTuple):
     """A backend's cost estimate and the execution strategy it prices
     (empty for a backend with one way to run a plan); ``note`` says why
-    that strategy, for the plan's reason."""
+    that strategy, for the plan's reason.  ``cold`` holds one probe per
+    cache the estimate found cold and priced as such: each returns True
+    once that cache is warm, which makes the plan cache replan
+    (:mod:`repro.engine.plan_cache`)."""
 
     cost: float
     strategy: str = ""
     note: str = ""
+    cold: tuple[Callable[[], bool], ...] = ()
 
 
 class EngineBackend(abc.ABC):
@@ -156,6 +164,13 @@ class EngineBackend(abc.ABC):
             self.estimate_cost(formula, structure, database, slack, planner)
         )
 
+    def plan_inputs(self, database: Database) -> object:
+        """What :meth:`eligible` or the estimate reads of ``database``
+        beyond the planner's statistics, compared by identity: a plan
+        cached for another value is replanned
+        (:mod:`repro.engine.plan_cache`).  ``None`` by default."""
+        return None
+
     def decision_cost(self, cost: float, planner: "Planner") -> float:
         """Scale the display estimate for cross-backend comparison.
 
@@ -216,6 +231,9 @@ class EngineBackend(abc.ABC):
 
 _REGISTRY: dict[str, EngineBackend] = {}
 _REGISTRY_LOCK = threading.Lock()
+#: Bumped by every registration change: a plan made for one set of
+#: backends is never reused for another (``sharded`` joins and leaves).
+_GENERATION = 0
 
 
 def register_backend(backend: EngineBackend, replace: bool = False) -> EngineBackend:
@@ -236,13 +254,26 @@ def register_backend(backend: EngineBackend, replace: bool = False) -> EngineBac
                 "(pass replace=True to swap it)"
             )
         _REGISTRY[backend.name] = backend
+        _bump()
     return backend
 
 
 def unregister_backend(name: str) -> None:
     """Remove a backend (primarily for tests registering toys)."""
     with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
+        if _REGISTRY.pop(name, None) is not None:
+            _bump()
+
+
+def _bump() -> None:
+    # The caller holds the registry lock.
+    global _GENERATION
+    _GENERATION += 1
+
+
+def registry_generation() -> int:
+    """How many times the registry changed: part of every plan-cache key."""
+    return _GENERATION
 
 
 def backend_names() -> tuple[str, ...]:
@@ -486,7 +517,7 @@ class AlgebraBackend(EngineBackend):
 
     def estimate(self, formula, structure, database, slack, planner):
         from repro.algebra import ranf
-        from repro.algebra.codegen import has_pipeline, shape_supported
+        from repro.algebra.codegen import pipeline_probe, shape_supported
         from repro.engine.planner import (
             ALGEBRA_SETUP_COST,
             CODEGEN_ROW_FACTOR,
@@ -499,38 +530,44 @@ class AlgebraBackend(EngineBackend):
         if rows == float("inf"):
             return Estimate(rows, INTERPRETED)
         verdict = ranf.translation_verdict(formula, structure)
+        schema = database.schema
+        cold = []
         # The RANF pass itself; amortized away once the pair is in the
         # translation cache.
-        ranf_setup = RANF_SETUP_COST if (
-            verdict.ok
-            and verdict.branch != "collapsed"
-            and not ranf.has_translation(formula, structure, database.schema, slack)
-        ) else 0.0
+        ranf_setup = 0.0
+        if verdict.ok and verdict.branch != "collapsed":
+            translated = ranf.translation_probe(formula, structure, schema, slack)
+            if not translated():
+                ranf_setup = RANF_SETUP_COST
+                cold.append(translated)
         # Fixed compile+rewrite setup, so tiny queries stay direct.
         interpreted = rows + ALGEBRA_SETUP_COST + ranf_setup
         ok, why = restricted_output_gate(formula, database)
         if ok:
-            ok, why = shape_supported(formula, structure, database.schema)
+            ok, why = shape_supported(formula, structure, schema)
         if not ok:
             return Estimate(
-                interpreted, INTERPRETED, f"interpreted, not fuseable: {why}"
+                interpreted, INTERPRETED, f"interpreted, not fuseable: {why}",
+                tuple(cold),
             )
         # Fusion removes per-tuple interpreter dispatch, so row work is
         # cheaper; compilation is charged only while no closure is
         # cached — the LRU amortizes it away for repeated and prepared
         # queries.
         fused = rows * CODEGEN_ROW_FACTOR
-        if not has_pipeline(formula, structure, database.schema, slack):
+        compiled = pipeline_probe(formula, structure, schema, slack)
+        if not compiled():
             fused += CODEGEN_SETUP_COST + ranf_setup
+            cold.append(compiled)
         if fused <= interpreted:
             return Estimate(fused, FUSED, (
                 f"fused: ≈{_fmt_cost(fused)} row ops after fusion vs "
                 f"≈{_fmt_cost(interpreted)} interpreted"
-            ))
+            ), tuple(cold))
         return Estimate(interpreted, INTERPRETED, (
             f"interpreted: ≈{_fmt_cost(interpreted)} row ops vs "
             f"≈{_fmt_cost(fused)} fused (closure not compiled yet)"
-        ))
+        ), tuple(cold))
 
     def prepare_forced(self, formula, structure, slack):
         # Same restricted semantics as a forced direct engine: collapse

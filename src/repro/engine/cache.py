@@ -297,7 +297,7 @@ _REGISTRY: dict[str, Any] = {}
 _OWNERS = (
     "algebra.codegen", "algebra.exec", "algebra.plan", "algebra.ranf",
     "automatic.convolution", "automatic.presentations", "delta.maintenance",
-    "sql.like", "sql.similar", "structures.base",
+    "engine.plan_cache", "sql.like", "sql.similar", "structures.base",
 )
 
 

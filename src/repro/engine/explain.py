@@ -42,7 +42,7 @@ from repro.engine.cache import BoundedCache, database_fingerprint
 from repro.engine.cache import formula_key, global_cache
 from repro.engine.deadline import deadline_scope
 from repro.engine.metrics import METRICS
-from repro.engine.planner import Plan, Planner
+from repro.engine.planner import Plan, with_values
 from repro.eval.result import QueryResult
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import Formula
@@ -365,15 +365,25 @@ def explain_query(
     cache: Optional[BoundedCache] = None,
     timeout: Optional[float] = None,
 ) -> Explain:
-    """Plan, execute with tracing, and report (see module docstring).
+    """Plan through the plan cache (:mod:`repro.engine.plan_cache`),
+    execute with tracing, and report (see module docstring); the plan
+    says whether it was reused or planned, and why.
 
     ``timeout`` bounds the traced run in wall-clock seconds via
     :mod:`repro.engine.deadline`, raising
     :class:`~repro.errors.EvaluationTimeout` once exceeded.
     """
+    from repro.engine.plan_cache import PlanningForm, plan_cache, with_origin
+
     with deadline_scope(timeout):
-        plan = Planner(structure, database).plan(formula, slack=slack, force=engine)
-        return explain_plan(plan, database, cache=cache)
+        form = PlanningForm.of(formula)
+        found = plan_cache().lookup(
+            form, structure, database, slack=slack, force=engine
+        )
+        plan = with_values(found.plan, form.values)
+        return explain_plan(
+            with_origin(plan, found, database), database, cache=cache
+        )
 
 
 def explain_plan(

@@ -193,7 +193,12 @@ class Plan:
     every cache entry this plan will touch (a bound plan's also encodes
     its values).  ``strategy`` is how the backend runs the plan
     when it has more than one way (the algebra engine: ``"fused"`` or
-    ``"interpreted"``), empty otherwise.
+    ``"interpreted"``), empty otherwise.  ``db_stats`` are the
+    statistics of the database this plan was costed on
+    (:func:`planning_statistics`): the plan cache
+    (:mod:`repro.engine.plan_cache`) reuses a plan on other snapshots,
+    and ``origin`` then says so, with the statistics it was looked up
+    for.
     """
 
     engine: str
@@ -218,6 +223,16 @@ class Plan:
     #: ``params[i]``); empty for a query without literals.
     params: tuple[str, ...] = ()
     strategy: str = ""
+    #: How the plan cache produced this plan, set on the plans EXPLAIN
+    #: and ``Query.plan`` show: ``outcome`` ``"reused"`` or
+    #: ``"planned"``, the replan ``reason`` (``miss``, ``drift``,
+    #: ``eligibility``, ``warm``) and the ``current_stats`` of the
+    #: database it was looked up for, beside ``db_stats``.  Empty for a
+    #: plan straight from :meth:`Planner.plan`.
+    origin: dict[str, object] = field(default_factory=dict)
+    #: The probes of the caches the estimates found cold
+    #: (:attr:`repro.engine.backend.Estimate.cold`).
+    cold_probes: tuple = field(default=(), compare=False, repr=False)
 
     # Legacy accessors (pre-registry plans stored one field per engine).
     @property
@@ -249,6 +264,7 @@ class Plan:
             "negation_depth": self.negation_depth,
             "anchored_free": self.anchored_free,
             "db_stats": dict(self.db_stats),
+            "origin": dict(self.origin),
             "ineligible": dict(self.ineligible),
             "tree": self.root.to_dict(),
         }
@@ -266,8 +282,28 @@ class Plan:
         ]
         for name in sorted(self.ineligible):
             lines.append(f"ineligible: {name}: {self.ineligible[name]}")
+        if self.origin:
+            outcome = self.origin["outcome"]
+            if self.origin.get("reason"):
+                outcome += f" ({self.origin['reason']})"
+            recorded = _fmt_stats(self.db_stats)
+            now = _fmt_stats(self.origin["current_stats"])
+            lines.append(
+                f"plan cache: {outcome} — costed on {recorded}; now "
+                + ("the same" if now == recorded else now)
+            )
         lines.append(self.root.render())
         return "\n".join(lines)
+
+
+def _fmt_stats(stats: dict) -> str:
+    shown = [
+        f"{name}={stats[name]}"
+        for name in ("adom_size", "prefix_closure_size", "total_string_length",
+                     "max_string_length")
+    ]
+    shown += [f"|{name}|={n}" for name, n in stats["relations"].items()]
+    return " ".join(shown)
 
 
 def _fmt_cost(cost: float) -> str:
@@ -653,6 +689,24 @@ def with_values(plan: Plan, values: tuple[str, ...]) -> Plan:
     return replace(plan, params=values, fingerprint=f"{plan.fingerprint}/{digest}")
 
 
+def planning_statistics(database: Database, relations) -> dict[str, object]:
+    """What the planner reads of ``database`` to cost a query naming
+    ``relations`` (``Plan.db_stats``): each is memoized per snapshot."""
+    schema = database.schema
+    return {
+        "adom_size": len(database.adom),
+        "prefix_closure_size": database.adom_prefix_closure_size(),
+        "total_string_length": database.total_string_length(),
+        "max_string_length": database.max_string_length,
+        "relations": {
+            name: len(database.relation(name)) if name in schema else 0
+            for name in relations
+        },
+        "tuples": database.size,
+        "alphabet_size": len(database.alphabet),
+    }
+
+
 def planning_form(formula: Formula) -> tuple[Formula, tuple[str, ...]]:
     """The template :meth:`Planner.plan` decides on and its slots' values:
     relation-guarded natural existentials made ADOM, the formula
@@ -738,7 +792,6 @@ class Planner:
             )
         ineligible = {backend.name: why for backend, why in blocked}
         estimates = self._estimates(formula, effective)
-        costs = {name: e.cost for name, e in estimates.items()}
         if len(eligible) == 1:
             # No comparison to make; surface why the alternatives dropped
             # out (the highest-priority blocked backend's reason — for the
@@ -746,6 +799,7 @@ class Planner:
             chosen = eligible[0]
             reason = blocked[0][1] if blocked else "only registered backend"
         else:
+            costs = {name: e.cost for name, e in estimates.items()}
             scaled = {
                 b.name: b.decision_cost(costs[b.name], self) for b in eligible
             }
@@ -762,7 +816,7 @@ class Planner:
             reason=reason,
             forced=False,
             slack=effective,
-            costs=costs,
+            estimates=estimates,
             ineligible=ineligible,
             strategy=estimate.strategy,
         )
@@ -785,18 +839,14 @@ class Planner:
         reason: str,
         forced: bool,
         slack: int,
-        costs: Optional[dict[str, float]] = None,
+        estimates: Optional[dict[str, Estimate]] = None,
         ineligible: Optional[dict[str, str]] = None,
         strategy: str = "",
     ) -> Plan:
         anchored = anchored_free_variables(formula)
         free = formula.free_variables()
-        if costs is None:
-            costs = {
-                name: e.cost
-                for name, e in self._estimates(formula, slack).items()
-            }
-        db = self.database
+        if estimates is None:
+            estimates = self._estimates(formula, slack)
         return Plan(
             engine=engine,
             reason=reason,
@@ -804,7 +854,7 @@ class Planner:
             slack=slack,
             formula=formula,
             structure=self.structure,
-            costs=costs,
+            costs={name: e.cost for name, e in estimates.items()},
             fingerprint=canonical_fingerprint(formula),
             root=self._node(formula, slack),
             quantifier_kinds=tuple(
@@ -812,15 +862,12 @@ class Planner:
             ),
             negation_depth=negation_depth(formula),
             anchored_free=bool(free <= anchored),
-            db_stats={
-                "adom_size": len(db.adom),
-                "prefix_closure_size": db.adom_prefix_closure_size(),
-                "max_string_length": db.max_string_length,
-                "tuples": db.size,
-                "alphabet_size": len(db.alphabet),
-            },
+            db_stats=planning_statistics(
+                self.database, sorted(formula.relation_names())
+            ),
             ineligible=dict(ineligible or {}),
             strategy=strategy,
+            cold_probes=tuple(p for e in estimates.values() for p in e.cold),
         )
 
     def _node(self, f: Formula, slack: int) -> PlanNode:

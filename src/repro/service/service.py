@@ -6,16 +6,16 @@ into a serving tier on top of the PR 1 engine core:
 * a **named-database registry** — databases are registered once under a
   name and fingerprinted (:func:`repro.engine.cache.database_fingerprint`),
   so requests refer to ``"main"`` instead of shipping relations;
-* **prepared queries** — :meth:`QueryService.prepare` parses a query once,
-  lifts its string literals into a **template** (:mod:`repro.logic.
-  literals`) and caches the planner's decision for the template per
-  (database fingerprint, plan epoch, engine, slack); template handles
-  are interned by the template's **canonical fingerprint** (:mod:`repro.
-  logic.canonical`), so alpha-equivalent and conjunct-reordered spellings, and
-  queries that differ only in their constants, share one handle, one
-  plan cache and one fused algebra closure, while each query's
-  answer is cached under its own fingerprint in the session-wide
-  thread-safe :class:`~repro.engine.cache.BoundedCache`;
+* **prepared queries** — :meth:`QueryService.prepare` parses a query once
+  and lifts its string literals into a **template** (:mod:`repro.logic.
+  literals`); template handles are interned by the template's
+  **canonical fingerprint** (:mod:`repro.logic.canonical`), so
+  alpha-equivalent and conjunct-reordered spellings, and queries that
+  differ only in their constants, share one handle, one plan in the
+  process-wide plan cache (:mod:`repro.engine.plan_cache`, reused until
+  the statistics it was costed on drift) and one fused algebra closure,
+  while each query's answer is cached under its own fingerprint in the
+  session-wide thread-safe :class:`~repro.engine.cache.BoundedCache`;
 * a **worker pool** — a fixed set of threads popping requests from one
   bounded, weighted fair queue (:class:`~repro.service.quota.FairQueue`)
   that every transport and library caller pushes into; single requests
@@ -91,6 +91,7 @@ from repro.engine.explain import (
     result_key,
 )
 from repro.engine.metrics import METRICS
+from repro.engine.plan_cache import Lookup, plan_cache, with_origin
 from repro.engine.planner import Plan, Planner, with_values
 from repro.errors import (
     EvaluationTimeout,
@@ -287,10 +288,10 @@ class _NamedDatabase:
 
     Registration wraps the database in a :class:`~repro.delta.
     VersionedDatabase` (its version 0), so even the first delta finds a
-    recorded ancestor.  ``database``/``fingerprint``/``plan_epoch``
-    describe the **head** snapshot; the epoch is bumped only on
-    schema/adom shifts — the prepared-query plan cache re-plans on epoch
-    changes, not on every delta."""
+    recorded ancestor.  ``database``/``fingerprint`` describe the
+    **head** snapshot.  Plans are not kept here: the plan cache reuses a
+    template's plan on every snapshot whose statistics stay near those
+    it was costed on (:mod:`repro.engine.plan_cache`)."""
 
     name: str
     versioned: VersionedDatabase
@@ -304,21 +305,6 @@ class _NamedDatabase:
     def fingerprint(self) -> str:
         return self.head.fingerprint
 
-    @property
-    def plan_epoch(self) -> int:
-        return self.head.plan_epoch
-
-
-def _plan_key(entry: _NamedDatabase, force: Optional[str], slack) -> tuple:
-    """A template's plan-cache key on one registered database: (base
-    fingerprint, plan epoch, forced backend, slack).
-
-    Every version fingerprint is new, but the planner's decision only
-    depends on the schema and the active domain, which is exactly what
-    bumps the epoch — so row-only deltas reuse the plan, and two names
-    registered with identical contents share it."""
-    return (entry.versioned.base_fingerprint, entry.plan_epoch, force, slack)
-
 
 #: Most rows a cached answer may have to be answered on the transport's
 #: event loop (:meth:`QueryService.answer_cached`); a larger one goes
@@ -328,24 +314,24 @@ LOOP_HIT_MAX_ROWS = 4096
 
 
 class QueryTemplate:
-    """A query shape, planned once per database and shared by every query
-    that differs from it only in its constants.
+    """A query shape, shared by every query that differs from it only in
+    its constants.
 
     The formula is a template (:mod:`repro.logic.literals`): its string
     literals and patterns are ``Param`` slots.  The service interns one
     handle per (template fingerprint, structure) and runs it for each
-    binding of values.  The plan cache is locked, and the cached
-    :class:`~repro.engine.planner.Plan` objects are treated as immutable.
-    Re-registering a database under the same name with other contents
-    invalidates its cached plans via the base fingerprint in the cache
-    key (:func:`_plan_key`).
+    binding of values.  Its plans live in the process-wide plan cache
+    (:mod:`repro.engine.plan_cache`), keyed by the template: every
+    registered database, every version of one and every library
+    :class:`~repro.core.query.Query` of the shape reuse a plan until the
+    statistics it was costed on drift or what its eligibility read
+    changes.
     """
 
     def __init__(self, formula, structure: str = "S"):
         self.structure_name = structure
         self.formula = formula
         self._queries: dict[tuple[str, ...], Query] = {}
-        self._plans: dict[tuple, Plan] = {}
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:
@@ -369,67 +355,41 @@ class QueryTemplate:
                 q = self._queries.setdefault(key, q)
         return q
 
-    def plan_for(
+    def lookup(
         self,
         entry: _NamedDatabase,
         engine: Optional[str] = None,
         slack: Optional[int] = None,
-    ) -> Plan:
-        """The (cached) plan for this template on one registered database.
+    ) -> Lookup:
+        """This template's plan on one registered database, from the plan
+        cache (a reuse counts ``service.plan_cache_hits``).
 
-        Keyed by :func:`_plan_key` — the query component is the handle
-        itself, which the service interns by template fingerprint, so
-        alpha-equivalent spellings of the query and queries that differ
-        only in their constants share plans.  A row-only delta reuses the
-        plan (counted in ``delta.replans_avoided``) and a schema/adom
-        shift re-plans.  Planning a newer epoch drops the plans of the
-        older epochs of the same base database.
+        Prepared queries are declared intent to run repeatedly, so an
+        auto replan compiles the fused closure *before* planning: the plan
+        then prices the algebra engine's fused strategy warm
+        (CODEGEN_SETUP_COST is amortized, not charged to every run) and
+        runs it fused when that is cheapest.  Best-effort — shapes outside
+        the fuseable regime simply do not compile.
         """
         force = resolve_engine(engine)
-        key = _plan_key(entry, force, slack)
-        hit = self.cached_plan(key)
-        if hit is not None:
-            _count_plan_hit(hit, entry)
-            return hit[0]
         q = self.query_for(entry.database.alphabet)
+        database = entry.database
+        builder = None
         if force is None:
-            # Prepared queries are declared intent to run repeatedly, so
-            # compile the fused closure *before* planning: the first auto
-            # plan then prices the algebra engine's fused strategy warm
-            # (CODEGEN_SETUP_COST is amortized, not charged to every run)
-            # and runs it fused when that is cheapest.  Best-effort —
-            # shapes outside the fuseable regime simply return False.
-            from repro.algebra.codegen import prewarm
+            def builder() -> Plan:
+                from repro.algebra.codegen import prewarm
 
-            prewarm(
-                q.formula,
-                q.structure,
-                entry.database.schema,
-                slack=0 if slack is None else slack,
-            )
-        plan = Planner(q.structure, entry.database).plan(
-            q.formula, slack=slack, force=force
+                prewarm(q.formula, q.structure, database.schema,
+                        slack=0 if slack is None else slack)
+                return Planner(q.structure, database).plan(q.formula, slack=slack)
+
+        found = plan_cache().lookup(
+            q.template, q.structure, database, slack=slack, force=force,
+            builder=builder,
         )
-        with self._lock:
-            plan, _ = self._plans.setdefault(key, (plan, entry.fingerprint))
-            for old in [
-                k for k in self._plans if k[0] == key[0] and k[1] < key[1]
-            ]:
-                del self._plans[old]
-        return plan
-
-    def cached_plan(self, key: tuple) -> Optional[tuple[Plan, str]]:
-        """The plan cached under ``key`` with the fingerprint it was
-        planned on, or ``None``; never plans, counts nothing."""
-        with self._lock:
-            return self._plans.get(key)
-
-
-def _count_plan_hit(hit: tuple[Plan, str], entry: _NamedDatabase) -> None:
-    """Count a plan-cache hit (and a replan a delta did not force)."""
-    METRICS.inc("service.plan_cache_hits")
-    if hit[1] != entry.fingerprint:
-        METRICS.inc("delta.replans_avoided")
+        if found.replanned is None:
+            METRICS.inc("service.plan_cache_hits")
+        return found
 
 
 class PreparedQuery:
@@ -474,17 +434,21 @@ class PreparedQuery:
         engine: Optional[str] = None,
         slack: Optional[int] = None,
     ) -> Plan:
-        """The template's plan (:meth:`QueryTemplate.plan_for`) with this
+        """The template's plan (:meth:`QueryTemplate.lookup`) with this
         query's values bound, once they passed the signature checks for
-        the database's alphabet: under S a pattern that is not star-free
-        is still an error."""
-        symbols = entry.database.alphabet.symbols
-        if self.values and symbols not in self._checked:
-            q = self.template.query_for(entry.database.alphabet)
+        the database's alphabet."""
+        self.check_signature(entry.database.alphabet)
+        found = self.template.lookup(entry, engine=engine, slack=slack)
+        return self.bind(found.plan)
+
+    def check_signature(self, alphabet: Alphabet) -> None:
+        """Check the bound values against the structure's signature once
+        per alphabet: under S a pattern that is not star-free is still an
+        error."""
+        if self.values and alphabet.symbols not in self._checked:
+            q = self.template.query_for(alphabet)
             q.structure.check_formula(self.formula)
-            self._checked.add(symbols)
-        return self.bind(self.template.plan_for(entry, engine=engine,
-                                                slack=slack))
+            self._checked.add(alphabet.symbols)
 
     def bind(self, plan: Plan) -> Plan:
         """The template's ``plan`` with this query's values bound.
@@ -701,8 +665,9 @@ class QueryService:
         """Register (or replace) a database under ``name``; returns its
         fingerprint.  The database becomes version 0 of a delta store
         (:class:`~repro.delta.VersionedDatabase`).  Replacing it with
-        other contents invalidates prepared plans for the old contents
-        automatically (plans are keyed by fingerprint, :func:`_plan_key`)."""
+        other contents replans a query only when the new contents'
+        statistics left the window its plan was costed in
+        (:mod:`repro.engine.plan_cache`)."""
         db = database.db if isinstance(database, StringDatabase) else database
         versioned = VersionedDatabase(db)
         entry = _NamedDatabase(name, versioned, versioned.head)
@@ -718,8 +683,8 @@ class QueryService:
     def unregister_database(self, name: str) -> bool:
         """Drop ``name`` from the registry (and the shard pool's
         partitions/routes, when sharding); returns whether it existed.
-        Cached plans and results keyed by its fingerprints age out of
-        their LRU stores naturally."""
+        Cached results keyed by its fingerprints age out of their LRU
+        store naturally."""
         with self._registry_lock:
             entry = self._databases.pop(name, None)
         if entry is None:
@@ -838,13 +803,16 @@ class QueryService:
     ) -> Explain:
         """Run one query with tracing, on the calling thread, and return
         the EXPLAIN report — with the template it ran as, the template's
-        fingerprint and the values bound to it."""
+        fingerprint, the values bound to it and whether the plan was
+        reused."""
         prepared = (
             query if isinstance(query, PreparedQuery)
             else self.prepare(query, structure)
         )
         entry = self._entry(database)
-        plan = prepared.plan_for(entry, engine=engine, slack=slack)
+        prepared.check_signature(entry.database.alphabet)
+        found = prepared.template.lookup(entry, engine=engine, slack=slack)
+        plan = with_origin(prepared.bind(found.plan), found, entry.database)
         return explain_plan(plan, entry.database, cache=self._cache)
 
     # ------------------------------------------------------------ execution
@@ -855,8 +823,9 @@ class QueryService:
 
         Cheap enough for the transports to call on their event loop before
         admission: it only looks things up — the text alias (or the
-        prepared handle), the binding's checked alphabets, the template's
-        plan cache (:func:`_plan_key`), then the result entry under
+        prepared handle), the binding's checked alphabets, the plan cache
+        (:meth:`~repro.engine.plan_cache.PlanCache.peek`), then the result
+        entry under
         :func:`~repro.engine.explain.result_key`.  It never parses, plans,
         promotes an ancestor version's answer, reads the warm-start
         directory or sorts: it answers only a finite result whose sorted
@@ -884,31 +853,36 @@ class QueryService:
                 entry = self._databases.get(request.database)
             if prepared is None or entry is None:
                 return None
+            database = entry.database
             if (
                 prepared.values
-                and entry.database.alphabet.symbols not in prepared._checked
+                and database.alphabet.symbols not in prepared._checked
             ):
                 return None
-            key = _plan_key(entry, resolve_engine(request.engine), request.slack)
-            hit = prepared.template.cached_plan(key)
+            q = prepared.template.query_for(database.alphabet)
+            found = plan_cache().peek(
+                q.template, q.structure, database, slack=request.slack,
+                force=resolve_engine(request.engine),
+            )
         except (ReproError, TypeError):
             # An unknown engine or an unhashable field: the pool path
             # reports it as a structured error.
             return None
-        if hit is None:
+        if found is None:
             return None
-        plan = prepared.bind(hit[0])
-        result = self._cache.peek(result_key(plan, entry.database))
+        plan = prepared.bind(found.plan)
+        result = self._cache.peek(result_key(plan, database))
         if result is None:
             return None
         rows = result.sorted_memo
         if rows is None or len(rows) > LOOP_HIT_MAX_ROWS:
             return None
         self._cache.count_hit()
-        _count_plan_hit(hit, entry)
+        if found.moved:
+            METRICS.inc("delta.replans_avoided")
         for name in (
             "service.requests", "service.ok", "service.loop_hits",
-            f"engine.{plan.engine}.runs",
+            "service.plan_cache_hits", f"engine.{plan.engine}.runs",
         ):
             METRICS.inc(name)
         return ServiceResponse(
@@ -1061,7 +1035,7 @@ class QueryService:
             entry.name: {
                 "head": entry.head.version,
                 "retained": len(entry.versioned.versions()),
-                "plan_epoch": entry.plan_epoch,
+                "plan_epoch": entry.head.plan_epoch,
             }
             for entry in entries
         }

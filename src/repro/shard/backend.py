@@ -144,6 +144,11 @@ class ShardedBackend(EngineBackend):
             return False, f"plan does not distribute: {decomposition.reason}"
         return True, decomposition.reason
 
+    def plan_inputs(self, database):
+        # Eligibility and the estimate read the route: its partitions'
+        # sizes and, under the relation scheme, its placement.
+        return route_for(database)
+
     def estimate_cost(self, formula, structure, database, slack, planner):
         route = route_for(database)
         if route is None:

@@ -6,12 +6,13 @@ query text grows each of them without end: every new condition shape
 brings a new checker, plan, eligibility verdict and RANF translation (a
 string constant is a template slot, but a constant spelt with
 ``add_last`` is shape), every new value of a quantified template
-condition a bound automaton, every literal the automata engine sees a
-``constant`` presentation, every new answer a result entry, and every
-query on a delta-store version its recorded subplans.  In the service,
-every new query text brings a text alias and a prepared query, every new
-shape a template handle, and every adom-changing write a plan epoch.
-Each cache is capped and drops its least recently used entry first.
+condition a bound automaton, every new template a plan-cache entry,
+every literal the automata engine sees a ``constant`` presentation,
+every new answer a result entry, and every query on a delta-store
+version its recorded subplans.  In the service, every new query text
+brings a text alias and a prepared query, and every new shape a
+template handle.  Each cache is capped and drops its least recently
+used entry first.
 """
 
 import gc
@@ -86,6 +87,16 @@ def _spelt_shapes_on_forced_algebra(n: int):
         yield
 
 
+def _spelt_shapes_on_the_planner(n: int):
+    """A plan-cache entry per shape."""
+    for c in _constants(n):
+        rows = Query(f"R(x) & {_spelt(c)} <<= x", structure="S").result(
+            DB
+        ).as_set()
+        assert rows == _starting_with(c)
+        yield
+
+
 def _spelt_shapes_fused(n: int):
     """A compiled closure per shape."""
     for c in _constants(n):
@@ -140,6 +151,7 @@ DRIVERS = {
     "algebra.bound_conditions": _values_of_one_quantified_condition,
     "algebra.plans": _spelt_shapes_on_forced_algebra,
     "planner.eligibility_memo": _spelt_shapes_on_forced_algebra,
+    "planner.plan_cache": _spelt_shapes_on_the_planner,
     "algebra.ranf.translation_cache": _spelt_shapes_on_forced_algebra,
     "automatic.presentations": _literals_on_the_automata_engine,
 }
@@ -281,8 +293,8 @@ def test_pattern_cache_survives_concurrent_eviction():
 
 def test_service_maps_stay_within_the_cap():
     """Text aliases, prepared queries and template handles stay within the
-    cap under ad hoc text, and a handle keeps one plan per plan epoch
-    however many adom-changing writes it sees."""
+    cap under ad hoc text, and a handle's template keeps one plan-cache
+    entry however many adom-changing writes it sees."""
     with QueryService(workers=1) as svc:
         maps = (svc._templates, svc._prepared, svc._prepared_text)
         for cache in maps:
@@ -298,6 +310,8 @@ def test_service_maps_stay_within_the_cap():
             )
             assert all(len(cache) <= CAP for cache in maps)
         handle = svc.prepare("R(x) & last(x, '0')")
+        fingerprint = handle.template.query_for(BINARY).template.fingerprint
+        plans = registered_caches()["planner.plan_cache"]
         rows = {x for (x,) in DB.relation("R")}
         for i in range(50):
             word = format(i + 2 * CAP, "b") + "0"
@@ -305,7 +319,7 @@ def test_service_maps_stay_within_the_cap():
             rows.add(word)
             resp = svc.execute(RunRequest(query=handle, database="main"))
             assert resp.rows == sorted([x] for x in rows if x.endswith("0"))
-            assert len(handle.template._plans) == 1
+            assert [k[0] for k, _ in plans.entries()].count(fingerprint) == 1
         stats = svc.stats()
         assert stats["versions"]["main"]["plan_epoch"] == 50
         for cache in maps:

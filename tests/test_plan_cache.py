@@ -1,0 +1,329 @@
+"""The plan cache: a template's plan is reused until what it was costed
+on changes, and each replan says why (``planner.replans.<reason>``)."""
+
+import importlib.util
+import pathlib
+import random
+import sys
+import threading
+from types import SimpleNamespace
+
+import pytest
+
+from repro.algebra.codegen import get_pipeline, prewarm
+from repro.core import Query, StringDatabase
+from repro.database.instance import Database
+from repro.delta import VersionedDatabase
+from repro.engine import METRICS, reset_caches
+from repro.engine.cache import database_fingerprint
+from repro.engine.plan_cache import PLAN_DRIFT, drifted, plan_cache
+from repro.engine.planner import Planner
+from repro.errors import EvaluationError
+from repro.eval.automata_engine import AutomataEngine
+from repro.shard.backend import router_register, router_unregister
+from repro.shard.partition import shard_database
+from repro.strings import BINARY
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import bench_delta  # noqa: E402
+
+# The read_write workload's shapes and database, from the service
+# benchmark's own generator, loaded without leaving bytecode beside it.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workload", ROOT / "perfbench" / "workload.py"
+)
+workload = importlib.util.module_from_spec(_spec)
+_dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    _spec.loader.exec_module(workload)
+finally:
+    sys.dont_write_bytecode = _dont_write
+
+JOIN = "R(x) & S(x)"
+ADOM = "R(x) & exists adom y: (S(y) & y <<= x)"
+
+
+@pytest.fixture(autouse=True)
+def _fresh():
+    reset_caches()
+    METRICS.reset()
+    yield
+    reset_caches()
+
+
+def _db(r, s=("0", "01"), **more) -> Database:
+    return StringDatabase("01", {"R": set(r), "S": set(s), **more}).db
+
+
+#: Two databases with equal planning statistics and different contents.
+A = _db({"0110", "001", "11"})
+B = _db({"1001", "110", "00"}, {"1", "10"})
+
+
+def _oracle(q: Query, db: Database) -> set:
+    return AutomataEngine(q.structure, db).run(q.formula).as_set()
+
+
+def _origin(q: Query, db: Database) -> tuple:
+    origin = q.plan(db).origin
+    return origin["outcome"], origin["reason"]
+
+
+def test_drift_window_boundary():
+    assert PLAN_DRIFT == 2
+    assert not drifted((4, 0), (8, 2))
+    assert drifted((4,), (9,))
+    assert drifted((9,), (4,))
+    assert drifted((0,), (3,))
+
+
+def test_equal_statistics_plan_once():
+    q = Query(ADOM)
+    assert q.result(A).as_set() == _oracle(q, A)
+    assert METRICS.get("planner.plans") == 1
+    assert q.result(B).as_set() == _oracle(q, B)
+    assert METRICS.get("planner.plans") == 1
+    assert METRICS.get("delta.replans_avoided") == 1
+    # Another query of the same template (other constants) reuses it too.
+    assert Query(JOIN).plan(A).origin["outcome"] == "planned"
+    assert _origin(Query(JOIN), B) == ("reused", None)
+    assert METRICS.get("planner.replans.miss") == 2
+
+
+def test_size_past_the_window_replans_with_drift():
+    q = Query(ADOM)
+    q.plan(A)
+    # Same longest string, three times the rows and active domain.
+    big = _db({"0110", "001", "11", "1111", "0000", "1010", "0101",
+               "100", "010"})
+    assert _origin(q, big) == ("planned", "drift")
+    assert _origin(q, big) == ("reused", None)
+    assert q.result(big).as_set() == _oracle(q, big)
+    assert METRICS.get("planner.replans.drift") == 1
+
+
+def test_adom_empty_and_back_replans_with_eligibility():
+    q = Query(ADOM)
+    vdb = VersionedDatabase(A)
+    assert _origin(q, vdb.head.database) == ("planned", "miss")
+    vdb.delete("R", A.relation("R"))
+    vdb.delete("S", A.relation("S"))
+    empty = vdb.head.database
+    assert not empty.adom
+    assert _origin(q, empty) == ("planned", "eligibility")
+    assert q.plan(empty).engine == "automata"
+    assert q.result(empty).as_set() == _oracle(q, empty) == set()
+    vdb.insert("R", A.relation("R"))
+    vdb.insert("S", A.relation("S"))
+    back = vdb.head.database
+    assert _origin(q, back) == ("planned", "eligibility")
+    assert q.result(back).as_set() == _oracle(q, back)
+    assert METRICS.get("planner.replans.eligibility") == 2
+
+
+def test_new_relation_in_the_schema_replans():
+    q = Query(ADOM)
+    q.plan(A)
+    wider = _db({"0110", "001", "11"}, T={"1"})
+    assert _origin(q, wider) == ("planned", "eligibility")
+    assert q.result(wider).as_set() == _oracle(q, wider)
+
+
+def test_another_alphabet_is_still_refused():
+    q = Query(JOIN)
+    q.plan(A)
+    wider = StringDatabase("012", {
+        "R": A.relation("R"), "S": A.relation("S"),
+    }).db
+    with pytest.raises(EvaluationError, match="alphabets differ"):
+        q.plan(wider)
+
+
+def test_sharded_route_replans():
+    q = Query(JOIN)
+    q.plan(A)
+    coordinator = SimpleNamespace(scheme="hash")
+    other = _db({"1"})
+    routes = [database_fingerprint(other)]
+    # The first route registers the sharded backend: a new registry.
+    router_register(routes[0], coordinator, shard_database("o", other, 2))
+    try:
+        assert _origin(q, A) == ("planned", "miss")
+        assert _origin(q, A) == ("reused", None)
+        # A route for this very database changes what eligibility reads.
+        routes.append(database_fingerprint(A))
+        router_register(routes[1], coordinator, shard_database("a", A, 2))
+        assert _origin(q, A) == ("planned", "eligibility")
+        assert _origin(q, A) == ("reused", None)
+    finally:
+        for fingerprint in routes:
+            router_unregister(fingerprint)
+    # The last route out unregisters the backend again.
+    assert _origin(q, A) == ("planned", "miss")
+
+
+def test_closure_compiled_after_a_cold_plan_replans_once_with_warm():
+    q = Query(JOIN)
+    cold = q.plan(A)
+    assert cold.cold_probes
+    get_pipeline(cold.formula, q.structure, A.schema, cold.slack)
+    assert _origin(q, A) == ("planned", "warm")
+    assert _origin(q, A) == ("reused", None)
+    assert METRICS.get("planner.replans.warm") == 1
+    assert q.result(A).as_set() == _oracle(q, A)
+
+
+def test_a_hit_on_an_unchanged_snapshot_reads_no_statistics(monkeypatch):
+    q = Query(JOIN)
+    cache = plan_cache()
+    cache.lookup(q.template, q.structure, A)
+    reads = []
+
+    def counted(name):
+        original = getattr(Database, name)
+        if isinstance(original, property):
+            return property(lambda db: reads.append(name) or original.fget(db))
+        return lambda db, *args: reads.append(name) or original(db, *args)
+
+    for name in ("adom", "max_string_length", "adom_prefix_closure_size",
+                 "total_string_length", "relation", "size"):
+        monkeypatch.setattr(Database, name, counted(name))
+    found = cache.lookup(q.template, q.structure, A)
+    assert found.replanned is None and not found.moved
+    assert reads == []
+    # Another snapshot is validated against the recorded statistics.
+    assert cache.lookup(q.template, q.structure, B).moved
+    assert reads
+
+
+# ------------------------------------------------------------ regret guard
+#
+# A reused plan was chosen on statistics up to PLAN_DRIFT away from the
+# database it runs on.  These shapes must choose the same engine and
+# strategy across that window (every size scaled to 0.5x, 1x and 2x), or
+# the choice they make at each end is pinned here on purpose.
+
+SCALES = (0.5, 1, 2)
+
+
+def _scaled(relations: dict, factor: float) -> Database:
+    """``relations`` with every relation's size times ``factor``: every
+    other row kept, or one new row of the same length added per row."""
+    rng = random.Random(0)
+    taken = set().union(*relations.values())
+    out = {}
+    for name, rows in relations.items():
+        rows = sorted(rows)
+        if factor < 1:
+            rows = rows[::2]
+        elif factor > 1:
+            for row in list(rows):
+                width = len(row)
+                while (new := "".join(
+                    rng.choice("01") for _ in range(width)
+                )) in taken:
+                    width += rng.random() < 0.1
+                taken.add(new)
+                rows.append(new)
+        out[name] = {(row,) for row in rows}
+    return Database(BINARY, out)
+
+
+def _service_plan(text: str, structure: str, db: Database):
+    """Planned the way the service replans: the closure compiled first."""
+    q = Query(text, structure=structure)
+    prewarm(q.formula, q.structure, db.schema)
+    return Planner(q.structure, db).plan(q.formula)
+
+
+def test_read_write_shapes_choose_alike_across_the_window():
+    relations, _ = workload.make_database(random.Random("read_write:1"), 2)
+    shapes = (workload.w_not_in_r, workload.w_last, workload.w_union,
+              workload.w_like)
+    for factor in SCALES:
+        db = _scaled(relations, factor)
+        for shape in shapes:
+            reset_caches()
+            query = shape("W0")
+            plan = _service_plan(query.text, query.structure, db)
+            assert (plan.engine, plan.strategy) == ("algebra", "fused"), (
+                query.text, factor,
+            )
+
+
+#: bench_delta shape -> (auto choice in a cold process per scale, forced)
+BENCH_DELTA_CHOICES = {
+    "untouched_promote": (
+        {0.5: ("direct", ""), 1: ("direct", ""), 2: ("direct", "")},
+        ("direct", ""),
+    ),
+    # The fused strategy wins once the join is large enough to pay for
+    # compiling its closure: a cold plan made at half the size and
+    # reused at the full size runs interpreted.
+    "join_maintain": (
+        {0.5: ("algebra", "interpreted"), 1: ("algebra", "fused"),
+         2: ("algebra", "fused")},
+        ("algebra", "interpreted"),
+    ),
+}
+
+
+def test_bench_delta_shapes_choices_across_the_window():
+    for shape, text, engine, _, (n, *_) in bench_delta.SHAPES:
+        auto, forced = BENCH_DELTA_CHOICES[shape]
+        relations = {
+            "R": bench_delta.make_rows(n, seed=7 * n),
+            "S": bench_delta.make_rows(n, seed=7 * n + 1),
+        }
+        q = Query(text)
+        for factor in SCALES:
+            db = _scaled(relations, factor)
+            reset_caches()
+            plan = Planner(q.structure, db).plan(q.formula)
+            assert (plan.engine, plan.strategy) == auto[factor], (shape, factor)
+            plan = Planner(q.structure, db).plan(q.formula, force=engine)
+            assert (plan.engine, plan.strategy) == forced, shape
+
+
+def test_concurrent_lookups_answer_correctly():
+    """Worker threads sharing the plan cache across databases on both
+    sides of the drift window must answer exactly, and every replan must
+    be one counted planning."""
+    empty = _db(set(), set())
+    big = _db({"0110", "001", "11", "1111", "0000", "1010", "0101"})
+    databases = (A, B, empty, big)
+    queries = (Query(ADOM), Query(JOIN))
+    expected = {
+        (i, j): _oracle(q, db)
+        for i, q in enumerate(queries) for j, db in enumerate(databases)
+    }
+    errors = []
+
+    def work(thread: int):
+        try:
+            for k in range(60):
+                i, j = k % 2, (thread + k) % len(databases)
+                got = queries[i].result(databases[j]).as_set()
+                if got != expected[i, j]:
+                    errors.append((i, j, got))
+        except Exception as exc:  # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    replans = sum(
+        n for name, n in METRICS.snapshot().items()
+        if name.startswith("planner.replans.")
+    )
+    assert replans == METRICS.get("planner.plans") > 0

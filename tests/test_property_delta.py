@@ -19,8 +19,10 @@ from repro.database.instance import Database
 from repro.database.schema import Schema
 from repro.delta import VersionedDatabase, lineage
 from repro.service import QueryService, RunRequest
-from repro.engine.cache import BoundedCache
+from repro.engine.cache import BoundedCache, reset_caches
 from repro.engine.explain import execute_plan
+from repro.engine.planner import Planner
+from repro.eval.automata_engine import AutomataEngine
 from repro.strings import BINARY
 from tests._fused import fused_plan, fused_rows
 
@@ -170,6 +172,53 @@ def test_join_maintained_over_long_chain():
             query.result(vdb.head.database, engine="algebra").as_set()
             == query.result(fresh, engine="algebra").as_set()
         )
+
+
+#: The plan-cache differential's shapes: the in-process ones plus two
+#: whose engine choice moves with the statistics.
+PLANNED = QUERIES + [
+    "R(x) & exists adom y: (S(y) & y <<= x)",
+    "R(x) & S(y) & x <<= y",
+]
+
+
+@given(r=relation, s=relation, ops=st.lists(step, min_size=1, max_size=6))
+@settings(max_examples=20, deadline=None)
+def test_cached_plans_answer_like_the_oracle(r, s, ops):
+    # Delta chains whose steps stay inside the plan cache's drift window
+    # or cross it, through Query.result and the service alike: every
+    # answer is the automata oracle's, and a plan reused on equal
+    # statistics is the plan a fresh planner makes.
+    reset_caches()
+    base = Database(
+        BINARY,
+        {"R": {(x,) for x in r}, "S": {(x,) for x in s}},
+        schema=Schema({"R": 1, "S": 1}),
+    )
+    vdb = VersionedDatabase(base)
+    model = {"R": set(r), "S": set(s)}
+    queries = [(text, Query(text)) for text in PLANNED]
+    with QueryService(workers=1) as svc:
+        svc.register_database("main", base)
+        for op in [None, *ops]:
+            if op is not None:
+                _evolve(vdb, model, [op])
+                side, rel, rows = op
+                svc.apply_delta("main", **{f"{side}s": {rel: sorted(rows)}})
+            db = vdb.head.database
+            for text, query in queries:
+                want = AutomataEngine(query.structure, db).run(
+                    query.formula
+                ).as_set()
+                assert query.result(db).as_set() == want, text
+                served = svc.execute(RunRequest(query=text, database="main"))
+                assert {tuple(row) for row in served.rows} == want, text
+                plan = query.plan(db)
+                if plan.db_stats == plan.origin["current_stats"]:
+                    fresh = Planner(query.structure, db).plan(query.formula)
+                    assert (plan.engine, plan.strategy) == (
+                        fresh.engine, fresh.strategy
+                    ), text
 
 
 @pytest.fixture(scope="module", params=["hash", "relation"])

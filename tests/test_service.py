@@ -123,16 +123,27 @@ class TestPreparedQueries:
         assert r1.ok and r2.ok
         assert r1.rows == r2.rows == [["0110"]]
 
-    def test_plan_cached_per_fingerprint(self, service):
+    def test_plan_reused_until_statistics_drift(self, service):
         prep = service.prepare("R(x) & last(x, '0')")
-        entry = service._entry("main")
-        p1 = prep.plan_for(entry)
-        p2 = prep.plan_for(entry)
-        assert p1 is p2
-        # New contents under the same name -> a fresh plan.
-        service.register_database("main", StringDatabase("01", {"R": {"00"}}))
+        p1 = prep.plan_for(service._entry("main"))
+        assert prep.plan_for(service._entry("main")) is p1
+        # Other contents with the same statistics reuse the plan.
+        service.register_database("main", StringDatabase(
+            "01", {"R": {"1001", "110", "00"}, "S": {"1", "10"}}
+        ))
+        plans = METRICS.get("planner.plans")
+        drifts = METRICS.get("planner.replans.drift")
+        assert prep.plan_for(service._entry("main")) is p1
+        assert METRICS.get("planner.plans") == plans
+        # Contents past the drift window (three R rows to seven) replan.
+        service.register_database("main", StringDatabase("01", {
+            "R": {"1001", "110", "00", "0100", "111", "01", "10"},
+            "S": {"1", "10"},
+        }))
         p3 = prep.plan_for(service._entry("main"))
         assert p3 is not p1
+        assert METRICS.get("planner.plans") == plans + 1
+        assert METRICS.get("planner.replans.drift") == drifts + 1
 
     def test_parse_error_is_structured(self, service):
         resp = service.execute(RunRequest(query="R(x", database="main"))
@@ -891,14 +902,20 @@ class TestLoopHits:
         bound.clear()
         assert service.answer_cached(request).rows == [["001"], ["0110"]]
         assert bound == []
-        # "0000" is a new active-domain string: the template is replanned,
-        # and the new plan is bound once for the same text.
+        # "0000" is a new active-domain string, but the statistics stay
+        # within the drift window: the plan is reused, not bound again.
         service.insert_rows("main", "R", [["0000"]])
         assert service.answer_cached(request) is None
-        assert service.execute(request).rows == \
-            [["0000"], ["001"], ["0110"]]
-        assert service.answer_cached(request).rows == \
-            [["0000"], ["001"], ["0110"]]
+        rows = [["0000"], ["001"], ["0110"]]
+        assert service.execute(request).rows == rows
+        assert service.answer_cached(request).rows == rows
+        assert bound == []
+        # A new relation changes the schema: the template is replanned,
+        # and the new plan is bound once for the same text.
+        service.insert_rows("main", "T", [["1"]])
+        assert service.answer_cached(request) is None
+        assert service.execute(request).rows == rows
+        assert service.answer_cached(request).rows == rows
         assert bound == [("0.*",)]
 
     def test_a_missing_probe_neither_parses_nor_plans(self, service):
