@@ -14,7 +14,7 @@ SMOKE_DIR := .bench-smoke
 ## Fast local loop: lints, skip @pytest.mark.slow tests, then smoke the
 ## perf claims cheapest to regress silently (algebra joins, the flat-array
 ## automata kernel, the shard scatter-gather pool, incremental delta
-## maintenance, the algebra engine's fused codegen strategy, the RANF-widened
+## maintenance, the algebra engine's compiled closures, the RANF-widened
 ## fast-engine regime, and the asyncio service front end, each gated
 ## against its committed BENCH_*.json).
 test: lint-confine bench-algebra-smoke bench-kernel-smoke \
@@ -51,6 +51,9 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##   evict     popitem(last=False) and pop(next(iter( under src/ outside
 ##             engine/cache.py — every memo table is a BoundedCache, the
 ##             one LRU eviction (docs/explain_and_metrics.md).
+##   executor  AlgebraExecutor, run_algebra, run_ranf and repro.algebra.exec
+##             under src/ — the compiled closure runs every algebra plan, and
+##             the interpreter is the test oracle (docs/codegen_engine.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 
@@ -132,10 +135,11 @@ bench-delta-smoke:
 	mkdir -p $(SMOKE_DIR)
 	$(PY) benchmarks/bench_delta.py --smoke --compare --explain-json $(SMOKE_DIR)/delta.json
 
-## Compiled fused pipelines vs the interpreted algebra executor (full
-## sweep, asserts the >=2x warm-closure speedup on both shapes, checks
-## the auto plan runs the algebra engine fused with a CodegenPipeline node,
-## and gates every ratio against BENCH_codegen.json).
+## The algebra engine's compiled closures vs the reference interpreter
+## kept as the test oracle (full sweep, asserts the >=2x warm-closure
+## speedup on both shapes, checks the warm auto plan runs the algebra
+## engine with a CodegenPipeline node, and gates every ratio against
+## BENCH_codegen.json).
 bench-codegen:
 	mkdir -p $(SMOKE_DIR)
 	$(PY) benchmarks/bench_codegen.py --compare --explain-json $(SMOKE_DIR)/codegen.json

@@ -1,12 +1,13 @@
-"""CODEGEN-1: compiled fused pipelines vs the interpreted algebra executor.
+"""CODEGEN-1: the compiled closure vs the reference algebra interpreter.
 
-The acceptance claim of the algebra engine's fused strategy
+The acceptance claim of the algebra engine's executor
 (``docs/codegen_engine.md``): on a fused scan→select→project→join shape,
 running the generated Python pipeline (warm closure cache — compilation
 already paid) is at least **2x** faster than walking the same optimized
-plan through the interpreted :class:`~repro.algebra.exec.AlgebraExecutor`,
-and the auto plan for that shape runs the algebra engine fused once the
-closure is warm, with a ``CodegenPipeline`` node in EXPLAIN.
+plan through the operator-at-a-time interpreter kept as the test oracle
+(``tests/_reference_algebra.py``), and the auto plan for that shape runs
+the algebra engine once the closure is warm, with a ``CodegenPipeline``
+node in EXPLAIN.
 
 Two workload shapes:
 
@@ -25,18 +26,22 @@ Two workload shapes:
     at all).  Falls back to the (still fused) pure loop when numpy is
     unavailable, so the speedup bar holds either way.
 
-Both sides answer from the same optimized plan and the benchmark
-asserts row agreement at every size.  ``--write-baseline`` commits the
+Both sides get the same optimized plan up front (the closure compiled,
+the interpreter handed the plan), neither carries rows from one run to
+the next, and the benchmark asserts row agreement at every size.  ``--write-baseline`` commits the
 speedup ratios to ``BENCH_codegen.json`` via ``benchmarks/_regress.py``;
 ``--compare`` exits non-zero when any measured ratio degrades by more
 than the baseline's threshold (1.3x) — ``make bench-codegen`` runs the
 full gate and ``make test`` the ``--smoke`` subset.
 """
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.algebra.codegen import closure_cache, get_pipeline
-from repro.algebra.exec import AlgebraExecutor, compile_for_execution
+from repro.algebra.optimize import compile_for_execution
 from repro.database import random_database
 from repro.logic import parse_formula
 from repro.logic.canonical import canonicalize
@@ -45,6 +50,9 @@ from repro.structures.catalog import S as S_factory
 
 from _common import measure, print_table, write_explain_json
 import _regress
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests._reference_algebra import AlgebraExecutor  # noqa: E402
 
 #: Acceptance bar at the largest full-sweep size, both shapes.
 FULL_SPEEDUP = 2.0
@@ -89,11 +97,8 @@ def _compiled(shape: str, db):
     """(optimized plan, warm GeneratedPipeline, structure, formula)."""
     structure = S_factory(BINARY)
     formula = canonicalize(parse_formula(_shape(shape)[1]))
-    _compiled_q, plan = compile_for_execution(
-        formula, structure, db.schema, slack=0
-    )
-    pipeline, detail = get_pipeline(formula, structure, db.schema, slack=0)
-    assert pipeline is not None, f"{shape}: codegen rejected the plan: {detail}"
+    plan = compile_for_execution(formula, structure, db.schema, slack=0).fin
+    pipeline, _ = get_pipeline(formula, structure, db.schema, slack=0)
     return plan, pipeline, structure, formula
 
 
@@ -102,8 +107,9 @@ def run_shape(shape: str, n: int) -> dict:
 
     The compiled side times only ``pipeline.run`` — the closure is warm,
     which is the steady state the planner's amortized cost model prices
-    (repeated/prepared queries).  The interpreted side gets a fresh
-    executor per run so no memo carries over between repeats.
+    (repeated/prepared queries).  The interpreted side times only
+    ``run`` on the same plan, with a fresh executor per run so no memo
+    carries over between repeats.
     """
     db = _db(shape, n)
     plan, pipeline, structure, _formula = _compiled(shape, db)
@@ -171,7 +177,7 @@ def _top_rows(rows: list[dict]) -> list[dict]:
 
 def _print_rows(rows: list[dict]) -> None:
     print_table(
-        "Fused compiled pipeline (warm closure) vs interpreted executor",
+        "Compiled closure (warm) vs reference interpreter",
         ["shape", "n", "out rows", "interp s", "compiled s", "speedup",
          "src lines", "np stages"],
         [
@@ -192,12 +198,10 @@ def _print_rows(rows: list[dict]) -> None:
 
 def check_planner_flips(n: int) -> dict:
     """The acceptance EXPLAIN: once the closure is warm, the auto plan on
-    the fused-join shape runs the algebra engine fused and the physical
-    tree is a ``CodegenPipeline`` node carrying the generated-source line
-    count."""
+    the fused-join shape runs the algebra engine and the physical tree is
+    a ``CodegenPipeline`` node carrying the generated-source line count."""
     from repro.core import Query
     from repro.engine import global_cache
-    from repro.engine.backend import FUSED
 
     db = _db("fused_join", n)
     query = Query(_shape("fused_join")[1], structure="S")
@@ -218,18 +222,16 @@ def check_planner_flips(n: int) -> dict:
             yield from kinds(child)
 
     explain_kinds = sorted(set(kinds(tree)))
-    print(f"planner chose: {report.plan.engine} ({report.plan.strategy}); "
+    print(f"planner chose: {report.plan.engine}; "
           f"EXPLAIN node kinds: {explain_kinds}")
-    assert (report.plan.engine, report.plan.strategy) == ("algebra", FUSED), (
-        "warm closure did not make the plan run fused (chose "
-        f"{report.plan.engine} {report.plan.strategy}; "
-        f"costs {report.plan.costs})"
+    assert report.plan.engine == "algebra", (
+        "warm closure did not make the plan run the algebra engine (chose "
+        f"{report.plan.engine}; costs {report.plan.costs})"
     )
     assert "CodegenPipeline" in explain_kinds
     assert "source_lines" in tree["annotations"]
     return {
         "engine": report.plan.engine,
-        "strategy": report.plan.strategy,
         "explain": report.to_dict(),
     }
 
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     )
 
     if not all(r["agree"] for r in rows):
-        print("FAIL: compiled pipeline and interpreted executor disagree")
+        print("FAIL: compiled closure and reference interpreter disagree")
         return 1
     floor = 1.0 if smoke else FULL_SPEEDUP
     for r in _top_rows(rows):

@@ -4,7 +4,7 @@ The acceptance claim of the RANF translation (``docs/ranf_translation.md``):
 on queries the old algebra gate rejected — restricted PREFIX/LENGTH
 quantifiers, and gamma-bounded queries whose free variables are not
 anchored in a positive database atom — the RANF-translated plan run by
-the algebra engine (interpreted or fused) is at least **5x** faster than
+the algebra engine's compiled closure is at least **5x** faster than
 the exact automata engine (the engine the planner had to fall back to
 before this translation existed) on at least three shapes at the largest
 benchmarked size, and the auto planner now actually *chooses* the fast
@@ -185,8 +185,8 @@ def _assert_old_gate_rejected(shape: str, db) -> None:
 def run_shape(shape: str, n: int) -> dict:
     """Median times for one shape at one size, fast engine vs automata.
 
-    The fast side runs the auto plan when the planner picks algebra
-    (interpreted or fused), else a forced-``algebra`` plan (the slow shapes,
+    The fast side runs the auto plan when the planner picks algebra,
+    else a forced-``algebra`` plan (the slow shapes,
     where automata stays the auto choice and we record the honest
     ratio).  Fresh automaton/result caches per repeat; the RANF
     translation cache stays warm across repeats — the steady state the
@@ -224,7 +224,6 @@ def run_shape(shape: str, n: int) -> dict:
         "agree": fast_rows[0] == auto_rows[0],
         "auto_engine": auto_plan.engine,
         "fast_engine": fast_plan.engine,
-        "fast_strategy": fast_plan.strategy,
         "automata_s": automata_s,
         "fast_s": fast_s,
         "speedup": automata_s / max(fast_s, 1e-9),
@@ -277,7 +276,7 @@ def _print_rows(rows: list[dict]) -> None:
     print_table(
         "RANF-translated fast engine vs exact automata baseline",
         ["shape", "n", "out rows", "auto choice", "fast engine",
-         "strategy", "automata s", "fast s", "speedup"],
+         "automata s", "fast s", "speedup"],
         [
             (
                 r["shape"],
@@ -285,7 +284,6 @@ def _print_rows(rows: list[dict]) -> None:
                 r["rows"],
                 r["auto_engine"],
                 r["fast_engine"],
-                r["fast_strategy"],
                 f"{r['automata_s']:.4f}",
                 f"{r['fast_s']:.4f}",
                 f"{r['speedup']:.2f}x",

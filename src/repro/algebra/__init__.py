@@ -8,8 +8,9 @@ Safe queries as executable plans (Theorems 4 and 8): plan nodes in
 
 Beyond the paper's syntax, :mod:`repro.algebra.optimize` grows an
 execution-oriented rewrite pass (:func:`optimize_for_execution`, hash-join
-fusion + pushdown) and :mod:`repro.algebra.exec` runs the result
-set-at-a-time — the planner's third engine (``docs/algebra_engine.md``).
+fusion + pushdown) and :mod:`repro.algebra.codegen` compiles the result
+into one Python closure — the planner's third engine
+(``docs/algebra_engine.md``).
 """
 
 from repro.algebra.compile import (
@@ -31,12 +32,6 @@ from repro.algebra.dialects import (
     RA_S_len,
     RA_S_reg,
 )
-from repro.algebra.exec import (
-    AlgebraExecutor,
-    OpStats,
-    compile_for_execution,
-    run_algebra,
-)
 from repro.algebra.plan import (
     AddFirstOp,
     AddLastOp,
@@ -57,6 +52,7 @@ from repro.algebra.plan import (
     col,
 )
 from repro.algebra.optimize import (
+    compile_for_execution,
     evaluate_with_cse,
     optimize,
     optimize_for_execution,
@@ -67,7 +63,6 @@ __all__ = [
     "AddFirstOp",
     "AddLastOp",
     "AlgebraDialect",
-    "AlgebraExecutor",
     "BaseRel",
     "CompileError",
     "CompiledQuery",
@@ -78,7 +73,6 @@ __all__ = [
     "FOR_STRUCTURE",
     "InsertAtOp",
     "Join",
-    "OpStats",
     "ParamRel",
     "Plan",
     "PrefixOp",
@@ -103,6 +97,5 @@ __all__ = [
     "optimize_for_execution",
     "is_database_free",
     "query_constants",
-    "run_algebra",
     "to_calculus",
 ]

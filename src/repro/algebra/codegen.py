@@ -1,11 +1,8 @@
-"""Compiled-plan codegen: fuse optimized algebra plans into Python closures.
+"""The algebra engine's executor: fuse optimized plans into Python closures.
 
-The interpreted executor (:mod:`repro.algebra.exec`) pays per-tuple
-dispatch at every operator boundary: each ``Select`` call re-enters
-a condition checker, each ``Join`` rebuilds key lambdas, each
-``Project`` materializes an intermediate frozenset.  This module walks the
-same ``optimize_for_execution`` plan once and *emits Python source* for a
-single fused pipeline:
+Every RA(M) plan the algebra engine runs is walked once and *emitted as
+Python source* for a single fused pipeline — there is no operator-at-a-
+time interpreter to fall back to:
 
 * scan -> select -> project chains collapse into one loop body, with
   cheap predicates (``eq``/``last``/``prefix``/``sprefix`` over column
@@ -15,27 +12,37 @@ single fused pipeline:
   is always a slot (:mod:`repro.logic.literals`) — and everything
   else routed through a pre-built checker closed over by the function
   and bound to the run's values once, in the prologue;
+* the column-appending string operators fuse into the same loop body;
+  ``prefix_i`` and ``down_i`` (Section 6.2's exponential operator, over
+  ``alphabet.strings_up_to``) open a nested loop per row;
 * ``Join``/semi-join hash tables are built once per run, outside the
   probe loop, with the build side chosen by cardinality at run time;
 * ``Union``/``Difference`` become frozenset ``|``/``-`` on
   already-projected streams;
+* a RANF pair (:mod:`repro.algebra.ranf`) compiles into one closure: the
+  ``inf`` half runs first and a nonempty answer returns ``None`` (the
+  caller defers to the exact engine); the ``fin`` half then reuses every
+  relation the ``inf`` half already built;
 * an optional numpy columnar path handles wide ``BaseRel`` scans whose
   fused ops are all vectorizable (bit-identical to the pure loop, which
   stays in the generated source as the runtime fallback branch).
+
+Each stage's rows are handed back to the caller, which counts them for
+EXPLAIN and, on a delta-store version, records them for ΔQ maintenance
+(:mod:`repro.delta.maintenance`).
 
 The emitted source is ``compile()``/``exec``-ed into a closure and cached
 in the registered :class:`~repro.engine.cache.BoundedCache`
 ``codegen.cache``, keyed by *(structure, alphabet, slack, schema,
 canonical fingerprint)*.  Generated code is data-independent —
-the closure ``_pipeline(_db, _params, _stage_rows)`` takes the database
+the closure ``_pipeline(_db, _params, _stages)`` takes the database
 and the values of a query template's slots at call time (a ``Param(i)``
 operand is ``_params[i]``; a concrete query passes ``()``) — so row-only
 deltas and new constants reuse closures and only schema changes
 recompile; answer freshness is the whole-result cache's job
 (:func:`repro.engine.explain.execute_plan`, stage ``result:algebra``,
 keyed by database and concrete-query fingerprint, promoted along delta
-chains).  The backend runs a plan through this module when the planner
-chose its *fused* strategy (:class:`repro.engine.backend.AlgebraBackend`).
+chains).
 
 This is the only module in the repository allowed to call
 ``compile``/``exec`` (enforced by ``tools/lint_confine.py``).
@@ -51,12 +58,13 @@ try:  # numpy is optional; the generated source keeps a pure branch.
 except ImportError:  # pragma: no cover
     _np = None
 
-from repro.algebra.exec import _is_semi_join, compile_for_execution
+from repro.algebra.optimize import _is_semi_join, compile_for_execution
 from repro.algebra.plan import (
     AddFirstOp,
     AddLastOp,
     BaseRel,
     Difference,
+    DownOp,
     EpsilonRel,
     InsertAtOp,
     Join,
@@ -85,62 +93,52 @@ from repro.structures.base import StringStructure
 _NP_MIN_ROWS = 64
 
 #: Column-appending ops that fuse into the row loop like selects and
-#: projections do.  ``PrefixOp`` is the only one-to-many among them (one
-#: row expands to ``|s|+1``); the rest are per-row transforms.
-_APPENDERS = (PrefixOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp)
-
-#: Plan nodes the emitter knows how to fuse.  ``DownOp`` deliberately
-#: stays interpreted: its expansion is exponential in string length
-#: (Section 6.2's "very expensive ... unavoidable" operator), so the
-#: structured fallback to the interpreted executor is the honest path.
-_SUPPORTED = (
-    BaseRel, EpsilonRel, ParamRel, Select, Project, Product, Join, Union,
-    Difference,
-) + _APPENDERS
+#: projections do.  ``PrefixOp`` and ``DownOp`` are one-to-many (one row
+#: expands to ``|s|+1`` prefixes, resp. every string of length at most
+#: ``|s|``); the rest are per-row transforms.
+_APPENDERS = (PrefixOp, DownOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp)
 
 _CHECKPOINT_MASK = 255
 
 
-class UnsupportedPlan(Exception):
-    """Raised by the emitter on a plan shape it cannot fuse."""
-
-
-@dataclass(frozen=True)
-class _Rejected:
-    """Negative closure-cache entry: this shape is known not to compile."""
-
-    reason: str
-
-
 @dataclass
 class GeneratedPipeline:
-    """A compiled plan: generated source + the executable closure."""
+    """A compiled plan: generated source + the executable closure.
+
+    ``stages`` describe the materialized relations in execution order
+    and ``nodes`` are the plan nodes they hold; the first ``inf_stages``
+    belong to a RANF pair's ``inf`` half (0 without one).  ``joins`` is
+    the number of hash and semi-join stages."""
 
     source: str
     fn: Callable
     columns: tuple[str, ...]
     stages: tuple[dict, ...]
+    nodes: tuple[Plan, ...]
     line_count: int
     np_stages: int
     fingerprint: str
+    inf_stages: int = 0
+    branch: str = "collapsed"
+    joins: int = 0
 
-    def run(self, database, params=()) -> tuple[frozenset, list[int]]:
+    def run(
+        self, database, params=(), record=None
+    ) -> tuple[Optional[frozenset], list[int]]:
         """Execute against ``database`` with ``params`` bound to the
-        template's slots; returns (rows, per-stage row counts)."""
-        stage_rows: list[int] = []
-        rows = self.fn(database, params, stage_rows)
-        return rows, stage_rows
-
-
-def plan_supported(plan: Plan) -> tuple[bool, str]:
-    """Shape gate: every node in the plan must be fuseable."""
-    for node in plan.walk():
-        if not isinstance(node, _SUPPORTED):
-            return (
-                False,
-                f"plan contains {type(node).__name__}, which codegen does not fuse",
-            )
-    return True, "fuseable plan shape"
+        template's slots; returns (rows, per-stage row counts).  Rows are
+        ``None`` when the ``inf`` half found the answer may be infinite.
+        ``record(node, rows)``, when given, receives every non-leaf
+        stage's rows."""
+        stages: list[frozenset] = []
+        rows = self.fn(database, params, stages)
+        if self.joins:
+            METRICS.inc("algebra.joins", self.joins)
+        if record is not None:
+            for node, stage in zip(self.nodes, stages):
+                if node.children():
+                    record(node, stage)
+        return rows, [len(stage) for stage in stages]
 
 
 class _Emitter:
@@ -163,8 +161,10 @@ class _Emitter:
             "_EPS_REL": frozenset({("",)}),
             "_over_alphabet": structure.alphabet.check_string,
             "_pattern_dfa": structure.pattern_dfa,
+            "_strings_up_to": structure.alphabet.strings_up_to,
         }
         self.stages: list[dict] = []
+        self.nodes: list[Plan] = []
         self._memo: dict[Plan, str] = {}
         self._checker_names: dict[str, str] = {}
         self._pattern_names: dict[int, str] = {}
@@ -189,7 +189,7 @@ class _Emitter:
         self.w(depth, f"if not _tick & {_CHECKPOINT_MASK}: _checkpoint()")
 
     def _stage(self, var: str, label: str, kind: str, numpy: bool = False) -> None:
-        self.w(1, f"_stage_rows.append(len({var}))")
+        self.w(1, f"_stages.append({var})")
         self.stages.append({"label": label, "kind": kind, "numpy": numpy})
 
     def _checker(self, condition: Formula) -> str:
@@ -346,10 +346,9 @@ class _Emitter:
             self.w(1, f"{var} = {left} - {right}")
             self._stage(var, "difference", "AntiJoin")
         else:
-            raise UnsupportedPlan(
-                f"codegen does not fuse {type(node).__name__} nodes"
-            )
+            raise TypeError(f"no emitter for {type(node).__name__} nodes")
         self._memo[node] = var
+        self.nodes.append(node)
         return var
 
     def _emit_fused(self, top: Plan) -> str:
@@ -364,6 +363,8 @@ class _Emitter:
                 ops.append(("project", cur.indices))
             elif isinstance(cur, PrefixOp):
                 ops.append(("prefix", cur.index))
+            elif isinstance(cur, DownOp):
+                ops.append(("down", cur.index))
             elif isinstance(cur, AddLastOp):
                 self.structure.alphabet.check_string(cur.symbol)
                 ops.append(("addlast", (cur.index, cur.symbol)))
@@ -406,9 +407,9 @@ class _Emitter:
     ) -> tuple[int, str]:
         """Apply fused ops inside a loop body; returns the (possibly
         deeper) indent and the expression naming the current row.  The
-        depth grows only on ``prefix`` ops, whose one-to-many expansion
-        opens a nested loop; selects are ``continue`` guards, everything
-        else rebinds the row variable."""
+        depth grows only on ``prefix`` and ``down`` ops, whose one-to-many
+        expansion opens a nested loop; selects are ``continue`` guards,
+        everything else rebinds the row variable."""
         for kind, payload in ops:
             if kind == "select":
                 pred = self._scalar_pred(payload, row)
@@ -428,6 +429,12 @@ class _Emitter:
                 self.w(depth, f"for {ix} in range(len({row}[{i}]) + 1):")
                 depth += 1
                 self.w(depth, f"{new} = {row} + ({row}[{i}][:{ix}],)")
+            elif kind == "down":
+                ix = self.fresh("_d")
+                self.w(depth, f"for {ix} in _strings_up_to(len({row}[{payload}])):")
+                depth += 1
+                self._tickline(depth)
+                self.w(depth, f"{new} = {row} + ({ix},)")
             elif kind == "addlast":
                 i, sym = payload
                 self.w(depth, f"{new} = {row} + ({row}[{i}] + {sym!r},)")
@@ -630,16 +637,21 @@ def build_pipeline(
     columns: tuple[str, ...],
     structure: StringStructure,
     fingerprint: str,
+    inf: Optional[Plan] = None,
+    branch: str = "collapsed",
 ) -> GeneratedPipeline:
-    """Emit, compile, and exec the fused pipeline for ``plan``.
-
-    Raises :class:`UnsupportedPlan` when the plan shape cannot be fused.
-    """
+    """Emit, compile, and exec the fused pipeline for ``plan``, preceded
+    by the infinity check ``inf`` (a nullary plan) when given."""
     emitter = _Emitter(structure)
+    inf_stages = 0
+    if inf is not None:
+        check = emitter.emit(inf)
+        emitter.w(1, f"if {check}: return None")
+        inf_stages = len(emitter.stages)
     final = emitter.emit(plan)
     header = [
         f"# codegen pipeline {fingerprint[:12]} ({structure.name})",
-        "def _pipeline(_db, _params, _stage_rows):",
+        "def _pipeline(_db, _params, _stages):",
         "    _tick = 0",
     ]
     body = emitter.prologue + emitter.lines
@@ -653,13 +665,17 @@ def build_pipeline(
         fn=namespace["_pipeline"],
         columns=columns,
         stages=tuple(emitter.stages),
+        nodes=tuple(emitter.nodes),
         line_count=source.count("\n"),
         np_stages=sum(1 for s in emitter.stages if s["numpy"]),
         fingerprint=fingerprint,
+        inf_stages=inf_stages,
+        branch=branch,
+        joins=sum(1 for s in emitter.stages if s["kind"] in ("HashJoin", "SemiJoin")),
     )
 
 
-#: Compiled closures and rejected shapes.
+#: Compiled closures.
 _PIPELINES = registered("codegen.cache", DEFAULT_MAXSIZE)
 
 
@@ -693,38 +709,23 @@ def get_pipeline(
     structure: StringStructure,
     schema: Schema,
     slack: int = 0,
-) -> tuple[Optional[GeneratedPipeline], str]:
+) -> tuple[GeneratedPipeline, str]:
     """Fetch or compile the fused pipeline for ``formula``.
 
-    Returns ``(pipeline, "hit"|"compiled")`` on success or
-    ``(None, reason)`` when the shape is not fuseable — negative results
-    are cached too, so repeated probes of an unsupported shape stay cheap.
+    Returns ``(pipeline, "hit"|"compiled")``; raises
+    :class:`~repro.algebra.compile.CompileError` when the query does not
+    compile to RA(M) (the planner's eligibility gate keeps such queries
+    off the algebra engine).
     """
     key = pipeline_key(formula, structure, schema, slack)
     cached = _PIPELINES.get(key)
-    if isinstance(cached, GeneratedPipeline):
+    if cached is not None:
         return cached, "hit"
-    if isinstance(cached, _Rejected):
-        return None, cached.reason
-    try:
-        compiled, optimized = compile_for_execution(
-            formula, structure, schema, slack=slack
-        )
-    except Exception as exc:
-        reason = f"algebra compile failed: {exc}"
-        _PIPELINES.put(key, _Rejected(reason))
-        return None, reason
-    ok, why = plan_supported(optimized)
-    if not ok:
-        _PIPELINES.put(key, _Rejected(why))
-        return None, why
-    try:
-        pipeline = build_pipeline(
-            optimized, compiled.columns, structure, canonical_fingerprint(formula)
-        )
-    except UnsupportedPlan as exc:
-        _PIPELINES.put(key, _Rejected(str(exc)))
-        return None, str(exc)
+    plans = compile_for_execution(formula, structure, schema, slack=slack)
+    pipeline = build_pipeline(
+        plans.fin, plans.compiled.columns, structure,
+        canonical_fingerprint(formula), inf=plans.inf, branch=plans.branch,
+    )
     _PIPELINES.put(key, pipeline)
     return pipeline, "compiled"
 
@@ -736,7 +737,7 @@ def pipeline_probe(
     impact: the planner peeks warmth without claiming a hit; the plan
     cache asks again on every lookup, so the key is computed once)."""
     key = pipeline_key(formula, structure, schema, slack)
-    return lambda: isinstance(_PIPELINES.peek(key), GeneratedPipeline)
+    return lambda: _PIPELINES.peek(key) is not None
 
 
 def has_pipeline(
@@ -746,33 +747,16 @@ def has_pipeline(
     return pipeline_probe(formula, structure, schema, slack)()
 
 
-def shape_supported(
-    formula: Formula, structure: StringStructure, schema: Schema
-) -> tuple[bool, str]:
-    """Eligibility probe at the planner's auto slack (0): is the optimized
-    plan for ``formula`` fuseable?  Peeks the closure cache first."""
-    cached = _PIPELINES.peek(pipeline_key(formula, structure, schema, 0))
-    if isinstance(cached, GeneratedPipeline):
-        return True, "compiled pipeline cached"
-    if isinstance(cached, _Rejected):
-        return False, cached.reason
-    try:
-        _, optimized = compile_for_execution(formula, structure, schema, slack=0)
-    except Exception as exc:
-        return False, f"algebra compile failed: {exc}"
-    return plan_supported(optimized)
-
-
 def prewarm(
     formula: Formula, structure: StringStructure, schema: Schema, slack: int = 0
 ) -> bool:
     """Best-effort closure compilation for prepared queries.
 
     Called by the service on a prepared-query plan-cache miss so that the
-    *first* auto plan already prices the algebra engine's fused strategy
-    warm — this is what amortizes ``CODEGEN_SETUP_COST`` for repeated
-    queries.  The closure is compiled for the template the planner will
-    decide on (:func:`~repro.engine.planner.planning_form`).
+    *first* auto plan already prices the algebra engine warm — this is
+    what amortizes ``CODEGEN_SETUP_COST`` for repeated queries.  The
+    closure is compiled for the template the planner will decide on
+    (:func:`~repro.engine.planner.planning_form`).
     """
     from repro.engine.planner import algebra_eligible, planning_form
 
@@ -780,10 +764,8 @@ def prewarm(
         formula, _ = planning_form(formula)
         if not algebra_eligible(formula, structure):
             return False
-        pipeline, _ = get_pipeline(formula, structure, schema, slack)
+        get_pipeline(formula, structure, schema, slack)
     except Exception:
-        return False
-    if pipeline is None:
         return False
     METRICS.inc("codegen.prewarms")
     return True

@@ -11,7 +11,7 @@ module decides that question conservatively, with two independent
 certificates (either suffices):
 
 **Plan-shape certificate** (algebra-eligible queries).  Compile the
-query to its optimized RA(M) plan (:func:`repro.algebra.exec.
+query to its optimized RA(M) plan (:func:`repro.algebra.optimize.
 compile_for_execution`) and require every operator to be *row-local*:
 ``BaseRel``/``EpsilonRel`` at the leaves and ``Select`` (database-free
 condition), ``Project``, ``Union`` and the per-tuple string operators
@@ -147,16 +147,16 @@ def plan_shape_certificate(
     """``(ok, plan_relations, reason)`` for the optimized-plan analysis.
 
     Only meaningful for algebra-eligible queries (the caller checks);
-    compilation reuses :func:`~repro.algebra.exec.compile_for_execution`'s
+    compilation reuses :func:`~repro.algebra.optimize.compile_for_execution`'s
     module-level cache, so planning twice costs one dict lookup.
     """
     from repro.algebra.compile import CompileError
-    from repro.algebra.exec import compile_for_execution
+    from repro.algebra.optimize import compile_for_execution
 
     try:
-        _, optimized = compile_for_execution(
+        optimized = compile_for_execution(
             formula, structure, database.schema, slack=slack
-        )
+        ).fin
     except CompileError as exc:
         return False, (), f"query does not compile to RA(M): {exc}"
     relations = tuple(sorted({

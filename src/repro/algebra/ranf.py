@@ -17,8 +17,8 @@ per canonical fingerprint — the planner's eligibility gate):
 
 ``collapsed``
     the old fragment (ADOM-only quantifiers, collapsed form, anchored
-    free variables).  The legacy :func:`~repro.algebra.exec.run_algebra`
-    path is byte-for-byte unchanged for it.
+    free variables), compiled by Theorem 4's compiler as before
+    (:func:`~repro.algebra.optimize.compile_for_execution`).
 ``restricted-quantifiers``
     free variables all anchored, but PREFIX/LENGTH (or database-free
     NATURAL) quantifiers present.  :class:`_RanfCompiler` compiles the
@@ -38,9 +38,10 @@ per canonical fingerprint — the planner's eligibility gate):
     nullary ``pi_()(T - fin)`` — nonempty exactly when the translated
     query produced a row the certificate cannot bound, in which case the
     caller must treat the natural-semantics result as potentially
-    infinite and fall back to the automata engine.  With a correct
-    certificate the check is a cheap anti-join over the already-memoized
-    ``T``.
+    infinite and fall back to the automata engine.  Both halves compile
+    into one closure (:mod:`repro.algebra.codegen`): ``inf`` runs first
+    and ``fin`` reuses its ``T``, so with a correct certificate the check
+    is one cheap anti-join.
 
 Soundness of the quantifier constructions (the engine-agreement
 contract): a translated plan evaluates each PREFIX/LENGTH quantifier
@@ -450,68 +451,3 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
     )
     _PAIRS.put(key, pair)
     return pair
-
-
-# ---------------------------------------------------------------- execution
-
-
-@dataclass(frozen=True)
-class RanfRun:
-    """One evaluation of a translated pair.  ``infinite`` means the
-    ``inf`` half produced a row — the finite half is not the answer and
-    the caller must fall back to an engine with natural semantics."""
-
-    columns: tuple[str, ...]
-    rows: Optional[frozenset]
-    stats: Optional[object]
-    inf_stats: Optional[object]
-    infinite: bool
-    branch: str
-
-
-def run_ranf(
-    formula: Formula,
-    structure,
-    database,
-    slack: int = 1,
-    recorder=None,
-    params: tuple[str, ...] = (),
-) -> RanfRun:
-    """Evaluate the RANF pair of ``formula`` with the algebra executor.
-
-    One executor runs both halves, so the shared translated core ``T``
-    is computed once (the executor memoizes subplans by value).  The
-    ``inf`` half runs first: a nonempty result aborts before the finite
-    half is materialized.  ``params`` bind a template ``formula``'s slots
-    (a concrete ``formula`` brings its own).
-    """
-    from repro.algebra.exec import AlgebraExecutor
-
-    pair = translate_ranf(formula, structure, database.schema, slack=slack)
-    executor = AlgebraExecutor(
-        structure, database, recorder=recorder,
-        params=params or pair.compiled.params,
-    )
-    inf_stats = None
-    if pair.inf_optimized is not None:
-        METRICS.inc("algebra.ranf.inf_checks")
-        inf_rows, inf_stats = executor.run(pair.inf_optimized)
-        if inf_rows:
-            METRICS.inc("algebra.ranf.infinite_bailouts")
-            return RanfRun(
-                columns=pair.columns,
-                rows=None,
-                stats=None,
-                inf_stats=inf_stats,
-                infinite=True,
-                branch=pair.branch,
-            )
-    rows, stats = executor.run(pair.fin_optimized)
-    return RanfRun(
-        columns=pair.columns,
-        rows=rows,
-        stats=stats,
-        inf_stats=inf_stats,
-        infinite=False,
-        branch=pair.branch,
-    )

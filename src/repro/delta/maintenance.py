@@ -24,7 +24,8 @@ layer survives deltas; only the product with the changed relations is
 redone.
 
 **Subplan recording** — full algebra runs on a store-made snapshot
-record every physical operator's output rows in a bounded cache keyed by
+record every relation the compiled closure materializes (one per fused
+stage, :mod:`repro.algebra.codegen`) in a bounded cache keyed by
 ``(structure and template binding, plan node, version fingerprint)``.
 
 **ΔQ plan maintenance** (:func:`maintain_algebra_result`) — on the next
@@ -49,8 +50,12 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Optional
 
-from repro.algebra.exec import AlgebraExecutor, _is_semi_join, compile_for_execution
-from repro.algebra.optimize import _rebuild, _Shim
+from repro.algebra.optimize import (
+    _is_semi_join,
+    _rebuild,
+    _Shim,
+    compile_for_execution,
+)
 from repro.algebra.plan import (
     AddFirstOp,
     AddLastOp,
@@ -158,27 +163,22 @@ def _structure_key(structure: StringStructure, params: tuple = ()) -> tuple:
     return (structure.name, structure.alphabet.symbols, params)
 
 
-def _recorder_into(
-    structure: StringStructure, fingerprint: str, params: tuple = ()
-) -> Callable[[Plan, Rows], None]:
+def subplan_recorder(
+    structure: StringStructure, database: Database, params: tuple = ()
+) -> Optional[Callable[[Plan, Rows], None]]:
+    """A recorder for a closure run with ``params`` (:meth:`repro.algebra.
+    codegen.GeneratedPipeline.run`), or ``None`` when ``database`` is not
+    a retained delta-store version (recording would be pure overhead for
+    never-mutated databases, and no walk reaches a pruned version)."""
+    if next(lineage(database), None) is None:
+        return None
     skey = _structure_key(structure, params)
+    fingerprint = database_fingerprint(database)
 
     def record(node: Plan, rows: Rows) -> None:
         _SUBPLANS.put((skey, node, fingerprint), rows)
 
     return record
-
-
-def subplan_recorder(
-    structure: StringStructure, database: Database, params: tuple = ()
-) -> Optional[Callable[[Plan, Rows], None]]:
-    """A recorder for :class:`~repro.algebra.exec.AlgebraExecutor` running
-    with ``params``, or ``None`` when ``database`` is not a retained
-    delta-store version (recording would be pure overhead for
-    never-mutated databases, and no walk reaches a pruned version)."""
-    if next(lineage(database), None) is None:
-        return None
-    return _recorder_into(structure, database_fingerprint(database), params)
 
 
 # ----------------------------------------------------- ΔQ plan maintenance
@@ -203,8 +203,8 @@ def maintain_algebra_result(
 ) -> Optional[tuple[tuple[str, ...], Rows]]:
     """Maintain a whole algebra result across the version chain, or ``None``.
 
-    Called by the algebra backend's interpreted strategy on a
-    whole-result cache miss that promotion could not answer.  Walks
+    Called by the algebra backend on a whole-result cache miss that
+    promotion could not answer.  Walks
     ``database``'s versions to the nearest ancestor whose root subplan
     rows were recorded, then applies each walked delta through the plan
     tree with the ΔQ rules, storing every operator's rows at each
@@ -217,9 +217,10 @@ def maintain_algebra_result(
     child = next(versions, None)
     if child is None or child.delta is None:
         return None
-    compiled, optimized = compile_for_execution(
+    plans = compile_for_execution(
         plan.formula, plan.structure, database.schema, slack=plan.slack
     )
+    optimized = plans.fin
     skey = _structure_key(plan.structure, plan.params)
     chain: list[tuple[DatabaseVersion, DatabaseVersion]] = []
     for _ in range(MAX_CHAIN):
@@ -247,7 +248,7 @@ def maintain_algebra_result(
         METRICS.inc("delta.algebra_fallbacks")
         return None
     METRICS.inc("delta.algebra_maintained")
-    return compiled.columns, rows
+    return plans.compiled.columns, rows
 
 
 def _apply_delta(
@@ -261,29 +262,28 @@ def _apply_delta(
 
     Every visited node's ``(new, added, removed)`` is exact:
     ``added = new - old`` and ``removed = old - new`` as sets.  New rows
-    are stored under the child fingerprint; rows an ancestor never
-    recorded (store eviction) are recovered by evaluating that subplan
-    on the pinned parent snapshot.
+    are stored under the child fingerprint; rows the parent's run never
+    recorded (an operator fused inside a closure stage, or store
+    eviction) are recovered by evaluating that node with
+    ``Plan.evaluate`` on the pinned parent snapshot, over its children's
+    recorded or recovered rows, and recorded for the parent in turn.
     """
     delta = child.delta
     skey = _structure_key(structure, params)
     memo: dict[Plan, tuple[Rows, Rows, Rows]] = {}
-    fallback: list[Optional[AlgebraExecutor]] = [None]
 
     def old_rows(node: Plan) -> Rows:
-        rows = _SUBPLANS.peek((skey, node, parent.fingerprint))
+        key = (skey, node, parent.fingerprint)
+        rows = _SUBPLANS.peek(key)
         if rows is not None:
             METRICS.inc("delta.subplan_hits")
             return rows
         METRICS.inc("delta.subplan_misses")
-        if fallback[0] is None:
-            fallback[0] = AlgebraExecutor(
-                structure,
-                parent.database,
-                recorder=_recorder_into(structure, parent.fingerprint, params),
-                params=params,
-            )
-        rows, _stats = fallback[0].run(node)
+        shimmed = _rebuild(
+            node, [_Shim(old_rows(c), c.arity) for c in node.children()]
+        )
+        rows = shimmed.evaluate(parent.database, structure, params)
+        _SUBPLANS.put(key, rows)
         return rows
 
     def settle(node: Plan, new: Rows, added: Rows, removed: Rows):

@@ -1,7 +1,7 @@
 """Planning, caching, and observability for the evaluation engines.
 
 This package is the layer between :class:`repro.core.query.Query` and the
-evaluators in :mod:`repro.eval` / :mod:`repro.algebra.exec`.  It contains:
+evaluators in :mod:`repro.eval` / :mod:`repro.algebra.codegen`.  It contains:
 
 * :mod:`repro.engine.backend` — the :class:`~repro.engine.backend.
   EngineBackend` interface and the process-wide **backend registry**: the

@@ -7,8 +7,7 @@ an engine through this module only:
 * :class:`EngineBackend` — the interface one engine implements: a
   ``name``, an :meth:`~EngineBackend.eligible` gate (may this backend run
   this query *without changing the answer*?), a cost estimate (with the
-  execution strategy it prices, for a backend that has more than one),
-  forced-mode preparation (e.g. collapsing NATURAL quantifiers),
+  caches it found cold), forced-mode preparation (e.g. collapsing NATURAL quantifiers),
   :meth:`~EngineBackend.execute`, the EXPLAIN trace hooks, and
   :meth:`~EngineBackend.plan_inputs`, what eligibility reads of a
   database besides the planner's statistics (the plan cache compares it);
@@ -22,10 +21,8 @@ an engine through this module only:
   :class:`~repro.errors.EvaluationError` listing the registered backends.
 
 The built-in backends are ``direct``, ``automata`` and ``algebra``.  The
-algebra backend runs one optimized RA(M) plan per query in one of two
-strategies, recorded on the plan (``Plan.strategy``): *fused* into one
-generated closure (:mod:`repro.algebra.codegen`) or *interpreted* by the
-set-at-a-time executor (:mod:`repro.algebra.exec`).
+algebra backend runs one optimized RA(M) plan per query, compiled into
+one generated closure (:mod:`repro.algebra.codegen`).
 
 ``make lint-confine`` fails the build if an engine-name literal
 comparison appears outside ``src/repro/engine/``.
@@ -59,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.eval.result import QueryResult
 
 __all__ = [
-    "FUSED",
-    "INTERPRETED",
     "EngineBackend",
     "Estimate",
     "all_backends",
@@ -73,22 +68,13 @@ __all__ = [
 ]
 
 
-#: The algebra backend's two ways to run a plan (``Plan.strategy``).
-FUSED = "fused"
-INTERPRETED = "interpreted"
-
-
 class Estimate(NamedTuple):
-    """A backend's cost estimate and the execution strategy it prices
-    (empty for a backend with one way to run a plan); ``note`` says why
-    that strategy, for the plan's reason.  ``cold`` holds one probe per
-    cache the estimate found cold and priced as such: each returns True
-    once that cache is warm, which makes the plan cache replan
+    """A backend's cost estimate.  ``cold`` holds one probe per cache
+    the estimate found cold and priced as such: each returns True once
+    that cache is warm, which makes the plan cache replan
     (:mod:`repro.engine.plan_cache`)."""
 
     cost: float
-    strategy: str = ""
-    note: str = ""
     cold: tuple[Callable[[], bool], ...] = ()
 
 
@@ -112,9 +98,6 @@ class EngineBackend(abc.ABC):
     #: ``plan.params``.  Other backends are handed the bound formula
     #: (:func:`repro.engine.explain.execute_plan`).
     parameterized: bool = False
-
-    #: The strategy a *forced* plan of this backend runs (``Plan.strategy``).
-    forced_strategy: str = ""
 
     #: Whole answers are cached by
     #: :func:`repro.engine.explain.execute_plan`, keyed by the plan's
@@ -157,9 +140,9 @@ class EngineBackend(abc.ABC):
         slack: int,
         planner: "Planner",
     ) -> Estimate:
-        """:meth:`estimate_cost` with the strategy it prices.  A backend
-        with more than one way to run a plan overrides this, prices each
-        and returns the cheapest; the planner calls only this."""
+        """:meth:`estimate_cost` with the caches it found cold.  A backend
+        whose cost depends on cache warmth overrides this; the planner
+        calls only this."""
         return Estimate(
             self.estimate_cost(formula, structure, database, slack, planner)
         )
@@ -322,9 +305,9 @@ def resolve_engine(name: Optional[str]) -> Optional[str]:
 def restricted_output_gate(
     formula: Formula, database: Database
 ) -> tuple[bool, str]:
-    """The conservatism rules shared by every restricted-domain backend.
+    """The conservatism rules of the enumerating backends.
 
-    A backend that enumerates restricted domains (direct, algebra) agrees
+    A backend that enumerates restricted domains (direct, sharded) agrees
     with the reference natural semantics only when (1) the formula has no
     NATURAL quantifier, (2) every free variable is anchored in a positive
     database atom, and (3) ADOM quantification is not vacuously empty.
@@ -470,28 +453,23 @@ class AutomataBackend(EngineBackend):
 
 class AlgebraBackend(EngineBackend):
     """The RA(M) engine: one optimized algebra plan per query
-    (:func:`repro.algebra.exec.compile_for_execution`), run one of two
-    ways, whole results cached.
+    (:func:`repro.algebra.optimize.compile_for_execution`), compiled into
+    one generated Python closure (:mod:`repro.algebra.codegen`) with
+    inlined predicates and hash tables built outside the probe loop,
+    closures cached per canonical fingerprint and schema, whole results
+    cached.
 
-    * **fused** — the plan compiled into one generated Python closure
-      (:mod:`repro.algebra.codegen`): inlined predicates, hash tables
-      built outside the probe loop, closures cached per canonical
-      fingerprint and schema;
-    * **interpreted** — the set-at-a-time executor
-      (:mod:`repro.algebra.exec`) over the RANF pair, with its runtime
-      infinity check, subplan recording and ΔQ maintenance on
-      delta-store versions.
-
-    Auto plans price both and run the cheaper; the fused strategy is
-    priced only when the plan fuses and its output is anchored (the
-    fused closure runs the pair's finite half alone), and wins ties.  A
-    forced ``engine="algebra"`` plan runs interpreted.
+    The closure runs a RANF pair's runtime infinity check first and
+    defers to the exact automata engine when it trips.  On delta-store
+    versions it records the relations it materializes, and the next
+    version's answer is maintained through the ΔQ rules instead of
+    recomputed (:mod:`repro.delta.maintenance`).  Auto and forced plans
+    run alike.
     """
 
     name = "algebra"
     priority = 10
     parameterized = True
-    forced_strategy = INTERPRETED
     caches_results = True
 
     def eligible(self, formula, structure, database):
@@ -517,9 +495,8 @@ class AlgebraBackend(EngineBackend):
 
     def estimate(self, formula, structure, database, slack, planner):
         from repro.algebra import ranf
-        from repro.algebra.codegen import pipeline_probe, shape_supported
+        from repro.algebra.codegen import pipeline_probe
         from repro.engine.planner import (
-            ALGEBRA_SETUP_COST,
             CODEGEN_ROW_FACTOR,
             CODEGEN_SETUP_COST,
             RANF_SETUP_COST,
@@ -528,46 +505,24 @@ class AlgebraBackend(EngineBackend):
 
         rows = estimate_algebra_cost(formula, structure, database, slack)
         if rows == float("inf"):
-            return Estimate(rows, INTERPRETED)
-        verdict = ranf.translation_verdict(formula, structure)
+            return Estimate(rows)
+        cost = rows * CODEGEN_ROW_FACTOR
         schema = database.schema
-        cold = []
-        # The RANF pass itself; amortized away once the pair is in the
-        # translation cache.
-        ranf_setup = 0.0
+        compiled = pipeline_probe(formula, structure, schema, slack)
+        if compiled():
+            return Estimate(cost)
+        # Compiling the closure (and, outside the collapsed fragment, the
+        # RANF pass) is charged only while nothing is cached: the LRUs
+        # amortize it away for repeated and prepared queries.
+        cost += CODEGEN_SETUP_COST
+        cold = [compiled]
+        verdict = ranf.translation_verdict(formula, structure)
         if verdict.ok and verdict.branch != "collapsed":
             translated = ranf.translation_probe(formula, structure, schema, slack)
             if not translated():
-                ranf_setup = RANF_SETUP_COST
+                cost += RANF_SETUP_COST
                 cold.append(translated)
-        # Fixed compile+rewrite setup, so tiny queries stay direct.
-        interpreted = rows + ALGEBRA_SETUP_COST + ranf_setup
-        ok, why = restricted_output_gate(formula, database)
-        if ok:
-            ok, why = shape_supported(formula, structure, schema)
-        if not ok:
-            return Estimate(
-                interpreted, INTERPRETED, f"interpreted, not fuseable: {why}",
-                tuple(cold),
-            )
-        # Fusion removes per-tuple interpreter dispatch, so row work is
-        # cheaper; compilation is charged only while no closure is
-        # cached — the LRU amortizes it away for repeated and prepared
-        # queries.
-        fused = rows * CODEGEN_ROW_FACTOR
-        compiled = pipeline_probe(formula, structure, schema, slack)
-        if not compiled():
-            fused += CODEGEN_SETUP_COST + ranf_setup
-            cold.append(compiled)
-        if fused <= interpreted:
-            return Estimate(fused, FUSED, (
-                f"fused: ≈{_fmt_cost(fused)} row ops after fusion vs "
-                f"≈{_fmt_cost(interpreted)} interpreted"
-            ), tuple(cold))
-        return Estimate(interpreted, INTERPRETED, (
-            f"interpreted: ≈{_fmt_cost(interpreted)} row ops vs "
-            f"≈{_fmt_cost(fused)} fused (closure not compiled yet)"
-        ), tuple(cold))
+        return Estimate(cost, tuple(cold))
 
     def prepare_forced(self, formula, structure, slack):
         # Same restricted semantics as a forced direct engine: collapse
@@ -602,83 +557,47 @@ class AlgebraBackend(EngineBackend):
         )
 
     def execute(self, plan, database, cache, observer=None):
+        from repro.algebra.codegen import get_pipeline
+        from repro.delta import maintenance
         from repro.engine.explain import AlgebraTrace
+        from repro.eval.result import QueryResult
 
         trace = observer if isinstance(observer, AlgebraTrace) else AlgebraTrace()
-        if plan.strategy == FUSED:
-            # Closures are schema-keyed, so row-only deltas reuse the
-            # compiled code and only pay the data pass.
-            result = self._fused(plan, database, trace)
-            if result is not None:
-                return result
-        return self._interpreted(plan, database, cache, trace)
-
-    @staticmethod
-    def _fused(plan, database, trace):
-        """The answer of the plan's compiled closure, or ``None`` when the
-        shape does not fuse at the plan's slack."""
-        from repro.algebra.codegen import get_pipeline
-        from repro.eval.result import QueryResult
-
-        pipeline, detail = get_pipeline(
-            plan.formula, plan.structure, database.schema, plan.slack
-        )
-        if pipeline is None:
-            METRICS.inc("codegen.fallbacks")
-            trace.fallback = detail
-            return None
-        METRICS.inc("codegen.runs")
-        rows, trace.stage_rows = pipeline.run(database, plan.params)
-        trace.pipeline = pipeline
-        trace.closure_hit = detail == "hit"
-        return QueryResult(pipeline.columns, rows)
-
-    @staticmethod
-    def _interpreted(plan, database, cache, trace):
-        """The executor's answer, or the exact engine's when the RANF
-        pair's runtime bound check fails."""
-        from repro.algebra.exec import run_algebra
-        from repro.algebra.ranf import run_ranf, translation_verdict
-        from repro.delta import maintenance
-        from repro.eval.result import QueryResult
-
         # Delta-store versions: maintain the previous version's recorded
-        # subplan rows through the ΔQ rules instead of recomputing; full
-        # runs on store-made snapshots record their subplans for next time.
+        # subplan rows through the ΔQ rules instead of recomputing.
         maintained = maintenance.maintain_algebra_result(plan, database)
         if maintained is not None:
             # Maintained runs reuse a prior full run's answer, whose
             # "infinite" check already passed.
             trace.cached = True
             return QueryResult(*maintained)
+        # Closures are schema-keyed, so row-only deltas reuse the
+        # compiled code and only pay the data pass; full runs on
+        # store-made snapshots record their stages for next time.
+        pipeline, detail = get_pipeline(
+            plan.formula, plan.structure, database.schema, plan.slack
+        )
+        METRICS.inc("codegen.runs")
+        if pipeline.inf_stages:
+            METRICS.inc("algebra.ranf.inf_checks")
         recorder = maintenance.subplan_recorder(
             plan.structure, database, plan.params
         )
-        verdict = translation_verdict(plan.formula, plan.structure)
-        if not (verdict.ok and verdict.branch != "collapsed"):
-            columns, rows, trace.stats = run_algebra(
-                plan.formula, plan.structure, database, slack=plan.slack,
-                recorder=recorder, params=plan.params,
-            )
-            return QueryResult(columns, rows)
-        run = run_ranf(
-            plan.formula, plan.structure, database, slack=plan.slack,
-            recorder=recorder, params=plan.params,
-        )
-        trace.ranf_branch = run.branch
-        trace.inf_stats = run.inf_stats
-        trace.infinite = run.infinite
-        if run.infinite:
+        rows, trace.stage_rows = pipeline.run(database, plan.params, recorder)
+        trace.pipeline = pipeline
+        trace.closure_hit = detail == "hit"
+        if rows is None:
             # The runtime bound certificate failed: the natural result
             # may be infinite; defer to the exact engine (correctness
             # fallback, never a wrong answer).
             from repro.eval.automata_engine import AutomataEngine
 
+            METRICS.inc("algebra.ranf.infinite_bailouts")
+            trace.infinite = True
             return AutomataEngine(
                 plan.structure, database, slack=plan.slack, cache=cache
             ).run(bind(plan.formula, plan.params))
-        trace.stats = run.stats
-        return QueryResult(run.columns, run.rows)
+        return QueryResult(pipeline.columns, rows)
 
     def trace_observer(self):
         from repro.engine.explain import AlgebraTrace
@@ -686,43 +605,14 @@ class AlgebraBackend(EngineBackend):
         return AlgebraTrace()
 
     def trace_tree(self, plan, observer, seconds):
-        from repro.engine.explain import ExplainNode, op_stats_to_explain
-
-        if observer.pipeline is not None:
-            return _pipeline_tree(observer, seconds)
-        if observer.ranf_branch is not None and (
-            observer.stats is not None or observer.inf_stats is not None
-        ):
-            # A RANF pair ran: show both halves under one root, annotated
-            # with the branch that fired and the infinity-check outcome.
-            children = []
-            if observer.inf_stats is not None:
-                inf_node = op_stats_to_explain(observer.inf_stats)
-                inf_node.annotations["half"] = "inf"
-                children.append(inf_node)
-            if observer.stats is not None:
-                fin_node = op_stats_to_explain(observer.stats)
-                fin_node.annotations["half"] = "fin"
-                children.append(fin_node)
-            notes: dict[str, object] = {"branch": observer.ranf_branch}
-            if observer.infinite:
-                notes["infinite"] = True
-                notes["fallback"] = "automata"
-            root = ExplainNode(
-                f"ranf[{observer.ranf_branch}]", "RanfPair", seconds=seconds,
-                annotations=notes, children=children,
-            )
-        elif observer.stats is not None:
-            root = op_stats_to_explain(observer.stats)
-        else:
+        if observer.pipeline is None:
             return None
-        if observer.fallback is not None:
-            root.annotations["codegen_fallback"] = observer.fallback
-        return root
+        return _pipeline_tree(observer, seconds)
 
 
 def _pipeline_tree(observer, seconds: float) -> "ExplainNode":
-    """The EXPLAIN tree of a fused run: one node per fused stage."""
+    """The EXPLAIN tree of a closure run: one node per fused stage, under
+    one node per half when the closure runs a RANF pair."""
     from repro.engine.explain import ExplainNode
 
     pipeline = observer.pipeline
@@ -733,17 +623,35 @@ def _pipeline_tree(observer, seconds: float) -> "ExplainNode":
         if stage["numpy"]:
             notes["numpy"] = True
         children.append(ExplainNode(stage["label"], stage["kind"], annotations=notes))
-    return ExplainNode(
+    label = (
         f"codegen[{len(pipeline.stages)} fused stages, "
-        f"{pipeline.line_count} source lines]",
-        "CodegenPipeline",
-        seconds=seconds,
-        annotations={
-            "source_lines": pipeline.line_count,
-            "numpy_stages": pipeline.np_stages,
-            "closure": "warm" if observer.closure_hit else "compiled",
-        },
-        children=children,
+        f"{pipeline.line_count} source lines]"
+    )
+    notes = {
+        "source_lines": pipeline.line_count,
+        "numpy_stages": pipeline.np_stages,
+        "closure": "warm" if observer.closure_hit else "compiled",
+    }
+    split = pipeline.inf_stages
+    if not split:
+        return ExplainNode(
+            label, "CodegenPipeline", seconds=seconds, annotations=notes,
+            children=children,
+        )
+    # A RANF pair: the inf half's stages, then (unless the check
+    # tripped) the fin half's, which reuse the inf half's relations.
+    halves = [ExplainNode("inf", "RanfHalf", annotations={"half": "inf"},
+                          children=children[:split])]
+    notes["branch"] = pipeline.branch
+    if observer.infinite:
+        notes["infinite"] = True
+        notes["fallback"] = "automata"
+    else:
+        halves.append(ExplainNode("fin", "RanfHalf", annotations={"half": "fin"},
+                                  children=children[split:]))
+    return ExplainNode(
+        f"ranf[{pipeline.branch}] {label}", "RanfPair", seconds=seconds,
+        annotations=notes, children=halves,
     )
 
 

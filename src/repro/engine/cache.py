@@ -295,7 +295,7 @@ _REGISTRY: dict[str, Any] = {}
 #: Modules that register when imported; :func:`cache_stats` imports them,
 #: so its report does not depend on which ran first.
 _OWNERS = (
-    "algebra.codegen", "algebra.exec", "algebra.plan", "algebra.ranf",
+    "algebra.codegen", "algebra.optimize", "algebra.plan", "algebra.ranf",
     "automatic.convolution", "automatic.presentations", "delta.maintenance",
     "engine.plan_cache", "sql.like", "sql.similar", "structures.base",
 )

@@ -134,27 +134,19 @@ class TraceObserver:
 class AlgebraTrace:
     """Captures what the algebra backend actually did for one query.
 
-    A fused run fills ``pipeline`` and its per-stage ``stage_rows``, with
-    ``closure_hit`` telling a warm closure from a fresh compile.  An
-    interpreted run fills the executor's physical-operator ``stats``;
-    ``fallback`` says why a fused plan ran interpreted instead.  A result
-    maintained through the ΔQ rules sets ``cached`` and leaves the rest
-    empty, and EXPLAIN falls back to the planner's static tree.
+    A closure run fills ``pipeline`` and its per-stage ``stage_rows``,
+    with ``closure_hit`` telling a warm closure from a fresh compile, and
+    ``infinite`` when a RANF pair's runtime bound check tripped (automata
+    took over).  A result maintained through the ΔQ rules sets
+    ``cached`` and leaves the rest empty, and EXPLAIN falls back to the
+    planner's static tree.
     """
 
     def __init__(self) -> None:
         self.pipeline = None  # Optional[repro.algebra.codegen.GeneratedPipeline]
         self.stage_rows = None  # Optional[list[int]]
         self.closure_hit = False
-        self.fallback = None  # Optional[str]: why a fused plan ran interpreted
-        self.stats = None  # Optional[repro.algebra.exec.OpStats]
         self.cached = False
-        # RANF-translated runs (repro.algebra.ranf): which branch fired,
-        # the stats of the pair's "infinite" half (None when that half is
-        # omitted or a cached/maintained result skipped the run), and
-        # whether the runtime bound check tripped (automata took over).
-        self.ranf_branch = None  # Optional[str]
-        self.inf_stats = None  # Optional[repro.algebra.exec.OpStats]
         self.infinite = False
 
 
@@ -165,18 +157,6 @@ def plan_tree_to_explain(node) -> ExplainNode:
         node.kind,
         annotations=dict(node.annotations),
         children=[plan_tree_to_explain(c) for c in node.children],
-    )
-
-
-def op_stats_to_explain(stats) -> ExplainNode:
-    """Convert an :class:`repro.algebra.exec.OpStats` physical tree."""
-    return ExplainNode(
-        stats.label,
-        stats.kind,
-        seconds=stats.seconds,
-        cache_hit=stats.memo_hit or None,
-        annotations={"rows": stats.rows},
-        children=[op_stats_to_explain(c) for c in stats.children],
     )
 
 

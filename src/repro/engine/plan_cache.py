@@ -40,7 +40,7 @@ Reusing a plan never changes an answer: every backend reads the
 database when it executes (the algebra plan reads its relations and
 active domain when it runs, the automata and direct engines take the
 database in ``execute``, and the sharded backend resolves its route
-then), so a plan only fixes which engine and strategy run.  A cache an
+then), so a plan only fixes which engine runs.  A cache an
 estimate found warm and that is evicted later is rebuilt by the run.
 
 Usage::

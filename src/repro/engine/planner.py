@@ -10,11 +10,10 @@ The library has three engines with one semantics (see
   domains, polynomial in the database for the PREFIX-collapsing calculi
   (Corollaries 2/7) but exponential for S_len's LENGTH domains;
 * the **algebra engine** — compiles to RA(M) (Theorem 4/8), fuses
-  ``Select(Product)`` into hash equi-joins and runs the plan either
-  fused into one generated closure (:mod:`repro.algebra.codegen`) or
-  set-at-a-time through the interpreter (:mod:`repro.algebra.exec`);
-  asymptotically the cheapest on join-shaped ADOM queries, but it pays
-  a fixed compile+rewrite setup.
+  ``Select(Product)`` into hash equi-joins and runs the plan fused into
+  one generated closure (:mod:`repro.algebra.codegen`); asymptotically
+  the cheapest on join-shaped ADOM queries, but it pays a fixed
+  compile setup until the closure is cached.
 
 Historically callers picked an engine by hand (``Query.run(db,
 engine="direct")``).  The planner replaces that choice: it inspects the
@@ -59,10 +58,9 @@ linear-time hash join, so it goes to algebra.
 Tuning knobs (module constants): ``DIRECT_COST_CEILING`` — hard cap on
 estimated direct enumeration work; ``DIRECT_BIAS`` — how many direct
 candidate-checks are assumed to cost as much as one automata state
-expansion; ``ALGEBRA_SETUP_COST`` — fixed compile/rewrite overhead
-charged to the algebra engine so tiny queries keep going direct;
-``CODEGEN_SETUP_COST`` and ``CODEGEN_ROW_FACTOR`` — how the algebra
-engine prices its fused strategy against the interpreted one;
+expansion; ``CODEGEN_ROW_FACTOR`` — the algebra engine's per-row
+cost; ``CODEGEN_SETUP_COST`` — its fixed compile cost while no closure
+is cached, so tiny one-shot queries keep going direct;
 ``RANF_SETUP_COST`` — the RANF translation's one-off cost.
 """
 
@@ -114,25 +112,18 @@ DIRECT_COST_CEILING = 2_000_000.0
 #: against, so the automata engine wins ties it used to lose.
 DIRECT_BIAS = 24.0
 
-#: Fixed cost (in direct-check units) charged to the algebra engine for
-#: compiling the query to RA(M) and running the rewrite fixpoint.  Keeps
-#: tiny anchored queries on the direct engine, where enumeration finishes
-#: before the algebra compiler would.
-ALGEBRA_SETUP_COST = 2_000.0
-
-#: Fixed cost (in direct-check units) charged to the algebra engine's
-#: fused strategy when no compiled closure is cached for the query yet:
-#: algebra compilation *plus* source emission, ``compile()``, and
-#: ``exec``.  Deliberately higher than :data:`ALGEBRA_SETUP_COST` so
-#: one-shot queries run interpreted; the closure cache amortizes it away,
-#: so repeated and prepared queries see only the per-row cost and run
-#: fused.
+#: Fixed cost (in direct-check units) charged to the algebra engine when
+#: no compiled closure is cached for the query yet: algebra compilation,
+#: the rewrite fixpoint, source emission, ``compile()`` and ``exec``.
+#: Keeps tiny one-shot queries on the direct engine, where enumeration
+#: finishes before the compiler would; the closure cache amortizes it
+#: away, so repeated and prepared queries see only the per-row cost.
 CODEGEN_SETUP_COST = 6_000.0
 
-#: Per-row cost of a fused compiled pipeline relative to the interpreted
-#: algebra executor: operator fusion removes the per-tuple dispatch,
-#: checker re-entry and intermediate materialization that the interpreter
-#: pays at every operator boundary (measured >=2x in bench_codegen.py).
+#: Per-row cost of the algebra engine's compiled closure (in
+#: direct-check units per estimated row): fusion leaves no per-tuple
+#: dispatch, checker re-entry or intermediate materialization at
+#: operator boundaries.
 CODEGEN_ROW_FACTOR = 0.5
 
 #: Fixed cost (in direct-check units) charged to the algebra engine when
@@ -191,9 +182,7 @@ class Plan:
     backend (``inf`` where the backend's regime does not apply);
     ``fingerprint`` is the canonical structural fingerprint that keys
     every cache entry this plan will touch (a bound plan's also encodes
-    its values).  ``strategy`` is how the backend runs the plan
-    when it has more than one way (the algebra engine: ``"fused"`` or
-    ``"interpreted"``), empty otherwise.  ``db_stats`` are the
+    its values).  ``db_stats`` are the
     statistics of the database this plan was costed on
     (:func:`planning_statistics`): the plan cache
     (:mod:`repro.engine.plan_cache`) reuses a plan on other snapshots,
@@ -222,7 +211,6 @@ class Plan:
     #: Values bound to the template's slots (``Param(i)`` reads
     #: ``params[i]``); empty for a query without literals.
     params: tuple[str, ...] = ()
-    strategy: str = ""
     #: How the plan cache produced this plan, set on the plans EXPLAIN
     #: and ``Query.plan`` show: ``outcome`` ``"reused"`` or
     #: ``"planned"``, the replan ``reason`` (``miss``, ``drift``,
@@ -250,7 +238,6 @@ class Plan:
     def to_dict(self) -> dict:
         return {
             "engine": self.engine,
-            "strategy": self.strategy,
             "reason": self.reason,
             "forced": self.forced,
             "slack": self.slack,
@@ -271,8 +258,6 @@ class Plan:
 
     def render(self) -> str:
         mode = "forced" if self.forced else "auto"
-        if self.strategy:
-            mode += f", {self.strategy}"
         shown = "  ".join(
             f"{name}≈{_fmt_cost(self.costs[name])}" for name in sorted(self.costs)
         )
@@ -512,7 +497,7 @@ def estimate_algebra_cost(
     database: Database,
     slack: int,
 ) -> float:
-    """Estimated row operations of the set-at-a-time algebra executor.
+    """Estimated row operations of the algebra engine's plan.
 
     A textbook cardinality model over the *formula* (cheaper than
     compiling just to cost): relation atoms yield their cardinality,
@@ -766,7 +751,6 @@ class Planner:
                 reason=reason,
                 forced=True,
                 slack=effective,
-                strategy=backend.forced_strategy,
             )
         else:
             plan = self._auto(template, slack)
@@ -807,9 +791,6 @@ class Planner:
                 eligible, key=lambda b: (scaled[b.name], b.priority, b.name)
             )
             reason = chosen.chosen_reason(costs, self)
-        estimate = estimates[chosen.name]
-        if estimate.note:
-            reason = f"{reason}; {estimate.note}"
         return self._make_plan(
             formula,
             engine=chosen.name,
@@ -818,7 +799,6 @@ class Planner:
             slack=effective,
             estimates=estimates,
             ineligible=ineligible,
-            strategy=estimate.strategy,
         )
 
     # ------------------------------------------------------------ plan build
@@ -841,7 +821,6 @@ class Planner:
         slack: int,
         estimates: Optional[dict[str, Estimate]] = None,
         ineligible: Optional[dict[str, str]] = None,
-        strategy: str = "",
     ) -> Plan:
         anchored = anchored_free_variables(formula)
         free = formula.free_variables()
@@ -866,7 +845,6 @@ class Planner:
                 self.database, sorted(formula.relation_names())
             ),
             ineligible=dict(ineligible or {}),
-            strategy=strategy,
             cold_probes=tuple(p for e in estimates.values() for p in e.cold),
         )
 

@@ -365,11 +365,10 @@ class QueryTemplate:
         cache (a reuse counts ``service.plan_cache_hits``).
 
         Prepared queries are declared intent to run repeatedly, so an
-        auto replan compiles the fused closure *before* planning: the plan
-        then prices the algebra engine's fused strategy warm
-        (CODEGEN_SETUP_COST is amortized, not charged to every run) and
-        runs it fused when that is cheapest.  Best-effort — shapes outside
-        the fuseable regime simply do not compile.
+        auto replan compiles the algebra closure *before* planning: the
+        plan then prices the algebra engine warm (CODEGEN_SETUP_COST is
+        amortized, not charged to every run).  Best-effort — shapes
+        outside the algebra engine's regime simply do not compile.
         """
         force = resolve_engine(engine)
         q = self.query_for(entry.database.alphabet)

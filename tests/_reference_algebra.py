@@ -1,27 +1,21 @@
-"""Set-at-a-time physical executor for algebra plans (the "algebra" engine).
+"""The operator-at-a-time algebra interpreter, kept as a test oracle.
 
-:func:`repro.algebra.optimize.optimize_for_execution` rewrites a compiled
-plan into an execution-oriented logical form (hash-join fusion, selection
-and projection pushdown); this module runs that form set-at-a-time:
+Before the algebra engine compiled every plan into one closure
+(:mod:`repro.algebra.codegen`), :class:`AlgebraExecutor` ran optimized
+RA(M) plans set-at-a-time: hash equi-joins building on the smaller
+input, hash semi-joins for ``Exists``-shaped projections, anti-joins for
+``Difference``, every other operator through its own ``Plan.evaluate``,
+and a per-database memo of subplan rows.  Every operator reports rows
+and wall time into an :class:`OpStats` tree.  It lives on here as an
+independent implementation of the same plans:
 
-* :class:`~repro.algebra.plan.Join` nodes execute as **hash equi-joins**
-  (build on the smaller input's key columns, probe the other side),
-* ``Exists``-shaped projections — ``project[I](join)`` with ``I`` inside
-  the left input and no residual condition — execute as **hash
-  semi-joins** that never materialize the joined rows,
-* ``Difference`` executes as a **hash anti-join** over the built right
-  side,
-* repeated subplans are **memoized** per database fingerprint (the
-  compiler emits the same ``gamma``-bound subplan many times; the key
-  reuses :func:`repro.engine.cache.database_fingerprint`), and
+* the engine, RANF, delta and compiler property suites hold the closure
+  against it (:func:`checked_rows`) as well as against the automata
+  engine;
+* ``benchmarks/bench_codegen.py`` times the closure against it.
 
-every operator reports rows/wall-time into an :class:`OpStats` tree that
-EXPLAIN renders, increments the ``algebra.*`` METRICS counters, and
-polls :func:`repro.engine.deadline.checkpoint` so service timeouts cover
-long joins.
-
-The entry point used by the planner is :func:`run_algebra`; tests and
-benchmarks can drive :class:`AlgebraExecutor` directly on a plan.
+:func:`reference_run` evaluates a query's execution plans — the RANF
+pair's ``inf`` half first — the way the engine's closure does.
 """
 
 from __future__ import annotations
@@ -30,8 +24,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.algebra.compile import CompiledQuery, CompileError, compile_query
-from repro.algebra.optimize import _rebuild, _Shim, optimize_for_execution
+from repro.algebra.codegen import get_pipeline
+from repro.algebra.optimize import (
+    _is_semi_join,
+    _rebuild,
+    _Shim,
+    compile_for_execution,
+)
 from repro.algebra.plan import (
     Difference,
     Join,
@@ -39,14 +38,12 @@ from repro.algebra.plan import (
     Product,
     Project,
     Select,
-    Union,
     _get_checker,
 )
 from repro.database.instance import Database
-from repro.engine.cache import database_fingerprint, registered
+from repro.engine.cache import database_fingerprint
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
-from repro.logic.formulas import Formula
 from repro.structures.base import StringStructure
 
 _TICK_MASK = 255
@@ -81,29 +78,15 @@ class OpStats:
         }
 
 
-def _is_semi_join(plan: Plan) -> bool:
-    """``project[I](join)`` with ``I`` ⊆ left columns and no residual —
-    only the left rows matter, so probing can skip row construction."""
-    return (
-        isinstance(plan, Project)
-        and isinstance(plan.child, Join)
-        and plan.child.residual is None
-        and all(i < plan.child.left.arity for i in plan.indices)
-    )
-
-
 class AlgebraExecutor:
     """Executes optimized plans against one database, memoizing subplans.
 
     The memo maps ``(subplan, database fingerprint)`` to its rows, so an
-    executor reused across runs (the planner keeps one per query) only
-    pays for each distinct subplan once per database state.
+    executor reused across runs only pays for each distinct subplan once
+    per database state; ``memo_hits`` counts the answers it served.
 
     ``recorder``, when given, is called as ``recorder(node, rows)`` for
-    every operator the executor materializes — the delta-maintenance
-    layer (:mod:`repro.delta.maintenance`) uses it to snapshot subplan
-    rows on delta-store snapshots so the *next* version's run can be
-    maintained incrementally instead of recomputed.
+    every operator the executor materializes.
 
     ``params`` are the values bound to a template plan's slots
     (:class:`~repro.algebra.plan.ParamRel` leaves and ``Param`` terms in
@@ -123,6 +106,7 @@ class AlgebraExecutor:
         self._db_key = database_fingerprint(database)
         self._memo: dict[tuple[Plan, str], Rows] = {}
         self._recorder = recorder
+        self.memo_hits = 0
 
     def run(self, plan: Plan) -> tuple[Rows, OpStats]:
         """Evaluate ``plan``; returns the rows and the operator stats tree."""
@@ -134,7 +118,7 @@ class AlgebraExecutor:
         memo_key = (node, self._db_key)
         cached = self._memo.get(memo_key)
         if cached is not None:
-            METRICS.inc("algebra.memo_hits")
+            self.memo_hits += 1
             stats = OpStats(
                 label=self._label(node),
                 kind=self._kind(node),
@@ -292,81 +276,34 @@ class AlgebraExecutor:
         return text if len(text) <= 120 else text[:117] + "..."
 
 
-# Compiled-and-optimized plans: compiling is pure in the
-# formula/structure/schema/slack, so repeated queries (the service layer's
-# common case) skip the compiler and rewrite fixpoint entirely.
-_PLANS = registered("algebra.plans", 128)
-
-
-def compile_for_execution(
-    formula: Formula,
-    structure: StringStructure,
-    schema,
-    slack: int = 1,
-) -> tuple[CompiledQuery, Plan]:
-    """Compile + ``optimize_for_execution``, with a module-level cache.
-
-    Returns the original :class:`CompiledQuery` (for its output columns)
-    and the fused physical plan.  Keyed on the canonical fingerprint
-    (:mod:`repro.logic.canonical`), so alpha-equivalent and
-    conjunct-reordered spellings share the compiled plan — sound because
-    alpha-equivalent formulas have identical free variables, hence
-    identical output columns, and execution depends only on the plan.
-    """
-    from repro.logic.canonical import canonical_fingerprint
-
-    key = (
-        canonical_fingerprint(formula),
-        structure.name,
-        structure.alphabet.symbols,
-        slack,
-        schema,
+def reference_run(plan, database: Database) -> Optional[frozenset]:
+    """The interpreter's answer to a planner ``plan`` of the algebra
+    engine on ``database``, in the plan's output columns: the RANF pair's
+    ``inf`` half first (``None`` when it is nonempty, i.e. the answer may
+    be infinite), then the finite plan, on one executor."""
+    plans = compile_for_execution(
+        plan.formula, plan.structure, database.schema, slack=plan.slack
     )
-    hit = _PLANS.get(key)
-    if hit is not None:
-        return hit
-    try:
-        compiled = compile_query(formula, structure, schema, slack=slack)
-        optimized = optimize_for_execution(compiled.plan)
-    except CompileError:
-        # Outside Theorem 4's collapsed fragment: fall back to the RANF
-        # translation (repro.algebra.ranf) and execute its *finite* half.
-        # Everything keyed off this function — codegen pipelines, delta
-        # maintenance, sharded scatter — therefore computes/maintains
-        # exactly the finite half; the planner only routes formulas here
-        # whose finite half is provably the whole answer, and the algebra
-        # backend runs the pair's "infinite" check itself via run_ranf.
-        from repro.algebra.ranf import translate_ranf
-
-        pair = translate_ranf(formula, structure, schema, slack=slack)
-        compiled, optimized = pair.compiled, pair.fin_optimized
-    _PLANS.put(key, (compiled, optimized))
-    return (compiled, optimized)
+    executor = AlgebraExecutor(plan.structure, database, params=plan.params)
+    if plans.inf is not None and executor.run(plans.inf)[0]:
+        return None
+    return executor.run(plans.fin)[0]
 
 
-def run_algebra(
-    formula: Formula,
-    structure: StringStructure,
-    database: Database,
-    slack: int = 1,
-    recorder=None,
-    params: tuple[str, ...] = (),
-) -> tuple[tuple[str, ...], Rows, OpStats]:
-    """Evaluate a RANF-translatable query with the set-at-a-time executor.
-
-    Returns ``(output columns, rows, operator stats)``.  Queries outside
-    the collapsed fragment run the RANF translation's finite half (see
-    :func:`compile_for_execution`); :class:`~repro.algebra.compile.CompileError`
-    is raised when even the translation bails (the planner checks
-    eligibility before calling this).  ``recorder`` is forwarded to
-    :class:`AlgebraExecutor`, as are ``params``, the values of a template
-    ``formula``'s slots (a concrete ``formula`` brings its own).
-    """
-    compiled, optimized = compile_for_execution(
-        formula, structure, database.schema, slack=slack
+def checked_rows(query, db, slack=None, variables=None) -> frozenset:
+    """The answer of ``query``'s forced algebra plan on ``db``, run
+    through the plan's compiled closure and checked row for row against
+    the interpreter on the same plans.  Rows come in ``variables`` order
+    (default: the plan's output columns)."""
+    plan = query.plan(db, engine="algebra", slack=slack)
+    pipeline, detail = get_pipeline(
+        plan.formula, plan.structure, db.schema, plan.slack
     )
-    executor = AlgebraExecutor(
-        structure, database, recorder=recorder, params=params or compiled.params
-    )
-    rows, stats = executor.run(optimized)
-    return compiled.columns, rows, stats
+    rows, stage_rows = pipeline.run(db, plan.params)
+    assert len(stage_rows) <= len(pipeline.stages)
+    assert rows == reference_run(plan, db), (str(plan.formula), detail)
+    assert rows is not None, f"{plan.formula}: the answer may be infinite"
+    if variables is None:
+        return frozenset(rows)
+    order = [pipeline.columns.index(v) for v in variables]
+    return frozenset(tuple(row[i] for i in order) for row in rows)

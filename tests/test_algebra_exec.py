@@ -2,16 +2,20 @@
 
 Covers the execution layer added on top of the paper's RA(M) plans:
 ``optimize_for_execution``'s hash-join fusion and pushdowns
-(:mod:`repro.algebra.optimize`), the physical executor's hash/semi/anti
-joins and subplan memoization (:mod:`repro.algebra.exec`), the planner's
-third engine (:mod:`repro.engine.planner`), and the EXPLAIN surface.
+(:mod:`repro.algebra.optimize`), the reference interpreter's hash/semi/
+anti joins and subplan memoization (``tests/_reference_algebra.py``, the
+oracle the compiled closures are held against), the planner's third
+engine (:mod:`repro.engine.planner`), and the EXPLAIN surface.
 """
 
 import pytest
 
 from repro.algebra.compile import CompileError, compile_query
-from repro.algebra.exec import AlgebraExecutor, run_algebra
-from repro.algebra.optimize import optimize, optimize_for_execution
+from repro.algebra.optimize import (
+    compile_for_execution,
+    optimize,
+    optimize_for_execution,
+)
 from repro.algebra.plan import BaseRel, Join, Product, Project, Select, col
 from repro.algebra.to_calculus import to_calculus
 from repro.core import Query
@@ -25,6 +29,7 @@ from repro.logic.parser import parse_formula
 from repro.logic.transform import flatten_terms
 from repro.strings import BINARY
 from repro.structures.catalog import S as S_factory
+from tests._reference_algebra import AlgebraExecutor
 
 S_BIN = S_factory(BINARY)
 
@@ -38,6 +43,15 @@ def db2() -> Database:
             "T": {("01", "1"), ("11", "0")},
         },
     )
+
+
+def run_algebra(formula, structure, db):
+    """Columns, reference rows and operator stats of ``formula``'s plan."""
+    plans = compile_for_execution(formula, structure, db.schema)
+    rows, stats = AlgebraExecutor(
+        structure, db, params=plans.compiled.params
+    ).run(plans.fin)
+    return plans.compiled.columns, rows, stats
 
 
 def compiled_join_plan(db):
@@ -170,13 +184,12 @@ class TestExecutor:
         compiled = compile_query(formula, S_BIN, db.schema)
         plan = optimize_for_execution(compiled.plan)
         executor = AlgebraExecutor(S_BIN, db)
-        before = METRICS.get("algebra.memo_hits")
         first, _ = executor.run(plan)
-        mid = METRICS.get("algebra.memo_hits")
+        mid = executor.memo_hits
         second, stats = executor.run(plan)
-        after = METRICS.get("algebra.memo_hits")
+        after = executor.memo_hits
         assert first == second
-        assert mid > before          # repeated gamma-bound subplans
+        assert mid > 0               # repeated gamma-bound subplans
         assert after > mid           # whole plan memoized across runs
         assert stats.memo_hit
 

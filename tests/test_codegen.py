@@ -1,14 +1,17 @@
-"""Tests for the algebra engine's fused strategy (repro.algebra.codegen).
+"""Tests for the algebra engine's executor, the compiled closure
+(repro.algebra.codegen).
 
 Covers the fusion shapes the emitter claims (scan→select→project chains
-in one loop body, hash tables built once per join, prefix expansion
-inlined), the per-plan-shape eligibility gate with its structured
-fallback to the interpreted executor, bit-identity between the numpy
+in one loop body, hash tables built once per join, prefix and ``down``
+expansion inlined), every closure held against the reference interpreter
+(``tests/_reference_algebra.py``), bit-identity between the numpy
 columnar branch and the pure-Python loop, the bounded closure cache's
-LRU discipline, EXPLAIN output, planner integration (which strategy a
-plan runs, and the warm-closure flip to fused), and delta behavior
-(row-only deltas reuse closures).
+LRU discipline, EXPLAIN output, planner integration (cold and warm
+pricing, the warm-closure flip to algebra), and delta behavior (row-only
+deltas reuse closures; store versions are maintained).
 """
+
+import importlib
 
 import pytest
 
@@ -18,25 +21,24 @@ from repro.algebra.codegen import (
     get_pipeline,
     has_pipeline,
     prewarm,
-    shape_supported,
 )
-from repro.algebra.exec import AlgebraExecutor, compile_for_execution
+from repro.algebra.compile import CompileError
+from repro.algebra.optimize import compile_for_execution
 from repro.core import Query
 from repro.database import random_database
 from repro.database.instance import Database
 from repro.database.schema import Schema
 from repro.delta import VersionedDatabase
 from repro.engine import METRICS, global_cache, reset_caches
-from repro.engine.backend import FUSED, INTERPRETED, get_backend
 from repro.engine.cache import DEFAULT_MAXSIZE
 from repro.engine.explain import execute_plan, explain_plan
-from repro.engine.planner import Planner
+from repro.eval import AutomataEngine
 from repro.logic import parse_formula
 from repro.logic.canonical import canonicalize
 from repro.strings import BINARY
 from repro.structures import S_len
 from repro.structures.catalog import S as S_factory
-from tests._fused import fused_plan
+from tests._reference_algebra import AlgebraExecutor, reference_run
 
 STRUCT = S_factory(BINARY)
 
@@ -69,11 +71,9 @@ def _ternary_db(n: int = 30):
 
 
 def _agree(text: str, db, structure=STRUCT):
-    """Compile both ways and assert the pipeline matches the interpreter."""
+    """Compile the closure and assert it matches the interpreter."""
     formula = _formula(text)
-    _compiled, plan = compile_for_execution(
-        formula, structure, db.schema, slack=0
-    )
+    plan = compile_for_execution(formula, structure, db.schema, slack=0).fin
     pipeline, detail = get_pipeline(formula, structure, db.schema, slack=0)
     assert pipeline is not None, f"{text}: {detail}"
     rows, stage_rows = pipeline.run(db)
@@ -125,37 +125,42 @@ class TestFusion:
 
 
 class TestEligibilityGate:
-    def test_downop_shapes_are_rejected(self):
-        # S_len's gamma-bound needs DownOp, whose expansion is
-        # exponential in string length — codegen refuses, by design.
-        db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        ok, why = shape_supported(
-            _formula(S_LEN_PADDED), S_len(BINARY), db.schema
-        )
-        assert not ok
-        assert "DownOp" in why
+    """Every plan the algebra engine runs compiles; only a query outside
+    RA(M) is refused, by a compile error."""
 
-    def test_forced_codegen_falls_back_to_interpreter(self):
-        # A plan forced onto the fused (codegen) strategy whose shape the
-        # emitter rejects still answers — structured fallback to the
-        # interpreted algebra executor.
+    def test_downop_shapes_fuse(self):
+        # S_len's gamma-bound needs DownOp, whose expansion is exponential
+        # in string length: a nested loop over alphabet.strings_up_to.
+        db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
+        pipeline = _agree(S_LEN_PADDED, db, S_len(BINARY))
+        assert "_strings_up_to(" in pipeline.source
+
+    def test_forced_downop_plan_runs_through_the_closure(self):
         db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
         query = Query(S_LEN_PADDED, structure="S_len")
-        got = execute_plan(fused_plan(query, db), db).as_set()
-        global_cache().reset()
-        want = query.result(db, engine="algebra").as_set()
-        assert got == want
-        assert METRICS.get("codegen.fallbacks") >= 1
+        plan = query.plan(db, engine="algebra")
+        assert any(
+            type(node).__name__ == "DownOp"
+            for node in compile_for_execution(
+                plan.formula, plan.structure, db.schema, plan.slack
+            ).fin.walk()
+        )
+        runs = METRICS.get("codegen.runs")
+        got = query.result(db, engine="algebra").as_set()
+        assert METRICS.get("codegen.runs") == runs + 1
+        assert got == reference_run(plan, db)
+        exact = AutomataEngine(S_len(BINARY), db, slack=plan.slack).run(
+            query.formula
+        )
+        assert got == exact.as_set()
 
-    def test_rejections_are_cached(self):
-        db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        formula = _formula(S_LEN_PADDED)
-        first = get_pipeline(formula, S_len(BINARY), db.schema)
-        misses = METRICS.get("codegen.cache.misses")
-        second = get_pipeline(formula, S_len(BINARY), db.schema)
-        assert first == second == (None, first[1])
-        assert METRICS.get("codegen.cache.hits") >= 1
-        assert METRICS.get("codegen.cache.misses") == misses
+    def test_compile_errors_are_raised(self):
+        db = _binary_db()
+        # NATURAL over a database-dependent scope: neither Theorem 4's
+        # compiler nor the RANF translation takes it.
+        natural = _formula("exists x: (R(x,y) & exists z: (z <<= x & !S(z,y)))")
+        with pytest.raises(CompileError):
+            get_pipeline(natural, STRUCT, db.schema)
         assert METRICS.get("codegen.compiles") == 0
 
 
@@ -178,7 +183,7 @@ class TestNumpyColumnarIdentity:
         assert "len(" in vectorized.source and ">= 1:" in vectorized.source
         np_rows, _ = vectorized.run(db)
         assert np_rows == pure_rows
-        _plan = compile_for_execution(formula, STRUCT, db.schema, slack=0)[1]
+        _plan = compile_for_execution(formula, STRUCT, db.schema, slack=0).fin
         assert np_rows == AlgebraExecutor(STRUCT, db).run(_plan)[0]
 
 
@@ -222,8 +227,9 @@ class TestExplain:
         query = Query("R(x,y) & S(y,z)", structure="S")
         assert prewarm(query.formula, query.structure, db.schema)
         report = query.explain(db)
-        assert (report.plan.engine, report.plan.strategy) == ("algebra", FUSED)
-        assert "algebra (auto, fused)" in report.render()
+        assert report.plan.engine == "algebra"
+        assert "strategy" not in report.plan.to_dict()
+        assert "algebra (auto)" in report.render()
         tree = report.to_dict()["tree"]
         assert tree["kind"] == "CodegenPipeline"
         assert tree["annotations"]["source_lines"] > 0
@@ -232,37 +238,66 @@ class TestExplain:
         assert all("rows" in c["annotations"] for c in tree["children"])
         assert "codegen[" in report.render()
 
-    def test_explain_fallback_is_annotated(self):
-        db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        query = Query(S_LEN_PADDED, structure="S_len")
-        report = explain_plan(fused_plan(query, db), db)
+    def test_explain_fallback_is_annotated(self, monkeypatch):
+        # The pair's runtime bound check trips (doctored: the finite half
+        # doubles as the inf half): the answer comes from automata, and
+        # EXPLAIN shows the inf half's stages and the fallback.
+        _doctor_inf_half(monkeypatch)
+        db = random_database(BINARY, {"R": 1}, 12, max_len=3, seed=3)
+        query = Query("eq(x, y) & R(y)", structure="S")
+        bailouts = METRICS.get("algebra.ranf.infinite_bailouts")
+        report = query.explain(db, engine="algebra", slack=1)
+        assert METRICS.get("algebra.ranf.infinite_bailouts") == bailouts + 1
         tree = report.to_dict()["tree"]
-        assert tree["kind"] != "CodegenPipeline"
-        assert "codegen_fallback" in tree["annotations"]
-        assert "DownOp" in tree["annotations"]["codegen_fallback"]
+        assert tree["kind"] == "RanfPair"
+        assert tree["annotations"]["infinite"] is True
+        assert tree["annotations"]["fallback"] == "automata"
+        assert [c["annotations"]["half"] for c in tree["children"]] == ["inf"]
+        assert "infinite=True" in report.render()
+        exact = AutomataEngine(STRUCT, db, slack=1).run(query.formula)
+        got = query.result(db, engine="algebra", slack=1)
+        assert got.as_set() == exact.as_set()
 
     def test_cached_result_explain(self):
         db = _binary_db()
         query = Query("R(x,y) & S(y,z)", structure="S")
-        plan = fused_plan(query, db)
+        plan = query.plan(db, engine="algebra")
         assert explain_plan(plan, db).root.kind == "CodegenPipeline"
         second = explain_plan(plan, db)
         assert second.root.cache_hit
 
 
+def _doctor_inf_half(monkeypatch):
+    """Make every execution plan carry a nonempty ``inf`` half.
+
+    A sound gamma certificate means the runtime infinite check never
+    fires organically, so the bail-out path is driven by doctoring the
+    plans: the finite half doubles as the ``inf`` half."""
+    optimize_mod = importlib.import_module("repro.algebra.optimize")
+    real = optimize_mod.compile_for_execution
+
+    def doctored(formula, structure, schema, slack=1):
+        plans = real(formula, structure, schema, slack=slack)
+        return plans._replace(inf=plans.fin)
+
+    reset_caches()
+    monkeypatch.setattr(optimize_mod, "compile_for_execution", doctored)
+    monkeypatch.setattr(codegen, "compile_for_execution", doctored)
+
+
 class TestPlannerIntegration:
-    QUERY = "R(x,y) & S(y,z) & last(x, '0')"
+    QUERY = "R(x,y) & S(y,x)"
 
     def test_warm_closure_flips_the_argmin(self):
         db = random_database(BINARY, {"R": 2, "S": 2}, 100, max_len=4, seed=11)
         query = Query(self.QUERY, structure="S")
         cold = query.plan(db)
-        assert cold.strategy != FUSED, cold.costs
+        assert cold.engine == "direct", cold.costs
         assert prewarm(
             query.formula, query.structure, db.schema, slack=0
         )
         warm = query.plan(db)
-        assert (warm.engine, warm.strategy) == ("algebra", FUSED), warm.costs
+        assert warm.engine == "algebra", warm.costs
         # The flip is exactly the setup cost falling away.
         assert warm.costs["algebra"] < cold.costs["algebra"]
         assert METRICS.get("codegen.prewarms") == 1
@@ -286,22 +321,26 @@ class TestDeltaBehavior:
         vdb = VersionedDatabase(base)
         query = Query("R(x) | S(x)")
 
-        def fused(db):
-            return execute_plan(fused_plan(query, db), db).as_set()
+        def run(db):
+            return execute_plan(query.plan(db, engine="algebra"), db).as_set()
 
-        fused(vdb.head.database)
+        run(vdb.head.database)
         assert METRICS.get("codegen.compiles") == 1
         head = vdb.insert("S", {"11", "0"})
-        got = fused(head.database)
-        # Same schema => same closure key: no recompilation, just a run.
-        assert METRICS.get("codegen.compiles") == 1
-        assert METRICS.get("codegen.runs") == 2
+        got = run(head.database)
+        # The closure recorded its stages on the store version, so the
+        # next version's answer is maintained, not recomputed.
+        assert METRICS.get("delta.algebra_maintained") == 1
+        assert METRICS.get("codegen.runs") == 1
         fresh = Database(
             BINARY,
             {"R": {("0",), ("01",)}, "S": {("1",), ("11",), ("0",)}},
             schema=Schema({"R": 1, "S": 1}),
         )
-        assert got == fused(fresh) == {("0",), ("01",), ("1",), ("11",)}
+        # Same schema => same closure key: no recompilation, just a run.
+        assert got == run(fresh) == {("0",), ("01",), ("1",), ("11",)}
+        assert METRICS.get("codegen.compiles") == 1
+        assert METRICS.get("codegen.runs") == 2
 
     def test_untouched_relation_promotes_the_result(self):
         base = Database(
@@ -312,65 +351,80 @@ class TestDeltaBehavior:
         vdb = VersionedDatabase(base)
         query = Query("R(x)")
 
-        def fused(db):
-            return execute_plan(fused_plan(query, db), db).as_set()
+        def run(db):
+            return execute_plan(query.plan(db, engine="algebra"), db).as_set()
 
-        first = fused(vdb.head.database)
+        first = run(vdb.head.database)
         runs = METRICS.get("codegen.runs")
         assert runs == 1
         head = vdb.insert("S", {"111"})  # delta misses the query's relation
-        again = fused(head.database)
+        again = run(head.database)
         assert again == first
         # Promotion re-keyed the old result: no new pipeline execution.
         assert METRICS.get("codegen.runs") == runs
 
+    def test_fused_read_on_a_store_version_is_maintained(self):
+        vdb = VersionedDatabase(Database(
+            BINARY,
+            {"W0": {("0",), ("01",), ("110",)}, "R": {("01",)}},
+            schema=Schema({"W0": 1, "R": 1}),
+        ))
+        query = Query("W0(x) & !R(x)", structure="S")
+        assert prewarm(query.formula, query.structure, vdb.head.database.schema)
+        first = query.plan(vdb.head.database)
+        assert first.engine == "algebra", first.costs
+        query.result(vdb.head.database)
+        maintained = METRICS.get("delta.algebra_maintained")
+        head = vdb.insert("W0", {"1001"}).database
+        got = query.result(head).as_set()
+        assert METRICS.get("delta.algebra_maintained") == maintained + 1
+        assert got == reference_run(query.plan(head), head)
+        assert got == {("0",), ("110",), ("1001",)}
+
 
 class TestStrategy:
-    """Which strategy the algebra engine runs a plan with, pinned."""
+    """How the algebra engine runs a plan: always through its closure,
+    priced cold until the closure is cached."""
 
     def test_strategy_choice(self):
         db = random_database(BINARY, {"R": 2, "S": 2}, 100, max_len=4, seed=11)
         query = Query("R(x,y) & S(y,z) & last(x, '0')", structure="S")
-        # Cold and small: the interpreter beats compiling a closure.
         cold = query.plan(db)
-        assert (cold.engine, cold.strategy) == ("algebra", INTERPRETED)
-        assert "fused (closure not compiled yet)" in cold.reason
-        # Forced algebra runs interpreted (and keeps ΔQ maintenance).
-        forced = query.plan(db, engine="algebra")
-        assert (forced.engine, forced.strategy) == ("algebra", INTERPRETED)
+        assert cold.engine == "algebra"
+        assert "strategy" not in cold.to_dict()
+        # Forced algebra runs the same closure (and keeps ΔQ maintenance).
         report = query.explain(db, engine="algebra")
-        assert report.root.kind != "CodegenPipeline"
-        # Warm: the same query runs fused, and EXPLAIN shows the pipeline.
+        assert report.root.kind == "CodegenPipeline"
+        assert METRICS.get("codegen.runs") == 1
+        # Warm: the setup cost falls away; the run is the same closure.
         assert prewarm(query.formula, query.structure, db.schema)
         global_cache().reset()
         report = query.explain(db)
-        assert (report.plan.engine, report.plan.strategy) == ("algebra", FUSED)
-        assert report.plan.to_dict()["strategy"] == FUSED
+        assert report.plan.costs["algebra"] < cold.costs["algebra"]
         assert report.root.kind == "CodegenPipeline"
-        assert METRICS.get("codegen.runs") == 1
+        assert report.root.annotations["closure"] == "warm"
+        assert METRICS.get("codegen.runs") == 2
 
     def test_large_cold_join_runs_fused(self):
-        # Enough rows that half the row work outweighs the compile.
+        # Enough rows that the row work outweighs the compile.
         db = random_database(BINARY, {"R": 2, "S": 2}, 2000, max_len=8, seed=4)
         plan = Query("R(x,y) & S(y,z)", structure="S").plan(db)
         assert not has_pipeline(plan.formula, plan.structure, db.schema)
-        assert (plan.engine, plan.strategy) == ("algebra", FUSED), plan.costs
+        assert plan.engine == "algebra", plan.costs
 
-    def test_gamma_bounded_output_runs_interpreted_with_a_reason(self):
-        # x is not anchored: only the interpreted RANF pair checks the
-        # runtime bound, so the closure is not even priced.
+    def test_gamma_bounded_output_runs_its_pair_in_the_closure(self):
+        # x is not anchored: the closure runs the pair's inf half first.
         db = random_database(BINARY, {"R": 1, "S": 1}, 30, max_len=4, seed=3)
-        plan = Query("eq(x, y) & R(y)", structure="S").plan(db)
-        assert (plan.engine, plan.strategy) == ("algebra", INTERPRETED)
-        assert "interpreted, not fuseable" in plan.reason
-        assert "not anchored" in plan.reason
-
-    def test_downop_shape_runs_interpreted_with_a_reason(self):
-        db = random_database(BINARY, {"R": 1, "S": 1}, 10, max_len=3, seed=3)
-        formula = _formula(S_LEN_PADDED)
-        planner = Planner(S_len(BINARY), db)
-        estimate = get_backend("algebra").estimate(
-            formula, planner.structure, db, 0, planner
-        )
-        assert estimate.strategy == INTERPRETED
-        assert "DownOp" in estimate.note
+        query = Query("eq(x, y) & R(y)", structure="S")
+        plan = query.plan(db)
+        assert plan.engine == "algebra", plan.costs
+        checks = METRICS.get("algebra.ranf.inf_checks")
+        report = query.explain(db)
+        assert METRICS.get("algebra.ranf.inf_checks") == checks + 1
+        tree = report.to_dict()["tree"]
+        assert tree["kind"] == "RanfPair"
+        assert [c["annotations"]["half"] for c in tree["children"]] == [
+            "inf", "fin",
+        ]
+        exact = AutomataEngine(STRUCT, db, slack=plan.slack).run(query.formula)
+        assert query.result(db).as_set() == exact.as_set()

@@ -58,6 +58,11 @@ PLANTS = {
         "_MEMO.pop(next(iter(_MEMO)), None)",
         "src/repro/engine/cache.py",
     ),
+    "executor": (
+        "src/repro/engine/interp.py",
+        "from repro.algebra.exec import AlgebraExecutor",
+        "tests/_reference_algebra.py",
+    ),
 }
 
 

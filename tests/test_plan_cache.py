@@ -201,7 +201,7 @@ def test_a_hit_on_an_unchanged_snapshot_reads_no_statistics(monkeypatch):
 #
 # A reused plan was chosen on statistics up to PLAN_DRIFT away from the
 # database it runs on.  These shapes must choose the same engine and
-# strategy across that window (every size scaled to 0.5x, 1x and 2x), or
+# across that window (every size scaled to 0.5x, 1x and 2x), or
 # the choice they make at each end is pinned here on purpose.
 
 SCALES = (0.5, 1, 2)
@@ -247,7 +247,7 @@ def test_read_write_shapes_choose_alike_across_the_window():
             reset_caches()
             query = shape("W0")
             plan = _service_plan(query.text, query.structure, db)
-            assert (plan.engine, plan.strategy) == ("algebra", "fused"), (
+            assert plan.engine == "algebra", (
                 query.text, factor,
             )
 
@@ -255,16 +255,13 @@ def test_read_write_shapes_choose_alike_across_the_window():
 #: bench_delta shape -> (auto choice in a cold process per scale, forced)
 BENCH_DELTA_CHOICES = {
     "untouched_promote": (
-        {0.5: ("direct", ""), 1: ("direct", ""), 2: ("direct", "")},
-        ("direct", ""),
+        {0.5: "direct", 1: "direct", 2: "direct"},
+        "direct",
     ),
-    # The fused strategy wins once the join is large enough to pay for
-    # compiling its closure: a cold plan made at half the size and
-    # reused at the full size runs interpreted.
+    # One way to run an algebra plan: the choice cannot change with size.
     "join_maintain": (
-        {0.5: ("algebra", "interpreted"), 1: ("algebra", "fused"),
-         2: ("algebra", "fused")},
-        ("algebra", "interpreted"),
+        {0.5: "algebra", 1: "algebra", 2: "algebra"},
+        "algebra",
     ),
 }
 
@@ -281,9 +278,9 @@ def test_bench_delta_shapes_choices_across_the_window():
             db = _scaled(relations, factor)
             reset_caches()
             plan = Planner(q.structure, db).plan(q.formula)
-            assert (plan.engine, plan.strategy) == auto[factor], (shape, factor)
+            assert plan.engine == auto[factor], (shape, factor)
             plan = Planner(q.structure, db).plan(q.formula, force=engine)
-            assert (plan.engine, plan.strategy) == forced, shape
+            assert plan.engine == forced, shape
 
 
 def test_concurrent_lookups_answer_correctly():

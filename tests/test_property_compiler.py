@@ -7,12 +7,21 @@ fuzzed.  The conditions use string constants (folded into plain
 conditions) and the bodies put negated relation conjuncts next to
 positive ones (applied to the join as differences), so filter placement
 and the anti-join are fuzzed too.  The compiler's invariant — every
-subplan's values lie inside the gamma-bound — is checked directly.
+subplan's values lie inside the gamma-bound — is checked directly, and
+the optimized plan's compiled closure (the algebra engine's executor) is
+held against the reference interpreter (``tests/_reference_algebra.py``)
+and the exact engine.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra import compile_query, evaluate_with_cse, optimize
+from repro.algebra import (
+    compile_query,
+    evaluate_with_cse,
+    optimize,
+    optimize_for_execution,
+)
+from repro.algebra.codegen import build_pipeline
 from repro.algebra.compile import bound_plan, query_constants
 from repro.database import Database
 from repro.eval import AutomataEngine
@@ -34,6 +43,7 @@ from repro.logic.literals import lift_literals
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.strings import BINARY
 from repro.structures import S
+from tests._reference_algebra import AlgebraExecutor
 
 short = st.text(alphabet="01", max_size=3)
 
@@ -107,6 +117,13 @@ class TestCompilerProperty:
         compiled = compile_query(formula, structure, db.schema, slack=1)
         got = compiled.evaluate(db)
         assert got == expected.as_set(), str(formula)
+        plan = optimize_for_execution(compiled.plan)
+        closure = build_pipeline(plan, compiled.columns, structure, "fuzz")
+        rows, _ = closure.run(db, compiled.params)
+        reference, _ = AlgebraExecutor(
+            structure, db, params=compiled.params
+        ).run(plan)
+        assert rows == reference == got, str(formula)
 
     @settings(max_examples=25, deadline=None)
     @given(formula=collapsed_queries(), db=databases)

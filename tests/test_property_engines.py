@@ -10,9 +10,9 @@ databases; the engines must agree.
 The set-at-a-time algebra engine joins the comparison on its eligibility
 regime (ADOM-only quantifiers, anchored outputs — the planner's rule 3):
 there, Theorem 4's calculus↔algebra equivalence says all three engines
-return identical results.  The algebra engine's two strategies both
-join: the forced engine runs interpreted, and :func:`tests._fused.
-fused_rows` runs the same optimized plan through the fused closure.
+return identical results.  The algebra engine's compiled closure is also
+held against the reference interpreter on the same optimized plan
+(:func:`tests._reference_algebra.checked_rows`).
 """
 
 import pytest
@@ -41,7 +41,7 @@ from repro.logic.dsl import (
 from repro.logic.formulas import Formula
 from repro.strings import BINARY
 from repro.structures import S_len
-from tests._fused import fused_rows
+from tests._reference_algebra import checked_rows
 
 VARS = ["u", "v", "w"]
 
@@ -169,13 +169,13 @@ def _anchor(formula: Formula) -> Formula:
 
 
 class TestThreeEngineAgreement:
-    """direct == automata == algebra, interpreted and fused, on the
-    algebra regime.
+    """direct == automata == algebra == the reference interpreter, on
+    the algebra regime.
 
-    The fused closure must agree tuple-for-tuple with the interpreter on
-    the same optimized plan (:func:`tests._fused.fused_rows`), and both
-    with the automata oracle; a shape that does not fuse (S_len's
-    ``DownOp``) runs interpreted."""
+    The algebra engine's closure must agree tuple-for-tuple with the
+    interpreter on the same optimized plan
+    (:func:`tests._reference_algebra.checked_rows`), and both with the
+    automata oracle — S_len's ``DownOp`` shapes included."""
 
     ENGINES = ("automata", "direct", "algebra")
 
@@ -187,7 +187,7 @@ class TestThreeEngineAgreement:
         variables = {e: r.variables for e, r in results.items()}
         assert len(set(variables.values())) == 1, variables
         rows = {e: r.as_set() for e, r in results.items()}
-        rows["fused"] = fused_rows(
+        rows["reference"] = checked_rows(
             query, db, variables=results["automata"].variables
         )
         assert len(set(map(frozenset, rows.values()))) == 1, (
@@ -205,7 +205,7 @@ class TestThreeEngineAgreement:
         answers = {
             e: query.result(db, engine=e).as_bool() for e in self.ENGINES
         }
-        answers["fused"] = bool(fused_rows(query, db))
+        answers["reference"] = bool(checked_rows(query, db))
         assert len(set(answers.values())) == 1, (str(closed), answers)
 
     @settings(max_examples=25, deadline=None)
@@ -217,7 +217,7 @@ class TestThreeEngineAgreement:
         auto = result.as_set()
         for engine in self.ENGINES:
             assert auto == query.result(db, engine=engine).as_set(), engine
-        assert auto == fused_rows(query, db, variables=result.variables)
+        assert auto == checked_rows(query, db, variables=result.variables)
 
 
 class TestKernelBackedAutomataRuns:
@@ -275,7 +275,9 @@ class TestCanonicalizationRoundTrip:
             after = q_canon.result(db, engine=engine)
             assert before.variables == after.variables, engine
             assert before.as_set() == after.as_set(), (engine, str(original))
-        assert fused_rows(q_orig, db) == fused_rows(q_canon, db), str(original)
+        assert checked_rows(q_orig, db) == checked_rows(q_canon, db), str(
+            original
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(sentence=sentences(), db=databases)

@@ -5,8 +5,9 @@ opened up — anchored queries under restricted PREFIX/LENGTH quantifiers
 (which the old collapsed-form gate rejected outright) and gamma-bounded
 queries whose free variables are certified by
 :func:`repro.safety.bounded.range_bounded_variables` instead of being
-anchored — and asserts the RANF-translated algebra evaluation, both
-interpreted and fused (:func:`tests._fused.fused_rows`), agrees
+anchored — and asserts the RANF-translated algebra evaluation — the
+engine's compiled closure, checked against the reference interpreter
+(:func:`tests._reference_algebra.checked_rows`) — agrees
 tuple-for-tuple with the exact automata engine (and the direct
 engine where its own gate admits the query).  A final suite evolves a
 versioned database through random deltas and checks the maintained
@@ -42,7 +43,7 @@ from repro.logic.formulas import Formula
 from repro.strings import BINARY
 from repro.structures import S_len
 from repro.structures.catalog import by_name
-from tests._fused import fused_rows
+from tests._reference_algebra import checked_rows
 
 VARS = ["u", "v", "w"]
 
@@ -114,7 +115,7 @@ class TestWidenedRegimeAgreement:
             engines.append("direct")
         results = {e: query.result(db, engine=e, slack=1) for e in engines}
         rows = {e: r.as_set() for e, r in results.items()}
-        rows["fused"] = fused_rows(
+        rows["reference"] = checked_rows(
             query, db, slack=1, variables=results["automata"].variables
         )
         assert len(set(map(frozenset, rows.values()))) == 1, (
@@ -179,6 +180,8 @@ class TestGammaBoundedAgreement:
         auto = query.result(db, engine="automata", slack=1)
         fast = query.result(db, engine="algebra", slack=1)
         assert auto.as_set() == fast.as_set(), str(canonical)
+        reference = checked_rows(query, db, slack=1, variables=auto.variables)
+        assert reference == auto.as_set(), str(canonical)
 
 
 # ------------------------------------------------------------ MVCC deltas

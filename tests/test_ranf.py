@@ -14,7 +14,6 @@ import pytest
 from repro.algebra.codegen import get_pipeline
 from repro.algebra.ranf import (
     RanfError,
-    run_ranf,
     translate_ranf,
     translation_verdict,
 )
@@ -29,9 +28,10 @@ from repro.algebra.compile import CompileError
 from repro.eval import AutomataEngine
 from repro.logic import parse_formula
 from repro.logic.canonical import canonicalize
+from repro.logic.literals import lift_literals
 from repro.strings import BINARY
 from repro.structures.catalog import by_name
-from tests._fused import fused_plan, fused_rows
+from tests._reference_algebra import checked_rows, reference_run
 
 
 def _f(text: str):
@@ -45,6 +45,14 @@ def _db(**relations):
 
 S = by_name("S", BINARY)
 S_LEN = by_name("S_len", BINARY)
+
+
+def _closure_rows(formula, structure, db, slack=1):
+    """The answer of ``formula``'s compiled closure (``None`` when the
+    pair's inf half found it may be infinite)."""
+    template, values = lift_literals(formula)
+    pipeline, _ = get_pipeline(template, structure, db.schema, slack)
+    return pipeline.run(db, values)[0]
 
 
 # ----------------------------------------------------------------- verdicts
@@ -140,10 +148,9 @@ class TestExecution:
     def test_gamma_bounded_agrees_with_automata(self):
         db = _db(R={("01",), ("110",), ("0",)})
         formula = _f("eq(x, y) & R(y)")
-        run = run_ranf(formula, S, db, slack=1)
-        assert not run.infinite
+        rows = _closure_rows(formula, S, db)
         want = AutomataEngine(S, db, slack=1).run(formula).as_set()
-        assert run.rows == want
+        assert rows == want
 
     def test_restricted_quantifier_agrees_with_automata(self):
         db = _db(
@@ -151,18 +158,19 @@ class TestExecution:
             T={("0", "010"), ("1", "11"), ("00", "1")},
         )
         formula = _f("R(x) & (exists prefix y: T(y, x))")
-        run = run_ranf(formula, S, db, slack=1)
+        rows = _closure_rows(formula, S, db)
         want = AutomataEngine(S, db, slack=1).run(formula).as_set()
-        assert frozenset(run.rows) == want
+        assert rows == want
 
-    @staticmethod
-    def _doctor_inf_half(monkeypatch):
+    @pytest.fixture
+    def doctored_inf_half(self, monkeypatch):
         """Make every translated pair's ``inf`` half report a row.
 
         A sound gamma certificate means the runtime infinite check never
         fires organically, so the bail-out path is driven by doctoring
         the translation: the finite half doubles as a nonempty ``inf``
-        half."""
+        half.  The plans and closures built from it are dropped after
+        the test."""
         import dataclasses
 
         import repro.algebra.ranf as ranf_mod
@@ -179,24 +187,24 @@ class TestExecution:
 
         reset_caches()
         monkeypatch.setattr(ranf_mod, "translate_ranf", doctored)
+        yield
+        reset_caches()
 
-    def test_infinite_result_bails_out(self, monkeypatch):
-        self._doctor_inf_half(monkeypatch)
+    def test_infinite_result_bails_out(self, doctored_inf_half):
         db = _db(R={("01",), ("110",)})
         formula = _f("eq(x, y) & R(y)")
+        assert _closure_rows(formula, S, db) is None
         before = METRICS.snapshot().get("algebra.ranf.infinite_bailouts", 0)
-        run = run_ranf(formula, S, db, slack=1)
-        assert run.infinite
-        assert run.rows is None
-        assert run.inf_stats is not None
+        plan = Planner(S, db).plan(formula, slack=1, force="algebra")
+        assert reference_run(plan, db) is None
+        execute_plan(plan, db, cache=BoundedCache())
         after = METRICS.snapshot().get("algebra.ranf.infinite_bailouts", 0)
         assert after == before + 1
 
-    def test_infinite_bailout_falls_back_through_backend(self, monkeypatch):
+    def test_infinite_bailout_falls_back_through_backend(self, doctored_inf_half):
         """When the runtime bound check trips, the algebra backend must
         hand the query to the exact automata engine and still return the
         right answer."""
-        self._doctor_inf_half(monkeypatch)
         db = _db(R={("01",), ("110",)})
         formula = _f("eq(x, y) & R(y)")
         global_cache().reset()
@@ -256,7 +264,7 @@ class TestPlannerWiring:
         cold = planner.plan(fresh_key_formula, slack=1)
         cold_cost = cold.costs["algebra"]
         # Translating (e.g. by running the query once) amortizes setup.
-        run_ranf(fresh_key_formula, S, db, slack=1)
+        translate_ranf(fresh_key_formula, S, db.schema, slack=1)
         warm_cost = Planner(S, db).plan(fresh_key_formula, slack=1).costs[
             "algebra"
         ]
@@ -271,16 +279,16 @@ class TestPlannerWiring:
             Planner(S, db).plan(_f("!R(x)"), slack=1, force="algebra")
 
     def test_forced_codegen_widened_regime(self):
-        # A widened-regime plan forced onto the fused (codegen) strategy:
-        # the pair's finite half compiles into a closure that agrees with
-        # the interpreted run.
+        # A widened-regime plan forced onto the algebra engine: the
+        # pair's finite half compiles into a closure that agrees with the
+        # reference interpreter.
         db = random_database(BINARY, {"R": 1, "T": 2}, 30, max_len=8, seed=7)
         query = Query("R(x) & (exists prefix y: T(y, x))", structure="S")
         want = query.result(db, engine="algebra", slack=1)
-        assert fused_rows(query, db, slack=1, variables=want.variables) == (
+        assert checked_rows(query, db, slack=1, variables=want.variables) == (
             want.as_set()
         )
-        plan = fused_plan(query, db, slack=1)
+        plan = query.plan(db, engine="algebra", slack=1)
         pipeline, detail = get_pipeline(
             plan.formula, plan.structure, db.schema, plan.slack
         )

@@ -10,16 +10,16 @@ literal query stays the oracle for every engine running the template.
 
 import pathlib
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algebra.exec import compile_for_execution
+from repro.algebra.codegen import get_pipeline
+from repro.algebra.optimize import compile_for_execution
 from repro.core import Query, StringDatabase
 from repro.database import Database
-from repro.engine.backend import FUSED, backend_names
-from repro.engine.cache import BoundedCache, reset_caches
+from repro.engine.backend import backend_names
+from repro.engine.cache import reset_caches
 from repro.engine.explain import execute_plan
 from repro.engine.metrics import METRICS
 from repro.engine.planner import Planner, with_values
@@ -194,18 +194,22 @@ class TestTemplatesAgreeWithTheOracle:
             got = execute_plan(plan, db).as_set()
             assert got == expected, f"{engine}: {formula}"
             if engine == "algebra":
-                # The same plan through the fused closure, with a cache of
-                # its own (the interpreted run's answer would be reused).
-                fused = replace(plan, strategy=FUSED)
-                got = execute_plan(fused, db, cache=BoundedCache()).as_set()
-                assert got == expected, f"fused: {formula}"
+                # The same plan straight from its closure, past the
+                # whole-result cache.
+                got = _algebra_rows(plan, db, "codegen")
+                assert got == expected, f"closure: {formula}"
 
 
-def _algebra_plan(planner, formula, strategy):
-    """The forced algebra plan of ``formula``, run interpreted
-    (``"algebra"``) or through the fused closure (``"codegen"``)."""
-    plan = planner.plan(formula, slack=0, force="algebra")
-    return replace(plan, strategy=FUSED) if strategy == "codegen" else plan
+def _algebra_rows(plan, db, strategy):
+    """The answer of an algebra ``plan`` through the backend, the
+    whole-result cache included (``"algebra"``), or straight from its
+    compiled closure (``"codegen"``)."""
+    if strategy == "codegen":
+        pipeline, _ = get_pipeline(
+            plan.formula, plan.structure, db.schema, plan.slack
+        )
+        return pipeline.run(db, plan.params)[0]
+    return execute_plan(plan, db).as_set()
 
 
 class TestSlotsInTheBound:
@@ -218,16 +222,16 @@ class TestSlotsInTheBound:
         structure = S_reg(BINARY)
         db = DB.db
         template, _ = lift_literals(parse_formula(text))
-        plan = _algebra_plan(Planner(structure, db), template, strategy)
-        _, optimized = compile_for_execution(
+        plan = Planner(structure, db).plan(template, slack=0, force="algebra")
+        optimized = compile_for_execution(
             plan.formula, structure, db.schema, slack=0
-        )
+        ).fin
         assert "R[?0]" in str(optimized)
         for value in ("0101", "1", "", "111", "0110"):
             concrete = bind(template, (value,))
             expected = AutomataEngine(structure, db).run(concrete).as_set()
             bound = with_values(plan, (value,))
-            got = execute_plan(bound, db).as_set()
+            got = _algebra_rows(bound, db, strategy)
             assert got == expected, (strategy, value)
 
 
@@ -254,9 +258,11 @@ class TestSlotsOutsideConditions:
         for c in ("01", "", "0", "10"):
             formula = parse_formula(text.format(c=c))
             expected = AutomataEngine(structure, self.DB).run(formula)
-            plan = _algebra_plan(Planner(structure, self.DB), formula, strategy)
-            got = execute_plan(plan, self.DB)
-            assert got.as_set() == expected.as_set(), (text, c)
+            plan = Planner(structure, self.DB).plan(
+                formula, slack=0, force="algebra"
+            )
+            got = _algebra_rows(plan, self.DB, strategy)
+            assert got == expected.as_set(), (text, c)
 
     @pytest.mark.parametrize("text", [
         "R(x) & S('01')",
@@ -470,7 +476,7 @@ class TestServiceTemplates:
 class TestLibraryServiceParity:
     """The planner applies the ADOM guard, so ``Query.plan`` and the
     service plan one text alike.  The library plans after the service
-    prewarmed the shape's closure, so both price the fused strategy warm."""
+    prewarmed the shape's closure, so both price the algebra engine warm."""
 
     @pytest.mark.parametrize(
         "text,structure",
@@ -487,9 +493,7 @@ class TestLibraryServiceParity:
         assert resp.ok, resp.error
         query = Query(text, structure=structure)
         planned = query.plan(db)
-        assert (planned.engine, planned.strategy) == (
-            served.engine, served.strategy
-        )
+        assert planned.engine == served.engine
         assert {tuple(r) for r in resp.rows} == query.run(db).rows_set
 
 

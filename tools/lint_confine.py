@@ -47,6 +47,12 @@ test, it only bypasses a guarantee that lives in one audited place.
     under ``src/`` outside ``src/repro/engine/cache.py``: a memo table is
     a :class:`~repro.engine.cache.BoundedCache`, whose one LRU policy,
     lock and counters live there.
+``executor``
+    A second algebra executor under ``src/`` (``AlgebraExecutor``,
+    ``run_algebra``, ``run_ranf``, the ``repro.algebra.exec`` module):
+    the compiled closure (``algebra/codegen.py``) runs every RA(M) plan,
+    and the operator-at-a-time interpreter lives on only as the test
+    oracle (``tests/_reference_algebra.py``).
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -223,6 +229,18 @@ RULES = (
         "table a BoundedCache (repro.engine.cache.registered)",
         ok="eviction lives only in src/repro/engine/cache.py",
         strip_comments=True,
+    ),
+    Rule(
+        "executor",
+        re.compile(
+            r"\b(?:AlgebraExecutor|run_algebra|run_ranf)\b"
+            r"|repro\.algebra\.exec\b"
+        ),
+        scanned=("src",),
+        exempt=(),
+        problem="a second algebra executor under src/ — run the plan "
+        "through its compiled closure (repro.algebra.codegen.get_pipeline)",
+        ok="the compiled closure is the only algebra executor",
     ),
 )
 
