@@ -23,8 +23,9 @@ fingerprint) were never invalidated in the first place — the automata
 layer survives deltas; only the product with the changed relations is
 redone.
 
-**Subplan recording** — full algebra runs on a store-made snapshot
-record every relation the compiled closure materializes (one per fused
+**Subplan recording** — full runs of a plan forced onto the algebra
+engine on a store-made snapshot record every relation the compiled
+closure materializes (one per fused
 stage, :mod:`repro.algebra.codegen`) in a bounded cache keyed by
 ``(structure and template binding, plan node, version fingerprint)``.
 
@@ -203,8 +204,8 @@ def maintain_algebra_result(
 ) -> Optional[tuple[tuple[str, ...], Rows]]:
     """Maintain a whole algebra result across the version chain, or ``None``.
 
-    Called by the algebra backend on a whole-result cache miss that
-    promotion could not answer.  Walks
+    Called by the algebra backend for a forced plan on a whole-result
+    cache miss that promotion could not answer.  Walks
     ``database``'s versions to the nearest ancestor whose root subplan
     rows were recorded, then applies each walked delta through the plan
     tree with the ΔQ rules, storing every operator's rows at each

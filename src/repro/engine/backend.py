@@ -460,11 +460,10 @@ class AlgebraBackend(EngineBackend):
     cached.
 
     The closure runs a RANF pair's runtime infinity check first and
-    defers to the exact automata engine when it trips.  On delta-store
-    versions it records the relations it materializes, and the next
-    version's answer is maintained through the ΔQ rules instead of
-    recomputed (:mod:`repro.delta.maintenance`).  Auto and forced plans
-    run alike.
+    defers to the exact automata engine when it trips.  For a forced
+    plan on delta-store versions it records the relations it
+    materializes, and the next version's answer is maintained through
+    the ΔQ rules instead of recomputed (:mod:`repro.delta.maintenance`).
     """
 
     name = "algebra"
@@ -563,26 +562,32 @@ class AlgebraBackend(EngineBackend):
         from repro.eval.result import QueryResult
 
         trace = observer if isinstance(observer, AlgebraTrace) else AlgebraTrace()
-        # Delta-store versions: maintain the previous version's recorded
-        # subplan rows through the ΔQ rules instead of recomputing.
-        maintained = maintenance.maintain_algebra_result(plan, database)
-        if maintained is not None:
-            # Maintained runs reuse a prior full run's answer, whose
-            # "infinite" check already passed.
-            trace.cached = True
-            return QueryResult(*maintained)
+        recorder = None
+        # Delta-store versions of a forced plan: maintain the previous
+        # version's recorded stages through the ΔQ rules instead of
+        # recomputing, and record this run's for the next version.  An
+        # auto plan re-runs its closure instead: for the cheap scans the
+        # planner picks on read-heavy traffic, recording plus a
+        # maintained run cost several times a closure run (perfbench
+        # read_write's p50 rose a third with every read maintained).
+        if plan.forced:
+            maintained = maintenance.maintain_algebra_result(plan, database)
+            if maintained is not None:
+                # Maintained runs reuse a prior full run's answer, whose
+                # "infinite" check already passed.
+                trace.cached = True
+                return QueryResult(*maintained)
+            recorder = maintenance.subplan_recorder(
+                plan.structure, database, plan.params
+            )
         # Closures are schema-keyed, so row-only deltas reuse the
-        # compiled code and only pay the data pass; full runs on
-        # store-made snapshots record their stages for next time.
+        # compiled code and only pay the data pass.
         pipeline, detail = get_pipeline(
             plan.formula, plan.structure, database.schema, plan.slack
         )
         METRICS.inc("codegen.runs")
         if pipeline.inf_stages:
             METRICS.inc("algebra.ranf.inf_checks")
-        recorder = maintenance.subplan_recorder(
-            plan.structure, database, plan.params
-        )
         rows, trace.stage_rows = pipeline.run(database, plan.params, recorder)
         trace.pipeline = pipeline
         trace.closure_hit = detail == "hit"

@@ -370,16 +370,23 @@ class TestDeltaBehavior:
             schema=Schema({"W0": 1, "R": 1}),
         ))
         query = Query("W0(x) & !R(x)", structure="S")
-        assert prewarm(query.formula, query.structure, vdb.head.database.schema)
-        first = query.plan(vdb.head.database)
-        assert first.engine == "algebra", first.costs
-        query.result(vdb.head.database)
-        maintained = METRICS.get("delta.algebra_maintained")
+        forced = query.plan(vdb.head.database, engine="algebra")
+        execute_plan(forced, vdb.head.database)
         head = vdb.insert("W0", {"1001"}).database
-        got = query.result(head).as_set()
-        assert METRICS.get("delta.algebra_maintained") == maintained + 1
-        assert got == reference_run(query.plan(head), head)
+        got = execute_plan(query.plan(head, engine="algebra"), head).as_set()
+        assert METRICS.get("delta.algebra_maintained") == 1
+        assert METRICS.get("codegen.runs") == 1
+        assert got == reference_run(query.plan(head, engine="algebra"), head)
         assert got == {("0",), ("110",), ("1001",)}
+        # An auto plan re-runs its closure on the next version instead.
+        assert prewarm(query.formula, query.structure, head.schema)
+        auto = query.plan(head)
+        assert auto.engine == "algebra", auto.costs
+        execute_plan(auto, head)
+        head = vdb.insert("W0", {"0011"}).database
+        assert execute_plan(auto, head).as_set() == got | {("0011",)}
+        assert METRICS.get("delta.algebra_maintained") == 1
+        assert METRICS.get("codegen.runs") == 3
 
 
 class TestStrategy:
