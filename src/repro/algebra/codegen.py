@@ -129,12 +129,13 @@ class GeneratedPipeline:
         template's slots; returns (rows, per-stage row counts).  Rows are
         ``None`` when the ``inf`` half found the answer may be infinite.
         ``record(node, rows)``, when given, receives every non-leaf
-        stage's rows."""
+        stage's rows of a finite answer (maintaining a possibly infinite
+        one would skip the check that found it)."""
         stages: list[frozenset] = []
         rows = self.fn(database, params, stages)
         if self.joins:
             METRICS.inc("algebra.joins", self.joins)
-        if record is not None:
+        if record is not None and rows is not None:
             for node, stage in zip(self.nodes, stages):
                 if node.children():
                     record(node, stage)

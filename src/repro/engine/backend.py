@@ -7,8 +7,8 @@ an engine through this module only:
 * :class:`EngineBackend` — the interface one engine implements: a
   ``name``, an :meth:`~EngineBackend.eligible` gate (may this backend run
   this query *without changing the answer*?), a cost estimate (with the
-  caches it found cold), forced-mode preparation (e.g. collapsing NATURAL quantifiers),
-  :meth:`~EngineBackend.execute`, the EXPLAIN trace hooks, and
+  caches it found cold), forced-mode preparation (e.g. collapsing
+  NATURAL quantifiers), :meth:`~EngineBackend.execute`, the EXPLAIN trace hooks, and
   :meth:`~EngineBackend.plan_inputs`, what eligibility reads of a
   database besides the planner's statistics (the plan cache compares it);
 * a process-wide **registry** (:func:`register_backend`,

@@ -54,7 +54,7 @@ Rows = frozenset
 
 @dataclass
 class OpStats:
-    """Per-operator execution statistics (one EXPLAIN tree node)."""
+    """Per-operator execution statistics, one node per operator run."""
 
     label: str
     kind: str
@@ -62,20 +62,6 @@ class OpStats:
     seconds: float
     memo_hit: bool = False
     children: list["OpStats"] = field(default_factory=list)
-
-    def total_rows(self) -> int:
-        """Largest row count anywhere in this subtree (peak intermediate)."""
-        return max([self.rows] + [c.total_rows() for c in self.children])
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "rows": self.rows,
-            "seconds": self.seconds,
-            "memo_hit": self.memo_hit,
-            "children": [c.to_dict() for c in self.children],
-        }
 
 
 class AlgebraExecutor:

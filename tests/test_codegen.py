@@ -389,6 +389,25 @@ class TestDeltaBehavior:
         assert METRICS.get("codegen.runs") == 3
 
 
+    def test_an_infinite_answer_is_not_maintained(self, monkeypatch):
+        # The pair's check trips (doctored) on a store version: nothing
+        # is recorded, so the next version runs the check again instead
+        # of maintaining a finite half that is not the answer.
+        _doctor_inf_half(monkeypatch)
+        vdb = VersionedDatabase(Database(
+            BINARY, {"R": {("01",), ("110",)}}, schema=Schema({"R": 1}),
+        ))
+        query = Query("eq(x, y) & R(y)", structure="S")
+        execute_plan(query.plan(vdb.head.database, engine="algebra", slack=1),
+                     vdb.head.database)
+        head = vdb.insert("R", {"0"}).database
+        got = execute_plan(query.plan(head, engine="algebra", slack=1), head)
+        assert METRICS.get("delta.algebra_maintained") == 0
+        assert METRICS.get("algebra.ranf.infinite_bailouts") == 2
+        exact = AutomataEngine(STRUCT, head, slack=1).run(query.formula)
+        assert got.as_set() == exact.as_set()
+
+
 class TestStrategy:
     """How the algebra engine runs a plan: always through its closure,
     priced cold until the closure is cached."""
