@@ -30,9 +30,9 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             registry stays the only dispatch path;
 ##   shard     sockets/pipes/subprocesses in src/repro/ outside shard/ +
 ##             service/, where deadlines, retries and structured errors live;
-##   delta     Database._relations/._adom access outside the database
-##             module and repro.delta — contents change only through the
-##             MVCC delta store (docs/mutability.md);
+##   delta     Database._relations/._adom/._version access outside the
+##             database module and repro.delta — contents change only
+##             through the MVCC delta store (docs/mutability.md);
 ##   codegen   exec/eval/compile builtins outside algebra/codegen.py, the
 ##             one audited code generator (docs/codegen_engine.md);
 ##   service   asyncio stream factories, raw StreamReader/StreamWriter

@@ -45,7 +45,7 @@ import pytest
 
 from repro.database.instance import Database
 from repro.delta import VersionedDatabase
-from repro.engine import global_cache
+from repro.engine import global_cache, reset_caches
 from repro.engine.cache import database_fingerprint
 from repro.engine.explain import execute_plan
 from repro.engine.metrics import METRICS
@@ -108,8 +108,12 @@ def run_shape(shape: str, text: str, engine: str, n: int) -> dict:
 
     The optimized side holds a :class:`VersionedDatabase` and the shared
     automaton cache across the chain; the reference side rebuilds,
-    re-fingerprints, re-plans, and re-runs cold on every step.
+    re-fingerprints, re-plans, and re-runs cold on every step.  Every
+    call starts from empty caches, so a later sweep in one process (the
+    ``--write-baseline`` repeats) measures what the first one does, not
+    answers an earlier sweep left cached.
     """
+    reset_caches()
     model = {
         "R": make_rows(n, seed=7 * n),
         "S": make_rows(n, seed=7 * n + 1),

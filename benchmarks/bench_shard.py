@@ -89,23 +89,28 @@ def run_sweep(sizes, variants: int) -> list[dict]:
     rows = []
     with ShardCoordinator(shards=SHARDS, worker_engine="direct") as coordinator:
         for n in sizes:
-            dbs = [make_db(n, 1000 * n + v) for v in range(variants)]
-            for v, db in enumerate(dbs):
-                coordinator.register_database(f"scan{n}v{v}", db)
+            # Each registration returns the placed snapshot: the database
+            # both sides query, so they read the same contents.
+            dbs = [
+                coordinator.register_database(
+                    f"scan{n}v{v}", make_db(n, 1000 * n + v)
+                ).database
+                for v in range(variants)
+            ]
             ref_times, shard_times, agree, out_rows = [], [], True, 0
             for db in dbs:
                 query = Query(QUERY, alphabet=db.alphabet)
                 ref_plan = plan_query(
-                    query.formula, query.structure, db.db, force="direct"
+                    query.formula, query.structure, db, force="direct"
                 )
                 t0 = time.perf_counter()
-                reference = execute_plan(ref_plan, db.db, cache=BoundedCache())
+                reference = execute_plan(ref_plan, db, cache=BoundedCache())
                 ref_times.append(time.perf_counter() - t0)
                 shard_plan = plan_query(
-                    query.formula, query.structure, db.db, force="sharded"
+                    query.formula, query.structure, db, force="sharded"
                 )
                 t0 = time.perf_counter()
-                sharded = execute_plan(shard_plan, db.db, cache=BoundedCache())
+                sharded = execute_plan(shard_plan, db, cache=BoundedCache())
                 shard_times.append(time.perf_counter() - t0)
                 agree = agree and sharded.as_set() == reference.as_set()
                 out_rows = len(reference.as_set())

@@ -44,6 +44,9 @@ from repro.logic import parse_formula
 from repro.strings import ABC, Alphabet, BINARY
 from repro.structures import S, S_left, S_len, S_reg
 
+# Importing it registers the ``sharded`` backend beside the built-ins.
+from repro.shard import backend as _sharded_backend  # noqa: E402,F401
+
 __version__ = "1.0.0"
 
 __all__ = [

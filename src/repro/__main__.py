@@ -115,13 +115,14 @@ def _shard_scope(args: argparse.Namespace, db: StringDatabase):
     """An ephemeral shard pool for one CLI invocation (``--shards N``).
 
     Registers the query's database on a fresh coordinator so the planner
-    can (or, with ``--engine sharded``, must) scatter-gather; a plain
-    no-op context when ``--shards`` was not given.
+    can (or, with ``--engine sharded``, must) scatter-gather, and yields
+    the database to query: the placed snapshot, or ``db.db`` itself when
+    ``--shards`` was not given.
     """
     import contextlib
 
     if not getattr(args, "shards", None):
-        return contextlib.nullcontext()
+        return contextlib.nullcontext(db.db)
 
     @contextlib.contextmanager
     def scope():
@@ -130,8 +131,7 @@ def _shard_scope(args: argparse.Namespace, db: StringDatabase):
         with ShardCoordinator(
             shards=args.shards, scheme=args.shard_scheme
         ) as coordinator:
-            coordinator.register_database("cli", db)
-            yield coordinator
+            yield coordinator.register_database("cli", db).database
 
     return scope()
 
@@ -150,9 +150,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     db = load_database(args.db)
     q = Query(args.query, structure=args.structure, alphabet=db.alphabet)
     _check_relations(q, db)
-    with _shard_scope(args, db), deadline_scope(args.timeout):
-        plan = q.plan(db, engine=args.engine)
-        result = execute_plan(plan, db.db)
+    with _shard_scope(args, db) as target, deadline_scope(args.timeout):
+        plan = q.plan(target, engine=args.engine)
+        result = execute_plan(plan, target)
         finite = result.is_finite()
         if args.limit is not None and not finite:
             rows = sorted(result.tuples(limit=args.limit))
@@ -187,8 +187,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     db = load_database(args.db)
     q = Query(args.query, structure=args.structure, alphabet=db.alphabet)
     _check_relations(q, db)
-    with _shard_scope(args, db):
-        report = q.explain(db, engine=args.engine, timeout=args.timeout)
+    with _shard_scope(args, db) as target:
+        report = q.explain(target, engine=args.engine, timeout=args.timeout)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

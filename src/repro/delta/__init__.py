@@ -30,6 +30,7 @@ from repro.delta.store import (
     chained_fingerprint,
     evolve_database,
     lineage,
+    store_of,
 )
 
 __all__ = [
@@ -43,5 +44,6 @@ __all__ = [
     "lineage",
     "maintain_algebra_result",
     "promote_result",
+    "store_of",
     "subplan_recorder",
 ]

@@ -49,6 +49,7 @@ from repro.strings import lcp_with_set
 
 __all__ = [
     "DatabaseVersion", "Delta", "DeltaError", "VersionedDatabase", "lineage",
+    "store_of",
 ]
 
 Row = tuple[str, ...]
@@ -209,6 +210,12 @@ def evolve_database(
     )
 
 
+def store_of(database: Database) -> Optional["VersionedDatabase"]:
+    """The :class:`VersionedDatabase` that made ``database``, or ``None``."""
+    made_by = database._version
+    return None if made_by is None else made_by[0]
+
+
 def lineage(database: Database) -> Iterator[DatabaseVersion]:
     """``database``'s own version, then its retained ancestors, newest first.
 
@@ -290,6 +297,10 @@ class VersionedDatabase:
         # The active domain in sorted order: a delta's strings find their
         # trie neighbours by bisection (prefix-closure size upkeep).
         self._adom_sorted = sorted(self._adom_counts)
+        #: ``(coordinator, ShardedDatabase)`` once a :mod:`repro.shard`
+        #: coordinator placed one of this store's snapshots on its worker
+        #: pool; that snapshot alone routes there (``None``: unplaced).
+        self.placement = None
 
     # ------------------------------------------------------------- reading
 

@@ -14,15 +14,17 @@ an engine through this module only:
 * a process-wide **registry** (:func:`register_backend`,
   :func:`get_backend`, :func:`backend_names`, :func:`all_backends`) that
   the planner iterates — eligibility gate first, then cost argmin — so
-  adding an engine is one ``register_backend`` call; every change bumps
-  :func:`registry_generation`, part of every plan-cache key;
+  adding an engine is one ``register_backend`` call; every change empties
+  the plan cache, so the next auto plan considers the new set;
 * :func:`resolve_engine` — the one place the ``None``/``"auto"``/name
   normalization lives; unknown names raise
   :class:`~repro.errors.EvaluationError` listing the registered backends.
 
-The built-in backends are ``direct``, ``automata`` and ``algebra``.  The
-algebra backend runs one optimized RA(M) plan per query, compiled into
-one generated closure (:mod:`repro.algebra.codegen`).
+The built-in backends are ``direct``, ``automata`` and ``algebra``; the
+fourth, ``sharded`` (:mod:`repro.shard.backend`), registers itself when
+``repro`` is imported.  The algebra backend runs one optimized RA(M)
+plan per query, compiled into one generated closure
+(:mod:`repro.algebra.codegen`).
 
 ``make lint-confine`` fails the build if an engine-name literal
 comparison appears outside ``src/repro/engine/``.
@@ -43,7 +45,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.database.instance import Database
-from repro.engine.cache import BoundedCache
+from repro.engine.cache import BoundedCache, registered_caches
 from repro.engine.metrics import METRICS
 from repro.errors import EvaluationError
 from repro.logic.formulas import Formula, QuantKind
@@ -62,7 +64,6 @@ __all__ = [
     "backend_names",
     "get_backend",
     "register_backend",
-    "registry_generation",
     "resolve_engine",
     "unregister_backend",
 ]
@@ -147,12 +148,14 @@ class EngineBackend(abc.ABC):
             self.estimate_cost(formula, structure, database, slack, planner)
         )
 
-    def plan_inputs(self, database: Database) -> object:
+    def plan_inputs(
+        self, database: Database
+    ) -> tuple[object, tuple[int, ...]]:
         """What :meth:`eligible` or the estimate reads of ``database``
-        beyond the planner's statistics, compared by identity: a plan
-        cached for another value is replanned
-        (:mod:`repro.engine.plan_cache`).  ``None`` by default."""
-        return None
+        beyond the planner's statistics: an exact part, compared by value,
+        and sizes, held to the plan cache's drift window
+        (:mod:`repro.engine.plan_cache`).  ``(None, ())`` by default."""
+        return None, ()
 
     def decision_cost(self, cost: float, planner: "Planner") -> float:
         """Scale the display estimate for cross-backend comparison.
@@ -214,9 +217,6 @@ class EngineBackend(abc.ABC):
 
 _REGISTRY: dict[str, EngineBackend] = {}
 _REGISTRY_LOCK = threading.Lock()
-#: Bumped by every registration change: a plan made for one set of
-#: backends is never reused for another (``sharded`` joins and leaves).
-_GENERATION = 0
 
 
 def register_backend(backend: EngineBackend, replace: bool = False) -> EngineBackend:
@@ -237,26 +237,23 @@ def register_backend(backend: EngineBackend, replace: bool = False) -> EngineBac
                 "(pass replace=True to swap it)"
             )
         _REGISTRY[backend.name] = backend
-        _bump()
+    _forget_plans()
     return backend
 
 
 def unregister_backend(name: str) -> None:
     """Remove a backend (primarily for tests registering toys)."""
     with _REGISTRY_LOCK:
-        if _REGISTRY.pop(name, None) is not None:
-            _bump()
+        removed = _REGISTRY.pop(name, None) is not None
+    if removed:
+        _forget_plans()
 
 
-def _bump() -> None:
-    # The caller holds the registry lock.
-    global _GENERATION
-    _GENERATION += 1
-
-
-def registry_generation() -> int:
-    """How many times the registry changed: part of every plan-cache key."""
-    return _GENERATION
+def _forget_plans() -> None:
+    """Empty the plan cache: its plans chose among the previous backends."""
+    plans = registered_caches().get("planner.plan_cache")
+    if plans is not None:
+        plans.clear()
 
 
 def backend_names() -> tuple[str, ...]:

@@ -11,18 +11,18 @@ instance, :func:`plan_cache`; :meth:`Planner.plan
 <repro.engine.planner.Planner.plan>` stays the uncached planner.
 
 * **Key** — the template's canonical fingerprint (:class:`PlanningForm`),
-  the structure name and alphabet, the forced engine, the slack, and the
-  backend registry's generation (:func:`~repro.engine.backend.
-  registry_generation`).
+  the structure name and alphabet, the forced engine and the slack.
+  Registering or unregistering a backend empties the cache.
 * **Entry** — the template plan and what its eligibility and costing
   read of the database it was planned on.  *Exact inputs*: the alphabet
   (the planner refuses one other than the structure's), the schema,
   whether the active domain is empty, the longest string (LENGTH domains
-  are ``|Sigma|^len``), each backend's :meth:`~repro.engine.backend.
-  EngineBackend.plan_inputs` (the shard route) and the warmth probes the
-  estimates found cold (``Plan.cold_probes``).  *Sizes*: active-domain
-  size, prefix-closure size, total string length, and the cardinality of
-  each relation the template names.
+  are ``|Sigma|^len``), the exact part of each backend's
+  :meth:`~repro.engine.backend.EngineBackend.plan_inputs` (the shard
+  layout) and the warmth probes the estimates found cold
+  (``Plan.cold_probes``).  *Sizes*: active-domain size, prefix-closure
+  size, total string length, the cardinality of each relation the
+  template names, and the sizes from ``plan_inputs`` (the partitions').
 * **Lookup** — the plan is reused while every exact input is equal and
   every size ``s`` is within a factor :data:`PLAN_DRIFT` of its recorded
   value ``r``: ``max(s, r, 1) / max(min(s, r), 1) <= PLAN_DRIFT``.
@@ -39,7 +39,7 @@ instance, :func:`plan_cache`; :meth:`Planner.plan
 Reusing a plan never changes an answer: every backend reads the
 database when it executes (the algebra plan reads its relations and
 active domain when it runs, the automata and direct engines take the
-database in ``execute``, and the sharded backend resolves its route
+database in ``execute``, and the sharded backend resolves its placement
 then), so a plan only fixes which engine runs.  A cache an
 estimate found warm and that is evicted later is rebuilt by the run.
 
@@ -58,12 +58,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 from repro.database.instance import Database
-from repro.engine.backend import (
-    EngineBackend,
-    all_backends,
-    registry_generation,
-    resolve_engine,
-)
+from repro.engine.backend import EngineBackend, all_backends, resolve_engine
 from repro.engine.cache import BoundedCache, registered
 from repro.engine.metrics import METRICS
 from repro.engine.planner import (
@@ -153,35 +148,39 @@ class _Entry:
     def __init__(self, plan: Plan, database: Database, relations: tuple[str, ...]):
         self.plan = plan
         self.exact = _exact(database)
-        #: The backends with plan inputs: those can change while a
-        #: snapshot does not (the shard router is process state), so
-        #: every lookup compares them.
+        #: The backends with plan inputs: a snapshot's can change while
+        #: the snapshot does not (a coordinator places it), so every
+        #: lookup compares them.
         self.backends = tuple(
             b for b in all_backends()
             if type(b).plan_inputs is not EngineBackend.plan_inputs
         )
-        self.inputs = self._inputs(database)
-        self.sizes = _sizes(database, relations)
+        self.inputs, sizes = self._inputs(database)
+        self.sizes = _sizes(database, relations) + sizes
         self.planned_on = weakref.ref(database)
         #: The last snapshot this entry validated against.  Only ever
         #: moved to a snapshot that passed against the (fixed) recorded
         #: inputs, so a racing reader sees a stale hint, never a wrong one.
         self.seen = self.planned_on
 
-    def _inputs(self, database: Database) -> tuple:
-        return tuple(b.plan_inputs(database) for b in self.backends)
+    def _inputs(self, database: Database) -> tuple[list, tuple[int, ...]]:
+        """The backends' exact plan inputs, and their sizes joined."""
+        exact, sizes = [], ()
+        for backend in self.backends:
+            inputs, more = backend.plan_inputs(database)
+            exact.append(inputs)
+            sizes += more
+        return exact, sizes
 
     def stale(self, database: Database, relations: tuple[str, ...]) -> Optional[str]:
         """Why this plan no longer fits ``database``, or ``None``."""
-        if self.backends and any(
-            was is not now
-            for was, now in zip(self.inputs, self._inputs(database))
-        ):
+        inputs, sizes = self._inputs(database)
+        if inputs != self.inputs:
             return "eligibility"
         if self.seen() is not database:
             if self.exact != _exact(database):
                 return "eligibility"
-            if drifted(self.sizes, _sizes(database, relations)):
+            if drifted(self.sizes, _sizes(database, relations) + sizes):
                 return "drift"
             self.seen = weakref.ref(database)
         if any(probe() for probe in self.plan.cold_probes):
@@ -201,7 +200,7 @@ class PlanCache:
     def _key(form, structure, slack, force) -> tuple:
         return (
             form.fingerprint, structure.name, structure.alphabet.symbols,
-            force, slack, registry_generation(),
+            force, slack,
         )
 
     def lookup(

@@ -672,8 +672,9 @@ class QueryService:
         entry = _NamedDatabase(name, versioned, versioned.head)
         if self._coordinator is not None:
             # Partition onto the shard pool first: if a worker rejects
-            # the data the service registry stays consistent.
-            self._coordinator.register_database(name, db)
+            # the data the service registry stays consistent.  The head
+            # snapshot is what requests resolve, so it is what is placed.
+            self._coordinator.register_database(name, entry.database)
         with self._registry_lock:
             self._databases[name] = entry
         METRICS.inc("service.databases_registered")
@@ -681,7 +682,7 @@ class QueryService:
 
     def unregister_database(self, name: str) -> bool:
         """Drop ``name`` from the registry (and the shard pool's
-        partitions/routes, when sharding); returns whether it existed.
+        partitions, when sharding); returns whether it existed.
         Cached results keyed by its fingerprints age out of their LRU
         store naturally."""
         with self._registry_lock:

@@ -21,37 +21,39 @@ Layers (see ``docs/sharding.md``):
   retry, and the union/dedup merge;
 * :mod:`repro.shard.backend` — the ``sharded``
   :class:`~repro.engine.backend.EngineBackend` entering the planner's
-  cost argmin, plus the fingerprint router that ties plain
-  :class:`~repro.database.instance.Database` objects to their
-  coordinator.
+  cost argmin, eligible for a snapshot the coordinator placed (the
+  placement lives on the :class:`~repro.delta.VersionedDatabase` that
+  made the snapshot).
+
+``import repro`` registers the backend; every other module here loads on
+first use of its export, so a process that never shards never starts the
+pool machinery.
 """
 
-from repro.shard.backend import ShardTrace, ShardedBackend, route_for
-from repro.shard.coordinator import GatherResult, ShardCoordinator
-from repro.shard.partition import (
-    SCHEMES,
-    ShardedDatabase,
-    partition_database,
-    relation_assignment,
-    shard_database,
-    shard_of_relation,
-    shard_of_row,
-)
-from repro.shard.pool import ShardWorker, WorkerPool
+_LAZY = {
+    "ShardTrace": "repro.shard.backend",
+    "ShardedBackend": "repro.shard.backend",
+    "route_for": "repro.shard.backend",
+    "GatherResult": "repro.shard.coordinator",
+    "ShardCoordinator": "repro.shard.coordinator",
+    "SCHEMES": "repro.shard.partition",
+    "ShardedDatabase": "repro.shard.partition",
+    "partition_database": "repro.shard.partition",
+    "relation_assignment": "repro.shard.partition",
+    "shard_database": "repro.shard.partition",
+    "shard_of_relation": "repro.shard.partition",
+    "shard_of_row": "repro.shard.partition",
+    "ShardWorker": "repro.shard.pool",
+    "WorkerPool": "repro.shard.pool",
+}
 
-__all__ = [
-    "SCHEMES",
-    "GatherResult",
-    "ShardCoordinator",
-    "ShardTrace",
-    "ShardWorker",
-    "ShardedBackend",
-    "ShardedDatabase",
-    "WorkerPool",
-    "partition_database",
-    "relation_assignment",
-    "route_for",
-    "shard_database",
-    "shard_of_relation",
-    "shard_of_row",
-]
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

@@ -1,19 +1,15 @@
-"""The ``sharded`` engine backend and the coordinator router.
+"""The ``sharded`` engine backend.
 
 The planner sees sharding as just a fourth :class:`EngineBackend` in its
-cost argmin.  What makes that possible is the **router**: a process-wide
-map from database *content fingerprints* to the coordinator holding that
-database's partitions.  :meth:`ShardCoordinator.register_database` adds
-a route; from then on any plain :class:`~repro.database.instance.Database`
-with equal content — the object the planner is handed, which knows
-nothing about shards — resolves to its coordinator, and the backend
-becomes eligible whenever :mod:`repro.algebra.distribute` certifies the
-query distributes.
-
-The backend registers itself with the engine registry when the first
-route appears and withdraws when the last coordinator closes, so
-sessions that never shard keep the exact three-backend registry the
-rest of the test suite assumes.
+cost argmin, registered once beside the three built-ins.  What ties a
+database to its partitions is the **placement** the coordinator sets on
+the :class:`~repro.delta.VersionedDatabase` that made the snapshot:
+:meth:`ShardCoordinator.register_database` places a snapshot and
+:meth:`~ShardCoordinator.apply_delta` moves the placement to the
+evolved one.  A snapshot routes only while it *is* the placement's
+database and the coordinator still serves that placement, so a
+superseded version, a separately built database with equal content and
+a database nobody placed all stay on the in-process engines.
 
 Cost model: a scatter's work is the *slowest shard's* work (shards run
 in parallel processes) plus a per-participant round-trip overhead; a
@@ -27,34 +23,23 @@ keeps tiny queries on the in-process engines.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import TYPE_CHECKING, Optional
 
-from repro.algebra.distribute import Decomposition, analyze
 from repro.database.instance import Database
 from repro.engine.backend import (
     EngineBackend,
     register_backend,
     restricted_output_gate,
-    unregister_backend,
 )
-from repro.engine.cache import database_fingerprint
-from repro.engine.metrics import METRICS
 from repro.engine.planner import estimate_direct_cost, _fmt_cost
 from repro.errors import ShardError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.algebra.distribute import Decomposition
     from repro.shard.coordinator import GatherResult, ShardCoordinator
     from repro.shard.partition import ShardedDatabase
 
-__all__ = [
-    "ShardTrace",
-    "ShardedBackend",
-    "route_for",
-    "router_register",
-    "router_unregister",
-]
+__all__ = ["ShardTrace", "ShardedBackend", "route_for"]
 
 #: Estimated per-participating-shard round-trip cost, in the planner's
 #: common units (direct-engine candidate checks).  One NDJSON round trip
@@ -69,39 +54,27 @@ SHARD_ROUNDTRIP_COST = 50_000.0
 #: and ``ShardCoordinator.execute`` analyze at the real plan slack.
 _DEFAULT_PLAN_SLACK = 0
 
-_ROUTER: dict[str, tuple["ShardCoordinator", "ShardedDatabase"]] = {}
-_ROUTER_LOCK = threading.Lock()
-
-
-def router_register(
-    fingerprint: str, coordinator: "ShardCoordinator", sharded: "ShardedDatabase"
-) -> None:
-    """Make ``fingerprint`` resolve to ``coordinator`` (first route also
-    registers the ``sharded`` backend with the engine registry)."""
-    with _ROUTER_LOCK:
-        was_empty = not _ROUTER
-        _ROUTER[fingerprint] = (coordinator, sharded)
-    if was_empty:
-        register_backend(ShardedBackend(), replace=True)
-
-
-def router_unregister(fingerprint: str) -> None:
-    """Withdraw a route (last route out also unregisters the backend)."""
-    with _ROUTER_LOCK:
-        _ROUTER.pop(fingerprint, None)
-        empty = not _ROUTER
-    if empty:
-        unregister_backend("sharded")
+_UNPLACED = "database is not placed on a shard coordinator"
 
 
 def route_for(
     database: Database,
 ) -> Optional[tuple["ShardCoordinator", "ShardedDatabase"]]:
-    """The (coordinator, sharded database) owning ``database``'s content,
-    or ``None`` when no live coordinator holds an equal database."""
-    fingerprint = database_fingerprint(database)
-    with _ROUTER_LOCK:
-        return _ROUTER.get(fingerprint)
+    """The (coordinator, sharded database) ``database`` is placed on, or
+    ``None`` when no live coordinator serves this very snapshot."""
+    from repro.delta import store_of
+
+    store = store_of(database)
+    placement = None if store is None else store.placement
+    if placement is None:
+        return None
+    coordinator, sharded = placement
+    if (
+        sharded.database is not database
+        or coordinator.get(sharded.name) is not sharded
+    ):
+        return None
+    return placement
 
 
 class ShardTrace:
@@ -114,7 +87,7 @@ class ShardTrace:
 class ShardedBackend(EngineBackend):
     """Scatter-gather execution over a :class:`ShardCoordinator`'s pool.
 
-    Eligible only when (a) the database routes to a live coordinator,
+    Eligible only when (a) the database is placed on a live coordinator,
     (b) the restricted-output gate passes (the shards evaluate with
     restricted semantics), and (c) the distributivity analysis finds a
     scatter certificate or a single-shard route — so auto-selection can
@@ -131,9 +104,7 @@ class ShardedBackend(EngineBackend):
     def eligible(self, formula, structure, database):
         route = route_for(database)
         if route is None:
-            return False, (
-                "database is not registered with a shard coordinator"
-            )
+            return False, _UNPLACED
         ok, reason = restricted_output_gate(formula, database)
         if not ok:
             return ok, reason
@@ -145,9 +116,19 @@ class ShardedBackend(EngineBackend):
         return True, decomposition.reason
 
     def plan_inputs(self, database):
-        # Eligibility and the estimate read the route: its partitions'
-        # sizes and, under the relation scheme, its placement.
-        return route_for(database)
+        # Eligibility and the estimate read the layout (under the
+        # relation scheme, which shard owns each relation) and the
+        # partitions' sizes.
+        route = route_for(database)
+        if route is None:
+            return None, ()
+        _, sharded = route
+        layout = (
+            sharded.scheme,
+            sharded.shards,
+            tuple(sorted((sharded.relation_shards or {}).items())),
+        )
+        return layout, tuple(sharded.part_sizes())
 
     def estimate_cost(self, formula, structure, database, slack, planner):
         route = route_for(database)
@@ -208,7 +189,9 @@ class ShardedBackend(EngineBackend):
         )
 
     @staticmethod
-    def _decompose(formula, structure, route, slack) -> Decomposition:
+    def _decompose(formula, structure, route, slack) -> "Decomposition":
+        from repro.algebra.distribute import analyze
+
         coordinator, sharded = route
         return analyze(
             formula,
@@ -230,9 +213,8 @@ class ShardedBackend(EngineBackend):
         route = route_for(database)
         if route is None:
             raise ShardError(
-                "sharded plan but the database no longer routes to a "
-                "coordinator (was it closed between planning and "
-                "execution?)",
+                f"sharded plan but the {_UNPLACED} (never placed, "
+                "superseded by a newer version, or its coordinator closed)",
                 retryable=False,
             )
         coordinator, sharded = route
@@ -287,3 +269,6 @@ class ShardedBackend(EngineBackend):
                 )
             )
         return root
+
+
+register_backend(ShardedBackend())

@@ -122,10 +122,16 @@ class ShardCoordinator:
     def register_database(
         self, name: str, database: Union[Database, StringDatabase]
     ) -> ShardedDatabase:
-        """Partition ``database``, push each part to its worker, and make
-        the content fingerprint routable (the planner's ``sharded``
-        backend becomes eligible for any equal-content ``Database``)."""
-        from repro.shard.backend import router_register, router_unregister
+        """Partition ``database``, push each part to its worker, and place
+        the snapshot on this coordinator (the planner's ``sharded``
+        backend becomes eligible for it).
+
+        The placement is set on the :class:`~repro.delta.VersionedDatabase`
+        that made the snapshot; a plain :class:`Database` is first
+        wrapped in a new one.  Query the returned ``database``: that
+        snapshot, and the versions :meth:`apply_delta` evolves from it,
+        are the ones that route here."""
+        from repro.delta import VersionedDatabase, store_of
 
         self._check_open()
         if "@" in name:
@@ -138,7 +144,12 @@ class ShardCoordinator:
                 "coordinator-internal names",
                 retryable=False,
             )
-        sharded = shard_database(name, database, self.shards, self.scheme)
+        db = database.db if isinstance(database, StringDatabase) else database
+        store = store_of(db)
+        if store is None:
+            store = VersionedDatabase(db)
+            db = store.head.database
+        sharded = shard_database(name, db, self.shards, self.scheme)
         waiters = [
             self.pool.worker(i).submit(
                 self._register_body(name, sharded.parts[i])
@@ -154,45 +165,23 @@ class ShardCoordinator:
                     retryable=False, shard=i,
                 )
         with self._lock:
-            previous = self._databases.get(name)
             self._databases[name] = sharded
             # The fallback copy (if any) described the previous content;
             # the next single-mode query re-registers it lazily.
             self._full_registered.discard(name)
-            stale = (
-                previous is not None
-                and not any(
-                    s.fingerprint == previous.fingerprint
-                    for s in self._databases.values()
-                )
-            )
-        router_register(sharded.fingerprint, self, sharded)
-        if stale:
-            # Replacing a name replaced its worker-side partitions too:
-            # withdraw the old content's route so a Database holding the
-            # previous content stops resolving to the new partitions.
-            router_unregister(previous.fingerprint)
+        store.placement = (self, sharded)
         METRICS.inc("shard.databases_registered")
         return sharded
 
     def unregister_database(self, name: str) -> bool:
-        """Drop ``name``: withdraw its route, forget its partitions, and
-        tell every worker to drop its part (and the worker-0 full copy).
-        Returns whether the name was registered."""
-        from repro.shard.backend import router_unregister
-
+        """Drop ``name``: forget its partitions (its snapshot stops
+        routing here) and tell every worker to drop its part (and the
+        worker-0 full copy).  Returns whether the name was registered."""
         self._check_open()
         with self._lock:
-            sharded = self._databases.pop(name, None)
-            if sharded is None:
+            if self._databases.pop(name, None) is None:
                 return False
             self._full_registered.discard(name)
-            keep_route = any(
-                s.fingerprint == sharded.fingerprint
-                for s in self._databases.values()
-            )
-        if not keep_route:
-            router_unregister(sharded.fingerprint)
         waiters = [
             self.pool.worker(i).submit({"op": "unregister_db", "name": name})
             for i in range(self.shards)
@@ -217,8 +206,8 @@ class ShardCoordinator:
         """Forward one row delta to the **owning** shards — no re-scatter.
 
         ``delta`` is an effective :class:`~repro.delta.Delta` and
-        ``new_database`` the already-evolved whole database (its seeded
-        chained fingerprint becomes the new route key).  Rows are split
+        ``new_database`` the already-evolved whole snapshot, made by the
+        store holding this name's placement.  Rows are split
         with the same deterministic partitioners registration used, so
         only shards that actually own changed rows see any traffic; each
         one gets ``insert``/``delete`` protocol ops and evolves its
@@ -226,16 +215,19 @@ class ShardCoordinator:
         add relations must go through :meth:`register_database` instead
         (new relations need a placement decision).
 
-        The old fingerprint's route is withdrawn, mirroring
-        re-registration semantics: in-flight sharded queries pinned to a
-        pre-delta snapshot fail with a structured routing error rather
-        than silently answering from post-delta partitions.
+        The placement moves to ``new_database``: a pre-delta snapshot no
+        longer routes, so auto planning answers it in process and a
+        sharded plan pinned to it fails with a structured routing error
+        rather than silently answering from post-delta partitions.
         """
         import dataclasses
 
-        from repro.delta.store import chained_fingerprint, evolve_database
+        from repro.delta.store import (
+            chained_fingerprint,
+            evolve_database,
+            store_of,
+        )
         from repro.engine.cache import database_fingerprint
-        from repro.shard.backend import router_register, router_unregister
         from repro.shard.partition import shard_of_relation, shard_of_row
 
         self._check_open()
@@ -311,13 +303,7 @@ class ShardCoordinator:
             self._databases[name] = evolved
             # The worker-0 full copy (if any) predates the delta.
             self._full_registered.discard(name)
-            stale = not any(
-                s.fingerprint == sharded.fingerprint
-                for s in self._databases.values()
-            )
-        router_register(evolved.fingerprint, self, evolved)
-        if stale:
-            router_unregister(sharded.fingerprint)
+        store_of(new_database).placement = (self, evolved)
         METRICS.inc("shard.deltas_forwarded")
         return evolved
 
@@ -574,17 +560,12 @@ class ShardCoordinator:
         }
 
     def close(self) -> None:
-        """Stop the pool and withdraw this coordinator's routes."""
-        from repro.shard.backend import router_unregister
-
+        """Stop the pool; no snapshot routes here any more."""
         if self._closed:
             return
         self._closed = True
         with self._lock:
-            databases = list(self._databases.values())
             self._databases.clear()
-        for sharded in databases:
-            router_unregister(sharded.fingerprint)
         self.pool.close()
 
     def __enter__(self) -> "ShardCoordinator":

@@ -107,12 +107,12 @@ def partition_database(
 class ShardedDatabase:
     """One registered database, partitioned: the whole plus its parts.
 
-    ``fingerprint`` is the *whole* database's content fingerprint — the
-    key the backend router uses, so a plain :class:`Database` equal in
-    content to a registered one is recognized as sharded.  Each part is
-    fingerprinted too (``part_fingerprints``), which is what the
-    coordinator re-registers after a worker restart and what the stats
-    endpoint reports.
+    ``database`` is the placed snapshot — the one object the ``sharded``
+    backend routes to these parts (see :mod:`repro.shard.backend`).
+    ``fingerprint`` is its fingerprint, which the stats endpoint reports,
+    and ``part_fingerprints`` the parts', which
+    :meth:`~repro.shard.coordinator.ShardCoordinator.apply_delta` chains
+    forward instead of rehashing a part.
     """
 
     name: str

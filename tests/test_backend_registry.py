@@ -83,9 +83,9 @@ def toy():
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert backend_names() == ("algebra", "automata", "direct")
+        assert backend_names() == ("algebra", "automata", "direct", "sharded")
         assert [b.name for b in all_backends()] == [
-            "direct", "algebra", "automata",  # priority order
+            "direct", "algebra", "automata", "sharded",  # priority order
         ]
 
     def test_get_backend_unknown_lists_names(self):
@@ -131,6 +131,19 @@ class TestPlannerConsidersRegisteredBackends:
         assert toy.executions == 1
         assert table.rows() == [("0",)]
         assert METRICS.get("engine.toy.runs") == 1
+
+    def test_backend_registered_after_a_plan_is_cached_is_considered(self, db):
+        q = Query(ANCHORED, structure="S")
+        assert q.plan(db).engine == "direct"
+        assert q.plan(db).origin["outcome"] == "reused"
+        register_backend(ToyBackend())
+        try:
+            plan = q.plan(db)
+            assert plan.engine == "toy"
+            assert plan.origin["reason"] == "miss"
+        finally:
+            unregister_backend("toy")
+        assert q.plan(db).engine == "direct"
 
     def test_forcing_toy_by_name(self, db, toy):
         plan = Query(ANCHORED, structure="S").plan(db, engine="toy")

@@ -92,6 +92,14 @@ def test_rule_flags_planted_offender(tmp_path, name):
             )
 
 
+def test_delta_rule_flags_the_version_link(tmp_path):
+    _plant(tmp_path, "src/repro/shard/peek.py", "store, number = db._version")
+    _plant(tmp_path, "src/repro/shard/fine.py",
+           "n = len(store._versions) + len(repro.__version__)")
+    found = RULES["delta"].offenders(tmp_path)
+    assert found == ["src/repro/shard/peek.py:2: store, number = db._version"]
+
+
 def test_codegen_rule_ignores_comments(tmp_path):
     _plant(tmp_path, "src/repro/eval/dyn.py", "x = 1  # never eval(source)")
     assert RULES["codegen"].offenders(tmp_path) == []

@@ -15,12 +15,10 @@ from repro.core import Query, StringDatabase
 from repro.database.instance import Database
 from repro.delta import VersionedDatabase
 from repro.engine import METRICS, reset_caches
-from repro.engine.cache import database_fingerprint
 from repro.engine.plan_cache import PLAN_DRIFT, drifted, plan_cache
 from repro.engine.planner import Planner
 from repro.errors import EvaluationError
 from repro.eval.automata_engine import AutomataEngine
-from repro.shard.backend import router_register, router_unregister
 from repro.shard.partition import shard_database
 from repro.strings import BINARY
 
@@ -141,26 +139,42 @@ def test_another_alphabet_is_still_refused():
 
 
 def test_sharded_route_replans():
+    # Placing the very snapshot a plan was made on changes what
+    # eligibility reads: one replan, then the plan is reused.
     q = Query(JOIN)
-    q.plan(A)
-    coordinator = SimpleNamespace(scheme="hash")
-    other = _db({"1"})
-    routes = [database_fingerprint(other)]
-    # The first route registers the sharded backend: a new registry.
-    router_register(routes[0], coordinator, shard_database("o", other, 2))
-    try:
-        assert _origin(q, A) == ("planned", "miss")
-        assert _origin(q, A) == ("reused", None)
-        # A route for this very database changes what eligibility reads.
-        routes.append(database_fingerprint(A))
-        router_register(routes[1], coordinator, shard_database("a", A, 2))
-        assert _origin(q, A) == ("planned", "eligibility")
-        assert _origin(q, A) == ("reused", None)
-    finally:
-        for fingerprint in routes:
-            router_unregister(fingerprint)
-    # The last route out unregisters the backend again.
-    assert _origin(q, A) == ("planned", "miss")
+    store = VersionedDatabase(A)
+    snapshot = store.head.database
+    assert _origin(q, snapshot) == ("planned", "miss")
+    assert _origin(q, snapshot) == ("reused", None)
+    sharded = shard_database("a", snapshot, 2)
+    coordinator = SimpleNamespace(scheme="hash", get=lambda name: sharded)
+    store.placement = (coordinator, sharded)
+    assert _origin(q, snapshot) == ("planned", "eligibility")
+    assert _origin(q, snapshot) == ("reused", None)
+    assert METRICS.get("planner.replans.eligibility") == 1
+
+
+def test_sharded_writes_reuse_the_plan():
+    # Each write moves the placement to the new head with the same
+    # layout, so the template planned once serves every version (the
+    # rows keep the longest string and stay inside the drift window).
+    from repro.service import QueryService, RunRequest
+
+    rows = {format(i, "05b") for i in range(20)}
+    query = "R(x) & last(x, '0')"
+    with QueryService(workers=1, shards=2) as svc:
+        svc.register_database("main", StringDatabase("01", {"R": rows}))
+        METRICS.reset()
+        assert svc.execute(RunRequest(query=query, database="main")).ok
+        for i in range(5):
+            row = format(20 + i, "05b")
+            rows.add(row)
+            svc.insert_rows("main", "R", [row])
+            response = svc.execute(RunRequest(query=query, database="main"))
+            assert response.ok
+            assert response.rows == sorted([r] for r in rows if r[-1] == "0")
+        assert METRICS.get("planner.plans") == 1
+        assert METRICS.get("planner.replans.eligibility") == 0
 
 
 def test_closure_compiled_after_a_cold_plan_replans_once_with_warm():

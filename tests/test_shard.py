@@ -56,12 +56,18 @@ def coordinator():
         yield coord
 
 
+@pytest.fixture
+def main(coordinator):
+    """The snapshot of ``DB`` placed on the pool: the one that routes."""
+    return coordinator.get("main").database
+
+
 def _single(query, engine="direct"):
     return sorted(Query(query).result(DB, engine=engine).as_set())
 
 
-def _sharded(query):
-    return sorted(Query(query).result(DB, engine="sharded").as_set())
+def _sharded(query, database):
+    return sorted(Query(query).result(database, engine="sharded").as_set())
 
 
 # -------------------------------------------------------------- partitioner
@@ -173,21 +179,22 @@ class TestScatterGather:
         "query",
         [GUARDED, "R(x)", "R(x) | S(x)", "T(x, y)", "R(x) & last(x, '0')"],
     )
-    def test_sharded_equals_single_process(self, coordinator, query):
-        assert _sharded(query) == _single(query)
+    def test_sharded_equals_single_process(self, main, query):
+        assert _sharded(query, main) == _single(query)
 
-    def test_fallback_answers_join_correctly(self, coordinator):
+    def test_fallback_answers_join_correctly(self, main):
         # No certificate: runs on a full copy, never a wrong merge.
-        assert _sharded("R(x) & S(x)") == _single("R(x) & S(x)")
+        assert _sharded("R(x) & S(x)", main) == _single("R(x) & S(x)")
         assert METRICS.snapshot().get("shard.fallbacks", 0) >= 1
 
     def test_empty_and_skewed_partitions(self):
         tiny = StringDatabase("01", {"R": {"0110"}})
         with ShardCoordinator(shards=3) as coord:
-            coord.register_database("tiny", tiny)
-            sharded = coord.get("tiny")
+            sharded = coord.register_database("tiny", tiny)
             assert sorted(sharded.part_sizes()).count(0) >= 2  # skew
-            rows = Query("R(x)").result(tiny, engine="sharded").as_set()
+            rows = Query("R(x)").result(
+                sharded.database, engine="sharded"
+            ).as_set()
             assert rows == {("0110",)}
 
     def test_empty_relation_keeps_arity_on_every_shard(self):
@@ -199,13 +206,13 @@ class TestScatterGather:
             schema=Schema({"R": 1, "T": 2}),
         )
         with ShardCoordinator(shards=2) as coord:
-            coord.register_database("arity", db)
-            rows = Query("T(x, y)").result(db, engine="sharded").as_set()
+            placed = coord.register_database("arity", db).database
+            rows = Query("T(x, y)").result(placed, engine="sharded").as_set()
             assert rows == {("0", "01")}
 
-    def test_planner_costs_include_sharded(self, coordinator):
+    def test_planner_costs_include_sharded(self, main):
         q = Query(GUARDED)
-        plan = plan_query(q.formula, q.structure, DB.db)
+        plan = plan_query(q.formula, q.structure, main)
         assert "sharded" in plan.costs
         assert plan.costs["sharded"] != float("inf")
         assert "sharded" in backend_names()
@@ -220,25 +227,25 @@ class TestScatterGather:
         db = StringDatabase("01", {"R": set(zeros) | set(ones)})
         query = "exists prefix y: last(y, '1')"
         with ShardCoordinator(shards=2) as coord:
-            coord.register_database("witness", db)
-            sharded = Query(query).result(db, engine="sharded").as_set()
+            placed = coord.register_database("witness", db).database
+            sharded = Query(query).result(placed, engine="sharded").as_set()
         assert sharded == Query(query).result(db, engine="direct").as_set()
 
     def test_reregistering_a_name_withdraws_the_old_route(self):
         old = StringDatabase("01", {"R": {"0"}})
         new = StringDatabase("01", {"R": {"1"}})
         with ShardCoordinator(shards=2) as coord:
-            coord.register_database("swap", old)
-            assert route_for(old.db) is not None
-            coord.register_database("swap", new)
-            # The old content's route is gone: a Database still holding
-            # it falls back to the in-process engines (correct answers)
-            # instead of scattering against the replacement partitions.
-            assert route_for(old.db) is None
-            assert route_for(new.db) is not None
-            assert Query("R(x)").result(old).as_set() == {("0",)}
+            old_placed = coord.register_database("swap", old).database
+            assert route_for(old_placed) is not None
+            new_placed = coord.register_database("swap", new).database
+            # The old snapshot's route is gone: it falls back to the
+            # in-process engines (correct answers) instead of scattering
+            # against the replacement partitions.
+            assert route_for(old_placed) is None
+            assert route_for(new_placed) is not None
+            assert Query("R(x)").result(old_placed).as_set() == {("0",)}
             assert (
-                Query("R(x)").result(new, engine="sharded").as_set()
+                Query("R(x)").result(new_placed, engine="sharded").as_set()
                 == {("1",)}
             )
 
@@ -246,11 +253,12 @@ class TestScatterGather:
         shared = StringDatabase("01", {"R": {"0"}})
         other = StringDatabase("01", {"R": {"1"}})
         with ShardCoordinator(shards=2) as coord:
-            coord.register_database("a", shared)
-            coord.register_database("b", shared)  # same content, new name
+            a = coord.register_database("a", shared).database
+            b = coord.register_database("b", shared).database  # new name
             coord.register_database("a", other)
             # "b" still serves the shared content: its route survives.
-            assert route_for(shared.db) is not None
+            assert route_for(b) is not None
+            assert route_for(a) is None
 
     def test_at_sign_in_database_name_is_rejected(self):
         # "@" is reserved for the coordinator's worker-side names — a
@@ -259,25 +267,33 @@ class TestScatterGather:
             with pytest.raises(ShardError):
                 coord.register_database("x@full", DB)
 
-    def test_route_for_matches_content_not_identity(self, coordinator):
-        # Routing is keyed on the database fingerprint (content), so an
-        # unregistered database never routes to someone else's shards.
-        assert route_for(DB.db) is not None
-        other = StringDatabase("01", {"R": {"1"}})
-        assert route_for(other.db) is None
+    def test_equal_content_built_separately_does_not_route(self, main):
+        # Only the placed snapshot routes: the plain database handed to
+        # register_database and an equal one built separately do not.
+        assert route_for(main) is not None
+        assert route_for(DB.db) is None
+        twin = StringDatabase("01", {
+            name: DB.db.relation(name) for name in DB.db.relation_names
+        })
+        assert route_for(twin.db) is None
+        q = Query(GUARDED)
+        plan = plan_query(q.formula, q.structure, twin.db)
+        assert plan.ineligible["sharded"] == (
+            "database is not placed on a shard coordinator"
+        )
 
 
 class TestExplain:
-    def test_text_explain_shows_decomposition(self, coordinator):
-        report = Query(GUARDED).explain(DB, engine="sharded")
+    def test_text_explain_shows_decomposition(self, main):
+        report = Query(GUARDED).explain(main, engine="sharded")
         text = report.render()
         assert "gather[union-dedup]" in text
         assert "mode=scatter" in text
         assert "certificate=guarded-formula" in text
         assert "shard[0]" in text and "shard[1]" in text
 
-    def test_json_explain_shows_decomposition(self, coordinator):
-        report = Query("R(x)").explain(DB, engine="sharded")
+    def test_json_explain_shows_decomposition(self, main):
+        report = Query("R(x)").explain(main, engine="sharded")
         payload = json.loads(json.dumps(report.to_dict()))
         tree = payload["tree"]
         assert tree["kind"] == "shard-gather"
@@ -289,27 +305,35 @@ class TestExplain:
 class TestFailureHandling:
     def test_killed_worker_is_restarted_and_retried(self):
         with ShardCoordinator(shards=2) as coord:
-            coord.register_database("main", DB)
+            placed = coord.register_database("main", DB).database
             victim = coord.pool.worker(1)
             victim.process.kill()
             victim.process.wait()
             before = METRICS.snapshot().get("shard.retries", 0)
-            rows = Query("R(x)").result(DB, engine="sharded").as_set()
+            rows = Query("R(x)").result(placed, engine="sharded").as_set()
             assert rows == DB.db.relation("R")
             assert METRICS.snapshot().get("shard.retries", 0) > before
             assert coord.pool.worker(1).alive
 
     def test_closed_coordinator_raises_structured_error(self):
         coord = ShardCoordinator(shards=1)
-        coord.register_database("main", DB)
-        sharded = coord.get("main")
+        sharded = coord.register_database("main", DB)
         q = Query("R(x)")
-        plan = plan_query(q.formula, q.structure, DB.db, force="sharded")
+        plan = plan_query(
+            q.formula, q.structure, sharded.database, force="sharded"
+        )
         coord.close()
         with pytest.raises(ShardError):
             coord.execute(sharded, plan)
-        # Closing withdrew the route: the backend is unregistered again.
-        assert "sharded" not in backend_names()
+        # Closing withdrew the route: the snapshot runs in process again.
+        assert route_for(sharded.database) is None
+        assert Query("R(x)").result(sharded.database).as_set() == (
+            DB.db.relation("R")
+        )
+
+    def test_forcing_sharded_on_an_unplaced_database_raises(self):
+        with pytest.raises(ShardError, match="not placed"):
+            Query("R(x)").result(DB, engine="sharded")
 
     def test_shard_error_classifies_with_retryable_bit(self):
         from repro.service import classify_error
@@ -340,7 +364,26 @@ class TestServiceIntegration:
             assert stats["sharding"]["shards"] == 2
             assert stats["sharding"]["alive"] == [True, True]
             assert "main" in stats["sharding"]["databases"]
-        assert "sharded" not in backend_names()
+
+    @pytest.mark.parametrize("scheme", ["hash", "relation"])
+    def test_superseded_version_never_answers_from_newer_partitions(
+        self, scheme
+    ):
+        from repro.service import QueryService
+
+        with QueryService(workers=1, shards=2, shard_scheme=scheme) as svc:
+            svc.register_database("main", DB)
+            pinned = svc.insert_rows("main", "R", ["1010"]).database
+            svc.insert_rows("main", "R", ["0010"])
+            q = Query("R(x)")
+            plan = q.plan(pinned)
+            assert plan.engine != "sharded"
+            assert "not placed" in plan.ineligible["sharded"]
+            rows = q.result(pinned).as_set()
+            assert rows == pinned.relation("R")
+            assert ("1010",) in rows and ("0010",) not in rows
+            with pytest.raises(ShardError, match="not placed"):
+                q.result(pinned, engine="sharded")
 
     def test_protocol_register_db_schema_field(self):
         from repro.service import Dispatcher, QueryService

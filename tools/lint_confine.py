@@ -15,9 +15,11 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``shard/`` and ``service/``, where deadlines, structured retryable
     errors, and dead-worker detection live.
 ``delta``
-    Attribute access on ``Database``'s private content mappings outside
-    the database module and the MVCC delta store: contents may only change
-    through ``repro.delta``, or every fingerprint-keyed cache is poisoned.
+    Attribute access on ``Database``'s private content mappings and its
+    version link (``_relations``, ``_adom``, ``_version``) outside the
+    database module and the MVCC delta store: contents may only change
+    through ``repro.delta``, or every fingerprint-keyed cache is poisoned,
+    and a snapshot reaches its store only through ``repro.delta.store_of``.
 ``codegen``
     Bare ``exec``/``eval``/``compile`` builtins outside
     ``algebra/codegen.py`` — the one audited code generator (comments may
@@ -137,16 +139,19 @@ RULES = (
     Rule(
         "delta",
         # Attribute access on the exact private fields: flags `db._relations`
-        # / `db._adom` but not `self._adom_sorted` or a local `plan_relations`.
-        re.compile(r"\.\s*(_relations|_adom)\b(?!\w)"),
+        # / `db._adom` / `db._version` but not `self._adom_sorted`, a local
+        # `plan_relations`, `store._versions` or `repro.__version__`.
+        re.compile(r"\.\s*(_relations|_adom|_version)\b"),
         scanned=("src", "benchmarks", "tools"),
         exempt=(
             "src/repro/database/instance.py",
             "src/repro/delta/",
             "tools/lint_confine.py",
         ),
-        problem="direct access to Database._relations/._adom outside the "
-        "delta store — mutate through repro.delta.VersionedDatabase instead",
+        problem="direct access to Database._relations/._adom/._version "
+        "outside the delta store — mutate through repro.delta."
+        "VersionedDatabase and reach a snapshot's store through "
+        "repro.delta.store_of instead",
         ok="database contents only change through repro.delta",
     ),
     Rule(
