@@ -192,6 +192,13 @@ class EngineBackend(abc.ABC):
     ) -> "QueryResult":
         """Run a plan this backend produced (``plan.engine == self.name``)."""
 
+    def warm(self, plan: "Plan", database: Database) -> bool:
+        """True when running ``plan`` on ``database`` builds nothing first,
+        so the query service may run it on a transport's event loop under
+        a deadline budget (:meth:`repro.service.QueryService.
+        answer_on_loop`).  ``False`` by default."""
+        return False
+
     # -------------------------------------------------------------- explain
 
     def trace_observer(self) -> object:
@@ -600,6 +607,13 @@ class AlgebraBackend(EngineBackend):
                 plan.structure, database, slack=plan.slack, cache=cache
             ).run(bind(plan.formula, plan.params))
         return QueryResult(pipeline.columns, rows)
+
+    def warm(self, plan, database):
+        from repro.algebra.codegen import has_pipeline
+
+        return has_pipeline(
+            plan.formula, plan.structure, database.schema, plan.slack
+        )
 
     def trace_observer(self):
         from repro.engine.explain import AlgebraTrace

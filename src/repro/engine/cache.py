@@ -138,7 +138,7 @@ class BoundedCache:
         """Count a hit for a value read with :meth:`peek` and then used —
         for a probe that may decline the entry it found, and whose miss
         the real lookup counts (:meth:`repro.service.QueryService.
-        answer_cached`)."""
+        answer_on_loop`)."""
         with self._lock:
             self.hits += 1
         METRICS.inc(self._hit)

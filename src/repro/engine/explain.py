@@ -193,7 +193,7 @@ def result_key(plan: Plan, database: Database) -> tuple:
     fingerprint and the backend's name, so a forced engine is never
     answered by another engine's entry.  :func:`execute_plan` stores
     under it, and the service's event-loop probe (:meth:`repro.service.
-    QueryService.answer_cached`) reads it."""
+    QueryService.answer_on_loop`) reads it."""
     return formula_key(
         plan.fingerprint,
         plan.structure.name,

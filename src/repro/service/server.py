@@ -3,12 +3,13 @@
 Both transports run one pipeline.  :mod:`repro.service.protocol` decides
 what a request means (:meth:`~repro.service.protocol.Dispatcher.step`:
 validation, error shapes, framing); this module only moves it — reads
-and decodes lines, takes each of the step's :class:`~repro.service.
-protocol.Work` requests from the result cache when :meth:`~repro.
-service.service.QueryService.answer_cached` has its answer and submits
-the rest to the shared :class:`~repro.service.service.QueryService`
-pool, and writes the frames the step renders.  The same request line
-therefore gets the same answer on either transport.
+and decodes lines, answers each of the step's :class:`~repro.service.
+protocol.Work` requests on its own thread when :meth:`~repro.service.
+service.QueryService.answer_on_loop` can (a cached answer, or a warm
+plan run under a deadline budget), submits the rest to the shared
+:class:`~repro.service.service.QueryService` pool, and writes the
+frames the step renders.  The same request line therefore gets the same
+answer on either transport.
 
 ``python -m repro serve --stdio`` runs :func:`serve_stdio` — one request
 per stdin line, one response line (or, for streamed runs, several frame
@@ -21,12 +22,16 @@ the service scriptable::
 a single-threaded **asyncio** front end that multiplexes every
 connection onto one event loop — a connection costs one coroutine and
 one socket, not one thread, so 10k concurrent clients are just 10k
-parked readers.  The event loop never blocks on the pool.  What only
-the TCP server does, because only it has many clients:
+parked readers.  The event loop never waits for the pool, and runs a
+query itself only under a deadline budget: a ``run`` whose warm plan
+has not finished within :data:`~repro.service.service.LOOP_RUN_BUDGET`
+is abandoned at the engine's next checkpoint and goes to the pool.
+What only the TCP server does, because only it has many clients:
 
 * ``run`` / ``batch`` are charged to a per-client
   :class:`~repro.service.quota.TokenBucket` quota; a request whose
-  answer is cached is then answered on the loop, and the others are
+  answer is cached, or a ``run`` whose warm plan finishes within the
+  budget, is then answered on the loop, and the others are
   submitted under the connection's client id, so the service's one
   fair queue (:class:`~repro.service.quota.FairQueue`) orders them
   across connections all the way to the worker.  Submitting never
@@ -100,17 +105,27 @@ DRAIN_GRACE = 5.0
 _LOOP_OPS = frozenset({"ping", "shutdown", "run", "batch"})
 
 
+def _answer_on_loop(service: QueryService, work: Work, request: RunRequest):
+    """The transports' one loop probe (:meth:`~repro.service.service.
+    QueryService.answer_on_loop`): a cached answer, or a warm plan run on
+    the calling thread when the line carries one request.  The items of
+    a larger batch are only looked up, so one request line holds the
+    loop for at most one run budget.  ``None`` sends the request to the
+    pool."""
+    return service.answer_on_loop(request, run=len(work.requests) == 1)
+
+
 def respond(dispatcher: Dispatcher, obj: Any) -> Reply:
     """Answer one decoded request synchronously: the protocol's step, with
-    cached answers taken from the result cache and the other pool work
-    submitted and waited for."""
+    what :func:`_answer_on_loop` answers taken on this thread and the
+    other pool work submitted and waited for."""
     step = dispatcher.step(obj)
     if isinstance(step, Reply):
         return step
     service = dispatcher.service
     outcomes: list[Any] = []
     for request in step.requests:
-        hit = service.answer_cached(request)
+        hit = _answer_on_loop(service, step, request)
         if hit is not None:
             outcomes.append(hit)
             continue
@@ -372,7 +387,7 @@ class AsyncTCPQueryServer:
         bucket: TokenBucket,
         client_id: int,
     ) -> Optional[list[dict]]:
-        """Charge the quota, take cached answers, submit the other
+        """Charge the quota, take the loop's answers, submit the other
         requests to the pool and await them, watching for disconnect;
         returns the rendered frames, or None once the client is gone."""
         # A bucket never holds more than `burst` tokens, so a batch
@@ -397,11 +412,11 @@ class AsyncTCPQueryServer:
             METRICS.inc("service.quota_delays")
             await bucket.acquire(work.cost)
 
-        # A cached answer is taken on the loop, without a pool hop.
-        # Admission failures stay in their slot as the exception.
+        # A cached answer or a warm run is taken on the loop, without a
+        # pool hop.  Admission failures stay in their slot as the exception.
         admitted: list[Any] = []
         for request in work.requests:
-            hit = self.service.answer_cached(request)
+            hit = _answer_on_loop(self.service, work, request)
             if hit is not None:
                 admitted.append(hit)
                 continue

@@ -19,9 +19,10 @@ into a serving tier on top of the PR 1 engine core:
 * a **worker pool** — a fixed set of threads popping requests from one
   bounded, weighted fair queue (:class:`~repro.service.quota.FairQueue`)
   that every transport and library caller pushes into; single requests
-  and batches run concurrently; a repeat whose answer is already cached
-  needs no worker: :meth:`QueryService.answer_cached` lets a transport
-  answer it with lookups alone, before admission;
+  and batches run concurrently; a request needs no worker when its
+  answer is already cached or its warm plan runs within a small deadline
+  budget: :meth:`QueryService.answer_on_loop` lets a transport answer it
+  on its own thread, before admission;
 * **per-request deadlines** — a request's budget starts at submission
   (queue wait counts) and is enforced cooperatively by the checkpoint
   hooks threaded through both engines (:mod:`repro.engine.deadline`), so
@@ -81,7 +82,7 @@ from typing import Any, Optional, Union
 from repro.core.query import Query, StringDatabase
 from repro.database.instance import Database
 from repro.delta import DatabaseVersion, VersionedDatabase
-from repro.engine.backend import resolve_engine
+from repro.engine.backend import get_backend, resolve_engine
 from repro.engine.cache import BoundedCache, cache_stats, global_cache
 from repro.engine.deadline import Deadline, deadline_scope
 from repro.engine.explain import (
@@ -306,11 +307,17 @@ class _NamedDatabase:
         return self.head.fingerprint
 
 
-#: Most rows a cached answer may have to be answered on the transport's
-#: event loop (:meth:`QueryService.answer_cached`); a larger one goes
-#: through the pool, so one big answer cannot stall every connection
-#: while its frames are built.
+#: Most rows an answer may have to be answered on the transport's event
+#: loop (:meth:`QueryService.answer_on_loop`), cached or run there; a
+#: larger one goes through the pool, so one big answer cannot stall every
+#: connection while its frames are built.
 LOOP_HIT_MAX_ROWS = 4096
+
+#: Seconds a warm plan may run on the transport's event loop
+#: (:meth:`QueryService.answer_on_loop`).  A run still going then is
+#: abandoned at the engine's next deadline checkpoint, its request goes
+#: through the pool, and its plan is not run on the loop again.
+LOOP_RUN_BUDGET = 0.002
 
 
 class QueryTemplate:
@@ -333,6 +340,10 @@ class QueryTemplate:
         self.formula = formula
         self._queries: dict[tuple[str, ...], Query] = {}
         self._lock = threading.Lock()
+        #: Per (alphabet, forced engine, slack): the template plan whose
+        #: run on the event loop overran :data:`LOOP_RUN_BUDGET`.  That
+        #: plan is not run on the loop again; a replan makes a new one.
+        self.overran: dict[tuple, Plan] = {}
 
     def __repr__(self) -> str:
         return (
@@ -817,22 +828,37 @@ class QueryService:
 
     # ------------------------------------------------------------ execution
 
-    def answer_cached(self, request: RunRequest) -> Optional[ServiceResponse]:
-        """The answer to ``request`` if the whole-result cache already holds
-        it, sorted and small; ``None`` sends the request down the pool.
+    def answer_on_loop(
+        self, request: RunRequest, run: bool = True
+    ) -> Optional[ServiceResponse]:
+        """The answer to ``request`` taken on the calling thread — the
+        transport's event loop — or ``None``, which sends the request down
+        the pool.
 
-        Cheap enough for the transports to call on their event loop before
-        admission: it only looks things up — the text alias (or the
-        prepared handle), the binding's checked alphabets, the plan cache
-        (:meth:`~repro.engine.plan_cache.PlanCache.peek`), then the result
-        entry under
-        :func:`~repro.engine.explain.result_key`.  It never parses, plans,
-        promotes an ancestor version's answer, reads the warm-start
-        directory or sorts: it answers only a finite result whose sorted
-        rows are memoized and number at most :data:`LOOP_HIT_MAX_ROWS`.
+        One probe looks things up once: the text alias (or the prepared
+        handle), the binding's checked alphabets and the plan cache
+        (:meth:`~repro.engine.plan_cache.PlanCache.peek`).  It never
+        parses or plans.  Then:
+
+        1. the result entry under :func:`~repro.engine.explain.result_key`
+           answers if it holds a finite result whose sorted rows are
+           memoized and number at most :data:`LOOP_HIT_MAX_ROWS`
+           (``service.loop_hits``);
+        2. otherwise, with ``run``, the bound plan runs right here when
+           its backend says it is warm (:meth:`~repro.engine.backend.
+           EngineBackend.warm`), under a :data:`LOOP_RUN_BUDGET` deadline
+           (``service.inline_runs``).  A run that overruns it marks its
+           plan, which is not run here again until a replan, and counts
+           ``service.inline_overruns``.  An infinite answer, more than
+           :data:`LOOP_HIT_MAX_ROWS` rows, a ``limit`` request, a timeout
+           shorter than the budget and any error take the pool, which
+           reports them.
+
         A closed service or a request whose budget is already spent
-        (``timeout <= 0``) takes the pool path, which reports it.  A hit
-        is counted like a pool hit, plus ``service.loop_hits``.
+        (``timeout <= 0``) takes the pool path too.  An answer is counted
+        like a pool run: ``service.requests``, ``service.ok``,
+        ``service.plan_cache_hits`` and ``delta.replans_avoided`` when
+        the plan was made on another version.
         """
         if self._closed:
             return None
@@ -860,9 +886,10 @@ class QueryService:
             ):
                 return None
             q = prepared.template.query_for(database.alphabet)
+            force = resolve_engine(request.engine)
             found = plan_cache().peek(
                 q.template, q.structure, database, slack=request.slack,
-                force=resolve_engine(request.engine),
+                force=force,
             )
         except (ReproError, TypeError):
             # An unknown engine or an unhashable field: the pool path
@@ -871,6 +898,29 @@ class QueryService:
         if found is None:
             return None
         plan = prepared.bind(found.plan)
+        response = self._cached_answer(plan, database)
+        if response is None and run:
+            if request.limit is not None or (
+                timeout is not None and timeout < LOOP_RUN_BUDGET
+            ):
+                return None
+            mark = (database.alphabet.symbols, force, request.slack)
+            response = self._run_inline(
+                prepared.template, mark, found.plan, plan, database
+            )
+        if response is None:
+            return None
+        if found.moved:
+            METRICS.inc("delta.replans_avoided")
+        for name in ("service.requests", "service.ok", "service.plan_cache_hits"):
+            METRICS.inc(name)
+        response.exec_seconds = time.perf_counter() - t0
+        return response
+
+    def _cached_answer(
+        self, plan: Plan, database: Database
+    ) -> Optional[ServiceResponse]:
+        """:meth:`answer_on_loop`'s result-cache step."""
         result = self._cache.peek(result_key(plan, database))
         if result is None:
             return None
@@ -878,21 +928,48 @@ class QueryService:
         if rows is None or len(rows) > LOOP_HIT_MAX_ROWS:
             return None
         self._cache.count_hit()
-        if found.moved:
-            METRICS.inc("delta.replans_avoided")
-        for name in (
-            "service.requests", "service.ok", "service.loop_hits",
-            "service.plan_cache_hits", f"engine.{plan.engine}.runs",
-        ):
-            METRICS.inc(name)
+        METRICS.inc("service.loop_hits")
+        METRICS.inc(f"engine.{plan.engine}.runs")
         return ServiceResponse(
             ok=True,
             columns=list(result.variables),
             rows=[list(t) for t in rows],
             engine=plan.engine,
             finite=True,
-            exec_seconds=time.perf_counter() - t0,
         )
+
+    def _run_inline(
+        self,
+        template: QueryTemplate,
+        mark: tuple,
+        template_plan: Plan,
+        plan: Plan,
+        database: Database,
+    ) -> Optional[ServiceResponse]:
+        """:meth:`answer_on_loop`'s run step: ``plan`` (``template_plan``
+        bound) under the loop budget, or ``None`` for the pool."""
+        if template.overran.get(mark) is template_plan:
+            return None
+        if not get_backend(plan.engine).warm(plan, database):
+            return None
+        t0 = time.perf_counter()
+        try:
+            with deadline_scope(LOOP_RUN_BUDGET):
+                payload = self._payload(
+                    plan, database, max_rows=LOOP_HIT_MAX_ROWS
+                )
+        except EvaluationTimeout:
+            template.overran[mark] = template_plan
+            METRICS.inc("service.inline_overruns")
+            return None
+        except Exception:  # the pool reports it
+            return None
+        finally:
+            METRICS.add_time("service.exec_seconds", time.perf_counter() - t0)
+        if payload is None:
+            return None
+        METRICS.inc("service.inline_runs")
+        return ServiceResponse(ok=True, **payload)
 
     def submit(
         self,
@@ -1022,13 +1099,17 @@ class QueryService:
     def stats(self) -> dict:
         """Service-level gauges, the counters of the service's result
         cache (``cache``) and of every cache by name (``caches``: the
-        registered ones plus this service's three query-text maps)."""
+        registered ones plus this service's three query-text maps), and
+        ``fused_share``: the share of algebra-engine runs that ran the
+        compiled closure (``codegen.runs`` over ``engine.algebra.runs``;
+        the others were answered by a cache or by ΔQ maintenance)."""
         snapshot = METRICS.snapshot()
         service_counters = {
             name: value
             for name, value in snapshot.items()
             if name.startswith(("service.", "delta."))
         }
+        algebra_runs = snapshot.get("engine.algebra.runs", 0)
         with self._registry_lock:
             entries = list(self._databases.values())
         versions = {
@@ -1054,6 +1135,10 @@ class QueryService:
                 for c in (self._templates, self._prepared, self._prepared_text)
             },
             "counters": service_counters,
+            "fused_share": (
+                snapshot.get("codegen.runs", 0) / algebra_runs
+                if algebra_runs else 0.0
+            ),
         }
         if self._coordinator is not None:
             out["sharding"] = self._coordinator.stats()
@@ -1123,12 +1208,29 @@ class QueryService:
         entry = self._entry(request.database)
         plan = prepared.plan_for(entry, engine=request.engine,
                                  slack=request.slack)
-        result = execute_plan(plan, entry.database, cache=self._cache)
+        return self._payload(plan, entry.database, limit=request.limit)
+
+    def _payload(
+        self,
+        plan: Plan,
+        database: Database,
+        limit: Optional[int] = None,
+        max_rows: Optional[int] = None,
+    ) -> Optional[dict]:
+        """Execute ``plan`` and build the response fields: the one tail of
+        a worker's run and an event-loop run, so both render the same
+        frames.  With ``max_rows``, ``None`` unless the answer is a finite
+        row set of at most that many rows."""
+        result = execute_plan(plan, database, cache=self._cache)
+        if max_rows is not None and (
+            result.rows is None or len(result.rows) > max_rows
+        ):
+            return None
         finite = result.is_finite()
         if finite:
             rows = result.sorted_rows()
-        elif request.limit is not None:
-            rows = sorted(result.tuples(limit=request.limit))
+        elif limit is not None:
+            rows = sorted(result.tuples(limit=limit))
         else:
             raise UnsafeQueryError(
                 "query output is infinite; pass limit= to sample it"

@@ -359,7 +359,9 @@ def test_memoized_rows_live_on_the_cached_results():
             cached = [v for _, v in cache.entries() if isinstance(v, QueryResult)]
             assert cached and all(r.sorted_memo is not None for r in cached)
         # The newest answer is served from its memo.
-        hit = svc.answer_cached(RunRequest(query=text, database="main"))
+        hit = svc.answer_on_loop(
+            RunRequest(query=text, database="main"), run=False
+        )
         assert hit is not None and hit.rows == resp.rows
         gc.collect()
         memoized = [

@@ -860,12 +860,18 @@ class TestLoopHits:
             client.run("R(x)", db="main")
             assert len(jobs) == 1
             # "0" is already active (in S): the plan survives the write,
-            # and the new version's fingerprint alone makes the probe miss.
+            # and the new version's fingerprint alone makes the result-
+            # cache probe miss.
             assert client.insert("main", "R", [["0"]])["ok"]
+            assert svc.answer_on_loop(
+                RunRequest(query="R(x)", database="main"), run=False
+            ) is None
+            # The read then runs its warm plan on the loop: no worker job.
             resp = client.run("R(x)", db="main")
             assert resp["rows"] == [["0"], ["001"], ["0110"], ["11"]]
-            assert len(jobs) == 2
+            assert len(jobs) == 1
             assert METRICS.get("service.loop_hits") == 1
+            assert METRICS.get("service.inline_runs") == 1
 
     def test_answer_above_the_row_cap_goes_through_the_pool(
         self, served, monkeypatch
@@ -879,8 +885,11 @@ class TestLoopHits:
             for _ in range(2):
                 assert len(client.run("R(x)", db="main")["rows"]) == 3
                 assert len(client.run("S(y)", db="main")["rows"]) == 2
-        assert len(jobs) == 3  # R(x) twice, S(y) once
+        # R(x) twice: over the cap neither the cached answer nor an
+        # inline run answers it; S(y) once.
+        assert len(jobs) == 3
         assert METRICS.get("service.loop_hits") == 1
+        assert METRICS.get("service.inline_runs") == 0
 
     def test_a_repeat_binds_its_plan_once(self, service, monkeypatch):
         import repro.service.service as service_module
@@ -898,24 +907,26 @@ class TestLoopHits:
             structure="S_reg",
         )
         assert service.execute(request).rows == [["001"], ["0110"]]
-        assert service.answer_cached(request).rows == [["001"], ["0110"]]
+        hit = service.answer_on_loop(request, run=False)
+        assert hit.rows == [["001"], ["0110"]]
         bound.clear()
-        assert service.answer_cached(request).rows == [["001"], ["0110"]]
+        hit = service.answer_on_loop(request, run=False)
+        assert hit.rows == [["001"], ["0110"]]
         assert bound == []
         # "0000" is a new active-domain string, but the statistics stay
         # within the drift window: the plan is reused, not bound again.
         service.insert_rows("main", "R", [["0000"]])
-        assert service.answer_cached(request) is None
+        assert service.answer_on_loop(request, run=False) is None
         rows = [["0000"], ["001"], ["0110"]]
         assert service.execute(request).rows == rows
-        assert service.answer_cached(request).rows == rows
+        assert service.answer_on_loop(request, run=False).rows == rows
         assert bound == []
         # A new relation changes the schema: the template is replanned,
         # and the new plan is bound once for the same text.
         service.insert_rows("main", "T", [["1"]])
-        assert service.answer_cached(request) is None
+        assert service.answer_on_loop(request, run=False) is None
         assert service.execute(request).rows == rows
-        assert service.answer_cached(request).rows == rows
+        assert service.answer_on_loop(request, run=False).rows == rows
         assert bound == [("0.*",)]
 
     def test_a_missing_probe_neither_parses_nor_plans(self, service):
@@ -929,8 +940,9 @@ class TestLoopHits:
 
         before = counts()
         # Never-seen text: not even parsed.
-        assert service.answer_cached(
-            RunRequest(query="R(x) & last(x, '1')", database="main")
+        assert service.answer_on_loop(
+            RunRequest(query="R(x) & last(x, '1')", database="main"),
+            run=False,
         ) is None
         assert counts() == before
         # Prepared, but never planned or run.
@@ -942,15 +954,15 @@ class TestLoopHits:
             RunRequest(query=handle, database="main", engine="warp"),
             RunRequest(query=handle, database="nowhere"),
         ):
-            assert service.answer_cached(request) is None
+            assert service.answer_on_loop(request, run=False) is None
         assert counts() == before
         # Run once through the pool: a repeat is answered, but not with
         # its budget already spent.
         request = RunRequest(query=handle, database="main")
         assert service.execute(request).ok
-        assert service.answer_cached(request).rows == [["01"]]
+        assert service.answer_on_loop(request, run=False).rows == [["01"]]
         request.timeout = 0.0
-        assert service.answer_cached(request) is None
+        assert service.answer_on_loop(request, run=False) is None
         assert service.execute(request).error.code == "timeout"
 
 
