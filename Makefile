@@ -53,7 +53,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             one LRU eviction (docs/explain_and_metrics.md).
 ##   executor  AlgebraExecutor, run_algebra, run_ranf and repro.algebra.exec
 ##             under src/ — the compiled closure runs every algebra plan, and
-##             the interpreter is the test oracle (docs/codegen_engine.md).
+##             the interpreter is the test oracle (docs/codegen_engine.md);
+##   future    threading.Event in service/service.py and under shard/ — pool
+##             requests and shard responses complete concurrent.futures
+##             Futures, so no hand-rolled completion signal (docs/service.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 

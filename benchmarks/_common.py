@@ -33,10 +33,16 @@ def db_sweep(sizes: Sequence[int], arities: dict[str, int] | None = None, max_le
     }
 
 
-def measure(fn: Callable[[], object], repeats: int = 3) -> float:
-    """Median wall-clock seconds of ``fn`` over ``repeats`` runs."""
+def measure(
+    fn: Callable[[], object], repeats: int = 3, min_seconds: float = 0.0
+) -> float:
+    """Median wall-clock seconds of ``fn`` over ``repeats`` runs, or over
+    as many more as it takes to span ``min_seconds``: a sub-millisecond
+    body then gets hundreds of samples, so one preempted or collected
+    run on a loaded host cannot move the median."""
     times = []
-    for _ in range(repeats):
+    start = time.perf_counter()
+    while len(times) < repeats or time.perf_counter() - start < min_seconds:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)

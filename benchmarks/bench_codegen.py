@@ -57,6 +57,11 @@ from tests._reference_algebra import AlgebraExecutor  # noqa: E402
 #: Acceptance bar at the largest full-sweep size, both shapes.
 FULL_SPEEDUP = 2.0
 
+#: Wall-clock seconds each side of a shape is timed over (a median of
+#: as many runs as fit): the compiled columnar scan takes well under a
+#: millisecond, and a median of three such runs swung past the gate.
+MIN_SPAN = 0.25
+
 #: (shape, query, relation arities, max string length, seed,
 #:  full sizes, smoke sizes).
 SHAPES = [
@@ -103,7 +108,8 @@ def _compiled(shape: str, db):
 
 
 def run_shape(shape: str, n: int) -> dict:
-    """Median times for one shape at one size, interpreted vs compiled.
+    """Median times for one shape at one size, interpreted vs compiled,
+    each over runs spanning :data:`MIN_SPAN` seconds.
 
     The compiled side times only ``pipeline.run`` — the closure is warm,
     which is the steady state the planner's amortized cost model prices
@@ -122,8 +128,8 @@ def run_shape(shape: str, n: int) -> dict:
     def compiled_run():
         compiled_rows[0] = pipeline.run(db)[0]
 
-    interp_s = measure(interp_run, repeats=3)
-    compiled_s = measure(compiled_run, repeats=3)
+    interp_s = measure(interp_run, min_seconds=MIN_SPAN)
+    compiled_s = measure(compiled_run, min_seconds=MIN_SPAN)
     return {
         "shape": shape,
         "n": n,

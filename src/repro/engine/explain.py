@@ -42,7 +42,7 @@ from repro.engine.cache import BoundedCache, database_fingerprint
 from repro.engine.cache import formula_key, global_cache
 from repro.engine.deadline import deadline_scope
 from repro.engine.metrics import METRICS
-from repro.engine.planner import Plan, with_values
+from repro.engine.planner import Plan, json_finite, with_values
 from repro.eval.result import QueryResult
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import Formula
@@ -296,7 +296,7 @@ class Explain:
         }
         if self.template is not None:
             out["template"] = self.template
-        return out
+        return json_finite(out)
 
     def render(self) -> str:
         cache = self.cache_stats

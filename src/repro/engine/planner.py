@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -222,30 +223,16 @@ class Plan:
     #: (:attr:`repro.engine.backend.Estimate.cold`).
     cold_probes: tuple = field(default=(), compare=False, repr=False)
 
-    # Legacy accessors (pre-registry plans stored one field per engine).
-    @property
-    def direct_cost(self) -> float:
-        return self.costs.get("direct", _INF)
-
-    @property
-    def automata_cost(self) -> float:
-        return self.costs.get("automata", _INF)
-
-    @property
-    def algebra_cost(self) -> float:
-        return self.costs.get("algebra", _INF)
-
     def to_dict(self) -> dict:
-        return {
+        """The plan as strict JSON values: an infinite cost (a backend
+        whose regime does not apply) is ``None``."""
+        return json_finite({
             "engine": self.engine,
             "reason": self.reason,
             "forced": self.forced,
             "slack": self.slack,
             "structure": self.structure.name,
             "costs": dict(self.costs),
-            "direct_cost": self.direct_cost,
-            "automata_cost": self.automata_cost,
-            "algebra_cost": self.algebra_cost,
             "fingerprint": self.fingerprint,
             "quantifier_kinds": list(self.quantifier_kinds),
             "negation_depth": self.negation_depth,
@@ -254,7 +241,7 @@ class Plan:
             "origin": dict(self.origin),
             "ineligible": dict(self.ineligible),
             "tree": self.root.to_dict(),
-        }
+        })
 
     def render(self) -> str:
         mode = "forced" if self.forced else "auto"
@@ -279,6 +266,19 @@ class Plan:
             )
         lines.append(self.root.render())
         return "\n".join(lines)
+
+
+def json_finite(value):
+    """``value`` with every infinite or NaN float, however deeply nested
+    in dicts, lists and tuples, replaced by ``None``: RFC 8259 JSON has
+    no such number, and ``json.dumps`` would write a bare ``Infinity``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: json_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_finite(v) for v in value]
+    return value
 
 
 def _fmt_stats(stats: dict) -> str:

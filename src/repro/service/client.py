@@ -16,9 +16,9 @@ wrong request), so the client closes it and refuses further use — open a
 fresh client to retry.
 
 :class:`AsyncServiceClient` is the asyncio sibling for callers already
-on an event loop (and for the concurrent-client benchmark): same verbs,
-``await``-shaped, hundreds of instances multiplex on one loop without
-threads.
+on an event loop (and for the concurrent-client benchmark): the same
+verbs, written once, ``await``-shaped; hundreds of instances multiplex
+on one loop without threads.
 
 Usage::
 
@@ -49,6 +49,20 @@ __all__ = ["AsyncServiceClient", "ServiceClient"]
 #: a large answer frame must not trip asyncio's 64 KiB default).
 _READ_LIMIT = 16 * 1024 * 1024
 
+#: ``read_timeout`` not given: reads are bounded by the connect timeout.
+_UNSET: Any = object()
+
+
+def _run_body(
+    query: Optional[str], db: str, prepared: Optional[str], options: dict
+) -> dict:
+    body: dict[str, Any] = {"op": "run", "db": db, **options}
+    if prepared is not None:
+        body["prepared"] = prepared
+    else:
+        body["query"] = query
+    return body
+
 
 def _stream_body(
     query: Optional[str],
@@ -57,17 +71,82 @@ def _stream_body(
     page_size: Optional[int],
     options: dict,
 ) -> dict:
-    body: dict[str, Any] = {"op": "run", "db": db, "stream": True, **options}
-    if prepared is not None:
-        body["prepared"] = prepared
-    else:
-        body["query"] = query
+    body = _run_body(query, db, prepared, {"stream": True, **options})
     if page_size is not None:
         body["page_size"] = page_size
     return body
 
 
-class ServiceClient:
+class _Verbs:
+    """The protocol's verbs, written once for both clients: each builds
+    its request body and returns ``self.request(body)`` — the reply for
+    :class:`ServiceClient`, an awaitable of it for
+    :class:`AsyncServiceClient`."""
+
+    def request(self, payload: dict) -> Any:
+        raise NotImplementedError
+
+    def ping(self) -> Any:
+        return self.request({"op": "ping"})
+
+    def register_db(
+        self, name: str, alphabet: str, relations: dict[str, list]
+    ) -> Any:
+        return self.request({
+            "op": "register_db",
+            "name": name,
+            "db": {"alphabet": alphabet, "relations": relations},
+        })
+
+    def unregister_db(self, name: str) -> Any:
+        return self.request({"op": "unregister_db", "name": name})
+
+    def list_dbs(self) -> Any:
+        return self.request({"op": "list_dbs"})
+
+    def insert(self, db: str, relation: str, rows: list) -> Any:
+        """Apply an insert delta; replies with the new head version."""
+        return self.request({
+            "op": "insert", "db": db, "relation": relation, "rows": rows,
+        })
+
+    def delete(self, db: str, relation: str, rows: list) -> Any:
+        """Apply a delete delta; replies with the new head version."""
+        return self.request({
+            "op": "delete", "db": db, "relation": relation, "rows": rows,
+        })
+
+    def db_versions(self, name: str) -> Any:
+        return self.request({"op": "db_versions", "name": name})
+
+    def prepare(self, query: str, structure: str = "S") -> Any:
+        return self.request({
+            "op": "prepare", "query": query, "structure": structure,
+        })
+
+    def run(
+        self,
+        query: Optional[str] = None,
+        db: str = "main",
+        prepared: Optional[str] = None,
+        **options: Any,
+    ) -> Any:
+        """``run`` with query text or a ``prepared`` handle id; extra
+        keywords (``structure``, ``engine``, ``slack``, ``limit``,
+        ``timeout_ms``) pass through to the protocol."""
+        return self.request(_run_body(query, db, prepared, options))
+
+    def batch(self, requests: list[dict]) -> Any:
+        return self.request({"op": "batch", "requests": requests})
+
+    def stats(self) -> Any:
+        return self.request({"op": "stats"})
+
+    def shutdown(self, drain: bool = True) -> Any:
+        return self.request({"op": "shutdown", "drain": drain})
+
+
+class ServiceClient(_Verbs):
     """See module docstring.  Raises :class:`~repro.errors.ServiceError`
     on transport failures (:class:`~repro.errors.ClientReadTimeoutError`
     for an expired read deadline); protocol-level errors come back as
@@ -77,8 +156,6 @@ class ServiceClient:
     response read (defaults to ``timeout``; pass ``None`` explicitly
     for unbounded reads, e.g. when streaming a query with no deadline).
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
@@ -94,7 +171,7 @@ class ServiceClient:
                 f"cannot connect to query service at {host}:{port}: {exc}"
             ) from None
         self.read_timeout = (
-            timeout if read_timeout is ServiceClient._UNSET else read_timeout
+            timeout if read_timeout is _UNSET else read_timeout
         )
         self._sock.settimeout(self.read_timeout)
         self._file = self._sock.makefile("rwb")
@@ -171,61 +248,6 @@ class ServiceClient:
 
     # ----------------------------------------------------------------- ops
 
-    def ping(self) -> dict:
-        return self.request({"op": "ping"})
-
-    def register_db(
-        self, name: str, alphabet: str, relations: dict[str, list]
-    ) -> dict:
-        return self.request({
-            "op": "register_db",
-            "name": name,
-            "db": {"alphabet": alphabet, "relations": relations},
-        })
-
-    def unregister_db(self, name: str) -> dict:
-        return self.request({"op": "unregister_db", "name": name})
-
-    def list_dbs(self) -> dict:
-        return self.request({"op": "list_dbs"})
-
-    def insert(self, db: str, relation: str, rows: list) -> dict:
-        """Apply an insert delta; returns the new head version summary."""
-        return self.request({
-            "op": "insert", "db": db, "relation": relation, "rows": rows,
-        })
-
-    def delete(self, db: str, relation: str, rows: list) -> dict:
-        """Apply a delete delta; returns the new head version summary."""
-        return self.request({
-            "op": "delete", "db": db, "relation": relation, "rows": rows,
-        })
-
-    def db_versions(self, name: str) -> dict:
-        return self.request({"op": "db_versions", "name": name})
-
-    def prepare(self, query: str, structure: str = "S") -> dict:
-        return self.request({
-            "op": "prepare", "query": query, "structure": structure,
-        })
-
-    def run(
-        self,
-        query: Optional[str] = None,
-        db: str = "main",
-        prepared: Optional[str] = None,
-        **options: Any,
-    ) -> dict:
-        """``run`` with query text or a ``prepared`` handle id; extra
-        keywords (``structure``, ``engine``, ``slack``, ``limit``,
-        ``timeout_ms``) pass through to the protocol."""
-        body: dict[str, Any] = {"op": "run", "db": db, **options}
-        if prepared is not None:
-            body["prepared"] = prepared
-        else:
-            body["query"] = query
-        return self.request(body)
-
     def run_stream(
         self,
         query: Optional[str] = None,
@@ -271,22 +293,15 @@ class ServiceClient:
                 )
         return rows
 
-    def batch(self, requests: list[dict]) -> dict:
-        return self.request({"op": "batch", "requests": requests})
 
-    def stats(self) -> dict:
-        return self.request({"op": "stats"})
-
-    def shutdown(self, drain: bool = True) -> dict:
-        return self.request({"op": "shutdown", "drain": drain})
-
-
-class AsyncServiceClient:
+class AsyncServiceClient(_Verbs):
     """The asyncio client: same protocol verbs, ``await``-shaped.
 
     Build with :meth:`connect`; hundreds of instances share one event
     loop (the concurrent-client benchmark drives 512 this way).  Reads
-    are bounded by ``read_timeout`` exactly like the sync client.
+    are bounded by ``read_timeout`` exactly like the sync client: it
+    defaults to the connect ``timeout``, and ``None`` passed explicitly
+    leaves reads unbounded.
     """
 
     def __init__(
@@ -308,7 +323,7 @@ class AsyncServiceClient:
         host: str,
         port: int,
         timeout: Optional[float] = 30.0,
-        read_timeout: Optional[float] = None,
+        read_timeout: Any = _UNSET,
     ) -> "AsyncServiceClient":
         try:
             reader, writer = await asyncio.wait_for(
@@ -319,7 +334,9 @@ class AsyncServiceClient:
             raise ServiceError(
                 f"cannot connect to query service at {host}:{port}: {exc}"
             ) from None
-        return cls(reader, writer, read_timeout)
+        return cls(
+            reader, writer, timeout if read_timeout is _UNSET else read_timeout
+        )
 
     # ------------------------------------------------------------ transport
 
@@ -385,37 +402,6 @@ class AsyncServiceClient:
 
     # ----------------------------------------------------------------- ops
 
-    async def ping(self) -> dict:
-        return await self.request({"op": "ping"})
-
-    async def register_db(
-        self, name: str, alphabet: str, relations: dict[str, list]
-    ) -> dict:
-        return await self.request({
-            "op": "register_db",
-            "name": name,
-            "db": {"alphabet": alphabet, "relations": relations},
-        })
-
-    async def prepare(self, query: str, structure: str = "S") -> dict:
-        return await self.request({
-            "op": "prepare", "query": query, "structure": structure,
-        })
-
-    async def run(
-        self,
-        query: Optional[str] = None,
-        db: str = "main",
-        prepared: Optional[str] = None,
-        **options: Any,
-    ) -> dict:
-        body: dict[str, Any] = {"op": "run", "db": db, **options}
-        if prepared is not None:
-            body["prepared"] = prepared
-        else:
-            body["query"] = query
-        return await self.request(body)
-
     async def run_stream(
         self,
         query: Optional[str] = None,
@@ -439,12 +425,3 @@ class AsyncServiceClient:
                 yield frame
                 if frame.get("frame") != "row_batch":
                     return
-
-    async def batch(self, requests: list[dict]) -> dict:
-        return await self.request({"op": "batch", "requests": requests})
-
-    async def stats(self) -> dict:
-        return await self.request({"op": "stats"})
-
-    async def shutdown(self, drain: bool = True) -> dict:
-        return await self.request({"op": "shutdown", "drain": drain})

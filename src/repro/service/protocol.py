@@ -103,15 +103,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from repro.core.query import StringDatabase
+from repro.engine.cache import BoundedCache
 from repro.engine.metrics import METRICS
 from repro.errors import ServiceError
 from repro.service.service import (
-    PreparedQuery,
+    PREPARED_CAP,
     QueryService,
     RunRequest,
     ServiceResponse,
@@ -277,17 +277,19 @@ class Dispatcher:
     """Maps decoded protocol requests onto a :class:`QueryService`.
 
     One dispatcher serves a whole server (all TCP connections share it),
-    so prepared-query handles are registered under a locked counter and a
-    handle created on one connection is usable from another.
+    so a prepared-query handle created on one connection is usable from
+    another.  The handle ids live in a :class:`~repro.engine.cache.
+    BoundedCache` sized like the service's ``service.prepared`` map: a
+    client that prepares without end evicts its least recently used
+    ids, which then answer ``unknown prepared query``.
     """
 
     def __init__(self, service: QueryService, allow_shutdown: bool = True):
         self.service = service
         self.allow_shutdown = allow_shutdown
         self.shutdown_drain = True
-        self._prepared: dict[str, PreparedQuery] = {}
+        self._prepared = BoundedCache(PREPARED_CAP, "protocol.prepared")
         self._counter = itertools.count(1)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- plumbing
 
@@ -417,8 +419,7 @@ class Dispatcher:
     def _request_from(self, obj: dict) -> RunRequest:
         if "prepared" in obj:
             pid = _require_str(obj, "prepared")
-            with self._lock:
-                query = self._prepared.get(pid)
+            query = self._prepared.get(pid)
             if query is None:
                 raise ProtocolError(f"unknown prepared query {pid!r}")
         else:
@@ -524,9 +525,8 @@ class Dispatcher:
         query = _require_str(obj, "query")
         structure = obj.get("structure", "S")
         handle = self.service.prepare(query, structure)
-        with self._lock:
-            pid = f"p{next(self._counter)}"
-            self._prepared[pid] = handle
+        pid = f"p{next(self._counter)}"
+        self._prepared.put(pid, handle)
         return {
             "prepared": pid,
             "variables": sorted(handle.template.formula.free_variables()),
@@ -546,7 +546,9 @@ class Dispatcher:
         return {"explain": report.to_dict()}, False
 
     def _op_stats(self, obj: dict) -> tuple[dict, bool]:
-        return {"stats": self.service.stats()}, False
+        stats = self.service.stats()
+        stats["caches"][self._prepared.name] = self._prepared.stats()
+        return {"stats": stats}, False
 
     def _op_shutdown(self, obj: dict) -> tuple[dict, bool]:
         if not self.allow_shutdown:

@@ -35,10 +35,10 @@ What only the TCP server does, because only it has many clients:
   submitted under the connection's client id, so the service's one
   fair queue (:class:`~repro.service.quota.FairQueue`) orders them
   across connections all the way to the worker.  Submitting never
-  waits, so the loop never parks on a full pool; completion is
-  bridged back by :meth:`~repro.service.service.PendingRequest.
-  add_done_callback` + ``call_soon_threadsafe`` — no thread per
-  in-flight request, no polling;
+  waits, so the loop never parks on a full pool; the submitted
+  :class:`~repro.service.service.PendingRequest` is a
+  ``concurrent.futures.Future``, awaited through ``asyncio.wrap_future``
+  — no thread per in-flight request, no polling;
 * while a request executes, the connection watches its socket, so a
   client that disconnects mid-answer gets its request **cancelled
   cooperatively** (queued work is skipped, running work aborts at the
@@ -465,38 +465,34 @@ class AsyncTCPQueryServer:
         """Await a submitted request's completion, watching for disconnect.
 
         Returns ``(connected, response)``; on disconnect the request is
-        cancelled cooperatively and ``response`` is ``None``.
+        cancelled cooperatively and ``response`` is ``None``.  Leaving
+        before it completes (a disconnect, or the connection's task
+        cancelled at shutdown) cancels the wrapping asyncio future,
+        which ``asyncio.wrap_future`` passes on to ``pending.cancel()``.
         """
-        fut: asyncio.Future = self._loop.create_future()
-
-        def _resolve() -> None:
-            if not fut.done():
-                fut.set_result(None)
-
-        pending.add_done_callback(
-            lambda: self._loop.call_soon_threadsafe(_resolve)
-        )
-
-        def _abandon() -> None:
-            pending.cancel()
+        fut = asyncio.wrap_future(pending, loop=self._loop)
+        try:
+            connected = await self._watch(fut, source)
+        finally:
+            if fut.done():
+                fut.exception()  # retrieved: pending.wait(0) renders it
+            else:
+                fut.cancel()
+        if not connected:
             METRICS.inc("service.disconnects_inflight")
             if streaming:
                 METRICS.inc("service.streams_cancelled")
-
-        connected = await self._watch(fut, source, _abandon)
-        if not connected:
             return False, None
         return True, pending.wait(0)
 
     async def _watch(
-        self, fut: "asyncio.Future", source: _LineSource, on_disconnect
+        self, fut: "asyncio.Future", source: _LineSource
     ) -> bool:
         """Await ``fut`` while watching the connection for EOF.
 
         At most one raw read is posted at a time; a read that catches the
         next pipelined request is pushed back for the main loop.  EOF (or
-        a reset) calls ``on_disconnect()`` and returns ``False`` without
-        waiting for ``fut`` — the abandoned work cleans itself up.
+        a reset) returns ``False`` without waiting for ``fut``.
         """
         watch: Optional[asyncio.Task] = None
         try:
@@ -519,7 +515,6 @@ class AsyncTCPQueryServer:
                         data = b""
                     watch = None
                     if not data:
-                        on_disconnect()
                         return False
                     source.push(data)
             return True

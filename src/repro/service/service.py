@@ -18,11 +18,13 @@ into a serving tier on top of the PR 1 engine core:
   session-wide thread-safe :class:`~repro.engine.cache.BoundedCache`;
 * a **worker pool** — a fixed set of threads popping requests from one
   bounded, weighted fair queue (:class:`~repro.service.quota.FairQueue`)
-  that every transport and library caller pushes into; single requests
-  and batches run concurrently; a request needs no worker when its
-  answer is already cached or its warm plan runs within a small deadline
-  budget: :meth:`QueryService.answer_on_loop` lets a transport answer it
-  on its own thread, before admission;
+  that every transport and library caller pushes into; each submit
+  returns a :class:`PendingRequest`, a ``concurrent.futures.Future``
+  the worker completes; single requests and batches run concurrently;
+  a request needs no worker when its answer is already cached or its
+  warm plan runs within a small deadline budget: :meth:`QueryService.
+  answer_on_loop` lets a transport answer it on its own thread, before
+  admission;
 * **per-request deadlines** — a request's budget starts at submission
   (queue wait counts) and is enforced cooperatively by the checkpoint
   hooks threaded through both engines (:mod:`repro.engine.deadline`), so
@@ -76,6 +78,8 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -307,6 +311,11 @@ class _NamedDatabase:
         return self.head.fingerprint
 
 
+#: Entries in each map of prepared queries: the service's templates,
+#: prepared queries and query-text aliases, and a wire dispatcher's
+#: handle ids (:class:`repro.service.protocol.Dispatcher`).
+PREPARED_CAP = 1024
+
 #: Most rows an answer may have to be answered on the transport's event
 #: loop (:meth:`QueryService.answer_on_loop`), cached or run there; a
 #: larger one goes through the pool, so one big answer cannot stall every
@@ -474,91 +483,55 @@ class PreparedQuery:
 # ---------------------------------------------------------------- the pool
 
 
-class _Job:
-    """One queued request with its deadline and completion signal."""
+class PendingRequest(Future):
+    """A submitted request: a :class:`concurrent.futures.Future` whose
+    result is the response payload and whose exception is the failure.
+
+    The worker completes it with ``set_result`` or ``set_exception``, so
+    ``result()``, ``add_done_callback(fn)`` (``fn(future)``, on the
+    completing thread), ``concurrent.futures.wait`` and
+    ``asyncio.wrap_future`` all work on it.  :meth:`wait` turns the
+    outcome into a :class:`ServiceResponse`; :meth:`cancel` is
+    cooperative and never moves the future to the cancelled state, so a
+    worker can always complete it.
+    """
 
     __slots__ = (
         "request", "fn", "deadline", "submitted_at", "started_at",
-        "exec_seconds", "event", "outcome", "cancelled", "_callbacks",
-        "_cb_lock", "_cb_fired",
+        "exec_seconds", "abandoned",
     )
 
     def __init__(self, request: RunRequest, fn, deadline: Optional[Deadline]):
+        super().__init__()
         self.request = request
         self.fn = fn
         self.deadline = deadline
         self.submitted_at = time.monotonic()
         self.started_at: Optional[float] = None
         self.exec_seconds = 0.0
-        self.event = threading.Event()
-        # ("ok", payload dict) | ("error", exception)
-        self.outcome: Optional[tuple[str, Any]] = None
-        #: Set by PendingRequest.cancel(): skip if still queued, expire
-        #: the deadline if already running.
-        self.cancelled = False
-        self._callbacks: list = []
-        self._cb_lock = threading.Lock()
-        self._cb_fired = False
+        #: Set by :meth:`cancel`: skip if still queued, expire the
+        #: deadline if already running.
+        self.abandoned = False
 
-    def add_done_callback(self, fn) -> None:
-        """Run ``fn()`` on the worker thread once the job completes (or
-        immediately, on the caller's thread, if it already did).  The
-        asyncio front end uses this to bridge worker completions back
-        onto the event loop via ``call_soon_threadsafe`` — no polling,
-        no thread blocked per in-flight request."""
-        with self._cb_lock:
-            if not self._cb_fired:
-                self._callbacks.append(fn)
-                return
-        fn()
-
-    def fire_callbacks(self) -> None:
-        with self._cb_lock:
-            self._cb_fired = True
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            try:
-                fn()
-            except Exception:  # a broken observer must not kill the worker
-                pass
-
-
-class PendingRequest:
-    """A handle on a submitted request (the service's future)."""
-
-    __slots__ = ("_job",)
-
-    def __init__(self, job: _Job):
-        self._job = job
-
-    def done(self) -> bool:
-        return self._job.event.is_set()
-
-    def add_done_callback(self, fn) -> None:
-        """Run ``fn()`` (no arguments) when the request completes.
-
-        Fires on the worker thread — keep it tiny and non-blocking (the
-        async server passes ``loop.call_soon_threadsafe`` trampolines).
-        If the request is already done, ``fn`` runs immediately on the
-        calling thread.
-        """
-        self._job.add_done_callback(fn)
-
-    def cancel(self) -> None:
-        """Abandon the request cooperatively (submitter went away).
+    def cancel(self) -> bool:
+        """Abandon the request cooperatively (submitter went away);
+        returns whether this call abandoned it.
 
         Queued jobs are skipped by the worker (their outcome becomes a
         retryable ``cancelled`` error); a job already running has its
         deadline pulled into the past, so the engine's next checkpoint
         aborts it (:meth:`repro.engine.deadline.Deadline.cancel`).  The
         worker slot is therefore always reclaimed — promptly for queued
-        work, at the next checkpoint for in-flight work.
+        work, at the next checkpoint for in-flight work.  ``asyncio.
+        wrap_future`` calls this when the awaiting task is cancelled.
         """
-        job = self._job
-        job.cancelled = True
-        if job.deadline is not None:
-            job.deadline.cancel()
+        if self.abandoned:
+            return False
+        self.abandoned = True
+        if self.deadline is not None:
+            self.deadline.cancel()
         METRICS.inc("service.cancel_requested")
+        return True
 
     def wait(self, timeout: Optional[float] = None) -> ServiceResponse:
         """Block until the request finishes and return its response.
@@ -567,8 +540,9 @@ class PendingRequest:
         still running and a retryable ``timeout`` response is returned
         without cancelling the underlying work.
         """
-        job = self._job
-        if not job.event.wait(timeout):
+        try:
+            error = self.exception(timeout)
+        except FutureTimeoutError:
             return ServiceResponse(
                 ok=False,
                 error=ErrorInfo(
@@ -576,24 +550,23 @@ class PendingRequest:
                     f"request still pending after waiting {timeout:.6g}s",
                     retryable=True,
                 ),
-                queue_seconds=time.monotonic() - job.submitted_at,
+                queue_seconds=time.monotonic() - self.submitted_at,
             )
-        status, value = job.outcome  # type: ignore[misc]
         queue_seconds = (
-            (job.started_at or job.submitted_at) - job.submitted_at
+            (self.started_at or self.submitted_at) - self.submitted_at
         )
-        if status == "ok":
+        if error is None:
             return ServiceResponse(
                 ok=True,
                 queue_seconds=queue_seconds,
-                exec_seconds=job.exec_seconds,
-                **value,
+                exec_seconds=self.exec_seconds,
+                **self.result(),
             )
         return ServiceResponse(
             ok=False,
-            error=classify_error(value),
+            error=classify_error(error),
             queue_seconds=queue_seconds,
-            exec_seconds=job.exec_seconds,
+            exec_seconds=self.exec_seconds,
         )
 
 
@@ -642,9 +615,11 @@ class QueryService:
         # text alias map that short-circuits re-parsing on repeated exact
         # text.  Ad hoc traffic brings new text without end, so each is
         # bounded; they are this service's own, outside the registry.
-        self._templates = BoundedCache(1024, "service.templates")
-        self._prepared = BoundedCache(1024, "service.prepared")
-        self._prepared_text = BoundedCache(1024, "service.prepared_text")
+        self._templates = BoundedCache(PREPARED_CAP, "service.templates")
+        self._prepared = BoundedCache(PREPARED_CAP, "service.prepared")
+        self._prepared_text = BoundedCache(
+            PREPARED_CAP, "service.prepared_text"
+        )
         self._registry_lock = threading.Lock()
         # Serializes delta application (insert/delete) across names so a
         # wrap-then-apply never races a concurrent re-registration.
@@ -999,7 +974,9 @@ class QueryService:
             else self.config.default_timeout
         )
         deadline = Deadline(timeout) if timeout is not None else None
-        job = _Job(request, lambda: self._evaluate(request), deadline)
+        job = PendingRequest(
+            request, lambda: self._evaluate(request), deadline
+        )
         METRICS.inc("service.requests")
         block = self.config.backpressure == "block" and client is None
         try:
@@ -1015,7 +992,7 @@ class QueryService:
         except (QueueFullError, EvaluationTimeout):
             METRICS.inc("service.rejected")
             raise
-        return PendingRequest(job)
+        return job
 
     def forget_client(self, client: Any) -> None:
         """Drop a departed client's fair-queuing state."""
@@ -1060,12 +1037,9 @@ class QueryService:
             return
         self._closed = True
         for job in self._queue.close(drain):
-            job.outcome = (
-                "error",
-                ServiceClosedError("service shut down before execution"),
+            job.set_exception(
+                ServiceClosedError("service shut down before execution")
             )
-            job.event.set()
-            job.fire_callbacks()
         for t in self._workers:
             t.join(timeout)
         if self._coordinator is not None:
@@ -1152,13 +1126,14 @@ class QueryService:
         while (job := self._queue.get()) is not None:
             self._run_job(job)
 
-    def _run_job(self, job: _Job) -> None:
+    def _run_job(self, job: PendingRequest) -> None:
         job.started_at = time.monotonic()
         queue_wait = job.started_at - job.submitted_at
         METRICS.add_time("service.queue_wait_seconds", queue_wait)
         t0 = time.perf_counter()
+        payload = error = None
         try:
-            if job.cancelled:
+            if job.abandoned:
                 # The submitter abandoned the request while it was still
                 # queued (e.g. a streaming client disconnected): reclaim
                 # the worker without touching the engines.
@@ -1173,31 +1148,29 @@ class QueryService:
                     job.deadline.check()
                 payload = job.fn()
             METRICS.inc("service.ok")
-            job.outcome = ("ok", payload)
         except BaseException as exc:  # never kill a worker on a bad request
-            if job.cancelled and isinstance(
+            error = exc
+            if job.abandoned and isinstance(
                 exc, (EvaluationTimeout, RequestCancelledError)
             ):
                 # In-flight cancellation surfaces as the expired deadline's
                 # EvaluationTimeout; report it as what it was.
                 METRICS.inc("service.cancelled")
-                exc = (
-                    exc if isinstance(exc, RequestCancelledError)
-                    else RequestCancelledError(
+                if isinstance(exc, EvaluationTimeout):
+                    error = RequestCancelledError(
                         "request cancelled mid-execution (submitter "
                         "disconnected); partial work discarded"
                     )
-                )
             elif isinstance(exc, EvaluationTimeout):
                 METRICS.inc("service.timeouts")
             else:
                 METRICS.inc("service.errors")
-            job.outcome = ("error", exc)
-        finally:
-            job.exec_seconds = time.perf_counter() - t0
-            METRICS.add_time("service.exec_seconds", job.exec_seconds)
-            job.event.set()
-            job.fire_callbacks()
+        job.exec_seconds = time.perf_counter() - t0
+        METRICS.add_time("service.exec_seconds", job.exec_seconds)
+        if error is None:
+            job.set_result(payload)
+        else:
+            job.set_exception(error)
 
     def _evaluate(self, request: RunRequest) -> dict:
         """Plan (cached) and execute one request on the worker thread."""

@@ -150,14 +150,15 @@ class ShardCoordinator:
             store = VersionedDatabase(db)
             db = store.head.database
         sharded = shard_database(name, db, self.shards, self.scheme)
-        waiters = [
-            self.pool.worker(i).submit(
+        futures = {
+            i: self.pool.worker(i).submit(
                 self._register_body(name, sharded.parts[i])
             )
             for i in range(self.shards)
-        ]
-        for i, waiter in enumerate(waiters):
-            response = waiter.wait(START_UP_WAIT)
+        }
+        for i, response in gather_all(futures, START_UP_WAIT).items():
+            if isinstance(response, ShardError):
+                raise response
             if not response.get("ok"):
                 raise ShardError(
                     f"shard {i} rejected partition of {name!r}: "
@@ -182,21 +183,15 @@ class ShardCoordinator:
             if self._databases.pop(name, None) is None:
                 return False
             self._full_registered.discard(name)
-        waiters = [
-            self.pool.worker(i).submit({"op": "unregister_db", "name": name})
+        futures = {
+            i: self.pool.worker(i).submit({"op": "unregister_db", "name": name})
             for i in range(self.shards)
-        ]
-        waiters.append(
-            self.pool.worker(0).submit(
-                {"op": "unregister_db", "name": f"{name}@full"}
-            )
+        }
+        futures["full"] = self.pool.worker(0).submit(
+            {"op": "unregister_db", "name": f"{name}@full"}
         )
-        for waiter in waiters:
-            # Best-effort: a dead worker's copy dies with its process.
-            try:
-                waiter.wait(START_UP_WAIT)
-            except ShardError:
-                pass
+        # Best-effort: a dead worker's copy dies with its process.
+        gather_all(futures, START_UP_WAIT)
         METRICS.inc("shard.databases_unregistered")
         return True
 
@@ -255,7 +250,7 @@ class ShardCoordinator:
 
         # Pipelined forward: every owning shard's ops are on the wire
         # before the first acknowledgement is awaited.
-        waiters = []
+        futures = {}
         for i in range(shards):
             for op, split in (("insert", per_ins[i]), ("delete", per_del[i])):
                 for relation, rows in sorted(split.items()):
@@ -265,10 +260,13 @@ class ShardCoordinator:
                         "relation": relation,
                         "rows": sorted(list(row) for row in rows),
                     }
-                    waiters.append((i, self.pool.worker(i).submit(body)))
+                    futures[i, op, relation] = self.pool.worker(i).submit(body)
                     METRICS.inc("delta.shard_forwards")
-        for i, waiter in waiters:
-            response = waiter.wait(START_UP_WAIT)
+        for (i, _op, _rel), response in gather_all(
+            futures, START_UP_WAIT
+        ).items():
+            if isinstance(response, ShardError):
+                raise response
             if not response.get("ok"):
                 raise ShardError(
                     f"shard {i} rejected delta for {name!r}: "
@@ -398,16 +396,16 @@ class ShardCoordinator:
         )
         # Pipelined scatter: every request is on the wire before the
         # first gather blocks, so shard processes overlap fully.
-        waiters = {}
+        futures = {}
         responses: dict[int, Any] = {}
         for i in targets:
             try:
-                waiters[i] = self.pool.worker(i).submit(body)
+                futures[i] = self.pool.worker(i).submit(body)
             except ShardError as exc:
                 responses[i] = exc
         # Concurrent gather under ONE shared budget: the slowest shard
         # bounds the wall clock, not the sum of per-shard waits.
-        responses.update(gather_all(waiters, wait))
+        responses.update(gather_all(futures, wait))
         # One retry round, itself concurrent: restart every failed slot,
         # re-register its partitions, resend them all, gather again with
         # whatever budget remains.  A shard that fails its retry raises.
@@ -426,10 +424,11 @@ class ShardCoordinator:
                 retry_budget + STRAGGLER_GRACE
                 if retry_budget is not None else DEFAULT_SHARD_WAIT
             )
-            retry_waiters = {}
-            for i in sorted(retried_shards):
-                retry_waiters[i] = self.pool.worker(i).submit(retry_body)
-            for i, outcome in gather_all(retry_waiters, retry_wait).items():
+            retry_futures = {
+                i: self.pool.worker(i).submit(retry_body)
+                for i in sorted(retried_shards)
+            }
+            for i, outcome in gather_all(retry_futures, retry_wait).items():
                 if isinstance(outcome, ShardError):
                     raise outcome
                 responses[i] = outcome

@@ -7,11 +7,12 @@ coordinator talks to it over stdin/stdout with the wire protocol used by
 every other deployment of the service; nothing in the worker knows it is
 a shard.
 
-Concurrency model: requests carry monotonically increasing ids; a single
-reader thread per worker demultiplexes response lines back to waiting
-callers, so any number of coordinator threads can have requests in
-flight on the same worker (the worker itself runs one evaluation thread
-— parallelism comes from having many workers).  A worker that exits or
+Concurrency model: requests carry monotonically increasing ids and each
+gets a ``concurrent.futures.Future``; a single reader thread per worker
+demultiplexes response lines onto those futures, so any number of
+coordinator threads can have requests in flight on the same worker (the
+worker itself runs one evaluation thread — parallelism comes from
+having many workers).  A worker that exits or
 emits garbage fails *all* of its in-flight requests with a retryable
 :class:`~repro.errors.ShardError`; the pool can then
 :meth:`~WorkerPool.restart` the slot and the coordinator re-registers
@@ -25,7 +26,9 @@ import os
 import subprocess
 import sys
 import threading
-import time
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import wait
 from typing import Any, Optional, Union
 
 from repro.engine.metrics import METRICS
@@ -44,56 +47,36 @@ def _src_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-class _Waiter:
-    """One in-flight request: an event the reader thread completes."""
-
-    __slots__ = ("event", "response", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.response: Optional[dict] = None
-        self.error: Optional[ShardError] = None
-
-    def wait(self, timeout: Optional[float]) -> dict:
-        if not self.event.wait(timeout):
-            raise ShardError(
-                f"shard request still pending after {timeout:.6g}s "
-                "(straggler)",
-                retryable=True,
-            )
-        if self.error is not None:
-            raise self.error
-        assert self.response is not None
-        return self.response
+def _straggler(timeout: Optional[float]) -> ShardError:
+    return ShardError(
+        f"shard request still pending after {timeout:.6g}s (straggler)",
+        retryable=True,
+    )
 
 
 def gather_all(
-    waiters: dict[int, _Waiter], timeout: Optional[float]
-) -> dict[int, Union[dict, ShardError]]:
-    """Collect every waiter under **one shared budget**.
+    futures: dict[Any, Future], timeout: Optional[float]
+) -> dict[Any, Union[dict, ShardError]]:
+    """Collect every future under **one shared budget**.
 
     The responses complete concurrently (each worker has its own reader
-    thread), so waiting on them in turn while decrementing a single
-    deadline is a true concurrent gather: total wall clock is the
-    *slowest* shard bounded by ``timeout`` — not, as with a per-waiter
-    budget, up to ``len(waiters) × timeout`` when several shards
-    straggle at once.  Failures don't raise; each slot maps to either
-    the response dict or the :class:`~repro.errors.ShardError` that
-    sank it, so the caller can restart and retry every failed shard in
+    thread), so ``concurrent.futures.wait`` bounds the total wall clock
+    by the *slowest* shard, at most ``timeout`` — not, as with a
+    per-future budget, up to ``len(futures) × timeout`` when several
+    shards straggle at once.  Failures don't raise; each slot maps to
+    either the response dict or the :class:`~repro.errors.ShardError`
+    that sank it (a retryable straggler error for a future still
+    pending), so the caller can restart and retry every failed shard in
     one concurrent round instead of serially per shard.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    results: dict[int, Union[dict, ShardError]] = {}
-    for index, waiter in waiters.items():
-        remaining = (
-            None if deadline is None
-            else max(0.0, deadline - time.monotonic())
+    wait(futures.values(), timeout)
+    return {
+        key: (
+            (future.exception() or future.result()) if future.done()
+            else _straggler(timeout)
         )
-        try:
-            results[index] = waiter.wait(remaining)
-        except ShardError as exc:
-            results[index] = exc
-    return results
+        for key, future in futures.items()
+    }
 
 
 class ShardWorker:
@@ -119,7 +102,7 @@ class ShardWorker:
         )
         self._lock = threading.Lock()
         self._counter = 0
-        self._waiters: dict[int, _Waiter] = {}
+        self._futures: dict[int, Future] = {}
         self._dead: Optional[str] = None
         self._reader = threading.Thread(
             target=self._read_loop, name=f"shard-{index}-reader", daemon=True
@@ -140,9 +123,9 @@ class ShardWorker:
     def alive(self) -> bool:
         return self._dead is None and self.process.poll() is None
 
-    def submit(self, body: dict[str, Any]) -> _Waiter:
-        """Write one request line; the waiter completes on its response."""
-        waiter = _Waiter()
+    def submit(self, body: dict[str, Any]) -> Future:
+        """Write one request line; the future completes with its response."""
+        future: Future = Future()
         with self._lock:
             if self._dead is not None:
                 raise ShardError(
@@ -151,28 +134,32 @@ class ShardWorker:
                 )
             self._counter += 1
             request_id = self._counter
-            self._waiters[request_id] = waiter
+            self._futures[request_id] = future
             line = json.dumps({**body, "id": request_id})
             try:
                 assert self.process.stdin is not None
                 self.process.stdin.write(line + "\n")
                 self.process.stdin.flush()
             except (BrokenPipeError, OSError, ValueError) as exc:
-                self._waiters.pop(request_id, None)
+                self._futures.pop(request_id, None)
                 self._fail_locked(f"write failed: {exc}")
                 raise ShardError(
                     f"shard {self.index} is down: write failed ({exc})",
                     retryable=True, shard=self.index,
                 ) from None
         METRICS.inc("shard.requests")
-        return waiter
+        return future
 
     def request(
         self, body: dict[str, Any], timeout: Optional[float] = None
     ) -> dict:
         """Submit and wait (transport errors raise, protocol errors don't:
-        a well-formed ``{"ok": false, ...}`` response is returned as-is)."""
-        return self.submit(body).wait(timeout)
+        a well-formed ``{"ok": false, ...}`` response is returned as-is;
+        a wait past ``timeout`` raises a retryable straggler error)."""
+        try:
+            return self.submit(body).result(timeout)
+        except FutureTimeoutError:
+            raise _straggler(timeout) from None
 
     def _read_loop(self) -> None:
         stdout = self.process.stdout
@@ -184,14 +171,13 @@ class ShardWorker:
                 with self._lock:
                     self._fail_locked(f"sent a non-JSON line: {line[:80]!r}")
                 return
-            waiter = None
+            future = None
             with self._lock:
                 request_id = obj.get("id")
                 if isinstance(request_id, int):
-                    waiter = self._waiters.pop(request_id, None)
-            if waiter is not None:
-                waiter.response = obj
-                waiter.event.set()
+                    future = self._futures.pop(request_id, None)
+            if future is not None:
+                future.set_result(obj)
         with self._lock:
             self._fail_locked("process exited")
 
@@ -200,13 +186,12 @@ class ShardWorker:
         if self._dead is None:
             self._dead = why
             METRICS.inc("shard.worker_deaths")
-        waiters, self._waiters = self._waiters, {}
-        for waiter in waiters.values():
-            waiter.error = ShardError(
+        futures, self._futures = self._futures, {}
+        for future in futures.values():
+            future.set_exception(ShardError(
                 f"shard {self.index} died mid-request: {why}",
                 retryable=True, shard=self.index,
-            )
-            waiter.event.set()
+            ))
 
     # ------------------------------------------------------------ lifecycle
 

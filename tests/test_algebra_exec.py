@@ -257,7 +257,7 @@ class TestPlannerIntegration:
         db = random_database(BINARY, {"R": 2, "T": 2}, 300, max_len=4, seed=3)
         plan = Planner(S_BIN, db).plan(parse_formula("R(x,y) & T(y,z)"))
         assert plan.engine == "algebra"
-        assert plan.algebra_cost < plan.direct_cost
+        assert plan.costs["algebra"] < plan.costs["direct"]
         assert "hash joins" in plan.reason
 
     def test_small_query_still_goes_direct(self):
@@ -269,7 +269,7 @@ class TestPlannerIntegration:
             parse_formula("R(x) & exists adom y: U(y) & y <<= x")
         )
         assert plan.engine == "direct"
-        assert plan.algebra_cost != float("inf")  # costed, just not chosen
+        assert plan.costs["algebra"] != float("inf")  # costed, just not chosen
 
     def test_forced_algebra_rejects_uncollapsible(self):
         db = db2()

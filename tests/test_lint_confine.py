@@ -63,6 +63,11 @@ PLANTS = {
         "from repro.algebra.exec import AlgebraExecutor",
         "tests/_reference_algebra.py",
     ),
+    "future": (
+        "src/repro/shard/waiter.py",
+        "done = threading.Event()",
+        "src/repro/service/server.py",
+    ),
 }
 
 

@@ -44,7 +44,7 @@ class TestEngineSelection:
         plan = Query(ANCHORED_ADOM, structure="S").plan(db)
         assert plan.engine == "direct"
         assert not plan.forced
-        assert plan.direct_cost <= plan.automata_cost
+        assert plan.costs["direct"] <= plan.costs["automata"]
         assert "small enumeration domain" in plan.reason
 
     def test_db_dependent_natural_quantifier_goes_automata(self, db):
@@ -53,7 +53,7 @@ class TestEngineSelection:
         plan = Query(NATURAL_DB, structure="S").plan(db)
         assert plan.engine == "automata"
         assert "NATURAL" in plan.reason
-        assert plan.direct_cost == float("inf")
+        assert plan.costs["direct"] == float("inf")
 
     def test_db_free_natural_scope_now_fast_engine(self, db):
         # The old gate sent every NATURAL quantifier to automata; the
@@ -66,7 +66,7 @@ class TestEngineSelection:
         assert prewarm(query.formula, query.structure, db.db.schema)
         plan = query.plan(db)
         assert plan.engine == "algebra"
-        assert plan.direct_cost == float("inf")
+        assert plan.costs["direct"] == float("inf")
         got = Query(NATURAL, structure="S").result(db).as_set()
         want = Query(NATURAL, structure="S").result(db, engine="automata").as_set()
         assert got == want
@@ -90,7 +90,7 @@ class TestEngineSelection:
         q = Query("R(x) & exists len y: S(y) & y <<= x", structure="S_len")
         plan = q.plan(long_db)
         assert plan.engine == "automata"
-        assert plan.direct_cost > DIRECT_COST_CEILING
+        assert plan.costs["direct"] > DIRECT_COST_CEILING
 
     def test_forced_engine_is_respected(self, db):
         for engine in ("automata", "direct"):

@@ -52,6 +52,8 @@ from repro.service import (
     serve_stdio,
     serve_tcp,
 )
+from repro.service.server import respond
+from repro.service.service import PREPARED_CAP
 
 from tests.test_timeouts import ADVERSARIAL_QUERY, ADVERSARIAL_STRINGS
 
@@ -1093,6 +1095,28 @@ class TestAsyncClient:
 
         asyncio.run(body())
 
+    def test_async_client_speaks_the_registry_and_delta_verbs(self, server):
+        host, port = server.server_address[:2]
+
+        async def body():
+            async with await AsyncServiceClient.connect(host, port) as client:
+                await client.register_db("extra", "01", {"R": [["0"]]})
+                assert (await client.list_dbs())["databases"] == [
+                    "extra", "main"
+                ]
+                inserted = await client.insert("extra", "R", [["01"]])
+                assert inserted["ok"] and inserted["version"] == 1
+                deleted = await client.delete("extra", "R", [["0"]])
+                assert deleted["ok"] and deleted["version"] == 2
+                versions = (await client.db_versions("extra"))["versions"]
+                assert [v["version"] for v in versions] == [0, 1, 2]
+                resp = await client.run("R(x)", db="extra")
+                assert resp["rows"] == [["01"]]
+                assert (await client.unregister_db("extra"))["removed"]
+                assert (await client.list_dbs())["databases"] == ["main"]
+
+        asyncio.run(body())
+
     def test_many_concurrent_async_clients(self, server):
         host, port = server.server_address[:2]
 
@@ -1276,6 +1300,53 @@ class TestDisconnectCancellation:
                 assert client.run("R(x)", db="main")["ok"]
             assert METRICS.get("service.cancel_requested") >= 1
         finally:
+            _stop(server, thread)
+
+    def test_disconnect_while_queued_behind_a_busy_worker(self, caplog):
+        # The only worker is held on a gate; a second connection's request
+        # queues behind it and the client vanishes.  Cancelling the
+        # queued future must leave the worker able to complete it, so the
+        # worker survives and the next connection is answered.
+        svc = QueryService(workers=1, max_pending=8)
+        svc.register_database("main", small_db())
+        release, started = _gated(svc)
+        server, thread = _tcp_server(svc)
+        busy = queued = None
+        try:
+            host, port = server.server_address[:2]
+            busy = socket.create_connection((host, port))
+            busy.sendall((json.dumps({
+                "op": "run", "id": 1, "query": "R(x)", "db": "main",
+            }) + "\n").encode())
+            _wait_until(lambda: len(started) == 1)
+            queued = socket.create_connection((host, port))
+            queued.sendall((json.dumps({
+                "op": "run", "id": 2, "query": "S(y)", "db": "main",
+            }) + "\n").encode())
+            _wait_until(lambda: svc.stats()["pending"] == 1)
+            queued.close()
+            _wait_until(
+                lambda: METRICS.get("service.cancel_requested") >= 1
+            )
+            release.set()
+            assert _read_reply(busy)["rows"] == [["001"], ["0110"], ["11"]]
+            with ServiceClient(host, port, read_timeout=30.0) as client:
+                resp = client.run("R(x) & last(x, '0')", db="main")
+                assert resp["ok"] and resp["rows"] == [["0110"]]
+            assert METRICS.get("service.cancelled") >= 1
+            workers = [
+                t for t in threading.enumerate()
+                if t.name.startswith("repro-worker-")
+            ]
+            assert len(workers) == 1 and all(t.is_alive() for t in workers)
+            assert started == ["R(x)", "R(x) & last(x, '0')"]
+            assert "InvalidStateError" not in caplog.text
+            assert "never retrieved" not in caplog.text
+        finally:
+            release.set()
+            for sock in (busy, queued):
+                if sock is not None:
+                    sock.close()
             _stop(server, thread)
 
 
@@ -1526,6 +1597,33 @@ class TestClientReadDeadline:
             _stop(server, thread)
 
 
+    def test_async_read_timeout_defaults_to_timeout(self):
+        # The async client bounds reads like the sync one: with no
+        # read_timeout given, the connect timeout bounds every read.
+        sink = socket.socket()
+        sink.bind(("127.0.0.1", 0))
+        sink.listen(1)
+        host, port = sink.getsockname()
+
+        async def body():
+            client = await AsyncServiceClient.connect(host, port, timeout=0.2)
+            assert client.read_timeout == 0.2
+            t0 = time.monotonic()
+            with pytest.raises(ClientReadTimeoutError):
+                await client.ping()
+            assert time.monotonic() - t0 < 2.0
+            unbounded = await AsyncServiceClient.connect(
+                host, port, timeout=0.2, read_timeout=None
+            )
+            assert unbounded.read_timeout is None
+            await unbounded.close()
+
+        try:
+            asyncio.run(body())
+        finally:
+            sink.close()
+
+
 class TestDispatcherDirect:
     def test_response_ids_echo_any_json_value(self):
         svc = QueryService(workers=1)
@@ -1534,6 +1632,65 @@ class TestDispatcherDirect:
             for request_id in ["abc", 7, None, {"k": 1}]:
                 resp, _ = dispatcher.handle({"op": "ping", "id": request_id})
                 assert resp["id"] == request_id
+        finally:
+            svc.close()
+
+    def test_prepared_handles_are_bounded(self):
+        svc = QueryService(workers=1)
+        svc.register_database("main", small_db())
+        try:
+            dispatcher = Dispatcher(svc)
+            pids = [
+                dispatcher.handle({"op": "prepare", "query": "R(x)"})[0][
+                    "prepared"
+                ]
+                for _ in range(PREPARED_CAP + 1)
+            ]
+            assert len(set(pids)) == PREPARED_CAP + 1
+            stats = dispatcher.handle({"op": "stats"})[0]["stats"]
+            handles = stats["caches"]["protocol.prepared"]
+            assert handles["size"] == handles["maxsize"] == PREPARED_CAP
+            assert handles["evictions"] == 1
+            # The oldest id was evicted: a structured error, not a crash.
+            gone = respond(
+                dispatcher, {"op": "run", "prepared": pids[0], "db": "main"}
+            ).frames[0]
+            assert not gone["ok"]
+            assert "unknown prepared query" in gone["error"]["message"]
+            kept = respond(
+                dispatcher, {"op": "run", "prepared": pids[1], "db": "main"}
+            ).frames[0]
+            assert kept["ok"] and kept["rows"] == [["001"], ["0110"], ["11"]]
+        finally:
+            svc.close()
+
+    def test_every_explain_frame_is_strict_json(self):
+        # RFC 8259 has no Infinity/NaN: an infinite cost is null.
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        svc = QueryService(workers=1)
+        svc.register_database("main", small_db())
+        try:
+            dispatcher = Dispatcher(svc)
+            nulls = 0
+            for query in ("R(x)", "R(x) & last(x, '0')", "!R(x)",
+                          "exists y: S(y) & y <<= x"):
+                for engine in (None, "automata", "direct", "algebra"):
+                    reply = respond(dispatcher, {
+                        "op": "explain", "id": 1, "query": query,
+                        "db": "main", "engine": engine,
+                    })
+                    for frame in reply.frames:
+                        decoded = json.loads(
+                            json.dumps(frame), parse_constant=refuse
+                        )
+                        if not decoded["ok"]:
+                            continue
+                        costs = decoded["explain"]["plan"]["costs"]
+                        nulls += sum(cost is None for cost in costs.values())
+            # The unplaced database always prices `sharded` infinite.
+            assert nulls > 0
         finally:
             svc.close()
 

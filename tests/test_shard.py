@@ -10,6 +10,8 @@ error — never as a silent partial result.
 """
 
 import json
+import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.shard import (
     shard_of_relation,
     shard_of_row,
 )
+from repro.shard.pool import gather_all
 
 GUARDED = "R(x) & forall prefix y: (!(y <<= x) | !last(y, '1'))"
 
@@ -334,6 +337,30 @@ class TestFailureHandling:
     def test_forcing_sharded_on_an_unplaced_database_raises(self):
         with pytest.raises(ShardError, match="not placed"):
             Query("R(x)").result(DB, engine="sharded")
+
+    def test_gather_shares_one_budget_and_maps_stragglers(self):
+        # One answered future and one that never completes: the gather
+        # waits one budget in all (not one per pending future), and the
+        # straggler's slot is a retryable ShardError, not an exception.
+        answered = Future()
+        answered.set_result({"ok": True, "rows": []})
+        futures = {0: answered, 1: Future(), 2: Future()}
+        budget = 0.3
+        t0 = time.monotonic()
+        out = gather_all(futures, budget)
+        elapsed = time.monotonic() - t0
+        assert budget * 0.9 <= elapsed < budget * 1.8
+        assert out[0] == {"ok": True, "rows": []}
+        for slot in (1, 2):
+            assert isinstance(out[slot], ShardError)
+            assert out[slot].retryable is True
+            assert "straggler" in str(out[slot])
+
+    def test_gather_maps_a_failed_future_to_its_error(self):
+        failed = Future()
+        failed.set_exception(ShardError("shard 0 died", retryable=True))
+        out = gather_all({0: failed}, 5.0)
+        assert out[0] is failed.exception()
 
     def test_shard_error_classifies_with_retryable_bit(self):
         from repro.service import classify_error

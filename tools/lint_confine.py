@@ -55,6 +55,12 @@ test, it only bypasses a guarantee that lives in one audited place.
     the compiled closure (``algebra/codegen.py``) runs every RA(M) plan,
     and the operator-at-a-time interpreter lives on only as the test
     oracle (``tests/_reference_algebra.py``).
+``future``
+    A ``threading.Event`` in ``service/service.py`` or under ``shard/``:
+    the service pool's requests and the shard pool's responses complete
+    ``concurrent.futures.Future`` objects, which ``concurrent.futures.
+    wait`` gathers and ``asyncio.wrap_future`` awaits, so no third
+    hand-rolled completion signal grows beside them.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -246,6 +252,16 @@ RULES = (
         problem="a second algebra executor under src/ — run the plan "
         "through its compiled closure (repro.algebra.codegen.get_pipeline)",
         ok="the compiled closure is the only algebra executor",
+    ),
+    Rule(
+        "future",
+        re.compile(r"(?<![A-Za-z0-9_.])(?:threading\.)?Event\s*\("),
+        scanned=("src/repro/service/service.py", "src/repro/shard"),
+        exempt=(),
+        problem="a hand-rolled completion signal in the service pool or the "
+        "shard pool — complete a concurrent.futures.Future instead",
+        ok="pool requests complete through concurrent.futures.Future",
+        strip_comments=True,
     ),
 )
 
