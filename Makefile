@@ -56,7 +56,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             the interpreter is the test oracle (docs/codegen_engine.md);
 ##   future    threading.Event in service/service.py and under shard/ — pool
 ##             requests and shard responses complete concurrent.futures
-##             Futures, so no hand-rolled completion signal (docs/service.md).
+##             Futures, so no hand-rolled completion signal (docs/service.md);
+##   numpy     import numpy / from numpy under src/ outside automata/dfa.py —
+##             numpy loads lazily through automata.dfa._numpy(), for the two
+##             kernels whose twins win their gate (docs/automata_kernel.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 

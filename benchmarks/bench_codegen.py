@@ -21,10 +21,10 @@ Two workload shapes:
 
 ``columnar_scan``
     ``W(x,x,y)`` over a wide ternary relation — compiles to
-    ``project(select[eq(c0, c1)](W))``, the shape the numpy columnar
-    path vectorizes (one object-dtype array, a mask, no per-row Python
-    at all).  Falls back to the (still fused) pure loop when numpy is
-    unavailable, so the speedup bar holds either way.
+    ``project(select[eq(c0, c1)](W))``, which the closure fuses into one
+    pure-Python loop: the ``eq`` inlined as a tuple-item comparison, the
+    projection as the tuple it adds, no intermediate relation; the
+    interpreter materializes the selection, then projects it.
 
 Both sides get the same optimized plan up front (the closure compiled,
 the interpreter handed the plan), neither carries rows from one run to
@@ -139,7 +139,6 @@ def run_shape(shape: str, n: int) -> dict:
         "compiled_s": compiled_s,
         "speedup": interp_s / max(compiled_s, 1e-9),
         "source_lines": pipeline.line_count,
-        "numpy_stages": pipeline.np_stages,
     }
 
 
@@ -185,7 +184,7 @@ def _print_rows(rows: list[dict]) -> None:
     print_table(
         "Compiled closure (warm) vs reference interpreter",
         ["shape", "n", "out rows", "interp s", "compiled s", "speedup",
-         "src lines", "np stages"],
+         "src lines"],
         [
             (
                 r["shape"],
@@ -195,7 +194,6 @@ def _print_rows(rows: list[dict]) -> None:
                 f"{r['compiled_s']:.4f}",
                 f"{r['speedup']:.2f}x",
                 r["source_lines"],
-                r["numpy_stages"],
             )
             for r in rows
         ],

@@ -22,10 +22,7 @@ time interpreter to fall back to:
 * a RANF pair (:mod:`repro.algebra.ranf`) compiles into one closure: the
   ``inf`` half runs first and a nonempty answer returns ``None`` (the
   caller defers to the exact engine); the ``fin`` half then reuses every
-  relation the ``inf`` half already built;
-* an optional numpy columnar path handles wide ``BaseRel`` scans whose
-  fused ops are all vectorizable (bit-identical to the pure loop, which
-  stays in the generated source as the runtime fallback branch).
+  relation the ``inf`` half already built.
 
 Each stage's rows are handed back to the caller, which counts them for
 EXPLAIN and, on a delta-store version, records them for ΔQ maintenance
@@ -52,11 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-try:  # numpy is optional; the generated source keeps a pure branch.
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from repro.algebra.optimize import _is_semi_join, compile_for_execution
 from repro.algebra.plan import (
@@ -87,11 +79,6 @@ from repro.logic.formulas import And, Atom, FalseF, Formula, Not, Or, TrueF
 from repro.logic.terms import Param, Var
 from repro.structures.base import StringStructure
 
-#: Minimum source rows before the columnar branch engages.  Must stay >= 1:
-#: the pure branch handles the empty relation, whose ``np.array`` would be
-#: 1-D and break fancy indexing.
-_NP_MIN_ROWS = 64
-
 #: Column-appending ops that fuse into the row loop like selects and
 #: projections do.  ``PrefixOp`` and ``DownOp`` are one-to-many (one row
 #: expands to ``|s|+1`` prefixes, resp. every string of length at most
@@ -116,7 +103,6 @@ class GeneratedPipeline:
     stages: tuple[dict, ...]
     nodes: tuple[Plan, ...]
     line_count: int
-    np_stages: int
     fingerprint: str
     inf_stages: int = 0
     branch: str = "collapsed"
@@ -158,7 +144,6 @@ class _Emitter:
         self.lines: list[str] = []
         self.env: dict = {
             "_checkpoint": checkpoint,
-            "_np": _np,
             "_EPS_REL": frozenset({("",)}),
             "_over_alphabet": structure.alphabet.check_string,
             "_pattern_dfa": structure.pattern_dfa,
@@ -189,9 +174,9 @@ class _Emitter:
         self.w(depth, "_tick += 1")
         self.w(depth, f"if not _tick & {_CHECKPOINT_MASK}: _checkpoint()")
 
-    def _stage(self, var: str, label: str, kind: str, numpy: bool = False) -> None:
+    def _stage(self, var: str, label: str, kind: str) -> None:
         self.w(1, f"_stages.append({var})")
-        self.stages.append({"label": label, "kind": kind, "numpy": numpy})
+        self.stages.append({"label": label, "kind": kind})
 
     def _checker(self, condition: Formula) -> str:
         """The local naming the condition's predicate, bound to the run's
@@ -281,36 +266,6 @@ class _Emitter:
             return None
         return None
 
-    def _vector_pred(self, cond: Formula, arr: str) -> Optional[str]:
-        """Columnar form of a condition over ``arr`` (2-D object array)."""
-        if not self._inline_ok:
-            return None
-        if isinstance(cond, Not):
-            inner = self._vector_pred(cond.inner, arr)
-            return None if inner is None else f"(~{inner})"
-        if isinstance(cond, (And, Or)):
-            glue = " & " if isinstance(cond, And) else " | "
-            parts = [self._vector_pred(p, arr) for p in cond.parts]
-            if any(p is None for p in parts):
-                return None
-            return "(" + glue.join(parts) + ")"
-        if isinstance(cond, Atom) and cond.pred == "eq" and len(cond.args) == 2:
-            cols = []
-            for term in cond.args:
-                if isinstance(term, Var):
-                    name = term.name
-                    if not (name.startswith("c") and name[1:].isdigit()):
-                        return None
-                    cols.append(f"{arr}[:, {int(name[1:])}]")
-                elif isinstance(term, Param):
-                    cols.append(_slot(term))
-                else:
-                    return None
-            if all(isinstance(t, Param) for t in cond.args):
-                return None  # slot == slot: no column involved
-            return f"({cols[0]} == {cols[1]})"
-        return None
-
     # -- node emission -----------------------------------------------------
 
     def emit(self, node: Plan) -> str:
@@ -385,11 +340,16 @@ class _Emitter:
             return self._emit_join(cur, ops)
         if isinstance(cur, Product):
             return self._emit_product(cur, ops)
-        if isinstance(cur, BaseRel) and self._np_able(cur, ops):
-            return self._emit_np_scan(cur, ops)
         src = self.emit(cur)
+        out = self.fresh("_s")
         var = self.fresh("_v")
-        self._emit_loop_into(var, src, ops)
+        self.w(1, f"{out} = set()")
+        self.w(1, f"{out}_add = {out}.add")
+        self.w(1, f"for _r in {src}:")
+        self._tickline(2)
+        depth, row = self._emit_ops(2, "_r", ops)
+        self.w(depth, f"{out}_add({row})")
+        self.w(1, f"{var} = frozenset({out})")
         self._stage(var, f"fused[{len(ops)} ops] over {self._src_label(cur)}", "FusedScan")
         return var
 
@@ -461,19 +421,6 @@ class _Emitter:
                 )
             row = new
         return depth, row
-
-    def _emit_loop_into(
-        self, var: str, src: str, ops: list[tuple], base_depth: int = 1
-    ) -> None:
-        d = base_depth
-        out = self.fresh("_s")
-        self.w(d, f"{out} = set()")
-        self.w(d, f"{out}_add = {out}.add")
-        self.w(d, f"for _r in {src}:")
-        self._tickline(d + 1)
-        depth, row = self._emit_ops(d + 1, "_r", ops)
-        self.w(depth, f"{out}_add({row})")
-        self.w(d, f"{var} = frozenset({out})")
 
     # -- joins -------------------------------------------------------------
 
@@ -577,51 +524,6 @@ class _Emitter:
         self._stage(var, "cross", kind)
         return var
 
-    # -- numpy columnar scan ----------------------------------------------
-
-    def _np_able(self, base: BaseRel, ops: list[tuple]) -> bool:
-        """Wide scan whose fused ops are all vectorizable: any number of
-        columnar selects, then at most one trailing projection."""
-        if _np is None or base.arity < 2:
-            return False
-        selects = 0
-        seen_project = False
-        for kind, payload in ops:
-            if seen_project:
-                return False
-            if kind == "project":
-                seen_project = True
-            elif kind != "select" or self._vector_pred(payload, "_a") is None:
-                return False
-            else:
-                selects += 1
-        return selects > 0
-
-    def _emit_np_scan(self, base: BaseRel, ops: list[tuple]) -> str:
-        src = self.emit(base)
-        arr = self.fresh("_a")
-        keep = self.fresh("_f")
-        var = self.fresh("_v")
-        preds = [
-            self._vector_pred(cond, arr)
-            for kind, cond in ops
-            if kind == "select"
-        ]
-        proj = next((idx for kind, idx in ops if kind == "project"), None)
-        self.w(1, f"if _np is not None and len({src}) >= {int(_NP_MIN_ROWS)}:")
-        self.w(2, f"{arr} = _np.array(list({src}), dtype=object)")
-        self.w(2, f"{keep} = {arr}[{' & '.join(preds)}]")
-        if proj is not None:
-            cols = "[" + ", ".join(str(i) for i in proj) + "]"
-            self.w(2, f"{var} = frozenset(map(tuple, {keep}[:, {cols}]))")
-        else:
-            self.w(2, f"{var} = frozenset(map(tuple, {keep}))")
-        self.w(1, "else:")
-        self._emit_loop_into(var, src, ops, base_depth=2)
-        self._stage(var, f"columnar fused[{len(ops)} ops] over scan {base.name}",
-                    "FusedScan", numpy=True)
-        return var
-
 
 def _slot(slot: Param) -> str:
     """Source reading a template slot's value."""
@@ -668,7 +570,6 @@ def build_pipeline(
         stages=tuple(emitter.stages),
         nodes=tuple(emitter.nodes),
         line_count=source.count("\n"),
-        np_stages=sum(1 for s in emitter.stages if s["numpy"]),
         fingerprint=fingerprint,
         inf_stages=inf_stages,
         branch=branch,

@@ -31,17 +31,31 @@ from typing import Optional
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
 
-try:  # vectorized minimization; the Hopcroft code below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 Symbol = Hashable
 State = Hashable
 
 # Below this many transitions the vectorized minimizer's setup overhead
 # exceeds the win; tiny automata stay on the pure Hopcroft path.
 _NP_MINIMIZE_FLOOR = 192
+
+_NUMPY = ...  # the numpy module, or None where it is missing; ... until asked
+
+
+def _numpy():
+    """numpy, imported on first call, or ``None`` where it is missing.
+
+    Only the two vectorized kernels use it (:meth:`DFA._nerode_blocks_np`
+    and :meth:`repro.automata.kernel.ProductPipeline._materialize_np`),
+    and only past their size checks, so a process that never builds a
+    big automaton never pays numpy's import.
+    """
+    global _NUMPY
+    if _NUMPY is ...:
+        try:
+            import numpy as _NUMPY
+        except ImportError:  # pragma: no cover - numpy is in the dev extra
+            _NUMPY = None
+    return _NUMPY
 
 
 class SymbolTable:
@@ -336,7 +350,7 @@ class DFA:
         (same blocks, same output).
         """
         METRICS.inc("kernel.minimizations")
-        if _np is not None and self.n * len(self.table) >= _NP_MINIMIZE_FLOOR:
+        if self.n * len(self.table) >= _NP_MINIMIZE_FLOOR and _numpy() is not None:
             block_of = self._nerode_blocks_np()
         else:
             block_of = self._nerode_blocks_hopcroft()
@@ -423,7 +437,7 @@ class DFA:
         ever splits, so an unchanged block count is the fixpoint.  Same
         partition as :meth:`_nerode_blocks_hopcroft`, different engine.
         """
-        np = _np
+        np = _numpy()
         n = self.n
         k = len(self.table)
         sink = n

@@ -26,14 +26,9 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 
-from repro.automata.dfa import DFA, SymbolTable, table_for
+from repro.automata.dfa import DFA, SymbolTable, _numpy, table_for
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
-
-try:  # vectorized products; the per-state loop below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 # Largest product-state capacity the vectorized product will allocate an
 # id table for (int32 entries; 1 << 22 is a 16 MiB table).  Bigger
@@ -239,17 +234,13 @@ class ProductPipeline:
         first-discovery order either way, so both engines build the
         identical automaton.
         """
-        if (
-            _np is not None
-            and self.mode_name is not None
-            and all(d.n > 0 for d in self.dfas)
-        ):
+        if self.mode_name is not None and all(d.n > 0 for d in self.dfas):
             capacity = 1
             for d in self.dfas:
                 capacity *= d.n + 1
                 if capacity > _NP_PRODUCT_CAPACITY:
                     break
-            if capacity <= _NP_PRODUCT_CAPACITY:
+            if capacity <= _NP_PRODUCT_CAPACITY and _numpy() is not None:
                 return self._materialize_np(capacity)
         return self._materialize_lazy()
 
@@ -308,7 +299,7 @@ class ProductPipeline:
         ``np.unique`` over the row-major edge scan discovers new codes in
         exactly the FIFO order of :meth:`_materialize_lazy`.
         """
-        np = _np
+        np = _numpy()
         k = len(self.table)
         m = len(self.dfas)
         sizes = [d.n + 1 for d in self.dfas]

@@ -636,8 +636,6 @@ def _pipeline_tree(observer, seconds: float) -> "ExplainNode":
     children = []
     for i, stage in enumerate(pipeline.stages):
         notes = {"rows": stage_rows[i] if i < len(stage_rows) else "?"}
-        if stage["numpy"]:
-            notes["numpy"] = True
         children.append(ExplainNode(stage["label"], stage["kind"], annotations=notes))
     label = (
         f"codegen[{len(pipeline.stages)} fused stages, "
@@ -645,7 +643,6 @@ def _pipeline_tree(observer, seconds: float) -> "ExplainNode":
     )
     notes = {
         "source_lines": pipeline.line_count,
-        "numpy_stages": pipeline.np_stages,
         "closure": "warm" if observer.closure_hit else "compiled",
     }
     split = pipeline.inf_stages

@@ -79,31 +79,17 @@ class TokenBucket:
                 return 0.0
             return (cost - self._tokens) / self.rate
 
-    async def acquire(self, cost: float = 1.0) -> float:
+    async def acquire(self, cost: float = 1.0) -> None:
         """Block (asynchronously) until ``cost`` tokens are available.
 
-        Returns the total seconds slept — the admission delay, which the
-        server reports in ``queue_ms`` so throttling is visible to the
-        client."""
-        slept = 0.0
+        The delay is not in the reply's ``queue_ms`` (that is time in
+        the pool's queue); the server counts each delayed admission in
+        ``service.quota_delays``."""
         while True:
             wait = self.try_acquire(cost)
             if wait <= 0.0:
-                return slept
+                return
             await asyncio.sleep(wait)
-            slept += wait
-
-    def tokens(self) -> float:
-        """Current token count (refilled to now); for stats/tests."""
-        if self.rate is None:
-            return self.burst
-        with self._lock:
-            now = time.monotonic()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._stamp) * self.rate
-            )
-            self._stamp = now
-            return self._tokens
 
 
 class _Item:

@@ -4,9 +4,8 @@
 Covers the fusion shapes the emitter claims (scan→select→project chains
 in one loop body, hash tables built once per join, prefix and ``down``
 expansion inlined), every closure held against the reference interpreter
-(``tests/_reference_algebra.py``), bit-identity between the numpy
-columnar branch and the pure-Python loop, the bounded closure cache's
-LRU discipline, EXPLAIN output, planner integration (cold and warm
+(``tests/_reference_algebra.py``), the bounded closure cache's LRU
+discipline, EXPLAIN output, planner integration (cold and warm
 pricing, the warm-closure flip to algebra), and delta behavior (row-only
 deltas reuse closures; store versions are maintained).
 """
@@ -162,29 +161,6 @@ class TestEligibilityGate:
         with pytest.raises(CompileError):
             get_pipeline(natural, STRUCT, db.schema)
         assert METRICS.get("codegen.compiles") == 0
-
-
-@pytest.mark.skipif(codegen._np is None, reason="numpy not available")
-class TestNumpyColumnarIdentity:
-    QUERY = "W(x,x,y)"
-
-    def test_numpy_and_pure_loops_are_bit_identical(self, monkeypatch):
-        db = _ternary_db(n=30)  # below the default 64-row threshold
-        formula = _formula(self.QUERY)
-        # Default threshold: the closure's runtime branch takes the pure
-        # loop (30 < 64) even though the stage is vectorizable.
-        pure = get_pipeline(formula, STRUCT, db.schema)[0]
-        assert pure.np_stages == 1
-        pure_rows, _ = pure.run(db)
-        # Lowered threshold + fresh compile: the numpy branch engages.
-        monkeypatch.setattr(codegen, "_NP_MIN_ROWS", 1)
-        closure_cache().reset()
-        vectorized = get_pipeline(formula, STRUCT, db.schema)[0]
-        assert "len(" in vectorized.source and ">= 1:" in vectorized.source
-        np_rows, _ = vectorized.run(db)
-        assert np_rows == pure_rows
-        _plan = compile_for_execution(formula, STRUCT, db.schema, slack=0).fin
-        assert np_rows == AlgebraExecutor(STRUCT, db).run(_plan)[0]
 
 
 class TestClosureCache:

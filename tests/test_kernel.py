@@ -10,17 +10,22 @@ words.  Agreement is exact (same language, same minimal state count,
 same enumeration order), not approximate.
 
 The deterministic unit tests at the bottom pin the kernel-only
-behaviours: lazy product short-circuiting, METRICS counters, and the
-numpy/pure-Python path equivalence when numpy is present.
+behaviours: lazy product short-circuiting, METRICS counters, the
+numpy/pure-Python path equivalence when numpy is present, and that numpy
+is imported only when a kernel first needs it.
 """
 
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata import kernel
-from repro.automata.dfa import DFA, SymbolTable
+from repro.automata.dfa import DFA, SymbolTable, _numpy
 from repro.automata.kernel import (
     ProductPipeline,
     intersect_all_minimized,
@@ -255,12 +260,7 @@ class TestKernelBehaviour:
         assert dfa.complement().is_empty()
 
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the image
-    HAVE_NUMPY = False
+HAVE_NUMPY = _numpy() is not None
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy fast paths not available")
@@ -299,3 +299,29 @@ class TestNumpyPurePathEquivalence:
             via_pure = ProductPipeline(parts, "and")._materialize_lazy()
             assert via_np.delta == via_pure.delta, trial
             assert via_np.accepting == via_pure.accepting, trial
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy fast paths not available")
+def test_numpy_is_imported_on_first_kernel_use():
+    """A server start loads no numpy; the first minimize above the
+    vectorized floor does.  Run in a fresh interpreter, since this one
+    has long imported it."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro, repro.__main__, repro.service.server
+        assert "numpy" not in sys.modules, "numpy imported at start-up"
+        from repro.automata import dfa
+        n = dfa._NP_MINIMIZE_FLOOR  # n states x 2 symbols: above the floor
+        transitions = {q: {"a": (q + 1) % n, "b": q} for q in range(n)}
+        dfa.DFA(("a", "b"), range(n), 0, [0], transitions).minimize()
+        assert "numpy" in sys.modules, "minimize above the floor skipped numpy"
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -68,6 +68,11 @@ PLANTS = {
         "done = threading.Event()",
         "src/repro/service/server.py",
     ),
+    "numpy": (
+        "src/repro/algebra/columnar.py",
+        "import numpy as np",
+        "src/repro/automata/dfa.py",
+    ),
 }
 
 

@@ -61,6 +61,12 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``concurrent.futures.Future`` objects, which ``concurrent.futures.
     wait`` gathers and ``asyncio.wrap_future`` awaits, so no third
     hand-rolled completion signal grows beside them.
+``numpy``
+    ``import numpy`` / ``from numpy`` under ``src/`` outside
+    ``automata/dfa.py``: numpy loads lazily through
+    ``repro.automata.dfa._numpy``, used only by the two automata kernels
+    whose vectorized twins win their bench gate, so a server start and
+    every query that never builds a big automaton skip its import.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -261,6 +267,16 @@ RULES = (
         problem="a hand-rolled completion signal in the service pool or the "
         "shard pool — complete a concurrent.futures.Future instead",
         ok="pool requests complete through concurrent.futures.Future",
+        strip_comments=True,
+    ),
+    Rule(
+        "numpy",
+        re.compile(r"^\s*(?:import|from)\s+numpy\b"),
+        scanned=("src",),
+        exempt=("src/repro/automata/dfa.py",),
+        problem="a numpy import outside automata/dfa.py — reach numpy "
+        "through repro.automata.dfa._numpy(), past a size check",
+        ok="numpy is imported only lazily, by repro.automata.dfa._numpy",
         strip_comments=True,
     ),
 )
