@@ -13,8 +13,8 @@ SMOKE_DIR := .bench-smoke
 
 ## Fast local loop: lints, skip @pytest.mark.slow tests, then smoke the
 ## perf claims cheapest to regress silently (algebra joins, the flat-array
-## automata kernel, the shard scatter-gather pool, incremental delta
-## maintenance, the algebra engine's compiled closures, the RANF-widened
+## automata kernel, the shard scatter-gather pool, result promotion
+## across deltas, the algebra engine's compiled closures, the RANF-widened
 ## fast-engine regime, and the asyncio service front end, each gated
 ## against its committed BENCH_*.json).
 test: lint-confine bench-algebra-smoke bench-kernel-smoke \
@@ -50,7 +50,7 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             queue there is the pool's only queue (docs/service.md);
 ##   evict     popitem(last=False) and pop(next(iter( under src/ outside
 ##             engine/cache.py — every memo table is a BoundedCache, the
-##             one LRU eviction (docs/explain_and_metrics.md).
+##             one LRU eviction (docs/explain_and_metrics.md);
 ##   executor  AlgebraExecutor, run_algebra, run_ranf and repro.algebra.exec
 ##             under src/ — the compiled closure runs every algebra plan, and
 ##             the interpreter is the test oracle (docs/codegen_engine.md);
@@ -59,7 +59,10 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             Futures, so no hand-rolled completion signal (docs/service.md);
 ##   numpy     import numpy / from numpy under src/ outside automata/dfa.py —
 ##             numpy loads lazily through automata.dfa._numpy(), for the two
-##             kernels whose twins win their gate (docs/automata_kernel.md).
+##             kernels whose twins win their gate (docs/automata_kernel.md);
+##   maintain  maintain_algebra_result, subplan_recorder and delta.subplans
+##             under src/ — a new version's algebra answer comes from the
+##             caches or one closure run, forced or not (docs/mutability.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 
@@ -129,8 +132,8 @@ bench-shard-smoke:
 	$(PY) benchmarks/bench_shard.py --smoke --compare --explain-json $(SMOKE_DIR)/shard.json
 
 ## Incremental query-after-delta vs rebuild + re-register + cold re-run
-## (full sweep, asserts the >=5x small-delta speedup on both shapes,
-## checks automata survive deltas, gates against BENCH_delta.json).
+## (full sweep, asserts the >=5x small-delta speedup on the promotion
+## shape, checks automata survive deltas, gates against BENCH_delta.json).
 bench-delta:
 	mkdir -p $(SMOKE_DIR)
 	$(PY) benchmarks/bench_delta.py --compare --explain-json $(SMOKE_DIR)/delta.json

@@ -17,9 +17,10 @@ Usage::
 
 A running service accepts live data changes over the protocol — the
 ``insert`` / ``delete`` verbs evolve a registered database through the
-MVCC delta store (O(|delta|) per change, caches maintained
-incrementally; see ``docs/mutability.md``), ``db_versions`` lists the
-retained snapshots, and ``unregister_db`` drops a name.
+MVCC delta store (O(|delta|) per change, cached answers carried over
+where a delta touches nothing they read; see ``docs/mutability.md``),
+``db_versions`` lists the retained snapshots, and ``unregister_db``
+drops a name.
 
 ``run`` auto-selects the evaluation engine through the cost-based planner
 (:mod:`repro.engine`); pass ``--engine automata|direct|algebra`` to

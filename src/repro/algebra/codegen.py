@@ -24,9 +24,7 @@ time interpreter to fall back to:
   caller defers to the exact engine); the ``fin`` half then reuses every
   relation the ``inf`` half already built.
 
-Each stage's rows are handed back to the caller, which counts them for
-EXPLAIN and, on a delta-store version, records them for ΔQ maintenance
-(:mod:`repro.delta.maintenance`).
+Each stage's row count is handed back to the caller for EXPLAIN.
 
 The emitted source is ``compile()``/``exec``-ed into a closure and cached
 in the registered :class:`~repro.engine.cache.BoundedCache`
@@ -92,16 +90,14 @@ _CHECKPOINT_MASK = 255
 class GeneratedPipeline:
     """A compiled plan: generated source + the executable closure.
 
-    ``stages`` describe the materialized relations in execution order
-    and ``nodes`` are the plan nodes they hold; the first ``inf_stages``
-    belong to a RANF pair's ``inf`` half (0 without one).  ``joins`` is
-    the number of hash and semi-join stages."""
+    ``stages`` describe the materialized relations in execution order;
+    the first ``inf_stages`` belong to a RANF pair's ``inf`` half (0
+    without one).  ``joins`` is the number of hash and semi-join stages."""
 
     source: str
     fn: Callable
     columns: tuple[str, ...]
     stages: tuple[dict, ...]
-    nodes: tuple[Plan, ...]
     line_count: int
     fingerprint: str
     inf_stages: int = 0
@@ -109,22 +105,15 @@ class GeneratedPipeline:
     joins: int = 0
 
     def run(
-        self, database, params=(), record=None
+        self, database, params=()
     ) -> tuple[Optional[frozenset], list[int]]:
         """Execute against ``database`` with ``params`` bound to the
         template's slots; returns (rows, per-stage row counts).  Rows are
-        ``None`` when the ``inf`` half found the answer may be infinite.
-        ``record(node, rows)``, when given, receives every non-leaf
-        stage's rows of a finite answer (maintaining a possibly infinite
-        one would skip the check that found it)."""
+        ``None`` when the ``inf`` half found the answer may be infinite."""
         stages: list[frozenset] = []
         rows = self.fn(database, params, stages)
         if self.joins:
             METRICS.inc("algebra.joins", self.joins)
-        if record is not None and rows is not None:
-            for node, stage in zip(self.nodes, stages):
-                if node.children():
-                    record(node, stage)
         return rows, [len(stage) for stage in stages]
 
 
@@ -150,7 +139,6 @@ class _Emitter:
             "_strings_up_to": structure.alphabet.strings_up_to,
         }
         self.stages: list[dict] = []
-        self.nodes: list[Plan] = []
         self._memo: dict[Plan, str] = {}
         self._checker_names: dict[str, str] = {}
         self._pattern_names: dict[int, str] = {}
@@ -304,7 +292,6 @@ class _Emitter:
         else:
             raise TypeError(f"no emitter for {type(node).__name__} nodes")
         self._memo[node] = var
-        self.nodes.append(node)
         return var
 
     def _emit_fused(self, top: Plan) -> str:
@@ -568,7 +555,6 @@ def build_pipeline(
         fn=namespace["_pipeline"],
         columns=columns,
         stages=tuple(emitter.stages),
-        nodes=tuple(emitter.nodes),
         line_count=source.count("\n"),
         fingerprint=fingerprint,
         inf_stages=inf_stages,

@@ -1,4 +1,4 @@
-"""Mutable databases: the MVCC delta store and incremental maintenance.
+"""Mutable databases: the MVCC delta store and cache promotion.
 
 The engines' caches key off immutable content-fingerprinted snapshots;
 this package makes those snapshots *evolve* without going cold.
@@ -9,18 +9,14 @@ their snapshot, new requests see the head).  A
 applied delta, and each snapshot the store makes reaches its own
 history through that store (:func:`~repro.delta.store.lineage`) — there
 is no process-wide registry.  :mod:`repro.delta.maintenance` walks that
-history so every cache layer answers for a new version from work done
-on an ancestor — cache promotion for untouched formulas and automata,
-classic ΔQ view-maintenance for algebra plans.
+history so the whole-result and automata caches answer for a new
+version from an ancestor's entries when the deltas since touched
+nothing the formula reads.
 
 See ``docs/mutability.md`` for the full model.
 """
 
-from repro.delta.maintenance import (
-    maintain_algebra_result,
-    promote_result,
-    subplan_recorder,
-)
+from repro.delta.maintenance import promote_result
 from repro.delta.store import (
     MAX_CHAIN,
     DatabaseVersion,
@@ -42,8 +38,6 @@ __all__ = [
     "chained_fingerprint",
     "evolve_database",
     "lineage",
-    "maintain_algebra_result",
     "promote_result",
     "store_of",
-    "subplan_recorder",
 ]

@@ -54,7 +54,7 @@ __all__ = [
 
 Row = tuple[str, ...]
 
-#: How many transitions a maintenance chain may walk before giving up —
+#: How many versions a promotion walk may visit before giving up —
 #: bounds the work of promoting a cache entry across many small deltas.
 MAX_CHAIN = 16
 
@@ -69,9 +69,9 @@ class Delta:
 
     ``inserts`` rows are guaranteed absent from the parent snapshot and
     ``deletes`` rows guaranteed present (the store normalizes no-op rows
-    away), which is what makes the ΔQ maintenance rules exact:
-    ``child = parent - deletes + inserts`` relation by relation, with
-    the three sets pairwise disjoint per relation.
+    away): ``child = parent - deletes + inserts`` relation by relation,
+    with the three sets pairwise disjoint per relation, so
+    :attr:`touched` names exactly the relations whose contents changed.
     """
 
     inserts: tuple[tuple[str, frozenset[Row]], ...]
@@ -83,18 +83,6 @@ class Delta:
         return frozenset(
             name for name, _ in self.inserts
         ) | frozenset(name for name, _ in self.deletes)
-
-    def inserted(self, relation: str) -> frozenset[Row]:
-        for name, rows in self.inserts:
-            if name == relation:
-                return rows
-        return frozenset()
-
-    def deleted(self, relation: str) -> frozenset[Row]:
-        for name, rows in self.deletes:
-            if name == relation:
-                return rows
-        return frozenset()
 
     @property
     def size(self) -> int:

@@ -464,10 +464,7 @@ class AlgebraBackend(EngineBackend):
     cached.
 
     The closure runs a RANF pair's runtime infinity check first and
-    defers to the exact automata engine when it trips.  For a forced
-    plan on delta-store versions it records the relations it
-    materializes, and the next version's answer is maintained through
-    the ΔQ rules instead of recomputed (:mod:`repro.delta.maintenance`).
+    defers to the exact automata engine when it trips.
     """
 
     name = "algebra"
@@ -561,29 +558,10 @@ class AlgebraBackend(EngineBackend):
 
     def execute(self, plan, database, cache, observer=None):
         from repro.algebra.codegen import get_pipeline
-        from repro.delta import maintenance
         from repro.engine.explain import AlgebraTrace
         from repro.eval.result import QueryResult
 
         trace = observer if isinstance(observer, AlgebraTrace) else AlgebraTrace()
-        recorder = None
-        # Delta-store versions of a forced plan: maintain the previous
-        # version's recorded stages through the ΔQ rules instead of
-        # recomputing, and record this run's for the next version.  An
-        # auto plan re-runs its closure instead: for the cheap scans the
-        # planner picks on read-heavy traffic, recording plus a
-        # maintained run cost several times a closure run (perfbench
-        # read_write's p50 rose a third with every read maintained).
-        if plan.forced:
-            maintained = maintenance.maintain_algebra_result(plan, database)
-            if maintained is not None:
-                # Maintained runs reuse a prior full run's answer, whose
-                # "infinite" check already passed.
-                trace.cached = True
-                return QueryResult(*maintained)
-            recorder = maintenance.subplan_recorder(
-                plan.structure, database, plan.params
-            )
         # Closures are schema-keyed, so row-only deltas reuse the
         # compiled code and only pay the data pass.
         pipeline, detail = get_pipeline(
@@ -592,7 +570,7 @@ class AlgebraBackend(EngineBackend):
         METRICS.inc("codegen.runs")
         if pipeline.inf_stages:
             METRICS.inc("algebra.ranf.inf_checks")
-        rows, trace.stage_rows = pipeline.run(database, plan.params, recorder)
+        rows, trace.stage_rows = pipeline.run(database, plan.params)
         trace.pipeline = pipeline
         trace.closure_hit = detail == "hit"
         if rows is None:

@@ -296,8 +296,8 @@ _REGISTRY: dict[str, Any] = {}
 #: so its report does not depend on which ran first.
 _OWNERS = (
     "algebra.codegen", "algebra.optimize", "algebra.plan", "algebra.ranf",
-    "automatic.convolution", "automatic.presentations", "delta.maintenance",
-    "engine.plan_cache", "sql.like", "sql.similar", "structures.base",
+    "automatic.convolution", "automatic.presentations", "engine.plan_cache",
+    "sql.like", "sql.similar", "structures.base",
 )
 
 

@@ -137,16 +137,13 @@ class AlgebraTrace:
     A closure run fills ``pipeline`` and its per-stage ``stage_rows``,
     with ``closure_hit`` telling a warm closure from a fresh compile, and
     ``infinite`` when a RANF pair's runtime bound check tripped (automata
-    took over).  A result maintained through the ΔQ rules sets
-    ``cached`` and leaves the rest empty, and EXPLAIN falls back to the
-    planner's static tree.
+    took over).
     """
 
     def __init__(self) -> None:
         self.pipeline = None  # Optional[repro.algebra.codegen.GeneratedPipeline]
         self.stage_rows = None  # Optional[list[int]]
         self.closure_hit = False
-        self.cached = False
         self.infinite = False
 
 
@@ -385,13 +382,13 @@ def explain_plan(
     counters = metrics_mod.delta(before, METRICS.snapshot())
     root = None if hit else backend.trace_tree(plan, observer, seconds)
     if root is None:
-        # A whole-result cache hit, a maintained algebra answer, or a
-        # backend without per-node instrumentation (e.g. the direct
-        # engine, which evaluates per candidate tuple): the planner's
-        # static tree with the total wall time on the root.
+        # A whole-result cache hit or a backend without per-node
+        # instrumentation (e.g. the direct engine, which evaluates per
+        # candidate tuple): the planner's static tree with the total wall
+        # time on the root.
         root = plan_tree_to_explain(plan.root)
         root.seconds = seconds
-        if hit or (isinstance(observer, AlgebraTrace) and observer.cached):
+        if hit:
             root.cache_hit = True
     finite = result.is_finite()
     return Explain(

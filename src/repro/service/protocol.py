@@ -46,7 +46,8 @@ Operations
     ``fingerprint``, ``tuples``, ``plan_epoch``).
     Deltas are O(|delta|): the registered snapshot evolves through the
     MVCC delta store (:mod:`repro.delta`), in-flight queries keep their
-    pinned snapshot, caches are maintained incrementally, and prepared
+    pinned snapshot, cached answers carry over from ancestor versions
+    whose deltas touched nothing the query reads, and prepared
     queries re-plan only when the schema or active domain shifted
     (``plan_epoch``).  ``insert`` into an unknown relation extends the
     schema; ``delete`` from one is an error.

@@ -1076,7 +1076,7 @@ class QueryService:
         registered ones plus this service's three query-text maps), and
         ``fused_share``: the share of algebra-engine runs that ran the
         compiled closure (``codegen.runs`` over ``engine.algebra.runs``;
-        the others were answered by a cache or by ΔQ maintenance)."""
+        the others were answered by a cache)."""
         snapshot = METRICS.snapshot()
         service_counters = {
             name: value

@@ -71,9 +71,6 @@ class AlgebraExecutor:
     executor reused across runs only pays for each distinct subplan once
     per database state; ``memo_hits`` counts the answers it served.
 
-    ``recorder``, when given, is called as ``recorder(node, rows)`` for
-    every operator the executor materializes.
-
     ``params`` are the values bound to a template plan's slots
     (:class:`~repro.algebra.plan.ParamRel` leaves and ``Param`` terms in
     conditions); one executor serves one binding.
@@ -83,7 +80,6 @@ class AlgebraExecutor:
         self,
         structure: StringStructure,
         database: Database,
-        recorder=None,
         params: tuple[str, ...] = (),
     ):
         self.structure = structure
@@ -91,7 +87,6 @@ class AlgebraExecutor:
         self.params = params
         self._db_key = database_fingerprint(database)
         self._memo: dict[tuple[Plan, str], Rows] = {}
-        self._recorder = recorder
         self.memo_hits = 0
 
     def run(self, plan: Plan) -> tuple[Rows, OpStats]:
@@ -125,8 +120,6 @@ class AlgebraExecutor:
             rows, stats = self._generic(node)
 
         self._memo[memo_key] = rows
-        if self._recorder is not None:
-            self._recorder(node, rows)
         return rows, stats
 
     def _semi_join(self, node: Project) -> tuple[Rows, OpStats]:

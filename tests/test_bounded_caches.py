@@ -8,8 +8,7 @@ string constant is a template slot, but a constant spelt with
 ``add_last`` is shape), every new value of a quantified template
 condition a bound automaton, every new template a plan-cache entry,
 every literal the automata engine sees a ``constant`` presentation,
-every new answer a result entry, and every query on a delta-store
-version its recorded subplans.  In the service, every new query text
+and every new answer a result entry.  In the service, every new query text
 brings a text alias and a prepared query, and every new shape a
 template handle.  Each cache is capped and drops its least recently
 used entry first.
@@ -25,7 +24,6 @@ import repro.structures.base as structures_base
 from repro.algebra.codegen import get_pipeline
 from repro.core import Query
 from repro.database import Database
-from repro.delta import VersionedDatabase
 from repro.engine.cache import (
     BoundedCache,
     cache_stats,
@@ -146,22 +144,10 @@ def _literals_on_the_automata_engine(n: int):
         yield
 
 
-def _literals_on_a_store_version(n: int):
-    """Subplan rows recorded per (values, plan node, version)."""
-    head = VersionedDatabase(DB).head.database
-    for c in _constants(n):
-        rows = Query(f"R(x) & '{c}' <<= x", structure="S").result(
-            head, engine="algebra"
-        ).as_set()
-        assert rows == _starting_with(c)
-        yield
-
-
 #: registered cache name -> public-API traffic that grows it
 DRIVERS = {
     "cache": _literals_on_the_planner,
     "codegen.cache": _spelt_shapes_fused,
-    "delta.subplans": _literals_on_a_store_version,
     "algebra.checkers": _spelt_shapes_on_forced_algebra,
     "algebra.bound_conditions": _values_of_one_quantified_condition,
     "algebra.plans": _spelt_shapes_on_forced_algebra,
@@ -195,7 +181,7 @@ def test_every_registered_cache_has_a_driver():
     caches = registered_caches()
     assert set(caches) == set(DRIVERS)
     memos = set(stats) - set(caches)
-    assert len(memos) == 9
+    assert len(memos) == 8
     for name in memos:
         assert stats[name]["maxsize"] is not None, name
 

@@ -304,10 +304,8 @@ class TestDeltaBehavior:
         assert METRICS.get("codegen.compiles") == 1
         head = vdb.insert("S", {"11", "0"})
         got = run(head.database)
-        # The closure recorded its stages on the store version, so the
-        # next version's answer is maintained, not recomputed.
-        assert METRICS.get("delta.algebra_maintained") == 1
-        assert METRICS.get("codegen.runs") == 1
+        # The delta touches S, so the new version re-runs the closure.
+        assert METRICS.get("codegen.runs") == 2
         fresh = Database(
             BINARY,
             {"R": {("0",), ("01",)}, "S": {("1",), ("11",), ("0",)}},
@@ -316,7 +314,7 @@ class TestDeltaBehavior:
         # Same schema => same closure key: no recompilation, just a run.
         assert got == run(fresh) == {("0",), ("01",), ("1",), ("11",)}
         assert METRICS.get("codegen.compiles") == 1
-        assert METRICS.get("codegen.runs") == 2
+        assert METRICS.get("codegen.runs") == 3
 
     def test_untouched_relation_promotes_the_result(self):
         base = Database(
@@ -339,7 +337,7 @@ class TestDeltaBehavior:
         # Promotion re-keyed the old result: no new pipeline execution.
         assert METRICS.get("codegen.runs") == runs
 
-    def test_fused_read_on_a_store_version_is_maintained(self):
+    def test_forced_and_auto_reads_rerun_the_closure(self):
         vdb = VersionedDatabase(Database(
             BINARY,
             {"W0": {("0",), ("01",), ("110",)}, "R": {("01",)}},
@@ -350,25 +348,23 @@ class TestDeltaBehavior:
         execute_plan(forced, vdb.head.database)
         head = vdb.insert("W0", {"1001"}).database
         got = execute_plan(query.plan(head, engine="algebra"), head).as_set()
-        assert METRICS.get("delta.algebra_maintained") == 1
-        assert METRICS.get("codegen.runs") == 1
+        assert METRICS.get("codegen.runs") == 2
         assert got == reference_run(query.plan(head, engine="algebra"), head)
         assert got == {("0",), ("110",), ("1001",)}
-        # An auto plan re-runs its closure on the next version instead.
+        # An auto plan answers the next version the same way.
         assert prewarm(query.formula, query.structure, head.schema)
         auto = query.plan(head)
         assert auto.engine == "algebra", auto.costs
         execute_plan(auto, head)
         head = vdb.insert("W0", {"0011"}).database
         assert execute_plan(auto, head).as_set() == got | {("0011",)}
-        assert METRICS.get("delta.algebra_maintained") == 1
-        assert METRICS.get("codegen.runs") == 3
+        assert METRICS.get("codegen.runs") == 4
 
 
     def test_an_infinite_answer_is_not_maintained(self, monkeypatch):
-        # The pair's check trips (doctored) on a store version: nothing
-        # is recorded, so the next version runs the check again instead
-        # of maintaining a finite half that is not the answer.
+        # The pair's check trips (doctored) on a store version, and the
+        # next version runs the check again instead of reusing a finite
+        # half that is not the answer.
         _doctor_inf_half(monkeypatch)
         vdb = VersionedDatabase(Database(
             BINARY, {"R": {("01",), ("110",)}}, schema=Schema({"R": 1}),
@@ -378,7 +374,6 @@ class TestDeltaBehavior:
                      vdb.head.database)
         head = vdb.insert("R", {"0"}).database
         got = execute_plan(query.plan(head, engine="algebra", slack=1), head)
-        assert METRICS.get("delta.algebra_maintained") == 0
         assert METRICS.get("algebra.ranf.infinite_bailouts") == 2
         exact = AutomataEngine(STRUCT, head, slack=1).run(query.formula)
         assert got.as_set() == exact.as_set()
@@ -394,7 +389,7 @@ class TestStrategy:
         cold = query.plan(db)
         assert cold.engine == "algebra"
         assert "strategy" not in cold.to_dict()
-        # Forced algebra runs the same closure (and keeps ΔQ maintenance).
+        # Forced algebra runs the same closure.
         report = query.explain(db, engine="algebra")
         assert report.root.kind == "CodegenPipeline"
         assert METRICS.get("codegen.runs") == 1

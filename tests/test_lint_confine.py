@@ -73,6 +73,11 @@ PLANTS = {
         "import numpy as np",
         "src/repro/automata/dfa.py",
     ),
+    "maintain": (
+        "src/repro/engine/incremental.py",
+        "maintained = maintenance.maintain_algebra_result(plan, database)",
+        "tools/lint_confine.py",
+    ),
 }
 
 

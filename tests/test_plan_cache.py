@@ -272,16 +272,22 @@ BENCH_DELTA_CHOICES = {
         {0.5: "direct", 1: "direct", 2: "direct"},
         "direct",
     ),
-    # One way to run an algebra plan: the choice cannot change with size.
-    "join_maintain": (
+    # Auto planning picks the algebra engine at every scale of the
+    # window, so a plan cached at one end still fits the other.
+    "prefix_join": (
         {0.5: "algebra", 1: "algebra", 2: "algebra"},
         "algebra",
     ),
 }
 
+#: A prefix join pinned beside bench_delta's shapes, in their layout.
+PINNED_SHAPES = [
+    ("prefix_join", "R(x) & S(y) & x <<= y", "algebra", [80], [80]),
+]
+
 
 def test_bench_delta_shapes_choices_across_the_window():
-    for shape, text, engine, _, (n, *_) in bench_delta.SHAPES:
+    for shape, text, engine, _, (n, *_) in bench_delta.SHAPES + PINNED_SHAPES:
         auto, forced = BENCH_DELTA_CHOICES[shape]
         relations = {
             "R": bench_delta.make_rows(n, seed=7 * n),

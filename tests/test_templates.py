@@ -418,9 +418,10 @@ class TestServiceTemplates:
         assert resp.rows == []
 
     def test_delta_maintenance_keeps_bindings_apart(self, service):
-        # Subplan rows recorded for one binding on one version must not
-        # be maintained into another binding's answer on the next.
+        # Answers cached for one binding on one version must not carry
+        # over into another binding's answer on the next.
         rows = list(R)
+        runs = METRICS.get("codegen.runs")
 
         def run(c):
             resp = service.execute(RunRequest(
@@ -434,9 +435,8 @@ class TestServiceTemplates:
             service.insert_rows("main", "R", [(word,)])
             rows.append(word)
             run("01" if i % 2 == 0 else "10")
-        # The third run maintains the first one's rows (same binding)
-        # across both writes; the second ran from scratch.
-        assert METRICS.get("delta.algebra_maintained") == 1
+        # Every write touches R, so each run re-ran the closure.
+        assert METRICS.get("codegen.runs") == runs + 3
 
     def test_explain_and_stats_show_the_template(self, service):
         _rows(service, "R(x) & '01' <<= x")

@@ -67,6 +67,12 @@ test, it only bypasses a guarantee that lives in one audited place.
     ``repro.automata.dfa._numpy``, used only by the two automata kernels
     whose vectorized twins win their bench gate, so a server start and
     every query that never builds a big automaton skip its import.
+``maintain``
+    ΔQ plan maintenance under ``src/`` (``maintain_algebra_result``,
+    ``subplan_recorder``, the ``delta.subplans`` cache): a new version's
+    algebra answer comes from the whole-result cache, result promotion
+    or one closure run, however the engine was chosen, so no second way
+    to compute it grows back.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -278,6 +284,18 @@ RULES = (
         "through repro.automata.dfa._numpy(), past a size check",
         ok="numpy is imported only lazily, by repro.automata.dfa._numpy",
         strip_comments=True,
+    ),
+    Rule(
+        "maintain",
+        re.compile(
+            r"\b(?:maintain_algebra_result|subplan_recorder)\b"
+            r"|delta\.subplans\b"
+        ),
+        scanned=("src",),
+        exempt=(),
+        problem="ΔQ plan maintenance under src/ — answer a new version "
+        "through the result cache, promote_result or a closure run",
+        ok="a new version's algebra answer has one way to be computed",
     ),
 )
 
