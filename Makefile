@@ -51,9 +51,12 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##   evict     popitem(last=False) and pop(next(iter( under src/ outside
 ##             engine/cache.py — every memo table is a BoundedCache, the
 ##             one LRU eviction (docs/explain_and_metrics.md);
-##   executor  AlgebraExecutor, run_algebra, run_ranf and repro.algebra.exec
-##             under src/ — the compiled closure runs every algebra plan, and
-##             the interpreter is the test oracle (docs/codegen_engine.md);
+##   executor  AlgebraExecutor, run_algebra, run_ranf, repro.algebra.exec,
+##             evaluate_with_cse, _Shim, _eval_quantifier_free and _inline_ok
+##             under src/, and def evaluate( in algebra/plan.py — the compiled
+##             closure runs every algebra plan and inlines every
+##             quantifier-free condition, and the interpreter is the test
+##             oracle (docs/codegen_engine.md);
 ##   future    threading.Event in service/service.py and under shard/ — pool
 ##             requests and shard responses complete concurrent.futures
 ##             Futures, so no hand-rolled completion signal (docs/service.md);

@@ -2,7 +2,12 @@
 
 The calculus->algebra compiler repeats its ``gamma``-bound subplan once
 per bounded column and negation.  This bench quantifies what rewriting
-and common-subexpression evaluation recover.  Measured finding (recorded
+and common-subexpression evaluation recover.  The naive side is the
+operator-at-a-time interpreter kept as the test oracle
+(``tests/_reference_algebra.py``), which evaluates a repeated subplan once
+per occurrence; the CSE side is the plan's compiled closure
+(:func:`repro.algebra.codegen.plan_pipeline`), whose emitter memo gives
+equal subplans one variable, so each is evaluated once per run.  Measured finding (recorded
 in EXPERIMENTS.md): the repeated bound subplans are *cheap* relative to
 the ``bound x bound`` products the translation genuinely needs, so CSE
 and the rewrites give only a modest constant-factor win — the products
@@ -11,9 +16,13 @@ predicts (the bound is the output-space, and you pay for it once per
 bounded column no matter how cleverly you share subtrees).
 """
 
+import pathlib
+import sys
+
 import pytest
 
-from repro.algebra import compile_query, evaluate_with_cse, optimize
+from repro.algebra import compile_query, optimize
+from repro.algebra.codegen import plan_pipeline
 from repro.database import random_database
 from repro.eval import AutomataEngine
 from repro.logic import parse_formula
@@ -21,6 +30,9 @@ from repro.strings import BINARY
 from repro.structures import S
 
 from _common import measure, print_table
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests._reference_algebra import evaluate  # noqa: E402
 
 QUERY = parse_formula(
     "R(x) & !S(x) & exists adom y: S(y) & y <<= x | R(x) & last(x, '1')"
@@ -38,7 +50,7 @@ def _setup(n):
 def test_abl_naive_plan_eval(benchmark, n):
     db, compiled = _setup(n)
     benchmark.pedantic(
-        lambda: compiled.plan.evaluate(db, S(BINARY), compiled.params),
+        lambda: evaluate(compiled.plan, db, S(BINARY), compiled.params),
         rounds=2,
         iterations=1,
     )
@@ -47,8 +59,8 @@ def test_abl_naive_plan_eval(benchmark, n):
 @pytest.mark.parametrize("n", SIZES)
 def test_abl_optimized_cse_eval(benchmark, n):
     db, compiled = _setup(n)
-    plan = optimize(compiled.plan)
-    benchmark(lambda: evaluate_with_cse(plan, db, S(BINARY), compiled.params))
+    closure = plan_pipeline(optimize(compiled.plan), S(BINARY))
+    benchmark(lambda: closure.run(db, compiled.params))
 
 
 def test_abl_optimizer_comparison(benchmark):
@@ -58,21 +70,16 @@ def test_abl_optimizer_comparison(benchmark):
             db, compiled = _setup(n)
             structure = S(BINARY)
             expected = AutomataEngine(structure, db).run(QUERY).as_set()
-            optimized = optimize(compiled.plan)
+            raw = plan_pipeline(compiled.plan, structure)
+            optimized = plan_pipeline(optimize(compiled.plan), structure)
             params = compiled.params
             t_naive = measure(
-                lambda: compiled.plan.evaluate(db, structure, params), repeats=1
+                lambda: evaluate(compiled.plan, db, structure, params), repeats=1
             )
-            t_cse = measure(
-                lambda: evaluate_with_cse(compiled.plan, db, structure, params),
-                repeats=1,
-            )
-            t_both = measure(
-                lambda: evaluate_with_cse(optimized, db, structure, params),
-                repeats=1,
-            )
-            assert compiled.plan.evaluate(db, structure, params) == expected
-            assert evaluate_with_cse(optimized, db, structure, params) == expected
+            t_cse = measure(lambda: raw.run(db, params), repeats=1)
+            t_both = measure(lambda: optimized.run(db, params), repeats=1)
+            assert evaluate(compiled.plan, db, structure, params) == expected
+            assert optimized.run(db, params)[0] == expected
             rows.append((n, t_naive, t_cse, t_both))
         return rows
 

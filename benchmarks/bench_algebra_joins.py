@@ -11,7 +11,14 @@ The standalone entry point emits JSON (``--explain-json``) with per-size
 rows/sec for both paths and the peak intermediate relation size, feeding
 the BENCH trajectory; ``make bench-algebra-smoke`` runs the minimal
 sweep and asserts the fused plan wins at all.
+
+The naive side runs on the operator-at-a-time interpreter kept as the
+test oracle (``tests/_reference_algebra.py``): the compiled closure is
+the only plan evaluator in ``src/``.
 """
+
+import pathlib
+import sys
 
 import pytest
 
@@ -25,6 +32,9 @@ from repro.strings import BINARY
 from repro.structures.catalog import S as S_factory
 
 from _common import measure, print_table, standalone_args, write_explain_json
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests._reference_algebra import evaluate  # noqa: E402
 
 QUERY = "R(x,y) & S(y,z)"
 SIZES = [50, 100, 200, 400]
@@ -54,7 +64,7 @@ def _plans(db):
 def test_alg_naive_product_select(benchmark, n):
     db = _db(n)
     naive, _fused, params, structure = _plans(db)
-    benchmark(lambda: naive.evaluate(db, structure, params))
+    benchmark(lambda: evaluate(naive, db, structure, params))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -97,7 +107,7 @@ def run_sweep(sizes) -> list[dict]:
         naive_rows = [None]
         fused_rows = [None]
         naive_s = measure(lambda: naive_rows.__setitem__(
-            0, naive.evaluate(db, structure, params)), repeats=1)
+            0, evaluate(naive, db, structure, params)), repeats=1)
 
         def fused_run():
             fused_rows[0] = fused.run(db, params)
@@ -190,6 +200,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    import sys
-
     sys.exit(main())

@@ -8,12 +8,18 @@ Both directions, executed:
   formulas with identical outputs;
 * the ``down_i`` cost note (Section 6.2: "very expensive ... unavoidable")
   is measured: the operator's output grows exponentially with the longest
-  string.
+  string.  The sweep times the operator-at-a-time interpreter kept as
+  the test oracle (``tests/_reference_algebra.py``), which materializes
+  ``down_i``'s output on its own.
 """
+
+import pathlib
+import sys
 
 import pytest
 
 from repro.algebra import (
+    DIALECTS,
     BaseRel,
     DownOp,
     PrefixOp,
@@ -31,6 +37,9 @@ from repro.strings import BINARY
 from repro.structures import S, S_len
 
 from _common import growth_ratios, measure, print_table
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests._reference_algebra import evaluate  # noqa: E402
 
 CALCULUS_CORPUS = [
     ("S", "R(x) & last(x, '0')"),
@@ -82,7 +91,7 @@ def test_thm4_both_directions(benchmark):
         ]
         for label, structure, plan in plans:
             db = random_database(BINARY, {"R": 1}, 3, max_len=3, seed=5)
-            expected = plan.evaluate(db, structure)
+            expected = DIALECTS[label](BINARY).evaluate(plan, db)
             got = AutomataEngine(structure, db).run(to_calculus(plan))
             rows.append(
                 (
@@ -107,7 +116,7 @@ def test_thm4_down_operator_blowup(benchmark):
         for m in lengths:
             db = Database(BINARY, {"R": {("0" * m,)}})
             plan = DownOp(BaseRel("R", 1), 0)
-            t = measure(lambda: plan.evaluate(db, S_len(BINARY)), repeats=1)
+            t = measure(lambda: evaluate(plan, db, S_len(BINARY)), repeats=1)
             rows.append((m, t, BINARY.count_up_to(m)))
         return rows
 

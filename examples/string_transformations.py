@@ -13,9 +13,7 @@ Run with::
 """
 
 from repro import Query, StringDatabase, language_is_star_free
-from repro.algebra import AddFirstOp, BaseRel, Project, Select, TrimFirstOp, col
-from repro.logic.dsl import matches
-from repro.structures import S_left, S_reg
+from repro.algebra import AddFirstOp, BaseRel, Project, RA_S_left, TrimFirstOp
 from repro.strings import BINARY
 
 
@@ -42,7 +40,7 @@ def main() -> None:
         AddFirstOp(TrimFirstOp(BaseRel("IDS", 1), 0, "0"), 1, "1"),
         (2,),
     )
-    rows = plan.evaluate(db.db, S_left(BINARY))
+    rows = RA_S_left(BINARY).evaluate(plan, db.db)
     print(f"same as an RA(S_left) plan: {plan}")
     print(f"  {sorted(rows)}")
     print()

@@ -53,7 +53,6 @@ from repro.algebra.plan import (
 )
 from repro.algebra.optimize import (
     compile_for_execution,
-    evaluate_with_cse,
     optimize,
     optimize_for_execution,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "column_var",
     "compile_for_execution",
     "compile_query",
-    "evaluate_with_cse",
     "is_collapsed_form",
     "optimize",
     "optimize_for_execution",

@@ -5,13 +5,13 @@ Python source* for a single fused pipeline — there is no operator-at-a-
 time interpreter to fall back to:
 
 * scan -> select -> project chains collapse into one loop body, with
-  cheap predicates (``eq``/``last``/``prefix``/``sprefix`` over column
-  variables and template slots, ``matches``/``psuffix`` against the DFA
-  of a slot's pattern, looked up once per run) inlined as plain
-  expressions — the planner hands codegen templates only, so a literal
-  is always a slot (:mod:`repro.logic.literals`) — and everything
-  else routed through a pre-built checker closed over by the function
-  and bound to the run's values once, in the prologue;
+  every structure predicate over column variables, template slots and
+  literals inlined as a plain expression (``matches``/``psuffix`` against
+  the DFA of their pattern, looked up once per run); only a quantified
+  condition (or, in a hand-built plan, one applying a term function to
+  a column) goes through a pre-built checker — its automaton, closed
+  over by the function and bound to the run's values once, in the
+  prologue;
 * the column-appending string operators fuse into the same loop body;
   ``prefix_i`` and ``down_i`` (Section 6.2's exponential operator, over
   ``alphabet.strings_up_to``) open a nested loop per row;
@@ -25,6 +25,11 @@ time interpreter to fall back to:
   relation the ``inf`` half already built.
 
 Each stage's row count is handed back to the caller for EXPLAIN.
+
+This closure is the only evaluator of RA(M) plans and of their selection
+conditions: the engine runs a query's plans through :func:`get_pipeline`,
+and a dialect runs a hand-built or compiled plan through
+:func:`plan_pipeline`.
 
 The emitted source is ``compile()``/``exec``-ed into a closure and cached
 in the registered :class:`~repro.engine.cache.BoundedCache`
@@ -45,6 +50,7 @@ This is the only module in the repository allowed to call
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,7 +62,6 @@ from repro.algebra.plan import (
     Difference,
     DownOp,
     EpsilonRel,
-    InsertAtOp,
     Join,
     ParamRel,
     Plan,
@@ -66,6 +71,7 @@ from repro.algebra.plan import (
     Select,
     TrimFirstOp,
     Union,
+    _APPENDERS,
     _get_checker,
 )
 from repro.database.schema import Schema
@@ -75,13 +81,8 @@ from repro.engine.metrics import METRICS
 from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import And, Atom, FalseF, Formula, Not, Or, TrueF
 from repro.logic.terms import Param, Var
+from repro.strings import ops as strops
 from repro.structures.base import StringStructure
-
-#: Column-appending ops that fuse into the row loop like selects and
-#: projections do.  ``PrefixOp`` and ``DownOp`` are one-to-many (one row
-#: expands to ``|s|+1`` prefixes, resp. every string of length at most
-#: ``|s|``); the rest are per-row transforms.
-_APPENDERS = (PrefixOp, DownOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp)
 
 _CHECKPOINT_MASK = 255
 
@@ -132,22 +133,23 @@ class _Emitter:
         self.prologue: list[str] = []
         self.lines: list[str] = []
         self.env: dict = {
+            "_alphabet": structure.alphabet,
             "_checkpoint": checkpoint,
             "_EPS_REL": frozenset({("",)}),
+            "_extends_by_one": strops.extends_by_one,
+            "_lcp": strops.lcp,
+            "_lex_le": strops.lex_le,
+            "_lex_lt": strops.lex_lt,
             "_over_alphabet": structure.alphabet.check_string,
             "_pattern_dfa": structure.pattern_dfa,
             "_strings_up_to": structure.alphabet.strings_up_to,
+            "_trim_first": strops.trim_first,
         }
         self.stages: list[dict] = []
         self._memo: dict[Plan, str] = {}
         self._checker_names: dict[str, str] = {}
-        self._pattern_names: dict[int, str] = {}
+        self._pattern_names: dict[str, str] = {}
         self._n = 0
-        # Inlining predicates is only sound when the structure evaluates
-        # them with the stock semantics the emitter mirrors.
-        self._inline_ok = (
-            type(structure)._eval_pred is StringStructure._eval_pred
-        )
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -167,9 +169,8 @@ class _Emitter:
         self.stages.append({"label": label, "kind": kind})
 
     def _checker(self, condition: Formula) -> str:
-        """The local naming the condition's predicate, bound to the run's
-        values once per run (a quantified one's automaton looked up
-        then, not per row)."""
+        """The local naming a quantified condition's automaton test, bound
+        to the run's values once per run, not per row."""
         key = str(condition)
         name = self._checker_names.get(key)
         if name is None:
@@ -179,14 +180,15 @@ class _Emitter:
             self.prologue.append(f"    {name} = {name}_of.bind(_params)")
         return name
 
-    def _pattern(self, slot: Param) -> str:
-        """The local naming the DFA of the pattern in ``slot``, looked up
-        once per run."""
-        name = self._pattern_names.get(slot.index)
+    def _pattern(self, param) -> str:
+        """The local naming the DFA of a pattern (a slot's or a literal
+        regex), looked up once per run."""
+        source = _param_expr(param)
+        name = self._pattern_names.get(source)
         if name is None:
             name = f"_pat{len(self._pattern_names)}"
-            self._pattern_names[slot.index] = name
-            self.prologue.append(f"    {name} = _pattern_dfa({_slot(slot)})")
+            self._pattern_names[source] = name
+            self.prologue.append(f"    {name} = _pattern_dfa({source})")
         return name
 
     @staticmethod
@@ -206,12 +208,17 @@ class _Emitter:
             return None
         if isinstance(term, Param):
             return _slot(term)
+        if not term.variables():
+            try:  # a literal of a hand-built plan, spelt out or not
+                return repr(term.evaluate({}))
+            except KeyError:  # a slot inside a term function
+                return None
         return None
 
     def _scalar_pred(self, cond: Formula, row: str) -> Optional[str]:
-        """Inline a condition as a plain expression, or None for the checker."""
-        if not self._inline_ok:
-            return None
+        """Inline a condition as a plain expression, or None for one the
+        checker's automaton decides: a quantified one, or (only in a
+        hand-built plan) one applying a term function to a column."""
         if isinstance(cond, TrueF):
             return "True"
         if isinstance(cond, FalseF):
@@ -226,32 +233,12 @@ class _Emitter:
                 return None
             return "(" + glue.join(parts) + ")"
         if isinstance(cond, Atom):
+            arity, template = _PREDICATES.get(cond.pred, (None, ""))
             args = [self._operand(t, row) for t in cond.args]
-            if any(a is None for a in args):
+            if len(args) != arity or any(a is None for a in args):
                 return None
-            if cond.pred == "eq" and len(args) == 2:
-                return f"({args[0]} == {args[1]})"
-            if cond.pred == "last" and len(args) == 1:
-                param = cond.param or ""
-                return f"({args[0]}.endswith({param!r}) and {args[0]} != '')"
-            if cond.pred == "prefix" and len(args) == 2:
-                return f"{args[1]}.startswith({args[0]})"
-            if cond.pred == "sprefix" and len(args) == 2:
-                return (
-                    f"(len({args[0]}) < len({args[1]})"
-                    f" and {args[1]}.startswith({args[0]}))"
-                )
-            if not isinstance(cond.param, Param):
-                return None
-            if cond.pred == "matches" and len(args) == 1:
-                return f"{self._pattern(cond.param)}.accepts({args[0]})"
-            if cond.pred == "psuffix" and len(args) == 2:
-                return (
-                    f"({args[1]}.startswith({args[0]}) and "
-                    f"{self._pattern(cond.param)}.accepts("
-                    f"{args[1]}[len({args[0]}):]))"
-                )
-            return None
+            dfa = self._pattern(cond.param) if "{dfa}" in template else ""
+            return template.format(*args, p=_param_expr(cond.param), dfa=dfa)
         return None
 
     # -- node emission -----------------------------------------------------
@@ -517,6 +504,41 @@ def _slot(slot: Param) -> str:
     return f"_params[{slot.index}]"
 
 
+def _param_expr(param) -> str:
+    """Source of a predicate's parameter: a slot or a plain string."""
+    return _slot(param) if isinstance(param, Param) else repr(param or "")
+
+
+#: Source templates of every predicate of ``StringStructure._eval_pred``,
+#: with the argument count each takes: ``{0}``, ``{1}``, ``{2}`` are the
+#: argument expressions, ``{p}`` the parameter (``last``'s symbol, the
+#: ``graph_*`` constant) and ``{dfa}`` the local holding the DFA of a
+#: ``matches``/``psuffix`` pattern.
+_PREDICATES = {
+    "eq": (2, "({0} == {1})"),
+    "prefix": (2, "{1}.startswith({0})"),
+    "sprefix": (2, "(len({0}) < len({1}) and {1}.startswith({0}))"),
+    "ext1": (2, "_extends_by_one({0}, {1})"),
+    "last": (1, "({0}.endswith({p}) and {0} != '')"),
+    "el": (2, "(len({0}) == len({1}))"),
+    "len_le": (2, "(len({0}) <= len({1}))"),
+    "len_lt": (2, "(len({0}) < len({1}))"),
+    "lex_le": (2, "_lex_le({0}, {1}, _alphabet)"),
+    "lex_lt": (2, "_lex_lt({0}, {1}, _alphabet)"),
+    "matches": (1, "{dfa}.accepts({0})"),
+    "psuffix": (2, "({1}.startswith({0}) and {dfa}.accepts({1}[len({0}):]))"),
+    "graph_add_last": (2, "({1} == {0} + {p})"),
+    "graph_add_first": (2, "({1} == {p} + {0})"),
+    "graph_trim_first": (2, "({1} == _trim_first({0}, {p}))"),
+    "graph_insert_at": (
+        3, "(({2} == {1} + {p} + {0}[len({1}):]) if {0}.startswith({1})"
+        " else ({2} == ''))",
+    ),
+    "graph_lcp": (3, "({2} == _lcp({0}, {1}))"),
+    "graph_const": (1, "({0} == {p})"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Source assembly + the closure cache
 # ---------------------------------------------------------------------------
@@ -616,6 +638,19 @@ def get_pipeline(
     )
     _PIPELINES.put(key, pipeline)
     return pipeline, "compiled"
+
+
+def plan_pipeline(plan: Plan, structure: StringStructure) -> GeneratedPipeline:
+    """Fetch or compile the closure of one RA(M) plan — hand-built or
+    compiled, and validated by its dialect — whose output columns are
+    ``c0, c1, ...``.  Cached in ``codegen.cache`` under (structure name,
+    alphabet, plan): plan nodes are frozen dataclasses, so equal plans
+    share one closure."""
+    key = (structure.name, structure.alphabet.symbols, plan)
+    return _PIPELINES.get_or_build(key, lambda: build_pipeline(
+        plan, tuple(f"c{i}" for i in range(plan.arity)), structure,
+        hashlib.sha1(str(plan).encode()).hexdigest(),
+    ))
 
 
 def pipeline_probe(

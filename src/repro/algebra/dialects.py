@@ -11,7 +11,10 @@ RA(S_reg)     sigma over FO(S_reg); same operators as RA(S)
 ============  ==========================================================
 
 Theorems 4 and 8: each dialect expresses exactly the safe queries of the
-corresponding calculus.
+corresponding calculus.  A dialect validates a plan's operators and its
+conditions' signature; evaluating it also checks its column indices and
+arities against the database, then runs the plan's compiled closure
+(:mod:`repro.algebra.codegen`).
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from repro.algebra.plan import (
     Select,
     TrimFirstOp,
     Union,
+    _APPENDERS,
+    _column_index,
 )
-from repro.errors import SignatureError
+from repro.errors import ArityError, EvaluationError, SignatureError
 from repro.strings.alphabet import Alphabet
 from repro.structures import S, S_insert, S_left, S_len, S_reg
 from repro.structures.base import StringStructure
@@ -67,9 +72,49 @@ class AlgebraDialect:
         return plan
 
     def evaluate(self, plan: Plan, db, params: Params = ()) -> frozenset:
-        """Validate then evaluate a plan, its slots bound to ``params``."""
+        """Validate a plan against this dialect and ``db``'s schema, then
+        run its compiled closure with its slots bound to ``params``."""
+        from repro.algebra.codegen import plan_pipeline
+
         self.validate(plan)
-        return plan.evaluate(db, self.structure, params)
+        for node in plan.walk():
+            _check_columns(node, db.schema)
+        return plan_pipeline(plan, self.structure).run(db, params)[0]
+
+
+def _check_columns(node: Plan, schema) -> None:
+    """Raise when ``node`` reads a column its input lacks, combines inputs
+    of two arities, filters by a condition that is not database-free, or
+    reads a relation whose arity differs from ``schema``'s."""
+    if isinstance(node, BaseRel):
+        arity = schema.arity(node.name)
+        if arity != node.arity:
+            raise ArityError(
+                f"plan expects {node.name}/{node.arity}, database has "
+                f"{node.name}/{arity}"
+            )
+    elif isinstance(node, Select):
+        condition = node.condition
+        if condition.relation_names():
+            raise EvaluationError(
+                "sigma_alpha conditions must not mention database relations"
+            )
+        top = max(map(_column_index, condition.free_variables()), default=-1)
+        if top >= node.child.arity:
+            raise ArityError(
+                f"condition uses column c{top}, child arity is {node.child.arity}"
+            )
+    elif isinstance(node, Project):
+        if any(i < 0 or i >= node.child.arity for i in node.indices):
+            raise ArityError(f"projection {node.indices} out of range")
+    elif isinstance(node, (Union, Difference)):
+        _ = node.arity  # raises ArityError on two arities
+    elif isinstance(node, _APPENDERS):
+        for i in (node.index, getattr(node, "prefix_index", node.index)):
+            if not 0 <= i < node.child.arity:
+                raise ArityError(
+                    f"{type(node).__name__} column {i} out of range"
+                )
 
 
 def RA_S(alphabet: Alphabet) -> AlgebraDialect:

@@ -25,11 +25,6 @@ that could sit closer to their inputs.  This module provides
   - prune dead columns by pushing projections through products, joins,
     and unions (only the columns a parent actually consumes are carried),
 
-* :func:`evaluate_with_cse` — bottom-up evaluation with common
-  subexpression elimination: plan nodes are frozen dataclasses with value
-  equality, so equal subplans (the compiler's repeated ``gamma``-bound,
-  notably) are evaluated once,
-
 * :func:`compile_for_execution` — the one entry from a query to the
   plans the algebra engine runs: compiled, optimized and cached, with
   the RANF pair's ``inf`` half where the query has one.
@@ -53,7 +48,6 @@ from repro.algebra.plan import (
     EpsilonRel,
     InsertAtOp,
     Join,
-    Params,
     Plan,
     PrefixOp,
     Product,
@@ -64,7 +58,6 @@ from repro.algebra.plan import (
     _column_index,
     col,
 )
-from repro.database.instance import Database
 from repro.engine.cache import registered
 from repro.logic.formulas import And, Atom, Formula
 from repro.logic.terms import Term, Var
@@ -371,56 +364,6 @@ def _rebuild(plan: Plan, children: list[Plan]) -> Plan:
     if isinstance(plan, DownOp):
         return DownOp(children[0], plan.index)
     return plan  # pragma: no cover - leaf nodes have no children
-
-
-def evaluate_with_cse(
-    plan: Plan, db: Database, structure: StringStructure, params: Params = ()
-) -> frozenset[tuple[str, ...]]:
-    """Evaluate with common-subexpression elimination, the plan's slots
-    bound to ``params``.
-
-    Equal subplans are evaluated once; the compiler's repeated
-    ``gamma``-bound subplans make this a large constant-factor win (see
-    ``benchmarks/bench_abl_optimizer.py``).
-    """
-    cache: dict[Plan, frozenset] = {}
-
-    def run(node: Plan) -> frozenset:
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        # Evaluate children through the cache by re-dispatching on a
-        # shallow copy whose children are pre-evaluated is intrusive;
-        # instead, exploit that every node's evaluate() only calls
-        # child.evaluate(db, structure) -- wrap children in memo shims.
-        shimmed = _rebuild(node, [_Shim(run(c), c.arity) for c in node.children()])
-        result = shimmed.evaluate(db, structure, params)
-        cache[node] = result
-        return result
-
-    return run(plan)
-
-
-class _Shim(Plan):
-    """A pre-evaluated plan node (internal to :func:`evaluate_with_cse`)."""
-
-    def __init__(self, rows: frozenset, arity: int):
-        self.rows = rows
-        self.arity = arity
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params=()
-    ) -> frozenset:
-        return self.rows
-
-    def __eq__(self, other: object) -> bool:  # shims never join the cache
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<shim {len(self.rows)} rows>"
 
 
 def _is_semi_join(plan: Plan) -> bool:

@@ -1,8 +1,12 @@
 """Relational algebra plans with the paper's string operators.
 
-A plan is a tree of operators; ``evaluate(db, structure)`` materializes the
-(finite) result — algebra expressions are safe by construction, which is
-the point of Theorems 4 and 8.
+A plan is a tree of operators, and each node is data: its fields, its
+``arity``, its ``children`` and its ``__str__``.  Algebra expressions are
+safe by construction, which is the point of Theorems 4 and 8, and the
+one thing that runs them is the fused closure of
+:mod:`repro.algebra.codegen`: a dialect's
+:meth:`~repro.algebra.dialects.AlgebraDialect.evaluate` validates a plan
+and runs its closure.
 
 Operators (paper Sections 6.2 and 7.1), all positional on columns
 ``0..arity-1``:
@@ -29,7 +33,9 @@ node               semantics
 Selection conditions are :class:`~repro.logic.formulas.Formula` objects
 whose free variables are the column names ``c0, c1, ...`` (see
 :func:`col`); they may quantify over ``Sigma*`` but must not mention the
-database (the paper's side condition on ``sigma_alpha``).
+database (the paper's side condition on ``sigma_alpha``).  The closure
+inlines a quantifier-free condition; a quantified one compiles into an
+automaton once (:func:`_get_checker`).
 """
 
 from __future__ import annotations
@@ -39,13 +45,10 @@ from typing import Callable, Optional
 
 from repro.database.instance import Database
 from repro.engine.cache import registered
-from repro.engine.deadline import checkpoint
-from repro.engine.metrics import METRICS
 from repro.errors import ArityError, EvaluationError
-from repro.logic.formulas import Formula, QuantKind, RelAtom
+from repro.logic.formulas import Formula
 from repro.logic.literals import bind, template_slots
 from repro.logic.terms import Param, Var
-from repro.logic.transform import has_natural_quantifier
 from repro.structures.base import StringStructure
 
 Row = tuple[str, ...]
@@ -53,10 +56,6 @@ Rows = frozenset[Row]
 #: The values bound to a query template's slots (``Param(i)`` reads
 #: ``params[i]``); empty for a concrete query.
 Params = tuple[str, ...]
-
-#: Deadline-check stride for row loops: per-row work is tiny, so the
-#: clock is only consulted every 256th row (matching the direct engine).
-_TICK_MASK = 255
 
 
 def col(i: int) -> Var:
@@ -76,11 +75,6 @@ class Plan:
     """Base class of algebra plan nodes."""
 
     arity: int
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        raise NotImplementedError
 
     def children(self) -> tuple["Plan", ...]:
         return ()
@@ -110,21 +104,11 @@ class Plan:
 
 @dataclass(frozen=True)
 class BaseRel(Plan):
-    """A database relation (arity resolved at evaluation)."""
+    """A database relation (its arity checked against the schema when a
+    dialect evaluates the plan)."""
 
     name: str
     arity: int
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        rows = db.relation(self.name)
-        if db.schema.arity(self.name) != self.arity:
-            raise ArityError(
-                f"plan expects {self.name}/{self.arity}, database has "
-                f"{self.name}/{db.schema.arity(self.name)}"
-            )
-        return rows
 
     def __str__(self) -> str:
         return self.name
@@ -135,11 +119,6 @@ class EpsilonRel(Plan):
     """The paper's ``R_eps``: the constant unary relation ``{epsilon}``."""
 
     arity: int = 1
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        return frozenset({("",)})
 
     def __str__(self) -> str:
         return "R_eps"
@@ -155,18 +134,12 @@ class ParamRel(Plan):
     index: int
     arity: int = 1
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        value = structure.alphabet.check_string(params[self.index])
-        return frozenset({(value,)})
-
     def __str__(self) -> str:
         return f"R[{Param(self.index)}]"
 
 
 #: Checkers per (condition text, structure name, alphabet, slack): the
-#: conditions are database-free, and a quantified one compiles an automaton.
+#: conditions are database-free, and each compiles an automaton.
 _CHECKERS = registered("algebra.checkers", 512)
 
 #: The automata of quantified template conditions, one per binding of
@@ -175,14 +148,13 @@ _BOUND_CONDITIONS = registered("algebra.bound_conditions", 1024)
 
 
 class _ConditionChecker:
-    """Evaluates a database-free condition on concrete rows.
-
-    Quantifier-free conditions are evaluated directly; quantified ones are
-    compiled once into a relation automaton over the empty database (legal
-    because ``sigma_alpha`` conditions may not mention the database).  A
-    template condition reads its slots from the ``params`` it is bound to
-    (:meth:`bind`, once per evaluation); quantified, it compiles one
-    automaton per binding.
+    """A quantified database-free condition, compiled once into a relation
+    automaton over the empty database (legal because ``sigma_alpha``
+    conditions may not mention the database).  A template condition
+    compiles one automaton per binding of its slots, looked up once per
+    run (:meth:`bind`).  The closure inlines every quantifier-free
+    condition whose terms are columns, slots and literals — all the
+    compiler emits, since it flattens term functions into graph atoms.
     """
 
     def __init__(self, condition: Formula, structure: StringStructure,
@@ -195,14 +167,9 @@ class _ConditionChecker:
         self.structure = structure
         self.slack = slack
         self.key = key
-        self.columns = sorted(_column_index(v) for v in condition.free_variables())
         self.slots = sorted(template_slots(condition))
-        self._slot_keys = [(Param(i).key, i) for i in self.slots]
         self._automaton = None
-        self._quantified = any(
-            f.__class__.__name__ in ("Exists", "Forall") for f in condition.walk()
-        )
-        if self._quantified and not self.slots:
+        if not self.slots:
             self._automaton, self._auto_vars = self._compile(condition)
 
     def _compile(self, condition: Formula) -> tuple:
@@ -223,46 +190,11 @@ class _ConditionChecker:
 
     def bind(self, params: Params = ()) -> Callable[[Row], bool]:
         """The condition as a one-row predicate for one binding of its
-        slots: a quantified condition's automaton is looked up here, once,
-        not per row."""
-        if self._quantified:
-            automaton, variables = self._automaton_for(params)
-            columns = [_column_index(v) for v in variables]
-            contains = automaton.contains
-            return lambda row: contains(tuple(row[i] for i in columns))
-        slots = [(key, params[i]) for key, i in self._slot_keys]
-        columns = self.columns
-        condition, structure = self.condition, self.structure
-
-        def check(row: Row) -> bool:
-            assignment = {f"c{i}": row[i] for i in columns}
-            assignment.update(slots)
-            return _eval_quantifier_free(condition, assignment, structure)
-
-        return check
-
-    def max_column(self) -> int:
-        return max(self.columns, default=-1)
-
-
-def _eval_quantifier_free(
-    f: Formula, assignment: dict[str, str], structure: StringStructure
-) -> bool:
-    from repro.logic.formulas import And, Atom, FalseF, Not, Or, TrueF
-
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Atom):
-        return structure.eval_atom(f, assignment)
-    if isinstance(f, Not):
-        return not _eval_quantifier_free(f.inner, assignment, structure)
-    if isinstance(f, And):
-        return all(_eval_quantifier_free(p, assignment, structure) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_eval_quantifier_free(p, assignment, structure) for p in f.parts)
-    raise EvaluationError(f"unexpected node in quantifier-free condition: {f!r}")
+        slots: the automaton is looked up here, once, not per row."""
+        automaton, variables = self._automaton_for(params)
+        columns = [_column_index(v) for v in variables]
+        contains = automaton.contains
+        return lambda row: contains(tuple(row[i] for i in columns))
 
 
 def _get_checker(
@@ -288,36 +220,6 @@ class Select(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        checker = _get_checker(self.condition, structure)
-        if checker.max_column() >= self.child.arity:
-            raise ArityError(
-                f"condition uses column c{checker.max_column()}, child arity "
-                f"is {self.child.arity}"
-            )
-        check = checker.bind(params)
-        if isinstance(self.child, Product):
-            # Stream the cross product through the filter pair by pair:
-            # only the (usually much smaller) selected set is ever
-            # materialized, never the O(|L|*|R|) intermediate relation.
-            lrows = self.child.left.evaluate(db, structure, params)
-            rrows = self.child.right.evaluate(db, structure, params)
-            out = set()
-            tick = 0
-            for l in lrows:
-                for r in rrows:
-                    tick += 1
-                    if not tick & _TICK_MASK:
-                        checkpoint()
-                    row = l + r
-                    if check(row):
-                        out.add(row)
-            return frozenset(out)
-        rows = self.child.evaluate(db, structure, params)
-        return frozenset(r for r in rows if check(r))
-
     def __str__(self) -> str:
         return f"select[{self.condition}]({self.child})"
 
@@ -336,14 +238,6 @@ class Project(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if any(i < 0 or i >= self.child.arity for i in self.indices):
-            raise ArityError(f"projection {self.indices} out of range")
-        rows = self.child.evaluate(db, structure, params)
-        return frozenset(tuple(r[i] for i in self.indices) for r in rows)
-
     def __str__(self) -> str:
         return f"project[{','.join(map(str, self.indices))}]({self.child})"
 
@@ -360,23 +254,6 @@ class Product(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        lrows = self.left.evaluate(db, structure, params)
-        rrows = self.right.evaluate(db, structure, params)
-        return frozenset(self._stream(lrows, rrows))
-
-    @staticmethod
-    def _stream(lrows: Rows, rrows: Rows):
-        tick = 0
-        for l in lrows:
-            for r in rrows:
-                tick += 1
-                if not tick & _TICK_MASK:
-                    checkpoint()
-                yield l + r
-
     def __str__(self) -> str:
         return f"({self.left} x {self.right})"
 
@@ -388,7 +265,7 @@ class Join(Plan):
     Not one of the paper's algebra operators — the optimizer's
     :func:`~repro.algebra.optimize.optimize_for_execution` fuses a
     ``Select`` whose condition conjoins cross-side column equalities over
-    a ``Product`` into this node, and evaluation hash-partitions on the
+    a ``Product`` into this node, and the closure hash-partitions on the
     join keys instead of enumerating the cross product.  ``pairs`` holds
     ``(left column, right column)`` key pairs; ``residual`` is the part
     of the original condition that is not a cross-side column equality
@@ -410,40 +287,6 @@ class Join(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        lrows = self.left.evaluate(db, structure, params)
-        rrows = self.right.evaluate(db, structure, params)
-        check = (
-            _get_checker(self.residual, structure).bind(params)
-            if self.residual is not None
-            else None
-        )
-        METRICS.inc("algebra.joins")
-        table: dict[Row, list[Row]] = {}
-        tick = 0
-        for r in rrows:
-            tick += 1
-            if not tick & _TICK_MASK:
-                checkpoint()
-            key = tuple(r[j] for _, j in self.pairs)
-            table.setdefault(key, []).append(r)
-        out = set()
-        for l in lrows:
-            tick += 1
-            if not tick & _TICK_MASK:
-                checkpoint()
-            matches = table.get(tuple(l[i] for i, _ in self.pairs))
-            if not matches:
-                continue
-            for r in matches:
-                row = l + r
-                if check is None or check(row):
-                    out.add(row)
-        METRICS.inc("algebra.rows_probed", len(lrows))
-        return frozenset(out)
 
     def __str__(self) -> str:
         keys = " & ".join(
@@ -467,13 +310,6 @@ class Union(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        _ = self.arity
-        left = self.left.evaluate(db, structure, params)
-        return left | self.right.evaluate(db, structure, params)
-
     def __str__(self) -> str:
         return f"({self.left} u {self.right})"
 
@@ -492,13 +328,6 @@ class Difference(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        _ = self.arity
-        left = self.left.evaluate(db, structure, params)
-        return left - self.right.evaluate(db, structure, params)
-
     def __str__(self) -> str:
         return f"({self.left} - {self.right})"
 
@@ -516,18 +345,6 @@ class PrefixOp(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if not 0 <= self.index < self.child.arity:
-            raise ArityError(f"prefix_{self.index} out of range")
-        out = set()
-        for r in self.child.evaluate(db, structure, params):
-            s = r[self.index]
-            for k in range(len(s) + 1):
-                out.add(r + (s[:k],))
-        return frozenset(out)
 
     def __str__(self) -> str:
         return f"prefix_{self.index}({self.child})"
@@ -548,17 +365,6 @@ class AddLastOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if not 0 <= self.index < self.child.arity:
-            raise ArityError(f"add_{self.index} out of range")
-        structure.alphabet.check_string(self.symbol)
-        return frozenset(
-            r + (r[self.index] + self.symbol,)
-            for r in self.child.evaluate(db, structure, params)
-        )
-
     def __str__(self) -> str:
         return f"add_{self.index}^{self.symbol}({self.child})"
 
@@ -578,17 +384,6 @@ class AddFirstOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if not 0 <= self.index < self.child.arity:
-            raise ArityError(f"add_first_{self.index} out of range")
-        structure.alphabet.check_string(self.symbol)
-        return frozenset(
-            r + (self.symbol + r[self.index],)
-            for r in self.child.evaluate(db, structure, params)
-        )
-
     def __str__(self) -> str:
         return f"add_first_{self.index}^{self.symbol}({self.child})"
 
@@ -607,18 +402,6 @@ class TrimFirstOp(Plan):
 
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
-
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if not 0 <= self.index < self.child.arity:
-            raise ArityError(f"trim_first_{self.index} out of range")
-        out = set()
-        for r in self.child.evaluate(db, structure, params):
-            s = r[self.index]
-            trimmed = s[1:] if s.startswith(self.symbol) and s else ""
-            out.add(r + (trimmed,))
-        return frozenset(out)
 
     def __str__(self) -> str:
         return f"trim_first_{self.index}^{self.symbol}({self.child})"
@@ -645,24 +428,6 @@ class InsertAtOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if not 0 <= self.index < self.child.arity:
-            raise ArityError(f"insert_{self.index} out of range")
-        if not 0 <= self.prefix_index < self.child.arity:
-            raise ArityError(f"insert prefix index {self.prefix_index} out of range")
-        structure.alphabet.check_string(self.symbol)
-        out = set()
-        for r in self.child.evaluate(db, structure, params):
-            s, p = r[self.index], r[self.prefix_index]
-            if s.startswith(p):
-                value = p + self.symbol + s[len(p):]
-            else:
-                value = ""
-            out.add(r + (value,))
-        return frozenset(out)
-
     def __str__(self) -> str:
         return f"insert_{self.index},{self.prefix_index}^{self.symbol}({self.child})"
 
@@ -686,16 +451,13 @@ class DownOp(Plan):
     def children(self) -> tuple[Plan, ...]:
         return (self.child,)
 
-    def evaluate(
-        self, db: Database, structure: StringStructure, params: Params = ()
-    ) -> Rows:
-        if not 0 <= self.index < self.child.arity:
-            raise ArityError(f"down_{self.index} out of range")
-        out = set()
-        for r in self.child.evaluate(db, structure, params):
-            for s in structure.alphabet.strings_up_to(len(r[self.index])):
-                out.add(r + (s,))
-        return frozenset(out)
-
     def __str__(self) -> str:
         return f"down_{self.index}({self.child})"
+
+
+#: The column-appending operators: each appends a column computed from
+#: column ``index`` of its child (``InsertAtOp`` also reads column
+#: ``prefix_index``).  ``PrefixOp`` and ``DownOp`` are one-to-many (one
+#: row expands to ``|s|+1`` prefixes, resp. every string of length at
+#: most ``|s|``); the rest are per-row transforms.
+_APPENDERS = (PrefixOp, DownOp, AddLastOp, AddFirstOp, TrimFirstOp, InsertAtOp)

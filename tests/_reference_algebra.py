@@ -16,6 +16,16 @@ independent implementation of the same plans:
 
 :func:`reference_run` evaluates a query's execution plans — the RANF
 pair's ``inf`` half first — the way the engine's closure does.
+
+The per-node semantics of the plan operators live here too, in
+:func:`apply` and :func:`evaluate`: plan nodes are data, and the compiled
+closure is the one evaluator in ``src/``.  :func:`evaluate` is the naive
+recursion, with no memo: ``benchmarks/bench_algebra_joins.py`` and the ``down`` sweep of
+``benchmarks/bench_thm4_algebra_equiv.py`` time it as their naive side.
+Quantifier-free selection conditions are evaluated here over
+:meth:`~repro.structures.base.StringStructure.eval_atom`, independently
+of the closure's inlined predicates; quantified ones go through the
+condition's automaton (:func:`repro.algebra.plan._get_checker`).
 """
 
 from __future__ import annotations
@@ -25,31 +35,271 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.algebra.codegen import get_pipeline
-from repro.algebra.optimize import (
-    _is_semi_join,
-    _rebuild,
-    _Shim,
-    compile_for_execution,
-)
+from repro.algebra.optimize import _is_semi_join, compile_for_execution
 from repro.algebra.plan import (
+    AddFirstOp,
+    AddLastOp,
+    BaseRel,
     Difference,
+    DownOp,
+    EpsilonRel,
+    InsertAtOp,
     Join,
+    ParamRel,
     Plan,
+    PrefixOp,
     Product,
     Project,
     Select,
+    TrimFirstOp,
+    Union,
+    _column_index,
     _get_checker,
 )
 from repro.database.instance import Database
 from repro.engine.cache import database_fingerprint
 from repro.engine.deadline import checkpoint
 from repro.engine.metrics import METRICS
+from repro.errors import ArityError, EvaluationError
+from repro.logic.formulas import And, Atom, FalseF, Formula, Not, Or, TrueF
+from repro.logic.literals import template_slots
+from repro.logic.terms import Param
 from repro.structures.base import StringStructure
 
+#: Deadline-check stride for row loops: per-row work is tiny, so the
+#: clock is only consulted every 256th row (matching the direct engine).
 _TICK_MASK = 255
 
 Row = tuple[str, ...]
 Rows = frozenset
+
+
+# ---------------------------------------------------------------------------
+# Selection conditions
+# ---------------------------------------------------------------------------
+
+
+def _eval_quantifier_free(
+    f: Formula, assignment: dict[str, str], structure: StringStructure
+) -> bool:
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, Atom):
+        return structure.eval_atom(f, assignment)
+    if isinstance(f, Not):
+        return not _eval_quantifier_free(f.inner, assignment, structure)
+    if isinstance(f, And):
+        return all(_eval_quantifier_free(p, assignment, structure) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_eval_quantifier_free(p, assignment, structure) for p in f.parts)
+    raise EvaluationError(f"unexpected node in quantifier-free condition: {f!r}")
+
+
+def condition_columns(condition: Formula) -> list[int]:
+    """The columns a condition reads, ascending."""
+    return sorted(_column_index(v) for v in condition.free_variables())
+
+
+def bind_condition(condition: Formula, structure: StringStructure, params=()):
+    """The condition as a one-row predicate for one binding of its slots.
+
+    Quantifier-free conditions are evaluated directly over
+    ``structure.eval_atom``; quantified ones through their automaton."""
+    if condition.relation_names():
+        raise EvaluationError(
+            "sigma_alpha conditions must not mention database relations"
+        )
+    if any(f.__class__.__name__ in ("Exists", "Forall") for f in condition.walk()):
+        return _get_checker(condition, structure).bind(params)
+    slots = [(Param(i).key, params[i]) for i in sorted(template_slots(condition))]
+    columns = condition_columns(condition)
+
+    def check(row: Row) -> bool:
+        assignment = {f"c{i}": row[i] for i in columns}
+        assignment.update(slots)
+        return _eval_quantifier_free(condition, assignment, structure)
+
+    return check
+
+
+# ---------------------------------------------------------------------------
+# Per-node semantics
+# ---------------------------------------------------------------------------
+
+
+def _product(lrows: Rows, rrows: Rows):
+    tick = 0
+    for l in lrows:
+        for r in rrows:
+            tick += 1
+            if not tick & _TICK_MASK:
+                checkpoint()
+            yield l + r
+
+
+def _select_check(node: Select, structure: StringStructure, params):
+    top = max(condition_columns(node.condition), default=-1)
+    if top >= node.child.arity:
+        raise ArityError(
+            f"condition uses column c{top}, child arity is {node.child.arity}"
+        )
+    return bind_condition(node.condition, structure, params)
+
+
+def _filtered_cross(
+    node: Select, lrows: Rows, rrows: Rows, structure: StringStructure, params
+) -> Rows:
+    """Stream the cross product through the filter pair by pair: only the
+    (usually much smaller) selected set is ever materialized, never the
+    O(|L|*|R|) intermediate relation."""
+    check = _select_check(node, structure, params)
+    out = set()
+    for row in _product(lrows, rrows):
+        if check(row):
+            out.add(row)
+    return frozenset(out)
+
+
+def _join(node: Join, lrows: Rows, rrows: Rows, structure, params) -> Rows:
+    check = (
+        bind_condition(node.residual, structure, params)
+        if node.residual is not None
+        else None
+    )
+    METRICS.inc("algebra.joins")
+    table: dict[Row, list[Row]] = {}
+    tick = 0
+    for r in rrows:
+        tick += 1
+        if not tick & _TICK_MASK:
+            checkpoint()
+        key = tuple(r[j] for _, j in node.pairs)
+        table.setdefault(key, []).append(r)
+    out = set()
+    for l in lrows:
+        tick += 1
+        if not tick & _TICK_MASK:
+            checkpoint()
+        matches = table.get(tuple(l[i] for i, _ in node.pairs))
+        if not matches:
+            continue
+        for r in matches:
+            row = l + r
+            if check is None or check(row):
+                out.add(row)
+    METRICS.inc("algebra.rows_probed", len(lrows))
+    return frozenset(out)
+
+
+def _check_index(node: Plan, index: int, name: str) -> None:
+    if not 0 <= index < node.child.arity:
+        raise ArityError(f"{name}_{index} out of range")
+
+
+def apply(
+    node: Plan, rows: list, db: Database, structure: StringStructure, params=()
+) -> Rows:
+    """One operator on its children's ``rows`` (in ``children()`` order)."""
+    if isinstance(node, BaseRel):
+        relation = db.relation(node.name)
+        if db.schema.arity(node.name) != node.arity:
+            raise ArityError(
+                f"plan expects {node.name}/{node.arity}, database has "
+                f"{node.name}/{db.schema.arity(node.name)}"
+            )
+        return relation
+    if isinstance(node, EpsilonRel):
+        return frozenset({("",)})
+    if isinstance(node, ParamRel):
+        value = structure.alphabet.check_string(params[node.index])
+        return frozenset({(value,)})
+    if isinstance(node, Select):
+        check = _select_check(node, structure, params)
+        return frozenset(r for r in rows[0] if check(r))
+    if isinstance(node, Project):
+        if any(i < 0 or i >= node.child.arity for i in node.indices):
+            raise ArityError(f"projection {node.indices} out of range")
+        return frozenset(tuple(r[i] for i in node.indices) for r in rows[0])
+    if isinstance(node, Product):
+        return frozenset(_product(rows[0], rows[1]))
+    if isinstance(node, Join):
+        return _join(node, rows[0], rows[1], structure, params)
+    if isinstance(node, Union):
+        _ = node.arity
+        return rows[0] | rows[1]
+    if isinstance(node, Difference):
+        _ = node.arity
+        return rows[0] - rows[1]
+    if isinstance(node, PrefixOp):
+        _check_index(node, node.index, "prefix")
+        out = set()
+        for r in rows[0]:
+            s = r[node.index]
+            for k in range(len(s) + 1):
+                out.add(r + (s[:k],))
+        return frozenset(out)
+    if isinstance(node, AddLastOp):
+        _check_index(node, node.index, "add")
+        structure.alphabet.check_string(node.symbol)
+        return frozenset(r + (r[node.index] + node.symbol,) for r in rows[0])
+    if isinstance(node, AddFirstOp):
+        _check_index(node, node.index, "add_first")
+        structure.alphabet.check_string(node.symbol)
+        return frozenset(r + (node.symbol + r[node.index],) for r in rows[0])
+    if isinstance(node, TrimFirstOp):
+        _check_index(node, node.index, "trim_first")
+        out = set()
+        for r in rows[0]:
+            s = r[node.index]
+            trimmed = s[1:] if s.startswith(node.symbol) and s else ""
+            out.add(r + (trimmed,))
+        return frozenset(out)
+    if isinstance(node, InsertAtOp):
+        _check_index(node, node.index, "insert")
+        _check_index(node, node.prefix_index, "insert prefix index")
+        structure.alphabet.check_string(node.symbol)
+        out = set()
+        for r in rows[0]:
+            s, p = r[node.index], r[node.prefix_index]
+            if s.startswith(p):
+                value = p + node.symbol + s[len(p):]
+            else:
+                value = ""
+            out.add(r + (value,))
+        return frozenset(out)
+    if isinstance(node, DownOp):
+        _check_index(node, node.index, "down")
+        out = set()
+        for r in rows[0]:
+            for s in structure.alphabet.strings_up_to(len(r[node.index])):
+                out.add(r + (s,))
+        return frozenset(out)
+    raise TypeError(f"no semantics for {type(node).__name__} nodes")
+
+
+def evaluate(
+    plan: Plan, db: Database, structure: StringStructure, params=()
+) -> Rows:
+    """The naive operator-at-a-time recursion, with no memo: every node
+    evaluates its children, then itself (:func:`apply`); a ``Select``
+    over a ``Product`` streams the product's pairs through its filter."""
+    if isinstance(plan, Select) and isinstance(plan.child, Product):
+        return _filtered_cross(
+            plan,
+            evaluate(plan.child.left, db, structure, params),
+            evaluate(plan.child.right, db, structure, params),
+            structure,
+            params,
+        )
+    rows = [evaluate(c, db, structure, params) for c in plan.children()]
+    return apply(plan, rows, db, structure, params)
+
+
+# ---------------------------------------------------------------------------
+# The set-at-a-time executor
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -159,7 +409,7 @@ class AlgebraExecutor:
         start = time.perf_counter()
         METRICS.inc("algebra.joins")
         check = (
-            _get_checker(node.residual, self.structure).bind(self.params)
+            bind_condition(node.residual, self.structure, self.params)
             if node.residual is not None
             else None
         )
@@ -219,15 +469,14 @@ class AlgebraExecutor:
         return rows, stats
 
     def _generic(self, node: Plan) -> tuple[Rows, OpStats]:
-        """Any other operator: children via the memo, node via its own
-        ``evaluate`` (the streamed ``Select(Product)`` path included)."""
+        """Any other operator: children via the memo, then the node's own
+        semantics (:func:`apply`)."""
         child_results = [self._execute(c) for c in node.children()]
         start = time.perf_counter()
-        shimmed = _rebuild(
-            node, [_Shim(rows, c.arity)
-                   for (rows, _), c in zip(child_results, node.children())]
+        rows = apply(
+            node, [rows for rows, _ in child_results],
+            self.database, self.structure, self.params,
         )
-        rows = shimmed.evaluate(self.database, self.structure, self.params)
         stats = OpStats(
             label=self._label(node),
             kind=self._kind(node),

@@ -31,8 +31,8 @@ from repro.algebra import (
     is_collapsed_form,
     to_calculus,
 )
+from repro.algebra.codegen import plan_pipeline
 from repro.algebra.compile import bound_plan
-from repro.algebra.plan import _get_checker
 from repro.database import Database, random_database
 from repro.errors import ArityError, EvaluationError, SignatureError
 from repro.eval import AutomataEngine
@@ -53,53 +53,54 @@ S_BIN = S(BINARY)
 class TestPlanNodes:
     def test_base_and_select(self):
         plan = Select(BaseRel("R", 1), last(col(0), "0"))
-        rows = plan.evaluate(db(R={"00", "01", "10"}), S_BIN)
+        rows = RA_S(BINARY).evaluate(plan, db(R={"00", "01", "10"}))
         assert rows == {("00",), ("10",)}
 
     def test_epsilon_rel(self):
-        assert EpsilonRel().evaluate(db(R=set()), S_BIN) == {("",)}
+        assert RA_S(BINARY).evaluate(EpsilonRel(), db(R=set())) == {("",)}
 
     def test_project_permute_duplicate(self):
         plan = Project(BaseRel("E", 2), (1, 0, 0))
-        rows = plan.evaluate(db(E={("0", "1")}), S_BIN)
+        rows = RA_S(BINARY).evaluate(plan, db(E={("0", "1")}))
         assert rows == {("1", "0", "0")}
 
     def test_product_union_difference(self):
         r = BaseRel("R", 1)
         s = BaseRel("S", 1)
         d = db(R={"0", "1"}, S={"1", "00"})
-        assert Product(r, s).evaluate(d, S_BIN) == {
+        ra = RA_S(BINARY)
+        assert ra.evaluate(Product(r, s), d) == {
             ("0", "1"), ("0", "00"), ("1", "1"), ("1", "00")
         }
-        assert Union(r, s).evaluate(d, S_BIN) == {("0",), ("1",), ("00",)}
-        assert Difference(r, s).evaluate(d, S_BIN) == {("0",)}
+        assert ra.evaluate(Union(r, s), d) == {("0",), ("1",), ("00",)}
+        assert ra.evaluate(Difference(r, s), d) == {("0",)}
 
     def test_arity_mismatch_checked(self):
         with pytest.raises(ArityError):
-            Union(BaseRel("R", 1), BaseRel("E", 2)).evaluate(
-                db(R={"0"}, E={("0", "1")}), S_BIN
+            RA_S(BINARY).evaluate(
+                Union(BaseRel("R", 1), BaseRel("E", 2)),
+                db(R={"0"}, E={("0", "1")}),
             )
 
     def test_prefix_op(self):
         plan = PrefixOp(BaseRel("R", 1), 0)
-        rows = plan.evaluate(db(R={"01"}), S_BIN)
+        rows = RA_S(BINARY).evaluate(plan, db(R={"01"}))
         assert rows == {("01", ""), ("01", "0"), ("01", "01")}
 
     def test_add_last_op(self):
         plan = AddLastOp(BaseRel("R", 1), 0, "1")
-        assert plan.evaluate(db(R={"0"}), S_BIN) == {("0", "01")}
+        assert RA_S(BINARY).evaluate(plan, db(R={"0"})) == {("0", "01")}
 
     def test_add_first_trim_first_ops(self):
-        sl = S_left(BINARY)
+        sl = RA_S_left(BINARY)
         plan = AddFirstOp(BaseRel("R", 1), 0, "1")
-        assert plan.evaluate(db(R={"0"}), sl) == {("0", "10")}
+        assert sl.evaluate(plan, db(R={"0"})) == {("0", "10")}
         plan2 = TrimFirstOp(BaseRel("R", 1), 0, "0")
-        assert plan2.evaluate(db(R={"01", "11"}), sl) == {("01", "1"), ("11", "")}
+        assert sl.evaluate(plan2, db(R={"01", "11"})) == {("01", "1"), ("11", "")}
 
     def test_down_op_exponential(self):
-        slen = S_len(BINARY)
         plan = DownOp(BaseRel("R", 1), 0)
-        rows = plan.evaluate(db(R={"000"}), slen)
+        rows = RA_S_len(BINARY).evaluate(plan, db(R={"000"}))
         # 2^4 - 1 strings of length <= 3, paired with "000".
         assert len(rows) == 15
 
@@ -107,18 +108,35 @@ class TestPlanNodes:
         # Condition: exists y: y << c0 & last(y, '1') -- pure M-formula.
         cond = exists("y", parse_formula("y << c0 & last(y, '1')"))
         plan = Select(BaseRel("R", 1), cond)
-        rows = plan.evaluate(db(R={"10", "00", "011"}), S_BIN)
+        rows = RA_S(BINARY).evaluate(plan, db(R={"10", "00", "011"}))
         assert rows == {("10",), ("011",)}
 
     def test_select_rejects_db_reference(self):
         plan = Select(BaseRel("R", 1), rel("S", col(0)))
         with pytest.raises(EvaluationError):
-            plan.evaluate(db(R={"0"}, S={"0"}), S_BIN)
+            RA_S(BINARY).evaluate(plan, db(R={"0"}, S={"0"}))
 
     def test_select_bad_column(self):
         plan = Select(BaseRel("R", 1), last(col(3), "0"))
         with pytest.raises(ArityError):
-            plan.evaluate(db(R={"0"}), S_BIN)
+            RA_S(BINARY).evaluate(plan, db(R={"0"}))
+
+    def test_base_rel_arity_checked_against_schema(self):
+        with pytest.raises(ArityError):
+            RA_S(BINARY).evaluate(BaseRel("E", 1), db(E={("0", "1")}))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            Project(BaseRel("R", 1), (1,)),
+            PrefixOp(BaseRel("R", 1), 1),
+            AddLastOp(BaseRel("R", 1), 2, "0"),
+        ],
+        ids=str,
+    )
+    def test_column_out_of_range(self, plan):
+        with pytest.raises(ArityError):
+            RA_S(BINARY).evaluate(plan, db(R={"0"}))
 
 
 class TestDialects:
@@ -198,10 +216,9 @@ class TestCompiler:
         gamma = bound_plan(S_BIN, database.schema, 1, frozenset({"", Param(0)}))
         assert not any(isinstance(n, PrefixOp) for n in nodes)
         assert gamma not in nodes
-        selects = [n for n in nodes if isinstance(n, Select)]
-        assert selects
-        for node in selects:
-            assert _get_checker(node.condition, S_BIN)._automaton is None
+        assert any(isinstance(n, Select) for n in nodes)
+        # Every condition is quantifier-free, so the closure inlines it.
+        assert "_chk" not in plan_pipeline(compiled.plan, S_BIN).source
         assert compiled.evaluate(database) == {
             ("0110", "0"), ("0110", "01"), ("011", "0"), ("011", "01")
         }
@@ -248,7 +265,7 @@ class TestToCalculus:
             BINARY, {"R": 1, "S": 1, "E": 2}, tuples_per_relation=4, max_len=3, seed=5
         )
         structure = S_BIN
-        expected = plan.evaluate(database, structure)
+        expected = RA_S(BINARY).evaluate(plan, database)
         formula = to_calculus(plan)
         result = AutomataEngine(structure, database).run(formula)
         assert result.as_set() == expected, str(plan)
@@ -257,7 +274,7 @@ class TestToCalculus:
         database = db(R={"0", "01"})
         structure = S_left(BINARY)
         for plan in [AddFirstOp(BaseRel("R", 1), 0, "1"), TrimFirstOp(BaseRel("R", 1), 0, "0")]:
-            expected = plan.evaluate(database, structure)
+            expected = RA_S_left(BINARY).evaluate(plan, database)
             formula = to_calculus(plan)
             result = AutomataEngine(structure, database).run(formula)
             assert result.as_set() == expected
@@ -266,13 +283,13 @@ class TestToCalculus:
         database = db(R={"00"})
         structure = S_len(BINARY)
         plan = DownOp(BaseRel("R", 1), 0)
-        expected = plan.evaluate(database, structure)
+        expected = RA_S_len(BINARY).evaluate(plan, database)
         result = AutomataEngine(structure, database).run(to_calculus(plan))
         assert result.as_set() == expected
 
     def test_duplicate_projection_roundtrip(self):
         database = db(E={("0", "0"), ("0", "1")})
         plan = Project(BaseRel("E", 2), (0, 0))
-        expected = plan.evaluate(database, S_BIN)
+        expected = RA_S(BINARY).evaluate(plan, database)
         result = AutomataEngine(S_BIN, database).run(to_calculus(plan))
         assert result.as_set() == expected

@@ -29,7 +29,8 @@ from repro.logic.parser import parse_formula
 from repro.logic.transform import flatten_terms
 from repro.strings import BINARY
 from repro.structures.catalog import S as S_factory
-from tests._reference_algebra import AlgebraExecutor
+from repro.algebra.dialects import RA_S
+from tests._reference_algebra import AlgebraExecutor, evaluate
 
 S_BIN = S_factory(BINARY)
 
@@ -71,8 +72,8 @@ class TestJoinFusion:
     def test_fused_plan_evaluates_identically(self):
         db = db2()
         compiled = compiled_join_plan(db)
-        naive = optimize(compiled.plan).evaluate(db, S_BIN)
-        fused = optimize_for_execution(compiled.plan).evaluate(db, S_BIN)
+        naive = evaluate(optimize(compiled.plan), db, S_BIN)
+        fused = evaluate(optimize_for_execution(compiled.plan), db, S_BIN)
         assert naive == fused
 
     def test_residual_condition_survives_fusion(self):
@@ -86,7 +87,7 @@ class TestJoinFusion:
         assert fused.pairs == ((0, 0),)
         assert fused.residual is not None
         db = db2()
-        assert fused.evaluate(db, S_BIN) == raw.evaluate(db, S_BIN)
+        assert evaluate(fused, db, S_BIN) == RA_S(BINARY).evaluate(raw, db)
 
     def test_single_side_conjuncts_are_pushed(self):
         raw = Select(
@@ -99,7 +100,7 @@ class TestJoinFusion:
         assert isinstance(fused.left, Select)
         assert fused.residual is None
         db = db2()
-        assert fused.evaluate(db, S_BIN) == raw.evaluate(db, S_BIN)
+        assert evaluate(fused, db, S_BIN) == RA_S(BINARY).evaluate(raw, db)
 
     def test_projection_prunes_dead_columns(self):
         raw = Project(
@@ -111,7 +112,7 @@ class TestJoinFusion:
         )
         fused = optimize_for_execution(raw)
         db = db2()
-        assert fused.evaluate(db, S_BIN) == raw.evaluate(db, S_BIN)
+        assert evaluate(fused, db, S_BIN) == RA_S(BINARY).evaluate(raw, db)
         # Only column 0 of the left and the key columns survive below.
         assert isinstance(fused, Project)
         join = fused.child
@@ -124,7 +125,7 @@ class TestJoinFusion:
         result = Query(translated, structure=S_BIN).result(
             db2(), engine="automata"
         )
-        assert result.as_set() == fused.evaluate(db2(), S_BIN)
+        assert result.as_set() == evaluate(fused, db2(), S_BIN)
 
 
 class TestExecutor:
@@ -217,9 +218,9 @@ class TestExecutor:
                 AlgebraExecutor(S_BIN, db).run(plan)
 
     def test_streamed_select_product_respects_deadlines(self):
-        # Satellite: the naive Select(Product) path streams pairs and
-        # checkpoints, so a deadline interrupts it mid-product instead of
-        # after a full cross-product materialization.
+        # The Select(Product) closure streams pairs and checkpoints, so a
+        # deadline interrupts it mid-product instead of after a full
+        # cross-product materialization.
         raw = Select(
             Product(BaseRel("R", 2), BaseRel("T", 2)), eq(col(1), col(2))
         )
@@ -233,7 +234,7 @@ class TestExecutor:
         )
         with pytest.raises(EvaluationTimeout):
             with deadline_scope(1e-9):
-                raw.evaluate(db, S_BIN)
+                RA_S(BINARY).evaluate(raw, db)
 
 
 class TestPlannerIntegration:

@@ -3,9 +3,9 @@
 Every process-global memo table is a registered :class:`~repro.engine.
 cache.BoundedCache` (or a registered ``functools.lru_cache``), and ad hoc
 query text grows each of them without end: every new condition shape
-brings a new checker, plan, eligibility verdict and RANF translation (a
-string constant is a template slot, but a constant spelt with
-``add_last`` is shape), every new value of a quantified template
+brings a new plan, eligibility verdict and RANF translation, and every
+new quantified one a new checker (a string constant is a template slot,
+but a constant spelt with ``add_last`` is shape), every new value of a quantified template
 condition a bound automaton, every new template a plan-cache entry,
 every literal the automata engine sees a ``constant`` presentation,
 and every new answer a result entry.  In the service, every new query text
@@ -74,7 +74,7 @@ def _literals_on_the_planner(n: int):
 
 
 def _spelt_shapes_on_forced_algebra(n: int):
-    """A new shape per constant: a checker, a plan and a verdict each."""
+    """A new shape per constant: a plan and a verdict each."""
     for c in _constants(n):
         rows = Query(f"R(x) & {_spelt(c)} <<= x", structure="S").result(
             DB, engine="algebra"
@@ -134,6 +134,23 @@ def _values_of_one_quantified_condition(n: int):
         yield
 
 
+def _spelt_quantified_conditions(n: int):
+    """A checker per shape: a quantified condition (``x`` is a strict
+    prefix of a string that is itself a prefix of a spelt constant) —
+    the closure inlines every quantifier-free one."""
+    for c in _constants(n):
+        formula = canonicalize(parse_formula(
+            f"R(x) & exists y: (x <<= y & sprefix(y, {_spelt(c)}))"
+        ))
+        template, values = lift_literals(formula)
+        pipeline, _ = get_pipeline(template, S, DB.schema, slack=1)
+        rows = pipeline.run(DB, values)[0]
+        assert rows == {
+            (x,) for (x,) in DB.relation("R") if c.startswith(x) and x != c
+        }
+        yield
+
+
 def _literals_on_the_automata_engine(n: int):
     """A ``constant`` presentation per literal."""
     for c in _constants(n):
@@ -148,7 +165,7 @@ def _literals_on_the_automata_engine(n: int):
 DRIVERS = {
     "cache": _literals_on_the_planner,
     "codegen.cache": _spelt_shapes_fused,
-    "algebra.checkers": _spelt_shapes_on_forced_algebra,
+    "algebra.checkers": _spelt_quantified_conditions,
     "algebra.bound_conditions": _values_of_one_quantified_condition,
     "algebra.plans": _spelt_shapes_on_forced_algebra,
     "planner.eligibility_memo": _spelt_shapes_on_forced_algebra,

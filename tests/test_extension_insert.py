@@ -178,6 +178,6 @@ class TestAlgebra:
         plan = InsertAtOp(Product(BaseRel("R", 1), BaseRel("P", 1)), 0, 1, "1")
         formula = to_calculus(plan)
         structure = S_insert(BINARY)
-        expected = plan.evaluate(self.DB, structure)
+        expected = RA_S_insert(BINARY).evaluate(plan, self.DB)
         result = AutomataEngine(structure, self.DB).run(formula)
         assert result.as_set() == expected

@@ -1,7 +1,9 @@
 """Tests for the algebra plan optimizer and CSE evaluation.
 
-Every rewrite must preserve semantics: checked against direct plan
-evaluation, and (for compiled queries) against the exact engine.
+Every rewrite must preserve semantics: the raw plan's compiled closure
+(through its dialect) is checked against the optimized plan on the
+reference interpreter (``tests/_reference_algebra.py``), and (for
+compiled queries) against the exact engine.
 """
 
 import pytest
@@ -15,9 +17,9 @@ from repro.algebra import (
     Project,
     Select,
     Union,
+    RA_S,
     col,
     compile_query,
-    evaluate_with_cse,
     optimize,
 )
 from repro.database import Database, random_database
@@ -26,6 +28,7 @@ from repro.logic import parse_formula
 from repro.logic.dsl import eq, last, prefix
 from repro.strings import BINARY
 from repro.structures import S, S_len
+from tests._reference_algebra import AlgebraExecutor, evaluate
 
 S_BIN = S(BINARY)
 DB = Database(BINARY, {"R": {("0",), ("01",), ("11",)}, "S": {("0",), ("1",)}})
@@ -99,13 +102,16 @@ PLANS = [
 class TestSemanticsPreserved:
     @pytest.mark.parametrize("plan", PLANS, ids=[str(p)[:40] for p in PLANS])
     def test_optimize_preserves_output(self, plan):
-        before = plan.evaluate(DB, S_BIN)
-        after = optimize(plan).evaluate(DB, S_BIN)
+        before = RA_S(BINARY).evaluate(plan, DB)
+        after = evaluate(optimize(plan), DB, S_BIN)
         assert before == after, str(plan)
 
     @pytest.mark.parametrize("plan", PLANS, ids=[str(p)[:40] for p in PLANS])
     def test_cse_matches_plain_evaluation(self, plan):
-        assert evaluate_with_cse(plan, DB, S_BIN) == plan.evaluate(DB, S_BIN)
+        # The reference executor's subplan memo against the memo-free
+        # recursion; the closure's CSE is its emitter's memo.
+        rows, _ = AlgebraExecutor(S_BIN, DB).run(plan)
+        assert rows == evaluate(plan, DB, S_BIN)
 
     @pytest.mark.parametrize(
         "text,factory",
@@ -124,8 +130,8 @@ class TestSemanticsPreserved:
             compiled = compile_query(formula, structure, db.schema, slack=1)
             expected = AutomataEngine(structure, db).run(formula).as_set()
             optimized = optimize(compiled.plan)
-            assert optimized.evaluate(db, structure) == expected
-            assert evaluate_with_cse(optimized, db, structure) == expected
+            assert evaluate(optimized, db, structure) == expected
+            assert compiled.dialect.evaluate(optimized, db) == expected
             # The optimizer should not grow the plan.
             assert plan_size(optimized) <= plan_size(compiled.plan)
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebra import (
     compile_query,
-    evaluate_with_cse,
     optimize,
     optimize_for_execution,
 )
@@ -43,7 +42,7 @@ from repro.logic.literals import lift_literals
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.strings import BINARY
 from repro.structures import S
-from tests._reference_algebra import AlgebraExecutor
+from tests._reference_algebra import AlgebraExecutor, evaluate
 
 short = st.text(alphabet="01", max_size=3)
 
@@ -133,9 +132,9 @@ class TestCompilerProperty:
         baseline = compiled.evaluate(db)
         optimized = optimize(compiled.plan)
         params = compiled.params
-        assert optimized.evaluate(db, structure, params) == baseline, str(formula)
+        assert evaluate(optimized, db, structure, params) == baseline, str(formula)
         assert (
-            evaluate_with_cse(optimized, db, structure, params) == baseline
+            compiled.dialect.evaluate(optimized, db, params) == baseline
         ), str(formula)
 
     @settings(max_examples=30, deadline=None)
@@ -146,9 +145,10 @@ class TestCompilerProperty:
         template, params = lift_literals(formula)
         flat = fold_literal_graphs(flatten_terms(template))
         gamma = bound_plan(structure, db.schema, 1, query_constants(flat))
-        inside = {v for (v,) in gamma.evaluate(db, structure, params)}
+        dialect = compiled.dialect
+        inside = {v for (v,) in dialect.evaluate(gamma, db, params)}
         # Every subplan, not only the output: the invariant is what lets
         # a conjunction filter its generators instead of the bound.
         for node in set(compiled.plan.walk()):
-            for row in node.evaluate(db, structure, params):
+            for row in dialect.evaluate(node, db, params):
                 assert set(row) <= inside, (str(formula), str(node), row)

@@ -50,11 +50,15 @@ test, it only bypasses a guarantee that lives in one audited place.
     a :class:`~repro.engine.cache.BoundedCache`, whose one LRU policy,
     lock and counters live there.
 ``executor``
-    A second algebra executor under ``src/`` (``AlgebraExecutor``,
-    ``run_algebra``, ``run_ranf``, the ``repro.algebra.exec`` module):
-    the compiled closure (``algebra/codegen.py``) runs every RA(M) plan,
-    and the operator-at-a-time interpreter lives on only as the test
-    oracle (``tests/_reference_algebra.py``).
+    A second algebra evaluator under ``src/`` (``AlgebraExecutor``,
+    ``run_algebra``, ``run_ranf``, the ``repro.algebra.exec`` module,
+    ``evaluate_with_cse`` and its ``_Shim``, the interpreted condition
+    path ``_eval_quantifier_free``, the ``_inline_ok`` guard, and a
+    ``def evaluate(`` in ``algebra/plan.py``): the compiled closure
+    (``algebra/codegen.py``) runs every RA(M) plan and inlines every
+    quantifier-free selection condition, and the operator-at-a-time
+    interpreter lives on only as the test oracle
+    (``tests/_reference_algebra.py``).
 ``future``
     A ``threading.Event`` in ``service/service.py`` or under ``shard/``:
     the service pool's requests and the shard pool's responses complete
@@ -101,6 +105,8 @@ class Rule:
     problem: str
     ok: str
     strip_comments: bool = False
+    #: (file, pattern) pairs: a pattern forbidden in that one file only.
+    narrow: tuple[tuple[str, re.Pattern], ...] = ()
 
     def files(self, root: pathlib.Path):
         for entry in self.scanned:
@@ -119,11 +125,12 @@ class Rule:
         for rel, path in self.files(root):
             if self.exempted(rel):
                 continue
+            patterns = [self.pattern] + [p for f, p in self.narrow if f == rel]
             for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1
             ):
                 code = line.split("#", 1)[0] if self.strip_comments else line
-                if self.pattern.search(code):
+                if any(p.search(code) for p in patterns):
                     found.append(f"{rel}:{lineno}: {line.strip()}")
         return found
 
@@ -256,14 +263,19 @@ RULES = (
     Rule(
         "executor",
         re.compile(
-            r"\b(?:AlgebraExecutor|run_algebra|run_ranf)\b"
+            r"\b(?:AlgebraExecutor|run_algebra|run_ranf|evaluate_with_cse"
+            r"|_Shim|_eval_quantifier_free|_inline_ok)\b"
             r"|repro\.algebra\.exec\b"
         ),
         scanned=("src",),
         exempt=(),
-        problem="a second algebra executor under src/ — run the plan "
-        "through its compiled closure (repro.algebra.codegen.get_pipeline)",
+        problem="a second algebra evaluator under src/ — run the plan "
+        "through its compiled closure (repro.algebra.codegen.get_pipeline, "
+        "or a dialect's evaluate) and inline its conditions there",
         ok="the compiled closure is the only algebra executor",
+        narrow=(
+            ("src/repro/algebra/plan.py", re.compile(r"\bdef evaluate\(")),
+        ),
     ),
     Rule(
         "future",
