@@ -65,7 +65,11 @@ test: lint-confine bench-algebra-smoke bench-kernel-smoke \
 ##             kernels whose twins win their gate (docs/automata_kernel.md);
 ##   maintain  maintain_algebra_result, subplan_recorder and delta.subplans
 ##             under src/ — a new version's algebra answer comes from the
-##             caches or one closure run, forced or not (docs/mutability.md).
+##             caches or one closure run, forced or not (docs/mutability.md);
+##   compile   RanfPair, translation_probe and algebra.ranf.translation_cache
+##             under src/, and compile_query( in algebra/optimize.py — the
+##             RANF translator is the engine's one compile path, memoized in
+##             algebra.plans (docs/ranf_translation.md).
 lint-confine:
 	$(PY) tools/lint_confine.py
 

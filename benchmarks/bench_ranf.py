@@ -298,7 +298,7 @@ def check_planner_flips() -> dict:
     auto planner picks algebra (counter-verified through
     ``planner.backend.*.chosen``) even though the old gate rejected the
     formula, and a forced-algebra EXPLAIN of the gamma shape shows the
-    ``RanfPair`` node with its branch annotation."""
+    ``RanfPipeline`` node with its branch annotation."""
     from repro.core import Query
     from repro.engine import METRICS, global_cache
 
@@ -332,14 +332,14 @@ def check_planner_flips() -> dict:
             )
         flips[shape] = {"n": n, "engine": plan.engine, "costs": plan.costs}
 
-    # The RanfPair EXPLAIN proof on the gamma-bounded shape.
+    # The RanfPipeline EXPLAIN proof on the gamma-bounded shape.
     shape = "gamma_join"
     db = _db(shape, _shape(shape)[6][0])
     query = Query(_shape(shape)[1], structure="S")
     global_cache().reset()
     report = query.explain(db, engine="algebra", slack=_SLACK)
     tree = report.to_dict()["tree"]
-    assert tree["kind"] == "RanfPair", f"EXPLAIN root is {tree['kind']}"
+    assert tree["kind"] == "RanfPipeline", f"EXPLAIN root is {tree['kind']}"
     assert tree["annotations"]["branch"] == "gamma-bounded"
     return {"flips": flips, "explain": report.to_dict()}
 

@@ -54,7 +54,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.algebra.optimize import _is_semi_join, compile_for_execution
+from repro.algebra.optimize import _is_semi_join, compile_for_execution, plans_key
 from repro.algebra.plan import (
     AddFirstOp,
     AddLastOp,
@@ -596,7 +596,7 @@ def closure_cache() -> BoundedCache:
 def pipeline_key(
     formula: Formula, structure: StringStructure, schema: Schema, slack: int
 ) -> tuple:
-    """Closure-cache key.
+    """Closure-cache key: the key of the plans it compiles, tagged.
 
     Generated source is data-independent, so there is no database
     fingerprint here: the schema stands in for the plan epoch (row-only
@@ -604,14 +604,7 @@ def pipeline_key(
     deltas recompile).  Result freshness is keyed separately, by the
     ``result:algebra`` entries of the whole-result cache.
     """
-    return (
-        "codegen-closure",
-        structure.name,
-        structure.alphabet.symbols,
-        slack,
-        schema,
-        canonical_fingerprint(formula),
-    )
+    return ("codegen-closure",) + plans_key(formula, structure, schema, slack)
 
 
 def get_pipeline(
@@ -623,9 +616,9 @@ def get_pipeline(
     """Fetch or compile the fused pipeline for ``formula``.
 
     Returns ``(pipeline, "hit"|"compiled")``; raises
-    :class:`~repro.algebra.compile.CompileError` when the query does not
-    compile to RA(M) (the planner's eligibility gate keeps such queries
-    off the algebra engine).
+    :class:`~repro.algebra.ranf.RanfError` (a :class:`~repro.algebra.
+    compile.CompileError`) when the RANF translation bails (the planner's
+    eligibility gate keeps such queries off the algebra engine).
     """
     key = pipeline_key(formula, structure, schema, slack)
     cached = _PIPELINES.get(key)

@@ -62,7 +62,7 @@ class AlgebraDialect:
 
     def validate(self, plan: Plan) -> Plan:
         """Check every node and every selection condition; return the plan."""
-        for node in plan.walk():
+        for node in plan.nodes():
             if not isinstance(node, self.allowed_nodes):
                 raise SignatureError(
                     f"operator {type(node).__name__} is not part of {self.name}"
@@ -77,7 +77,7 @@ class AlgebraDialect:
         from repro.algebra.codegen import plan_pipeline
 
         self.validate(plan)
-        for node in plan.walk():
+        for node in plan.nodes():
             _check_columns(node, db.schema)
         return plan_pipeline(plan, self.structure).run(db, params)[0]
 

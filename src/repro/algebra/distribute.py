@@ -147,8 +147,8 @@ def plan_shape_certificate(
     """``(ok, plan_relations, reason)`` for the optimized-plan analysis.
 
     Only meaningful for algebra-eligible queries (the caller checks);
-    compilation reuses :func:`~repro.algebra.optimize.compile_for_execution`'s
-    module-level cache, so planning twice costs one dict lookup.
+    the plans come from :func:`~repro.algebra.optimize.compile_for_execution`'s
+    ``algebra.plans`` memo, so planning twice costs one dict lookup.
     """
     from repro.algebra.compile import CompileError
     from repro.algebra.optimize import compile_for_execution
@@ -159,10 +159,11 @@ def plan_shape_certificate(
         ).fin
     except CompileError as exc:
         return False, (), f"query does not compile to RA(M): {exc}"
+    nodes = list(optimized.nodes())
     relations = tuple(sorted({
-        node.name for node in optimized.walk() if type(node).__name__ == "BaseRel"
+        node.name for node in nodes if type(node).__name__ == "BaseRel"
     }))
-    for node in optimized.walk():
+    for node in nodes:
         kind = type(node).__name__
         if kind not in _ROW_LOCAL_OPS:
             return False, relations, (

@@ -26,8 +26,9 @@ that could sit closer to their inputs.  This module provides
     and unions (only the columns a parent actually consumes are carried),
 
 * :func:`compile_for_execution` — the one entry from a query to the
-  plans the algebra engine runs: compiled, optimized and cached, with
-  the RANF pair's ``inf`` half where the query has one.
+  plans the algebra engine runs: translated (:mod:`repro.algebra.ranf`),
+  optimized and cached, with the RANF pair's ``inf`` half where the
+  query has one.
 
 Every rewrite is validated in the test suite by comparing plan outputs
 and by round-tripping through :func:`repro.algebra.to_calculus` into the
@@ -36,9 +37,9 @@ exact engine.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from repro.algebra.compile import CompiledQuery, CompileError, compile_query
+from repro.algebra.compile import CompiledQuery
 from repro.algebra.plan import (
     AddFirstOp,
     AddLastOp,
@@ -59,6 +60,7 @@ from repro.algebra.plan import (
     col,
 )
 from repro.engine.cache import registered
+from repro.logic.canonical import canonical_fingerprint
 from repro.logic.formulas import And, Atom, Formula
 from repro.logic.terms import Term, Var
 from repro.structures.base import StringStructure
@@ -386,7 +388,7 @@ class ExecutionPlan(NamedTuple):
     the optimized ``inf`` half of its RANF pair — a nullary plan that is
     nonempty exactly when the answer may be infinite — or ``None`` when
     the finite plan is provably the whole answer.  ``branch`` is the RANF
-    verdict's branch (``"collapsed"`` for Theorem 4's compiler)."""
+    verdict's branch (:func:`repro.algebra.ranf.translation_verdict`)."""
 
     compiled: CompiledQuery
     fin: Plan
@@ -394,10 +396,23 @@ class ExecutionPlan(NamedTuple):
     branch: str
 
 
-# Compiled-and-optimized plans: compiling is pure in the
+# Translated-and-optimized plans: translating is pure in the
 # formula/structure/schema/slack, so repeated queries (the service layer's
-# common case) skip the compiler and rewrite fixpoint entirely.
+# common case) skip the translator and rewrite fixpoint entirely.
 _PLANS = registered("algebra.plans", 128)
+
+
+def plans_key(formula, structure, schema, slack: int) -> tuple:
+    """The ``algebra.plans`` key: the canonical fingerprint (with the
+    structure, alphabet, slack and schema) — no database fingerprint, as
+    plans are data-independent."""
+    return (
+        canonical_fingerprint(formula),
+        structure.name,
+        structure.alphabet.symbols,
+        slack,
+        schema,
+    )
 
 
 def compile_for_execution(
@@ -406,46 +421,32 @@ def compile_for_execution(
     schema,
     slack: int = 1,
 ) -> ExecutionPlan:
-    """Compile + ``optimize_for_execution``, with a module-level cache.
+    """The RANF translation (:func:`repro.algebra.ranf.translate_ranf`),
+    memoized in ``algebra.plans``.
 
     Keyed on the canonical fingerprint (:mod:`repro.logic.canonical`), so
     alpha-equivalent and conjunct-reordered spellings share the plans —
     sound because alpha-equivalent formulas have identical free
-    variables, hence identical output columns.  A query whose output is
-    only range-bounded (the RANF ``gamma-bounded`` branch), or that lies
-    outside Theorem 4's collapsed fragment, runs its RANF pair
-    (:mod:`repro.algebra.ranf`); :class:`~repro.algebra.compile.
-    CompileError` is raised when even the translation bails.
+    variables, hence identical output columns.  Raises
+    :class:`~repro.algebra.ranf.RanfError` (a :class:`~repro.algebra.
+    compile.CompileError`) when the translation bails; a formula outside
+    the verdict's reach compiles only through :func:`~repro.algebra.
+    compile.compile_query`.
     """
-    from repro.algebra.ranf import translate_ranf, translation_verdict
-    from repro.logic.canonical import canonical_fingerprint
-    from repro.logic.literals import lift_literals
+    from repro.algebra.ranf import translate_ranf
 
-    key = (
-        canonical_fingerprint(formula),
-        structure.name,
-        structure.alphabet.symbols,
-        slack,
-        schema,
+    return _PLANS.get_or_build(
+        plans_key(formula, structure, schema, slack),
+        lambda: translate_ranf(formula, structure, schema, slack=slack),
     )
-    hit = _PLANS.get(key)
-    if hit is not None:
-        return hit
-    template, _ = lift_literals(formula)
-    plans = None
-    if translation_verdict(template, structure).branch != "gamma-bounded":
-        try:
-            compiled = compile_query(formula, structure, schema, slack=slack)
-            plans = ExecutionPlan(
-                compiled, optimize_for_execution(compiled.plan), None,
-                "collapsed",
-            )
-        except CompileError:
-            pass
-    if plans is None:
-        pair = translate_ranf(formula, structure, schema, slack=slack)
-        plans = ExecutionPlan(
-            pair.compiled, pair.fin_optimized, pair.inf_optimized, pair.branch
-        )
-    _PLANS.put(key, plans)
-    return plans
+
+
+def plans_probe(
+    formula: Formula, structure: StringStructure, schema, slack: int
+) -> Callable[[], bool]:
+    """A probe returning True once the plans for this key are cached (the
+    planner's cost model asks without forcing a translation or counting
+    a lookup; the plan cache asks again on every lookup, so the key is
+    computed once)."""
+    key = plans_key(formula, structure, schema, slack)
+    return lambda: _PLANS.peek(key) is not None

@@ -41,6 +41,7 @@ automaton once (:func:`_get_checker`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.database.instance import Database
@@ -80,9 +81,24 @@ class Plan:
         return ()
 
     def walk(self):
+        """Every node, once per occurrence: a subtree the plan repeats
+        is walked each time it appears."""
         yield self
         for c in self.children():
             yield from c.walk()
+
+    def nodes(self):
+        """Every node object once, parents first: a subtree the plan
+        shares (the translator reuses its bound, domain and body
+        subplans) is visited once, not once per occurrence."""
+        seen: set[int] = set()
+        stack: list[Plan] = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                yield node
+                stack.extend(reversed(node.children()))
 
     # -- combinator sugar ---------------------------------------------------
 
@@ -213,7 +229,7 @@ class Select(Plan):
     child: Plan
     condition: Formula
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity
 
@@ -247,7 +263,7 @@ class Product(Plan):
     left: Plan
     right: Plan
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.left.arity + self.right.arity
 
@@ -281,7 +297,7 @@ class Join(Plan):
     pairs: tuple[tuple[int, int], ...]
     residual: Optional[Formula] = None
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.left.arity + self.right.arity
 
@@ -301,7 +317,7 @@ class Union(Plan):
     left: Plan
     right: Plan
 
-    @property
+    @cached_property
     def arity(self) -> int:
         if self.left.arity != self.right.arity:
             raise ArityError("union of different arities")
@@ -319,7 +335,7 @@ class Difference(Plan):
     left: Plan
     right: Plan
 
-    @property
+    @cached_property
     def arity(self) -> int:
         if self.left.arity != self.right.arity:
             raise ArityError("difference of different arities")
@@ -339,7 +355,7 @@ class PrefixOp(Plan):
     child: Plan
     index: int
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity + 1
 
@@ -358,7 +374,7 @@ class AddLastOp(Plan):
     index: int
     symbol: str
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity + 1
 
@@ -377,7 +393,7 @@ class AddFirstOp(Plan):
     index: int
     symbol: str
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity + 1
 
@@ -396,7 +412,7 @@ class TrimFirstOp(Plan):
     index: int
     symbol: str
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity + 1
 
@@ -421,7 +437,7 @@ class InsertAtOp(Plan):
     prefix_index: int
     symbol: str
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity + 1
 
@@ -444,7 +460,7 @@ class DownOp(Plan):
     child: Plan
     index: int
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.child.arity + 1
 

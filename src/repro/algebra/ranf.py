@@ -16,9 +16,11 @@ first.
 per canonical fingerprint — the planner's eligibility gate):
 
 ``collapsed``
-    the old fragment (ADOM-only quantifiers, collapsed form, anchored
-    free variables), compiled by Theorem 4's compiler as before
-    (:func:`~repro.algebra.optimize.compile_for_execution`).
+    Theorem 4's fragment (ADOM-only quantifiers, collapsed form, anchored
+    free variables): the translator's depth-0 case.  With no restricted
+    quantifier to compile, :class:`_RanfCompiler` is Theorem 4's
+    compiler and its ambient bound has plain ``slack``, so the plan is
+    the one :func:`~repro.algebra.compile.compile_query` makes.
 ``restricted-quantifiers``
     free variables all anchored, but PREFIX/LENGTH (or database-free
     NATURAL) quantifiers present.  :class:`_RanfCompiler` compiles the
@@ -59,7 +61,7 @@ being silently clipped).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.algebra.compile import (
     CompiledQuery,
@@ -72,7 +74,7 @@ from repro.algebra.compile import (
     strict_adom_plan,
 )
 from repro.algebra.dialects import FOR_STRUCTURE
-from repro.algebra.optimize import optimize_for_execution
+from repro.algebra.optimize import ExecutionPlan, optimize_for_execution
 from repro.algebra.plan import (
     AddLastOp,
     Difference,
@@ -349,60 +351,23 @@ class _RanfCompiler(_Compiler):
 # ---------------------------------------------------------------- the pair
 
 
-@dataclass(frozen=True)
-class RanfPair:
-    """The translated pair: ``fin`` computes the finite output, ``inf``
-    (when present) is a nullary plan that is nonempty exactly when the
-    translation's bound certificate failed at runtime and the natural
-    result must be treated as potentially infinite."""
+def translate_ranf(
+    formula: Formula, structure, schema, slack: int = 1
+) -> ExecutionPlan:
+    """Translate ``formula`` into the plans the algebra engine runs.
 
-    branch: str
-    compiled: CompiledQuery
-    fin_optimized: Plan
-    inf_plan: Optional[Plan]
-    inf_optimized: Optional[Plan]
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self.compiled.columns
-
-
-#: Translated pairs per (canonical fingerprint, structure name,
-#: alphabet, slack, schema).
-_PAIRS = registered("algebra.ranf.translation_cache", 64)
-
-
-def translation_probe(formula, structure, schema, slack: int) -> Callable[[], bool]:
-    """A probe returning True once the pair for this key is cached (the
-    planner's amortized cost model asks without forcing a translation or
-    counting a lookup; the plan cache asks again on every lookup, so the
-    key is computed once)."""
-    key = _translation_key(formula, structure, schema, slack)
-    return lambda: _PAIRS.peek(key) is not None
-
-
-def _translation_key(formula, structure, schema, slack: int) -> tuple:
-    return (
-        canonical_fingerprint(formula),
-        structure.name,
-        structure.alphabet.symbols,
-        slack,
-        schema,
-    )
-
-
-def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfPair:
-    """Translate ``formula`` into its RANF pair (cached per fingerprint).
-
-    Like :func:`~repro.algebra.compile.compile_query`, the pair is made
-    for the template, with the values of its slots in
-    ``pair.compiled.params``.  Raises :class:`RanfError` when
-    :func:`translation_verdict` bails.
+    The result holds the compiled finite half, its optimized plan, and
+    (``gamma-bounded`` branch only) the optimized ``inf`` half: a
+    nullary plan that is nonempty exactly when the translation's bound
+    certificate failed at runtime and the natural result must be treated
+    as potentially infinite.  Like :func:`~repro.algebra.compile.
+    compile_query`, the plans are made for the template, with the values
+    of its slots in ``compiled.params``.  Raises :class:`RanfError` when
+    :func:`translation_verdict` bails.  Not cached here: the engine
+    translates through :func:`~repro.algebra.optimize.
+    compile_for_execution`, which memoizes the result in
+    ``algebra.plans``.
     """
-    key = _translation_key(formula, structure, schema, slack)
-    hit = _PAIRS.get(key)
-    if hit is not None:
-        return hit
     template, values = lift_literals(formula)
     verdict = translation_verdict(template, structure)
     if not verdict.ok:
@@ -420,8 +385,9 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
     plan, variables = compiler.translate(flat)
     target = tuple(sorted(template.free_variables()))
     plan = compiler._pad_to(plan, variables, target)
+    dialect = FOR_STRUCTURE[structure.name](structure.alphabet)
 
-    inf_plan: Optional[Plan] = None
+    inf: Optional[Plan] = None
     if verdict.branch == "gamma-bounded":
         gamma0 = bound_plan(structure, schema, 0, constants)
         fin = plan
@@ -433,21 +399,15 @@ def translate_ranf(formula: Formula, structure, schema, slack: int = 1) -> RanfP
                 Product(fin, gamma0), Atom("eq", (col(i), col(n)))
             )
             fin = Project(filtered, tuple(range(n)))
-        inf_plan = Project(Difference(plan, fin), ())
+        inf = optimize_for_execution(
+            dialect.validate(Project(Difference(plan, fin), ()))
+        )
         plan = fin
 
-    dialect = FOR_STRUCTURE[structure.name](structure.alphabet)
     dialect.validate(plan)
-    if inf_plan is not None:
-        dialect.validate(inf_plan)
-    pair = RanfPair(
-        branch=verdict.branch,
-        compiled=CompiledQuery(plan, target, dialect, values),
-        fin_optimized=optimize_for_execution(plan),
-        inf_plan=inf_plan,
-        inf_optimized=(
-            optimize_for_execution(inf_plan) if inf_plan is not None else None
-        ),
+    return ExecutionPlan(
+        CompiledQuery(plan, target, dialect, values),
+        optimize_for_execution(plan),
+        inf,
+        verdict.branch,
     )
-    _PAIRS.put(key, pair)
-    return pair

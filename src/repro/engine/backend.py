@@ -494,8 +494,9 @@ class AlgebraBackend(EngineBackend):
         return self.estimate(formula, structure, database, slack, planner).cost
 
     def estimate(self, formula, structure, database, slack, planner):
-        from repro.algebra import ranf
         from repro.algebra.codegen import pipeline_probe
+        from repro.algebra.optimize import plans_probe
+        from repro.algebra.ranf import translation_verdict
         from repro.engine.planner import (
             CODEGEN_ROW_FACTOR,
             CODEGEN_SETUP_COST,
@@ -512,13 +513,13 @@ class AlgebraBackend(EngineBackend):
         if compiled():
             return Estimate(cost)
         # Compiling the closure (and, outside the collapsed fragment, the
-        # RANF pass) is charged only while nothing is cached: the LRUs
-        # amortize it away for repeated and prepared queries.
+        # RANF translation) is charged only while nothing is cached: the
+        # LRUs amortize it away for repeated and prepared queries.
         cost += CODEGEN_SETUP_COST
         cold = [compiled]
-        verdict = ranf.translation_verdict(formula, structure)
+        verdict = translation_verdict(formula, structure)
         if verdict.ok and verdict.branch != "collapsed":
-            translated = ranf.translation_probe(formula, structure, schema, slack)
+            translated = plans_probe(formula, structure, schema, slack)
             if not translated():
                 cost += RANF_SETUP_COST
                 cold.append(translated)
@@ -641,7 +642,7 @@ def _pipeline_tree(observer, seconds: float) -> "ExplainNode":
         halves.append(ExplainNode("fin", "RanfHalf", annotations={"half": "fin"},
                                   children=children[split:]))
     return ExplainNode(
-        f"ranf[{pipeline.branch}] {label}", "RanfPair", seconds=seconds,
+        f"ranf[{pipeline.branch}] {label}", "RanfPipeline", seconds=seconds,
         annotations=notes, children=halves,
     )
 

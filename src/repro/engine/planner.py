@@ -128,12 +128,12 @@ CODEGEN_SETUP_COST = 6_000.0
 CODEGEN_ROW_FACTOR = 0.5
 
 #: Fixed cost (in direct-check units) charged to the algebra engine when
-#: the query needs the RANF translation
-#: (:mod:`repro.algebra.ranf`) and no translated pair is cached yet:
-#: the widened compiler does strictly more work than the collapsed-form
-#: fast path (verdict analysis, per-quantifier domain constructions, the
-#: ``fin``/``inf`` split).  The translation cache amortizes it away, so
-#: repeated queries see only the per-row cost.
+#: the query lies outside the collapsed fragment and neither its closure
+#: nor its translated plans (``algebra.plans``) are cached yet: the
+#: RANF translation (:mod:`repro.algebra.ranf`) of such a query does
+#: more work than its depth-0 collapsed case (per-quantifier domain
+#: constructions, the ``fin``/``inf`` split).  The plan memo amortizes
+#: it away, so repeated queries see only the per-row cost.
 RANF_SETUP_COST = 1_500.0
 
 _INF = float("inf")
@@ -845,7 +845,10 @@ class Planner:
                 self.database, sorted(formula.relation_names())
             ),
             ineligible=dict(ineligible or {}),
-            cold_probes=tuple(p for e in estimates.values() for p in e.cold),
+            # A forced plan runs its engine however warm the caches get.
+            cold_probes=() if forced else tuple(
+                p for e in estimates.values() for p in e.cold
+            ),
         )
 
     def _node(self, f: Formula, slack: int) -> PlanNode:

@@ -140,6 +140,50 @@ class TestPlanNodes:
 
 
 class TestDialects:
+    def test_plan_checks_visit_each_shared_node_once(self, monkeypatch):
+        # The translator reuses its subplans by reference, so walking the
+        # plan per occurrence repeats work: the checks visit each node
+        # object once instead.
+        from repro.algebra import compile_for_execution, dialects
+        from repro.algebra.distribute import plan_shape_certificate
+        from repro.algebra.plan import Plan
+        from repro.logic.canonical import canonicalize
+
+        base = db(R={("01",), ("110",)}, S={("0",), ("11",)})
+        formula = canonicalize(
+            parse_formula("R(x) & exists prefix y: (S(y) & y <<= x)")
+        )
+        plans = compile_for_execution(formula, S_BIN, base.schema, slack=1)
+        plan, dialect = plans.compiled.plan, plans.compiled.dialect
+        occurrences = list(plan.walk())
+        distinct = {id(node): node for node in occurrences}
+        assert len(distinct) < len(occurrences) / 2
+        assert [id(n) for n in plan.nodes()] == list(distinct)
+        selects = sum(isinstance(n, Select) for n in distinct.values())
+
+        conditions, columns = [], []
+        real_check = type(S_BIN).check_formula
+        real_columns = dialects._check_columns
+        monkeypatch.setattr(
+            type(S_BIN), "check_formula",
+            lambda self, f: conditions.append(f) or real_check(self, f),
+        )
+        monkeypatch.setattr(
+            dialects, "_check_columns",
+            lambda node, schema: columns.append(node) or real_columns(node, schema),
+        )
+        want = dialect.evaluate(plan, base, plans.compiled.params)
+        assert len(conditions) == selects
+        assert len(columns) == len(distinct)
+        assert want == {("01",), ("110",)}
+
+        def per_occurrence(self):
+            raise AssertionError("walked the plan once per occurrence")
+
+        monkeypatch.setattr(Plan, "walk", per_occurrence)
+        _, relations, _ = plan_shape_certificate(formula, S_BIN, base, 1)
+        assert relations == ("R", "S")
+
     def test_ra_s_rejects_down(self):
         plan = DownOp(BaseRel("R", 1), 0)
         with pytest.raises(SignatureError):

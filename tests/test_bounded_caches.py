@@ -3,7 +3,7 @@
 Every process-global memo table is a registered :class:`~repro.engine.
 cache.BoundedCache` (or a registered ``functools.lru_cache``), and ad hoc
 query text grows each of them without end: every new condition shape
-brings a new plan, eligibility verdict and RANF translation, and every
+brings a new plan, eligibility verdict and translation, and every
 new quantified one a new checker (a string constant is a template slot,
 but a constant spelt with ``add_last`` is shape), every new value of a quantified template
 condition a bound automaton, every new template a plan-cache entry,
@@ -83,21 +83,6 @@ def _spelt_shapes_on_forced_algebra(n: int):
         yield
 
 
-def _spelt_shapes_in_the_widened_regime(n: int):
-    """A RANF translation per shape: a PREFIX quantifier over the
-    database, outside Theorem 4's collapsed fragment."""
-    for c in _constants(n):
-        rows = Query(
-            f"R(x) & (exists prefix y: (R(y) & {_spelt(c)} <<= y & y <<= x))",
-            structure="S",
-        ).result(DB, engine="algebra").as_set()
-        assert rows == {
-            (x,) for (x,) in DB.relation("R")
-            if any(y.startswith(c) and x.startswith(y) for (y,) in DB.relation("R"))
-        }
-        yield
-
-
 def _spelt_shapes_on_the_planner(n: int):
     """A plan-cache entry per shape."""
     for c in _constants(n):
@@ -170,7 +155,6 @@ DRIVERS = {
     "algebra.plans": _spelt_shapes_on_forced_algebra,
     "planner.eligibility_memo": _spelt_shapes_on_forced_algebra,
     "planner.plan_cache": _spelt_shapes_on_the_planner,
-    "algebra.ranf.translation_cache": _spelt_shapes_in_the_widened_regime,
     "automatic.presentations": _literals_on_the_automata_engine,
 }
 

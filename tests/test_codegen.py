@@ -16,13 +16,14 @@ import pytest
 
 import repro.algebra.codegen as codegen
 from repro.algebra.codegen import (
+    build_pipeline,
     closure_cache,
     get_pipeline,
     has_pipeline,
     prewarm,
 )
-from repro.algebra.compile import CompileError
-from repro.algebra.optimize import compile_for_execution
+from repro.algebra.compile import CompileError, compile_query
+from repro.algebra.optimize import compile_for_execution, optimize_for_execution
 from repro.core import Query
 from repro.database import random_database
 from repro.database.instance import Database
@@ -102,8 +103,17 @@ class TestFusion:
     def test_prefix_expansion_fuses_into_the_row_loop(self):
         # A variable no relation binds ranges over the prefix-closed
         # adom; the emitter inlines that expansion as a nested range loop
-        # instead of materializing PrefixOp output.
-        pipeline = _agree("R(x,y) & S(y,z) & last(w, '0')", _binary_db())
+        # instead of materializing PrefixOp output.  The engine's
+        # translator refuses the unanchored w, so Theorem 4's compiler
+        # makes the plan.
+        db = _binary_db()
+        compiled = compile_query(
+            _formula("R(x,y) & S(y,z) & last(w, '0')"), STRUCT, db.schema, slack=0
+        )
+        plan = optimize_for_execution(compiled.plan)
+        pipeline = build_pipeline(plan, compiled.columns, STRUCT, "prefix-loop")
+        rows, _ = pipeline.run(db, compiled.params)
+        assert rows == AlgebraExecutor(STRUCT, db, params=compiled.params).run(plan)[0]
         assert "for _i" in pipeline.source
         assert ".endswith(" in pipeline.source  # inlined `last`, no checker
         assert pipeline.line_count > 0
@@ -225,7 +235,7 @@ class TestExplain:
         report = query.explain(db, engine="algebra", slack=1)
         assert METRICS.get("algebra.ranf.infinite_bailouts") == bailouts + 1
         tree = report.to_dict()["tree"]
-        assert tree["kind"] == "RanfPair"
+        assert tree["kind"] == "RanfPipeline"
         assert tree["annotations"]["infinite"] is True
         assert tree["annotations"]["fallback"] == "automata"
         assert [c["annotations"]["half"] for c in tree["children"]] == ["inf"]
@@ -419,7 +429,7 @@ class TestStrategy:
         report = query.explain(db)
         assert METRICS.get("algebra.ranf.inf_checks") == checks + 1
         tree = report.to_dict()["tree"]
-        assert tree["kind"] == "RanfPair"
+        assert tree["kind"] == "RanfPipeline"
         assert [c["annotations"]["half"] for c in tree["children"]] == [
             "inf", "fin",
         ]

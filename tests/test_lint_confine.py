@@ -89,6 +89,26 @@ PLANTS = {
         "maintained = maintenance.maintain_algebra_result(plan, database)",
         "tools/lint_confine.py",
     ),
+    "compile": (
+        "src/repro/algebra/pairs.py",
+        "pair = RanfPair(branch, compiled, fin, None, inf)",
+        "tests/test_ranf.py",
+    ),
+    "compile:probe": (
+        "src/repro/engine/costing.py",
+        "translated = ranf.translation_probe(formula, structure, schema, slack)",
+        "tools/lint_confine.py",
+    ),
+    "compile:cache": (
+        "src/repro/algebra/memo.py",
+        '_PAIRS = registered("algebra.ranf.translation_cache", 64)',
+        "tests/test_bounded_caches.py",
+    ),
+    "compile:optimize": (
+        "src/repro/algebra/optimize.py",
+        "compiled = compile_query(formula, structure, schema, slack=slack)",
+        "src/repro/core/query.py",
+    ),
 }
 
 

@@ -188,6 +188,17 @@ def test_closure_compiled_after_a_cold_plan_replans_once_with_warm():
     assert q.result(A).as_set() == _oracle(q, A)
 
 
+def test_forced_runs_plan_once_though_they_warm_the_closure():
+    # The first forced run compiles the closure; the forced plan's engine
+    # is fixed, so that warmth is no reason to plan again.
+    q = Query(ADOM)
+    for _ in range(3):
+        assert q.result(A, engine="algebra").as_set() == _oracle(q, A)
+    assert METRICS.get("planner.plans") == 1
+    assert METRICS.get("planner.replans.warm") == 0
+    assert not q.plan(A, engine="algebra").cold_probes
+
+
 def test_a_hit_on_an_unchanged_snapshot_reads_no_statistics(monkeypatch):
     q = Query(JOIN)
     cache = plan_cache()

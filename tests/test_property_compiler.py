@@ -11,37 +11,52 @@ subplan's values lie inside the gamma-bound — is checked directly, and
 the optimized plan's compiled closure (the algebra engine's executor) is
 held against the reference interpreter (``tests/_reference_algebra.py``)
 and the exact engine.
+
+The engine compiles through the RANF translator alone
+(:func:`~repro.algebra.optimize.compile_for_execution`); a last property
+pins that wherever Theorem 4's :func:`~repro.algebra.compile_query`
+compiles a query the translator accepts outside its gamma-bounded
+branch, both make the same plan.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.algebra import (
+    compile_for_execution,
     compile_query,
     optimize,
     optimize_for_execution,
 )
 from repro.algebra.codegen import build_pipeline
-from repro.algebra.compile import bound_plan, query_constants
+from repro.algebra.compile import CompileError, bound_plan, query_constants
+from repro.algebra.ranf import translation_verdict
 from repro.database import Database
+from repro.database.schema import Schema
 from repro.eval import AutomataEngine
 from repro.logic.dsl import (
     and_,
+    el,
     eq,
     exists,
     exists_adom,
+    forall,
     last,
+    len_le,
     lit,
+    matches,
     not_,
     or_,
     prefix,
     rel,
     sprefix,
 )
-from repro.logic.formulas import Formula
+from repro.logic.canonical import canonicalize
+from repro.logic.formulas import Formula, QuantKind
 from repro.logic.literals import lift_literals
 from repro.logic.transform import flatten_terms, fold_literal_graphs
 from repro.strings import BINARY
 from repro.structures import S
+from repro.structures.catalog import by_name
 from tests._reference_algebra import AlgebraExecutor, evaluate
 
 short = st.text(alphabet="01", max_size=3)
@@ -152,3 +167,93 @@ class TestCompilerProperty:
         for node in set(compiled.plan.walk()):
             for row in dialect.evaluate(node, db, params):
                 assert set(row) <= inside, (str(formula), str(node), row)
+
+
+# ------------------------------------------- the translator vs Theorem 4
+
+
+AGREEMENT_VARS = ["u", "v", "w"]
+AGREEMENT_SCHEMA = Schema({"R": 1, "S": 1, "T": 2})
+
+
+def _agreement_atoms(structure: str) -> st.SearchStrategy[Formula]:
+    var = st.sampled_from(AGREEMENT_VARS)
+    constant = st.sampled_from(["", "0", "01"]).map(lit)
+    binary = [prefix, sprefix, eq] + ([el, len_le] if structure == "S_len" else [])
+    atoms = (
+        st.builds(lambda t, a: last(t, a), var, st.sampled_from("01"))
+        | st.builds(lambda t: rel("R", t), var)
+        | st.builds(lambda t: rel("S", t), var)
+        | st.builds(lambda a, b: rel("T", a, b), var, var)
+        | st.builds(prefix, constant, var)
+        | st.builds(lambda p, a, b: p(a, b), st.sampled_from(binary), var, var)
+    )
+    if structure == "S_reg":
+        atoms = atoms | st.builds(lambda t: matches(t, "(01)*"), var)
+    return atoms
+
+
+def _agreement_formulas(structure: str, depth: int) -> st.SearchStrategy[Formula]:
+    """Every quantifier kind the structure has, under and/or/not."""
+    atoms = _agreement_atoms(structure)
+    if depth == 0:
+        return atoms
+    sub = _agreement_formulas(structure, depth - 1)
+    kinds = [QuantKind.ADOM, QuantKind.NATURAL, QuantKind.PREFIX]
+    if structure == "S_len":
+        kinds.append(QuantKind.LENGTH)
+    quantified = st.builds(
+        lambda q, k, v, f: q(v, f, k),
+        st.sampled_from([exists, forall]),
+        st.sampled_from(kinds),
+        st.sampled_from(AGREEMENT_VARS),
+        sub,
+    )
+    boolean = (
+        st.builds(and_, sub, sub) | st.builds(or_, sub, sub) | st.builds(not_, sub)
+    )
+    # One draw picks the node shape first, so the atoms' many branches
+    # do not crowd out the quantifiers.
+    shapes = {"atom": atoms, "quantified": quantified, "boolean": boolean}
+    return st.sampled_from(sorted(shapes)).flatmap(shapes.__getitem__)
+
+
+def _anchored(formula: Formula) -> Formula:
+    for v in sorted(formula.free_variables(), reverse=True):
+        formula = and_(rel("R", v), formula)
+    return formula
+
+
+class TestTranslatorAgreesWithTheorem4:
+    """The fact that lets the engine compile through the translator
+    alone: outside the gamma-bounded branch, on every query
+    ``compile_query`` compiles, the translator makes its plan."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_translator_plan_equals_compile_query(self, data):
+        name = data.draw(st.sampled_from(["S", "S_len", "S_left", "S_reg"]))
+        structure = by_name(name, BINARY)
+        formula = canonicalize(
+            _anchored(data.draw(_agreement_formulas(name, depth=3)))
+        )
+        verdict = translation_verdict(lift_literals(formula)[0], structure)
+        assume(verdict.ok and verdict.branch != "gamma-bounded")
+        try:
+            theorem4 = compile_query(
+                formula, structure, AGREEMENT_SCHEMA, slack=1
+            )
+        except CompileError:
+            assume(False)
+        plans = compile_for_execution(
+            formula, structure, AGREEMENT_SCHEMA, slack=1
+        )
+        assert plans.compiled.plan == theorem4.plan, str(formula)
+        assert plans.compiled.columns == theorem4.columns, str(formula)
+        assert plans.compiled.params == theorem4.params, str(formula)
+        assert plans.fin == optimize_for_execution(theorem4.plan), str(formula)
+        assert plans.inf is None, str(formula)

@@ -5,13 +5,14 @@ gamma-bounded), the memoized negative verdicts with their
 ``planner.eligibility_memo.hits`` counter, the translated pair's shapes
 (the ``inf`` half omitted where the finite half is provably complete),
 the runtime infinite-result bail-out, EXPLAIN's per-backend
-ineligibility reasons and ``RanfPair`` tree node, and the planner's
+ineligibility reasons and ``RanfPipeline`` tree node, and the planner's
 regime widening with its ``ranf_setup`` amortization.
 """
 
 import pytest
 
 from repro.algebra.codegen import get_pipeline
+from repro.algebra.optimize import compile_for_execution
 from repro.algebra.ranf import (
     RanfError,
     translate_ranf,
@@ -114,22 +115,28 @@ class TestTranslatedPairs:
             _f("R(x) & (exists prefix y: T(y, x))"), S, schema, slack=1
         )
         assert pair.branch == "restricted-quantifiers"
-        assert pair.inf_plan is None and pair.inf_optimized is None
+        assert pair.inf is None
 
     def test_gamma_bounded_builds_inf_half(self):
         schema = Schema({"R": 1})
         pair = translate_ranf(_f("eq(x, y) & R(y)"), S, schema, slack=1)
         assert pair.branch == "gamma-bounded"
-        assert pair.inf_plan is not None and pair.inf_optimized is not None
+        assert pair.inf is not None
 
     def test_translation_cache_hits_counted(self):
-        schema = Schema({"R": 1, "T": 2})
+        # The translation is memoized once, in algebra.plans.
+        schema = Schema({"R": 1, "T": 2, "S": 1})
         formula = _f("R(x) & (exists prefix y: (T(y, x) & S(y)))")
-        translate_ranf(formula, S, Schema({"R": 1, "T": 2, "S": 1}), slack=1)
-        before = METRICS.snapshot().get("algebra.ranf.translation_cache.hits", 0)
-        translate_ranf(formula, S, Schema({"R": 1, "T": 2, "S": 1}), slack=1)
-        after = METRICS.snapshot().get("algebra.ranf.translation_cache.hits", 0)
-        assert after == before + 1
+        compile_for_execution(formula, S, schema, slack=1)
+        before = METRICS.snapshot()
+        compile_for_execution(formula, S, schema, slack=1)
+        after = METRICS.snapshot()
+        assert after.get("algebra.plans.hits", 0) == (
+            before.get("algebra.plans.hits", 0) + 1
+        )
+        assert after.get("algebra.ranf.translations", 0) == (
+            before.get("algebra.ranf.translations", 0)
+        )
 
     def test_untranslatable_raises_ranf_error(self):
         with pytest.raises(RanfError):
@@ -164,26 +171,20 @@ class TestExecution:
 
     @pytest.fixture
     def doctored_inf_half(self, monkeypatch):
-        """Make every translated pair's ``inf`` half report a row.
+        """Make every translation's ``inf`` half report a row.
 
         A sound gamma certificate means the runtime infinite check never
         fires organically, so the bail-out path is driven by doctoring
         the translation: the finite half doubles as a nonempty ``inf``
         half.  The plans and closures built from it are dropped after
         the test."""
-        import dataclasses
-
         import repro.algebra.ranf as ranf_mod
 
         real = ranf_mod.translate_ranf
 
         def doctored(formula, structure, schema, slack=1):
-            pair = real(formula, structure, schema, slack=slack)
-            return dataclasses.replace(
-                pair,
-                inf_plan=pair.fin_optimized,
-                inf_optimized=pair.fin_optimized,
-            )
+            plans = real(formula, structure, schema, slack=slack)
+            return plans._replace(inf=plans.fin)
 
         reset_caches()
         monkeypatch.setattr(ranf_mod, "translate_ranf", doctored)
@@ -248,7 +249,7 @@ class TestPlannerWiring:
             db, engine="algebra", slack=1
         )
         tree = report.to_dict()["tree"]
-        assert tree["kind"] == "RanfPair"
+        assert tree["kind"] == "RanfPipeline"
         assert tree["annotations"]["branch"] == "gamma-bounded"
         halves = [c["annotations"].get("half") for c in tree["children"]]
         assert halves == ["inf", "fin"]
@@ -264,7 +265,7 @@ class TestPlannerWiring:
         cold = planner.plan(fresh_key_formula, slack=1)
         cold_cost = cold.costs["algebra"]
         # Translating (e.g. by running the query once) amortizes setup.
-        translate_ranf(fresh_key_formula, S, db.schema, slack=1)
+        compile_for_execution(fresh_key_formula, S, db.schema, slack=1)
         warm_cost = Planner(S, db).plan(fresh_key_formula, slack=1).costs[
             "algebra"
         ]

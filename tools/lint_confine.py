@@ -77,6 +77,14 @@ test, it only bypasses a guarantee that lives in one audited place.
     algebra answer comes from the whole-result cache, result promotion
     or one closure run, however the engine was chosen, so no second way
     to compute it grows back.
+``compile``
+    A second formula-to-plan path or memo under ``src/`` (the
+    ``RanfPair`` record, ``translation_probe``, the
+    ``algebra.ranf.translation_cache`` memo) and a ``compile_query(``
+    call in ``algebra/optimize.py``: the engine turns a formula into
+    plans only through the RANF translator, memoized once in
+    ``algebra.plans``; Theorem 4's ``compile_query`` stays the public
+    API for collapsed queries.
 
 Run via ``make lint-confine`` (wired into ``make test``).
 """
@@ -308,6 +316,22 @@ RULES = (
         problem="ΔQ plan maintenance under src/ — answer a new version "
         "through the result cache, promote_result or a closure run",
         ok="a new version's algebra answer has one way to be computed",
+    ),
+    Rule(
+        "compile",
+        re.compile(
+            r"\b(?:RanfPair|translation_probe)\b"
+            r"|algebra\.ranf\.translation_cache\b"
+        ),
+        scanned=("src",),
+        exempt=(),
+        problem="a second compile path or translation memo under src/ — "
+        "turn a formula into plans through compile_for_execution (the RANF "
+        "translator, memoized in algebra.plans)",
+        ok="the RANF translator is the engine's one compile path",
+        narrow=(
+            ("src/repro/algebra/optimize.py", re.compile(r"\bcompile_query\(")),
+        ),
     ),
 )
 
