@@ -19,7 +19,14 @@ compiles a query the translator accepts outside its gamma-bounded
 branch, both make the same plan.
 """
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    assume,
+    given,
+    reject,
+    settings,
+    strategies as st,
+)
 
 from repro.algebra import (
     compile_for_execution,
@@ -58,6 +65,7 @@ from repro.strings import BINARY
 from repro.structures import S
 from repro.structures.catalog import by_name
 from tests._reference_algebra import AlgebraExecutor, evaluate
+from tests.test_property_ranf import _anchor
 
 short = st.text(alphabet="01", max_size=3)
 
@@ -218,12 +226,6 @@ def _agreement_formulas(structure: str, depth: int) -> st.SearchStrategy[Formula
     return st.sampled_from(sorted(shapes)).flatmap(shapes.__getitem__)
 
 
-def _anchored(formula: Formula) -> Formula:
-    for v in sorted(formula.free_variables(), reverse=True):
-        formula = and_(rel("R", v), formula)
-    return formula
-
-
 class TestTranslatorAgreesWithTheorem4:
     """The fact that lets the engine compile through the translator
     alone: outside the gamma-bounded branch, on every query
@@ -239,7 +241,7 @@ class TestTranslatorAgreesWithTheorem4:
         name = data.draw(st.sampled_from(["S", "S_len", "S_left", "S_reg"]))
         structure = by_name(name, BINARY)
         formula = canonicalize(
-            _anchored(data.draw(_agreement_formulas(name, depth=3)))
+            _anchor(data.draw(_agreement_formulas(name, depth=3)))
         )
         verdict = translation_verdict(lift_literals(formula)[0], structure)
         assume(verdict.ok and verdict.branch != "gamma-bounded")
@@ -248,7 +250,7 @@ class TestTranslatorAgreesWithTheorem4:
                 formula, structure, AGREEMENT_SCHEMA, slack=1
             )
         except CompileError:
-            assume(False)
+            reject()
         plans = compile_for_execution(
             formula, structure, AGREEMENT_SCHEMA, slack=1
         )
