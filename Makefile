@@ -9,7 +9,8 @@ SMOKE_DIR := .bench-smoke
 	bench-shard bench-shard-smoke bench-delta bench-delta-smoke \
 	bench-codegen bench-codegen-smoke bench-ranf bench-ranf-smoke \
 	bench-compare bench-report bench-full \
-	bench-service bench-service-smoke perfbench-smoke serve-smoke clean
+	bench-service bench-service-smoke perfbench-smoke perf-pairs serve-smoke \
+	clean
 
 ## Fast local loop: lints, skip @pytest.mark.slow tests, then smoke the
 ## perf claims cheapest to regress silently (algebra joins, the flat-array
@@ -227,6 +228,20 @@ perfbench-smoke:
 	r['correct'], r['failed'], r['metrics']['p50_ms']['value'])); \
 	sys.exit(0 if ok else 1)" $(SMOKE_DIR)/perfbench-$$w.json $$w || exit 1; \
 	done
+
+## A speed claim's evidence: PAIRS alternated parent/change runs of
+## perfbench/run.py per workload, each side from a `git archive` copy with
+## PYTHONDONTWRITEBYTECODE=1 (tools/perf_pairs.py), reported as medians,
+## quartiles, wins and failed operations.  Not part of `make test`.
+PARENT := HEAD~1
+CHANGE := HEAD
+WORKLOADS := $(PERFBENCH_WORKLOADS)
+PAIRS := 10
+PERF_SECONDS := 30
+
+perf-pairs:
+	python3 tools/perf_pairs.py --parent $(PARENT) --change $(CHANGE) \
+		--workloads $(WORKLOADS) --pairs $(PAIRS) --seconds $(PERF_SECONDS)
 
 ## One NDJSON round-trip through `python -m repro serve --stdio`:
 ## register a database, run a query, check the rows, exit 0 on EOF.

@@ -117,8 +117,38 @@ class Plan:
     def difference(self, other: "Plan") -> "Difference":
         return Difference(self, other)
 
+    # -- hashing -------------------------------------------------------------
 
-@dataclass(frozen=True)
+    def _cached_hash(self) -> int:
+        """The dataclass field hash, computed once per node: a plan is a
+        tree of frozen nodes, and the field hash of one hashes its whole
+        subtree (conditions included) again."""
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = self._field_hash()
+            return value
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes (a shard worker unpickles
+        # plans), so the stored hash is recomputed, never shipped.
+        state = self.__dict__
+        if "_hash" in state:
+            state = {k: v for k, v in state.items() if k != "_hash"}
+        return state
+
+
+def _node(cls):
+    """``@dataclass(frozen=True)`` with :meth:`Plan._cached_hash` in place
+    of the generated ``__hash__``, which would override one inherited
+    from :class:`Plan`."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = Plan._cached_hash
+    return cls
+
+
+@_node
 class BaseRel(Plan):
     """A database relation (its arity checked against the schema when a
     dialect evaluates the plan)."""
@@ -130,7 +160,7 @@ class BaseRel(Plan):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class EpsilonRel(Plan):
     """The paper's ``R_eps``: the constant unary relation ``{epsilon}``."""
 
@@ -140,7 +170,7 @@ class EpsilonRel(Plan):
         return "R_eps"
 
 
-@dataclass(frozen=True)
+@_node
 class ParamRel(Plan):
     """The one-row unary relation ``{params[index]}``: a template slot's
     run-time value where the plan needs it as a relation — in the base of
@@ -222,7 +252,7 @@ def _get_checker(
     )
 
 
-@dataclass(frozen=True)
+@_node
 class Select(Plan):
     """``sigma_alpha``: filter rows by a database-free M-formula."""
 
@@ -240,7 +270,7 @@ class Select(Plan):
         return f"select[{self.condition}]({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class Project(Plan):
     """Projection; ``indices`` may permute and duplicate columns."""
 
@@ -258,7 +288,7 @@ class Project(Plan):
         return f"project[{','.join(map(str, self.indices))}]({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class Product(Plan):
     left: Plan
     right: Plan
@@ -274,7 +304,7 @@ class Product(Plan):
         return f"({self.left} x {self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class Join(Plan):
     """Fused equi-join: ``sigma[AND c_l=c_r](left x right)``, set-at-a-time.
 
@@ -312,7 +342,7 @@ class Join(Plan):
         return f"hashjoin[{keys}{sigma}]({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class Union(Plan):
     left: Plan
     right: Plan
@@ -330,7 +360,7 @@ class Union(Plan):
         return f"({self.left} u {self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class Difference(Plan):
     left: Plan
     right: Plan
@@ -348,7 +378,7 @@ class Difference(Plan):
         return f"({self.left} - {self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class PrefixOp(Plan):
     """``prefix_i``: append a column ranging over prefixes of column ``i``."""
 
@@ -366,7 +396,7 @@ class PrefixOp(Plan):
         return f"prefix_{self.index}({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class AddLastOp(Plan):
     """``add_i^a``: append the column ``s_i . a``."""
 
@@ -385,7 +415,7 @@ class AddLastOp(Plan):
         return f"add_{self.index}^{self.symbol}({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class AddFirstOp(Plan):
     """``add_i^{l,a}``: append the column ``a . s_i`` (RA(S_left))."""
 
@@ -404,7 +434,7 @@ class AddFirstOp(Plan):
         return f"add_first_{self.index}^{self.symbol}({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class TrimFirstOp(Plan):
     """``trim_i^{l,a}``: append the column ``s_i - a`` (RA(S_left))."""
 
@@ -423,7 +453,7 @@ class TrimFirstOp(Plan):
         return f"trim_first_{self.index}^{self.symbol}({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class InsertAtOp(Plan):
     """``insert_{i,j}^a``: append the column ``insert_a(s_i, s_j)``.
 
@@ -448,7 +478,7 @@ class InsertAtOp(Plan):
         return f"insert_{self.index},{self.prefix_index}^{self.symbol}({self.child})"
 
 
-@dataclass(frozen=True)
+@_node
 class DownOp(Plan):
     """``down_i``: append a column over all strings of length <= |s_i|.
 

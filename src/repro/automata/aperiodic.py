@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.automata.dfa import DFA
+from repro.engine.deadline import checkpoint
 
 
 def transition_monoid(dfa: DFA) -> set[tuple[int, ...]]:
@@ -30,7 +31,9 @@ def transition_monoid(dfa: DFA) -> set[tuple[int, ...]]:
     indexed by state number, the dead state being number ``n``; the monoid
     is generated by the one-symbol transition functions under
     composition.  Exponential in the worst case; intended for the small
-    automata arising from patterns and examples.
+    automata arising from patterns and examples, and a deadline
+    checkpoint per element bounds the rest
+    (:mod:`repro.engine.deadline`).
     """
     dead = dfa.num_states
     edges = list(dfa.edges())
@@ -45,6 +48,7 @@ def transition_monoid(dfa: DFA) -> set[tuple[int, ...]]:
     queue = deque([identity])
     while queue:
         f = queue.popleft()
+        checkpoint()
         for g in generators:
             # Composition: first f, then g.
             h = tuple(g[f[q]] for q in range(n))
@@ -59,6 +63,7 @@ def _is_idempotent_power(f: tuple[int, ...], bound: int) -> bool:
     n = len(f)
     power = f
     for _ in range(bound + 1):
+        checkpoint()
         nxt = tuple(f[power[q]] for q in range(n))
         if nxt == power:
             return True

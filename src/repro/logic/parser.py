@@ -27,6 +27,13 @@ Examples::
     exists x: R(x) & last(x, '0') & exists y: (ext1(y, x) & last(y, '1'))
     forall adom x: S(x) -> matches(x, "0(0|1)*")
     exists prefix y: y << x & el(y, z)
+
+A text nested deeper than :data:`MAX_NESTING` levels, or whose formula
+has more than :data:`MAX_FORMULA_NODES` nodes once each ``<->`` is
+written out, is a :class:`~repro.errors.ParseError`: every pass after
+the parser walks the formula recursively, and ``<->`` copies both of
+its sides, so a short text could otherwise exhaust the stack or
+expand to exponentially many nodes.
 """
 
 from __future__ import annotations
@@ -78,6 +85,14 @@ _TERM_FUNCS = {"add_last", "add_first", "trim_first", "lcp", "insert_at"}
 
 _PARAM_PREDS = {"last", "matches", "psuffix"}
 
+#: Deepest nesting of parentheses, negations, quantifiers, implications
+#: and terms a text may have.
+MAX_NESTING = 100
+
+#: Most nodes a formula may have once each ``<->`` is written out as
+#: ``(!f | g) & (!g | f)``.
+MAX_FORMULA_NODES = 4096
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -116,6 +131,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
+        self.iffs = 0
 
     # ------------------------------------------------------------- helpers
 
@@ -136,28 +153,46 @@ class _Parser:
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.text, self.peek().pos)
 
+    def descend(self) -> None:
+        """Enter one more level of nesting (the caller leaves it)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+
     # ------------------------------------------------------------- formula
 
     def parse(self) -> Formula:
         f = self.iff()
         if self.peek().kind != "eof":
             raise self.error(f"trailing input {self.peek().text!r}")
+        if self.iffs and _tree_size(f, {}) > MAX_FORMULA_NODES:
+            raise ParseError(
+                f"formula has more than {MAX_FORMULA_NODES} nodes once "
+                "each '<->' is written out", self.text, 0,
+            )
         return f
 
     def iff(self) -> Formula:
         f = self.implies()
         while self.peek().text == "<->":
             self.advance()
+            self.iffs += 1
             g = self.implies()
             f = And((Or((Not(f), g)), Or((Not(g), f))))
         return f
 
     def implies(self) -> Formula:
-        f = self.or_()
-        if self.peek().text == "->":
+        parts = [self.or_()]
+        while self.peek().text == "->":
             self.advance()
-            g = self.implies()
-            return Or((Not(f), g))
+            parts.append(self.or_())
+        # Right associative: a -> b -> c is a -> (b -> c), one level of
+        # nesting per arrow.
+        if self.depth + len(parts) - 1 > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        f = parts.pop()
+        while parts:
+            f = Or((Not(parts.pop()), f))
         return f
 
     def or_(self) -> Formula:
@@ -175,13 +210,17 @@ class _Parser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "!":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "name" and tok.text in ("exists", "forall"):
-            return self.quantifier()
-        return self.primary()
+        self.descend()
+        try:
+            tok = self.peek()
+            if tok.text == "!":
+                self.advance()
+                return Not(self.unary())
+            if tok.kind == "name" and tok.text in ("exists", "forall"):
+                return self.quantifier()
+            return self.primary()
+        finally:
+            self.depth -= 1
 
     def quantifier(self) -> Formula:
         head = self.advance().text
@@ -286,24 +325,28 @@ class _Parser:
     # ---------------------------------------------------------------- term
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.text == "(":
+        self.descend()
+        try:
+            tok = self.peek()
+            if tok.text == "(":
+                self.advance()
+                t = self.term()
+                self.expect(")")
+                return t
+            if tok.kind in ("squote", "dquote"):
+                self.advance()
+                return StrConst(_unquote(tok.text))
+            if tok.kind != "name":
+                raise self.error(f"expected term, found {tok.text!r}")
+            if tok.text == "eps":
+                self.advance()
+                return EPS
+            if tok.text in _TERM_FUNCS:
+                return self._func_term()
             self.advance()
-            t = self.term()
-            self.expect(")")
-            return t
-        if tok.kind in ("squote", "dquote"):
-            self.advance()
-            return StrConst(_unquote(tok.text))
-        if tok.kind != "name":
-            raise self.error(f"expected term, found {tok.text!r}")
-        if tok.text == "eps":
-            self.advance()
-            return EPS
-        if tok.text in _TERM_FUNCS:
-            return self._func_term()
-        self.advance()
-        return Var(tok.text)
+            return Var(tok.text)
+        finally:
+            self.depth -= 1
 
     def _func_term(self) -> Term:
         name = self.advance().text
@@ -338,6 +381,18 @@ class _Parser:
         return ctor(first, symbol)
 
 
+def _tree_size(f: Formula, memo: dict) -> int:
+    """Nodes of ``f`` as a tree, shared subformulas counted per use."""
+    size = memo.get(id(f))
+    if size is None:
+        size = memo[id(f)] = 1 + sum(_tree_size(c, memo) for c in f.children())
+    return size
+
+
 def parse_formula(text: str) -> Formula:
     """Parse the textual query syntax into a :class:`Formula`."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        # Within MAX_NESTING only when the caller's stack is already deep.
+        raise ParseError("formula nested too deeply to parse", text, 0) from None

@@ -6,7 +6,8 @@ validation, error shapes, framing); this module only moves it — reads
 and decodes lines, answers each of the step's :class:`~repro.service.
 protocol.Work` requests on its own thread when :meth:`~repro.service.
 service.QueryService.answer_on_loop` can (a cached answer, or a warm
-plan run under a deadline budget), submits the rest to the shared
+plan run under a deadline budget, for a never-seen text of a known
+shape too), submits the rest to the shared
 :class:`~repro.service.service.QueryService` pool, and writes the
 frames the step renders.  The same request line therefore gets the same
 answer on either transport.
@@ -99,18 +100,22 @@ _CANCEL_HORIZON = 1e9
 DRAIN_GRACE = 5.0
 
 #: Ops whose protocol step the event loop takes inline: the liveness
-#: probe, shutdown, and the query ops (whose step only validates; their
-#: work goes to the pool).  Every other step touches the registry and
-#: runs on the auxiliary executor.
+#: probe, shutdown, and the query ops, whose step only validates; their
+#: work is then answered by the loop probe (a cached answer, or a warm
+#: plan run, after parsing a text of at most ``LOOP_PARSE_MAX_CHARS``
+#: characters) or goes to the pool.  Every other step touches the
+#: registry and runs on the auxiliary executor.
 _LOOP_OPS = frozenset({"ping", "shutdown", "run", "batch"})
 
 
 def _answer_on_loop(service: QueryService, work: Work, request: RunRequest):
     """The transports' one loop probe (:meth:`~repro.service.service.
-    QueryService.answer_on_loop`): a cached answer, or a warm plan run on
-    the calling thread when the line carries one request.  The items of
-    a larger batch are only looked up, so one request line holds the
-    loop for at most one run budget.  ``None`` sends the request to the
+    QueryService.answer_on_loop`): a cached answer, or — when the line
+    carries one request — a warm plan run on the calling thread, after
+    parsing a bounded never-seen text and checking its binding.  The
+    items of a larger batch are only looked up, never parsed or run, so
+    a request line holds the loop for at most a bounded parse, one check
+    budget and one run budget.  ``None`` sends the request to the
     pool."""
     return service.answer_on_loop(request, run=len(work.requests) == 1)
 

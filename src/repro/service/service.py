@@ -328,6 +328,16 @@ LOOP_HIT_MAX_ROWS = 4096
 #: through the pool, and its plan is not run on the loop again.
 LOOP_RUN_BUDGET = 0.002
 
+#: Longest query text (characters) :meth:`QueryService.answer_on_loop`
+#: parses on the transport's event loop when no text alias knows it.
+#: Parse, lift and canonical fingerprint take 1–2 µs per character on a
+#: 2-vCPU VM (about 0.1 ms at this length), well under
+#: :data:`LOOP_RUN_BUDGET`.  A longer text is parsed by a worker, and so
+#: is one containing ``<->``, which the parser writes out by copying
+#: both sides: there the work grows with the formula's size, not the
+#: text's.
+LOOP_PARSE_MAX_CHARS = 256
+
 
 class QueryTemplate:
     """A query shape, shared by every query that differs from it only in
@@ -811,9 +821,18 @@ class QueryService:
         the pool.
 
         One probe looks things up once: the text alias (or the prepared
-        handle), the binding's checked alphabets and the plan cache
-        (:meth:`~repro.engine.plan_cache.PlanCache.peek`).  It never
-        parses or plans.  Then:
+        handle) and the plan cache (:meth:`~repro.engine.plan_cache.
+        PlanCache.peek`).  With ``run``, a text the alias map does not
+        know is prepared right here (:meth:`prepare`) when it has at most
+        :data:`LOOP_PARSE_MAX_CHARS` characters and no ``<->``, and a
+        binding not yet
+        checked for the database's alphabet is checked
+        (:meth:`PreparedQuery.check_signature`) under a
+        :data:`LOOP_RUN_BUDGET` deadline.  Any error there takes the pool,
+        which reports it; a failed check marks nothing, as its cost
+        depends on the values, not on the plan.  Without ``run`` (a batch
+        item) the probe neither parses nor checks.  It never plans: a
+        template the plan cache does not hold takes the pool.  Then:
 
         1. the result entry under :func:`~repro.engine.explain.result_key`
            answers if it holds a finite result whose sorted rows are
@@ -844,21 +863,14 @@ class QueryService:
         if timeout is not None and timeout <= 0:
             return None
         t0 = time.perf_counter()
+        with self._registry_lock:
+            entry = self._databases.get(request.database)
+        if entry is None:
+            return None
+        database = entry.database
         try:
-            prepared = request.query
-            if not isinstance(prepared, PreparedQuery):
-                prepared = self._prepared_text.peek(
-                    (prepared, request.structure)
-                )
-            with self._registry_lock:
-                entry = self._databases.get(request.database)
-            if prepared is None or entry is None:
-                return None
-            database = entry.database
-            if (
-                prepared.values
-                and database.alphabet.symbols not in prepared._checked
-            ):
+            prepared = self._loop_prepared(request, database.alphabet, run)
+            if prepared is None:
                 return None
             q = prepared.template.query_for(database.alphabet)
             force = resolve_engine(request.engine)
@@ -891,6 +903,36 @@ class QueryService:
             METRICS.inc(name)
         response.exec_seconds = time.perf_counter() - t0
         return response
+
+    def _loop_prepared(
+        self, request: RunRequest, alphabet: Alphabet, run: bool
+    ) -> Optional[PreparedQuery]:
+        """:meth:`answer_on_loop`'s prepare step: the request's prepared
+        query, checked for ``alphabet``, or ``None`` for the pool."""
+        prepared = request.query
+        if not isinstance(prepared, PreparedQuery):
+            text = prepared
+            prepared = self._prepared_text.peek((text, request.structure))
+            if prepared is None:
+                if not (
+                    run and isinstance(text, str)
+                    and len(text) <= LOOP_PARSE_MAX_CHARS
+                    and "<->" not in text
+                ):
+                    return None
+                try:
+                    prepared = self.prepare(text, request.structure)
+                except Exception:  # the pool reports it
+                    return None
+        if prepared.values and alphabet.symbols not in prepared._checked:
+            if not run:
+                return None
+            try:
+                with deadline_scope(LOOP_RUN_BUDGET):
+                    prepared.check_signature(alphabet)
+            except Exception:  # the pool reports it
+                return None
+        return prepared
 
     def _cached_answer(
         self, plan: Plan, database: Database

@@ -11,10 +11,12 @@ deltas reuse closures; store versions are maintained).
 """
 
 import importlib
+import pickle
 
 import pytest
 
 import repro.algebra.codegen as codegen
+import repro.algebra.plan as plan_module
 from repro.algebra.codegen import (
     build_pipeline,
     closure_cache,
@@ -205,6 +207,51 @@ class TestClosureCache:
         assert {"size", "maxsize", "hits", "misses"} <= stats["caches"][
             "codegen.cache"
         ].keys()
+
+
+class TestNodeHash:
+    """A plan node's field hash is computed once, and stays out of
+    pickles: string hashes differ between processes, and shard workers
+    unpickle plans."""
+
+    QUERY = "R(x) & exists prefix y: (S(y) & y <<= x)"
+
+    def _plans(self):
+        return compile_for_execution(
+            _formula(self.QUERY), STRUCT, Schema({"R": 1, "S": 1}), slack=1
+        )
+
+    def test_a_pickle_round_trip_recomputes_the_hash(self):
+        plan = self._plans().fin
+        digest = hash(plan)
+        assert "_hash" in plan.__dict__
+        clone = pickle.loads(pickle.dumps(plan))
+        assert all("_hash" not in node.__dict__ for node in clone.nodes())
+        assert hash(clone) == digest and clone == plan
+        assert clone.__dict__["_hash"] == digest
+
+    def test_a_build_hashes_each_node_once(self, monkeypatch):
+        computed = []
+        for cls in vars(plan_module).values():
+            if isinstance(cls, type) and "_field_hash" in vars(cls):
+                def counted(node, _inner=cls._field_hash):
+                    computed.append(node)
+                    return _inner(node)
+                monkeypatch.setattr(cls, "_field_hash", counted)
+        plans = self._plans()
+        # Fresh node objects, none carrying a stored hash.
+        fin, inf = pickle.loads(pickle.dumps((plans.fin, plans.inf)))
+        roots = [root for root in (fin, inf) if root is not None]
+        distinct = {id(node) for root in roots for node in root.nodes()}
+
+        def build():
+            computed.clear()
+            build_pipeline(fin, plans.compiled.columns, STRUCT, "0" * 40,
+                           inf=inf)
+            return len(computed)
+
+        assert 0 < build() <= len(distinct)
+        assert build() == 0
 
 
 class TestExplain:

@@ -336,6 +336,16 @@ class TestOverrun:
 # ------------------------------------------------------------ pool cases
 
 
+def _takes_the_pool(svc, request) -> None:
+    """The probe returns ``None`` for ``request`` and runs nothing."""
+    before = METRICS.snapshot()
+    assert svc.answer_on_loop(request) is None
+    after = METRICS.snapshot()
+    for name in ("service.inline_runs", "service.inline_overruns",
+                 "service.requests", "engine.algebra.runs"):
+        assert after.get(name, 0) == before.get(name, 0), name
+
+
 class TestTakesThePool:
     """Requests the loop leaves to a worker even though their plan is in
     the plan cache: each probe returns ``None`` and runs nothing."""
@@ -361,14 +371,6 @@ class TestTakesThePool:
         svc.insert_rows("main", "R", [["0101"]])
         return request
 
-    def _takes_the_pool(self, svc, request) -> None:
-        before = METRICS.snapshot()
-        assert svc.answer_on_loop(request) is None
-        after = METRICS.snapshot()
-        for name in ("service.inline_runs", "service.inline_overruns",
-                     "service.requests", "engine.algebra.runs"):
-            assert after.get(name, 0) == before.get(name, 0), name
-
     def test_a_warm_plan_runs_on_the_loop(self, svc):
         request = self._warm_new_version(svc)
         response = svc.answer_on_loop(request)
@@ -382,36 +384,36 @@ class TestTakesThePool:
     def test_a_closed_service(self, svc):
         request = self._warm_new_version(svc)
         svc.close()
-        self._takes_the_pool(svc, request)
+        _takes_the_pool(svc, request)
 
     def test_a_spent_timeout(self, svc):
         request = self._warm_new_version(svc)
         request.timeout = 0.0
-        self._takes_the_pool(svc, request)
+        _takes_the_pool(svc, request)
         assert svc.execute(request).error.code == "timeout"
 
     def test_a_timeout_shorter_than_the_budget(self, svc):
         request = self._warm_new_version(svc)
         request.timeout = service_module.LOOP_RUN_BUDGET / 2
-        self._takes_the_pool(svc, request)
+        _takes_the_pool(svc, request)
 
     def test_a_cold_closure(self, svc):
         from repro.algebra.codegen import closure_cache
 
         request = self._warm_new_version(svc)
         closure_cache().clear()
-        self._takes_the_pool(svc, request)
+        _takes_the_pool(svc, request)
         assert svc.execute(request).rows == [["001"], ["0101"], ["11"]]
 
     @pytest.mark.parametrize("engine", ["direct", "automata"])
     def test_a_backend_that_does_not_opt_in(self, svc, engine):
         request = self._warm_new_version(svc, engine=engine)
-        self._takes_the_pool(svc, request)
+        _takes_the_pool(svc, request)
         assert svc.execute(request).rows == [["001"], ["0101"], ["11"]]
 
     def test_a_limit_request(self, svc):
         request = self._warm_new_version(svc, limit=5)
-        self._takes_the_pool(svc, request)
+        _takes_the_pool(svc, request)
 
     def test_a_batch_item(self, svc):
         server, thread = _tcp_server(svc)
@@ -428,3 +430,248 @@ class TestTakesThePool:
         finally:
             conn.close()
             _stop(server, thread)
+
+
+# -------------------------------------------------- never-seen query texts
+
+
+def _fresh(c: str, var: str) -> str:
+    return f" & '{c}' <<= {var}"
+
+
+#: bench_service.py's twelve shapes, each taking a string constant ``c``
+#: (a prefix condition, or a pattern's head) so that every request can
+#: send a query text the service has never seen.
+SHAPES = [
+    (lambda c: "R(x) & last(x, '0')" + _fresh(c, "x"), "S"),
+    (lambda c: "R(x) & last(x, '1')" + _fresh(c, "x"), "S"),
+    (lambda c: "R(x) & !S(x)" + _fresh(c, "x"), "S"),
+    (lambda c: "(S(y) | R(y))" + _fresh(c, "y"), "S"),
+    (lambda c: "R(x)" + _fresh(c, "x") + " & exists adom y: S(y) & y <<= x",
+     "S"),
+    (lambda c: "S(y) & exists adom x: R(x) & y <<= x" + _fresh(c, "x"), "S"),
+    (lambda c: "exists x: R(x) & last(x, '0')" + _fresh(c, "x"), "S"),
+    (lambda c: "R(x) & S(y) & y <<= x" + _fresh(c, "x"), "S"),
+    (lambda c: f"R(x) & matches(x, '{c}(00)*')", "S_reg"),
+    (lambda c: f"R(x) & matches(x, '{c}.*(11)*')", "S_reg"),
+    (lambda c: f"R(x) & matches(x, '({c}.*)1')", "S_reg"),
+    (lambda c: f"S(y) & matches(y, '{c}.*')", "S_reg"),
+]
+
+
+def _bench_relations(seed: int = 3) -> dict:
+    """R: 100 strings of length 4..12; S: 16 strings of length 1..4 (the
+    sizes of the service benchmarks' database)."""
+    rng = random.Random(seed)
+
+    def distinct(lengths) -> set[str]:
+        out: set[str] = set()
+        for length in lengths:
+            word = "".join(rng.choice("01") for _ in range(length))
+            while word in out:
+                word = "".join(rng.choice("01") for _ in range(length))
+            out.add(word)
+        return out
+
+    return {
+        "R": distinct(4 + i % 9 for i in range(100)),
+        "S": distinct((1,) * 2 + (2,) * 4 + (3,) * 5 + (4,) * 5),
+    }
+
+
+def _register(conn: _Connection, relations: dict) -> None:
+    (line,) = conn.lines({"op": "register_db", "name": "main", "db": {
+        "alphabet": "01",
+        "relations": {n: [[s] for s in sorted(r)] for n, r in relations.items()},
+    }})
+    assert json.loads(line)["ok"]
+
+
+class TestNeverSeenTexts:
+    """A text the alias map does not know, of a shape whose plan is cached
+    and whose closure is warm, is parsed and run on the loop."""
+
+    def test_frames_match_a_worker_and_run_on_the_loop(self, monkeypatch):
+        """Each shape warmed up once, then sent with a fresh constant,
+        plain and streamed: the loop service answers every one on its
+        loop (``service.inline_runs``), and its frames are the pool
+        twin's byte for byte, timings aside.  The budget is raised so a
+        loaded host cannot overrun it: what it bounds is pinned
+        elsewhere in this module."""
+        monkeypatch.setattr(service_module, "LOOP_RUN_BUDGET", 1.0)
+        relations = _bench_relations()
+        loop_svc = QueryService(workers=2, cache=BoundedCache(4096, "test.loop"))
+        pool_svc = QueryService(workers=2, cache=BoundedCache(4096, "test.pool"))
+        pool_svc.answer_on_loop = lambda request, run=True: None
+        loop_jobs = _jobs(loop_svc)
+        servers = [_tcp_server(loop_svc), _tcp_server(pool_svc)]
+        conns = [_Connection(server) for server, _ in servers]
+        try:
+            for conn in conns:
+                _register(conn, relations)
+            for shape, structure in SHAPES:
+                body = {"op": "run", "db": "main", "structure": structure,
+                        "query": shape("111")}
+                for conn in conns:
+                    assert json.loads(conn.lines(body)[0])["ok"], body
+            warm_jobs = len(loop_jobs)
+            for n, (shape, structure) in enumerate(SHAPES):
+                for c, stream in (("0", False), ("01", True)):
+                    body = {"op": "run", "db": "main", "structure": structure,
+                            "query": shape(c)}
+                    if stream:
+                        body.update(stream=True, page_size=4)
+                    before = METRICS.get("service.inline_runs")
+                    inline, pooled = (conn.lines(body) for conn in conns)
+                    assert inline == pooled, body
+                    assert json.loads(inline[-1])["ok"], body
+                    assert METRICS.get("service.inline_runs") == before + 1, body
+            assert len(loop_jobs) == warm_jobs
+            assert METRICS.get("service.inline_overruns") == 0
+        finally:
+            for conn in conns:
+                conn.close()
+            for server, thread in servers:
+                _stop(server, thread)
+
+    def test_a_ping_is_not_held_up(self):
+        """With the real budget, never-seen texts of every shape sent
+        back to back over one connection: another connection's pings are
+        answered within 0.25 s throughout."""
+        svc = QueryService(workers=2)
+        server, thread = _tcp_server(svc)
+        sender_conn, probe = _Connection(server), _Connection(server)
+        _register(sender_conn, _bench_relations())
+        for shape, structure in SHAPES:
+            assert json.loads(sender_conn.lines({
+                "op": "run", "db": "main", "structure": structure,
+                "query": shape("111"),
+            })[0])["ok"]
+        replies: list = []
+
+        def send() -> None:
+            for k in range(120):
+                shape, structure = SHAPES[k % len(SHAPES)]
+                replies.append(json.loads(sender_conn.lines({
+                    "op": "run", "db": "main", "structure": structure,
+                    "query": shape(format(k, "b")),
+                })[-1]))
+
+        sender = threading.Thread(target=send, daemon=True)
+        try:
+            sender.start()
+            latencies = []
+            while sender.is_alive() or not latencies:
+                t0 = time.perf_counter()
+                assert json.loads(probe.lines({"op": "ping"})[0])["ok"]
+                latencies.append(time.perf_counter() - t0)
+                time.sleep(0.002)
+            sender.join(30)
+            assert not sender.is_alive()
+            assert max(latencies) < 0.25, latencies
+            assert len(replies) == 120 and all(r["ok"] for r in replies)
+            assert METRICS.get("service.inline_runs") > 0
+        finally:
+            sender_conn.close()
+            probe.close()
+            _stop(server, thread)
+
+
+class TestNeverSeenTextsTakeThePool:
+    """Never-seen texts the loop leaves to a worker: the probe returns
+    ``None`` without raising, and the worker gives the answer or the
+    structured error it always gave."""
+
+    @pytest.fixture
+    def svc(self):
+        svc = QueryService(workers=2)
+        svc.register_database("main", _database(
+            {"R": {"0110", "001", "11"}, "S": {"0", "01"}}
+        ))
+        yield svc
+        svc.close()
+
+    def _warm(self, svc, text: str, structure: str = "S") -> None:
+        assert svc.execute(RunRequest(query=text, database="main",
+                                      structure=structure)).ok
+
+    def test_a_text_over_the_parse_cap(self, svc):
+        self._warm(svc, "R(x) & '1' <<= x")
+        text = "R(x) & '" + "0" * service_module.LOOP_PARSE_MAX_CHARS + "' <<= x"
+        request = RunRequest(query=text, database="main")
+        _takes_the_pool(svc, request)
+        assert svc.execute(request).rows == []
+        short = RunRequest(query="R(x) & '0' <<= x", database="main")
+        assert svc.answer_on_loop(short).rows == [["001"], ["0110"]]
+
+    def test_an_iff(self, svc):
+        """``<->`` copies both sides: a worker parses it, whatever its
+        length."""
+        self._warm(svc, "R(x) & (last(x, '0') <-> '1' <<= x)")
+        request = RunRequest(query="R(x) & (last(x, '0') <-> '0' <<= x)",
+                             database="main")
+        _takes_the_pool(svc, request)
+        assert svc._prepared_text.peek((request.query, "S")) is None
+
+    def test_a_parse_error(self, svc):
+        request = RunRequest(query="R(x) &", database="main")
+        _takes_the_pool(svc, request)
+        assert svc.execute(request).error.code == "parse"
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "R(x)" + ")" * 200,
+        "!" * 200 + "R(x)",
+        " <-> ".join(["R(x)"] * 16),
+    ], ids=["parentheses", "negations", "iff-chain"])
+    def test_nesting_the_parser_refuses(self, svc, monkeypatch, text):
+        monkeypatch.setattr(service_module, "LOOP_PARSE_MAX_CHARS", 1024)
+        request = RunRequest(query=text, database="main")
+        _takes_the_pool(svc, request)
+        error = svc.execute(request).error
+        assert error.code == "parse", error
+
+    def test_a_signature_error(self, svc):
+        self._warm(svc, "R(x) & matches(x, '0.*')")
+        request = RunRequest(query="R(x) & matches(x, '(00)*')",
+                             database="main")
+        _takes_the_pool(svc, request)
+        assert svc.execute(request).error.code == "invalid"
+        # A failed check marks nothing: the next binding runs here.
+        template = svc.prepare("R(x) & matches(x, '0.*')").template
+        assert template.overran == {}
+        response = svc.answer_on_loop(
+            RunRequest(query="R(x) & matches(x, '1.*')", database="main")
+        )
+        assert response.rows == [["11"]]
+
+    def test_a_check_over_the_budget(self, svc):
+        """A pattern whose star-freeness check outlasts the budget (its
+        transition monoid has 456,211 elements) leaves the loop within a
+        few budgets."""
+        self._warm(svc, "R(x) & matches(x, '0.*')")
+        request = RunRequest(
+            query="R(x) & matches(x, '(((1|0)11(0|1)((0)*1|11(1|0)))*)*')",
+            database="main",
+        )
+        t0 = time.perf_counter()
+        _takes_the_pool(svc, request)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_a_plan_cache_miss(self, svc):
+        request = RunRequest(query="R(x) & last(x, '0') & '1' <<= x",
+                             database="main")
+        _takes_the_pool(svc, request)
+        assert svc.execute(request).rows == []
+        # The template's plan is cached now: a new binding runs here.
+        response = svc.answer_on_loop(
+            RunRequest(query="R(x) & last(x, '0') & '0' <<= x",
+                       database="main")
+        )
+        assert response.rows == [["0110"]]
+        assert METRICS.get("service.inline_runs") == 1
+
+    def test_a_batch_item_is_not_parsed(self, svc):
+        self._warm(svc, "R(x) & '1' <<= x")
+        request = RunRequest(query="R(x) & '0' <<= x", database="main")
+        assert svc.answer_on_loop(request, run=False) is None
+        assert svc._prepared_text.peek(("R(x) & '0' <<= x", "S")) is None

@@ -1,10 +1,13 @@
 """Parser robustness: random input never crashes with anything but ParseError."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError
 from repro.logic import parse_formula
+from repro.logic.parser import MAX_NESTING
 from repro.sql import translate_select
 from repro.database import Schema
 
@@ -35,6 +38,39 @@ class TestFormulaParserFuzz:
         text = "(" * 50 + "R(x)" + ")" * 50
         f = parse_formula(text)
         assert f.relation_names() == {"R"}
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "R(x)" + ")" * 200,
+        "!" * 200 + "R(x)",
+        "".join(f"exists x{i}: " for i in range(200)) + "R(x)",
+        " -> ".join(["R(x)"] * 200),
+        "x = " + "add_last(" * 200 + "y" + ", '0')" * 200,
+        "(" * 5000 + "R(x)" + ")" * 5000,
+    ], ids=["parentheses", "negations", "quantifiers", "implications",
+            "terms", "parentheses-5000"])
+    def test_nesting_past_the_bound_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nest"):
+            parse_formula(text)
+
+    def test_nesting_within_the_bound_parses(self):
+        depth = MAX_NESTING - 2  # the atom and its argument are two more
+        assert parse_formula("!" * depth + "R(x)").relation_names() == {"R"}
+        chain = parse_formula(" -> ".join(["R(x)"] * MAX_NESTING))
+        assert chain.relation_names() == {"R"}
+
+    def test_iff_expansion_is_bounded(self):
+        # Each '<->' writes both sides twice: n of them make 2^n copies.
+        assert parse_formula(" <-> ".join(["R(x)"] * 8))
+        with pytest.raises(ParseError, match="nodes"):
+            parse_formula(" <-> ".join(["R(x)"] * 16))
+
+    def test_a_deep_stack_is_a_parse_error(self):
+        def descend(n):
+            return descend(n - 1) if n else parse_formula(
+                "(" * 90 + "R(x)" + ")" * 90
+            )
+        with pytest.raises(ParseError, match="too deeply"):
+            descend(sys.getrecursionlimit() - 120)
 
     def test_long_conjunction(self):
         text = " & ".join(["R(x)"] * 200)

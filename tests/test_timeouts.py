@@ -153,6 +153,38 @@ class TestQueryTimeout:
             q.run(adversarial_db, engine="direct", timeout=0.05)
 
 
+#: Not star-free, and its minimal DFA's transition monoid has 456,211
+#: elements: deciding that takes seconds.
+NOT_STAR_FREE = "(((1|0)11(0|1)((0)*1|11(1|0)))*)*"
+
+
+class TestStarFreeCheckTimeout:
+    def test_monoid_construction_honours_the_deadline(self):
+        from repro.automata.aperiodic import is_star_free
+        from repro.automata.regex import compile_regex
+        from repro.strings.alphabet import Alphabet
+
+        dfa = compile_regex(NOT_STAR_FREE, Alphabet("01"))
+        t0 = time.monotonic()
+        with pytest.raises(EvaluationTimeout):
+            with deadline_scope(0.05):
+                is_star_free(dfa)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_a_service_request_times_out_within_a_second(self, small_db):
+        from repro.service import QueryService, RunRequest
+
+        with QueryService(workers=1) as svc:
+            svc.register_database("main", small_db)
+            t0 = time.monotonic()
+            response = svc.execute(RunRequest(
+                query=f"R(x) & matches(x, '{NOT_STAR_FREE}')",
+                database="main", timeout=0.1,
+            ))
+            assert time.monotonic() - t0 < 1.0
+        assert response.error.code == "timeout", response.error
+
+
 class TestCLITimeout:
     @pytest.fixture
     def adversarial_db_file(self, tmp_path):
