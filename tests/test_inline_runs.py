@@ -3,10 +3,12 @@ budget (``QueryService.answer_on_loop``).
 
 A request whose plan the plan cache holds and whose compiled closure is
 warm runs on the calling thread, under ``LOOP_RUN_BUDGET``, instead of
-waiting for a worker.  These tests pin that such an answer is the
-automata oracle's and byte-for-byte a worker's (timings aside), that an
-overrun falls back to a worker once per plan, that it cannot hold up
-another connection, and which requests never run on the loop.
+waiting for a worker; a never-seen text of such a template is parsed
+and its binding checked there first.  These tests pin that such an
+answer is the automata oracle's and byte-for-byte a worker's (timings
+aside), that an overrun falls back to a worker once per plan, that it
+cannot hold up another connection, and which requests never run on the
+loop.
 """
 
 import io

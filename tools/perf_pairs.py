@@ -12,7 +12,7 @@ it is odd, so a drift in host load does not favour one side.
 For each workload and end-to-end metric it prints the median and the
 quartiles of both sides, the change's wins (pairs in which it was
 better, in the direction ``BENCHMARK.json`` declares), and each side's
-failed-operation and wrong-answer counts.  ``--out PATH`` also writes
+failed operations per run and whether every answer was correct.  ``--out PATH`` also writes
 every run's JSON result, one line per run.
 
 Usage (from the repository root)::
@@ -119,10 +119,11 @@ def report(workload: str, runs: dict[str, list[dict]],
             f"| {name} | {pa2:.4g} [{pa1:.4g}, {pa3:.4g}] "
             f"| {pb2:.4g} [{pb1:.4g}, {pb3:.4g}] | {wins}/{len(a)} |"
         )
+    out.append("")
     for side, results in runs.items():
         out.append(
-            f"\n{side}: failed operations "
-            f"{[r['failed'] for r in results]}, correct "
+            f"- {side}: failed operations "
+            f"{[r['failed'] for r in results]}, every answer correct: "
             f"{all(r['correct'] for r in results)}"
         )
     return out + [""]
