@@ -825,8 +825,7 @@ class QueryService:
         PlanCache.peek`).  With ``run``, a text the alias map does not
         know is prepared right here (:meth:`prepare`) when it has at most
         :data:`LOOP_PARSE_MAX_CHARS` characters and no ``<->``, and a
-        binding not yet
-        checked for the database's alphabet is checked
+        binding not yet checked for the database's alphabet is checked
         (:meth:`PreparedQuery.check_signature`) under a
         :data:`LOOP_RUN_BUDGET` deadline.  Any error there takes the pool,
         which reports it; a failed check marks nothing, as its cost
